@@ -46,7 +46,7 @@ from repro.core.txbatch import TxBatch
 from repro.sim.context import NodeContext
 from repro.sim.messages import Message
 from repro.vid.avid_m import AvidMInstance, RetrievalResult
-from repro.vid.codec import RealCodec, VirtualCodec
+from repro.vid.codec import RealCodec, VirtualCodec, parse_shared
 from repro.vid.messages import VID_MESSAGE_TYPES, ReturnChunkMsg
 
 #: First epoch number.  The paper indexes epochs from 1 (Fig. 17 initialises
@@ -60,6 +60,14 @@ _MESSAGE_ROUTES: dict[type, int] = {
     **{cls: _ROUTE_VID for cls in VID_MESSAGE_TYPES},
     **{cls: _ROUTE_BA for cls in BA_MESSAGE_TYPES},
 }
+
+
+def _parse_block(payload: bytes) -> Block | None:
+    """Deserialise a retrieved payload (None if ill-formatted, S4.3)."""
+    try:
+        return Block.deserialize(payload)
+    except ValueError:
+        return None
 
 
 class BFTNodeBase(SnapshotState):
@@ -424,14 +432,16 @@ class BFTNodeBase(SnapshotState):
         return block
 
     def _block_from_payload(self, payload: Any) -> Block | None:
-        """Turn a retrieval result back into a block (None if ill-formatted)."""
+        """Turn a retrieval result back into a block (None if ill-formatted).
+
+        On the real plane every node retrieving a root is handed the same
+        payload object, and shares one frozen :class:`Block` parsed from it —
+        as the virtual plane shares the dispersed block object itself.
+        """
         if isinstance(payload, Block):
             return payload
         if isinstance(payload, (bytes, bytearray)):
-            try:
-                return Block.deserialize(bytes(payload))
-            except ValueError:
-                return None
+            return parse_shared(bytes(payload), _parse_block)
         return None
 
     # ------------------------------------------------------------------

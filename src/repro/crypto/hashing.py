@@ -20,7 +20,11 @@ _sha256 = hashlib.sha256
 
 def hash_data(data: bytes) -> bytes:
     """Hash raw data (used for Merkle leaves and content digests)."""
-    return _sha256(_LEAF_PREFIX + data).digest()
+    # Stream prefix and data through one hasher: concatenating them first
+    # copies the whole leaf (tens of kB per proof check on the real plane).
+    hasher = _sha256(_LEAF_PREFIX)
+    hasher.update(data)
+    return hasher.digest()
 
 
 def hash_pair(left: bytes, right: bytes) -> bytes:

@@ -254,7 +254,3 @@ class ReedSolomonCode:
                 f"decoded length header {length} exceeds shard capacity {capacity}"
             )
         return payload[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]
-
-    def reencode(self, block: bytes) -> list[bytes]:
-        """Alias of :meth:`encode`, named for the AVID-M retrieval check."""
-        return self.encode(block)

@@ -234,9 +234,3 @@ class TestProperties:
             st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=10, unique=True)
         )
         assert code.decode({i: shards[i] for i in indices}) == block
-
-    @given(block=st.binary(min_size=1, max_size=256))
-    @settings(max_examples=40, deadline=None)
-    def test_reencode_is_deterministic(self, block):
-        code = ReedSolomonCode(3, 7)
-        assert code.encode(block) == code.reencode(block)

@@ -50,6 +50,27 @@ class TestRealCodec:
         forged = Chunk(index=2, size=chunk.size, data=chunk.data, proof=chunk.proof)
         assert not codec.verify_chunk(bundle.root, forged)
 
+    def test_verify_rejects_understated_size(self, codec):
+        """``size`` is what the wire bills: a full chunk declared as one byte is refused."""
+        bundle = codec.encode(b"x" * 1000)
+        chunk = bundle.chunks[0]
+        forged = Chunk(index=0, size=1, data=chunk.data, proof=chunk.proof)
+        assert forged.wire_size < chunk.wire_size
+        assert not codec.verify_chunk(bundle.root, forged)
+        overstated = Chunk(index=0, size=chunk.size + 1, data=chunk.data, proof=chunk.proof)
+        assert not codec.verify_chunk(bundle.root, overstated)
+        assert all(codec.verify_chunk(bundle.root, c) for c in bundle.chunks)
+
+    def test_verify_rejects_padding_leaf_as_chunk(self):
+        """Positions N..width-1 of the padded Merkle tree are not chunks."""
+        codec = RealCodec(ProtocolParams.for_n(5))
+        bundle = codec.encode(b"five servers, eight leaves")
+        padding = b"\x00merkle-padding"
+        padded = MerkleTree([c.data for c in bundle.chunks] + [padding] * 3)
+        assert padded.root == bundle.root
+        forged = Chunk(index=5, size=len(padding), data=padding, proof=padded.proof(5))
+        assert not codec.verify_chunk(bundle.root, forged)
+
     def test_decode_roundtrip_from_any_quorum(self, codec):
         payload = b"dispersed ledger codec roundtrip" * 3
         bundle = codec.encode(payload)
