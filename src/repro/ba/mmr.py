@@ -25,7 +25,6 @@ messages let a node adopt the decision, and ``2f + 1`` let it halt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.ids import BAInstanceId
@@ -37,21 +36,30 @@ from repro.ba.coin import CommonCoin
 from repro.ba.messages import AuxMsg, BValMsg, DecidedMsg
 
 
-@dataclass
 class _RoundState:
-    """Book-keeping for one round of the protocol."""
+    """Book-keeping for one round of the protocol.
 
-    bval_senders: dict[int, set[int]] = field(default_factory=lambda: {0: set(), 1: set()})
-    aux_values: dict[int, int] = field(default_factory=dict)
-    #: ``{sender: value}`` for AUX votes whose value is inside ``bin_values``
-    #: — the dict the N - f quorum rule counts.  Maintained incrementally
-    #: (on AUX arrival and on ``bin_values`` promotion) so the rule never
-    #: rescans ``aux_values``.
-    valid_aux: dict[int, int] = field(default_factory=dict)
-    bval_sent: set[int] = field(default_factory=set)
-    aux_sent: bool = False
-    bin_values: set[int] = field(default_factory=set)
-    advanced: bool = False
+    Sender tallies are ``int`` bitmasks indexed by binary value (bit
+    ``1 << src`` set once ``src`` voted), counted with ``int.bit_count()``:
+    one machine word per tally up to N=64, where a sender set or dict cost
+    kilobytes per round per instance.
+    """
+
+    __slots__ = ("bval_senders", "aux_senders", "bval_sent", "aux_sent", "bin_values", "advanced")
+
+    def __init__(self) -> None:
+        #: ``bval_senders[v]``: who sent ``BVAL(r, v)``.
+        self.bval_senders = [0, 0]
+        #: ``aux_senders[v]``: whose (first) ``AUX(r, *)`` carried ``v``.  The
+        #: two masks are disjoint — one AUX per sender per round counts — and
+        #: the N - f quorum rule counts the masks of the values inside
+        #: ``bin_values``, so a vote parked while its value was outside
+        #: counts from the moment the value is promoted, with no re-filing.
+        self.aux_senders = [0, 0]
+        self.bval_sent: set[int] = set()
+        self.aux_sent = False
+        self.bin_values: set[int] = set()
+        self.advanced = False
 
 
 class BinaryAgreement(SnapshotState):
@@ -96,7 +104,8 @@ class BinaryAgreement(SnapshotState):
         self._started = False
         self._sent_decided = False
         self._rounds: dict[int, _RoundState] = {}
-        self._decided_senders: dict[int, set[int]] = {0: set(), 1: set()}
+        #: ``_decided_senders[v]``: bitmask of who sent ``DECIDED(v)``.
+        self._decided_senders = [0, 0]
         self.rounds_taken = 0
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by the
         #: owning node as the instance is created; observes round boundaries.
@@ -163,10 +172,11 @@ class BinaryAgreement(SnapshotState):
         if msg.value not in (0, 1) or msg.round_number < self.round_number:
             return
         state = self._round(msg.round_number)
+        bit = 1 << src
         senders = state.bval_senders[msg.value]
-        if src in senders:
+        if senders & bit:
             return  # duplicate vote: no state change, nothing can fire
-        senders.add(src)
+        state.bval_senders[msg.value] = senders = senders | bit
         if not self._started:
             return
         # The echo and promote rules fire exactly when the supporter count
@@ -174,7 +184,7 @@ class BinaryAgreement(SnapshotState):
         # here — between crossings the (idempotent) rule sweep is a no-op, so
         # skip it.  A crossing that happens while the round is not current is
         # picked up by the full sweep ``_advance_to`` runs on round entry.
-        count = len(senders)
+        count = senders.bit_count()
         if count != self.params.small_quorum and count != self.params.ready_threshold:
             return
         self._evaluate_round(msg.round_number)
@@ -183,17 +193,23 @@ class BinaryAgreement(SnapshotState):
         if msg.value not in (0, 1) or msg.round_number < self.round_number:
             return
         state = self._round(msg.round_number)
-        if src in state.aux_values:
+        bit = 1 << src
+        aux = state.aux_senders
+        if (aux[0] | aux[1]) & bit:
             return  # one AUX per sender per round counts
-        state.aux_values[src] = msg.value
+        aux[msg.value] |= bit
         if msg.value not in state.bin_values:
-            # Not (yet) a valid vote; it joins valid_aux if the value is
-            # promoted later.  Nothing the quorum rule counts changed.
+            # Not (yet) a valid vote; it counts once the value is promoted.
+            # Nothing the quorum rule counts changed.
             return
-        state.valid_aux[src] = msg.value
         if not self._started:
             return
-        if len(state.valid_aux) < self.params.quorum:
+        # The N - f rule counts the masks of the values inside bin_values:
+        # this vote's value is one, the other value counts only if it is too.
+        valid = aux[msg.value].bit_count()
+        if len(state.bin_values) == 2:
+            valid += aux[1 - msg.value].bit_count()
+        if valid < self.params.quorum:
             return
         self._evaluate_round(msg.round_number)
 
@@ -205,16 +221,13 @@ class BinaryAgreement(SnapshotState):
 
         # Rule: echo BVAL values supported by f + 1 nodes; promote at 2f + 1.
         for value in (0, 1):
-            senders = state.bval_senders[value]
-            if len(senders) >= self.params.small_quorum and value not in state.bval_sent:
+            supporters = state.bval_senders[value].bit_count()
+            if supporters >= self.params.small_quorum and value not in state.bval_sent:
                 self._broadcast_bval(round_number, value)
-            if len(senders) >= self.params.ready_threshold and value not in state.bin_values:
-                state.bin_values.add(value)
+            if supporters >= self.params.ready_threshold and value not in state.bin_values:
                 # AUX votes for this value, parked while it was outside
-                # bin_values, become valid now.
-                for sender, aux_value in state.aux_values.items():
-                    if aux_value == value:
-                        state.valid_aux[sender] = aux_value
+                # bin_values, count from now on.
+                state.bin_values.add(value)
                 if not state.aux_sent:
                     state.aux_sent = True
                     self.ctx.broadcast(
@@ -226,15 +239,18 @@ class BinaryAgreement(SnapshotState):
 
         # Rule: once N - f AUX votes carry values inside bin_values, conclude
         # the round with the common coin.
-        valid_aux = state.valid_aux
-        if len(valid_aux) < self.params.quorum:
+        bin_values = state.bin_values
+        aux0, aux1 = state.aux_senders
+        valid0 = aux0.bit_count() if 0 in bin_values else 0
+        valid1 = aux1.bit_count() if 1 in bin_values else 0
+        if valid0 + valid1 < self.params.quorum:
             return
-        carried_values = set(valid_aux.values())
         coin_value = self.coin.flip(self.instance, round_number)
         state.advanced = True
         self.rounds_taken = round_number + 1
-        if len(carried_values) == 1:
-            (only_value,) = carried_values
+        if not (valid0 and valid1):
+            # Every counted vote carries the same value.
+            only_value = 1 if valid1 else 0
             self.estimate = only_value
             if only_value == coin_value:
                 self._decide(only_value)
@@ -276,11 +292,13 @@ class BinaryAgreement(SnapshotState):
     def _on_decided(self, src: int, msg: DecidedMsg) -> None:
         if msg.value not in (0, 1):
             return
+        bit = 1 << src
         senders = self._decided_senders[msg.value]
-        if src in senders:
+        if senders & bit:
             return  # duplicate: counts unchanged, rules re-check nothing new
-        senders.add(src)
-        if len(senders) >= self.params.small_quorum and self.decided is None:
+        self._decided_senders[msg.value] = senders = senders | bit
+        count = senders.bit_count()
+        if count >= self.params.small_quorum and self.decided is None:
             self._decide(msg.value)
-        if len(senders) >= self.params.ready_threshold and self.decided == msg.value:
+        if count >= self.params.ready_threshold and self.decided == msg.value:
             self.halted = True

@@ -16,6 +16,7 @@ dropped-block bandwidth waste but keeps the lockstep epoch structure.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 from repro.common.ids import VIDInstanceId
@@ -27,22 +28,7 @@ from repro.vid.avid_m import RetrievalResult
 
 def _with_linking(config: NodeConfig | None, linking: bool) -> NodeConfig:
     """Return ``config`` with its ``linking`` flag forced to ``linking``."""
-    if config is None:
-        return NodeConfig(linking=linking)
-    if config.linking == linking:
-        return config
-    return NodeConfig(
-        data_plane=config.data_plane,
-        nagle_delay=config.nagle_delay,
-        nagle_size=config.nagle_size,
-        max_block_size=config.max_block_size,
-        linking=linking,
-        coupled=config.coupled,
-        coupled_lag=config.coupled_lag,
-        max_parallel_retrievals=config.max_parallel_retrievals,
-        propose_empty_when_idle=config.propose_empty_when_idle,
-        retrieval_uses_priority=config.retrieval_uses_priority,
-    )
+    return replace(NodeConfig() if config is None else config, linking=linking)
 
 
 class HoneyBadgerNode(BFTNodeBase):

@@ -40,10 +40,12 @@ class NodeMetrics(SnapshotState):
     #: Confirmation latency samples over locally generated transactions only
     #: (the paper's default latency metric, Appendix A.1).
     latencies_local: list[float] = field(default_factory=list)
-    #: Columnar latency samples: one ``(origin, latency column)`` chunk per
-    #: delivered batch block, kept as numpy arrays so million-transaction
-    #: runs never materialise per-sample Python floats.
-    latency_chunks: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    #: Columnar latency samples: one ``(origin, delivered_at, created_at
+    #: column)`` chunk per delivered batch block.  The column is the array
+    #: every node's copy of the block shares, so N deliveries of a block
+    #: store N references, not N latency columns; the subtraction happens in
+    #: :meth:`latency_summary`.
+    latency_chunks: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
     #: Number of blocks this node proposed.
     blocks_proposed: int = 0
     #: Total transaction payload bytes this node proposed.
@@ -91,8 +93,8 @@ class NodeMetrics(SnapshotState):
                 return None
             return summarise(samples)
         chunks = [
-            column
-            for origin, column in self.latency_chunks
+            delivered_at - created_at
+            for origin, delivered_at, created_at in self.latency_chunks
             if not local_only or origin == self.node_id
         ]
         parts = [np.asarray(samples, dtype=np.float64)] if samples else []
@@ -135,11 +137,11 @@ class MetricsCollector(SnapshotState):
         metrics.timeline.append((entry.delivered_at, metrics.confirmed_bytes))
         batch = entry.block.tx_batch
         if batch is not None:
-            # Columnar fast path: one vectorised subtraction per delivered
-            # block instead of one float append per transaction.
+            # Columnar fast path: one chunk per delivered block instead of
+            # one float append per transaction.
             if batch.count:
                 metrics.latency_chunks.append(
-                    (batch.origin, entry.delivered_at - batch.created_at)
+                    (batch.origin, entry.delivered_at, batch.created_at)
                 )
             return
         for tx in entry.block.transactions:

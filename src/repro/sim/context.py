@@ -27,7 +27,7 @@ class Router(Protocol):
         dst: int,
         msg: Message,
         rank: float = 0.0,
-        abort: Callable[[], bool] | None = None,
+        abort: Callable[[int], bool] | None = None,
     ) -> None: ...
 
 
@@ -67,12 +67,15 @@ class NodeContext(SnapshotState):
         dst: int,
         msg: Message,
         rank: float = 0.0,
-        abort: Callable[[], bool] | None = None,
+        abort: Callable[[int], bool] | None = None,
     ) -> None:
         """Send ``msg`` to node ``dst``.
 
         ``abort`` lets bandwidth-accurate routers drop the transfer before it
-        consumes bandwidth if it is no longer needed (chunk cancellation).
+        consumes bandwidth if it is no longer needed (chunk cancellation):
+        the router asks ``abort(dst)``, so one predicate — e.g. a bound
+        ``set.__contains__`` over cancelled clients — serves every
+        destination and the sender allocates nothing per message.
         """
         self._router.send(self.node_id, dst, msg, rank, abort)
 

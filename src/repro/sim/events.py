@@ -145,6 +145,18 @@ class Simulator(SnapshotState):
         """
         return len(self._queue) - self._stale
 
+    @property
+    def last_seq(self) -> int:
+        """Sequence number drawn by the most recent ``schedule*`` push.
+
+        Read-only.  A caller that remembers the number its own push drew can
+        tell later whether anything has been scheduled since; the express
+        network uses it to let consecutive same-instant unicasts share one
+        heap entry.  :meth:`reschedule_at` draws no number (it reuses a
+        retired, hence smaller, one), so it never reads as a newer push.
+        """
+        return self._next_seq
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from now (``delay`` must be >= 0)."""
         if delay < 0:

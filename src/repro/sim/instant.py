@@ -70,7 +70,7 @@ class InstantNetwork:
         dst: int,
         msg: Message,
         rank: float = 0.0,
-        abort: Callable[[], bool] | None = None,
+        abort: Callable[[int], bool] | None = None,
     ) -> None:
         # The instant router ignores cancellation: it has no bandwidth to
         # save, and delivering "unnecessary" chunks exercises more code paths

@@ -26,7 +26,6 @@ dispersal-traffic fraction of Fig. 13 is read straight from these counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
@@ -91,8 +90,9 @@ class NetworkConfig:
             still counted via ``Simulator.count_inline_event`` so events/s
             stays comparable.  Express delivery changes event interleaving
             relative to the per-message path (identical arrival *times*,
-            different ordering within a timestamp), so pinned golden
-            scenarios never enable it.
+            different ordering within a timestamp), so an express scenario
+            pins its own summary (``columnar-scale`` in the slow golden
+            tier) and is never compared with a per-message run of itself.
     """
 
     num_nodes: int
@@ -142,7 +142,7 @@ class _MessageTransfer(SnapshotState):
         dst: int,
         msg: Message,
         rank: float,
-        abort: Callable[[], bool] | None,
+        abort: Callable[[int], bool] | None,
         phase: int = _EGRESS_DONE,
     ):
         self.network = network
@@ -185,6 +185,10 @@ class _MessageTransfer(SnapshotState):
             self.phase = _DELIVER
             net._ingress[dst].submit(msg.wire_size, msg.priority, self, self.rank, abort)
 
+    def sender_aborted(self) -> bool:
+        """The sender's ``abort(dst)`` as the no-argument predicate a pipe asks."""
+        return self.abort(self.dst)
+
     def should_abort(self) -> bool:
         # Receiver-side cancellation: before the transfer is charged against
         # the receiver's ingress bandwidth, the receiving automaton may
@@ -193,10 +197,10 @@ class _MessageTransfer(SnapshotState):
         # / flow control): the bytes are neither transmitted in full nor
         # charged to the receiver's scarce download capacity.
         abort = self.abort
-        if abort is not None and abort():
+        dst = self.dst
+        if abort is not None and abort(dst):
             return True
         net = self.network
-        dst = self.dst
         decline = net._declines[dst]
         if decline is None:
             return False
@@ -275,6 +279,63 @@ class _BroadcastFanout(SnapshotState):
         net._sim.count_inline_events(delivered)
 
 
+class _ExpressTrain(SnapshotState):
+    """Consecutive same-instant express unicasts sharing one heap entry.
+
+    ``Network.send`` appends a unicast to the open train instead of
+    scheduling it when the train was the simulator's most recent push
+    (``seq == Simulator.last_seq``) and the arrival time is the train's.
+    Scheduled one by one, those unicasts would have drawn consecutive
+    sequence numbers at one timestamp, so no other event could sort between
+    them: running the cars in append order from the train's slot is exactly
+    the order the per-message heap entries had.  Every car still runs its
+    abort and decline checks at arrival and counts as one processed event.
+    """
+
+    __slots__ = ("network", "when", "seq", "cars")
+    _SNAPSHOT_FIELDS = ("network", "when", "seq", "cars")
+
+    def __init__(self, network: "Network", when: float, car: tuple):
+        self.network = network
+        self.when = when
+        #: Sequence number of the train's heap entry; set once scheduled.
+        self.seq = -1
+        #: ``(src, dst, msg, abort)`` per unicast, in send order.
+        self.cars = [car]
+
+    def __call__(self) -> None:
+        net = self.network
+        if net._train is self:
+            # Fired: a unicast sent from a handler below (arriving at this
+            # very instant on a zero-delay network) must start a new train.
+            net._train = None
+        declines = net._declines
+        decline_types = net._decline_types
+        on_message = net._on_message
+        stats = net.stats
+        cars = self.cars
+        delivered = 0
+        for src, dst, msg, abort in cars:
+            # Same semantics as the ingress leg of the pipe path: the
+            # sender-side abort and the receiver's scoped decline hook both
+            # run before the receiver is charged.
+            if abort is not None and abort(dst):
+                continue
+            decline = declines[dst]
+            if decline is not None:
+                scope = decline_types[dst]
+                if (scope is None or type(msg) in scope) and decline(msg):
+                    continue
+            stats[dst].received[msg.priority] += msg.wire_size
+            delivered += 1
+            deliver = on_message[dst]
+            if deliver is not None:
+                deliver(src, msg)
+        net.messages_delivered += delivered
+        # The run loop counts the train itself as one event.
+        net._sim.count_inline_events(len(cars) - 1)
+
+
 class Network(SnapshotState):
     """Connects protocol automata through bandwidth-limited pipes."""
 
@@ -297,6 +358,7 @@ class Network(SnapshotState):
         "stats",
         "messages_delivered",
         "_span_probe",
+        "_train",
     )
 
     def __init__(self, sim: Simulator, config: NetworkConfig):
@@ -356,6 +418,9 @@ class Network(SnapshotState):
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
         #: ``attach``; observes sends to open chunk-transfer spans.
         self._span_probe = None
+        #: The express train still accepting unicasts (see
+        #: :class:`_ExpressTrain`); ``None`` off the express path.
+        self._train: _ExpressTrain | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -424,15 +489,17 @@ class Network(SnapshotState):
         dst: int,
         msg: Message,
         rank: float = 0.0,
-        abort: "Callable[[], bool] | None" = None,
+        abort: "Callable[[int], bool] | None" = None,
     ) -> None:
         """Send ``msg`` from ``src`` to ``dst``, charging bandwidth on both ends.
 
-        ``abort`` (optional) is checked when the message reaches the head of
-        the sender's egress queue and again at the receiver's ingress queue;
-        if it returns True the transfer is dropped without consuming
-        bandwidth.  Senders use it to cancel retrieval chunks the receiver no
-        longer needs (S6.3's "stop sending more chunks" optimisation).
+        ``abort`` (optional) is asked ``abort(dst)`` when the message reaches
+        the head of the sender's egress queue and again at the receiver's
+        ingress queue; if it returns True the transfer is dropped without
+        consuming bandwidth.  Senders use it to cancel retrieval chunks the
+        receiver no longer needs (S6.3's "stop sending more chunks"
+        optimisation); taking the destination lets one predicate serve every
+        message of a protocol instance.
         """
         if not 0 <= dst < self._num_nodes:
             raise ConfigurationError(f"destination {dst} out of range")
@@ -445,45 +512,29 @@ class Network(SnapshotState):
             return
         if self._config.express:
             # Unlimited bandwidth: the pipes would pass the message through
-            # untouched, so skip them — one scheduled event per unicast.  A
-            # C-constructed partial replaces the transfer record: at N=256 the
-            # retrieval plane schedules N^3 of these per epoch, so the two
-            # Python frames this saves (``__init__`` + the ``should_abort``
-            # wrapper) are a measurable slice of the whole run.
+            # untouched, so skip them.  At N=256 the retrieval plane sends
+            # N^3 of these per epoch, N at a time from one fan-out delivery;
+            # consecutive ones ride one heap entry (see _ExpressTrain), so
+            # each costs a tuple instead of a callable plus a heap slot.
             self.stats[src].sent[msg.priority] += msg.wire_size
-            self._sim.schedule(
-                self._scalar_delay, partial(self._express_unicast, src, dst, msg, abort)
-            )
+            sim = self._sim
+            when = sim.now + self._scalar_delay
+            train = self._train
+            if train is not None and train.when == when and train.seq == sim.last_seq:
+                train.cars.append((src, dst, msg, abort))
+                return
+            train = self._train = _ExpressTrain(self, when, (src, dst, msg, abort))
+            sim.schedule(self._scalar_delay, train)
+            train.seq = sim.last_seq
             return
         transfer = _MessageTransfer(self, src, dst, msg, rank, abort)
-        self._egress[src].submit(msg.wire_size, msg.priority, transfer, rank, abort)
-
-    def _express_unicast(
-        self,
-        src: int,
-        dst: int,
-        msg: Message,
-        abort: Callable[[], bool] | None,
-    ) -> None:
-        """Arrival of an express unicast: abort/decline checks, then deliver.
-
-        Same semantics as the ingress leg of the pipe path — the sender-side
-        abort and the receiver's scoped ``declines_transfer`` hook both run
-        before the receiver is charged — but flattened into one callback so
-        the per-message cost is a single Python frame.
-        """
-        if abort is not None and abort():
-            return
-        decline = self._declines[dst]
-        if decline is not None:
-            scope = self._decline_types[dst]
-            if (scope is None or type(msg) in scope) and decline(msg):
-                return
-        self.stats[dst].received[msg.priority] += msg.wire_size
-        self.messages_delivered += 1
-        deliver = self._on_message[dst]
-        if deliver is not None:
-            deliver(src, msg)
+        self._egress[src].submit(
+            msg.wire_size,
+            msg.priority,
+            transfer,
+            rank,
+            None if abort is None else transfer.sender_aborted,
+        )
 
     def broadcast(
         self, src: int, msg: Message, include_self: bool = True, rank: float = 0.0

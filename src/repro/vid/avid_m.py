@@ -21,7 +21,6 @@ decodable to avoid downloading ``N/(N-2f)``x the block size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable
 
 from repro.common.errors import DispersalError
@@ -110,8 +109,8 @@ class AvidMInstance(SnapshotState):
         "_retrieval_callbacks",
         "_received_chunks",
         "_return_chunk_seen",
-        "_requested",
         "_cancelled_retrievers",
+        "_retriever_cancelled",
         "_retrieval_result",
         "probe",
     )
@@ -141,13 +140,14 @@ class AvidMInstance(SnapshotState):
         self.completed = False
         self._sent_got_chunk = False
         self._sent_ready_roots: set[bytes] = set()
-        # Distinct-sender vote counts per root.  The seen-sets dedup senders
-        # (one vote each), so a plain counter is enough for the quorum rules
-        # — no per-root sender sets.
+        # Distinct-sender vote counts per root.  The seen-masks dedup senders
+        # (bit ``1 << src``, one vote each), so a plain counter is enough for
+        # the quorum rules — no per-root sender sets, and one machine word
+        # per tally up to N=64 where a set cost 2 KB.
         self._got_chunk_count: dict[bytes, int] = {}
         self._ready_count: dict[bytes, int] = {}
-        self._got_chunk_seen: set[int] = set()
-        self._ready_seen: set[int] = set()
+        self._got_chunk_seen = 0
+        self._ready_seen = 0
         self._pending_requests: list[int] = []
         #: The answer to a retrieval request — identical (root, chunk) for
         #: every client, so one message object serves all of them.
@@ -158,10 +158,13 @@ class AvidMInstance(SnapshotState):
         self._retrieval_done = False
         self._retrieval_callbacks: list[Callable[[RetrievalResult], None]] = []
         self._received_chunks: dict[bytes, dict[int, Chunk]] = {}
-        self._return_chunk_seen: set[int] = set()
-        self._requested: set[int] = set()
+        self._return_chunk_seen = 0
         #: Clients that told us they decoded the block and need no more chunks.
         self._cancelled_retrievers: set[int] = set()
+        #: The transport's ``abort(dst)`` predicate for every chunk this
+        #: instance returns: one prebound membership test, not one callable
+        #: per queued chunk.
+        self._retriever_cancelled = self._cancelled_retrievers.__contains__
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by the
         #: owning node as the instance is created; observes chunk arrivals.
         self.probe = None
@@ -222,7 +225,6 @@ class AvidMInstance(SnapshotState):
         # request, and the network's broadcast path delivers in the same
         # 0..N-1 order the per-server loop did (the express network collapses
         # it into a single fan-out event).
-        self._requested.update(range(self.params.n))
         self.ctx.broadcast(
             RequestChunkMsg(instance=self.instance), rank=self.retrieval_rank
         )
@@ -275,9 +277,10 @@ class AvidMInstance(SnapshotState):
             self.ctx.broadcast(GotChunkMsg(instance=self.instance, root=msg.root))
 
     def _on_got_chunk(self, src: int, msg: GotChunkMsg) -> None:
-        if src in self._got_chunk_seen:
+        bit = 1 << src
+        if self._got_chunk_seen & bit:
             return
-        self._got_chunk_seen.add(src)
+        self._got_chunk_seen |= bit
         count = self._got_chunk_count.get(msg.root, 0) + 1
         self._got_chunk_count[msg.root] = count
         # The count rises by exactly one per distinct sender, so the quorum
@@ -287,9 +290,10 @@ class AvidMInstance(SnapshotState):
             self._send_ready(msg.root)
 
     def _on_ready(self, src: int, msg: ReadyMsg) -> None:
-        if src in self._ready_seen:
+        bit = 1 << src
+        if self._ready_seen & bit:
             return
-        self._ready_seen.add(src)
+        self._ready_seen |= bit
         count = self._ready_count.get(msg.root, 0) + 1
         self._ready_count[msg.root] = count
         if count == self.params.ready_amplify_threshold:
@@ -348,10 +352,9 @@ class AvidMInstance(SnapshotState):
             msg,
             rank=self.retrieval_rank,
             # Drop the transfer (saving the bandwidth) if the client cancels
-            # before this chunk reaches the head of the egress queue.  A
-            # C-level partial on the set's membership test, rather than a
-            # fresh closure per queued chunk.
-            abort=partial(self._cancelled_retrievers.__contains__, dst),
+            # before this chunk reaches the head of the egress queue; the
+            # transport asks ``abort(dst)``.
+            abort=self._retriever_cancelled,
         )
 
     # --- client side (Fig. 4: collecting chunks) ---
@@ -364,9 +367,10 @@ class AvidMInstance(SnapshotState):
             )
         if not self._retrieving or self._retrieval_done:
             return
-        if src in self._return_chunk_seen:
+        bit = 1 << src
+        if self._return_chunk_seen & bit:
             return
-        self._return_chunk_seen.add(src)
+        self._return_chunk_seen |= bit
         if msg.chunk.index != src:
             return
         if not self.codec.verify_chunk(msg.root, msg.chunk):

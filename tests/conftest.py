@@ -7,6 +7,8 @@ import pytest
 from repro.ba.coin import CommonCoin
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
+from repro.experiments.runner import build_experiment
+from repro.experiments.scenario import ScenarioSpec, build_network_config
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
 
@@ -77,3 +79,24 @@ def build_cluster(
 def submit_texts(node, texts):
     """Submit a list of string payloads as transactions to ``node``."""
     return [node.submit_payload(text.encode()) for text in texts]
+
+
+def build_scenario_state(spec: ScenarioSpec, overrides: dict | None = None):
+    """The ready-to-run simulation of ``spec``, built the way ``run_scenario`` does.
+
+    For tests that drive ``state.sim`` themselves (mid-run snapshots, event
+    stepping, inspecting automata after the run).
+    """
+    return build_experiment(
+        spec.protocol,
+        build_network_config(spec),
+        spec.duration,
+        workload=spec.workload,
+        node_config=spec.node,
+        params=spec.params(),
+        seed=spec.seed,
+        warmup=spec.effective_warmup(),
+        adversary=spec.adversary,
+        max_epochs=spec.max_epochs,
+        meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
+    )

@@ -1,5 +1,7 @@
 """Integration tests for the HoneyBadger and HB-Link baselines."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import NodeConfig
@@ -114,3 +116,33 @@ class TestCrossProtocolEquivalence:
         _, nodes = build_cluster(HoneyBadgerNode, params4, config=config, max_epochs=1)
         # The HoneyBadger class forces linking off regardless of the supplied config.
         assert all(not node.config.linking for node in nodes)
+
+    @pytest.mark.parametrize("node_class", [HoneyBadgerNode, HoneyBadgerLinkNode])
+    def test_every_config_field_but_linking_survives(self, params4, node_class):
+        """The class forces ``linking`` and nothing else — whatever fields
+        ``NodeConfig`` grows.  Every field is set off its default, so one
+        dropped on the way (as ``mempool`` and ``retrieve_blocks`` once
+        were) reads back as the default and fails here."""
+        non_default = {
+            "data_plane": "real",
+            "nagle_delay": 0.25,
+            "nagle_size": 77_000,
+            "max_block_size": 123_456,
+            "coupled": True,
+            "coupled_lag": 3,
+            "max_parallel_retrievals": 2,
+            "propose_empty_when_idle": False,
+            "retrieval_uses_priority": False,
+            "retrieve_blocks": False,
+            "mempool": "columnar",
+        }
+        carried = [f.name for f in dataclasses.fields(NodeConfig) if f.name != "linking"]
+        assert sorted(carried) == sorted(non_default)  # a new field needs a value here
+        for linking in (False, True):
+            config = NodeConfig(linking=linking, **non_default)
+            assert all(getattr(config, name) != getattr(NodeConfig(), name) for name in carried)
+            _, nodes = build_cluster(node_class, params4, config=config, max_epochs=1)
+            for node in nodes:
+                assert node.config.linking is node_class.LINKING
+                for name in carried:
+                    assert getattr(node.config, name) == non_default[name], name

@@ -143,8 +143,188 @@ class TestReceiverSideCancellation:
     def test_abort_callable_from_sender(self):
         sim, network, recorders = build(rate=10.0)
         cancelled = {"flag": False}
-        network.send(0, 1, Message(wire_size=100), abort=lambda: cancelled["flag"])
+        network.send(0, 1, Message(wire_size=100), abort=lambda dst: cancelled["flag"])
         network.send(0, 1, Message(wire_size=10))
         cancelled["flag"] = True
         sim.run()
         assert [msg.wire_size for _, _, msg in recorders[1].received] == [10]
+
+    def test_abort_is_asked_with_the_destination_at_egress_head_and_at_ingress(self):
+        sim, network, recorders = build(rate=1000.0, delay=0.1)
+        asked = []
+
+        def abort(dst):
+            asked.append((round(sim.now, 6), dst))
+            return False
+
+        network.send(0, 1, Message(wire_size=100), abort=abort)
+        sim.run()
+        # Once when the chunk reaches the head of node 0's egress queue, once
+        # when it reaches node 1's ingress queue (0.1 s egress + 0.1 s delay).
+        assert asked == [(0.0, 1), (0.2, 1)]
+        assert len(recorders[1].received) == 1
+
+    def test_abort_that_flips_in_flight_drops_the_transfer_at_ingress(self):
+        sim, network, recorders = build(rate=1000.0, delay=0.1)
+        cancelled = set()
+        network.send(0, 1, Message(wire_size=100), abort=cancelled.__contains__)
+        sim.schedule(0.15, lambda: cancelled.add(1))  # after egress, before ingress
+        sim.run()
+        assert recorders[1].received == []
+        assert network.stats[0].total_sent == 100
+        assert network.stats[1].total_received == 0
+
+    def test_one_predicate_serves_every_destination(self):
+        sim, network, recorders = build(num_nodes=3, rate=1000.0)
+        cancelled = {2}
+        for dst in (1, 2):
+            network.send(0, dst, Message(wire_size=100), abort=cancelled.__contains__)
+        sim.run()
+        assert len(recorders[1].received) == 1
+        assert recorders[2].received == []
+
+
+class LogRecorder(Recorder):
+    """A recorder that also appends ``(dst, src, tag)`` to a cluster-wide log."""
+
+    def __init__(self, sim, log, node_id, on_receive=None):
+        super().__init__(sim)
+        self.log = log
+        self.node_id = node_id
+        self.on_receive = on_receive
+
+    def on_message(self, src, msg):
+        self.log.append((self.node_id, src, msg.tag))
+        if self.on_receive is not None:
+            self.on_receive(self.node_id, src, msg)
+
+
+class Tagged(Message):
+    def __init__(self, tag, wire_size=10):
+        super().__init__(wire_size=wire_size)
+        self.tag = tag
+
+
+def build_express(num_nodes=4, delay=0.05, on_receive=None, recorder_class=LogRecorder):
+    sim = Simulator()
+    network = Network(
+        sim, NetworkConfig(num_nodes=num_nodes, propagation_delay=delay, express=True)
+    )
+    log = []
+    for node in range(num_nodes):
+        network.attach(node, recorder_class(sim, log, node, on_receive))
+    return sim, network, log
+
+
+class TestExpressTrains:
+    """Consecutive same-instant express unicasts share one heap entry.
+
+    Every test states the delivery order one heap entry per unicast would
+    give — send order within an instant — and the event count it would give:
+    one per message plus one per scheduled sender callback.
+    """
+
+    def test_unicasts_from_one_callback_ride_one_train_in_send_order(self):
+        sim, network, log = build_express()
+        sends = [(0, 1), (0, 2), (3, 1), (0, 1), (2, 3)]
+
+        def sender():
+            for tag, (src, dst) in enumerate(sends):
+                network.send(src, dst, Tagged(tag))
+
+        sim.schedule(0.1, sender)
+        sim.run(until=0.1)
+        assert sim.pending_events == 1  # five unicasts, one heap entry
+        sim.run()
+        assert log == [(dst, src, tag) for tag, (src, dst) in enumerate(sends)]
+        assert sim.processed_events == len(sends) + 1
+        assert network.messages_delivered == len(sends)
+
+    def test_two_same_instant_callbacks_share_the_train(self):
+        sim, network, log = build_express()
+        sim.schedule(0.1, lambda: [network.send(0, 1, Tagged(t)) for t in (0, 1)])
+        sim.schedule(0.1, lambda: [network.send(2, 1, Tagged(t)) for t in (2, 3)])
+        sim.run(until=0.1)
+        assert sim.pending_events == 1
+        sim.run()
+        assert [tag for _, _, tag in log] == [0, 1, 2, 3]
+        assert sim.processed_events == 4 + 2
+
+    def test_a_push_in_between_closes_the_train(self):
+        sim, network, log = build_express()
+
+        def sender():
+            network.send(0, 1, Tagged("a"))
+            network.send(0, 2, Tagged("b"))
+            network.broadcast(3, Tagged("m"), include_self=False)
+            network.send(0, 1, Tagged("c"))
+            network.send(0, 2, Tagged("d"))
+
+        sim.schedule(0.1, sender)
+        sim.run(until=0.1)
+        assert sim.pending_events == 3  # train, fan-out, train
+        sim.run()
+        assert log == [
+            (1, 0, "a"), (2, 0, "b"),
+            (0, 3, "m"), (1, 3, "m"), (2, 3, "m"),
+            (1, 0, "c"), (2, 0, "d"),
+        ]
+        # The fan-out counts as an event besides its three deliveries.
+        assert sim.processed_events == 7 + 1 + 1
+
+    def test_a_later_instant_starts_a_new_train(self):
+        sim, network, log = build_express()
+        network.send(0, 1, Tagged("early"))
+        sim.run(until=0.01)
+        # Nothing was pushed since the first train, but the arrival differs.
+        network.send(0, 1, Tagged("late"))
+        assert sim.pending_events == 2
+        sim.run()
+        assert [tag for _, _, tag in log] == ["early", "late"]
+
+    def test_fired_train_accepts_no_members_at_zero_delay(self):
+        def reply(node_id, src, msg):
+            if msg.tag == "a":
+                # Arrives at this very instant, and the firing train was the
+                # last push: it must still start a train of its own.
+                network.send(node_id, 2, Tagged("reply"))
+
+        sim, network, log = build_express(delay=0.0, on_receive=reply)
+        network.send(0, 1, Tagged("a"))
+        network.send(0, 3, Tagged("b"))
+        assert sim.pending_events == 1
+        sim.run()
+        assert [tag for _, _, tag in log] == ["a", "b", "reply"]
+        assert sim.processed_events == 3
+        assert sim.pending_events == 0
+
+    def test_abort_and_decline_run_at_arrival_and_dropped_cars_still_count(self):
+        class Declining(LogRecorder):
+            def declines_transfer(self, msg):
+                return msg.tag == "declined"
+
+        sim, network, log = build_express(recorder_class=Declining)
+        cancelled = set()
+        network.send(0, 1, Tagged("aborted", 100), abort=cancelled.__contains__)
+        network.send(0, 2, Tagged("kept", 100), abort=cancelled.__contains__)
+        network.send(0, 3, Tagged("declined", 100))
+        network.send(0, 3, Tagged("plain", 100))
+        cancelled.add(1)  # flips between send and arrival
+        sim.run()
+        assert log == [(2, 0, "kept"), (3, 0, "plain")]
+        # The sender is charged at send time, the receiver only on delivery;
+        # a dropped unicast was one event on the per-message path too.
+        assert network.stats[0].total_sent == 400
+        assert [network.stats[n].total_received for n in (1, 2, 3)] == [0, 100, 100]
+        assert network.messages_delivered == 2
+        assert sim.processed_events == 4
+
+    def test_train_join_needs_the_last_push_to_be_the_train(self):
+        sim, network, log = build_express()
+        network.send(0, 1, Tagged("a"))
+        train_seq = sim.last_seq
+        sim.schedule(0.05, lambda: log.append("timer"))  # same arrival instant
+        assert sim.last_seq == train_seq + 1
+        network.send(0, 1, Tagged("b"))
+        sim.run()
+        assert log == [(1, 0, "a"), "timer", (1, 0, "b")]

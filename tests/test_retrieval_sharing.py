@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cluster, submit_texts
-from test_snapshot_properties import _build_state, _resume_in_fresh_process
+from conftest import build_cluster, build_scenario_state, submit_texts
+from test_snapshot_properties import _resume_in_fresh_process
 from repro.common.params import ProtocolParams
 from repro.core.node import DispersedLedgerNode
 from repro.crypto.merkle import MerkleTree
@@ -343,7 +343,7 @@ def test_summaries_identical_cold_warm_windowed_and_resumed(spec: ScenarioSpec, 
     assert _canon(windowed.points[0].summary()) == cold
 
     clear_retrieval_record()
-    state = _build_state(spec, {})
+    state = build_scenario_state(spec)
     state.sim.run(until=spec.duration * 0.45)
     checkpoint = tmp_path / "mid.ckpt"
     save_checkpoint(checkpoint, state)
@@ -354,7 +354,7 @@ def test_record_never_reaches_a_checkpoint(tmp_path):
     spec = _real_plane_specs()[-1]
     sizes = []
     for attempt in ("cold", "warm"):
-        state = _build_state(spec, {})
+        state = build_scenario_state(spec)
         state.sim.run(until=spec.duration * 0.6)
         path = tmp_path / f"{attempt}.ckpt"
         save_checkpoint(path, state)

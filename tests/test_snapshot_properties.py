@@ -1,6 +1,6 @@
 """Snapshot/restore/continue must be invisible: byte-identical summaries.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * a hypothesis property — arbitrary fast-tier catalog scenarios snapshotted
   at arbitrary mid-run times, restored **in a fresh process** (via the
@@ -11,7 +11,10 @@ Three layers of evidence:
   continuation against the pinned golden snapshot on disk;
 * a structural probe asserting the chosen snapshot time really does land
   mid-epoch, mid-dispersal and mid-transfer — so the suite cannot quietly
-  degrade into snapshotting quiesced states only.
+  degrade into snapshotting quiesced states only;
+* the express network's pending unicast trains: a periodic checkpoint and a
+  windowed hand-off that both land while one N^2 (N-1)-car train is in
+  flight continue to the clean run's summary.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,10 +32,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.experiments import apply_overrides, get_scenario
+from repro.experiments.engine import run_scenario, sweep
 from repro.experiments.golden import SLOW_GOLDEN, golden_names, golden_points
-from repro.experiments.runner import build_experiment
-from repro.experiments.scenario import ScenarioSpec, build_network_config
-from repro.sim.snapshot import save_checkpoint
+from repro.experiments.options import ExecutionOptions
+from repro.experiments.scenario import ScenarioSpec
+from repro.sim.network import _ExpressTrain
+from repro.sim.snapshot import load_checkpoint, save_checkpoint
+from tests.conftest import build_scenario_state
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -46,22 +54,6 @@ def _fast_sim_golden_names() -> list[str]:
         if base.kind == "sim":
             names.append(name)
     return names
-
-
-def _build_state(spec: ScenarioSpec, overrides: dict):
-    return build_experiment(
-        spec.protocol,
-        build_network_config(spec),
-        spec.duration,
-        workload=spec.workload,
-        node_config=spec.node,
-        params=spec.params(),
-        seed=spec.seed,
-        warmup=spec.effective_warmup(),
-        adversary=spec.adversary,
-        max_epochs=spec.max_epochs,
-        meta={"spec": spec.to_dict(), "overrides": dict(overrides)},
-    )
 
 
 def _resume_in_fresh_process(checkpoint: Path) -> dict:
@@ -84,8 +76,6 @@ _CLEAN_CACHE: dict[str, dict] = {}
 def _clean_first_point_summary(name: str) -> dict:
     """The uninterrupted summary of a scenario's first golden point (cached)."""
     if name not in _CLEAN_CACHE:
-        from repro.experiments.engine import run_scenario
-
         _config, _base, points = golden_points(name)
         overrides, spec = points[0]
         _CLEAN_CACHE[name] = run_scenario(spec, overrides).summary()
@@ -116,7 +106,7 @@ PROPERTY_SCENARIOS = (
 def test_snapshot_restore_continue_is_byte_identical(name: str, fraction: float):
     _config, _base, points = golden_points(name)
     overrides, spec = points[0]
-    state = _build_state(spec, overrides)
+    state = build_scenario_state(spec, overrides)
     state.sim.run(until=spec.duration * fraction)
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = Path(tmp) / "mid.ckpt"
@@ -132,7 +122,7 @@ def test_fast_golden_scenarios_resume_to_pinned_snapshot(name: str, tmp_path):
     """Snapshot mid-run, restore in a fresh process, diff against the golden."""
     _config, _base, points = golden_points(name)
     overrides, spec = points[0]
-    state = _build_state(spec, overrides)
+    state = build_scenario_state(spec, overrides)
     state.sim.run(until=spec.duration * 0.37)
     checkpoint = tmp_path / f"{name}.ckpt"
     save_checkpoint(checkpoint, state)
@@ -145,7 +135,7 @@ def test_snapshot_point_lands_mid_epoch_mid_dispersal_mid_transfer():
     """Mid-run snapshot times inside the property range are genuinely mid-flight."""
     _config, _base, points = golden_points("trace-replay-wan")
     overrides, spec = points[0]
-    state = _build_state(spec, overrides)
+    state = build_scenario_state(spec, overrides)
     state.sim.run(until=spec.duration * 0.5)
     # Mid-epoch: proposal frontier ahead of the delivery frontier.
     assert any(n.current_epoch > n.delivered_epoch for n in state.nodes)
@@ -159,3 +149,62 @@ def test_snapshot_point_lands_mid_epoch_mid_dispersal_mid_transfer():
     )
     # And the event queue is non-trivial (slotted entries to snapshot).
     assert len(state.sim._queue) > 0
+
+
+# ---------------------------------------------------------------------------
+# Express trains across a checkpoint
+# ---------------------------------------------------------------------------
+
+
+def _scale22() -> ScenarioSpec:
+    """``columnar-scale`` at N=22, cut right after its one epoch delivers.
+
+    The N^2 (N-1) retrieval chunks are in flight — as one pending express
+    train — between t=0.30 and t=0.35, so a checkpoint or window boundary
+    at t=0.32 lands on it.
+    """
+    return apply_overrides(
+        get_scenario("columnar-scale").base, {"topology.num_nodes": 22, "duration": 0.48}
+    )
+
+
+def test_checkpoint_with_a_pending_express_train_resumes_byte_identically(tmp_path):
+    spec = _scale22()
+    clean = run_scenario(spec).summary()
+    assert clean["delivered_epochs"] == 1
+
+    checkpoint = tmp_path / "scale22.ckpt"
+    periodic = replace(spec, checkpoint_every=0.32)
+    full = run_scenario(periodic, options=ExecutionOptions(checkpoint_path=checkpoint))
+    assert json.dumps(full.summary(), sort_keys=True) == json.dumps(clean, sort_keys=True)
+
+    # The one checkpoint (t=0.32; the next would fall past the horizon)
+    # holds the retrieval plane as a pending train, still open for members.
+    state = load_checkpoint(checkpoint)
+    assert state.sim.now == 0.32
+    trains = [entry[2] for entry in state.sim._queue if type(entry[2]) is _ExpressTrain]
+    assert [len(train.cars) for train in trains] == [22 * 22 * 21]
+    assert state.network._train is trains[0]
+
+    resumed = _resume_in_fresh_process(checkpoint)
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(clean, sort_keys=True)
+    assert resumed["events_processed"] == clean["events_processed"]
+
+
+def test_window_boundary_on_a_pending_express_train_matches_monolithic(tmp_path):
+    spec = _scale22()
+    grid = {"warmup": (0.0, 0.1)}
+    monolithic = sweep(spec, grid, options=ExecutionOptions(parallel=False))
+    windowed = sweep(
+        spec,
+        grid,
+        options=ExecutionOptions(parallel=False, windows=3, window_dir=tmp_path),
+    )
+    # The warmup point forks off the leader's hand-off checkpoint at the
+    # second boundary, t=0.32: the train crosses a pickle, not just a
+    # chained ``run(until=...)``.
+    handoff = load_checkpoint(tmp_path / "point0000-w1.ckpt")
+    assert any(type(entry[2]) is _ExpressTrain for entry in handoff.sim._queue)
+    assert [json.dumps(p.summary(), sort_keys=True) for p in windowed.points] == [
+        json.dumps(p.summary(), sort_keys=True) for p in monolithic.points
+    ]
