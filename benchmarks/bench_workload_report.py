@@ -1,14 +1,19 @@
-"""Transaction data-plane A/B report: object path vs columnar path.
+"""Client A/B report: per-arrival submission vs batch submission.
 
-Runs the same saturating express scenario through both data planes — the
-per-transaction object path (``kind="saturating"`` + ``mempool="object"``)
-and the struct-of-arrays columnar path (``kind="saturating-columnar"`` +
-``mempool="columnar"``) — and appends the throughput comparison to
-``benchmarks/BENCH_workload.json``.  Run standalone:
+Runs the same saturating express scenario with both kinds of client in front
+of the node's one mempool — the per-arrival client (``kind="saturating"``:
+one ``Transaction`` record per arrival through ``submit_transaction``) and
+the batch client (``kind="saturating-columnar"``: one ``TxBatch`` per refill
+through ``submit_batch``) — and appends the throughput comparison to
+``benchmarks/BENCH_workload.json``.  Everything behind the two submit calls
+is the same code, so the ratio is the cost of building and handing over one
+Python record per transaction.  (Entries written before the transaction
+plane was unified label the two variants ``object`` and ``columnar``; then
+they also ran different mempools, blocks and collectors.)  Run standalone:
 
     PYTHONPATH=src python benchmarks/bench_workload_report.py
 
-The A/B runs are **interleaved** (object, columnar, object, columnar, ...)
+The A/B runs are **interleaved** (per-arrival, batch, per-arrival, ...)
 so a slow drift in machine load lands evenly on both variants instead of
 biasing whichever ran second.  Every run executes in a fresh worker process
 so ``ru_maxrss`` is a true per-run peak RSS — the monotone high-water mark
@@ -16,8 +21,7 @@ of a long-lived process would otherwise smear across runs.
 
 ``--scale`` additionally times the million-transaction flagship: the
 N = 256 express cluster committing 256 x 4096 = 1,048,576 transactions in
-one epoch, the acceptance scenario for the columnar data plane (budget:
-under 10 minutes on one core).
+one epoch from batch clients (budget: under 10 minutes on one core).
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
 
 OUTPUT_PATH = Path(__file__).parent / "BENCH_workload.json"
 
-#: The two data planes under comparison: (workload kind, mempool kind).
+#: The two clients under comparison: variant label -> workload kind.
 VARIANTS = {
-    "object": ("saturating", "object"),
-    "columnar": ("saturating-columnar", "columnar"),
+    "per-arrival": "saturating",
+    "batch": "saturating-columnar",
 }
 
 
@@ -51,8 +55,8 @@ def variant_spec(
     block_bytes: int,
     seed: int = 1,
 ) -> ScenarioSpec:
-    """One point of the A/B: identical cluster and load, different plane."""
-    workload_kind, mempool = VARIANTS[variant]
+    """One point of the A/B: identical cluster and load, different client."""
+    workload_kind = VARIANTS[variant]
     return ScenarioSpec(
         name=f"bench-workload-{variant}",
         protocol="dl",
@@ -61,7 +65,7 @@ def variant_spec(
         workload=WorkloadSpec(
             kind=workload_kind, target_pending_bytes=2 * block_bytes, tx_size=tx_size
         ),
-        node=NodeConfig(mempool=mempool, max_block_size=block_bytes, nagle_size=block_bytes),
+        node=NodeConfig(max_block_size=block_bytes, nagle_size=block_bytes),
         duration=2.0,
         warmup=0.0,
         warmup_fraction=0.0,
@@ -127,21 +131,21 @@ def run_report(*, num_nodes: int, tx_size: int, block_bytes: int, repeats: int) 
         "variants": variants,
         "speedup": {
             "tx_generated_per_s": (
-                variants["columnar"]["tx_generated_per_s"]
-                / variants["object"]["tx_generated_per_s"]
+                variants["batch"]["tx_generated_per_s"]
+                / variants["per-arrival"]["tx_generated_per_s"]
             ),
             "tx_committed_per_s": (
-                variants["columnar"]["tx_committed_per_s"]
-                / variants["object"]["tx_committed_per_s"]
+                variants["batch"]["tx_committed_per_s"]
+                / variants["per-arrival"]["tx_committed_per_s"]
             ),
         },
     }
 
 
 def run_scale(num_nodes: int = 256, tx_per_block: int = 4096, tx_size: int = 250) -> dict:
-    """The million-transaction flagship, columnar plane only, in-process."""
+    """The million-transaction flagship, batch clients only."""
     spec = variant_spec(
-        "columnar",
+        "batch",
         num_nodes=num_nodes,
         tx_size=tx_size,
         block_bytes=tx_per_block * tx_size,
@@ -160,7 +164,7 @@ def run_scale(num_nodes: int = 256, tx_per_block: int = 4096, tx_size: int = 250
 
 
 def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="Transaction data-plane A/B report")
+    parser = argparse.ArgumentParser(description="Per-arrival vs batch client A/B report")
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -181,7 +185,7 @@ def main(argv: list[str] | None = None) -> None:
         )
     else:
         # N = 4 keeps the consensus machinery cheap so the comparison is
-        # data-plane-bound: 4 proposers x 20,000 transactions per 5 MB block.
+        # client-bound: 4 proposers x 20,000 transactions per 5 MB block.
         entry = run_report(num_nodes=4, tx_size=250, block_bytes=5_000_000, repeats=2)
         if args.scale:
             entry["scale"] = run_scale()
@@ -191,19 +195,14 @@ def main(argv: list[str] | None = None) -> None:
         history.append(entry)
         OUTPUT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
         print(f"appended entry #{len(history)} to {OUTPUT_PATH}")
-    obj, col = entry["variants"]["object"], entry["variants"]["columnar"]
+    for name, variant in entry["variants"].items():
+        print(
+            f"{name:<11} {variant['wall_seconds_mean']:.2f}s/run, "
+            f"{variant['tx_committed_per_s']:,.0f} tx committed/s, "
+            f"{variant['peak_rss_mb']:.0f} MB peak RSS"
+        )
     print(
-        f"object   {obj['wall_seconds_mean']:.2f}s/run, "
-        f"{obj['tx_committed_per_s']:,.0f} tx committed/s, "
-        f"{obj['peak_rss_mb']:.0f} MB peak RSS"
-    )
-    print(
-        f"columnar {col['wall_seconds_mean']:.2f}s/run, "
-        f"{col['tx_committed_per_s']:,.0f} tx committed/s, "
-        f"{col['peak_rss_mb']:.0f} MB peak RSS"
-    )
-    print(
-        f"speedup  {entry['speedup']['tx_generated_per_s']:.1f}x generated/s, "
+        f"batch/per-arrival  {entry['speedup']['tx_generated_per_s']:.1f}x generated/s, "
         f"{entry['speedup']['tx_committed_per_s']:.1f}x committed/s"
     )
     if "scale" in entry:

@@ -11,6 +11,8 @@ victim's dispersed blocks are still delivered, at worst one epoch late.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.common.errors import ConfigurationError
 from repro.common.ids import VIDInstanceId
 from repro.core.block import Block
@@ -45,9 +47,4 @@ class CensoringNode(DispersedLedgerNode):
         # inter-node linking deliver the victim's blocks.
         v_array = list(block.v_array)
         v_array[self.victim] = 0
-        return Block(
-            proposer=block.proposer,
-            epoch=block.epoch,
-            transactions=block.transactions,
-            v_array=tuple(v_array),
-        )
+        return dataclasses.replace(block, v_array=tuple(v_array))

@@ -5,6 +5,8 @@ The package is organised like the paper's nested IO automata (S5):
 * :mod:`repro.core.block` / :mod:`repro.core.mempool` — transactions, blocks
   (including the per-block ``V`` observation arrays) and the Nagle-style
   block proposal rate control of S5.
+* :mod:`repro.core.txbatch` — the numpy columns transactions are held in
+  behind ``submit_transaction`` / ``submit_batch``.
 * :mod:`repro.core.linking` — the inter-node linking rule of S4.3.
 * :mod:`repro.core.epoch` — per-epoch bookkeeping (``DLEpoch``): BA outputs,
   the committed set, retrieved blocks, and linked slots.
@@ -21,7 +23,7 @@ from repro.core.config import NodeConfig
 from repro.core.epoch import EpochState
 from repro.core.ledger import DeliveredBlock, Ledger
 from repro.core.linking import compute_linking_targets, linked_slots
-from repro.core.mempool import MEMPOOLS, ColumnarMempool, Mempool, create_mempool
+from repro.core.mempool import ColumnarMempool, Mempool
 from repro.core.node import DispersedLedgerNode, DLCoupledNode
 from repro.core.node_base import BFTNodeBase
 from repro.core.state_machine import KeyValueStateMachine, decode_operation, encode_operation
@@ -37,13 +39,11 @@ __all__ = [
     "EpochState",
     "KeyValueStateMachine",
     "Ledger",
-    "MEMPOOLS",
     "Mempool",
     "NodeConfig",
     "Transaction",
     "TxBatch",
     "compute_linking_targets",
-    "create_mempool",
     "decode_operation",
     "encode_operation",
     "linked_slots",

@@ -18,76 +18,127 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.core.txbatch import TxBatch
+from repro.core.txbatch import TX_HEADER, TxBatch
 
-_TX_HEADER = struct.Struct(">QIId")
 _BLOCK_HEADER = struct.Struct(">IQI I".replace(" ", ""))
 _V_ENTRY = struct.Struct(">q")
 
 #: Wire overhead per transaction (id, origin, size, timestamp).
-TX_OVERHEAD = _TX_HEADER.size
+TX_OVERHEAD = TX_HEADER.size
 #: Wire overhead per block (proposer, epoch, tx count, v-array length).
 BLOCK_OVERHEAD = _BLOCK_HEADER.size
 
+_NO_TRANSACTIONS = TxBatch.empty()
 
-@dataclass(frozen=True)
+
 class Transaction:
-    """One client transaction.
+    """One client transaction, as clients and the state machine see it.
 
     ``size`` is the transaction's wire size in bytes; ``data`` carries real
     bytes only when the real data plane is in use (tests, examples).
+
+    This is the record at the *client edge*: generators and ``submit_payload``
+    build one per arrival and hand it to ``submit_transaction``; behind that
+    seam a transaction is a row of :class:`~repro.core.txbatch.TxBatch`
+    columns, and ``Block.transactions`` / ``Ledger.transactions()`` build
+    equal records again on request.  Immutable by convention: a run creates
+    millions, so construction is plain slot assignment (a frozen dataclass
+    costs about three times as much per instance).  Compares, hashes and pickles by value.
     """
 
-    tx_id: int
-    origin: int
-    created_at: float
-    size: int
-    data: bytes = b""
+    __slots__ = ("tx_id", "origin", "created_at", "size", "data")
 
-    def __post_init__(self) -> None:
-        if self.data and len(self.data) != self.size:
+    def __init__(
+        self, tx_id: int, origin: int, created_at: float, size: int, data: bytes = b""
+    ):
+        if data and len(data) != size:
             raise ValueError(
-                f"transaction declares size {self.size} but carries {len(self.data)} bytes"
+                f"transaction declares size {size} but carries {len(data)} bytes"
             )
+        self.tx_id = tx_id
+        self.origin = origin
+        self.created_at = created_at
+        self.size = size
+        self.data = data
+
+    def _astuple(self) -> tuple:
+        return (self.tx_id, self.origin, self.created_at, self.size, self.data)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Transaction:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return (Transaction, self._astuple())
+
+    def __repr__(self) -> str:
+        return (
+            f"Transaction(tx_id={self.tx_id!r}, origin={self.origin!r}, "
+            f"created_at={self.created_at!r}, size={self.size!r}, data={self.data!r})"
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     """A proposed block: transactions plus the proposer's observation array.
 
-    The transaction payload comes in one of two interchangeable forms:
-    ``transactions`` (a tuple of :class:`Transaction` objects — the object
-    data plane) or ``tx_batch`` (a columnar :class:`TxBatch` — the
-    struct-of-arrays data plane).  At most one is populated.  Both forms
-    produce identical ``size``/``digest``/``serialize`` bytes for the same
-    logical transactions, so the choice never leaks onto the wire.
+    The transactions are held as one columnar :class:`TxBatch` (``tx_batch``,
+    ``None`` for a block without transactions) — ``size``, ``digest`` and
+    ``serialize`` are computed from the columns.  A hand-built block may be
+    given ``transactions`` instead, which are columnarised on construction;
+    :attr:`transactions` hands back equal :class:`Transaction` records
+    either way.
     """
 
     proposer: int
     epoch: int
-    transactions: tuple[Transaction, ...] = ()
-    v_array: tuple[int, ...] = ()
-    label: str = ""
-    tx_batch: TxBatch | None = None
+    v_array: tuple[int, ...]
+    label: str
+    tx_batch: TxBatch | None
 
-    def __post_init__(self) -> None:
-        if self.transactions and self.tx_batch is not None:
-            raise ValueError("a block carries either transactions or tx_batch, not both")
+    def __init__(
+        self,
+        proposer: int,
+        epoch: int,
+        transactions: Sequence[Transaction] = (),
+        v_array: tuple[int, ...] = (),
+        label: str = "",
+        tx_batch: TxBatch | None = None,
+    ):
+        if transactions:
+            if tx_batch is not None:
+                raise ValueError("a block carries either transactions or tx_batch, not both")
+            tx_batch = TxBatch.from_transactions(transactions)
+        object.__setattr__(self, "proposer", proposer)
+        object.__setattr__(self, "epoch", epoch)
+        object.__setattr__(self, "v_array", v_array)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "tx_batch", tx_batch or None)
+
+    @property
+    def _columns(self) -> TxBatch:
+        return self.tx_batch or _NO_TRANSACTIONS
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The carried transactions as records (built from the columns on each read)."""
+        return tuple(self._columns.as_transactions())
 
     @property
     def num_transactions(self) -> int:
-        """Number of client transactions carried, whichever the data plane."""
-        if self.tx_batch is not None:
-            return self.tx_batch.count
-        return len(self.transactions)
+        """Number of client transactions carried."""
+        return len(self._columns)
 
     @property
     def payload_bytes(self) -> int:
         """Bytes of client transaction payload carried by this block."""
-        if self.tx_batch is not None:
-            return self.tx_batch.total_bytes
-        return sum(tx.size for tx in self.transactions)
+        return self._columns.total_bytes
 
     @property
     def size(self) -> int:
@@ -101,23 +152,13 @@ class Block:
 
     @property
     def is_empty(self) -> bool:
-        return self.num_transactions == 0
-
-    def all_transactions(self) -> tuple[Transaction, ...]:
-        """The carried transactions as objects (materialises a columnar batch)."""
-        if self.tx_batch is not None:
-            return tuple(self.tx_batch.as_transactions())
-        return self.transactions
+        return self.tx_batch is None
 
     def digest(self) -> bytes:
         """A stable digest identifying the block (used by the virtual codec)."""
         material = struct.pack(">IQ", self.proposer, self.epoch)
         material += struct.pack(">I", self.num_transactions)
-        if self.tx_batch is not None:
-            material += self.tx_batch.digest_material()
-        else:
-            for tx in self.transactions:
-                material += struct.pack(">QI", tx.tx_id, tx.size)
+        material += self._columns.digest_material()
         material += b"".join(struct.pack(">q", entry) for entry in self.v_array)
         return hashlib.sha256(material).digest()
 
@@ -131,10 +172,7 @@ class Block:
             )
         ]
         parts.extend(_V_ENTRY.pack(entry) for entry in self.v_array)
-        for tx in self.all_transactions():
-            parts.append(_TX_HEADER.pack(tx.tx_id, tx.origin, tx.size, tx.created_at))
-            data = tx.data if tx.data else b"\x00" * tx.size
-            parts.append(data)
+        parts.append(self._columns.serialize())
         return b"".join(parts)
 
     @classmethod
@@ -156,8 +194,8 @@ class Block:
                 v_array.append(entry)
             transactions = []
             for _ in range(num_txs):
-                tx_id, origin, size, created_at = _TX_HEADER.unpack_from(payload, offset)
-                offset += _TX_HEADER.size
+                tx_id, origin, size, created_at = TX_HEADER.unpack_from(payload, offset)
+                offset += TX_HEADER.size
                 data = payload[offset : offset + size]
                 if len(data) != size:
                     raise ValueError("truncated transaction payload")
@@ -178,6 +216,6 @@ class Block:
         return cls(
             proposer=proposer,
             epoch=epoch,
-            transactions=tuple(transactions),
+            transactions=transactions,
             v_array=tuple(v_array),
         )

@@ -48,11 +48,10 @@ class NodeConfig:
         retrieval_uses_priority: mark retrieval traffic with the low-priority
             class (True for DispersedLedger; HoneyBadger has no separate
             retrieval phase competing with dispersal so the flag is moot).
-        mempool: ``"object"`` for the per-``Transaction`` deque mempool,
-            ``"columnar"`` for the struct-of-arrays mempool that queues
-            :class:`~repro.core.txbatch.TxBatch` runs and slices block
-            contents as index ranges (the million-transaction workloads).
-            Any key registered in :data:`repro.core.mempool.MEMPOOLS` works.
+        mempool: accepted and ignored.  There is one mempool
+            (:class:`repro.core.mempool.Mempool`); ``"object"`` and
+            ``"columnar"`` are spellings kept because the pinned
+            ``benchmarks/ledger`` workloads set them.
         retrieve_blocks: the "low-bandwidth mode" sketched in S1 of the paper:
             when False, the node participates fully in dispersal and agreement
             (storing its chunks and voting, thereby contributing to the
@@ -81,11 +80,10 @@ class NodeConfig:
                 f"data_plane must be '{REAL_PLANE}' or '{VIRTUAL_PLANE}', "
                 f"got {self.data_plane!r}"
             )
-        # Validated against the MEMPOOLS registry lazily (at node construction)
-        # to avoid a config -> mempool -> block import cycle; reject the
-        # obviously malformed here.
-        if not self.mempool or not isinstance(self.mempool, str):
-            raise ConfigurationError("mempool must be a non-empty registry key")
+        if self.mempool not in ("object", "columnar"):
+            raise ConfigurationError(
+                f"mempool must be 'object' or 'columnar', got {self.mempool!r}"
+            )
         if self.nagle_delay < 0:
             raise ConfigurationError("nagle_delay must be non-negative")
         if self.nagle_size < 0:

@@ -89,11 +89,11 @@ class Ledger(SnapshotState):
     def transactions(self) -> list:
         """All delivered transactions in delivery order.
 
-        Columnar blocks are materialised into :class:`Transaction` objects;
-        callers that only need counts/bytes at scale should use
+        Builds one :class:`Transaction` record per row of every delivered
+        block; callers that only need counts/bytes at scale should use
         :attr:`num_transactions` / :attr:`total_payload_bytes` instead.
         """
         txs = []
         for entry in self.entries:
-            txs.extend(entry.block.all_transactions())
+            txs.extend(entry.block.transactions)
         return txs

@@ -11,144 +11,30 @@ data has accumulated.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
 from repro.common.snapshot import SnapshotState
 from repro.core.block import Transaction
 from repro.core.txbatch import TxBatch
 
 
+#: Entries one staged transaction takes in ``Mempool._staged``.
+_ROW_WIDTH = 5
+
+
 class Mempool(SnapshotState):
-    """FIFO queue of pending transactions with byte accounting."""
+    """FIFO queue of pending transactions, held as :class:`TxBatch` runs.
 
-    _SNAPSHOT_FIELDS = (
-        "nagle_delay",
-        "nagle_size",
-        "_queue",
-        "_pending_bytes",
-        "_last_proposal_time",
-        "total_submitted",
-        "total_proposed",
-    )
-
-    def __init__(self, nagle_delay: float = 0.1, nagle_size: int = 150_000):
-        self.nagle_delay = nagle_delay
-        self.nagle_size = nagle_size
-        self._queue: deque[Transaction] = deque()
-        self._pending_bytes = 0
-        self._last_proposal_time = float("-inf")
-        self.total_submitted = 0
-        self.total_proposed = 0
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-
-    def submit(self, tx: Transaction) -> None:
-        """Append one transaction to the tail of the queue."""
-        self._queue.append(tx)
-        self._pending_bytes += tx.size
-        self.total_submitted += 1
-
-    def submit_many(self, txs: Iterable[Transaction]) -> None:
-        """Append a batch of transactions."""
-        for tx in txs:
-            self.submit(tx)
-
-    def requeue_front(self, txs: Iterable[Transaction]) -> None:
-        """Put transactions back at the *head* of the queue.
-
-        HoneyBadger re-proposes the transactions of a dropped block in the
-        next epoch (S4.2); putting them at the front preserves their
-        submission order relative to newer transactions.
-        """
-        for tx in reversed(list(txs)):
-            self._queue.appendleft(tx)
-            self._pending_bytes += tx.size
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        """Number of transactions waiting to be proposed."""
-        return len(self._queue)
-
-    @property
-    def pending_bytes(self) -> int:
-        """Total payload bytes waiting to be proposed."""
-        return self._pending_bytes
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
-    @property
-    def last_proposal_time(self) -> float:
-        """Virtual time of the most recent :meth:`take_batch` call."""
-        return self._last_proposal_time
-
-    # ------------------------------------------------------------------
-    # Proposal rate control (Nagle's algorithm, S5)
-    # ------------------------------------------------------------------
-
-    def ready_to_propose(self, now: float) -> bool:
-        """True when the Nagle rule allows proposing a new block at ``now``.
-
-        A node proposes when (i) ``nagle_delay`` has passed since the last
-        proposal, or (ii) at least ``nagle_size`` bytes have accumulated.
-        """
-        if self._pending_bytes >= self.nagle_size:
-            return True
-        return now - self._last_proposal_time >= self.nagle_delay
-
-    def time_until_ready(self, now: float) -> float:
-        """Seconds until the time trigger of the Nagle rule fires (0 if ready)."""
-        if self.ready_to_propose(now):
-            return 0.0
-        return max(0.0, self._last_proposal_time + self.nagle_delay - now)
-
-    def take_batch(self, max_bytes: int, now: float) -> list[Transaction]:
-        """Remove and return up to ``max_bytes`` of transactions from the head.
-
-        Always removes at least one transaction if the queue is non-empty,
-        even when that transaction alone exceeds ``max_bytes`` (a single
-        oversized transaction must not wedge the queue).
-        """
-        batch: list[Transaction] = []
-        batch_bytes = 0
-        while self._queue:
-            tx = self._queue[0]
-            if batch and batch_bytes + tx.size > max_bytes:
-                break
-            self._queue.popleft()
-            self._pending_bytes -= tx.size
-            batch.append(tx)
-            batch_bytes += tx.size
-            if batch_bytes >= max_bytes:
-                break
-        self._last_proposal_time = now
-        self.total_proposed += len(batch)
-        return batch
-
-    def mark_proposal(self, now: float) -> None:
-        """Record a proposal that took no transactions (an empty block)."""
-        self._last_proposal_time = now
-
-
-class ColumnarMempool(SnapshotState):
-    """A struct-of-arrays mempool: a FIFO of :class:`TxBatch` runs.
-
-    Drop-in behavioural twin of :class:`Mempool` — same Nagle rule, same
-    ``take_batch`` cut semantics (greedy byte budget, always at least one
-    transaction, stop once the budget is reached) — but the queue holds
-    columnar batches and a head offset instead of one deque entry per
-    transaction.  ``take_batch`` returns a :class:`TxBatch` whose columns
-    are zero-copy views into the queued batches, so draining a million
+    ``submit`` copies one :class:`Transaction` record's fields onto a staging
+    run in O(1) and keeps no reference to the record; the run is sealed into
+    a columnar batch the next time the queue needs it (``take_batch``,
+    ``submit_batch``).  ``submit_batch`` queues a ready-made batch as it is.
+    ``take_batch`` cuts greedily by byte budget — always at least one
+    transaction, stopping once the budget is reached — and returns one
+    :class:`TxBatch` whose columns are zero-copy views into the queued
+    batches when the cut falls inside a single run, so draining a million
     pending transactions into blocks costs a handful of ``searchsorted``
     calls rather than a million ``popleft``s.
     """
@@ -157,6 +43,7 @@ class ColumnarMempool(SnapshotState):
         "nagle_delay",
         "nagle_size",
         "_queue",
+        "_staged",
         "_head_offset",
         "_head_offset_bytes",
         "_pending_count",
@@ -170,6 +57,12 @@ class ColumnarMempool(SnapshotState):
         self.nagle_delay = nagle_delay
         self.nagle_size = nagle_size
         self._queue: deque[TxBatch] = deque()
+        #: The tail of the queue: transactions submitted one at a time since
+        #: the last seal, flattened row after row — ``tx_id, origin,
+        #: created_at, size, data, tx_id, ...`` in the argument order of
+        #: :meth:`TxBatch.from_columns` — so a submission is one list
+        #: extension and a column is a strided slice.
+        self._staged: list = []
         self._head_offset = 0  # txs already drained from the head batch
         self._head_offset_bytes = 0  # their bytes
         self._pending_count = 0
@@ -182,33 +75,35 @@ class ColumnarMempool(SnapshotState):
     # Submission
     # ------------------------------------------------------------------
 
+    def submit(self, tx: Transaction) -> None:
+        """Append one transaction to the tail of the queue."""
+        self._staged += (tx.tx_id, tx.origin, tx.created_at, tx.size, tx.data)
+        self._pending_count += 1
+        self._pending_bytes += tx.size
+        self.total_submitted += 1
+
+    def submit_many(self, txs: Iterable[Transaction]) -> None:
+        """Append a run of transactions."""
+        for tx in txs:
+            self.submit(tx)
+
     def submit_batch(self, batch: TxBatch) -> None:
-        """Append a columnar batch to the tail of the queue (the fast path)."""
+        """Append a columnar batch to the tail of the queue."""
         if not len(batch):
             return
+        self._seal_staged()
         self._queue.append(batch)
         self._pending_count += batch.count
         self._pending_bytes += batch.total_bytes
         self.total_submitted += batch.count
 
-    def submit(self, tx: Transaction) -> None:
-        """Append one object transaction (compatibility with the object API)."""
-        self.submit_batch(TxBatch.from_transactions([tx]))
+    def requeue_front(self, batch: TxBatch) -> None:
+        """Put transactions back at the *head* of the queue.
 
-    def submit_many(self, txs: Iterable[Transaction]) -> None:
-        """Append object transactions, columnarising one batch per origin run."""
-        run: list[Transaction] = []
-        for tx in txs:
-            if run and tx.origin != run[0].origin:
-                self.submit_batch(TxBatch.from_transactions(run))
-                run = []
-            run.append(tx)
-        if run:
-            self.submit_batch(TxBatch.from_transactions(run))
-
-    def requeue_front(self, txs: Union[TxBatch, Iterable[Transaction]]) -> None:
-        """Put a dropped block's transactions back at the *head* of the queue."""
-        batch = txs if isinstance(txs, TxBatch) else TxBatch.from_transactions(list(txs))
+        HoneyBadger re-proposes the transactions of a dropped block in the
+        next epoch (S4.2); putting them at the front preserves their
+        submission order relative to newer transactions.
+        """
         if not len(batch):
             return
         # Seal the partially-drained head first so order stays intact.
@@ -224,6 +119,14 @@ class ColumnarMempool(SnapshotState):
             self._queue.appendleft(head.slice(self._head_offset, len(head)))
         self._head_offset = 0
         self._head_offset_bytes = 0
+
+    def _seal_staged(self) -> None:
+        """Turn the staged transactions into one queued batch."""
+        rows = self._staged
+        if rows:
+            columns = [rows[field::_ROW_WIDTH] for field in range(_ROW_WIDTH)]
+            self._queue.append(TxBatch.from_columns(*columns))
+            self._staged = []
 
     # ------------------------------------------------------------------
     # Inspection
@@ -253,7 +156,11 @@ class ColumnarMempool(SnapshotState):
     # ------------------------------------------------------------------
 
     def ready_to_propose(self, now: float) -> bool:
-        """Same Nagle rule as :meth:`Mempool.ready_to_propose`."""
+        """True when the Nagle rule allows proposing a new block at ``now``.
+
+        A node proposes when (i) ``nagle_delay`` has passed since the last
+        proposal, or (ii) at least ``nagle_size`` bytes have accumulated.
+        """
         if self._pending_bytes >= self.nagle_size:
             return True
         return now - self._last_proposal_time >= self.nagle_delay
@@ -267,12 +174,14 @@ class ColumnarMempool(SnapshotState):
     def take_batch(self, max_bytes: int, now: float) -> TxBatch:
         """Remove up to ``max_bytes`` of transactions from the head as one batch.
 
-        Cut semantics match :meth:`Mempool.take_batch` exactly: transactions
-        are taken greedily in FIFO order, the first transaction is always
-        taken even if oversized, and the drain stops once the accumulated
-        bytes reach ``max_bytes``.  The cut point inside each queued batch is
-        found with a ``searchsorted`` on its cached size prefix-sums.
+        Transactions are taken greedily in FIFO order; the first one is
+        always taken even when it alone exceeds ``max_bytes`` (a single
+        oversized transaction must not wedge the queue), and the drain stops
+        once the accumulated bytes reach ``max_bytes``.  The cut point
+        inside each queued batch is found with a ``searchsorted`` on its
+        cached size prefix-sums.
         """
+        self._seal_staged()
         taken: list[TxBatch] = []
         taken_bytes = 0
         while self._queue:
@@ -315,21 +224,6 @@ class ColumnarMempool(SnapshotState):
         self._last_proposal_time = now
 
 
-#: Registry of mempool implementations, keyed by ``NodeConfig.mempool``.
-MEMPOOLS: dict[str, Callable[..., "Mempool | ColumnarMempool"]] = {
-    "object": Mempool,
-    "columnar": ColumnarMempool,
-}
-
-
-def create_mempool(
-    kind: str, nagle_delay: float = 0.1, nagle_size: int = 150_000
-) -> "Mempool | ColumnarMempool":
-    """Build a mempool of the registered ``kind`` (``"object"``/``"columnar"``)."""
-    try:
-        factory = MEMPOOLS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown mempool kind {kind!r}; registered: {sorted(MEMPOOLS)}"
-        ) from None
-    return factory(nagle_delay=nagle_delay, nagle_size=nagle_size)
+#: Spelling kept for the pinned ``benchmarks/ledger`` files, which import it;
+#: there is one mempool and this is it.
+ColumnarMempool = Mempool

@@ -41,7 +41,7 @@ from repro.core.linking import (
     compute_linking_targets,
     linked_slots,
 )
-from repro.core.mempool import ColumnarMempool, create_mempool
+from repro.core.mempool import Mempool
 from repro.core.txbatch import TxBatch
 from repro.sim.context import NodeContext
 from repro.sim.messages import Message
@@ -143,10 +143,8 @@ class BFTNodeBase(SnapshotState):
         else:
             self.codec = VirtualCodec(params)
 
-        self.mempool = create_mempool(
-            self.config.mempool,
-            nagle_delay=self.config.nagle_delay,
-            nagle_size=self.config.nagle_size,
+        self.mempool = Mempool(
+            nagle_delay=self.config.nagle_delay, nagle_size=self.config.nagle_size
         )
         self.ledger = Ledger()
 
@@ -245,21 +243,17 @@ class BFTNodeBase(SnapshotState):
     # Client-facing API
     # ------------------------------------------------------------------
 
+    # ``submit_transaction`` and ``submit_batch`` are the whole seam between
+    # clients and the node: a client hands over one record per arrival or a
+    # ready-made batch, and behind either call transactions are columns.
+
     def submit_transaction(self, tx: Transaction) -> None:
         """Accept a client transaction into this node's input queue."""
         self.mempool.submit(tx)
 
     def submit_batch(self, batch: TxBatch) -> None:
-        """Accept a columnar batch of client transactions.
-
-        On a columnar mempool this is the zero-copy fast path; on the object
-        mempool the batch is materialised into :class:`Transaction` objects,
-        so either mempool kind accepts either submission style.
-        """
-        if isinstance(self.mempool, ColumnarMempool):
-            self.mempool.submit_batch(batch)
-        else:
-            self.mempool.submit_many(batch.as_transactions())
+        """Accept a columnar batch of client transactions (queued as it is)."""
+        self.mempool.submit_batch(batch)
 
     def submit_payload(self, data: bytes, now: float | None = None) -> Transaction:
         """Convenience wrapper: wrap raw bytes into a transaction and submit it."""
@@ -397,18 +391,8 @@ class BFTNodeBase(SnapshotState):
             # DL-Coupled (S4.5): participate with an empty block while lagging.
             self.mempool.mark_proposal(now)
             return Block(proposer=self.node_id, epoch=epoch, v_array=v_array)
-        taken = self.mempool.take_batch(self.config.max_block_size, now)
-        if isinstance(taken, TxBatch):
-            batch = taken if len(taken) else None
-            return Block(
-                proposer=self.node_id, epoch=epoch, v_array=v_array, tx_batch=batch
-            )
-        return Block(
-            proposer=self.node_id,
-            epoch=epoch,
-            transactions=tuple(taken),
-            v_array=v_array,
-        )
+        batch = self.mempool.take_batch(self.config.max_block_size, now)
+        return Block(proposer=self.node_id, epoch=epoch, v_array=v_array, tx_batch=batch)
 
     def _may_include_transactions(self, epoch: int) -> bool:
         """Whether this epoch's block may carry client transactions."""
@@ -623,11 +607,7 @@ class BFTNodeBase(SnapshotState):
             # Without inter-node linking (plain HoneyBadger), a dropped block's
             # transactions go back to the head of the queue to be re-proposed
             # in the next epoch (S4.2).
-            own = state.own_block
-            if own.tx_batch is not None:
-                self.mempool.requeue_front(own.tx_batch)
-            else:
-                self.mempool.requeue_front(own.transactions)
+            self.mempool.requeue_front(state.own_block.tx_batch)
 
     def _deliver_linked_blocks(self, epoch: int, state: EpochState) -> None:
         for linked_epoch, proposer in state.linked_slots:

@@ -483,7 +483,7 @@ register_scenario(
 register_scenario(
     NamedScenario(
         name="columnar-scale",
-        description="Columnar data plane at scale: N=64 express cluster committing ~100k tx in one epoch",
+        description="Batch clients at scale: N=64 express cluster committing ~100k tx in one epoch",
         base=ScenarioSpec(
             name="columnar-scale",
             topology=TopologySpec(kind="uniform", num_nodes=64, delay=0.05, express=True),
@@ -492,10 +492,8 @@ register_scenario(
                 kind="saturating-columnar", target_pending_bytes=800_000, tx_size=250
             ),
             # 1600 transactions per block x 64 proposers x 1 epoch = 102,400
-            # committed transactions, all riding the struct-of-arrays plane.
-            node=NodeConfig(
-                mempool="columnar", max_block_size=400_000, nagle_size=400_000
-            ),
+            # committed transactions, submitted as one batch per proposer.
+            node=NodeConfig(max_block_size=400_000, nagle_size=400_000),
             duration=2.0,
             warmup=0.0,
             warmup_fraction=0.0,

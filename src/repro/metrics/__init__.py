@@ -15,6 +15,6 @@ computed here from the events the nodes and the simulated network expose:
 """
 
 from repro.metrics.collector import MetricsCollector, NodeMetrics
-from repro.metrics.stats import percentile, summarise, summarise_array
+from repro.metrics.stats import percentile, summarise
 
-__all__ = ["MetricsCollector", "NodeMetrics", "percentile", "summarise", "summarise_array"]
+__all__ = ["MetricsCollector", "NodeMetrics", "percentile", "summarise"]

@@ -9,7 +9,8 @@ import numpy as np
 from repro.common.snapshot import SnapshotState
 from repro.core.block import Block
 from repro.core.ledger import DeliveredBlock
-from repro.metrics.stats import Summary, summarise, summarise_array
+from repro.core.txbatch import TxBatch
+from repro.metrics.stats import Summary, summarise
 
 
 @dataclass
@@ -19,8 +20,6 @@ class NodeMetrics(SnapshotState):
     _SNAPSHOT_FIELDS = (
         "node_id",
         "timeline",
-        "latencies_all",
-        "latencies_local",
         "latency_chunks",
         "blocks_proposed",
         "bytes_proposed",
@@ -35,17 +34,11 @@ class NodeMetrics(SnapshotState):
     #: ``(virtual time, cumulative confirmed payload bytes)`` samples, one per
     #: delivered block — the series plotted in Fig. 9.
     timeline: list[tuple[float, int]] = field(default_factory=list)
-    #: Confirmation latency samples over *all* delivered transactions.
-    latencies_all: list[float] = field(default_factory=list)
-    #: Confirmation latency samples over locally generated transactions only
-    #: (the paper's default latency metric, Appendix A.1).
-    latencies_local: list[float] = field(default_factory=list)
-    #: Columnar latency samples: one ``(origin, delivered_at, created_at
-    #: column)`` chunk per delivered batch block.  The column is the array
-    #: every node's copy of the block shares, so N deliveries of a block
-    #: store N references, not N latency columns; the subtraction happens in
-    #: :meth:`latency_summary`.
-    latency_chunks: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
+    #: Latency samples: one ``(delivered_at, batch)`` chunk per delivered
+    #: non-empty block.  The batch is the one every node's copy of the block
+    #: shares, so N deliveries of a block store N references, not N latency
+    #: columns; the subtraction happens in :meth:`latency_summary`.
+    latency_chunks: list[tuple[float, TxBatch]] = field(default_factory=list)
     #: Number of blocks this node proposed.
     blocks_proposed: int = 0
     #: Total transaction payload bytes this node proposed.
@@ -82,29 +75,20 @@ class NodeMetrics(SnapshotState):
     def latency_summary(self, local_only: bool = True) -> Summary | None:
         """Latency percentiles, or None if no samples were collected.
 
-        Pure object-path runs (no columnar chunks) go through the original
-        scalar :func:`summarise` so their summaries stay byte-identical to
-        the pinned goldens; runs with columnar deliveries concatenate the
-        chunks and use the vectorised path.
+        Over locally generated transactions only (the paper's default latency
+        metric, Appendix A.1) or, with ``local_only=False``, over every
+        delivered transaction — in delivery order either way.
         """
-        samples = self.latencies_local if local_only else self.latencies_all
-        if not self.latency_chunks:
-            if not samples:
-                return None
-            return summarise(samples)
-        chunks = [
-            delivered_at - created_at
-            for origin, delivered_at, created_at in self.latency_chunks
-            if not local_only or origin == self.node_id
-        ]
-        parts = [np.asarray(samples, dtype=np.float64)] if samples else []
-        parts.extend(chunks)
-        if not parts:
+        samples = []
+        for delivered_at, batch in self.latency_chunks:
+            created_at = (
+                batch.created_at_from(self.node_id) if local_only else batch.created_at
+            )
+            if len(created_at):
+                samples.append(delivered_at - created_at)
+        if not samples:
             return None
-        merged = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        if merged.size == 0:
-            return None
-        return summarise_array(merged)
+        return summarise(np.concatenate(samples))
 
 
 class MetricsCollector(SnapshotState):
@@ -135,20 +119,8 @@ class MetricsCollector(SnapshotState):
         metrics.confirmed_bytes += entry.payload_bytes
         metrics.confirmed_transactions += entry.num_transactions
         metrics.timeline.append((entry.delivered_at, metrics.confirmed_bytes))
-        batch = entry.block.tx_batch
-        if batch is not None:
-            # Columnar fast path: one chunk per delivered block instead of
-            # one float append per transaction.
-            if batch.count:
-                metrics.latency_chunks.append(
-                    (batch.origin, entry.delivered_at, batch.created_at)
-                )
-            return
-        for tx in entry.block.transactions:
-            latency = entry.delivered_at - tx.created_at
-            metrics.latencies_all.append(latency)
-            if tx.origin == node_id:
-                metrics.latencies_local.append(latency)
+        if not entry.block.is_empty:
+            metrics.latency_chunks.append((entry.delivered_at, entry.block.tx_batch))
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -9,26 +9,28 @@ from typing import Sequence
 import numpy as np
 
 
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of an ascending, non-empty ``ordered`` sample."""
+    rank = (q / 100) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return float(ordered[low])
+    fraction = rank - low
+    return float(ordered[low] * (1 - fraction) + ordered[high] * fraction)
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100) of ``values`` by linear interpolation.
 
     Raises:
         ValueError: if ``values`` is empty or ``q`` is outside [0, 100].
     """
-    if not values:
+    if not len(values):
         raise ValueError("cannot take a percentile of an empty sequence")
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    fraction = rank - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+    return _interpolate(sorted(values), q)
 
 
 @dataclass(frozen=True)
@@ -53,38 +55,30 @@ class Summary:
         }
 
 
-def summarise(values: Sequence[float]) -> Summary:
-    """Mean and percentile summary of ``values`` (which must be non-empty)."""
-    if not values:
-        raise ValueError("cannot summarise an empty sequence")
-    return Summary(
-        count=len(values),
-        mean=sum(values) / len(values),
-        p5=percentile(values, 5),
-        p50=percentile(values, 50),
-        p95=percentile(values, 95),
-        p99=percentile(values, 99),
-    )
+def summarise(values: Sequence[float] | np.ndarray) -> Summary:
+    """Mean and percentile summary of ``values`` (which must be non-empty).
 
+    The results are pinned bit for bit by the golden summaries, so both
+    reductions are defined down to the rounding:
 
-def summarise_array(values: np.ndarray) -> Summary:
-    """Vectorised :func:`summarise` for a numpy sample column.
-
-    ``np.percentile``'s default linear interpolation is the same rule as
-    :func:`percentile`, so for identical samples the two entry points agree
-    to floating-point equality; this one sorts once and computes all four
-    percentiles in a single pass, which is what the columnar metrics path
-    needs at millions of samples.
+    * the mean is the samples added **one at a time in sample order** in
+      IEEE-754 double precision, ``((v0 + v1) + v2) + ...``, divided by the
+      count.  Neither ``sum()`` (compensated since CPython 3.12) nor
+      ``ndarray.sum`` (pairwise) is that; the last element of
+      ``np.add.accumulate`` is, without a Python step per sample;
+    * a percentile interpolates between its two neighbouring order
+      statistics as ``lo * (1 - f) + hi * f`` (:func:`percentile`), all four
+      from one sort.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.size == 0:
         raise ValueError("cannot summarise an empty sequence")
-    p5, p50, p95, p99 = np.percentile(values, [5, 50, 95, 99])
+    ordered = np.sort(samples)
     return Summary(
-        count=int(values.size),
-        mean=float(values.mean()),
-        p5=float(p5),
-        p50=float(p50),
-        p95=float(p95),
-        p99=float(p99),
+        count=int(samples.size),
+        mean=float(np.add.accumulate(samples)[-1]) / int(samples.size),
+        p5=_interpolate(ordered, 5),
+        p50=_interpolate(ordered, 50),
+        p95=_interpolate(ordered, 95),
+        p99=_interpolate(ordered, 99),
     )

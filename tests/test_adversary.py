@@ -1,5 +1,7 @@
 """Tests for the adversary toolkit itself."""
 
+import dataclasses
+
 import pytest
 
 from repro.adversary.censor import CensoringNode
@@ -10,6 +12,7 @@ from repro.adversary.registry import AdversarySpec, get_adversary, rebuild_node
 from repro.common.errors import ConfigurationError
 from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
+from repro.core.block import Block, Transaction
 from repro.core.node import DispersedLedgerNode
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
@@ -149,6 +152,36 @@ class TestNodeClassFactories:
         _, nodes = build_cluster(DispersedLedgerNode, params4, max_epochs=2)
         with pytest.raises(ConfigurationError):
             rebuild_node(CensoringNode, nodes[1], victim=7)
+
+    def test_censored_block_keeps_every_field_but_v_array(self, params4, monkeypatch):
+        """The censor only rewrites its observation of the victim.
+
+        Regression: the block was rebuilt field by field and lost what the
+        rebuild did not name — a censoring node's transactions left its
+        mempool and were never proposed.
+        """
+        _, nodes = build_cluster(DispersedLedgerNode, params4, max_epochs=2)
+        censor = rebuild_node(CensoringNode, nodes[1], victim=0)
+        honest = Block(
+            proposer=1,
+            epoch=1,
+            transactions=[Transaction(9, 1, 0.5, 3, b"abc")],
+            v_array=(3, 3, 3, 3),
+            label="marked",
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(DispersedLedgerNode, "_make_block", lambda node, epoch: honest)
+            block = censor._make_block(1)
+        assert block.v_array == (0, 3, 3, 3)
+        for field in dataclasses.fields(Block):
+            if field.name != "v_array":
+                value = getattr(honest, field.name)
+                assert value and getattr(block, field.name) is value, field.name
+        # And from a real mempool: what the censor takes, it proposes.
+        censor.submit_payload(b"from the censor")
+        proposed = censor._make_block(1)
+        assert [tx.data for tx in proposed.transactions] == [b"from the censor"]
+        assert censor.mempool.total_proposed == proposed.num_transactions == 1
 
     def test_all_four_kinds_registered(self):
         for kind in ("crash", "crash-after", "censor", "equivocate"):

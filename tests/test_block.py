@@ -1,5 +1,7 @@
 """Tests for transactions and blocks."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,17 @@ class TestTransaction:
         assert tx.size == 250
         assert tx.data == b""
 
-    def test_frozen(self):
-        tx = make_tx()
-        with pytest.raises(Exception):
-            tx.size = 1  # type: ignore[misc]
+    def test_is_a_value(self):
+        """Equality, hashing and pickling go by the five public fields."""
+        tx = Transaction(7, 2, 1.5, 3, b"abc")  # positional order is public
+        same = Transaction(tx_id=7, origin=2, created_at=1.5, size=3, data=b"abc")
+        assert (tx.tx_id, tx.origin, tx.created_at, tx.size, tx.data) == (7, 2, 1.5, 3, b"abc")
+        assert tx == same and hash(tx) == hash(same)
+        assert len({tx, same}) == 1
+        assert tx != Transaction(7, 2, 1.5, 3, b"abd")
+        assert tx != (7, 2, 1.5, 3, b"abc")
+        assert pickle.loads(pickle.dumps(tx)) == tx
+        assert repr(tx) == "Transaction(tx_id=7, origin=2, created_at=1.5, size=3, data=b'abc')"
 
 
 class TestBlockSizes:

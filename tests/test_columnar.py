@@ -1,21 +1,20 @@
-"""Tests for the columnar data plane: TxBatch, ColumnarMempool, analysis.
+"""Tests for transaction columns (``TxBatch``) and the telemetry analysis.
 
-The property-based cross-checks against the object path live in
-``tests/test_columnar_properties.py``; this module pins the concrete
-behaviours — digest/wire byte-compatibility, slice/cut semantics, the
-mempool registry, and the telemetry ``summarise`` reductions.
+The mempool that queues and cuts batches is covered by
+``tests/test_mempool.py``; this module pins the batch's own behaviours —
+digest/wire byte layout, origins and payload columns, slice/concat — and
+the telemetry ``summarise`` reductions.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import TraceError
 from repro.core.block import Transaction
-from repro.core.mempool import ColumnarMempool, Mempool, create_mempool
-from repro.core.txbatch import TxBatch, pack_digest_material
-from repro.metrics.stats import summarise, summarise_array
+from repro.core.txbatch import TxBatch
 from repro.trace.analysis import summarise_node_samples, summarise_telemetry
 
 
@@ -47,25 +46,51 @@ class TestTxBatch:
     def test_from_transactions_round_trip(self):
         txs = [tx(1, 100, origin=3), tx(2, 50, origin=3, created_at=1.5)]
         b = TxBatch.from_transactions(txs)
-        assert b.origin == 3
+        assert b.origin == 3 and b.origins is None and b.payloads is None
         assert b.count == 2
         assert b.total_bytes == 150
         assert b.as_transactions() == txs
 
-    def test_from_transactions_rejects_mixed_origins(self):
-        with pytest.raises(ValueError, match="single origin"):
-            TxBatch.from_transactions([tx(1, origin=0), tx(2, origin=1)])
+    def test_mixed_origins_and_payloads_round_trip(self):
+        txs = [
+            Transaction(1, 0, 0.5, 3, b"abc"),
+            Transaction(2, 4, 0.6, 100),
+            Transaction(3, 0, 0.7, 0),
+        ]
+        b = TxBatch.from_transactions(txs)
+        assert b.origin is None and b.origins.tolist() == [0, 4, 0]
+        assert b.payloads == (b"abc", b"", b"")
+        assert b.as_transactions() == txs
+        assert b.slice(1, 3).as_transactions() == txs[1:]
+        assert b.created_at_from(0).tolist() == [0.5, 0.7]
+        assert b.created_at_from(4).tolist() == [0.6]
+        assert b.created_at_from(2).tolist() == []
 
-    def test_digest_material_matches_object_path(self):
+    def test_one_origin_or_an_origins_column(self):
+        ids = np.arange(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match="origin"):
+            TxBatch(None, ids, np.zeros(2), np.ones(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="origin"):
+            TxBatch(0, ids, np.zeros(2), np.ones(2, dtype=np.int64), origins=np.zeros(2))
+
+    def test_digest_material_is_the_packed_id_and_size_of_every_row(self):
         txs = [tx(1, 100), tx(2**40, 7), tx(3, 2**31)]
-        assert TxBatch.from_transactions(txs).digest_material() == pack_digest_material(txs)
+        expected = b"".join(struct.pack(">QI", t.tx_id, t.size) for t in txs)
+        assert TxBatch.from_transactions(txs).digest_material() == expected
 
-    def test_serialize_headers_matches_struct_layout(self):
-        import struct
-
-        txs = [tx(5, 123, origin=2, created_at=1.25)]
-        expected = struct.pack(">QIId", 5, 2, 123, 1.25)
-        assert TxBatch.from_transactions(txs).serialize_headers() == expected
+    def test_serialize_is_header_then_payload_per_row(self):
+        txs = [
+            Transaction(5, 2, 1.25, 3, b"abc"),
+            Transaction(6, 7, 2.5, 4),  # no data: zero-filled on the wire
+            Transaction(7, 2, 3.0, 0),
+        ]
+        expected = b"".join(
+            struct.pack(">QIId", t.tx_id, t.origin, t.size, t.created_at)
+            + (t.data or bytes(t.size))
+            for t in txs
+        )
+        assert TxBatch.from_transactions(txs).serialize() == expected
+        assert TxBatch.empty().serialize() == b""
 
     def test_slice_is_zero_copy_and_byte_exact(self):
         b = batch(1, 10, 20, 30, 40)
@@ -75,77 +100,18 @@ class TestTxBatch:
         assert piece.tx_ids.base is not None  # a view, not a copy
         assert b.slice(0, 4) is b  # full-range slice returns self
 
-    def test_concat_rejects_mixed_origins(self):
-        with pytest.raises(ValueError, match="origins"):
-            TxBatch.concat([batch(0, 10), batch(1, 10)])
+    def test_concat_keeps_one_origin_scalar_and_mixes_otherwise(self):
+        same = TxBatch.concat([batch(1, 10), batch(1, 20, first_id=5)])
+        assert same.origin == 1 and same.origins is None and same.total_bytes == 30
+        mixed = TxBatch.concat([batch(0, 10, 10), batch(1, 10, first_id=9)])
+        assert mixed.origin is None and mixed.origins.tolist() == [0, 0, 1]
+        with_data = TxBatch.from_transactions([Transaction(20, 1, 0.0, 2, b"hi")])
+        joined = TxBatch.concat([mixed, with_data])
+        assert joined.origins.tolist() == [0, 0, 1, 1]
+        assert joined.payloads == (b"", b"", b"", b"hi")
 
     def test_concat_of_empties_is_empty(self):
         assert TxBatch.concat([TxBatch.empty(0), TxBatch.empty(1)]).count == 0
-
-
-class TestColumnarMempool:
-    def test_registry_builds_both_kinds(self):
-        assert isinstance(create_mempool("object"), Mempool)
-        assert isinstance(create_mempool("columnar"), ColumnarMempool)
-        with pytest.raises(ConfigurationError, match="unknown mempool kind"):
-            create_mempool("vectorised")
-
-    def test_accounting_across_batches(self):
-        pool = ColumnarMempool()
-        pool.submit_batch(batch(0, 100, 200))
-        pool.submit(tx(7, 50))
-        assert pool.pending_count == 3
-        assert pool.pending_bytes == 350
-        assert pool.total_submitted == 3
-
-    def test_take_batch_cuts_inside_a_batch(self):
-        pool = ColumnarMempool()
-        pool.submit_batch(batch(0, 100, 100, 100, 100))
-        taken = pool.take_batch(250, now=0.0)
-        # Greedy cut: 100+100 fits, a third 100 would exceed 250.
-        assert taken.count == 2
-        assert pool.pending_count == 2
-        # The remainder drains on the next call, across the head offset.
-        rest = pool.take_batch(10_000, now=0.1)
-        assert rest.count == 2
-        assert pool.is_empty
-
-    def test_oversized_head_transaction_is_still_taken(self):
-        pool = ColumnarMempool()
-        pool.submit_batch(batch(0, 5_000))
-        taken = pool.take_batch(100, now=0.0)
-        assert taken.count == 1
-        assert pool.is_empty
-
-    def test_requeue_front_preserves_fifo_order(self):
-        pool = ColumnarMempool()
-        pool.submit_batch(batch(0, 100, 100, first_id=3))
-        head = pool.take_batch(100, now=0.0)  # drains id 3, head offset now 1
-        pool.requeue_front(head)
-        drained = pool.take_batch(10_000, now=0.1)
-        assert list(drained.tx_ids) == [3, 4]
-
-    def test_submit_many_splits_runs_by_origin(self):
-        pool = ColumnarMempool()
-        pool.submit_many([tx(1, origin=0), tx(2, origin=0), tx(3, origin=1)])
-        assert pool.pending_count == 3
-        first = pool.take_batch(200, now=0.0)
-        assert first.origin == 0 and first.count == 2
-
-
-class TestSummariseArray:
-    def test_matches_scalar_summarise(self):
-        values = [0.5, 1.0, 2.5, 4.0, 10.0, 0.1]
-        scalar = summarise(values)
-        columnar = summarise_array(np.array(values))
-        assert columnar.count == scalar.count
-        assert columnar.mean == pytest.approx(scalar.mean)
-        for name in ("p5", "p50", "p95", "p99"):
-            assert getattr(columnar, name) == pytest.approx(getattr(scalar, name))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarise_array(np.empty(0))
 
 
 def sample(t, node=0, **overrides):

@@ -1,102 +1,23 @@
-"""Property-based cross-checks: columnar data plane vs the object path.
+"""Property-based cross-checks: the batch client vs the per-arrival client.
 
-Two families of properties pin the tentpole claim that the columnar plane
-is a *behavioural twin* of the object plane, not an approximation:
+**Batched Poisson statistics** — the windowed order-statistics generator
+produces the same arrival process as the one-event-per-transaction
+generator: matching first moments over many windows, arrival times sorted
+and confined to their windows, and deterministic for a fixed seed.
 
-* **Mempool equivalence** — for any run of submissions and drains, the
-  columnar mempool's ``take_batch`` cuts at exactly the same transaction
-  boundaries as the object mempool's, with identical accounting before and
-  after.
-* **Batched Poisson statistics** — the windowed order-statistics generator
-  produces the same arrival process as the one-event-per-transaction
-  generator: matching first moments over many windows, arrival times sorted
-  and confined to their windows, and deterministic for a fixed seed.
+(The mempool both clients feed is checked against its reference model in
+``tests/test_mempool.py``.)
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.block import Transaction
-from repro.core.mempool import ColumnarMempool, Mempool
-from repro.core.txbatch import TxBatch
 from repro.sim.events import Simulator
 from repro.workload.txgen import (
     ColumnarPoissonTransactionGenerator,
     PoissonTransactionGenerator,
 )
-
-
-def make_txs(sizes, origin=0):
-    return [
-        Transaction(tx_id=i + 1, origin=origin, created_at=0.0, size=size)
-        for i, size in enumerate(sizes)
-    ]
-
-
-# One mempool "program": interleaved submissions (runs of tx sizes) and
-# drains (byte budgets).  Single-origin throughout — a TxBatch holds a run
-# from one origin by construction.
-steps = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("submit"),
-            st.lists(st.integers(min_value=1, max_value=5_000), min_size=1, max_size=20),
-        ),
-        st.tuples(st.just("drain"), st.integers(min_value=1, max_value=20_000)),
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-@given(program=steps)
-@settings(max_examples=60, deadline=None)
-def test_columnar_mempool_cuts_match_object_mempool(program):
-    """Any submit/drain interleaving: identical cut boundaries and accounting."""
-    obj = Mempool()
-    col = ColumnarMempool()
-    next_id = 1
-    now = 0.0
-    for op, arg in program:
-        if op == "submit":
-            txs = [
-                Transaction(tx_id=next_id + i, origin=0, created_at=now, size=size)
-                for i, size in enumerate(arg)
-            ]
-            next_id += len(arg)
-            obj.submit_many(txs)
-            col.submit_batch(TxBatch.from_transactions(txs))
-        else:
-            now += 0.1
-            taken_obj = obj.take_batch(arg, now=now)
-            taken_col = col.take_batch(arg, now=now)
-            assert [t.tx_id for t in taken_obj] == list(taken_col.tx_ids)
-            assert sum(t.size for t in taken_obj) == taken_col.total_bytes
-        assert obj.pending_count == col.pending_count
-        assert obj.pending_bytes == col.pending_bytes
-        assert obj.total_submitted == col.total_submitted
-        assert obj.total_proposed == col.total_proposed
-
-
-@given(
-    sizes=st.lists(st.integers(min_value=1, max_value=5_000), min_size=1, max_size=20),
-    budget=st.integers(min_value=1, max_value=20_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_requeue_front_round_trips_identically(sizes, budget):
-    """Drain, requeue the drained batch, drain fully: original FIFO order."""
-    txs = make_txs(sizes)
-    obj = Mempool()
-    col = ColumnarMempool()
-    obj.submit_many(txs)
-    col.submit_batch(TxBatch.from_transactions(txs))
-    obj.requeue_front(obj.take_batch(budget, now=0.0))
-    col.requeue_front(col.take_batch(budget, now=0.0))
-    drained_obj = obj.take_batch(10**9, now=0.1)
-    drained_col = col.take_batch(10**9, now=0.1)
-    assert [t.tx_id for t in drained_obj] == list(drained_col.tx_ids)
-    assert [t.tx_id for t in drained_obj] == [t.tx_id for t in txs]
 
 
 class _StubParams:

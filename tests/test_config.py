@@ -44,6 +44,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             NodeConfig(max_parallel_retrievals=0)
 
+    def test_mempool_accepts_its_two_kept_spellings_only(self):
+        assert NodeConfig(mempool="object").mempool == "object"
+        assert NodeConfig(mempool="columnar").mempool == "columnar"
+        with pytest.raises(ConfigurationError, match="mempool"):
+            NodeConfig(mempool="vectorised")
+
     def test_frozen(self):
         config = NodeConfig()
         with pytest.raises(Exception):

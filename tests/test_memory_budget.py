@@ -1,6 +1,11 @@
-"""A stated memory budget for the large reference scenario (``columnar-scale``).
+"""Stated memory budgets, deterministic rather than RSS-based.
 
-Deterministic rather than RSS-based.  Two quantities are bounded, both as
+**Per committed transaction** (``straggler-hetero``, the per-arrival client
+on a saturated cluster): what a run keeps for a committed transaction is its
+row in the block's columns, shared by every node's ledger and collector —
+no record object, no per-node latency sample.
+
+**Per N^2** (``columnar-scale``).  Two quantities are bounded, both as
 multiples of N^2 — a cluster runs N VID and N BA automata per node per
 epoch, so N^2 automata is the state it cannot avoid, while anything that
 scales with the N^3 votes and chunks those automata exchange is a leak of
@@ -18,12 +23,21 @@ both grew as N^3: 10 188 and 31 778 pending events (21 N^2, 31 N^2) and
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import types
 
 import pytest
 
+from repro.core.block import Transaction
 from repro.experiments import apply_overrides, get_scenario
 from tests.conftest import build_scenario_state
+
+#: Traced bytes per additionally committed transaction, end-of-run and peak
+#: (measured: 67 and 0 — the peak is the initial mempool fill; with one
+#: ``Transaction`` and N latency floats kept per committed transaction it
+#: was 542 and 542).
+BYTES_PER_COMMITTED_TX = 120
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
@@ -61,3 +75,61 @@ def test_traced_memory_stays_within_20_kb_per_n_squared(num_nodes):
         tracemalloc.stop()
     assert all(node.delivered_epoch == 1 for node in state.nodes)
     assert peak <= TRACED_BYTES_PER_N2 * num_nodes**2
+
+
+def _run_straggler(duration: float):
+    """``straggler-hetero`` ``dl`` under ``tracemalloc``: state, end and peak bytes."""
+    spec = apply_overrides(
+        get_scenario("straggler-hetero").base, {"protocol": "dl", "duration": duration}
+    )
+    tracemalloc.start()
+    try:
+        state = build_scenario_state(spec)
+        state.sim.run(until=spec.duration)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return state, current, peak
+
+
+def _reaches_a_record(roots) -> bool:
+    """Whether a ``Transaction`` is reachable from ``roots`` through data.
+
+    Follows instances and containers, not classes, modules or code — those
+    lead to the whole process.
+    """
+    code_like = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, code_like):
+            continue
+        seen.add(id(obj))
+        if type(obj) is Transaction:
+            return True
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_memory_per_committed_transaction_and_no_record_kept():
+    short, short_end, short_peak = _run_straggler(4.0)
+    long, long_end, long_peak = _run_straggler(8.0)
+    committed = [
+        max(metrics.confirmed_transactions for metrics in state.collector.per_node)
+        for state in (short, long)
+    ]
+    extra = committed[1] - committed[0]
+    assert extra > 50_000
+    assert (long_end - short_end) / extra <= BYTES_PER_COMMITTED_TX
+    assert (long_peak - short_peak) / extra <= BYTES_PER_COMMITTED_TX
+
+    # 536 000 records went through ``submit_transaction``; the run holds none
+    # of them, in the nodes (mempools, blocks, ledgers) or in the collector ...
+    assert sum(generator.generated for generator in long.generators) > 500_000
+    assert not _reaches_a_record(long.nodes)
+    assert not _reaches_a_record([long.collector])
+    # ... until someone asks a ledger for them.
+    records = long.nodes[0].ledger.transactions()
+    assert len(records) == long.collector.per_node[0].confirmed_transactions > 0
+    assert type(records[0]) is Transaction

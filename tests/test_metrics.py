@@ -1,5 +1,6 @@
 """Tests for the metrics collector and statistics helpers."""
 
+import numpy as np
 import pytest
 
 from repro.core.block import Block, Transaction
@@ -45,6 +46,33 @@ class TestStats:
     def test_summarise_empty(self):
         with pytest.raises(ValueError):
             summarise([])
+        with pytest.raises(ValueError):
+            summarise(np.empty(0))
+
+    def test_mean_is_sequential_addition_in_sample_order(self):
+        """The definition, against an explicit loop — not ``sum()``, whose
+        rounding depends on the interpreter (compensated since CPython 3.12),
+        and not ``ndarray.sum``, which adds pairwise."""
+        rng = np.random.default_rng(5)
+        # Magnitudes spread over 12 decades make the order of addition show.
+        samples = rng.random(20_001) * 10.0 ** rng.integers(-6, 6, 20_001)
+        total = 0.0
+        for value in samples.tolist():
+            total += value
+        assert summarise(samples).mean == total / len(samples)
+        assert summarise(samples.tolist()).mean == total / len(samples)
+        assert float(samples.sum()) != total  # what pairwise addition would give
+
+    def test_percentiles_interpolate_like_the_scalar_rule(self):
+        rng = np.random.default_rng(6)
+        samples = rng.random(1_237)
+        ordered = sorted(samples.tolist())
+        summary = summarise(samples)
+        for name, q in (("p5", 5), ("p50", 50), ("p95", 95), ("p99", 99)):
+            rank = (q / 100) * (len(ordered) - 1)
+            low, fraction = int(rank), rank - int(rank)
+            expected = ordered[low] * (1 - fraction) + ordered[low + 1] * fraction
+            assert getattr(summary, name) == expected == percentile(samples.tolist(), q)
 
 
 class TestMetricsCollector:
@@ -61,10 +89,26 @@ class TestMetricsCollector:
         collector = MetricsCollector(2)
         collector.record_delivery(0, delivered(node_time=3.0, origins=(0, 1), created=1.0))
         metrics = collector.per_node[0]
-        assert metrics.latencies_all == [2.0, 2.0]
-        assert metrics.latencies_local == [2.0]
+        assert metrics.latency_summary(local_only=False).count == 2
+        local = metrics.latency_summary(local_only=True)
+        assert (local.count, local.mean, local.p50) == (1, 2.0, 2.0)
         collector.record_delivery(1, delivered(node_time=5.0, origins=(0,), created=1.0))
-        assert collector.per_node[1].latencies_local == []
+        assert collector.per_node[1].latency_summary(local_only=True) is None
+        assert collector.per_node[1].latency_summary(local_only=False).mean == 4.0
+
+    def test_latency_samples_keep_delivery_order_across_mixed_origin_blocks(self):
+        """The mean depends on sample order: block by block, row by row."""
+        collector = MetricsCollector(2)
+        first = delivered(node_time=10.0, origins=(1, 0, 1), created=0.1)
+        second = delivered(node_time=1e9, origins=(1, 1), created=0.3, epoch=2)
+        third = delivered(node_time=10.0, origins=(0, 1), created=0.7, epoch=3)
+        for entry in (first, second, third):
+            collector.record_delivery(1, entry)
+        local = collector.per_node[1].latency_summary(local_only=True)
+        total = 0.0
+        for sample in [10.0 - 0.1] * 2 + [1e9 - 0.3] * 2 + [10.0 - 0.7]:
+            total += sample
+        assert local.count == 5 and local.mean == total / 5
 
     def test_throughput(self):
         collector = MetricsCollector(1)

@@ -17,6 +17,7 @@ from repro.experiments.scenario import (
     ScenarioSpec,
     TopologySpec,
     apply_override,
+    apply_overrides,
     build_network_config,
     expand_grid,
 )
@@ -215,6 +216,25 @@ class TestRunScenario:
         assert summary["mean_throughput"] > 0
         assert summary["delivered_epochs"] >= 1
         assert outcome.wall_clock_seconds > 0
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("straggler-hetero", {"protocol": "dl", "duration": 4.0}),
+            ("straggler-hetero", {"protocol": "hb", "duration": 4.0}),
+            ("latency-fault-matrix", {"duration": 3.0}),
+        ],
+    )
+    def test_mempool_spelling_selects_nothing(self, name, overrides):
+        """``node.mempool`` is parsed for the pinned benchmark and has no effect."""
+        summaries = []
+        for spelling in ("object", "columnar"):
+            spec = apply_overrides(
+                get_scenario(name).base, {**overrides, "node.mempool": spelling}
+            )
+            summaries.append(json.dumps(run_scenario(spec).summary(), sort_keys=True))
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["mean_throughput"] > 0
 
     def test_crash_adversary_zeroes_crashed_node(self):
         outcome = run_scenario(

@@ -37,6 +37,7 @@ from repro.experiments.engine import run_scenario, sweep
 from repro.experiments.golden import SLOW_GOLDEN, golden_names, golden_points
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.scenario import ScenarioSpec
+from repro.core.mempool import _ROW_WIDTH
 from repro.sim.network import _ExpressTrain
 from repro.sim.snapshot import load_checkpoint, save_checkpoint
 from tests.conftest import build_scenario_state
@@ -205,6 +206,58 @@ def test_window_boundary_on_a_pending_express_train_matches_monolithic(tmp_path)
     # chained ``run(until=...)``.
     handoff = load_checkpoint(tmp_path / "point0000-w1.ckpt")
     assert any(type(entry[2]) is _ExpressTrain for entry in handoff.sim._queue)
+    assert [json.dumps(p.summary(), sort_keys=True) for p in windowed.points] == [
+        json.dumps(p.summary(), sort_keys=True) for p in monolithic.points
+    ]
+
+
+# Staged transactions across a checkpoint
+# ---------------------------------------------------------------------------
+
+
+def _poisson7() -> ScenarioSpec:
+    """``latency-fault-matrix`` for 2 s: per-arrival submission, Nagle-timer blocks.
+
+    Between two proposals every mempool holds the arrivals since the last
+    one as a staged run, not yet a batch; t=0.73 is no proposal instant.
+    """
+    return apply_overrides(get_scenario("latency-fault-matrix").base, {"duration": 2.0})
+
+
+def test_checkpoint_with_staged_transactions_resumes_byte_identically(tmp_path):
+    spec = _poisson7()
+    clean = run_scenario(spec).summary()
+    assert clean["delivered_epochs"] > 1
+
+    checkpoint = tmp_path / "poisson7.ckpt"
+    periodic = replace(spec, checkpoint_every=0.73)
+    full = run_scenario(periodic, options=ExecutionOptions(checkpoint_path=checkpoint))
+    assert json.dumps(full.summary(), sort_keys=True) == json.dumps(clean, sort_keys=True)
+
+    # The last periodic checkpoint (t=1.46) caught every mempool mid-window.
+    state = load_checkpoint(checkpoint)
+    assert state.sim.now == 1.46
+    staged = [len(node.mempool._staged) // _ROW_WIDTH for node in state.nodes]
+    assert all(staged)
+    assert [node.mempool.pending_count for node in state.nodes] >= staged
+
+    resumed = _resume_in_fresh_process(checkpoint)
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(clean, sort_keys=True)
+
+
+def test_window_boundaries_on_staged_transactions_match_monolithic(tmp_path):
+    spec = _poisson7()
+    grid = {"warmup": (0.0, 0.5)}
+    monolithic = sweep(spec, grid, options=ExecutionOptions(parallel=False))
+    windowed = sweep(
+        spec,
+        grid,
+        options=ExecutionOptions(parallel=False, windows=3, window_dir=tmp_path),
+    )
+    # The warmup point forks off the leader's hand-off checkpoint at the
+    # second boundary (t=4/3), so the staged runs cross a pickle.
+    handoff = load_checkpoint(tmp_path / "point0000-w1.ckpt")
+    assert all(node.mempool._staged for node in handoff.nodes)
     assert [json.dumps(p.summary(), sort_keys=True) for p in windowed.points] == [
         json.dumps(p.summary(), sort_keys=True) for p in monolithic.points
     ]

@@ -1,7 +1,12 @@
 """Tests for the replicated key-value state machine."""
 
+import pytest
+
 from repro.core.block import Transaction
+from repro.core.config import NodeConfig
+from repro.core.node import DispersedLedgerNode
 from repro.core.state_machine import KeyValueStateMachine, decode_operation, encode_operation
+from tests.conftest import build_cluster
 
 
 def tx_with(payload: bytes, tx_id=1, origin=0):
@@ -87,3 +92,37 @@ class TestDeterminism:
         first.apply(a), first.apply(b)
         second.apply(b), second.apply(a)
         assert first.state["k"] != second.state["k"]
+
+
+class TestClientBytesReachTheReplica:
+    """``submit_payload`` → mempool → block → delivery → state machine.
+
+    The operations of ``examples/quickstart.py``.  On the virtual plane the
+    block object itself is delivered, so the client's bytes have to survive
+    the mempool's columns; on the real plane they also cross the wire format.
+    """
+
+    @pytest.mark.parametrize("data_plane", ["virtual", "real"])
+    def test_quickstart_operations_replicate(self, params4, data_plane):
+        network, nodes = build_cluster(
+            DispersedLedgerNode, params4, seed=42, config=NodeConfig(data_plane=data_plane)
+        )
+        submitted = [
+            nodes[0].submit_payload(encode_operation("set", "alice", 100)),
+            nodes[0].submit_payload(encode_operation("set", "bob", 50)),
+            nodes[1].submit_payload(encode_operation("add", "alice", -30)),
+            nodes[1].submit_payload(encode_operation("add", "bob", 30)),
+            nodes[2].submit_payload(encode_operation("set", "carol", 7)),
+            nodes[3].submit_payload(encode_operation("delete", "carol")),
+            nodes[3].submit_payload(b"this is spam, not a valid operation"),
+        ]
+        network.start()
+        network.run()
+        for node in nodes:
+            # Epoch 1 commits all four blocks, proposers in index order.
+            assert node.ledger.transactions() == submitted
+            machine = KeyValueStateMachine()
+            for entry in node.ledger.entries:
+                machine.apply_block(entry.block.transactions)
+            assert machine.snapshot() == {"alice": 70, "bob": 80}
+            assert (machine.applied_count, machine.rejected_count) == (6, 1)

@@ -27,6 +27,11 @@ def make_node():
     return DispersedLedgerNode(0, params, ctx, config=NodeConfig())
 
 
+def pending(node):
+    """Everything waiting in the node's mempool, as records."""
+    return node.mempool.take_batch(10**12, now=0.0).as_transactions()
+
+
 class TestPoissonGenerator:
     def test_mean_rate_is_respected(self):
         sim = Simulator()
@@ -45,7 +50,7 @@ class TestPoissonGenerator:
         node = make_node()
         PoissonTransactionGenerator(sim, node, rate_bytes_per_second=10_000, seed=1).start()
         sim.run(until=5.0)
-        txs = list(node.mempool._queue)
+        txs = pending(node)
         assert txs, "generator produced nothing"
         assert all(tx.origin == 0 for tx in txs)
         assert all(0 <= tx.created_at <= 5.0 for tx in txs)
@@ -58,7 +63,8 @@ class TestPoissonGenerator:
         )
         generator.start()
         sim.run(until=10.0)
-        assert all(tx.created_at <= 1.0 for tx in node.mempool._queue)
+        txs = pending(node)
+        assert txs and all(tx.created_at <= 1.0 for tx in txs)
 
     def test_seeds_give_distinct_but_reproducible_streams(self):
         def arrivals(seed):
@@ -66,7 +72,7 @@ class TestPoissonGenerator:
             node = make_node()
             PoissonTransactionGenerator(sim, node, rate_bytes_per_second=50_000, seed=seed).start()
             sim.run(until=5.0)
-            return [tx.created_at for tx in node.mempool._queue]
+            return [tx.created_at for tx in pending(node)]
 
         assert arrivals(1) == arrivals(1)
         assert arrivals(1) != arrivals(2)
