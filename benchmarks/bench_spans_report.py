@@ -3,20 +3,25 @@
 The observability layer promises a near-free off switch: with no
 :class:`~repro.trace.SpanRecorder` attached and no
 :class:`~repro.sim.profiler.SimProfiler` installed, the only cost the
-instrumentation adds to the hot paths is an ``is not None`` branch per
-hook site.  This report pins that promise with an interleaved A/B/A'
-measurement over one ``trace-replay-wan`` point:
+instrumentation adds to the hot paths is an ``is None`` branch per hook
+site and per dispatched callback.  This report runs one
+``trace-replay-wan`` point interleaved A/B/C/A' and **gates on what is
+deterministic**:
+
+* every configuration must produce a bit-identical summary — behaviour
+  neutrality is re-asserted on each run, not assumed;
+* the off runs must make **zero** ``perf_counter`` reads in the event loop
+  and zero :meth:`SimProfiler.record` calls, and the profiled run exactly
+  two reads and one record per attributed callback.
+
+The wall-clock ratios are printed and recorded, never asserted — on a
+sub-second run an A/A pair differs by ±5 % from host noise alone:
 
 * **off vs off** — the same both-layers-off configuration timed twice per
-  repeat, interleaved, so the ratio is the honest noise floor of the
-  off path (asserted < 1.05: the off switch costs nothing measurable);
-* **spans on** — :class:`SpanRecorder` attached, reported as a wall-clock
-  ratio against the off runs plus the span-row count;
+  repeat: the noise floor the other two ratios have to be read against;
+* **spans on** — :class:`SpanRecorder` attached, plus the span-row count;
 * **profiler on** — :class:`SimProfiler` installed (every dispatch pays
-  two clock reads), same ratio plus attributed events.
-
-Every configuration must produce a bit-identical summary — behaviour
-neutrality is re-asserted on each run, not assumed.
+  two clock reads), plus attributed events.
 
 Run standalone::
 
@@ -39,20 +44,36 @@ from pathlib import Path
 from repro.experiments.catalog import get_scenario
 from repro.experiments.engine import run_scenario
 from repro.experiments.options import ExecutionOptions
+from repro.sim import events
 from repro.sim.profiler import SimProfiler
 from repro.trace import SpanSpec, read_jsonl
 
 OUTPUT_PATH = Path(__file__).parent / "BENCH_spans.json"
 SCENARIO = "trace-replay-wan"
 
-#: The off-path overhead the report asserts (and the PR gate reads).
-OFF_OVERHEAD_LIMIT = 1.05
-
 
 def _timed_run(spec, profiler=None):
-    started = time.perf_counter()
-    result = run_scenario(spec, options=ExecutionOptions(profiler=profiler))
-    return result, time.perf_counter() - started
+    """Run ``spec``; returns the result, the wall seconds, and how often the
+    event loop read its clock and any profiler's ``record`` was called."""
+    calls = {"perf_counter": 0, "record": 0}
+    record = SimProfiler.record
+
+    def counting_clock() -> float:
+        calls["perf_counter"] += 1
+        return time.perf_counter()
+
+    def counting_record(self, kind: str, elapsed: float) -> None:
+        calls["record"] += 1
+        record(self, kind, elapsed)
+
+    events.perf_counter, SimProfiler.record = counting_clock, counting_record
+    try:
+        started = time.perf_counter()
+        result = run_scenario(spec, options=ExecutionOptions(profiler=profiler))
+        elapsed = time.perf_counter() - started
+    finally:
+        events.perf_counter, SimProfiler.record = time.perf_counter, record
+    return result, elapsed, calls
 
 
 def measure(duration: float, repeats: int) -> dict:
@@ -68,11 +89,11 @@ def measure(duration: float, repeats: int) -> dict:
         for _ in range(repeats):
             # Interleaved so drift (thermal, cache, scheduler) lands evenly
             # across configurations instead of biasing whichever ran last.
-            off_a, t_off_a = _timed_run(base)
-            spans, t_spans = _timed_run(span_spec)
+            off_a, t_off_a, calls_off_a = _timed_run(base)
+            spans, t_spans, calls_spans = _timed_run(span_spec)
             profiler = SimProfiler()
-            profiled, t_prof = _timed_run(base, profiler=profiler)
-            off_b, t_off_b = _timed_run(base)
+            profiled, t_prof, calls_prof = _timed_run(base, profiler=profiler)
+            off_b, t_off_b, calls_off_b = _timed_run(base)
 
             for result in (off_a, spans, profiled, off_b):
                 summary = result.summary()
@@ -82,12 +103,22 @@ def measure(duration: float, repeats: int) -> dict:
                     raise RuntimeError(
                         "span/profiler instrumentation changed the summary"
                     )
+            for calls in (calls_off_a, calls_spans, calls_off_b):
+                if any(calls.values()):
+                    raise RuntimeError(f"profiling work with no profiler installed: {calls}")
+            profiler_events = profiler.as_dict()["total_events"]
+            if profiler_events <= 0 or calls_prof != {
+                "perf_counter": 2 * profiler_events,
+                "record": profiler_events,
+            }:
+                raise RuntimeError(
+                    f"profiled run attributed {profiler_events} events with {calls_prof}"
+                )
             seconds["off_a"].append(t_off_a)
             seconds["off_b"].append(t_off_b)
             seconds["spans"].append(t_spans)
             seconds["profiler"].append(t_prof)
             span_rows = len(read_jsonl(spans.span_path))
-            profiler_events = profiler.as_dict()["total_events"]
 
     best = {name: min(times) for name, times in seconds.items()}
     off = min(best["off_a"], best["off_b"])
@@ -96,8 +127,8 @@ def measure(duration: float, repeats: int) -> dict:
         "duration": duration,
         "repeats": repeats,
         "off_seconds": off,
-        # A/A ratio of the two interleaved off runs: the measured cost of
-        # leaving the hooks compiled in with both layers off (noise floor).
+        # A/A ratio of the two interleaved off runs: the noise floor of this
+        # host, against which the next two ratios are to be read.
         "both_off_overhead": max(best["off_a"], best["off_b"]) / off if off else 0.0,
         "spans_seconds": best["spans"],
         "spans_overhead": best["spans"] / off if off else 0.0,
@@ -106,11 +137,6 @@ def measure(duration: float, repeats: int) -> dict:
         "profiler_overhead": best["profiler"] / off if off else 0.0,
         "profiler_events": profiler_events,
     }
-    if entry["both_off_overhead"] >= OFF_OVERHEAD_LIMIT:
-        raise RuntimeError(
-            f"both-layers-off overhead {entry['both_off_overhead']:.3f} exceeds "
-            f"the {OFF_OVERHEAD_LIMIT:.2f} limit"
-        )
     return entry
 
 
@@ -138,8 +164,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"appended entry #{len(history)} to {OUTPUT_PATH}")
     print(
         f"off: {entry['off_seconds']:.2f}s wall for {entry['duration']:g}s virtual "
-        f"(A/A noise floor x{entry['both_off_overhead']:.3f}, limit "
-        f"{OFF_OVERHEAD_LIMIT:.2f})"
+        f"(A/A noise floor x{entry['both_off_overhead']:.3f}; no clock read, "
+        "no record call without a profiler)"
     )
     print(
         f"spans on: x{entry['spans_overhead']:.2f} wall "

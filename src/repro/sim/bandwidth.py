@@ -4,7 +4,9 @@ The paper throttles each node's ingress and egress independently, either to
 a constant (spatial-variation experiment, S6.3), or following a
 Gauss-Markov process sampled every second (temporal-variation experiment).
 Traces here are piecewise-constant rate functions; the pipe integrates them
-exactly to find when a transfer finishes.
+exactly to find when a transfer finishes, and follows them segment by
+segment (:meth:`BandwidthTrace.segment_at`) so a transfer that fits the
+current segment needs no lookup at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ class BandwidthTrace(Protocol):
         """Earliest time at which ``size`` bytes complete if started at ``start``."""
         ...
 
+    def segment_at(self, time: float) -> tuple[float, float, float]:
+        """The constant-rate segment ``(start, end, rate)`` in force at ``time``.
+
+        ``rate == rate_at(t)`` for every ``t`` in ``[start, end)``, and a
+        transfer of ``size`` bytes begun at such a ``t`` finishes at exactly
+        ``t + size / rate`` — the expression :meth:`finish_time` evaluates —
+        whenever ``rate > 0`` and that instant is no later than ``end``.
+        """
+        ...
+
 
 class ConstantBandwidth:
     """A trace with a single constant rate (or unlimited if ``rate`` is None)."""
@@ -34,15 +46,6 @@ class ConstantBandwidth:
             raise ValueError(f"bandwidth must be positive, got {rate}")
         self._rate = rate
 
-    @property
-    def rate(self) -> float | None:
-        """The constant rate in bytes/second (None means unlimited).
-
-        Exposed so the pipe can detect constant traces once at construction
-        and compute finish times arithmetically instead of integrating.
-        """
-        return self._rate
-
     def rate_at(self, time: float) -> float:
         return math.inf if self._rate is None else self._rate
 
@@ -50,6 +53,9 @@ class ConstantBandwidth:
         if self._rate is None:
             return start
         return start + size / self._rate
+
+    def segment_at(self, time: float) -> tuple[float, float, float]:
+        return -math.inf, math.inf, self.rate_at(time)
 
 
 class PiecewiseConstantBandwidth:
@@ -71,10 +77,16 @@ class PiecewiseConstantBandwidth:
         self._rates = [r for _, r in breakpoints]
 
     def rate_at(self, time: float) -> float:
-        index = bisect.bisect_right(self._times, time) - 1
-        if index < 0:
-            index = 0
-        return self._rates[index]
+        return self.segment_at(time)[2]
+
+    def segment_at(self, time: float) -> tuple[float, float, float]:
+        # Like ``rate_at`` always did, a time before the first breakpoint
+        # reads the first segment; ``start > time`` then tells the caller
+        # that nothing flows yet (``finish_time`` waits for ``start``).
+        times = self._times
+        index = max(bisect.bisect_right(times, time) - 1, 0)
+        end = times[index + 1] if index + 1 < len(times) else math.inf
+        return times[index], end, self._rates[index]
 
     def finish_time(self, start: float, size: int) -> float:
         remaining = float(size)

@@ -5,11 +5,16 @@ callbacks.  Everything in an experiment — message transmissions, bandwidth
 changes, protocol timers, workload arrivals — is a callback on this queue,
 so a whole wide-area deployment runs deterministically in one thread.
 
-Two scheduling flavours share one queue:
+Three scheduling flavours share one queue:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — fire-and-forget.
   The queue entry is a bare ``(when, seq, callback)`` tuple; nothing else is
   allocated, which keeps the pipe/network hot path lean.
+* :meth:`Simulator.schedule_in_order` — ``schedule`` for a caller whose due
+  times (almost) never decrease, such as a fixed propagation delay added to
+  a clock that only moves forward.  Such entries need no heap: they are
+  appended to the *in-order lane*, a deque sorted by construction, and an
+  entry that would break the order falls back to the heap by itself.
 * :meth:`Simulator.schedule_event` / :meth:`Simulator.schedule_event_at` —
   return a slotted :class:`Event` handle with O(1) :meth:`Event.cancel`.
   Cancellation is *lazy*: the heap entry stays put with its callback cleared
@@ -18,14 +23,18 @@ Two scheduling flavours share one queue:
   paths never pay for heap deletion.
 
 Ordering is strict ``(time, FIFO sequence)``: ties at the same virtual time
-run in scheduling order, and both flavours draw from the same sequence
-counter so they interleave exactly as scheduled.
+run in scheduling order.  All flavours draw from the same sequence counter
+and the run loop always executes the smaller of the heap's head and the
+lane's head, so they interleave exactly as scheduled — where an entry is
+stored changes what it costs, never when it runs.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import sys
+from collections import deque
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Callable
@@ -94,6 +103,7 @@ class Simulator(SnapshotState):
     _SNAPSHOT_FIELDS = (
         "_now",
         "_queue",
+        "_lane",
         "_next_seq",
         "_processed_events",
         "_stale",
@@ -104,14 +114,16 @@ class Simulator(SnapshotState):
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Optional :class:`repro.sim.profiler.SimProfiler`; when set (and no
-        #: event budget is in play) ``run`` takes a timed twin of the fast
-        #: loop that attributes host seconds per callback kind.
+        #: Optional :class:`repro.sim.profiler.SimProfiler`; when set, ``run``
+        #: times every callback and attributes host seconds per callback kind.
         self.profiler = None
         #: Heap entries are ``(when, seq, item)`` where ``item`` is a bare
         #: callback (fire-and-forget), an :class:`Event` (cancellable), or an
         #: :class:`InternalCallback` (uncounted bookkeeping).
         self._queue: list[tuple[float, int, Callable[[], None] | Event | InternalCallback]] = []
+        #: The in-order lane: ``(when, seq, callback)`` entries in ascending
+        #: order by construction (see :meth:`schedule_in_order`).
+        self._lane: deque[tuple[float, int, Callable[[], None]]] = deque()
         self._next_seq = 0
         self._processed_events = 0
         #: Cancelled events still occupying heap slots (lazy deletion debt).
@@ -143,7 +155,7 @@ class Simulator(SnapshotState):
         Lazily-deleted (cancelled) entries still sitting in the heap are
         excluded.
         """
-        return len(self._queue) - self._stale
+        return len(self._queue) + len(self._lane) - self._stale
 
     @property
     def last_seq(self) -> int:
@@ -170,6 +182,25 @@ class Simulator(SnapshotState):
             raise ValueError(f"cannot schedule in the past: t={when} < now={self._now}")
         self._next_seq = seq = self._next_seq + 1
         heappush(self._queue, (when, seq, callback))
+
+    def schedule_in_order(self, delay: float, callback: Callable[[], None]) -> None:
+        """:meth:`schedule` for callers whose due times rarely decrease.
+
+        Same contract, same sequence counter, same ``(time, seq)`` execution
+        order.  The entry joins the in-order lane when it is due no earlier
+        than the lane's tail (its newer sequence number then sorts it last)
+        and the heap otherwise, so a caller that is always in order costs an
+        append and a ``popleft`` per event instead of two heap sifts.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past: delay={delay}")
+        self._next_seq = seq = self._next_seq + 1
+        when = self._now + delay
+        lane = self._lane
+        if lane and when < lane[-1][0]:
+            heappush(self._queue, (when, seq, callback))
+        else:
+            lane.append((when, seq, callback))
 
     def schedule_internal(self, delay: float, internal: InternalCallback) -> int:
         """Schedule a preallocated :class:`InternalCallback` ``delay`` from now.
@@ -255,43 +286,60 @@ class Simulator(SnapshotState):
         run stopped.  Cancelled events are discarded without executing (and
         without counting against ``max_events``).
 
+        This is the simulator's only loop: the event budget and the optional
+        :attr:`profiler` are locals it tests once per event.  The processed
+        counter is batched into a local and written back on every exit path
+        (and before each :class:`InternalCallback`, so a checkpoint taken
+        inside the hand-off captures an exact ``processed_events``).
+
         Python's cyclic garbage collector is suspended for the duration of
         the loop (and restored after, even on an exception).  The loop
         allocates at enormous rates but its garbage is acyclic — messages,
-        transfers and heap entries die by refcount as soon as the queue
+        transfers and queue entries die by refcount as soon as the queue
         drops them — so collector passes never free anything here; they
         only pause the run to rescan every live object, which at
         million-object scenario scales costs ~20% of the whole run.
         Callers that were already running with the collector disabled are
         left untouched.
         """
+        queue = self._queue
+        lane = self._lane
+        record = None if self.profiler is None else self.profiler.record
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
+        processed = 0  # events executed by this call ...
+        synced = 0  # ... of which ``_processed_events`` already includes
         resume_gc = gc.isenabled()
         if resume_gc:
             gc.disable()
         try:
-            profiler = getattr(self, "profiler", None)
-            if profiler is not None and max_events is None:
-                return self._run_loop_profiled(until, profiler)
-            return self._run_loop(until, max_events)
-        finally:
-            if resume_gc:
-                gc.enable()
-
-    def _run_loop(self, until: float | None, max_events: int | None) -> float:
-        queue = self._queue
-        if max_events is None:
-            # The two hot shapes (drain everything / run to a horizon) skip
-            # the per-iteration budget arithmetic, and batch the processed
-            # counter into a local (written back on every exit path, so the
-            # count is exact after ``run`` returns or raises).
-            processed = 0
-            try:
-                while queue:
+            while True:
+                # Next is the smaller of the two heads.  Sequence numbers are
+                # unique among live entries, so comparing the tuples never
+                # reaches the callbacks.
+                if lane and not (queue and queue[0] < lane[0]):
+                    entry = lane[0]
+                    in_order = True
+                elif queue:
                     entry = queue[0]
-                    when = entry[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return until
+                    in_order = False
+                else:
+                    break
+                when = entry[0]
+                if when > horizon:
+                    self._now = horizon
+                    return horizon
+                if processed >= budget and not (
+                    type(entry[2]) is Event and entry[2].callback is None
+                ):
+                    # Out of budget with live work left.  A cancelled entry
+                    # is discarded below first, so the stopping point never
+                    # depends on how lazily it was deleted.
+                    return self._now
+                if in_order:
+                    lane.popleft()
+                    callback = entry[2]  # the lane holds bare callbacks only
+                else:
                     heappop(queue)
                     item = entry[2]
                     cls = type(item)
@@ -303,15 +351,19 @@ class Simulator(SnapshotState):
                         item.callback = None  # executed: later cancel() is a no-op
                     elif cls is InternalCallback:
                         # Internal bookkeeping: runs in order, not an event.
-                        # Sync the batched counter first so a checkpoint taken
-                        # inside the hand-off captures an exact
-                        # ``processed_events``, and defer heap compaction
-                        # until the hand-off returns (quiescent point).
+                        # Heap compaction waits until the hand-off returns
+                        # (quiescent point).
                         self._now = when
-                        self._processed_events += processed
-                        processed = 0
+                        self._processed_events += processed - synced
+                        synced = processed
                         self._in_internal = True
-                        item.callback()
+                        callback = item.callback
+                        if record is None:
+                            callback()
+                        else:
+                            started = perf_counter()
+                            callback()
+                            record("internal:" + callback_kind(callback), perf_counter() - started)
                         self._in_internal = False
                         if self._compact_deferred:
                             self._compact_deferred = False
@@ -319,104 +371,19 @@ class Simulator(SnapshotState):
                         continue
                     else:
                         callback = item
-                    self._now = when
-                    callback()
-                    processed += 1
-            finally:
-                self._processed_events += processed
-            if until is not None:
-                self._now = max(self._now, until)
-            return self._now
-        horizon = math.inf if until is None else until
-        executed = 0
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if when > horizon:
-                self._now = until  # type: ignore[assignment]  # horizon finite => until set
-                return self._now
-            if executed >= max_events:
-                return self._now
-            heappop(queue)
-            item = entry[2]
-            cls = type(item)
-            if cls is Event:
-                callback = item.callback
-                if callback is None:
-                    self._stale -= 1
-                    continue
-                item.callback = None  # executed: later cancel() is a no-op
-            elif cls is InternalCallback:
                 self._now = when
-                self._in_internal = True
-                item.callback()
-                self._in_internal = False
-                if self._compact_deferred:
-                    self._compact_deferred = False
-                    self._compact()
-                continue
-            else:
-                callback = item
-            self._now = when
-            callback()
-            executed += 1
-            self._processed_events += 1
-        if until is not None:
-            self._now = max(self._now, until)
-        return self._now
-
-    def _run_loop_profiled(self, until: float | None, profiler) -> float:
-        """The no-budget fast loop with per-callback wall-time attribution.
-
-        A structural twin of ``_run_loop``'s ``max_events is None`` branch —
-        identical ``_now``/counter/stale/compaction semantics, so a profiled
-        run is behaviour-identical to an unprofiled one — plus two
-        ``perf_counter`` reads and a kind lookup around every callback.
-        """
-        queue = self._queue
-        record = profiler.record
-        processed = 0
-        try:
-            while queue:
-                entry = queue[0]
-                when = entry[0]
-                if until is not None and when > until:
-                    self._now = until
-                    return until
-                heappop(queue)
-                item = entry[2]
-                cls = type(item)
-                if cls is Event:
-                    callback = item.callback
-                    if callback is None:
-                        self._stale -= 1
-                        continue
-                    item.callback = None  # executed: later cancel() is a no-op
+                if record is None:
+                    callback()
+                else:
                     kind = "event:" + callback_kind(callback)
-                elif cls is InternalCallback:
-                    self._now = when
-                    self._processed_events += processed
-                    processed = 0
-                    self._in_internal = True
-                    callback = item.callback
                     started = perf_counter()
                     callback()
-                    record("internal:" + callback_kind(callback), perf_counter() - started)
-                    self._in_internal = False
-                    if self._compact_deferred:
-                        self._compact_deferred = False
-                        self._compact()
-                    continue
-                else:
-                    callback = item
-                    kind = "event:" + callback_kind(callback)
-                self._now = when
-                started = perf_counter()
-                callback()
-                record(kind, perf_counter() - started)
+                    record(kind, perf_counter() - started)
                 processed += 1
         finally:
-            self._processed_events += processed
+            self._processed_events += processed - synced
+            if resume_gc:
+                gc.enable()
         if until is not None:
             self._now = max(self._now, until)
         return self._now

@@ -172,16 +172,21 @@ class _MessageTransfer(SnapshotState):
             if delay is None:
                 delay = net._config.delay(self.src, self.dst)
             self.phase = _PROPAGATED
-            net._sim.schedule(delay, self)
+            # Arrivals leave a scalar-delay network in departure order, so
+            # the propagation hop rides the simulator's in-order lane.
+            net._sim.schedule_in_order(delay, self)
         else:
-            # Arrived at the receiver: charge its ingress pipe.  If neither a
-            # sender-side abort nor a receiver-side decline hook exists, skip
-            # the ``should_abort`` wrapper entirely.
+            # Arrived at the receiver: charge its ingress pipe.  The pipe gets
+            # an abort predicate only if one can fire: the sender supplied an
+            # abort, or the receiver's decline hook has this type in scope.
             dst = self.dst
-            if self.abort is None and net._declines[dst] is None:
-                abort = None
-            else:
+            abort = None
+            if self.abort is not None:
                 abort = self.should_abort
+            elif net._declines[dst] is not None:
+                scope = net._decline_types[dst]
+                if scope is None or type(msg) in scope:
+                    abort = self.should_abort
             self.phase = _DELIVER
             net._ingress[dst].submit(msg.wire_size, msg.priority, self, self.rank, abort)
 
@@ -547,10 +552,21 @@ class Network(SnapshotState):
         path so self-delivery ordering matches the per-message network.
         """
         if not self._config.express:
+            # ``send`` minus what does not vary across the fan-out: ``dst`` is
+            # in range by construction, and the probe, the express switch and
+            # the sender's pipe are looked up once.
+            probe = self._span_probe
+            submit = self._egress[src].submit
+            wire = msg.wire_size
+            priority = msg.priority
             for dst in range(self._num_nodes):
-                if dst == src and not include_self:
+                if dst == src:
+                    if include_self:
+                        self.send(src, src, msg, rank)
                     continue
-                self.send(src, dst, msg, rank)
+                if probe is not None:
+                    probe.on_message_send(src, dst, msg, self._sim.now)
+                submit(wire, priority, _MessageTransfer(self, src, dst, msg, rank, None), rank, None)
             return
         if include_self:
             self.send(src, src, msg, rank)

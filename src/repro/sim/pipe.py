@@ -20,9 +20,14 @@ profiles):
 * The in-flight transfer lives in slots on the pipe itself and completes
   through one prebound method scheduled on the simulator, instead of a
   fresh ``complete()`` closure per transfer.
-* Constant-rate traces are detected once at construction and finish times
-  are computed arithmetically (``now + size / rate``), skipping the trace
-  integration entirely.
+* A pipe's clock never goes back, so it keeps a *segment cursor*: the
+  constant-rate segment ``(start, end, rate)`` of its trace that the last
+  transfer started in.  A transfer that fits the segment finishes at
+  ``now + size / rate`` — bit-for-bit what ``finish_time`` returns, with no
+  lookup; the trace is asked again only when the clock has left the
+  segment (``segment_at``) or a transfer crosses a breakpoint, meets a zero
+  rate or starts before the trace (``finish_time``).  A constant trace is
+  the one-infinite-segment case of the same code.
 * Zero-duration transfers (unlimited-bandwidth pipes, empty messages) drain
   in batches: the serve loop completes every same-instant transfer inline
   without re-entering the scheduler per message.  This is the one deliberate
@@ -50,7 +55,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from repro.common.snapshot import SnapshotState
-from repro.sim.bandwidth import BandwidthTrace, ConstantBandwidth
+from repro.sim.bandwidth import BandwidthTrace
 from repro.sim.events import InternalCallback, Simulator
 from repro.sim.messages import Priority
 
@@ -73,7 +78,7 @@ class Pipe(SnapshotState):
     _SNAPSHOT_FIELDS = (
         "_sim",
         "_trace",
-        "_rate",
+        "_segment",
         "_fifo",
         "_heap",
         "_ranked",
@@ -93,12 +98,9 @@ class Pipe(SnapshotState):
     def __init__(self, sim: Simulator, trace: BandwidthTrace):
         self._sim = sim
         self._trace = trace
-        # Constant-rate fast path: resolve the rate once (math.inf for an
-        # unlimited pipe, None for genuinely time-varying traces).
-        if isinstance(trace, ConstantBandwidth):
-            self._rate: float | None = _INF if trace.rate is None else trace.rate
-        else:
-            self._rate = None
+        #: Segment cursor: the trace's ``(start, end, rate)`` segment that the
+        #: most recent transfer started in (``math.inf`` rate = unlimited).
+        self._segment = trace.segment_at(sim.now)
         #: Per-class FIFO backlog: ``(size, on_done, abort)`` deques.
         self._fifo: list[deque] = [deque() for _ in range(_NUM_CLASSES)]
         #: Per-class ranked backlog: ``(rank, seq, size, on_done, abort)`` heaps.
@@ -118,7 +120,7 @@ class Pipe(SnapshotState):
         self._cur_on_done: _OnDone | None = None
         self._cur_start = 0.0
         self._drain_cb = self._drain
-        self._kick_entry = InternalCallback(self._kick)
+        self._kick_entry = InternalCallback(self._drain_cb)
         self.bytes_transferred = 0
         self.bytes_aborted = 0
         self.busy_time = 0.0
@@ -209,111 +211,76 @@ class Pipe(SnapshotState):
             return self.busy_time + (now - self._cur_start)
         return self.busy_time
 
-    def _kick(self) -> None:
-        head = self._kick_head
-        assert head is not None
-        self._kick_head = None
-        size, on_done, abort, seq = head
-        if abort is not None and abort():
-            self.bytes_aborted += size
-            self._drain()
-            return
-        if not self._serve(size, on_done, seq):
-            self._drain()
-
-    def _serve(self, size: int, on_done: _OnDone, seq: int | None = None) -> bool:
-        """Start serving one transfer.  Returns False if it completed inline
-        (zero duration), True if its completion was scheduled.  ``seq`` is the
-        retired sequence slot of the kick that started this transfer, if any;
-        reusing it keeps completion tie-breaking identical to a synchronous
-        start."""
-        sim = self._sim
-        now = sim._now
-        rate = self._rate
-        if rate is not None:
-            finish = now if rate == _INF else now + size / rate
-        else:
-            finish = self._trace.finish_time(now, size)
-            if finish == _INF:
-                raise RuntimeError(
-                    "bandwidth trace never completes a transfer (zero trailing rate)"
-                )
-        self._busy = True
-        if finish <= now:
-            # Zero-duration transfer: complete inline in the current frame
-            # (for a kick, that frame *is* the slot a synchronous completion
-            # would have occupied) and count the semantic event.
-            sim.count_inline_event()
-            self.bytes_transferred += size
-            on_done()
-            return False
-        self._cur_size = size
-        self._cur_on_done = on_done
-        self._cur_start = now
-        if seq is None:
-            sim.schedule_at(finish, self._drain_cb)
-        else:
-            sim.reschedule_at(finish, seq, self._drain_cb)
-        return True
-
     def _drain(self) -> None:
-        # The single hot function, scheduled as the in-flight transfer's
-        # completion callback and also used by the kick paths (with no
-        # transfer in flight) to start service.  One merged loop: finish the
-        # completed transfer if any, pop the next serveable one (dropping
+        # The pipe's one scheduler callback and single hot function: the
+        # completion event of the transfer in flight and — as the uncounted
+        # ``_kick_entry`` hand-off — the start of the transfer that found the
+        # pipe idle.  One loop: take the next serveable transfer (dropping
         # aborted entries), compute its finish time, and either schedule the
-        # single completion callback or — for zero-duration transfers —
-        # complete inline and keep draining, batching same-instant backlogs
-        # without a scheduler round-trip per message.
+        # completion or — for zero-duration transfers — complete inline and
+        # keep draining, batching same-instant backlogs without a scheduler
+        # round-trip per message.  ``_busy`` stays set throughout, so
+        # submissions made by ``on_done`` callbacks or abort predicates
+        # enqueue instead of stashing a second head.
         sim = self._sim
-        on_done = self._cur_on_done
-        if on_done is not None:
-            # A transfer just finished: account for it and notify.
+        head = self._kick_head
+        if head is None:
+            # The transfer in flight just finished: account for it and notify.
+            on_done = self._cur_on_done
             self._cur_on_done = None
             self.bytes_transferred += self._cur_size
             self.busy_time += sim._now - self._cur_start
             on_done()
-        rate = self._rate
+            size = -1
+            seq = None
+        else:
+            # Kicked: ``seq`` is the hand-off's retired sequence slot; giving
+            # it to the completion event keeps tie-breaking at the finish
+            # instant identical to a synchronous start.
+            self._kick_head = None
+            size, on_done, abort, seq = head
+            if abort is not None and abort():
+                self.bytes_aborted += size
+                size = -1
+                seq = None
         fifos = self._fifo
         heaps = self._heap
-        # Claim the pipe for the whole drain so submissions made by inline
-        # ``on_done`` callbacks (or abort predicates) enqueue instead of
-        # stashing a second head; cleared again if the queues turn out empty.
-        self._busy = True
         while True:
-            size = -1
-            for priority in _PRIORITY_ORDER:
-                fifo = fifos[priority]
-                while fifo:
-                    entry = fifo.popleft()
-                    abort = entry[2]
-                    if abort is not None and abort():
-                        self.bytes_aborted += entry[0]
-                        continue
-                    size = entry[0]
-                    on_done = entry[1]
-                    break
-                if size >= 0:
-                    break
-                heap = heaps[priority]
-                while heap:
-                    entry = heappop(heap)
-                    abort = entry[4]
-                    if abort is not None and abort():
-                        self.bytes_aborted += entry[2]
-                        continue
-                    size = entry[2]
-                    on_done = entry[3]
-                    break
-                if size >= 0:
-                    break
             if size < 0:
-                self._busy = False
-                return
+                for priority in _PRIORITY_ORDER:
+                    fifo = fifos[priority]
+                    while fifo:
+                        entry = fifo.popleft()
+                        abort = entry[2]
+                        if abort is not None and abort():
+                            self.bytes_aborted += entry[0]
+                            continue
+                        size = entry[0]
+                        on_done = entry[1]
+                        break
+                    if size >= 0:
+                        break
+                    heap = heaps[priority]
+                    while heap:
+                        entry = heappop(heap)
+                        abort = entry[4]
+                        if abort is not None and abort():
+                            self.bytes_aborted += entry[2]
+                            continue
+                        size = entry[2]
+                        on_done = entry[3]
+                        break
+                    if size >= 0:
+                        break
+                if size < 0:
+                    self._busy = False
+                    return
             now = sim._now
-            if rate is not None:
-                finish = now if rate == _INF else now + size / rate
-            else:
+            start, end, rate = self._segment
+            if now >= end:
+                start, end, rate = self._segment = self._trace.segment_at(now)
+            finish = now + size / rate if rate > 0.0 and start <= now else None
+            if finish is None or finish > end:
                 finish = self._trace.finish_time(now, size)
                 if finish == _INF:
                     raise RuntimeError(
@@ -323,9 +290,16 @@ class Pipe(SnapshotState):
                 self._cur_size = size
                 self._cur_on_done = on_done
                 self._cur_start = now
-                sim.schedule_at(finish, self._drain_cb)
+                if seq is None:
+                    sim.schedule_at(finish, self._drain_cb)
+                else:
+                    sim.reschedule_at(finish, seq, self._drain_cb)
                 return
-            # Zero-duration: complete inline and continue the drain.
+            # Zero-duration: complete inline (for a kick, in the very slot a
+            # synchronous completion would have occupied), count the semantic
+            # event and continue the drain.
             sim.count_inline_event()
             self.bytes_transferred += size
             on_done()
+            size = -1
+            seq = None

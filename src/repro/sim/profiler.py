@@ -10,9 +10,11 @@ arrived as a regular event or an internal (telemetry-style) callback.
 
 The cost model is deliberately asymmetric: with a profiler installed every
 dispatch pays two clock reads plus a name lookup (fine for a profiling
-run); with it absent the simulator takes its normal fast loop and the only
-overhead is one attribute read per ``run()`` call — effectively zero, which
-the spans bench report (``benchmarks/bench_spans_report.py``) pins.
+run); with it absent the same loop — there is only one — pays one
+``record is None`` test on a local per dispatched callback and never reads
+the clock, which the spans bench report
+(``benchmarks/bench_spans_report.py``) pins by counting the calls.  Event
+budgets (``run(max_events=...)``) are profiled like any other run.
 
 Aggregates serialise as ``repro-profile-v1`` JSON (:meth:`SimProfiler.as_dict`),
 which ``trace flame`` can lower to a Chrome trace-event file.

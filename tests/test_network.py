@@ -1,12 +1,16 @@
 """Tests for the bandwidth-accurate simulated network."""
 
+import statistics
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.experiments import apply_overrides, get_scenario
 from repro.sim.bandwidth import ConstantBandwidth
 from repro.sim.events import Simulator
 from repro.sim.messages import Message, Priority
 from repro.sim.network import LOOPBACK_DELAY, Network, NetworkConfig
+from tests.conftest import build_scenario_state
 
 
 class Recorder:
@@ -203,6 +207,135 @@ class Tagged(Message):
     def __init__(self, tag, wire_size=10):
         super().__init__(wire_size=wire_size)
         self.tag = tag
+
+
+class ScopedDecliner(Recorder):
+    """A decline hook scoped to ``Tagged`` messages that logs every ask."""
+
+    DECLINE_TYPES = (Tagged,)
+    asked: list = []
+
+    def declines_transfer(self, msg):
+        self.asked.append(type(msg).__name__)
+        return False
+
+
+class TestIngressAbortPredicateIsDecidedAtArrival:
+    """The ingress pipe gets a predicate only when one can fire."""
+
+    def predicates(self, recorder_class, send):
+        sim, network, recorders = build(num_nodes=3, rate=1000.0, recorder_class=recorder_class)
+        submitted = []
+        ingress = network._ingress[1]
+        submit = ingress.submit
+        ingress.submit = lambda *args: (submitted.append(args[4]), submit(*args))
+        send(network)
+        sim.run()
+        assert len(recorders[1].received) == len(submitted) > 0
+        return submitted
+
+    def test_out_of_scope_type_without_sender_abort_gets_none(self):
+        ScopedDecliner.asked = []
+        submitted = self.predicates(
+            ScopedDecliner, lambda network: network.broadcast(0, Message(wire_size=40))
+        )
+        assert submitted == [None]
+        assert ScopedDecliner.asked == []
+
+    def test_in_scope_type_consults_the_hook(self):
+        ScopedDecliner.asked = []
+        submitted = self.predicates(
+            ScopedDecliner, lambda network: network.send(0, 1, Tagged(1, wire_size=40))
+        )
+        assert submitted != [None]
+        assert ScopedDecliner.asked == ["Tagged"]
+
+    def test_sender_abort_is_asked_even_out_of_scope(self):
+        ScopedDecliner.asked = []
+        asked = []
+        submitted = self.predicates(
+            ScopedDecliner,
+            lambda network: network.send(
+                0, 1, Message(wire_size=40), abort=lambda dst: bool(asked.append(dst))
+            ),
+        )
+        assert submitted != [None]
+        assert asked == [1, 1]  # egress head, ingress head
+        assert ScopedDecliner.asked == []  # out of scope: the hook is not consulted
+
+    def test_unscoped_hook_is_always_consulted(self):
+        submitted = self.predicates(
+            DecliningRecorder, lambda network: network.send(0, 1, Message(wire_size=40))
+        )
+        assert submitted != [None]
+
+    def test_no_hook_no_abort_gets_none(self):
+        assert self.predicates(
+            Recorder, lambda network: network.send(0, 1, Message(wire_size=40))
+        ) == [None]
+
+
+class TestPropagationRidesTheInOrderLane:
+    def test_scalar_delay_arrivals_never_enter_the_heap(self):
+        sim, network, recorders = build(num_nodes=4, rate=10_000.0, delay=0.5)
+        for size in (100, 10, 50):
+            network.broadcast(0, Message(wire_size=size), include_self=False)
+        sim.run(until=0.3)  # every copy has left node 0's egress pipe
+        assert len(sim._lane) == 9 and not sim._queue
+        assert sim.pending_events == 9
+        sim.run()
+        assert [len(recorder.received) for recorder in recorders] == [0, 3, 3, 3]
+
+    def test_delay_matrix_falls_back_entry_by_entry_and_keeps_time_order(self):
+        sim = Simulator()
+        config = NetworkConfig(
+            num_nodes=3,
+            propagation_delay=[[0.0, 0.5, 0.1], [0.5, 0.0, 0.1], [0.1, 0.1, 0.0]],
+        )
+        network = Network(sim, config)
+        log = []
+        for node in range(3):
+            network.attach(node, LogRecorder(sim, log, node))
+        network.send(0, 1, Tagged("slow"))  # due at 0.5: joins the lane
+        network.send(0, 2, Tagged("fast"))  # due at 0.1, before the lane's tail: heap
+        network.send(2, 1, Tagged("fast-too"))
+        network.send(1, 0, Tagged("slow-too"))  # due at 0.5 again: back in order
+        sim.run(until=0.0)
+        assert [entry[2].msg.tag for entry in sim._lane] == ["slow", "slow-too"]
+        assert sorted(entry[2].msg.tag for entry in sim._queue) == ["fast", "fast-too"]
+        sim.run()
+        assert log == [(2, 0, "fast"), (1, 2, "fast-too"), (1, 0, "slow"), (0, 1, "slow-too")]
+
+    def test_heap_stays_shallow_while_thousands_of_messages_are_in_flight(self):
+        # The exact quantity behind the speed-up, on a saturated N=7 cluster
+        # with Gauss-Markov bandwidth and a scalar delay: messages crossing
+        # the WAN wait in the lane, so the heap holds little more than one
+        # pipe completion per pipe and the protocol timers.  With every
+        # propagation hop on the heap both medians were 225.
+        num_nodes = 7
+        spec = apply_overrides(
+            get_scenario("fig11b-temporal").base,
+            {
+                "protocol": "dl",
+                "topology.num_nodes": num_nodes,
+                "workload.kind": "saturating-columnar",
+                "duration": 4.0,
+            },
+        )
+        state = build_scenario_state(spec)
+        sim = state.sim
+        heap, pending = [], []
+
+        def sample():
+            heap.append(len(sim._queue))
+            pending.append(sim.pending_events)
+            sim.schedule(0.01, sample)
+
+        sim.schedule(0.5, sample)
+        sim.run(until=spec.duration)
+        assert any(node.delivered_epoch >= 2 for node in state.nodes)  # it is committing
+        assert statistics.median(heap) <= 8 * num_nodes
+        assert statistics.median(pending) >= 3 * 8 * num_nodes
 
 
 def build_express(num_nodes=4, delay=0.05, on_receive=None, recorder_class=LogRecorder):

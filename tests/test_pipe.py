@@ -1,11 +1,16 @@
 """Tests for the bandwidth-limited priority pipe."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.bandwidth import ConstantBandwidth, PiecewiseConstantBandwidth
 from repro.sim.events import Simulator
 from repro.sim.messages import Priority
 from repro.sim.pipe import Pipe
+from tests.test_bandwidth import GAPS, SIZES, breakpoint_lists
 
 
 def make_pipe(rate=100.0):
@@ -225,3 +230,78 @@ class TestAccounting:
         _, pipe = make_pipe()
         with pytest.raises(ValueError):
             pipe.submit(-1, Priority.DISPERSAL, lambda: None)
+
+
+class TestCompletionTimesAreTheTraces:
+    """The segment cursor is an access path, never a second integrator: every
+    completion time is bit-equal to ``trace.finish_time`` from the instant
+    service could start."""
+
+    @staticmethod
+    def check(trace, submissions):
+        sim = Simulator()
+        pipe = Pipe(sim, trace)
+        done = []
+        expected = []
+        time = free_at = 0.0
+        for gap, size in submissions:
+            time += gap
+            sim.schedule_at(
+                time, lambda size=size: pipe.submit(size, Priority.DISPERSAL, lambda: done.append(sim.now))
+            )
+            free_at = trace.finish_time(max(time, free_at), size)
+            expected.append(free_at)
+        if math.inf in expected:
+            with pytest.raises(RuntimeError, match="never completes"):
+                sim.run()
+            assert done == expected[: expected.index(math.inf)]
+        else:
+            sim.run()
+            assert done == expected
+            assert pipe.bytes_transferred == sum(size for _, size in submissions)
+
+    @given(breakpoints=breakpoint_lists(), submissions=st.lists(st.tuples(GAPS, SIZES), max_size=12))
+    def test_piecewise(self, breakpoints, submissions):
+        self.check(PiecewiseConstantBandwidth(breakpoints), submissions)
+
+    @given(
+        rate=st.sampled_from((None, 10.0, 40.0, 3.0)),
+        submissions=st.lists(st.tuples(GAPS, SIZES), max_size=12),
+    )
+    def test_constant_and_unlimited(self, rate, submissions):
+        self.check(ConstantBandwidth(rate), submissions)
+
+    def test_directed_corners(self):
+        # Starts before the first breakpoint, finishes exactly on a breakpoint,
+        # waits out a zero-rate segment, and sends nothing (size 0) mid-stall.
+        trace = PiecewiseConstantBandwidth([(0.5, 40.0), (1.0, 0.0), (2.0, 100.0)])
+        self.check(trace, [(0.0, 10), (0.0, 10), (0.25, 25), (1.0, 0), (0.0, 100)])
+
+    def test_cursor_asks_the_trace_only_on_leaving_a_segment(self):
+        class Counting(PiecewiseConstantBandwidth):
+            lookups = 0
+            integrations = 0
+
+            def segment_at(self, time):
+                type(self).lookups += 1
+                return super().segment_at(time)
+
+            def finish_time(self, start, size):
+                type(self).integrations += 1
+                return super().finish_time(start, size)
+
+        sim = Simulator()
+        pipe = Pipe(sim, Counting([(0.0, 80.0), (1.0, 40.0), (4.0, 40.0)]))
+        done = []
+        for _ in range(12):  # 0.125 s each in the first segment, 0.25 s in the second
+            pipe.submit(10, Priority.DISPERSAL, lambda: done.append(sim.now))
+        sim.run()
+        assert done[7] == 1.0 and done[-1] == 2.0
+        # One lookup at construction, one when the clock reaches t=1; the
+        # eighth transfer ends exactly on that breakpoint and none straddles
+        # it, so nothing is integrated.
+        assert (Counting.lookups, Counting.integrations) == (2, 0)
+        pipe.submit(100, Priority.DISPERSAL, lambda: done.append(sim.now))  # 2.0 -> 4.5
+        sim.run()
+        assert done[-1] == 4.5
+        assert (Counting.lookups, Counting.integrations) == (2, 1)

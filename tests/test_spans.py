@@ -21,7 +21,7 @@ import pytest
 from repro.common.errors import ConfigurationError, TraceError
 from repro.common.ids import VIDInstanceId
 from repro.experiments.catalog import get_scenario
-from repro.sim.events import Simulator
+from repro.sim.events import InternalCallback, Simulator
 from repro.sim.profiler import SimProfiler, callback_kind
 from repro.trace.cli import add_trace_parser, run_trace_command
 from repro.trace.spans import (
@@ -293,6 +293,61 @@ class TestSimProfiler:
         payload = sim.profiler.as_dict()
         assert payload["total_events"] >= 3
         assert any("tick" in entry["kind"] for entry in payload["kinds"])
+
+    @staticmethod
+    def _profiled_program():
+        """12 events of two kinds, one of them on the in-order lane, plus
+        3 uncounted internal hand-offs."""
+        sim = Simulator()
+        sim.profiler = SimProfiler()
+
+        def tick():
+            pass
+
+        def hop():
+            pass
+
+        def handoff():
+            pass
+
+        for step in range(6):
+            sim.schedule(0.5 * step, tick)
+            sim.schedule_in_order(0.25 + 0.5 * step, hop)
+        for step in range(3):
+            sim.schedule_internal(1.0 * step, InternalCallback(handoff))
+        return sim
+
+    @staticmethod
+    def _events_by_kind(sim):
+        return {
+            entry["kind"].replace("TestSimProfiler._profiled_program.<locals>.", ""): entry["events"]
+            for entry in sim.profiler.as_dict()["kinds"]
+        }
+
+    def test_profile_totals_of_an_unbudgeted_run(self):
+        sim = self._profiled_program()
+        sim.run()
+        assert sim.processed_events == 12
+        assert self._events_by_kind(sim) == {
+            "event:tick": 6,
+            "event:hop": 6,
+            "internal:handoff": 3,
+        }
+        assert sim.profiler.as_dict()["total_events"] == 15
+
+    def test_budgeted_run_is_profiled_too(self):
+        # ``max_events`` used to select the unprofiled loop silently.
+        sim = self._profiled_program()
+        sim.run(max_events=5)
+        kinds = self._events_by_kind(sim)
+        assert sim.processed_events == 5
+        assert sum(count for kind, count in kinds.items() if kind.startswith("event:")) == 5
+        # Slice by slice, the budgeted profile adds up to the unbudgeted one.
+        while sim.pending_events:
+            sim.run(max_events=4)
+        whole = self._profiled_program()
+        whole.run()
+        assert self._events_by_kind(sim) == self._events_by_kind(whole)
 
     def test_unprofiled_loop_matches_profiled(self):
         def run(profiler):
