@@ -31,10 +31,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments.catalog import get_scenario
-from repro.experiments.engine import run_scenario
+from repro.experiments.engine import build_scenario, run_scenario
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import build_experiment, resume_experiment
-from repro.experiments.scenario import build_network_config
+from repro.experiments.runner import resume_experiment
 from repro.sim.snapshot import load_checkpoint, save_checkpoint
 
 OUTPUT_PATH = Path(__file__).parent / "BENCH_snapshot.json"
@@ -65,19 +64,7 @@ def measure(duration: float, checkpoints: int) -> dict:
             raise RuntimeError("periodic checkpointing changed the scenario summary")
 
         # Explicit save/load of a mid-run state, timed in isolation.
-        state = build_experiment(
-            spec.protocol,
-            build_network_config(spec),
-            spec.duration,
-            workload=spec.workload,
-            node_config=spec.node,
-            params=spec.params(),
-            seed=spec.seed,
-            warmup=spec.effective_warmup(),
-            adversary=spec.adversary,
-            max_epochs=spec.max_epochs,
-            meta={"spec": spec.to_dict(), "overrides": {}},
-        )
+        state = build_scenario(spec)
         state.sim.run(until=duration * 0.5)
         mid_path = Path(tmp) / "mid.ckpt"
         save_started = time.perf_counter()

@@ -5,8 +5,9 @@ warmup-only sweep — the best case for the shared-prefix checkpoint tree,
 since warmup acts only at summary time and the points agree on every window
 boundary — run three ways over the same grid:
 
-* **monolithic sequential** — ``sweep(..., parallel=False)``, the baseline
-  every speedup is judged against;
+* **monolithic sequential** — one window per point, in this process
+  (``options=ExecutionOptions(parallel=False)``), the baseline every speedup
+  is judged against;
 * **windowed parallel** — ``windows=W, workers=4``: the leader runs the
   shared prefix once, the three followers fork its deepest checkpoint and
   simulate only the final window each (``1 + 3/W`` monolithic units of

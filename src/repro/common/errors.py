@@ -17,6 +17,10 @@ class SnapshotError(ConfigurationError):
     """A simulation checkpoint is malformed, mismatched, or cannot be taken."""
 
 
+class WorkerDiedError(ReproError):
+    """A pool worker process died (killed, out of memory) with sweep points in flight."""
+
+
 class ProtocolError(ReproError):
     """A protocol automaton received input that violates its contract."""
 

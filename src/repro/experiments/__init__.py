@@ -2,9 +2,16 @@
 
 The heart of this package is the **scenario engine**: declarative
 :class:`ScenarioSpec` descriptions of a run (protocol, topology, bandwidth
-model, adversary placement, workload, duration), a :func:`sweep` API that
-expands parameter grids and runs points in parallel across processes, a
-catalog of named scenarios, and one CLI entry point::
+model, adversary placement, workload, duration), a catalog of named
+scenarios, and one execution path.  :func:`run_scenario` runs one point and
+:func:`sweep` a parameter grid; both go through
+:func:`repro.experiments.engine.run_points`, which plans every point into
+tasks — build or restore a simulation, then
+:func:`repro.experiments.runner.execute` it through its stops (window
+boundaries, checkpoints, the horizon) — and runs them in this process or on
+one process pool.  *How* to execute (workers, windows, checkpoints, resume,
+the sweep journal) is one :class:`ExecutionOptions` passed as ``options=``;
+every strategy produces bit-identical summaries.  One CLI entry point::
 
     python -m repro.experiments list
     python -m repro.experiments run fig08-geo
@@ -96,7 +103,7 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.scalability import model_sweep, simulate_point, validate_cost_model
 from repro.experiments.summary import headline_from_results, run_headline_summary
-from repro.experiments.windowed import run_windowed_sweep, window_boundaries
+from repro.experiments.windowed import window_boundaries
 
 __all__ = [
     "BANDWIDTH_MODELS",
@@ -140,7 +147,6 @@ __all__ = [
     "run_spatial_variation",
     "run_temporal_variation",
     "run_vultr_throughput",
-    "run_windowed_sweep",
     "simulate_point",
     "sweep",
     "validate_cost_model",

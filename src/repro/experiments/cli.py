@@ -26,20 +26,22 @@ values are parsed as JSON when possible (``--set workload.kind=bursty``
 works too, falling back to the raw string).
 
 ``run``, ``sweep`` and ``resume`` share one execution-options group
-(:func:`add_execution_options`): ``--checkpoint-every`` arms periodic
-checkpointing, ``--telemetry`` records a per-point JSONL time-series, and
-``--workers`` sizes the process pool.  Misuse is always a one-line
-``error: ...`` and exit status 2, never a traceback.
+(:func:`add_execution_options`): ``--checkpoint-every`` writes a checkpoint
+at every multiple of that many virtual seconds strictly inside the run,
+``--telemetry`` records a per-point JSONL time-series, and ``--workers``
+sizes the process pool.  Misuse — and a worker process that dies mid-sweep —
+is always a one-line ``error: ...`` and exit status 2, never a traceback.
 
 ``resume`` continues a ``repro-ckpt-v1`` checkpoint (written by
-``--checkpoint-every`` / ``--set checkpoint_every=…``) to completion and
-prints the same unified summary ``run`` would have produced; a truncated,
+``--checkpoint-every`` / ``--set checkpoint_every=…``) to completion as the
+scenario it was taken from: it prints the same unified summary ``run`` would
+have produced and writes the same telemetry and span files; a truncated,
 corrupt, or foreign-scenario file is a one-line error and exit status 2.
 ``run`` and ``sweep`` accept ``--resume-dir`` to journal per-point results
 so a crashed sweep re-runs only its unfinished points, and ``--windows W``
 to execute every point as ``W`` checkpoint-hand-off windows
 (:mod:`repro.experiments.windowed`) — pipelined across workers, with
-warmup-prefix sharing, and byte-identical summaries.
+warmup-prefix sharing, and byte-identical summaries.  The two compose.
 
 ``trace`` groups the measured-bandwidth utilities — ``inspect`` a trace
 file, ``convert`` between the CSV and JSON formats (optionally resampling,
@@ -56,11 +58,12 @@ import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
-from repro.common.errors import ConfigurationError, SnapshotError
+from repro.common.errors import ConfigurationError, WorkerDiedError
 from repro.experiments.catalog import NamedScenario, get_scenario, list_scenarios
-from repro.experiments.engine import ScenarioResult, SweepResult, sweep
+from repro.experiments.engine import SweepResult, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import resume_experiment
+from repro.sim.snapshot import load_checkpoint
 from repro.experiments.scenario import ScenarioSpec, apply_override
 from repro.trace.cli import add_trace_parser, run_trace_command
 
@@ -143,8 +146,8 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     group.add_argument(
         "--checkpoint-every",
         type=float,
-        help="write a repro-ckpt-v1 checkpoint every this many virtual "
-        "seconds while the run executes",
+        help="write a repro-ckpt-v1 checkpoint at every multiple of this "
+        "many virtual seconds strictly inside the run",
     )
     group.add_argument("--json", action="store_true", help="emit JSON summaries")
     if sweepable:
@@ -232,23 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def options_from_args(args: argparse.Namespace) -> ExecutionOptions:
-    """Build the sweep :class:`ExecutionOptions` from parsed run/sweep flags.
-
-    Validation lives in ``ExecutionOptions.__post_init__``; a bad
-    combination (``--windows`` with ``--resume-dir``, zero workers, ...)
-    raises :class:`ConfigurationError`, which ``main`` reports as a
-    one-line error with exit status 2.
-    """
-    return ExecutionOptions(
-        parallel=not args.serial,
-        workers=args.workers,
-        resume_dir=args.resume_dir,
-        windows=args.windows,
-        window_dir=args.window_dir,
-    )
-
-
 def _resolve(args: argparse.Namespace) -> tuple[NamedScenario, Any, dict[str, tuple]]:
     entry = resolve_entry(args.scenario)
     base = entry.base
@@ -302,45 +288,49 @@ def _run_resume(args: argparse.Namespace) -> int:
     """The ``resume`` subcommand: continue a checkpoint and print its summary.
 
     Checkpoints written by the scenario engine carry the originating spec in
-    their metadata, so the printed summary has the same unified schema as a
-    fresh ``run`` of that scenario — a resumed run is diffable against the
-    golden summaries.  Malformed or foreign checkpoints produce a one-line
-    error and exit status 2, never a traceback.
+    their metadata, so the run continues through :func:`run_scenario` as
+    that scenario: the printed summary has the same unified schema as a
+    fresh ``run`` — a resumed run is diffable against the golden summaries —
+    and the telemetry and span files an uninterrupted run writes are
+    written too.  Periodic checkpointing continues only when
+    ``--checkpoint-every`` asks for it.  Malformed or foreign checkpoints
+    produce a one-line error and exit status 2, never a traceback.
     """
     checkpoint_path = args.checkpoint_path
     if args.checkpoint_every is not None and checkpoint_path is None:
         checkpoint_path = args.checkpoint
     try:
-        state, result = resume_experiment(
-            args.checkpoint,
-            options=ExecutionOptions(
+        state = load_checkpoint(args.checkpoint)
+        if "spec" in state.meta:
+            spec = replace(
+                ScenarioSpec.from_dict(state.meta["spec"]),
                 checkpoint_every=args.checkpoint_every,
-                checkpoint_path=checkpoint_path,
-            ),
-        )
-    except (SnapshotError, ConfigurationError) as exc:
+            )
+            summary = run_scenario(
+                spec,
+                state.meta.get("overrides"),
+                options=ExecutionOptions(resume_from=state, checkpoint_path=checkpoint_path),
+            ).summary()
+        else:
+            # A checkpoint taken outside the scenario engine has no spec to
+            # rebuild the unified schema from; print the core result fields.
+            _, result = resume_experiment(
+                state,
+                options=ExecutionOptions(
+                    checkpoint_every=args.checkpoint_every, checkpoint_path=checkpoint_path
+                ),
+            )
+            summary = {
+                "protocol": result.protocol,
+                "num_nodes": result.num_nodes,
+                "duration": result.duration,
+                "mean_throughput": result.mean_throughput,
+                "delivered_epochs": min(result.delivered_epochs, default=0),
+                "events_processed": result.events_processed,
+            }
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec_dict = state.meta.get("spec") if isinstance(state.meta, dict) else None
-    if spec_dict is not None:
-        spec = ScenarioSpec.from_dict(spec_dict)
-        point = ScenarioResult(
-            spec=spec,
-            overrides=dict(state.meta.get("overrides") or {}),
-            result=result,
-        )
-        summary = point.summary()
-    else:
-        # A checkpoint taken outside the scenario engine has no spec to
-        # rebuild the unified schema from; print the core result fields.
-        summary = {
-            "protocol": result.protocol,
-            "num_nodes": result.num_nodes,
-            "duration": result.duration,
-            "mean_throughput": result.mean_throughput,
-            "delivered_epochs": min(result.delivered_epochs, default=0),
-            "events_processed": result.events_processed,
-        }
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -378,9 +368,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         entry, base, grid = _resolve(args)
-        options = options_from_args(args)
+        # A bad value (zero workers, zero windows, ...) is a ConfigurationError
+        # from ExecutionOptions itself.
+        options = ExecutionOptions(
+            parallel=not args.serial,
+            workers=args.workers,
+            resume_dir=args.resume_dir,
+            windows=args.windows,
+            window_dir=args.window_dir,
+        )
         result = sweep(base, grid or None, options=options)
-    except (SpecFileError, ConfigurationError) as exc:
+    except (SpecFileError, ConfigurationError, WorkerDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_run(entry, result, args.json)

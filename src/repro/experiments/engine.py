@@ -1,14 +1,21 @@
-"""The scenario engine: run declarative specs, serially or across processes.
+"""The scenario engine: every run is a plan of stops, executed by one scheduler.
 
-:func:`run_scenario` turns one :class:`~repro.experiments.scenario.ScenarioSpec`
-into a :class:`ScenarioResult` with a unified summary schema.  :func:`sweep`
-expands a base spec over a parameter grid and runs every point — each point
-is an independent, deterministic simulation, so points run **in parallel
-across worker processes** (``parallel=True``, the default) with bit-identical
-summaries to a serial run.
+:func:`run_points` is the only execution path.  Each point is planned
+(:func:`~repro.experiments.windowed.plan_windowed_points`; one window unless
+``ExecutionOptions.windows`` says otherwise) into a chain of tasks.  A task
+builds the point's simulation (:func:`build_scenario`) or restores it — from
+a hand-off checkpoint, a forked leader's, or ``options.resume_from`` — and
+hands it to :func:`~repro.experiments.runner.execute` with its stops: window
+boundaries, hand-offs and the horizon, after the periodic
+``checkpoint_every`` stops of a one-window run.  :func:`_run_tasks` runs the
+graph in this process or on the one process pool.  :func:`run_scenario` is a
+one-point :func:`run_points`; :func:`sweep` expands a grid, drops the points
+a resume journal already holds, and journals the rest as they complete.
 
-Wall-clock time is recorded per point and for the whole sweep so the
-benchmark harness (``benchmarks/bench_scenarios_report.py``) can track
+Each point is a pure function of its spec (all randomness is seeded from
+it), so serial, pooled, windowed, checkpointed and resumed execution produce
+bit-identical summaries and observer files.  Wall-clock time is recorded per
+point and per sweep so ``benchmarks/bench_scenarios_report.py`` can track
 simulator throughput (events per second) across PRs.
 """
 
@@ -18,26 +25,34 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.common.errors import ConfigurationError, SnapshotError
-from repro.experiments.options import UNSET, ExecutionOptions, merge_deprecated_kwargs
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.common.errors import SnapshotError, WorkerDiedError
+from repro.experiments import runner
+from repro.experiments.options import ExecutionOptions
+from repro.experiments.runner import ExperimentResult, Stop
 from repro.experiments.scenario import (
     Grid,
     ScenarioSpec,
-    build_network_config,
     describe_overrides,
     expand_grid,
+)
+from repro.experiments.windowed import (
+    PointPlan,
+    experiment_args,
+    plan_windowed_points,
+    refit_forked_state,
+    spec_fingerprint,
 )
 from repro.sim.snapshot import (
     KIND_SWEEP_POINT,
     SimulationState,
-    load_checkpoint,
     read_snapshot_file,
     write_snapshot_file,
 )
@@ -121,147 +136,49 @@ class ScenarioResult:
         return base
 
 
-def telemetry_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point JSONL file name: scenario, grid label and seed.
+def point_filename(
+    spec: ScenarioSpec, overrides: Mapping[str, Any] | None, suffix: str
+) -> str:
+    """A per-point file name: scenario, grid label, seed, then ``suffix``.
 
     Every component a sweep varies is either in the label (grid overrides)
     or the seed, so parallel points never collide on a file.
     """
     label = describe_overrides(dict(overrides or {}))
     safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.jsonl"
-
-
-def span_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point span-log file name, mirroring :func:`telemetry_filename`."""
-    label = describe_overrides(dict(overrides or {}))
-    safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.spans.jsonl"
-
-
-def checkpoint_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point checkpoint file name, mirroring :func:`telemetry_filename`."""
-    label = describe_overrides(dict(overrides or {}))
-    safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.ckpt"
+    return f"{spec.name}-{safe_label}-seed{spec.seed}{suffix}"
 
 
 #: Default directory for spec-driven checkpoints when no explicit path is given.
 DEFAULT_CHECKPOINT_DIR = "checkpoints"
 
+#: The per-point row observers: the spec field that enables one (and names
+#: its ``out_dir``), the ``SimulationState`` attribute it rides on, and its
+#: file suffix.
+OBSERVERS = (
+    ("telemetry", "recorder", ".jsonl"),
+    ("spans", "spans", ".spans.jsonl"),
+)
 
-def run_scenario(
-    spec: ScenarioSpec,
-    overrides: Mapping[str, Any] | None = None,
-    checkpoint_path: str | Path | None = UNSET,
-    resume_from: "SimulationState | str | Path | None" = UNSET,
-    *,
-    options: ExecutionOptions | None = None,
-) -> ScenarioResult:
-    """Run one scenario point and wrap the outcome in a :class:`ScenarioResult`.
 
-    When the spec opts into telemetry (``spec.telemetry.enabled``), a
-    :class:`~repro.trace.recorder.TraceRecorder` rides along and its rows
-    are written to ``spec.telemetry.out_dir`` under a per-point file name
-    (:func:`telemetry_filename`); the summary itself is unchanged.
+def build_scenario(
+    spec: ScenarioSpec, overrides: Mapping[str, Any] | None = None
+) -> SimulationState:
+    """The ready-to-run simulation of one ``sim`` point, observers attached.
 
-    When the spec opts into checkpointing (``spec.checkpoint_every``), a
-    ``repro-ckpt-v1`` file is written every that many virtual seconds to
-    ``options.checkpoint_path`` (default: :data:`DEFAULT_CHECKPOINT_DIR`
-    under a per-point name from :func:`checkpoint_filename`).
-    ``options.resume_from`` continues a previous checkpoint instead of
-    building a fresh run; the checkpoint must belong to this exact scenario
-    (fingerprint-checked).  The loose ``checkpoint_path`` / ``resume_from``
-    keywords are deprecated shims for those fields.  Windowed execution
-    (``options.windows``) is a sweep-level strategy — use
-    :func:`sweep` for it, not this single-point entry.
+    Its metadata carries the spec and overrides, so a checkpoint of it can
+    be resumed as the scenario it is.  ``build_experiment`` is looked up in
+    the runner module at call time: the performance ledger wraps it there.
     """
-    started = time.perf_counter()
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_scenario",
-        checkpoint_path=checkpoint_path,
-        resume_from=resume_from,
-    )
-    if opts.windows is not None:
-        raise ConfigurationError(
-            "run_scenario executes one point monolithically; windowed "
-            "execution is a sweep-level strategy (sweep(options="
-            "ExecutionOptions(windows=...)))"
-        )
-    checkpoint_path = opts.checkpoint_path
-    resume_from = opts.resume_from
-    if spec.kind == "vid-cost":
-        if resume_from is not None:
-            raise SnapshotError(
-                "vid-cost scenarios are analytic and cannot be checkpointed "
-                "or resumed"
-            )
-        extra = _run_vid_cost(spec)
-        return ScenarioResult(
-            spec=spec,
-            overrides=dict(overrides or {}),
-            extra=extra,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-    state: SimulationState | None = None
-    if resume_from is not None:
-        # Load here (rather than inside run_experiment) so a restored
-        # recorder's rows can still be written out below.  The fingerprint
-        # check happens in run_experiment against this spec's parameters.
-        if isinstance(resume_from, SimulationState):
-            state = resume_from
-        else:
-            state = load_checkpoint(resume_from)
-        recorder = state.recorder
-        spans = getattr(state, "spans", None)
-    else:
-        recorder = (
+    return runner.build_experiment(
+        **experiment_args(spec),
+        recorder=(
             TraceRecorder(interval=spec.telemetry.interval)
             if spec.telemetry.enabled
             else None
-        )
-        spans = SpanRecorder() if spec.spans.enabled else None
-    if spec.checkpoint_every is not None and checkpoint_path is None:
-        checkpoint_path = Path(DEFAULT_CHECKPOINT_DIR) / checkpoint_filename(
-            spec, overrides
-        )
-    result = run_experiment(
-        spec.protocol,
-        build_network_config(spec),
-        spec.duration,
-        workload=spec.workload,
-        node_config=spec.node,
-        params=spec.params(),
-        seed=spec.seed,
-        warmup=spec.effective_warmup(),
-        adversary=spec.adversary,
-        max_epochs=spec.max_epochs,
-        options=ExecutionOptions(
-            recorder=recorder,
-            span_recorder=spans,
-            profiler=opts.profiler,
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            checkpoint_meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
-            resume_from=state,
         ),
-    )
-    telemetry_path: str | None = None
-    if recorder is not None and spec.telemetry.enabled:
-        target = Path(spec.telemetry.out_dir) / telemetry_filename(spec, overrides)
-        telemetry_path = str(recorder.write_jsonl(target))
-    span_path: str | None = None
-    if spans is not None and spec.spans.enabled:
-        target = Path(spec.spans.out_dir) / span_filename(spec, overrides)
-        span_path = str(spans.write_jsonl(target))
-    return ScenarioResult(
-        spec=spec,
-        overrides=dict(overrides or {}),
-        result=result,
-        wall_clock_seconds=time.perf_counter() - started,
-        telemetry_path=telemetry_path,
-        span_path=span_path,
+        span_recorder=SpanRecorder() if spec.spans.enabled else None,
+        meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
     )
 
 
@@ -291,9 +208,196 @@ def _run_vid_cost(spec: ScenarioSpec) -> dict[str, Any]:
     }
 
 
-def _run_point(point: tuple[dict[str, Any], ScenarioSpec]) -> ScenarioResult:
-    overrides, spec = point
-    return run_scenario(spec, overrides)
+#: A task's identity: (point index, first window it executes).
+TaskKey = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class _Task:
+    """Build or restore one point's simulation, then run it through ``stops``.
+
+    Crosses to a pool worker as a pickle.  An analytic point has no stops.
+    """
+
+    spec: ScenarioSpec
+    overrides: dict[str, Any]
+    stops: tuple[Stop, ...]
+    #: Checkpoint path or loaded state to restore (``None`` = build fresh),
+    #: and the fingerprint it must carry — the leader's when ``fork`` is set,
+    #: in which case the restored state is re-aimed at this point.
+    source: Any = None
+    expect: str | None = None
+    fork: bool = False
+    #: ``(every, path)`` of the periodic checkpoints to take ahead of ``stops``.
+    periodic: tuple[float, str | Path] | None = None
+    profiler: Any = None
+
+
+def _run_task(task: _Task) -> tuple[ExperimentResult | None, dict[str, Any], float]:
+    """Run one task; returns ``(result, extra, wall seconds)``."""
+    started = time.perf_counter()
+    if not task.stops:
+        return None, _run_vid_cost(task.spec), time.perf_counter() - started
+    if task.source is None:
+        state = build_scenario(task.spec, task.overrides)
+    else:
+        state = runner.restore_experiment(task.source, task.expect)
+        if task.fork:
+            refit_forked_state(state, task.spec, task.overrides)
+    if task.profiler is not None:
+        state.sim.profiler = task.profiler
+    stops = task.stops
+    if task.periodic is not None:
+        stops = (*runner.periodic_stops(state, *task.periodic), *stops)
+    return runner.execute(state, stops), {}, time.perf_counter() - started
+
+
+def _segment(work_dir: Path, point: int, window: int, suffix: str) -> Path:
+    return work_dir / f"point{point:04d}-w{window}{suffix}"
+
+
+def _plan_tasks(
+    plans: list[PointPlan], work_dir: Path, options: ExecutionOptions
+) -> tuple[dict[TaskKey, _Task], dict[TaskKey, TaskKey | None]]:
+    """Materialise the task graph: maximal fused chains, each with <= 1 dependency.
+
+    A point's chain is cut only where a checkpoint must exist: after a window
+    some follower forks from.  Every other boundary is crossed in-process, so
+    an unshared point is one task with no hand-off I/O, and followers start
+    the moment the shared prefix is on disk, not when the leader finishes.
+    """
+    # Windows whose end-of-window checkpoint some follower forks from.
+    demanded: dict[int, set[int]] = {}
+    for plan in plans:
+        if plan.leader is not None:
+            demanded.setdefault(plan.leader, set()).add(plan.fork_window - 1)
+
+    tasks: dict[TaskKey, _Task] = {}
+    deps: dict[TaskKey, TaskKey | None] = {}
+    # Task that writes the hand-off checkpoint at the end of (point, window).
+    producer: dict[TaskKey, TaskKey] = {}
+    for plan in plans:
+        spec, index = plan.spec, plan.index
+        if not plan.boundaries:
+            if options.resume_from is not None:
+                raise SnapshotError(
+                    f"{spec.kind} scenarios are analytic and cannot be "
+                    "checkpointed or resumed"
+                )
+            tasks[index, 0], deps[index, 0] = _Task(spec, plan.overrides, ()), None
+            continue
+        last = len(plan.boundaries) - 1
+        flushed = [
+            (attribute, suffix)
+            for spec_field, attribute, suffix in OBSERVERS
+            if getattr(spec, spec_field).enabled
+        ]
+        periodic = None
+        if last == 0 and spec.checkpoint_every is not None:
+            periodic = (
+                spec.checkpoint_every,
+                options.checkpoint_path
+                or Path(DEFAULT_CHECKPOINT_DIR) / point_filename(spec, plan.overrides, ".ckpt"),
+            )
+        starts = [plan.fork_window]
+        starts += [window + 1 for window in sorted(demanded.get(index, ()))]
+        for start, following in zip(starts, starts[1:] + [last + 1]):
+            end = following - 1
+            stops = tuple(
+                Stop(
+                    plan.boundaries[window],
+                    flush={
+                        attribute: _segment(work_dir, index, window, suffix)
+                        for attribute, suffix in flushed
+                    },
+                    checkpoint=(
+                        _segment(work_dir, index, window, ".ckpt")
+                        if window == end < last
+                        else None
+                    ),
+                )
+                for window in range(start, end + 1)
+            )
+            owner, source, dep = index, options.resume_from, None
+            if start > 0:
+                if start == plan.fork_window and plan.leader is not None:
+                    owner = plan.leader
+                source = _segment(work_dir, owner, start - 1, ".ckpt")
+                dep = producer[owner, start - 1]
+            tasks[index, start] = _Task(
+                spec,
+                plan.overrides,
+                stops,
+                source=source,
+                expect=None if source is None else spec_fingerprint(plans[owner].spec),
+                fork=owner != index,
+                periodic=periodic,
+                profiler=options.profiler,
+            )
+            deps[index, start] = dep
+            if end < last:
+                producer[index, end] = (index, start)
+    return tasks, deps
+
+
+def _run_tasks(
+    tasks: dict[TaskKey, _Task],
+    deps: dict[TaskKey, TaskKey | None],
+    workers: int,
+    on_done: Callable[[TaskKey, tuple], None],
+) -> None:
+    """Run the task graph, in this process (``workers <= 1``) or on the one pool.
+
+    ``on_done(key, outcome)`` is called here as each task completes.  A
+    worker that dies takes the pool with it; that surfaces as
+    :class:`WorkerDiedError` naming the points that were in flight.
+    """
+    # Start-window-major order is a topological order: every dependency
+    # produces its checkpoint in a strictly earlier window.
+    order = sorted(tasks, key=lambda key: (key[1], key[0]))
+    if workers <= 1:
+        for key in order:
+            on_done(key, _run_task(tasks[key]))
+        return
+    pending = list(order)
+    finished: set[TaskKey] = set()
+    running: dict[Any, TaskKey] = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            while pending or running:
+                for key in [k for k in pending if deps[k] is None or deps[k] in finished]:
+                    running[pool.submit(_run_task, tasks[key])] = key
+                    pending.remove(key)
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                # Results before failures: a point that completed is reported
+                # (and journalled) even if the pool broke in the same wake-up.
+                for future in sorted(done, key=lambda f: f.exception() is not None):
+                    on_done(running[future], future.result())
+                    finished.add(running.pop(future))
+        except BrokenProcessPool:
+            in_flight = sorted({describe_overrides(tasks[key].overrides) for key in running.values()})
+            raise WorkerDiedError(
+                "a worker process died while running point(s) "
+                f"{', '.join(in_flight)}; points completed before that are kept "
+                "(with a resume journal, re-running executes only the rest)"
+            ) from None
+
+
+def _stitch(plan: PointPlan, work_dir: Path, spec_field: str, suffix: str) -> str | None:
+    """Byte-concatenate a point's per-window segments into its one observer file.
+
+    A forked point reuses its leader's segments for the windows they share.
+    """
+    observer = getattr(plan.spec, spec_field)
+    if not plan.boundaries or not observer.enabled:
+        return None
+    target = Path(observer.out_dir) / point_filename(plan.spec, plan.overrides, suffix)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("wb") as out:
+        for window in range(len(plan.boundaries)):
+            owner = plan.leader if window < plan.fork_window else plan.index
+            out.write(_segment(work_dir, owner, window, suffix).read_bytes())
+    return str(target)
 
 
 # -- sweep crash-resume ----------------------------------------------------
@@ -320,27 +424,6 @@ def _point_fingerprint(
 
 def _point_result_path(resume_dir: str | Path, index: int) -> Path:
     return Path(resume_dir) / f"point-{index:04d}.ckpt"
-
-
-def _run_point_persist(
-    point: tuple[dict[str, Any], ScenarioSpec, int, str, str],
-) -> ScenarioResult:
-    """Run one sweep point and journal its result for crash-resume.
-
-    The result file is written atomically *after* the point completes, so a
-    sweep killed mid-point leaves either a complete, loadable result or no
-    file at all — never a torn one.
-    """
-    overrides, spec, index, resume_dir, fingerprint = point
-    result = run_scenario(spec, overrides)
-    write_snapshot_file(
-        _point_result_path(resume_dir, index),
-        result,
-        kind=KIND_SWEEP_POINT,
-        fingerprint=fingerprint,
-        extra={"index": index, "label": describe_overrides(overrides)},
-    )
-    return result
 
 
 def _load_finished_point(
@@ -373,8 +456,8 @@ class SweepResult:
     #: Point indices whose results were loaded from a resume journal instead
     #: of re-executed (empty when the sweep ran without ``resume_dir``).
     resumed_points: list[int] = field(default_factory=list)
-    #: Window count when the sweep ran through the windowed engine
-    #: (:mod:`repro.experiments.windowed`); ``None`` for monolithic points.
+    #: Window count when every point ran as more than one window
+    #: (:mod:`repro.experiments.windowed`); ``None`` for one-window points.
     windows: int | None = None
 
     def summaries(self) -> list[dict[str, Any]]:
@@ -430,47 +513,97 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def default_workers(num_points: int) -> int:
-    """Worker-process count: one per point, capped at the CPU count."""
-    return max(1, min(num_points, os.cpu_count() or 1))
-
-
 def run_points(
     points: list[tuple[dict[str, Any], ScenarioSpec]],
-    parallel: bool = UNSET,
-    max_workers: int | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
+    on_point: Callable[[int, ScenarioResult], None] | None = None,
 ) -> tuple[list[ScenarioResult], int]:
-    """Run expanded grid points, optionally across processes.
+    """Run expanded grid points — the engine's one execution path.
 
-    Returns the results in point order plus the worker count used.  Each
-    point is a pure function of its spec (all randomness is seeded from it),
-    so the parallel path produces summaries identical to the serial one.
-    ``options`` supplies ``parallel`` / ``workers``; the loose keywords of
-    those names (``max_workers`` for ``workers``) are deprecated shims.
+    Returns the results in point order plus the worker count used (1 = ran
+    in this process).  Reads every option but ``resume_dir``; see
+    :func:`run_scenario` for the per-point ones (``resume_from`` is restored
+    by every point, so it must be a checkpoint of that very point).
+    ``on_point(position, result)`` is called in this process as soon as a
+    point's last task completes.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_points",
-        aliases={"max_workers": "workers"},
-        parallel=parallel,
-        max_workers=max_workers,
-    )
-    workers = opts.workers if opts.workers is not None else default_workers(len(points))
-    if not opts.parallel or workers <= 1 or len(points) <= 1:
-        return [_run_point(point) for point in points], 1
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        results = list(executor.map(_run_point, points))
+    opts = options or ExecutionOptions()
+    plans = plan_windowed_points(points, opts.windows or 1)
+    results: list[ScenarioResult | None] = [None] * len(plans)
+    with tempfile.TemporaryDirectory(prefix="repro-windowed-") as scratch:
+        work_dir = Path(opts.window_dir or scratch)
+        work_dir.mkdir(parents=True, exist_ok=True)
+        tasks, deps = _plan_tasks(plans, work_dir, opts)
+        # One worker per point, capped at the CPU count, unless told otherwise.
+        workers = opts.workers or min(len(points), os.cpu_count() or 1)
+        if not opts.parallel or len(tasks) <= 1:
+            workers = 1
+        # The last task of each point's chain (sorted: the highest start wins).
+        final = dict(sorted(tasks))
+        walls = [0.0] * len(plans)
+
+        def on_done(key: TaskKey, outcome: tuple) -> None:
+            index, start = key
+            result, extra, wall = outcome
+            # A shared prefix is credited to its leader, so the work the
+            # prefix tree saves is visible in the per-point totals.
+            walls[index] += wall
+            if start != final[index]:
+                return
+            plan = plans[index]
+            paths = {
+                spec_field: _stitch(plan, work_dir, spec_field, suffix)
+                for spec_field, _attribute, suffix in OBSERVERS
+            }
+            results[index] = ScenarioResult(
+                spec=plan.spec,
+                overrides=plan.overrides,
+                result=result,
+                extra=extra,
+                wall_clock_seconds=walls[index],
+                telemetry_path=paths["telemetry"],
+                span_path=paths["spans"],
+            )
+            if on_point is not None:
+                on_point(index, results[index])
+
+        _run_tasks(tasks, deps, workers, on_done)
     return results, workers
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    overrides: Mapping[str, Any] | None = None,
+    *,
+    options: ExecutionOptions | None = None,
+) -> ScenarioResult:
+    """Run one scenario point: a one-point :func:`run_points`.
+
+    A single point is a single task (nothing forks from it), so it always
+    executes in this process, whatever ``options.parallel`` says.
+
+    When the spec opts into telemetry (``spec.telemetry.enabled``) or span
+    recording (``spec.spans.enabled``), the recorder rides along and its
+    rows are written to the spec's ``out_dir`` under a per-point file name
+    (:func:`point_filename`); the summary itself is unchanged.
+
+    When the spec opts into checkpointing (``spec.checkpoint_every``), a
+    ``repro-ckpt-v1`` file is written at every multiple of that many virtual
+    seconds strictly inside the run, to ``options.checkpoint_path`` (default:
+    :data:`DEFAULT_CHECKPOINT_DIR` under a per-point name).
+    ``options.resume_from`` continues a previous checkpoint instead of
+    building a fresh run; the checkpoint must belong to this exact scenario
+    (fingerprint-checked).  More than one window (``options.windows``)
+    ignores ``checkpoint_every``: the hand-off checkpoints subsume it.
+    """
+    results, _ = run_points([(dict(overrides or {}), spec)], options=options)
+    return results[0]
 
 
 def sweep(
     base: ScenarioSpec,
     grid: Grid | None = None,
-    parallel: bool = UNSET,
-    max_workers: int | None = UNSET,
-    resume_dir: str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> SweepResult:
@@ -497,73 +630,58 @@ def sweep(
               an uninterrupted run.  Stale journals (different base spec,
               grid, or point order) are detected by fingerprint and ignored.
             * ``windows`` — split every point's virtual-time horizon into
-              this many checkpoint-hand-off windows and run them through
-              :mod:`repro.experiments.windowed` (pipelined across points,
-              with warmup-prefix sharing); summaries are byte-identical to
-              monolithic points.
-        parallel / max_workers / resume_dir: deprecated shims for the
-            options fields of (almost) the same names (``max_workers`` maps
-            to ``workers``).
+              this many checkpoint-hand-off windows (pipelined across
+              points, with warmup-prefix sharing; see
+              :mod:`repro.experiments.windowed`); summaries are
+              byte-identical to one-window points.  Composes with
+              ``resume_dir``: the unfinished points are planned among
+              themselves.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "sweep",
-        aliases={"max_workers": "workers"},
-        parallel=parallel,
-        max_workers=max_workers,
-        resume_dir=resume_dir,
-    )
-    if opts.windows is not None:
-        # Imported here: the windowed engine builds on this module.
-        from repro.experiments.windowed import run_windowed_sweep
-
-        return run_windowed_sweep(base, grid, opts)
+    opts = options or ExecutionOptions()
     started = time.perf_counter()
     # Materialise axis values first: iterator-valued axes must be recorded
     # with the same values expand_grid consumes.
     grid_values = {key: list(values) for key, values in (grid or {}).items()}
     points = expand_grid(base, grid_values)
-    resumed: list[int] = []
-    if opts.resume_dir is None:
-        results, workers = run_points(points, options=opts)
-    else:
+    loaded: dict[int, ScenarioResult] = {}
+    journal_point = None
+    if opts.resume_dir is not None:
         journal = Path(opts.resume_dir)
         journal.mkdir(parents=True, exist_ok=True)
         fingerprints = [
             _point_fingerprint(base, grid_values, index, overrides)
             for index, (overrides, _) in enumerate(points)
         ]
-        loaded: dict[int, ScenarioResult] = {}
         for index, fingerprint in enumerate(fingerprints):
             prior = _load_finished_point(journal, index, fingerprint)
             if prior is not None:
                 loaded[index] = prior
-        todo = [
-            (overrides, spec, index, str(journal), fingerprints[index])
-            for index, (overrides, spec) in enumerate(points)
-            if index not in loaded
-        ]
-        workers = (
-            opts.workers if opts.workers is not None else default_workers(max(1, len(todo)))
-        )
-        if not opts.parallel or workers <= 1 or len(todo) <= 1:
-            workers = 1
-            fresh = [_run_point_persist(point) for point in todo]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                fresh = list(executor.map(_run_point_persist, todo))
-        fresh_by_index = {point[2]: result for point, result in zip(todo, fresh)}
-        results = [
-            loaded[index] if index in loaded else fresh_by_index[index]
-            for index in range(len(points))
-        ]
-        resumed = sorted(loaded)
+
+        def journal_point(position: int, result: ScenarioResult) -> None:
+            # Written atomically *after* the point completes, so a sweep
+            # killed mid-point leaves either a complete, loadable result or
+            # no file at all — never a torn one.
+            index = todo[position]
+            write_snapshot_file(
+                _point_result_path(journal, index),
+                result,
+                kind=KIND_SWEEP_POINT,
+                fingerprint=fingerprints[index],
+                extra={"index": index, "label": result.label},
+            )
+
+    todo = [index for index in range(len(points)) if index not in loaded]
+    fresh, workers = run_points(
+        [points[index] for index in todo], options=opts, on_point=journal_point
+    )
+    loaded.update(zip(todo, fresh))
     return SweepResult(
         base=base,
         grid=grid_values,
-        points=results,
-        parallel=opts.parallel and workers > 1,
+        points=[loaded[index] for index in range(len(points))],
+        parallel=workers > 1,
         workers=workers,
         wall_clock_seconds=time.perf_counter() - started,
-        resumed_points=resumed,
+        resumed_points=sorted(set(loaded) - set(todo)),
+        windows=opts.windows if (opts.windows or 1) > 1 else None,
     )

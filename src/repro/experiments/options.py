@@ -1,42 +1,26 @@
-"""The unified execution-options surface for the experiment engine.
+"""The execution-options surface for the experiment engine.
 
-Execution knobs grew organically across PRs: ``recorder`` (PR 5),
-``parallel`` / ``max_workers`` (PR 2), ``checkpoint_every`` /
-``checkpoint_path`` / ``resume_from`` / ``resume_dir`` (PR 7), and now
-``windows`` / ``window_dir`` for the windowed parallel engine.  Each knob
-described *how* to execute, not *what* to simulate — yet they were threaded
-as loose keyword arguments through four different call signatures.
-
-:class:`ExecutionOptions` consolidates all of them into one frozen,
-validated dataclass accepted by :func:`~repro.experiments.runner.run_experiment`,
+*What* to simulate lives in :class:`~repro.experiments.scenario.ScenarioSpec`;
+*how* to execute it lives in :class:`ExecutionOptions`, one frozen, validated
+dataclass accepted by :func:`~repro.experiments.runner.run_experiment`,
+:func:`~repro.experiments.runner.resume_experiment`,
 :func:`~repro.experiments.engine.run_scenario`,
 :func:`~repro.experiments.engine.run_points` and
 :func:`~repro.experiments.engine.sweep` (each consumer reads the fields that
-apply to it and documents which those are).  The *what* stays in
-:class:`~repro.experiments.scenario.ScenarioSpec`; the *how* lives here, so
-a spec remains a complete deterministic recipe whose summary is byte-identical
-under every execution strategy.
-
-The old keyword arguments survive as deprecated shims: passing one emits a
-:class:`DeprecationWarning` and is folded into an equivalent
-:class:`ExecutionOptions`, so downstream callers keep working (and keep
-their summaries byte-identical) while they migrate.
+apply to it and documents which those are).  A spec therefore remains a
+complete deterministic recipe whose summary is byte-identical under every
+execution strategy.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["ExecutionOptions", "UNSET", "merge_deprecated_kwargs"]
-
-#: Sentinel distinguishing "keyword not passed" from an explicit ``None``
-#: in the deprecated-shim signatures.
-UNSET: Any = object()
+__all__ = ["ExecutionOptions"]
 
 
 @dataclass(frozen=True)
@@ -48,24 +32,17 @@ class ExecutionOptions:
     the golden suite and the windowed property tests.
 
     Attributes:
-        recorder: a :class:`~repro.trace.recorder.TraceRecorder` to attach to
-            a single experiment run (:func:`run_experiment` only; the
-            scenario engine builds recorders from ``spec.telemetry`` itself).
-        span_recorder: a :class:`~repro.trace.spans.SpanRecorder` to attach
-            to a single experiment run (:func:`run_experiment` only; the
-            scenario engine builds one from ``spec.spans`` itself).
         profiler: a :class:`~repro.sim.profiler.SimProfiler` installed on the
             simulator for the run; host-side observability only — virtual
-            behaviour is identical with or without it.
-        checkpoint_every: write a ``repro-ckpt-v1`` checkpoint every this
-            many virtual seconds (:func:`run_experiment` /
-            :func:`resume_experiment`; the scenario engine reads the spec's
-            ``checkpoint_every`` instead).
+            behaviour is identical with or without it.  It observes runs
+            executed in this process (a pool worker would fill a copy).
+        checkpoint_every: write a ``repro-ckpt-v1`` checkpoint at every
+            multiple of this many virtual seconds strictly inside the run
+            (:func:`run_experiment` / :func:`resume_experiment`; the scenario
+            engine reads the spec's ``checkpoint_every`` instead).
         checkpoint_path: where the (single, overwritten) periodic checkpoint
             lives; required when ``checkpoint_every`` is set on
             :func:`run_experiment`, defaulted per point by the engine.
-        checkpoint_meta: opaque metadata stored inside checkpoints (the
-            engine passes the scenario spec here).
         resume_from: continue from a checkpoint — a file path or a loaded
             :class:`~repro.sim.snapshot.SimulationState` — instead of
             building a fresh simulation (:func:`run_experiment` /
@@ -76,19 +53,16 @@ class ExecutionOptions:
             the machine's CPU count).
         resume_dir: sweep crash-resume journal directory (:func:`sweep`).
         windows: split each point's virtual-time horizon into this many
-            windows executed via checkpoint hand-off (:func:`sweep`; see
-            :mod:`repro.experiments.windowed`).  ``None`` = monolithic.
-        window_dir: where windowed hand-off checkpoints and telemetry
-            segments live (``None`` = a temporary directory, removed after
-            the sweep).
+            windows executed via checkpoint hand-off, sharing common
+            prefixes between points (see :mod:`repro.experiments.windowed`).
+            ``None`` = one window.
+        window_dir: where hand-off checkpoints and observer segments live
+            (``None`` = a temporary directory, removed afterwards).
     """
 
-    recorder: Any | None = None
-    span_recorder: Any | None = None
     profiler: Any | None = None
     checkpoint_every: float | None = None
     checkpoint_path: str | Path | None = None
-    checkpoint_meta: dict | None = None
     resume_from: Any | None = None
     parallel: bool = True
     workers: int | None = None
@@ -103,63 +77,5 @@ class ExecutionOptions:
             raise ConfigurationError("workers must be None or >= 1")
         if self.windows is not None and self.windows < 1:
             raise ConfigurationError("windows must be None or >= 1")
-        if self.windows is not None and self.resume_dir is not None:
-            raise ConfigurationError(
-                "windows and resume_dir cannot be combined: the windowed "
-                "engine's hand-off checkpoints are its own journal"
-            )
         if self.windows is not None and self.resume_from is not None:
             raise ConfigurationError("windows cannot be combined with resume_from")
-
-    def with_updates(self, **changes: Any) -> "ExecutionOptions":
-        """A copy with ``changes`` applied (a validated ``dataclasses.replace``)."""
-        return replace(self, **changes)
-
-    @property
-    def effective_workers_floor(self) -> int:
-        """The minimum worker count this options object guarantees (1 if serial)."""
-        if not self.parallel:
-            return 1
-        return self.workers if self.workers is not None else 1
-
-
-_FIELD_NAMES = frozenset(f.name for f in fields(ExecutionOptions))
-
-
-def merge_deprecated_kwargs(
-    options: ExecutionOptions | None,
-    caller: str,
-    *,
-    stacklevel: int = 3,
-    aliases: dict[str, str] | None = None,
-    **legacy: Any,
-) -> ExecutionOptions:
-    """Fold deprecated execution keywords into an :class:`ExecutionOptions`.
-
-    ``legacy`` maps the caller's deprecated keyword names to the values they
-    carried (:data:`UNSET` marks "not passed"); ``aliases`` translates any
-    keyword whose name differs from its options field (``max_workers`` →
-    ``workers``).  Passing any deprecated keyword emits one
-    :class:`DeprecationWarning` naming the caller and the keywords as the
-    caller spelled them; combining them with an explicit ``options`` object
-    is a ``TypeError`` — there must be exactly one source of truth.
-    """
-    passed = {name: value for name, value in legacy.items() if value is not UNSET}
-    if not passed:
-        return options if options is not None else ExecutionOptions()
-    translated = {(aliases or {}).get(name, name): value for name, value in passed.items()}
-    unknown = sorted(set(translated) - _FIELD_NAMES)
-    if unknown:
-        raise TypeError(f"{caller}: unknown execution option(s) {unknown}")
-    if options is not None:
-        raise TypeError(
-            f"{caller}: pass execution options either through `options` or the "
-            f"deprecated keyword(s) {sorted(passed)}, not both"
-        )
-    warnings.warn(
-        f"{caller}: the keyword(s) {sorted(passed)} are deprecated; pass "
-        f"options=ExecutionOptions({', '.join(sorted(translated))}=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionOptions(**translated)

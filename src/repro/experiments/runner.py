@@ -1,10 +1,13 @@
-"""The common experiment driver.
+"""The common experiment driver: build, execute, summarise.
 
-Every figure-regenerating experiment is a thin wrapper around
-:func:`run_experiment`: build a simulated network, attach N nodes of the
-protocol under test (optionally replacing some with adversaries), attach a
-workload generator per node, run for a fixed amount of virtual time, and
-summarise what the metrics collector saw.
+:func:`build_experiment` constructs a simulated network, attaches N nodes of
+the protocol under test (optionally replacing some with adversaries) and a
+workload generator per node; :func:`execute` advances that state through a
+plan of :class:`Stop` s — it is the one place that calls ``sim.run`` — and
+:func:`summarise_experiment` reads what the metrics collector saw.
+:func:`run_experiment` and :func:`resume_experiment` are the two thin
+wrappers for driving a single run by hand; the scenario engine
+(:mod:`repro.experiments.engine`) plans its stops itself.
 
 Protocols and workloads are looked up in registries
 (:func:`register_protocol`, :func:`register_workload`), so new automata and
@@ -17,15 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.adversary.registry import AdversarySpec, get_adversary
 from repro.ba.coin import CommonCoin
-from repro.common.errors import SnapshotError
+from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.params import ProtocolParams
-from repro.experiments.options import UNSET, ExecutionOptions, merge_deprecated_kwargs
+from repro.experiments.options import ExecutionOptions
 from repro.core.config import NodeConfig
 from repro.core.node import DLCoupledNode, DispersedLedgerNode
 from repro.core.node_base import BFTNodeBase
@@ -34,7 +38,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import Summary
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.snapshot import CheckpointTimer, SimulationState, load_checkpoint
+from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
 from repro.workload.txgen import (
     DEFAULT_TX_SIZE,
     ColumnarPoissonTransactionGenerator,
@@ -390,9 +394,9 @@ def build_experiment(
 ) -> SimulationState:
     """Build phase: construct the full simulation graph, ready to run.
 
-    Everything :func:`run_experiment` used to assemble inline now lands in a
-    :class:`~repro.sim.snapshot.SimulationState`, so a fresh build and a
-    restored checkpoint drive the exact same run/summarise phases.
+    The result is a :class:`~repro.sim.snapshot.SimulationState` — what a
+    checkpoint restores — so a fresh build and a restored run go through the
+    same :func:`execute` and :func:`summarise_experiment`.
     Construction order (nodes, adversary replacements, generators,
     ``network.start()``, recorder attach) is part of the determinism
     contract: it fixes the initial sequence numbers.
@@ -472,23 +476,108 @@ def build_experiment(
     )
 
 
-def _finish_experiment(
-    state: SimulationState,
-    checkpoint_every: float | None = None,
-    checkpoint_path: str | Path | None = None,
-) -> ExperimentResult:
-    """Run phase + summarise phase, shared by fresh runs and resumes."""
-    if checkpoint_every is not None:
-        if checkpoint_path is None:
+@dataclass(frozen=True)
+class Stop:
+    """A virtual time at which the engine touches a running simulation.
+
+    :func:`execute` runs the simulation to ``time``, then writes and clears
+    the rows of the observers ``flush`` names (``SimulationState`` attribute
+    -> JSONL path), then saves a checkpoint to ``checkpoint``.  A window
+    boundary, a hand-off, a periodic checkpoint and the horizon are the same
+    thing with different fields set.
+    """
+
+    time: float
+    flush: Mapping[str, str | Path] = field(default_factory=dict)
+    checkpoint: str | Path | None = None
+
+
+def periodic_stops(
+    state: SimulationState, every: float, path: str | Path
+) -> list[Stop]:
+    """Checkpoint stops at every multiple of ``every`` still ahead of ``state``.
+
+    Only multiples strictly between ``state.sim.now`` and the horizon: a
+    restored state resumes its cadence at the next multiple, and a multiple
+    that lands on the horizon is left out — the run is finished there and
+    its observers flushed, so the file would hold a spent simulation.
+    """
+    if every <= 0:
+        raise ConfigurationError(f"checkpoint_every must be positive, got {every}")
+    stops = []
+    step = math.floor(state.sim.now / every)
+    while step * every < state.duration:
+        if step * every > state.sim.now:
+            stops.append(Stop(step * every, checkpoint=path))
+        step += 1
+    return stops
+
+
+def restore_experiment(
+    source: SimulationState | str | Path, expect_fingerprint: str | None = None
+) -> SimulationState:
+    """A checkpointed state, checked against the scenario it is to continue.
+
+    ``source`` is a ``repro-ckpt-v1`` file (the header's fingerprint is
+    compared before any pickle byte is read) or an already-loaded state.
+    """
+    if not isinstance(source, SimulationState):
+        return load_checkpoint(source, expect_fingerprint=expect_fingerprint)
+    if expect_fingerprint is not None and source.fingerprint != expect_fingerprint:
+        raise SnapshotError(
+            f"checkpoint fingerprint {source.fingerprint!r} does not match "
+            f"this scenario ({expect_fingerprint!r}); refusing a "
+            "foreign-scenario restore"
+        )
+    return source
+
+
+def execute(state: SimulationState, stops: Iterable[Stop]) -> "ExperimentResult | None":
+    """Advance ``state`` through ``stops`` in order; the one caller of ``sim.run``.
+
+    At each stop: run to it, finish the observers if it is the horizon
+    (post-run telemetry rows, aborted spans dropped), flush, checkpoint —
+    in that order, so a flushed segment holds the finished rows and a
+    checkpoint holds exactly what has not been flushed.  Returns the
+    summary once the horizon is reached and ``None`` for a plan that ends
+    earlier (its last stop saved the hand-off).
+    """
+    result = None
+    for stop in stops:
+        state.sim.run(until=stop.time)
+        at_horizon = stop.time >= state.duration
+        if at_horizon:
+            if state.recorder is not None:
+                state.recorder.finish(state.nodes, adversarial=state.placement)
+            if state.spans is not None:
+                state.spans.finish()
+        for attribute, path in stop.flush.items():
+            observer = getattr(state, attribute)
+            if observer is None:
+                raise SnapshotError(
+                    f"cannot write {path}: this simulation was built without "
+                    f"a {attribute!r} observer"
+                )
+            observer.write_jsonl(path)
+            # The next stop must record only its own rows; on a hand-off the
+            # cleared list rides forward inside the checkpoint.
+            observer.rows.clear()
+        if stop.checkpoint is not None:
+            save_checkpoint(stop.checkpoint, state)
+        if at_horizon:
+            result = summarise_experiment(state)
+    return result
+
+
+def _run_to_horizon(state: SimulationState, options: ExecutionOptions) -> "ExperimentResult":
+    stops = [Stop(state.duration)]
+    if options.checkpoint_every is not None:
+        if options.checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
-        CheckpointTimer(state, checkpoint_path, checkpoint_every).arm()
-    state.sim.run(until=state.duration)
-    if state.recorder is not None:
-        state.recorder.finish(state.nodes, adversarial=state.placement)
-    spans = getattr(state, "spans", None)
-    if spans is not None:
-        spans.finish()
-    return summarise_experiment(state)
+        stops = periodic_stops(state, options.checkpoint_every, options.checkpoint_path) + stops
+    if options.profiler is not None:
+        state.sim.profiler = options.profiler
+    return execute(state, stops)
 
 
 def summarise_experiment(state: SimulationState) -> ExperimentResult:
@@ -527,8 +616,6 @@ def summarise_experiment(state: SimulationState) -> ExperimentResult:
 
 def resume_experiment(
     source: SimulationState | str | Path,
-    checkpoint_every: float | None = UNSET,
-    checkpoint_path: str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> tuple[SimulationState, ExperimentResult]:
@@ -538,21 +625,11 @@ def resume_experiment(
     :class:`SimulationState`).  The restored state runs to its recorded
     ``duration`` and is summarised exactly as an uninterrupted run would be.
     Set ``options.checkpoint_every`` / ``options.checkpoint_path`` to keep
-    checkpointing while the resumed run executes (the loose keywords of the
-    same names are deprecated shims).  A restored state is consumed by
-    running it; load the file again for another continuation.
+    checkpointing while the resumed run executes.  A restored state is
+    consumed by running it; load the file again for another continuation.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "resume_experiment",
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-    if isinstance(source, SimulationState):
-        state = source
-    else:
-        state = load_checkpoint(source)
-    return state, _finish_experiment(state, opts.checkpoint_every, opts.checkpoint_path)
+    state = restore_experiment(source)
+    return state, _run_to_horizon(state, options or ExecutionOptions())
 
 
 def run_experiment(
@@ -565,21 +642,11 @@ def run_experiment(
     seed: int = 0,
     warmup: float = 0.0,
     adversary: AdversarySpec | None = None,
-    recorder: "TraceRecorder | None" = UNSET,
     max_epochs: int | None = None,
-    checkpoint_every: float | None = UNSET,
-    checkpoint_path: str | Path | None = UNSET,
-    checkpoint_meta: dict | None = UNSET,
-    resume_from: SimulationState | str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> ExperimentResult:
     """Run one protocol on one simulated network and summarise the outcome.
-
-    Execution strategy (recorder attachment, periodic checkpointing, resume)
-    comes in through ``options``; the loose ``recorder`` /
-    ``checkpoint_every`` / ``checkpoint_path`` / ``checkpoint_meta`` /
-    ``resume_from`` keywords are deprecated shims for it.
 
     Args:
         protocol: a registered protocol name (``"dl"``, ``"dl-coupled"``,
@@ -603,86 +670,46 @@ def run_experiment(
             client workload and its epoch frontiers feed the result.
             Per-node metrics (zero throughput for silent nodes) stay in the
             result so summaries remain index-aligned with the cluster.
-        recorder: optional :class:`~repro.trace.recorder.TraceRecorder` that
-            samples per-node link and protocol state while the run executes
-            and derives per-epoch rows afterwards.  Recording is
-            behaviour-neutral: the sampling callbacks are uncounted internal
-            events that only read state, so the returned result is identical
-            with or without it.
         max_epochs: stop proposing new blocks after this many epochs
             (``None`` = propose for the whole run).  Bounded-work runs (the
             million-transaction benchmarks) use this to commit a known
             transaction count and then let the run drain.
-        checkpoint_every: write a ``repro-ckpt-v1`` checkpoint to
-            ``checkpoint_path`` every this many virtual seconds.
-            Checkpointing rides on uncounted internal callbacks, so event
-            counts and summaries are byte-identical with it on or off.
-        checkpoint_path: where the (single, overwritten) checkpoint file
-            lives; required when ``checkpoint_every`` is set.
-        checkpoint_meta: opaque scenario metadata stored inside the
-            checkpoint (the scenario engine passes its spec here so the
-            ``resume`` CLI can rebuild a full summary).
-        resume_from: continue from a checkpoint — a file path or an
+        options: execution strategy.  ``checkpoint_every`` writes a
+            ``repro-ckpt-v1`` checkpoint to ``checkpoint_path`` (required
+            with it) at every multiple of that many virtual seconds strictly
+            inside the run; checkpoints are taken between slices of the run,
+            so event counts and summaries are byte-identical with them on or
+            off.  ``resume_from`` continues a checkpoint — a file path or an
             already-loaded :class:`SimulationState` — instead of building a
-            fresh simulation.  The other arguments must describe the *same*
+            fresh simulation; the other arguments must describe the *same*
             scenario: the stored fingerprint is checked and a
             :class:`SnapshotError` is raised for a foreign-scenario restore.
+            ``profiler`` is installed on the simulator.  To attach a
+            telemetry or span recorder, use :func:`build_experiment` and
+            :func:`execute` directly (or a spec's ``telemetry`` / ``spans``).
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_experiment",
-        recorder=recorder,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        checkpoint_meta=checkpoint_meta,
-        resume_from=resume_from,
+    opts = options or ExecutionOptions()
+    workload = workload or WorkloadSpec()
+    node_config = node_config or NodeConfig()
+    params = params or ProtocolParams.for_n(network_config.num_nodes)
+    scenario = (
+        protocol,
+        network_config,
+        duration,
+        workload,
+        node_config,
+        params,
+        seed,
+        warmup,
+        adversary,
     )
     if opts.resume_from is not None:
-        workload = workload or WorkloadSpec()
-        node_config = node_config or NodeConfig()
-        params = params or ProtocolParams.for_n(network_config.num_nodes)
-        expected = _experiment_fingerprint(
-            protocol,
-            network_config,
-            duration,
-            workload,
-            node_config,
-            params,
-            seed,
-            warmup,
-            adversary,
-            max_epochs,
+        state = restore_experiment(
+            opts.resume_from, _experiment_fingerprint(*scenario, max_epochs)
         )
-        if isinstance(opts.resume_from, SimulationState):
-            state = opts.resume_from
-        else:
-            state = load_checkpoint(opts.resume_from, expect_fingerprint=expected)
-        if state.fingerprint != expected:
-            raise SnapshotError(
-                f"checkpoint fingerprint {state.fingerprint!r} does not match "
-                f"this scenario ({expected!r}); refusing a foreign-scenario "
-                "restore"
-            )
-        if opts.profiler is not None:
-            state.sim.profiler = opts.profiler
     else:
-        state = build_experiment(
-            protocol,
-            network_config,
-            duration,
-            workload=workload,
-            node_config=node_config,
-            params=params,
-            seed=seed,
-            warmup=warmup,
-            adversary=adversary,
-            recorder=opts.recorder,
-            span_recorder=opts.span_recorder,
-            profiler=opts.profiler,
-            max_epochs=max_epochs,
-            meta=opts.checkpoint_meta,
-        )
-    return _finish_experiment(state, opts.checkpoint_every, opts.checkpoint_path)
+        state = build_experiment(*scenario, max_epochs=max_epochs)
+    return _run_to_horizon(state, opts)
 
 
 def _adversary_metrics(

@@ -1,13 +1,13 @@
-"""Windowed parallel execution: checkpoint hand-off across worker processes.
+"""Planning windowed execution: window boundaries and the shared-prefix tree.
 
-A monolithic sweep point simulates its whole horizon ``[0, T)`` in one
-process.  This engine splits the horizon into ``W`` windows and executes
-them via ``repro-ckpt-v1`` checkpoint hand-off: a window can restore the
-state another process left at the previous boundary and continue.  Because
-restoring a checkpoint and continuing is bit-identical to never having
-stopped (the PR-7 snapshot contract), the chained windows produce exactly
-the bytes of the monolithic run — same summaries, same telemetry rows —
-while unlocking two sources of real parallelism on a sweep:
+The engine (:mod:`repro.experiments.engine`) runs every point as a chain of
+windows over its virtual-time horizon ``[0, T)`` — one window unless
+``ExecutionOptions.windows`` says otherwise.  A window can end in a
+``repro-ckpt-v1`` hand-off checkpoint that another process restores and
+continues; because restoring a checkpoint and continuing is bit-identical to
+never having stopped (the snapshot contract), the chained windows produce
+exactly the bytes of a one-window run — same summaries, same telemetry rows
+— while unlocking two sources of real parallelism on a sweep:
 
 * **Pipelining** — window chains of *different* points are independent
   tasks, so point A runs its later windows while point B is still in its
@@ -18,15 +18,15 @@ while unlocking two sources of real parallelism on a sweep:
   differing only in knobs that act *after* some window boundary or only at
   summary time) run that prefix once.  The followers fork the leader's
   checkpoint at the **deepest boundary they still agree on**, re-aim the
-  late-acting knobs (:func:`_refit_forked_state`), and continue as
+  late-acting knobs (:func:`refit_forked_state`), and continue as
   themselves.  A sweep over summary-time-only knobs (warmup) shares every
-  window but the last: four such points cost ``1 + 3/W`` monolithic runs
-  instead of ``4`` — a real speedup even on a single core.
+  window but the last: four such points cost ``1 + 3/W`` full runs instead
+  of ``4`` — a real speedup even on a single core.
 
 Eligibility is decided per boundary by :func:`prefix_key`, a digest of the
 spec with exactly the proven-inert fields neutralised: ``warmup`` /
 ``warmup_fraction`` (summary-time only), ``checkpoint_every`` (subsumed by
-the hand-off checkpoints, which this engine ignores by design), and
+the hand-off checkpoints, so a multi-window run ignores it by design), and
 ``workload.stop_after`` when it acts strictly *after* the boundary (every
 generator checks ``_stop_at`` at event-fire time, and events at exactly a
 boundary run inside the earlier window, so the guard must be strict).
@@ -34,68 +34,29 @@ Everything else — notably ``adversary.crash_time``, whose timer event sits
 in the heap with its absolute firing time from construction — keeps points
 in separate trees.
 
-Windows are the planning unit, but consecutive windows of one point with no
-fork demand between them execute **fused** in a single worker: the state
-stays live in the process, checkpoints are written only at boundaries some
-follower forks from (plus nothing at all for an unshared point), and the
-same-point save/load round-trip that a naive one-task-per-window plan pays
-at every boundary disappears.  A leader's chain is still split right after
-its last forked boundary, so followers start the moment the shared prefix
-is on disk rather than when the leader finishes.
-
-Telemetry stitching: the recorder rides inside the live state.  At each
-window boundary the rows accumulated during that window are written to a
-per-window JSONL segment and cleared; the final window appends the post-run
-rows (:meth:`TraceRecorder.finish`) before writing its own segment.
-Byte-concatenating a point's segments in window order (a forked point
-reuses its leader's segments for every shared window) reproduces the
-monolithic JSONL file byte for byte.
-
-Entry point: :func:`run_windowed_sweep`, reached through
-``sweep(..., options=ExecutionOptions(windows=W))`` or the CLI's
-``run --windows W``.
+This module only plans (:func:`plan_windowed_points`); the engine turns the
+plans into tasks, cutting a point's chain only where a follower forks, and
+stitches the per-window observer segments back into one file per point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import shutil
-import tempfile
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.engine import (
-    ScenarioResult,
-    SweepResult,
-    default_workers,
-    span_filename,
-    telemetry_filename,
-)
-from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import (
-    _experiment_fingerprint,
-    build_experiment,
-    summarise_experiment,
-)
-from repro.experiments.scenario import (
-    Grid,
-    ScenarioSpec,
-    build_network_config,
-    expand_grid,
-)
-from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
-from repro.trace.recorder import TraceRecorder
-from repro.trace.spans import SpanRecorder
+from repro.experiments.runner import _experiment_fingerprint
+from repro.experiments.scenario import ScenarioSpec, build_network_config
+from repro.sim.snapshot import SimulationState
 
 __all__ = [
+    "experiment_args",
     "plan_windowed_points",
     "prefix_key",
-    "run_windowed_sweep",
+    "refit_forked_state",
+    "spec_fingerprint",
     "window_boundaries",
 ]
 
@@ -104,7 +65,7 @@ def window_boundaries(duration: float, windows: int) -> tuple[float, ...]:
     """The end time of each window: ``W`` strictly increasing values, last ``== duration``.
 
     The last boundary is ``duration`` itself (not a rounded quotient), so the
-    final window runs to exactly the horizon a monolithic run uses.
+    final window runs to exactly the horizon a one-window run uses.
     """
     if windows < 1:
         raise ConfigurationError("windows must be >= 1")
@@ -131,7 +92,7 @@ def prefix_key(spec: ScenarioSpec, boundary: float) -> str:
     # the run, never the event stream.
     material["warmup"] = None
     material["warmup_fraction"] = None
-    # The windowed engine ignores periodic checkpointing: the hand-off
+    # A multi-window run ignores periodic checkpointing: the hand-off
     # checkpoints subsume it, and it is behaviour-neutral either way.
     material["checkpoint_every"] = None
     workload = dict(material["workload"])
@@ -147,101 +108,33 @@ def prefix_key(spec: ScenarioSpec, boundary: float) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class PointPlan:
-    """How one sweep point runs under the windowed engine."""
+def experiment_args(spec: ScenarioSpec) -> dict[str, Any]:
+    """The one expansion of a spec into the runner's scenario arguments.
 
-    index: int
-    spec: ScenarioSpec
-    overrides: dict[str, Any]
-    boundaries: tuple[float, ...]
-    #: Point whose checkpoint this point forks (``None`` = this point is a
-    #: leader and executes its whole chain from window 0 itself).
-    leader: int | None
-    #: First window this point executes itself: 0 for a leader, otherwise
-    #: the deepest window at whose *start* boundary the point still agrees
-    #: with its leader — windows ``[0, fork_window)`` are reused.
-    fork_window: int = 0
-
-    @property
-    def first_window(self) -> int:
-        return self.fork_window
-
-
-def plan_windowed_points(
-    points: list[tuple[dict[str, Any], ScenarioSpec]], windows: int
-) -> list[PointPlan]:
-    """Group expanded grid points into shared-prefix trees.
-
-    Points are keyed by :func:`prefix_key` at every non-final boundary; the
-    first point of each window-0 group (in grid order) becomes the leader,
-    and later members fork its chain at the deepest boundary where their
-    keys still agree.  With a single window there is nothing to share —
-    every point leads its own chain.
+    What :func:`~repro.experiments.runner.build_experiment` builds from and
+    what a checkpoint's fingerprint digests are the same ten values, so both
+    read them from here.
     """
-    plans: list[PointPlan] = []
-    leaders: dict[str, tuple[int, tuple[str, ...]]] = {}
-    for index, (overrides, spec) in enumerate(points):
-        if spec.kind != "sim":
-            raise ConfigurationError(
-                "windowed execution requires sim scenarios; point "
-                f"{index} has analytic kind {spec.kind!r}"
-            )
-        boundaries = window_boundaries(spec.duration, windows)
-        leader: int | None = None
-        fork_window = 0
-        if windows > 1:
-            # One key per shareable boundary (the final boundary is the end
-            # of the run: there is no later window left to fork into).
-            keys = tuple(prefix_key(spec, b) for b in boundaries[:-1])
-            known = leaders.get(keys[0])
-            if known is None:
-                leaders[keys[0]] = (index, keys)
-            else:
-                leader, leader_keys = known
-                depth = 0
-                while depth < len(keys) and keys[depth] == leader_keys[depth]:
-                    depth += 1
-                fork_window = depth
-        plans.append(
-            PointPlan(
-                index=index,
-                spec=spec,
-                overrides=dict(overrides),
-                boundaries=boundaries,
-                leader=leader,
-                fork_window=fork_window,
-            )
-        )
-    return plans
+    return {
+        "protocol": spec.protocol,
+        "network_config": build_network_config(spec),
+        "duration": spec.duration,
+        "workload": spec.workload,
+        "node_config": spec.node,
+        "params": spec.params(),
+        "seed": spec.seed,
+        "warmup": spec.effective_warmup(),
+        "adversary": spec.adversary,
+        "max_epochs": spec.max_epochs,
+    }
 
 
-@dataclass(frozen=True)
-class _SegmentTask:
-    """One unit of work: run windows ``start..end`` of one point in one process."""
-
-    point: int
-    start: int
-    end: int
-    spec: ScenarioSpec
-    overrides: dict[str, Any]
-    boundaries: tuple[float, ...]
-    #: Checkpoint to restore (``None`` = build the simulation fresh).
-    source: str | None
-    #: Restored state belongs to the prefix leader; re-aim it at this point.
-    fork: bool
-    #: Hand-off checkpoint to write after ``end`` (``None`` for the final
-    #: segment, whose last window ends the run).
-    out_checkpoint: str | None
-    #: Per-window telemetry segment paths, parallel to ``start..end``
-    #: (``None`` when telemetry is off).
-    segments: tuple[str, ...] | None
-    #: Per-window span-log segment paths, parallel to ``start..end``
-    #: (``None`` when span recording is off).
-    span_segments: tuple[str, ...] | None
+def spec_fingerprint(spec: ScenarioSpec) -> str:
+    """The fingerprint a checkpoint of ``spec`` carries in its header."""
+    return _experiment_fingerprint(**experiment_args(spec))
 
 
-def _refit_forked_state(
+def refit_forked_state(
     state: SimulationState, spec: ScenarioSpec, overrides: dict[str, Any]
 ) -> None:
     """Re-aim a shared prefix checkpoint at a sibling sweep point.
@@ -255,297 +148,66 @@ def _refit_forked_state(
     state.warmup = spec.effective_warmup()
     for generator in state.generators:
         generator._stop_at = spec.workload.stop_after
-    state.fingerprint = _experiment_fingerprint(
-        spec.protocol,
-        build_network_config(spec),
-        spec.duration,
-        spec.workload,
-        spec.node,
-        spec.params(),
-        spec.seed,
-        spec.effective_warmup(),
-        spec.adversary,
-        spec.max_epochs,
-    )
+    state.fingerprint = spec_fingerprint(spec)
     state.meta = {"spec": spec.to_dict(), "overrides": dict(overrides)}
 
 
-def _execute_segment(task: _SegmentTask) -> dict[str, Any]:
-    """Run one chain segment; runs in a worker process (everything crosses as pickles)."""
-    started = time.perf_counter()
-    spec = task.spec
-    if task.source is None:
-        recorder = (
-            TraceRecorder(interval=spec.telemetry.interval)
-            if spec.telemetry.enabled
-            else None
-        )
-        span_recorder = SpanRecorder() if spec.spans.enabled else None
-        state = build_experiment(
-            spec.protocol,
-            build_network_config(spec),
-            spec.duration,
-            workload=spec.workload,
-            node_config=spec.node,
-            params=spec.params(),
-            seed=spec.seed,
-            warmup=spec.effective_warmup(),
-            adversary=spec.adversary,
-            recorder=recorder,
-            span_recorder=span_recorder,
-            max_epochs=spec.max_epochs,
-            meta={"spec": spec.to_dict(), "overrides": dict(task.overrides)},
-        )
-    else:
-        state = load_checkpoint(task.source)
-        if task.fork:
-            _refit_forked_state(state, spec, task.overrides)
-    result = None
-    last = len(task.boundaries) - 1
-    spans = getattr(state, "spans", None)
-    for window in range(task.start, task.end + 1):
-        state.sim.run(until=task.boundaries[window])
-        if window == last and state.recorder is not None:
-            # Post-run rows (commit totals, adversary deliveries) belong to
-            # the final window's segment.
-            state.recorder.finish(state.nodes, adversarial=state.placement)
-        if task.segments is not None:
-            state.recorder.write_jsonl(task.segments[window - task.start])
-            # The next window must record only its own rows; on hand-off the
-            # cleared list rides forward inside the checkpoint.
-            state.recorder.rows.clear()
-        if window == last and spans is not None:
-            # Drop aborted (never-closed) spans before the final segment,
-            # exactly as the monolithic finish does.
-            spans.finish()
-        if task.span_segments is not None:
-            spans.write_jsonl(task.span_segments[window - task.start])
-            spans.rows.clear()
-    if task.end == last:
-        result = summarise_experiment(state)
-    else:
-        save_checkpoint(task.out_checkpoint, state)
-    return {
-        "point": task.point,
-        "start": task.start,
-        "end": task.end,
-        "result": result,
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
+@dataclass(frozen=True)
+class PointPlan:
+    """How one point's horizon is windowed and which prefix of it is shared."""
+
+    index: int
+    spec: ScenarioSpec
+    overrides: dict[str, Any]
+    #: End time of each window (empty for an analytic point: nothing to run).
+    boundaries: tuple[float, ...]
+    #: Point whose checkpoint this point forks (``None`` = this point is a
+    #: leader and executes its whole chain from window 0 itself).
+    leader: int | None = None
+    #: First window this point executes itself: 0 for a leader, otherwise
+    #: the deepest window at whose *start* boundary the point still agrees
+    #: with its leader — windows ``[0, fork_window)`` are reused.
+    fork_window: int = 0
 
 
-def _build_tasks(
-    plans: list[PointPlan], work_dir: Path
-) -> tuple[dict[tuple[int, int], _SegmentTask], dict[tuple[int, int], tuple[int, int] | None]]:
-    """Materialise the task graph: maximal fused segments, each with ≤ 1 dependency.
+def plan_windowed_points(
+    points: list[tuple[dict[str, Any], ScenarioSpec]], windows: int
+) -> list[PointPlan]:
+    """Group expanded grid points into shared-prefix trees.
 
-    A point's chain is cut only where a checkpoint must exist: after any
-    window some follower forks from.  Every other boundary is crossed
-    in-process, so an unshared point is exactly one task with no
-    checkpoint I/O at all.
+    Points are keyed by :func:`prefix_key` at every non-final boundary; the
+    first point of each window-0 group (in grid order) becomes the leader,
+    and later members fork its chain at the deepest boundary where their
+    keys still agree.  With a single window there is nothing to share —
+    every point leads its own chain — and an analytic point is admissible
+    (it has no horizon to split).
     """
-
-    def ckpt(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.ckpt")
-
-    def seg(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.jsonl")
-
-    def span_seg(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.spans.jsonl")
-
-    # Windows whose end-of-window checkpoint some follower forks from.
-    demanded: dict[int, set[int]] = {}
-    for plan in plans:
-        if plan.leader is not None:
-            demanded.setdefault(plan.leader, set()).add(plan.fork_window - 1)
-
-    tasks: dict[tuple[int, int], _SegmentTask] = {}
-    deps: dict[tuple[int, int], tuple[int, int] | None] = {}
-    # Task that writes the checkpoint at the end of (point, window).
-    producer: dict[tuple[int, int], tuple[int, int]] = {}
-    for plan in plans:
-        last = len(plan.boundaries) - 1
-        telemetry = plan.spec.telemetry.enabled
-        spans_on = plan.spec.spans.enabled
-        cuts = sorted(w for w in demanded.get(plan.index, ()) if w < last)
-        starts = [plan.first_window] + [w + 1 for w in cuts if w + 1 <= last]
-        for start, nxt in zip(starts, starts[1:] + [last + 1]):
-            end = nxt - 1
-            if start == plan.first_window and plan.leader is not None:
-                source: str | None = ckpt(plan.leader, plan.fork_window - 1)
-                fork = True
-            elif start == 0:
-                source, fork = None, False
-            else:
-                source, fork = ckpt(plan.index, start - 1), False
-            key = (plan.index, start)
-            tasks[key] = _SegmentTask(
-                point=plan.index,
-                start=start,
-                end=end,
-                spec=plan.spec,
-                overrides=plan.overrides,
-                boundaries=plan.boundaries,
-                source=source,
-                fork=fork,
-                out_checkpoint=ckpt(plan.index, end) if end < last else None,
-                segments=(
-                    tuple(seg(plan.index, w) for w in range(start, end + 1))
-                    if telemetry
-                    else None
-                ),
-                span_segments=(
-                    tuple(span_seg(plan.index, w) for w in range(start, end + 1))
-                    if spans_on
-                    else None
-                ),
-            )
-            if end < last:
-                producer[(plan.index, end)] = key
-    for key, task in tasks.items():
-        if task.source is None:
-            deps[key] = None
-        elif task.fork:
-            plan = plans[task.point]
-            deps[key] = producer[(plan.leader, plan.fork_window - 1)]
-        else:
-            deps[key] = producer[(task.point, task.start - 1)]
-    return tasks, deps
-
-
-def _execute_tasks(
-    tasks: dict[tuple[int, int], _SegmentTask],
-    deps: dict[tuple[int, int], tuple[int, int] | None],
-    parallel: bool,
-    workers: int,
-) -> dict[tuple[int, int], dict[str, Any]]:
-    """Run the task graph to completion, respecting hand-off dependencies."""
-    order = sorted(tasks, key=lambda k: (k[1], k[0]))
-    if not parallel or workers <= 1 or len(tasks) <= 1:
-        # Start-window-major order is a topological order: every dependency
-        # produces its checkpoint in a strictly earlier window.
-        outcomes: dict[tuple[int, int], dict[str, Any]] = {}
-        for key in order:
-            outcomes[key] = _execute_segment(tasks[key])
-        return outcomes
-    outcomes = {}
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    unmet: dict[tuple[int, int], int] = {}
-    for key, dep in deps.items():
-        unmet[key] = 0 if dep is None else 1
-        if dep is not None:
-            children.setdefault(dep, []).append(key)
-    running: dict[tuple[int, int], Any] = {}
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-
-        def submit_ready() -> None:
-            for key in order:
-                if key not in outcomes and key not in running and unmet[key] == 0:
-                    running[key] = executor.submit(_execute_segment, tasks[key])
-
-        submit_ready()
-        while running:
-            done, _ = wait(list(running.values()), return_when=FIRST_COMPLETED)
-            for key, future in list(running.items()):
-                if future in done:
-                    outcomes[key] = future.result()
-                    del running[key]
-                    for child in children.get(key, ()):
-                        unmet[child] -= 1
-            submit_ready()
-    return outcomes
-
-
-def _stitch_telemetry(plan: PointPlan, work_dir: Path) -> str | None:
-    """Byte-concatenate a point's window segments into its monolithic JSONL path."""
-    if not plan.spec.telemetry.enabled:
-        return None
-    target = Path(plan.spec.telemetry.out_dir) / telemetry_filename(
-        plan.spec, plan.overrides
-    )
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as out:
-        for window in range(len(plan.boundaries)):
-            owner = plan.leader if window < plan.fork_window else plan.index
-            out.write((work_dir / f"point{owner:04d}-w{window}.jsonl").read_bytes())
-    return str(target)
-
-
-def _stitch_spans(plan: PointPlan, work_dir: Path) -> str | None:
-    """Byte-concatenate a point's span segments into its monolithic JSONL path."""
-    if not plan.spec.spans.enabled:
-        return None
-    target = Path(plan.spec.spans.out_dir) / span_filename(plan.spec, plan.overrides)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as out:
-        for window in range(len(plan.boundaries)):
-            owner = plan.leader if window < plan.fork_window else plan.index
-            out.write((work_dir / f"point{owner:04d}-w{window}.spans.jsonl").read_bytes())
-    return str(target)
-
-
-def run_windowed_sweep(
-    base: ScenarioSpec, grid: Grid | None, options: ExecutionOptions
-) -> SweepResult:
-    """Expand ``base`` over ``grid`` and run every point through window hand-off.
-
-    Dispatched from :func:`repro.experiments.engine.sweep` when
-    ``options.windows`` is set.  Summaries and telemetry files are
-    byte-identical to the monolithic sweep; ``SweepResult.windows`` records
-    the window count.  Per-point ``wall_clock_seconds`` is the summed wall
-    clock of the point's own chain segments (a shared prefix is credited to
-    its leader), so the work saved by the prefix tree is visible in the
-    totals.
-    """
-    windows = options.windows
-    if windows is None:
-        raise ConfigurationError("run_windowed_sweep requires options.windows")
-    started = time.perf_counter()
-    grid_values = {key: list(values) for key, values in (grid or {}).items()}
-    points = expand_grid(base, grid_values)
-    plans = plan_windowed_points(points, windows)
-    if options.window_dir is None:
-        work_dir = Path(tempfile.mkdtemp(prefix="repro-windowed-"))
-        cleanup = True
-    else:
-        work_dir = Path(options.window_dir)
-        work_dir.mkdir(parents=True, exist_ok=True)
-        cleanup = False
-    try:
-        tasks, deps = _build_tasks(plans, work_dir)
-        workers = (
-            options.workers if options.workers is not None else default_workers(len(points))
-        )
-        run_parallel = options.parallel and workers > 1 and len(tasks) > 1
-        if not run_parallel:
-            workers = 1
-        outcomes = _execute_tasks(tasks, deps, run_parallel, workers)
-        results: list[ScenarioResult] = []
-        for plan in plans:
-            own = sorted(
-                (outcome for key, outcome in outcomes.items() if key[0] == plan.index),
-                key=lambda outcome: outcome["start"],
-            )
-            results.append(
-                ScenarioResult(
-                    spec=plan.spec,
-                    overrides=dict(plan.overrides),
-                    result=own[-1]["result"],
-                    wall_clock_seconds=sum(o["wall_clock_seconds"] for o in own),
-                    telemetry_path=_stitch_telemetry(plan, work_dir),
-                    span_path=_stitch_spans(plan, work_dir),
+    plans: list[PointPlan] = []
+    leaders: dict[str, tuple[int, tuple[str, ...]]] = {}
+    for index, (overrides, spec) in enumerate(points):
+        if spec.kind != "sim":
+            if windows > 1:
+                raise ConfigurationError(
+                    "windowed execution requires sim scenarios; point "
+                    f"{index} has analytic kind {spec.kind!r}"
                 )
-            )
-    finally:
-        if cleanup:
-            shutil.rmtree(work_dir, ignore_errors=True)
-    return SweepResult(
-        base=base,
-        grid=grid_values,
-        points=results,
-        parallel=run_parallel,
-        workers=workers,
-        wall_clock_seconds=time.perf_counter() - started,
-        windows=windows,
-    )
+            plans.append(PointPlan(index, spec, dict(overrides), boundaries=()))
+            continue
+        boundaries = window_boundaries(spec.duration, windows)
+        leader: int | None = None
+        fork_window = 0
+        if windows > 1:
+            # One key per shareable boundary (the final boundary is the end
+            # of the run: there is no later window left to fork into).
+            keys = tuple(prefix_key(spec, b) for b in boundaries[:-1])
+            known = leaders.get(keys[0])
+            if known is None:
+                leaders[keys[0]] = (index, keys)
+            else:
+                leader, leader_keys = known
+                while fork_window < len(keys) and keys[fork_window] == leader_keys[fork_window]:
+                    fork_window += 1
+        plans.append(
+            PointPlan(index, spec, dict(overrides), boundaries, leader, fork_window)
+        )
+    return plans

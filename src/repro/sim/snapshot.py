@@ -21,14 +21,15 @@ Three layers live here:
   version, a scenario fingerprint, and payload length + CRC, so truncated
   files, version skew, and foreign-scenario restores all fail with a typed
   :class:`SnapshotError` before any pickle byte is touched.
-* :class:`SimulationState` + :class:`CheckpointTimer` — the container the
-  experiment runner snapshots, and the uncounted-:class:`InternalCallback`
-  timer that periodically writes it to disk without perturbing event counts.
+* :class:`SimulationState` with :func:`save_checkpoint` /
+  :func:`load_checkpoint` — the container the experiment runner snapshots.
 
-Checkpoints are taken only at :class:`InternalCallback` boundaries, where
-the run loop has synchronised its batched ``processed_events`` counter and
-deferred heap compaction has settled — the queue is quiescent, so the
-captured state is exactly what an uninterrupted run would carry forward.
+Checkpoints are taken between ``sim.run(until=...)`` slices, never from
+inside the event loop (:func:`repro.experiments.runner.execute` is the one
+caller of :func:`save_checkpoint`): the loop has returned, so its batched
+``processed_events`` counter is written back and no callback is mid-flight
+— the captured state is exactly what an uninterrupted run carries across
+that instant.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Any
 
 from repro.common.errors import SnapshotError
 from repro.common.snapshot import SnapshotState
-from repro.sim.events import InternalCallback
 
 __all__ = [
     "FORMAT_VERSION",
@@ -53,7 +53,6 @@ __all__ = [
     "KIND_SWEEP_POINT",
     "SnapshotState",
     "SimulationState",
-    "CheckpointTimer",
     "write_snapshot_file",
     "read_snapshot_header",
     "read_snapshot_file",
@@ -206,7 +205,7 @@ def read_snapshot_file(
 
 
 # ---------------------------------------------------------------------------
-# The experiment-level state container and the auto-checkpoint timer
+# The experiment-level state container
 # ---------------------------------------------------------------------------
 
 
@@ -270,33 +269,3 @@ def load_checkpoint(
         )
     return state
 
-
-class CheckpointTimer:
-    """Periodic auto-checkpointing via an uncounted :class:`InternalCallback`.
-
-    Each firing captures the state *after* its own queue entry has been
-    popped (so the snapshot never contains the timer), writes the checkpoint
-    file, then re-arms.  Internal callbacks are excluded from event
-    accounting and consume sequence numbers monotonically, so enabling
-    checkpointing changes neither event counts nor the relative order of any
-    two scheduled events — summaries stay byte-identical with checkpointing
-    on or off, and across a resume.
-    """
-
-    def __init__(self, state: SimulationState, path: str | Path, every: float):
-        if every <= 0:
-            raise SnapshotError(f"checkpoint_every must be positive, got {every}")
-        self._state = state
-        self._path = Path(path)
-        self._every = every
-        self._tick = InternalCallback(self._fire)
-        self.checkpoints_written = 0
-
-    def arm(self) -> None:
-        """Schedule the first checkpoint ``every`` seconds from now."""
-        self._state.sim.schedule_internal(self._every, self._tick)
-
-    def _fire(self) -> None:
-        save_checkpoint(self._path, self._state)
-        self.checkpoints_written += 1
-        self._state.sim.schedule_internal(self._every, self._tick)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.ba.coin import CommonCoin
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
-from repro.experiments.runner import build_experiment
-from repro.experiments.scenario import ScenarioSpec, build_network_config
+from repro.experiments.engine import ScenarioResult, build_scenario
+from repro.experiments.runner import summarise_experiment
+from repro.experiments.scenario import ScenarioSpec
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
 
@@ -82,21 +85,31 @@ def submit_texts(node, texts):
 
 
 def build_scenario_state(spec: ScenarioSpec, overrides: dict | None = None):
-    """The ready-to-run simulation of ``spec``, built the way ``run_scenario`` does.
+    """The ready-to-run simulation of ``spec``, built the way the engine does.
 
     For tests that drive ``state.sim`` themselves (mid-run snapshots, event
     stepping, inspecting automata after the run).
     """
-    return build_experiment(
-        spec.protocol,
-        build_network_config(spec),
-        spec.duration,
-        workload=spec.workload,
-        node_config=spec.node,
-        params=spec.params(),
-        seed=spec.seed,
-        warmup=spec.effective_warmup(),
-        adversary=spec.adversary,
-        max_epochs=spec.max_epochs,
-        meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
-    )
+    return build_scenario(spec, overrides)
+
+
+def reference_run(
+    spec: ScenarioSpec, overrides: dict | None, out_dir: Path
+) -> tuple[dict, bytes, bytes]:
+    """The oracle: one straight-line run, sharing no plan, stop or task code.
+
+    Returns ``(summary, telemetry bytes, span bytes)`` (empty bytes for an
+    observer the spec leaves off) for every engine strategy to be compared
+    against; ``overrides`` only label the summary.
+    """
+    state = build_scenario(spec, overrides)
+    state.sim.run(until=spec.duration)
+    telemetry = spans = b""
+    if state.recorder is not None:
+        state.recorder.finish(state.nodes, adversarial=state.placement)
+        telemetry = state.recorder.write_jsonl(out_dir / "reference.jsonl").read_bytes()
+    if state.spans is not None:
+        state.spans.finish()
+        spans = state.spans.write_jsonl(out_dir / "reference.spans.jsonl").read_bytes()
+    result = ScenarioResult(spec, dict(overrides or {}), summarise_experiment(state))
+    return result.summary(), telemetry, spans

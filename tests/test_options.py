@@ -1,34 +1,24 @@
-"""The unified :class:`ExecutionOptions` surface and its deprecated-kwarg shims.
+"""The :class:`ExecutionOptions` surface.
 
-Covers the three contracts of :mod:`repro.experiments.options`:
-
-* construction-time validation (frozen dataclass, invalid combinations
-  raise :class:`ConfigurationError` immediately, not mid-sweep);
-* the deprecated keyword shims on ``run_experiment`` / ``run_scenario`` /
-  ``run_points`` / ``sweep`` / ``resume_experiment`` — each emits exactly
-  one :class:`DeprecationWarning` naming the caller and the keywords as
-  spelled, folds them into an equivalent options object, and refuses to
-  mix them with an explicit ``options=``;
-* behavioural equivalence: a run driven by a deprecated keyword is
-  byte-identical to the same run driven by the options object.
+* construction-time validation (frozen dataclass, invalid values raise
+  :class:`ConfigurationError` immediately, not mid-sweep);
+* ``options=`` is the only way in: the execution keywords the entry points
+  once accepted loosely are gone, so passing one is a ``TypeError``;
+* every strategy is invisible: ``run_scenario`` under ``windows=3`` equals
+  the plain run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import NodeConfig
 from repro.experiments.engine import run_points, run_scenario, sweep
-from repro.experiments.options import (
-    UNSET,
-    ExecutionOptions,
-    merge_deprecated_kwargs,
-)
-from repro.experiments.runner import WorkloadSpec
+from repro.experiments.options import ExecutionOptions
+from repro.experiments.runner import WorkloadSpec, resume_experiment, run_experiment
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
@@ -73,7 +63,8 @@ class TestValidation:
             {"checkpoint_every": -1.0},
             {"workers": 0},
             {"windows": 0},
-            {"windows": 2, "resume_dir": "/tmp/journal"},
+            # A checkpoint continues as one chain — even an explicit one-window one.
+            {"windows": 1, "resume_from": "/tmp/x.ckpt"},
             {"windows": 2, "resume_from": "/tmp/x.ckpt"},
         ],
     )
@@ -81,77 +72,44 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExecutionOptions(**kwargs)
 
-    def test_with_updates_revalidates(self):
-        options = ExecutionOptions(windows=3)
-        assert options.with_updates(windows=None).windows is None
-        with pytest.raises(ConfigurationError):
-            options.with_updates(resume_dir="/tmp/journal")
+    def test_the_nine_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+            "profiler",
+            "checkpoint_every",
+            "checkpoint_path",
+            "resume_from",
+            "parallel",
+            "workers",
+            "resume_dir",
+            "windows",
+            "window_dir",
+        ]
+
+    def test_windows_compose_with_resume_dir(self, tmp_path):
+        options = ExecutionOptions(windows=2, resume_dir=tmp_path)
+        assert (options.windows, options.resume_dir) == (2, tmp_path)
 
 
-class TestMerge:
-    def test_no_legacy_returns_options_or_defaults(self):
-        options = ExecutionOptions(workers=2)
-        assert merge_deprecated_kwargs(options, "f") is options
-        assert merge_deprecated_kwargs(None, "f") == ExecutionOptions()
+class TestOptionsIsTheOnlyWayIn:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sweep(tiny_spec(), {"seed": (0,)}, parallel=False),
+            lambda: sweep(tiny_spec(), {"seed": (0,)}, resume_dir="/tmp/journal"),
+            lambda: run_points(expand_grid(tiny_spec(), None), max_workers=1),
+            lambda: run_scenario(tiny_spec(), checkpoint_path="/tmp/x.ckpt"),
+            lambda: run_scenario(tiny_spec(), resume_from="/tmp/x.ckpt"),
+            lambda: run_experiment("dl", None, 1.0, recorder=None),
+            lambda: run_experiment("dl", None, 1.0, checkpoint_every=1.0),
+            lambda: resume_experiment("/tmp/x.ckpt", checkpoint_every=1.0),
+        ],
+    )
+    def test_loose_execution_keywords_are_type_errors(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
-    def test_legacy_kwarg_warns_and_translates(self):
-        with pytest.warns(DeprecationWarning, match=r"run_points.*max_workers"):
-            merged = merge_deprecated_kwargs(
-                None,
-                "run_points",
-                aliases={"max_workers": "workers"},
-                parallel=UNSET,
-                max_workers=3,
-            )
-        assert merged == ExecutionOptions(workers=3)
-
-    def test_options_plus_legacy_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            merge_deprecated_kwargs(ExecutionOptions(), "sweep", parallel=False)
-
-    def test_unknown_legacy_name_is_type_error(self):
-        with pytest.raises(TypeError, match="unknown execution option"):
-            merge_deprecated_kwargs(None, "sweep", turbo=True)
-
-
-class TestDeprecatedShims:
-    def test_sweep_legacy_parallel_warns_and_matches_options_form(self):
-        base = tiny_spec()
-        grid = {"seed": (0, 1)}
-        with pytest.warns(DeprecationWarning, match=r"sweep.*parallel"):
-            legacy = sweep(base, grid, parallel=False)
-        clean = sweep(base, grid, options=ExecutionOptions(parallel=False))
-        assert legacy.summaries() == clean.summaries()
-
-    def test_run_points_legacy_max_workers_warns(self):
-        points = expand_grid(tiny_spec(), {"seed": (0,)})
-        with pytest.warns(DeprecationWarning, match=r"run_points.*max_workers"):
-            run_points(points, parallel=False, max_workers=1)
-
-    def test_run_scenario_legacy_checkpoint_path_warns(self, tmp_path):
-        path = tmp_path / "point.ckpt"
-        spec = tiny_spec(checkpoint_every=1.0)
-        with pytest.warns(DeprecationWarning, match=r"run_scenario.*checkpoint_path"):
-            legacy = run_scenario(spec, checkpoint_path=path)
-        assert path.exists()
-        clean = run_scenario(spec, options=ExecutionOptions(checkpoint_path=path))
-        assert legacy.summary() == clean.summary()
-
-    def test_options_form_is_warning_free(self):
-        base = tiny_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sweep(base, {"seed": (0,)}, options=ExecutionOptions(parallel=False))
-
-    def test_sweep_rejects_options_plus_legacy(self):
-        with pytest.raises(TypeError, match="not both"):
-            sweep(
-                tiny_spec(),
-                {"seed": (0,)},
-                parallel=False,
-                options=ExecutionOptions(),
-            )
-
-    def test_run_scenario_rejects_windows(self):
-        with pytest.raises(ConfigurationError, match="sweep-level"):
-            run_scenario(tiny_spec(), options=ExecutionOptions(windows=2))
+    def test_run_scenario_under_windows_equals_the_plain_run(self):
+        spec = tiny_spec()
+        plain = run_scenario(spec).summary()
+        assert run_scenario(spec, options=ExecutionOptions(windows=3)).summary() == plain
+        assert run_scenario(spec, options=None).summary() == plain

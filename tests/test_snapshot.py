@@ -1,30 +1,35 @@
-"""The ``repro-ckpt-v1`` checkpoint subsystem: format, mixin, timer, CLI.
+"""The ``repro-ckpt-v1`` checkpoint subsystem: format, mixin, stops, CLI.
 
 Covers the snapshot envelope's typed error paths (truncated file, version
 mismatch, corruption, foreign-scenario restore), the :class:`SnapshotState`
-field-drift detection, the deferred-compaction guard in the event loop, the
-periodic :class:`CheckpointTimer`, and the ``resume`` CLI's one-line exit-2
-error convention.  The end-to-end bit-identical-continuation guarantees are
-exercised in ``test_snapshot_properties.py`` and ``test_sweep_resume.py``.
+field-drift detection, the deferred-compaction guard in the event loop,
+periodic checkpoint stops under :func:`execute`, and the ``resume`` CLI —
+its one-line exit-2 error convention and the observer files it writes.  The
+end-to-end bit-identical-continuation guarantees are exercised in
+``test_snapshot_properties.py`` and ``test_sweep_resume.py``.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-import zlib
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.snapshot import SnapshotState
+from repro.core.config import NodeConfig
 from repro.experiments.cli import main as cli_main
-from repro.experiments.scenario import ScenarioSpec
+from repro.experiments.engine import run_scenario
+from repro.experiments.options import ExecutionOptions
+from repro.experiments.runner import WorkloadSpec, execute, periodic_stops
+from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
 from repro.sim.events import InternalCallback, Simulator
 from repro.sim.snapshot import (
     FORMAT_VERSION,
     KIND_SIMULATION,
-    CheckpointTimer,
     SimulationState,
     load_checkpoint,
     read_snapshot_file,
@@ -32,6 +37,8 @@ from repro.sim.snapshot import (
     save_checkpoint,
     write_snapshot_file,
 )
+from repro.trace.recorder import TelemetrySpec
+from repro.trace.spans import SpanSpec
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_load_checkpoint_rejects_non_simulation_payload(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CheckpointTimer
+# Periodic checkpoint stops
 # ---------------------------------------------------------------------------
 
 
@@ -215,29 +222,44 @@ def _bare_state(sim: Simulator) -> SimulationState:
     )
 
 
-def test_checkpoint_timer_rejects_non_positive_interval(tmp_path):
+def test_periodic_stops_reject_non_positive_interval(tmp_path):
     state = _bare_state(Simulator())
-    with pytest.raises(SnapshotError, match="positive"):
-        CheckpointTimer(state, tmp_path / "x.ckpt", 0.0)
-    with pytest.raises(SnapshotError, match="positive"):
-        CheckpointTimer(state, tmp_path / "x.ckpt", -1.0)
+    for every in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="positive"):
+            periodic_stops(state, every, tmp_path / "x.ckpt")
 
 
-def test_checkpoint_timer_fires_periodically_and_is_uncounted(tmp_path):
+def test_execute_checkpoints_a_bare_state_between_slices_uncounted(tmp_path):
     sim = Simulator()
     state = _bare_state(sim)
     path = tmp_path / "tick.ckpt"
-    timer = CheckpointTimer(state, path, 2.5)
-    timer.arm()
-    sim.run(until=10.0)
-    assert timer.checkpoints_written == 4  # t = 2.5, 5.0, 7.5, 10.0
-    header = read_snapshot_header(path)
-    assert header["virtual_time"] == 10.0
-    # Internal callbacks never count as processed events.
+    stops = periodic_stops(state, 2.5, path)
+    # t = 10.0 is the horizon: only multiples strictly inside it.
+    assert [(stop.time, stop.checkpoint) for stop in stops] == [
+        (2.5, path),
+        (5.0, path),
+        (7.5, path),
+    ]
+    # The plan ends before the horizon, so there is nothing to summarise.
+    assert execute(state, stops) is None
+    assert read_snapshot_header(path)["virtual_time"] == 7.5
+    # A checkpoint is no queue entry: nothing was scheduled, nothing counted.
     assert sim.processed_events == 0
+    assert sim.last_seq == 0
     # The written checkpoint restores to an equivalent state.
     restored = load_checkpoint(path, expect_fingerprint="f00d" * 4)
-    assert restored.sim.now == 10.0
+    assert restored.sim.now == 7.5
+
+
+@pytest.mark.parametrize(
+    "now, expected",
+    [(0.0, [2.5, 5.0, 7.5]), (2.5, [5.0, 7.5]), (6.0, [7.5]), (7.5, []), (9.0, [])],
+)
+def test_periodic_stops_resume_at_the_next_multiple_after_now(tmp_path, now, expected):
+    state = _bare_state(Simulator())
+    state.sim.run(until=now)
+    stops = periodic_stops(state, 2.5, tmp_path / "x.ckpt")
+    assert [stop.time for stop in stops] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +396,74 @@ def test_resume_cli_truncated_checkpoint_exit_2(tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("error: ")
     assert "truncated" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Resuming a scenario: foreign checkpoints refused, observer files written
+# ---------------------------------------------------------------------------
+
+
+def _observed_spec(out_dir: Path, **overrides) -> ScenarioSpec:
+    defaults = dict(
+        name="tiny",
+        topology=TopologySpec(kind="uniform", num_nodes=4, delay=0.05),
+        bandwidth=BandwidthSpec(kind="constant", rate=2_000_000.0),
+        workload=WorkloadSpec(kind="poisson", rate_bytes_per_second=600_000.0),
+        node=NodeConfig(max_block_size=100_000),
+        duration=3.0,
+        warmup_fraction=0.0,
+        telemetry=TelemetrySpec(enabled=True, interval=0.25, out_dir=str(out_dir)),
+        spans=SpanSpec(enabled=True, out_dir=str(out_dir)),
+    )
+    defaults.update(overrides)
+    return ScenarioSpec(**defaults)
+
+
+def test_run_scenario_refuses_a_foreign_checkpoint_before_unpickling(tmp_path, monkeypatch):
+    spec = _observed_spec(tmp_path, checkpoint_every=1.0)
+    checkpoint = tmp_path / "point.ckpt"
+    run_scenario(spec, options=ExecutionOptions(checkpoint_path=checkpoint))
+
+    def no_unpickling(payload):
+        raise AssertionError("the payload was unpickled before the header check")
+
+    monkeypatch.setattr(pickle, "loads", no_unpickling)
+    with pytest.raises(SnapshotError, match="foreign-scenario"):
+        run_scenario(replace(spec, seed=1), options=ExecutionOptions(resume_from=checkpoint))
+
+
+def test_resuming_under_an_observer_the_run_never_had_is_a_snapshot_error(tmp_path):
+    spec = _observed_spec(tmp_path, checkpoint_every=1.0)
+    bare = replace(spec, telemetry=TelemetrySpec(), spans=SpanSpec())
+    checkpoint = tmp_path / "point.ckpt"
+    run_scenario(bare, options=ExecutionOptions(checkpoint_path=checkpoint))
+    with pytest.raises(SnapshotError, match="built without"):
+        run_scenario(spec, options=ExecutionOptions(resume_from=checkpoint))
+
+
+def test_resume_cli_writes_the_observer_files_of_the_uninterrupted_run(tmp_path, capsys):
+    """The crashed run is the one whose time-series matters most."""
+    clean = run_scenario(_observed_spec(tmp_path / "clean"))
+
+    # A run that checkpoints at t=1, 2 leaves the t=2 file behind; pretend
+    # it died right after writing it, taking its observer files with it.
+    crashed_dir = tmp_path / "crashed"
+    checkpoint = tmp_path / "point.ckpt"
+    crashed = run_scenario(
+        _observed_spec(crashed_dir, checkpoint_every=1.0),
+        options=ExecutionOptions(checkpoint_path=checkpoint),
+    )
+    assert read_snapshot_header(checkpoint)["virtual_time"] == 2.0
+    Path(crashed.telemetry_path).unlink()
+    Path(crashed.span_path).unlink()
+
+    assert cli_main(["resume", str(checkpoint), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == clean.summary()
+    for resumed, reference in (
+        (crashed.telemetry_path, clean.telemetry_path),
+        (crashed.span_path, clean.span_path),
+    ):
+        assert Path(resumed).read_bytes() == Path(reference).read_bytes()
+        assert Path(resumed).stat().st_size > 0
+    # Without --checkpoint-every the continuation wrote no further checkpoint.
+    assert read_snapshot_header(checkpoint)["virtual_time"] == 2.0

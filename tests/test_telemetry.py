@@ -12,7 +12,7 @@ from repro.common.errors import ConfigurationError, TraceError
 from repro.core.config import NodeConfig
 from repro.experiments.catalog import get_scenario
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario, telemetry_filename
+from repro.experiments.engine import point_filename, run_scenario
 from repro.experiments.runner import WorkloadSpec
 from repro.experiments.scenario import (
     BandwidthSpec,
@@ -233,11 +233,11 @@ class TestRecorder:
 
     def test_telemetry_filename_is_point_unique_and_safe(self, trace_file):
         spec = replay_spec(trace_file, seed=7)
-        assert telemetry_filename(spec, None) == "tiny-replay-base-seed7.jsonl"
-        labelled = telemetry_filename(
-            spec, {"bandwidth.trace_scale": 0.5, "protocol": "dl"}
+        assert point_filename(spec, None, ".jsonl") == "tiny-replay-base-seed7.jsonl"
+        labelled = point_filename(
+            spec, {"bandwidth.trace_scale": 0.5, "protocol": "dl"}, ".spans.jsonl"
         )
-        assert labelled == "tiny-replay-trace_scale-0.5-protocol-dl-seed7.jsonl"
+        assert labelled == "tiny-replay-trace_scale-0.5-protocol-dl-seed7.spans.jsonl"
         assert "/" not in labelled and "=" not in labelled
 
 

@@ -1,27 +1,29 @@
-"""The windowed execution engine: planning, hand-off, stitching, CLI.
+"""Windowed execution: planning, hand-off, stitching, journalling, CLI.
 
 The headline invariant — windowed summaries and telemetry byte-identical to
-monolithic runs across scenarios and window counts — is pinned by the
+one-window runs across scenarios and window counts — is pinned by the
 hypothesis suite in ``test_windowed_properties.py``; this file covers the
 engine's moving parts deterministically: boundary arithmetic, prefix-tree
 planning (who leads, who forks, what disqualifies sharing), the fork refit,
-parallel scheduling, telemetry stitching, and the CLI surface.
+parallel scheduling, telemetry stitching, the resume journal under windows,
+a worker process dying, and the CLI surface.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError, WorkerDiedError
 from repro.core.config import NodeConfig
 from repro.experiments.cli import main as cli_main
 from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import WorkloadSpec
+from repro.experiments.runner import WORKLOADS, WorkloadSpec, register_workload
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
@@ -77,7 +79,7 @@ class TestPrefixPlanning:
         points = expand_grid(tiny_spec(), {"warmup": (0.0, 0.5, 1.0)})
         plans = plan_windowed_points(points, 2)
         assert [plan.leader for plan in plans] == [None, 0, 0]
-        assert [plan.first_window for plan in plans] == [0, 1, 1]
+        assert [plan.fork_window for plan in plans] == [0, 1, 1]
 
     def test_warmup_only_grid_forks_at_the_deepest_boundary(self):
         # Warmup never touches the event stream, so the points agree on
@@ -116,6 +118,12 @@ class TestPrefixPlanning:
         points = expand_grid(tiny_spec(), {"warmup": (0.0, 1.0)})
         plans = plan_windowed_points(points, 1)
         assert [plan.leader for plan in plans] == [None, None]
+        assert [plan.boundaries for plan in plans] == [(3.0,), (3.0,)]
+
+    def test_an_analytic_point_is_a_one_window_plan_with_nothing_to_run(self):
+        spec = ScenarioSpec(kind="vid-cost", name="vid")
+        (plan,) = plan_windowed_points([({}, spec)], 1)
+        assert (plan.boundaries, plan.leader) == ((), None)
 
     def test_prefix_key_neutralises_checkpoint_every(self):
         spec = tiny_spec()
@@ -204,13 +212,123 @@ class TestWindowedSweep:
         # One hand-off checkpoint for the shared window 0, none for finals.
         assert sorted(p.name for p in work.glob("*.ckpt")) == ["point0000-w0.ckpt"]
 
-    def test_windows_and_resume_dir_is_a_config_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="resume_dir"):
-            sweep(
-                tiny_spec(),
-                {"seed": (0,)},
-                options=ExecutionOptions(windows=2, resume_dir=str(tmp_path)),
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    def test_windows_and_resume_dir_rerun_only_unjournalled_points(self, tmp_path, pooled):
+        options = ExecutionOptions(
+            parallel=pooled, workers=2, windows=3, resume_dir=tmp_path / "journal"
+        )
+        grid = {"warmup": (0.0, 0.5, 1.0)}
+
+        def spec(out_dir: str) -> ScenarioSpec:
+            return tiny_spec(
+                telemetry=TelemetrySpec(
+                    enabled=True, interval=0.25, out_dir=str(tmp_path / out_dir)
+                )
             )
+
+        clean = sweep(spec("clean"), grid, options=ExecutionOptions(parallel=False))
+        first = sweep(spec("out"), grid, options=options)
+        assert (first.resumed_points, first.windows) == ([], 3)
+
+        # Lose the followers' journal entries and their telemetry: the re-run
+        # keeps the journalled leader and plans the two followers among
+        # themselves (one leads, one forks).
+        for index in (1, 2):
+            (tmp_path / "journal" / f"point-{index:04d}.ckpt").unlink()
+            Path(first.points[index].telemetry_path).unlink()
+        leader_entry = (tmp_path / "journal" / "point-0000.ckpt").read_bytes()
+        again = sweep(spec("out"), grid, options=options)
+        assert again.resumed_points == [0]
+        assert (tmp_path / "journal" / "point-0000.ckpt").read_bytes() == leader_entry
+        assert again.summaries() == clean.summaries()
+        for resumed, reference in zip(again.points, clean.points):
+            assert Path(resumed.telemetry_path).name == Path(reference.telemetry_path).name
+            assert (
+                Path(resumed.telemetry_path).read_bytes()
+                == Path(reference.telemetry_path).read_bytes()
+            )
+
+        # Everything journalled: nothing left to run.
+        third = sweep(spec("out"), grid, options=options)
+        assert third.resumed_points == [0, 1, 2]
+        assert third.summaries() == clean.summaries()
+
+    def test_windows_above_one_ignore_checkpoint_every(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = tiny_spec(checkpoint_every=1.0)
+        result = sweep(spec, None, options=ExecutionOptions(windows=2))
+        assert not (tmp_path / "checkpoints").exists()
+        # One window: the spec's cadence, at the default per-point path.
+        plain = sweep(spec, None, options=ExecutionOptions(windows=1))
+        assert [p.name for p in (tmp_path / "checkpoints").iterdir()] == [
+            "tiny-base-seed0.ckpt"
+        ]
+        assert (result.windows, plain.windows) == (2, None)
+        assert result.summaries() == plain.summaries()
+
+
+#: Seeds whose workload factory kills the process building them.  Pool
+#: workers are forked when the pool starts, so they see the set as it was
+#: when the sweep began.
+_FATAL_SEEDS: set[int] = set()
+
+
+def _fatal_workload(sim, node, spec, seed):
+    if seed in _FATAL_SEEDS:
+        os._exit(17)
+    return WORKLOADS["poisson"](sim, node, spec, seed)
+
+
+class TestWorkerDeath:
+    GRID = {"seed": (0, 2, 1)}
+
+    @pytest.fixture(autouse=True)
+    def _fatal_seed_one(self):
+        register_workload("fatal-for-some-seeds", _fatal_workload)
+        _FATAL_SEEDS.add(1)
+        yield
+        _FATAL_SEEDS.clear()
+        del WORKLOADS["fatal-for-some-seeds"]
+
+    def _spec(self) -> ScenarioSpec:
+        return tiny_spec(
+            workload=WorkloadSpec(
+                kind="fatal-for-some-seeds", rate_bytes_per_second=600_000.0
+            )
+        )
+
+    def test_a_dead_worker_is_a_typed_error_and_the_journal_survives(self, tmp_path):
+        journal = tmp_path / "journal"
+        options = ExecutionOptions(workers=2, resume_dir=journal)
+        # Two workers take seeds 0 and 2; the first to finish picks up seed
+        # 1 and dies, which takes the pool (and the other worker) down.
+        with pytest.raises(WorkerDiedError, match=r"seed=1") as raised:
+            sweep(self._spec(), self.GRID, options=options)
+        assert isinstance(raised.value, ReproError)
+        assert "\n" not in str(raised.value)
+        journalled = sorted(int(path.stem.split("-")[1]) for path in journal.iterdir())
+        assert journalled and 2 not in journalled
+
+        # Re-running with the same journal executes only the rest.
+        _FATAL_SEEDS.clear()
+        rerun = sweep(self._spec(), self.GRID, options=options)
+        assert rerun.resumed_points == journalled
+        clean = sweep(self._spec(), self.GRID, options=ExecutionOptions(parallel=False))
+        assert rerun.summaries() == clean.summaries()
+
+    def test_cli_reports_a_dead_worker_as_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "fatal.json"
+        path.write_text(json.dumps(self._spec().to_dict()))
+        argv = ["sweep", str(path), "--grid", "seed=0,2,1", "--workers", "2",
+                "--resume-dir", str(tmp_path / "journal")]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "seed=1" in captured.err
+        _FATAL_SEEDS.clear()
+        assert cli_main(argv) == 0
 
 
 class TestWindowedCli:
@@ -233,13 +351,17 @@ class TestWindowedCli:
         assert mono["windows"] is None
         assert windowed["summaries"] == mono["summaries"]
 
-    def test_windows_with_resume_dir_is_exit_2_one_liner(self, tmp_path, capsys):
+    def test_windows_with_resume_dir_resumes(self, tmp_path, capsys):
         path = self._spec_path(tmp_path)
-        code = cli_main(
-            ["sweep", str(path), "--grid", "seed=0,1", "--windows", "2",
-             "--resume-dir", str(tmp_path / "journal")]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        argv = ["sweep", str(path), "--grid", "warmup=0,1", "--windows", "2",
+                "--serial", "--resume-dir", str(tmp_path / "journal"), "--json"]
+        assert cli_main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert sorted(p.name for p in (tmp_path / "journal").iterdir()) == [
+            "point-0000.ckpt",
+            "point-0001.ckpt",
+        ]
+        assert cli_main(argv) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert again["windows"] == first["windows"] == 2
+        assert again["summaries"] == first["summaries"]
