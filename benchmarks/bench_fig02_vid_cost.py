@@ -8,14 +8,16 @@ N ≈ 40 for 100 KB blocks (and ≈ 120 for 1 MB blocks).
 
 from conftest import report
 
-from repro.experiments.fig02 import crossover_n, measure_avid_m_dispersal_cost, vid_cost_curve
+from repro.experiments.figures import crossover_n, measure_avid_m_dispersal_cost, vid_cost_row
 
 
 def test_fig02_vid_dispersal_cost(benchmark):
     def run():
-        rows = vid_cost_curve(
-            n_values=(4, 8, 16, 32, 64, 100, 128), block_sizes=(100_000, 1_000_000)
-        )
+        rows = [
+            vid_cost_row(n, block_size)
+            for block_size in (100_000, 1_000_000)
+            for n in (4, 8, 16, 32, 64, 100, 128)
+        ]
         measured = measure_avid_m_dispersal_cost(n=16, block_size=100_000)
         return rows, measured
 
@@ -28,8 +30,8 @@ def test_fig02_vid_dispersal_cost(benchmark):
     ]
     for row in rows:
         lines.append(
-            f"{row.n:>4} {row.block_size:>9} {row.avid_m:>9.3f} {row.avid_fp:>9.3f} "
-            f"{row.avid:>9.3f} {row.lower_bound:>9.3f}"
+            f"{row['n']:>4} {row['block_size']:>9} {row['avid_m']:>9.3f} {row['avid_fp']:>9.3f} "
+            f"{row['avid']:>9.3f} {row['lower_bound']:>9.3f}"
         )
     lines.append(
         f"measured AVID-M at N=16, 100 KB: {measured:.3f}x block size "
@@ -41,7 +43,7 @@ def test_fig02_vid_dispersal_cost(benchmark):
     )
     report(*lines)
 
-    by_key = {(row.n, row.block_size): row for row in rows}
-    assert by_key[(128, 1_000_000)].avid_m < 0.1
-    assert by_key[(128, 100_000)].avid_fp > 1.0
+    by_key = {(row["n"], row["block_size"]): row for row in rows}
+    assert by_key[(128, 1_000_000)]["avid_m"] < 0.1
+    assert by_key[(128, 100_000)]["avid_fp"] > 1.0
     benchmark.extra_info["measured_avid_m_n16_100kb"] = measured

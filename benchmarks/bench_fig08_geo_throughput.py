@@ -6,48 +6,44 @@ capacity, while HoneyBadger's servers are pinned to a common (straggler-
 gated) rate.
 """
 
-from conftest import bench_duration, fmt_mbps, report
+from conftest import bench_duration, fmt_mbps, report, sweep_entry
 
-from repro.experiments.geo import run_geo_throughput
+from repro.experiments.figures import by_protocol, improvement, throughput_table
 
 
 def test_fig08_geo_throughput(benchmark):
     duration = bench_duration()
 
-    def run():
-        return run_geo_throughput(
-            duration=duration,
-            protocols=("dl", "dl-coupled", "hb-link", "hb"),
-            max_block_size=2_000_000,
-        )
-
-    geo = benchmark.pedantic(run, rounds=1, iterations=1)
+    geo = benchmark.pedantic(
+        lambda: sweep_entry("fig08-geo", duration=duration), rounds=1, iterations=1
+    )
+    results = by_protocol(geo)
 
     lines = ["", f"=== Fig. 8: geo-distributed throughput ({duration:.0f}s virtual) ==="]
-    header = f"{'city':<14}" + "".join(f"{p:>14}" for p in geo.results)
+    header = f"{'city':<14}" + "".join(f"{p:>14}" for p in results)
     lines.append(header)
-    for row in geo.throughput_table():
+    for row in throughput_table(geo):
         lines.append(
             f"{row['city']:<14}"
-            + "".join(f"{fmt_mbps(row[p]):>14}" for p in geo.results)
+            + "".join(f"{fmt_mbps(row[p]):>14}" for p in results)
         )
-    means = geo.mean_throughputs()
-    lines.append(f"{'MEAN':<14}" + "".join(f"{fmt_mbps(means[p]):>14}" for p in geo.results))
+    means = {p: result.mean_throughput for p, result in results.items()}
+    lines.append(f"{'MEAN':<14}" + "".join(f"{fmt_mbps(means[p]):>14}" for p in results))
     lines.append(
         "improvements: DL/HB %+.0f%% (paper +105%%), HB-Link/HB %+.0f%% (paper +45%%), "
         "DL/HB-Link %+.0f%% (paper +41%%)"
         % (
-            100 * geo.improvement_over("dl", "hb"),
-            100 * geo.improvement_over("hb-link", "hb"),
-            100 * geo.improvement_over("dl", "hb-link"),
+            100 * improvement(geo, "dl", "hb"),
+            100 * improvement(geo, "hb-link", "hb"),
+            100 * improvement(geo, "dl", "hb-link"),
         )
     )
     report(*lines)
 
-    assert geo.results["dl"].mean_throughput > geo.results["hb"].mean_throughput
-    assert geo.results["hb-link"].mean_throughput >= 0.95 * geo.results["hb"].mean_throughput
+    assert means["dl"] > means["hb"]
+    assert means["hb-link"] >= 0.95 * means["hb"]
     # DL decouples: per-node spread well above HB's (which moves in lockstep).
-    dl = geo.results["dl"]
-    hb = geo.results["hb"]
+    dl = results["dl"]
+    hb = results["hb"]
     assert (dl.max_throughput - dl.min_throughput) > (hb.max_throughput - hb.min_throughput)
-    benchmark.extra_info["mean_throughput"] = {p: means[p] for p in means}
+    benchmark.extra_info["mean_throughput"] = means

@@ -5,9 +5,9 @@ own pace (the per-server curves fan out), while with HoneyBadger-Link all
 servers progress along nearly the same, slower curve.
 """
 
-from conftest import bench_duration, report
+from conftest import bench_duration, report, sweep_entry
 
-from repro.experiments.geo import progress_timelines, run_geo_throughput
+from repro.experiments.figures import progress_timelines
 
 
 def _final(timeline):
@@ -18,12 +18,11 @@ def test_fig09_progress_timelines(benchmark):
     duration = bench_duration()
 
     def run():
-        geo = run_geo_throughput(
-            duration=duration, protocols=("dl", "hb-link"), max_block_size=2_000_000
+        return sweep_entry(
+            "fig08-geo", grid={"protocol": ("dl", "hb-link")}, duration=duration
         )
-        return geo, progress_timelines(geo, protocols=("dl", "hb-link"))
 
-    geo, timelines = benchmark.pedantic(run, rounds=1, iterations=1)
+    timelines = progress_timelines(benchmark.pedantic(run, rounds=1, iterations=1))
 
     lines = ["", f"=== Fig. 9: confirmed data over time ({duration:.0f}s virtual) ==="]
     for protocol, per_node in timelines.items():

@@ -7,9 +7,9 @@ growing), while DispersedLedger's stays nearly flat, at both a
 well-connected server (Ohio) and a poorly-connected one (Mumbai).
 """
 
-from conftest import bench_duration, fmt_ms, report
+from conftest import bench_duration, fmt_ms, report, sweep_entry
 
-from repro.experiments.latency import FAST_CITY, SLOW_CITY, city_index, run_latency_sweep
+from repro.experiments.figures import latency_series
 from repro.workload.cities import AWS_CITIES
 
 
@@ -21,34 +21,41 @@ def test_fig10_latency_vs_load(benchmark):
     loads = (300_000.0, 1_000_000.0)
 
     def run():
-        return run_latency_sweep(
-            loads=loads, protocols=("dl", "hb"), duration=duration, warmup=duration * 0.25
+        return sweep_entry(
+            "fig10-latency",
+            grid={"protocol": ("dl", "hb"), "workload.rate_bytes_per_second": loads},
+            duration=duration,
         )
 
     sweep = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    fast = city_index(AWS_CITIES, FAST_CITY)
-    slow = city_index(AWS_CITIES, SLOW_CITY)
+    # The paper's well-connected and poorly-connected example servers.
+    cities = [city.name for city in AWS_CITIES]
+    fast, slow = cities.index("Ohio"), cities.index("Mumbai")
+    fast_p50 = latency_series(sweep, fast)
+    columns = (
+        fast_p50,
+        latency_series(sweep, fast, "p95"),
+        latency_series(sweep, slow),
+        latency_series(sweep, slow, "p95"),
+    )
     lines = ["", f"=== Fig. 10: latency vs per-node offered load ({duration:.0f}s virtual) ==="]
     lines.append(f"{'protocol':>9} {'load':>12} {'Ohio p50':>10} {'Ohio p95':>10} {'Mumbai p50':>11} {'Mumbai p95':>11}")
-    for protocol, points in sweep.points.items():
-        for point in points:
+    for protocol in fast_p50:
+        for (load, f50), (_, f95), (_, s50), (_, s95) in zip(*(c[protocol] for c in columns)):
             lines.append(
-                f"{protocol:>9} {point.load_bytes_per_second/1e6:>10.1f}MB"
-                f" {fmt_ms(point.median_at(fast)):>10}"
-                f" {fmt_ms(point.tail_at(fast, 'p95')):>10}"
-                f" {fmt_ms(point.median_at(slow)):>11}"
-                f" {fmt_ms(point.tail_at(slow, 'p95')):>11}"
+                f"{protocol:>9} {load/1e6:>10.1f}MB"
+                f" {fmt_ms(f50):>10} {fmt_ms(f95):>10} {fmt_ms(s50):>11} {fmt_ms(s95):>11}"
             )
     report(*lines)
 
-    dl_points = sweep.points["dl"]
-    hb_points = sweep.points["hb"]
-    dl_growth = (dl_points[-1].median_at(fast) or 0) / max(dl_points[0].median_at(fast) or 1e-9, 1e-9)
-    hb_growth = (hb_points[-1].median_at(fast) or 0) / max(hb_points[0].median_at(fast) or 1e-9, 1e-9)
+    dl_medians = [median for _, median in fast_p50["dl"]]
+    hb_medians = [median for _, median in fast_p50["hb"]]
+    dl_growth = (dl_medians[-1] or 0) / max(dl_medians[0] or 1e-9, 1e-9)
+    hb_growth = (hb_medians[-1] or 0) / max(hb_medians[0] or 1e-9, 1e-9)
     # HoneyBadger's latency grows with load at least as fast as DL's, and DL
     # stays cheaper than HB at the highest load.
-    assert (dl_points[-1].median_at(fast) or 0) <= (hb_points[-1].median_at(fast) or float("inf"))
+    assert (dl_medians[-1] or 0) <= (hb_medians[-1] or float("inf"))
     assert dl_growth <= hb_growth * 1.25
     benchmark.extra_info["dl_median_growth"] = dl_growth
     benchmark.extra_info["hb_median_growth"] = hb_growth

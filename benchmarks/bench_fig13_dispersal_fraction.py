@@ -7,38 +7,36 @@ the easier it is for a slow node to keep participating in dispersal — the
 design goal of DispersedLedger.
 """
 
-from conftest import bench_duration, report
+from conftest import bench_duration, report, sweep_entry
 
-from repro.experiments.scalability import model_sweep, simulate_point
+from repro.experiments.figures import model_sweep
 
 
 def test_fig13_dispersal_traffic_fraction(benchmark):
     duration = bench_duration()
 
     def run():
-        points = model_sweep(cluster_sizes=(16, 32, 64, 128), block_sizes=(500_000, 1_000_000))
-        simulated = simulate_point(n=16, block_size=500_000, duration=duration)
-        return points, simulated
+        # The entry's base point (N=16, 500 KB blocks) alone, no grid.
+        simulated = sweep_entry("fig12-scalability", grid={}, duration=duration)
+        points = model_sweep(simulated.base)  # the paper's N = 16..128 x 500 KB / 1 MB
+        return points, simulated.summaries()[0]["dispersal_fraction"]
 
-    points, simulated = benchmark.pedantic(run, rounds=1, iterations=1)
+    points, simulated_fraction = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = ["", "=== Fig. 13: dispersal traffic fraction (cost model; N=16 simulated) ==="]
     lines.append(f"{'N':>5} {'block':>10} {'dispersal fraction':>20}")
     for point in points:
-        lines.append(f"{point.n:>5} {point.block_size:>10} {point.dispersal_fraction:>19.1%}")
+        lines.append(f"{point['n']:>5} {point['block_size']:>10} {point['dispersal_fraction']:>19.1%}")
     lines.append(
-        f"simulated at N=16, 500 KB: {simulated.dispersal_fraction:.1%} "
+        f"simulated at N=16, 500 KB: {simulated_fraction:.1%} "
         "(message-level run, includes retrieval cancellation effects)"
     )
     report(*lines)
 
-    by_key = {(p.n, p.block_size): p for p in points}
+    fraction = {(p["n"], p["block_size"]): p["dispersal_fraction"] for p in points}
     for block in (500_000, 1_000_000):
-        assert by_key[(64, block)].dispersal_fraction < by_key[(16, block)].dispersal_fraction
-        assert by_key[(128, block)].dispersal_fraction < 0.66 * by_key[(16, block)].dispersal_fraction
+        assert fraction[(64, block)] < fraction[(16, block)]
+        assert fraction[(128, block)] < 0.66 * fraction[(16, block)]
     for n in (16, 32, 64, 128):
-        assert (
-            by_key[(n, 1_000_000)].dispersal_fraction
-            < by_key[(n, 500_000)].dispersal_fraction
-        )
-    assert 0.0 < simulated.dispersal_fraction < 0.5
+        assert fraction[(n, 1_000_000)] < fraction[(n, 500_000)]
+    assert 0.0 < simulated_fraction < 0.5

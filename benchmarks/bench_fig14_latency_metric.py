@@ -7,9 +7,9 @@ the local-only metric, because stale transactions proposed by overloaded
 servers drag it up — which is why the paper reports local-only latency.
 """
 
-from conftest import bench_duration, fmt_ms, report
+from conftest import bench_duration, fmt_ms, report, sweep_entry
 
-from repro.experiments.latency import run_latency_metric_comparison
+from repro.experiments.figures import latency_metric_table
 
 
 def test_fig14_latency_metric_comparison(benchmark):
@@ -17,18 +17,17 @@ def test_fig14_latency_metric_comparison(benchmark):
     load = 2_000_000.0
 
     def run():
-        return {
-            protocol: run_latency_metric_comparison(
-                protocol, load, duration=duration, warmup=duration * 0.25
-            )
-            for protocol in ("dl", "hb")
-        }
+        return sweep_entry(
+            "fig10-latency",
+            grid={"protocol": ("dl", "hb"), "workload.rate_bytes_per_second": (load,)},
+            duration=duration,
+        )
 
-    comparisons = benchmark.pedantic(run, rounds=1, iterations=1)
+    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    tables = {point.spec.protocol: latency_metric_table(point) for point in sweep.points}
 
     lines = ["", f"=== Fig. 14: latency metric comparison at {load/1e6:.0f} MB/s per node ==="]
-    for protocol, comparison in comparisons.items():
-        rows = comparison.table()
+    for protocol, rows in tables.items():
         local = [row["local_p50"] for row in rows if row["local_p50"] is not None]
         all_tx = [row["all_p50"] for row in rows if row["all_p50"] is not None]
         local_p95 = [row["local_p95"] for row in rows if row["local_p95"] is not None]
@@ -41,7 +40,7 @@ def test_fig14_latency_metric_comparison(benchmark):
     lines.append("(paper: identical for DL; worse all-tx tails for HB's fast servers)")
     report(*lines)
 
-    dl_rows = comparisons["dl"].table()
+    dl_rows = tables["dl"]
     dl_local = [r["local_p50"] for r in dl_rows if r["local_p50"] is not None]
     dl_all = [r["all_p50"] for r in dl_rows if r["all_p50"] is not None]
     # For DL the two metrics are close (choosing local-only is not flattering).

@@ -6,9 +6,9 @@ HoneyBadger, confirming that the Fig. 8 result is not an artefact of one
 particular testbed.
 """
 
-from conftest import bench_duration, fmt_mbps, report
+from conftest import bench_duration, fmt_mbps, report, sweep_entry
 
-from repro.experiments.geo import run_vultr_throughput
+from repro.experiments.figures import by_protocol, improvement, throughput_table
 
 
 def test_fig15_vultr_throughput(benchmark):
@@ -17,29 +17,29 @@ def test_fig15_vultr_throughput(benchmark):
     # whole-epoch quantisation of the slowest sites out of the mean.
     duration = max(20.0, bench_duration(1.5))
 
-    def run():
-        return run_vultr_throughput(duration=duration, protocols=("dl", "hb-link", "hb"))
-
-    geo = benchmark.pedantic(run, rounds=1, iterations=1)
+    geo = benchmark.pedantic(
+        lambda: sweep_entry("fig15-vultr", duration=duration), rounds=1, iterations=1
+    )
+    results = by_protocol(geo)
 
     lines = ["", f"=== Fig. 15: Vultr-like testbed throughput ({duration:.0f}s virtual) ==="]
-    header = f"{'city':<14}" + "".join(f"{p:>14}" for p in geo.results)
+    header = f"{'city':<14}" + "".join(f"{p:>14}" for p in results)
     lines.append(header)
-    for row in geo.throughput_table():
+    for row in throughput_table(geo):
         lines.append(
-            f"{row['city']:<14}" + "".join(f"{fmt_mbps(row[p]):>14}" for p in geo.results)
+            f"{row['city']:<14}" + "".join(f"{fmt_mbps(row[p]):>14}" for p in results)
         )
-    means = geo.mean_throughputs()
-    lines.append(f"{'MEAN':<14}" + "".join(f"{fmt_mbps(means[p]):>14}" for p in geo.results))
+    means = {p: result.mean_throughput for p, result in results.items()}
+    lines.append(f"{'MEAN':<14}" + "".join(f"{fmt_mbps(means[p]):>14}" for p in results))
     lines.append(
         "DL improvement over HB: %+.0f%% (paper: at least +50%%)"
-        % (100 * geo.improvement_over("dl", "hb"))
+        % (100 * improvement(geo, "dl", "hb"))
     )
     report(*lines)
 
     # Shape checks: DL's decoupling lets its fast sites outrun anything
     # HoneyBadger allows, and its mean is at least on par with (short runs)
     # or above (longer runs) HoneyBadger's lockstep mean.
-    assert geo.results["dl"].max_throughput > geo.results["hb"].max_throughput
-    assert geo.results["dl"].mean_throughput >= 0.9 * geo.results["hb"].mean_throughput
-    assert geo.results["hb-link"].mean_throughput >= 0.95 * geo.results["hb"].mean_throughput
+    assert results["dl"].max_throughput > results["hb"].max_throughput
+    assert means["dl"] >= 0.9 * means["hb"]
+    assert means["hb-link"] >= 0.95 * means["hb"]

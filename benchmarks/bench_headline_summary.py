@@ -6,11 +6,11 @@ linking alone is worth ~+45% over HoneyBadger; DL-Coupled costs ~12% of
 DL's throughput.
 """
 
-from conftest import bench_duration, report
+from dataclasses import asdict
 
-from repro.experiments.geo import run_geo_throughput
-from repro.experiments.latency import run_latency_sweep
-from repro.experiments.summary import headline_from_results
+from conftest import bench_duration, report, sweep_entry
+
+from repro.experiments.figures import headline_numbers
 
 
 def test_headline_summary(benchmark):
@@ -18,18 +18,16 @@ def test_headline_summary(benchmark):
     latency_duration = max(20.0, bench_duration(1.25))
 
     def run():
-        geo = run_geo_throughput(
-            duration=geo_duration,
-            protocols=("dl", "dl-coupled", "hb-link", "hb"),
-            max_block_size=2_000_000,
-        )
-        latency = run_latency_sweep(
-            loads=(1_000_000.0, 4_000_000.0),
-            protocols=("dl", "hb"),
+        geo = sweep_entry("fig08-geo", duration=geo_duration)
+        latency = sweep_entry(
+            "fig10-latency",
+            grid={
+                "protocol": ("dl", "hb"),
+                "workload.rate_bytes_per_second": (1_000_000.0, 4_000_000.0),
+            },
             duration=latency_duration,
-            warmup=latency_duration * 0.25,
         )
-        return headline_from_results(geo, latency)
+        return headline_numbers(geo, latency)
 
     headline = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -55,5 +53,5 @@ def test_headline_summary(benchmark):
     if headline.latency_reduction is not None:
         assert headline.latency_reduction > -0.25
     benchmark.extra_info["headline"] = {
-        key: value for key, value in headline.as_dict().items() if value is not None
+        key: value for key, value in asdict(headline).items() if value is not None
     }

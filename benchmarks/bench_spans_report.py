@@ -1,6 +1,7 @@
 """Span-tracing overhead report: hooks off, spans on, profiler on.
 
-The observability layer promises a near-free off switch: with no
+The one cost the performance ledger (``benchmarks/ledger/``) does not
+measure.  The observability layer promises a near-free off switch: with no
 :class:`~repro.trace.SpanRecorder` attached and no
 :class:`~repro.sim.profiler.SimProfiler` installed, the only cost the
 instrumentation adds to the hot paths is an ``is None`` branch per hook
@@ -27,9 +28,9 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_spans_report.py [--smoke]
 
-``--smoke`` (CI) shortens the run and writes a single-entry
-``BENCH_spans.json`` to the working directory instead of appending to the
-history in ``benchmarks/BENCH_spans.json``.
+``--smoke`` (CI) shortens the run.  Either way the entry goes to
+``./BENCH_spans.json`` in the working directory only; nothing under
+``benchmarks/`` is written.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.sim import events
 from repro.sim.profiler import SimProfiler
 from repro.trace import SpanSpec, read_jsonl
 
-OUTPUT_PATH = Path(__file__).parent / "BENCH_spans.json"
+OUTPUT_PATH = Path("BENCH_spans.json")
 SCENARIO = "trace-replay-wan"
 
 
@@ -145,23 +146,11 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced pass for CI (short run, 1 repeat); writes BENCH_spans.json "
-        "to the working directory instead of appending to the history",
+        help="reduced pass for CI (short run, 1 repeat)",
     )
     args = parser.parse_args(argv)
-    if args.smoke:
-        entry = measure(duration=3.0, repeats=1)
-        Path("BENCH_spans.json").write_text(
-            json.dumps([entry], indent=2) + "\n", encoding="utf-8"
-        )
-    else:
-        entry = measure(duration=10.0, repeats=3)
-        history: list[dict] = []
-        if OUTPUT_PATH.exists():
-            history = json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))
-        history.append(entry)
-        OUTPUT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-        print(f"appended entry #{len(history)} to {OUTPUT_PATH}")
+    entry = measure(duration=3.0, repeats=1) if args.smoke else measure(duration=10.0, repeats=3)
+    OUTPUT_PATH.write_text(json.dumps([entry], indent=2) + "\n", encoding="utf-8")
     print(
         f"off: {entry['off_seconds']:.2f}s wall for {entry['duration']:g}s virtual "
         f"(A/A noise floor x{entry['both_off_overhead']:.3f}; no clock read, "

@@ -1,7 +1,8 @@
 """Windowed-execution report: shared-prefix sweep speedup vs monolithic.
 
-One measurement, appended to ``benchmarks/BENCH_windowed.json``: a four-point
-warmup-only sweep — the best case for the shared-prefix checkpoint tree,
+One measurement the performance ledger (``benchmarks/ledger/``) does not
+take — pool and prefix-tree speed-up — written to ``./BENCH_windowed.json``:
+a four-point warmup-only sweep — the best case for the shared-prefix checkpoint tree,
 since warmup acts only at summary time and the points agree on every window
 boundary — run three ways over the same grid:
 
@@ -23,9 +24,9 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_windowed_report.py [--smoke]
 
-``--smoke`` (CI) shortens the horizon, skips the floor check, and writes its
-entry to ``./BENCH_windowed.json`` (uploaded as an artifact) instead of
-appending to the committed trajectory.
+``--smoke`` (CI) shortens the horizon and skips the floor check.  Either
+way the entry goes to the working directory only (CI uploads it as an
+artifact); nothing under ``benchmarks/`` is written.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import WorkloadSpec
 from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
 
-OUTPUT_PATH = Path(__file__).parent / "BENCH_windowed.json"
+OUTPUT_PATH = Path("BENCH_windowed.json")
 MB = 1_000_000.0
 SPEEDUP_FLOOR = 1.5
 
@@ -106,17 +107,11 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced pass for CI (short horizon): no floor check, writes the "
-        "entry to ./BENCH_windowed.json instead of the benchmarks/ trajectory",
+        help="reduced pass for CI (short horizon): no floor check",
     )
     args = parser.parse_args(argv)
     if args.smoke:
         entry = measure(duration=4.0, windows=4, workers=2)
-        # CI uploads this from the working directory; the committed
-        # trajectory under benchmarks/ is never touched by smoke runs.
-        smoke_path = Path("BENCH_windowed.json")
-        smoke_path.write_text(json.dumps([entry], indent=2) + "\n", encoding="utf-8")
-        print(f"wrote smoke entry to {smoke_path}")
     else:
         entry = measure(duration=16.0, windows=8, workers=4)
         if entry["parallel_speedup"] < SPEEDUP_FLOOR:
@@ -124,12 +119,8 @@ def main(argv: list[str] | None = None) -> None:
                 f"windowed parallel speedup {entry['parallel_speedup']:.2f}x is "
                 f"below the {SPEEDUP_FLOOR}x floor"
             )
-        history: list[dict] = []
-        if OUTPUT_PATH.exists():
-            history = json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))
-        history.append(entry)
-        OUTPUT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-        print(f"appended entry #{len(history)} to {OUTPUT_PATH}")
+    OUTPUT_PATH.write_text(json.dumps([entry], indent=2) + "\n", encoding="utf-8")
+    print(f"wrote entry to {OUTPUT_PATH}")
     print(
         f"{entry['points']}-point warmup sweep, {entry['duration']:g}s horizon, "
         f"W={entry['windows']}: monolithic {entry['monolithic_seconds']:.2f}s"

@@ -1,7 +1,8 @@
 """Shared infrastructure for the figure-regenerating benchmarks.
 
-Every file under ``benchmarks/`` regenerates one table or figure of the
-paper's evaluation (see DESIGN.md for the index).  The simulated durations
+Every ``bench_fig*.py`` regenerates one table or figure of the paper's
+evaluation: it sweeps a catalog entry (:func:`sweep_entry`) and prints a
+reduction from :mod:`repro.experiments.figures`.  The simulated durations
 default to values short enough that the whole suite finishes in minutes;
 set ``REPRO_BENCH_DURATION`` (seconds of virtual time) for longer, smoother
 runs closer to the paper's 2+ minute measurements.
@@ -15,9 +16,12 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import SweepResult, get_scenario, sweep
 
 #: Default virtual duration (seconds) of the heavier WAN simulations.
 DEFAULT_DURATION = float(os.environ.get("REPRO_BENCH_DURATION", "15"))
@@ -30,6 +34,17 @@ MB = 1_000_000.0
 def bench_duration(scale: float = 1.0) -> float:
     """Virtual seconds to simulate for one run (scaled per experiment)."""
     return DEFAULT_DURATION * scale
+
+
+def sweep_entry(name: str, grid: dict | None = None, **overrides) -> SweepResult:
+    """Sweep the catalog entry ``name`` — the one definition of its experiment.
+
+    A figure's departures from its entry are stated here, at the call site:
+    ``overrides`` replace fields of the entry's base spec (``duration``,
+    ``seed``, …) and ``grid``, when given, replaces the entry's axes.
+    """
+    entry = get_scenario(name)
+    return sweep(replace(entry.base, **overrides), entry.grid if grid is None else grid)
 
 
 def report(*lines: str) -> None:

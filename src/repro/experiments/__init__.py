@@ -1,4 +1,4 @@
-"""Experiment harness: the scenario engine plus one runner per paper figure.
+"""Experiment harness: the scenario engine, the catalog and the paper's figures.
 
 The heart of this package is the **scenario engine**: declarative
 :class:`ScenarioSpec` descriptions of a run (protocol, topology, bandwidth
@@ -16,29 +16,12 @@ every strategy produces bit-identical summaries.  One CLI entry point::
     python -m repro.experiments list
     python -m repro.experiments run fig08-geo
 
-==================  =======================================================
-Paper reference      Runner
-==================  =======================================================
-Fig. 2 (S3.2)        ``run fig02-vid-cost`` /
-                     :func:`repro.experiments.fig02.vid_cost_curve`
-Fig. 8 (S6.2)        ``run fig08-geo`` /
-                     :func:`repro.experiments.geo.run_geo_throughput`
-Fig. 9 (S6.2)        :func:`repro.experiments.geo.progress_timelines`
-Fig. 10 (S6.2)       ``run fig10-latency`` /
-                     :func:`repro.experiments.latency.run_latency_sweep`
-Fig. 11a (S6.3)      ``run fig11a-spatial`` /
-                     :func:`repro.experiments.controlled.run_spatial_variation`
-Fig. 11b (S6.3)      ``run fig11b-temporal`` /
-                     :func:`repro.experiments.controlled.run_temporal_variation`
-Fig. 12 (S6.4)       ``run fig12-scalability`` /
-                     :func:`repro.experiments.scalability.model_sweep`
-Fig. 13 (S6.4)       same sweep (``dispersal_fraction`` field)
-Fig. 14 (App. A.1)   :func:`repro.experiments.latency.run_latency_metric_comparison`
-Fig. 15 (App. A.2)   ``run fig15-vultr`` /
-                     :func:`repro.experiments.geo.run_vultr_throughput`
-Fig. 16 (App. A.3)   :class:`repro.workload.traces.GaussMarkovProcess`
-Headline (S1)        :func:`repro.experiments.summary.run_headline_summary`
-==================  =======================================================
+Each experiment of the paper's evaluation is defined once, as a catalog
+entry (``fig02-vid-cost``, ``fig08-geo``, ``fig10-latency``,
+``fig11a-spatial``, ``fig11b-temporal``, ``fig12-scalability``,
+``fig15-vultr``); a figure is that entry swept and then reduced by a pure
+function of :mod:`repro.experiments.figures`, whose docstring holds the
+figure -> entry -> reduction table.
 
 Beyond the paper, the catalog grows scenario coverage with bandwidth churn
 (``bandwidth-flapping``), heavy-tailed stragglers (``straggler-hetero``),
@@ -55,9 +38,9 @@ snapshots in ``tests/golden/``; expensive scenarios live in a ``slow``
 CI-only tier), and ``python -m repro.experiments trace
 {inspect,convert,export}`` works with trace files and per-run telemetry.
 
-The benchmark scripts under ``benchmarks/`` call these runners with reduced
-default durations so that ``pytest benchmarks/ --benchmark-only`` completes
-in minutes; every runner takes a ``duration`` argument for longer runs.
+The ``benchmarks/bench_fig*.py`` scripts sweep those entries at reduced
+durations (``REPRO_BENCH_DURATION`` virtual seconds) and print the figure
+tables.
 """
 
 from repro.experiments.catalog import (
@@ -67,7 +50,6 @@ from repro.experiments.catalog import (
     list_scenarios,
     register_scenario,
 )
-from repro.experiments.controlled import run_spatial_variation, run_temporal_variation
 from repro.experiments.engine import (
     ScenarioResult,
     SweepResult,
@@ -75,11 +57,8 @@ from repro.experiments.engine import (
     sweep,
 )
 from repro.experiments.cli import load_spec_file
-from repro.experiments.fig02 import measure_avid_m_dispersal_cost, vid_cost_curve
 from repro.experiments.golden import canonical_json, golden_names, golden_payload
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.geo import progress_timelines, run_geo_throughput, run_vultr_throughput
-from repro.experiments.latency import run_latency_metric_comparison, run_latency_sweep
 from repro.experiments.runner import (
     PROTOCOLS,
     WORKLOADS,
@@ -101,8 +80,6 @@ from repro.experiments.scenario import (
     expand_grid,
     register_bandwidth_model,
 )
-from repro.experiments.scalability import model_sweep, simulate_point, validate_cost_model
-from repro.experiments.summary import headline_from_results, run_headline_summary
 from repro.experiments.windowed import window_boundaries
 
 __all__ = [
@@ -127,29 +104,15 @@ __all__ = [
     "get_scenario",
     "golden_names",
     "golden_payload",
-    "headline_from_results",
     "list_scenarios",
     "load_spec_file",
-    "measure_avid_m_dispersal_cost",
-    "model_sweep",
-    "progress_timelines",
     "register_bandwidth_model",
     "register_protocol",
     "register_scenario",
     "register_workload",
     "run_experiment",
-    "run_geo_throughput",
-    "run_headline_summary",
-    "run_latency_metric_comparison",
-    "run_latency_sweep",
     "run_protocol_comparison",
     "run_scenario",
-    "run_spatial_variation",
-    "run_temporal_variation",
-    "run_vultr_throughput",
-    "simulate_point",
     "sweep",
-    "validate_cost_model",
-    "vid_cost_curve",
     "window_boundaries",
 ]

@@ -3,14 +3,17 @@
 Every entry pairs a base :class:`~repro.experiments.scenario.ScenarioSpec`
 with an optional parameter grid, under a stable name that the CLI
 (``python -m repro.experiments run <name>``), the docs
-(``docs/scenarios.md``) and the benchmark reports all share.  Catalog
-defaults are sized for interactive runs (tens of virtual seconds); pass
-``--duration`` / ``--seed`` on the CLI or :func:`dataclasses.replace` the
-base spec for longer, smoother measurements.
+(``docs/scenarios.md``), the goldens, the figure benchmarks and the
+performance ledger all share.  Catalog defaults are sized for interactive
+runs (tens of virtual seconds); pass ``--duration`` / ``--seed`` on the CLI
+or :func:`dataclasses.replace` the base spec for longer, smoother
+measurements.
 
-The paper-figure entries (``fig02``, ``fig08-geo``, …) mirror the dedicated
-figure modules; the remaining entries grow scenario coverage beyond the
-paper: bandwidth churn, heavy-tailed stragglers, crash-fault mixes, mid-run
+The paper-figure entries (``fig02-vid-cost``, ``fig08-geo``, …) are the only
+definition of the paper's experiments; :mod:`repro.experiments.figures`
+reduces their sweeps to figure tables.  The remaining entries grow scenario
+coverage beyond the paper: bandwidth churn, heavy-tailed stragglers,
+crash-fault mixes, mid-run
 churn, non-stationary workloads, Byzantine node-class adversaries on the
 timed simulator (``censor-victim``, ``equivocate-split``,
 ``latency-fault-matrix``), and measured-bandwidth replay through the trace

@@ -6,7 +6,7 @@ as documented in DESIGN.md — Fig. 12 and Fig. 13 are regenerated with an
 analytical model that uses exactly the same per-message byte formulas as the
 implementation (header sizes, hash sizes, Merkle proof depths, erasure-code
 expansion).  The model is validated against message-level runs at small N in
-:mod:`repro.experiments.scalability` and in the test suite.
+:func:`repro.experiments.figures.validate_cost_model` and in the test suite.
 
 The model computes, per epoch and per node:
 

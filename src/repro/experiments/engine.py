@@ -15,8 +15,8 @@ a resume journal already holds, and journals the rest as they complete.
 Each point is a pure function of its spec (all randomness is seeded from
 it), so serial, pooled, windowed, checkpointed and resumed execution produce
 bit-identical summaries and observer files.  Wall-clock time is recorded per
-point and per sweep so ``benchmarks/bench_scenarios_report.py`` can track
-simulator throughput (events per second) across PRs.
+point and per sweep for the CLI to print; host performance is measured by the
+ledger (``benchmarks/ledger/``), not here.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.errors import SnapshotError, WorkerDiedError
 from repro.experiments import runner
+from repro.experiments.figures import measure_avid_m_dispersal_cost, vid_cost_row
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import ExperimentResult, Stop
 from repro.experiments.scenario import (
@@ -184,26 +185,9 @@ def build_scenario(
 
 def _run_vid_cost(spec: ScenarioSpec) -> dict[str, Any]:
     """The Fig. 2 point: modelled dispersal costs plus a measured AVID-M run."""
-    from repro.common.params import ProtocolParams
-    from repro.experiments.fig02 import measure_avid_m_dispersal_cost
-    from repro.vid.costs import (
-        avid_fp_per_node_cost,
-        avid_m_per_node_cost,
-        avid_per_node_cost,
-        dispersal_lower_bound,
-        normalised_cost,
-    )
-
-    n = spec.num_nodes
-    block_size = spec.block_size
-    params = ProtocolParams.for_n(n)
+    n, block_size = spec.num_nodes, spec.block_size
     return {
-        "n": n,
-        "block_size": block_size,
-        "avid_m": normalised_cost(avid_m_per_node_cost(params, block_size), block_size),
-        "avid_fp": normalised_cost(avid_fp_per_node_cost(params, block_size), block_size),
-        "avid": normalised_cost(avid_per_node_cost(params, block_size), block_size),
-        "lower_bound": normalised_cost(dispersal_lower_bound(params, block_size), block_size),
+        **vid_cost_row(n, block_size),
         "measured_avid_m": measure_avid_m_dispersal_cost(n, block_size),
     }
 

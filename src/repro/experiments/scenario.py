@@ -16,9 +16,7 @@ Every axis resolves through a registry — protocols
 network conditions plug in without touching the engine.
 
 The single place a simulated WAN is constructed from a spec is
-:func:`build_network_config`; the figure modules (``geo``, ``latency``,
-``controlled``, ``scalability``) all route through it instead of hand-wiring
-:class:`~repro.sim.network.NetworkConfig` themselves.
+:func:`build_network_config`.
 """
 
 from __future__ import annotations

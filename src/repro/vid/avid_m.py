@@ -395,9 +395,3 @@ class AvidMInstance(SnapshotState):
         callbacks, self._retrieval_callbacks = self._retrieval_callbacks, []
         for callback in callbacks:
             callback(self._retrieval_result)
-
-    # Also answer requests that arrived before completion once we complete
-    # and later receive our chunk (a chunk may arrive after Ready quorum).
-    def maybe_flush_pending(self) -> None:
-        """Answer any deferred retrieval requests if we are now able to."""
-        self._answer_pending_requests()

@@ -62,8 +62,7 @@ class Chunk:
 
     def _proof_size_estimate(self) -> int:
         # Virtual chunks still account for the Merkle proof the real protocol
-        # would carry: index (4 bytes) plus ceil(log2 N) sibling digests.  The
-        # codec fills in the exact value via `proof_wire_size`.
+        # would carry: index (4 bytes) plus ceil(log2 N) sibling digests.
         return 4
 
 

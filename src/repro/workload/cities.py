@@ -21,7 +21,6 @@ cities) are produced by the same mechanisms.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.sim.bandwidth import BandwidthTrace, ConstantBandwidth
@@ -124,26 +123,6 @@ def resolve_testbed(name: str) -> tuple[CityProfile, ...]:
         raise KeyError(
             f"unknown testbed {name!r}; registered: {sorted(TESTBEDS)}"
         ) from None
-
-
-def testbed_name(cities: tuple[CityProfile, ...]) -> str:
-    """The registered name for ``cities``, registering an ad-hoc one if needed.
-
-    Lets APIs that accept raw city tuples (``run_geo_throughput``) express
-    their runs as declarative scenario specs.  The ad-hoc name is derived
-    from a content hash, so the same city tuple maps to the same name in
-    every process and run — but the *registration* only exists where this
-    function ran; a spec naming an ad-hoc testbed loaded elsewhere (a later
-    run, a spawn-start worker) must re-register the tuple first.  For
-    scenarios meant to live in files, register the testbed under a stable
-    name at import time instead.
-    """
-    key = tuple(cities)
-    for name, registered in TESTBEDS.items():
-        if registered == key:
-            return name
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:8]
-    return register_testbed(f"adhoc-{len(key)}x-{digest}", key)
 
 
 register_testbed("aws", AWS_CITIES)

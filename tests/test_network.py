@@ -93,6 +93,24 @@ class TestDelivery:
         assert times[0] == pytest.approx(2.0)
         assert times[1] == pytest.approx(3.0)
 
+    def test_saturated_pipes_deliver_every_queued_message(self):
+        """A backlog of ranked retrieval and plain dispersal transfers on every
+        pipe drains completely: nothing is lost, duplicated or left queued."""
+        sim, network, recorders = build(num_nodes=4, delay=0.01, rate=10_000_000.0)
+        num_messages = 600
+        for i in range(num_messages):
+            src = i % 4
+            dst = (src + 1 + (i // 4) % 3) % 4
+            if i % 3 == 0:
+                msg = Message(wire_size=2_000, priority=Priority.RETRIEVAL)
+                network.send(src, dst, msg, rank=float(i % 5))
+            else:
+                network.send(src, dst, Message(wire_size=2_000, priority=Priority.DISPERSAL))
+        sim.run()
+        assert network.messages_delivered == num_messages
+        assert sum(len(recorder.received) for recorder in recorders) == num_messages
+        assert sim.pending_events == 0
+
     def test_trace_length_validation(self):
         sim = Simulator()
         config = NetworkConfig(num_nodes=3, egress_traces=[None, None])
