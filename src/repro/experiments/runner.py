@@ -42,7 +42,6 @@ from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
 from repro.workload.txgen import (
     DEFAULT_TX_SIZE,
     ColumnarPoissonTransactionGenerator,
-    ColumnarSaturatingTransactionGenerator,
     ModulatedPoissonTransactionGenerator,
     PoissonTransactionGenerator,
     SaturatingTransactionGenerator,
@@ -83,17 +82,19 @@ class WorkloadSpec:
 
     ``kind`` names an entry of the workload registry.  Built in:
 
-    * ``"saturating"`` — infinitely-backlogged throughput runs (S6.2);
-    * ``"poisson"`` — constant-rate Poisson arrivals (latency-vs-load, S6.2);
+    * ``"saturating"`` — infinitely-backlogged throughput runs (S6.2): one
+      :class:`~repro.core.txbatch.TxBatch` per refill, never a record per
+      transaction.  ``"saturating-columnar"`` is a second spelling of the
+      same factory;
+    * ``"poisson"`` — constant-rate Poisson arrivals (latency-vs-load, S6.2),
+      one record and one simulator event per arrival;
     * ``"bursty"`` — on/off Poisson bursts: load ``rate / duty`` for
       ``duty * period`` seconds of every ``period``, zero otherwise;
     * ``"diurnal"`` — sinusoidal day/night Poisson modulation with relative
       swing ``amplitude`` over each ``period``;
-    * ``"poisson-columnar"`` / ``"saturating-columnar"`` — struct-of-arrays
-      twins of the first two: statistically the same processes, but emitting
-      one :class:`~repro.core.txbatch.TxBatch` per ``window`` (respectively
-      per refill) instead of one event per transaction, for
-      million-transaction runs.
+    * ``"poisson-columnar"`` — statistically the same process as
+      ``"poisson"`` from a different RNG, emitting one batch per ``window``
+      instead of one event per transaction, for million-transaction runs.
 
     For all Poisson-family workloads ``rate_bytes_per_second`` is the mean
     *per-node* offered load.  ``period``, ``duty`` and ``amplitude`` only
@@ -201,24 +202,14 @@ def _poisson_columnar(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, see
     )
 
 
-def _saturating_columnar(
-    sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int
-):
-    return ColumnarSaturatingTransactionGenerator(
-        sim,
-        node,
-        target_pending_bytes=spec.target_pending_bytes,
-        tx_size=spec.tx_size,
-        stop_at=spec.stop_after,
-    )
-
-
 register_workload("saturating", _saturating)
 register_workload("poisson", _poisson)
 register_workload("bursty", _bursty)
 register_workload("diurnal", _diurnal)
 register_workload("poisson-columnar", _poisson_columnar)
-register_workload("saturating-columnar", _saturating_columnar)
+# A second spelling of ``"saturating"``, kept because the pinned ledger
+# workloads and the ``columnar-scale`` entry name it (cf. ``ColumnarMempool``).
+register_workload("saturating-columnar", _saturating)
 
 
 @dataclass

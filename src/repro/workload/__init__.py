@@ -33,7 +33,6 @@ from repro.workload.traces import (
 )
 from repro.workload.txgen import (
     ColumnarPoissonTransactionGenerator,
-    ColumnarSaturatingTransactionGenerator,
     ModulatedPoissonTransactionGenerator,
     PoissonTransactionGenerator,
     SaturatingTransactionGenerator,
@@ -45,7 +44,6 @@ __all__ = [
     "AWS_CITIES",
     "CityProfile",
     "ColumnarPoissonTransactionGenerator",
-    "ColumnarSaturatingTransactionGenerator",
     "GaussMarkovProcess",
     "ModulatedPoissonTransactionGenerator",
     "PoissonTransactionGenerator",

@@ -241,9 +241,12 @@ class SaturatingTransactionGenerator(SnapshotState):
 
     Used for the "infinitely-backlogged" throughput measurements (S6.2): at a
     fixed refill interval the generator tops the mempool up to a target
-    number of pending bytes.  Transactions are stamped with their submission
-    time, so latency numbers from a saturating run are meaningless by design
-    (the paper likewise only reports throughput for these runs).
+    number of pending bytes.  Each top-up is one :class:`TxBatch` built from
+    vectorised id/stamp columns, so a refill costs one ``submit_batch`` call
+    however many transactions it adds.  Transactions are stamped with their
+    submission time, so latency numbers from a saturating run are
+    meaningless by design (the paper likewise only reports throughput for
+    these runs).
 
     ``stop_at`` stops refilling at that virtual time (``None`` = never), the
     same drain-phase knob the Poisson generators offer.
@@ -285,18 +288,19 @@ class SaturatingTransactionGenerator(SnapshotState):
         if self._stop_at is not None and now >= self._stop_at:
             return
         missing = self._target - self._node.mempool.pending_bytes
-        while missing > 0:
-            self._sequence += 1
-            tx = Transaction(
-                tx_id=self._sequence * self._node.params.n + self._node.node_id,
-                origin=self._node.node_id,
-                created_at=now,
-                size=self._tx_size,
-            )
-            self._node.submit_transaction(tx)
-            self.generated += 1
-            self.generated_bytes += self._tx_size
-            missing -= self._tx_size
+        if missing > 0:
+            count = -(-missing // self._tx_size)  # ceil division
+            n = self._node.params.n
+            first = self._sequence + 1
+            tx_ids = (np.arange(first, first + count, dtype=np.uint64)) * np.uint64(
+                n
+            ) + np.uint64(self._node.node_id)
+            self._sequence += count
+            created = np.full(count, now, dtype=np.float64)
+            batch = TxBatch.uniform(self._node.node_id, tx_ids, created, self._tx_size)
+            self._node.submit_batch(batch)
+            self.generated += count
+            self.generated_bytes += count * self._tx_size
         self._sim.schedule(self._interval, self._refill)
 
 
@@ -372,64 +376,3 @@ class ColumnarPoissonTransactionGenerator(SnapshotState):
             self.generated += count
             self.generated_bytes += count * self._tx_size
         self._sim.schedule(self._window, self._close_window)
-
-
-class ColumnarSaturatingTransactionGenerator(SnapshotState):
-    """Batched version of :class:`SaturatingTransactionGenerator`.
-
-    Same refill policy — top the mempool up to ``target_pending_bytes``
-    every ``refill_interval`` — but each top-up is one :class:`TxBatch`
-    built from vectorised id/size columns, so an infinitely-backlogged
-    million-transaction run allocates arrays, not objects.
-    """
-
-    _SNAPSHOT_FIELDS = ("_sim", "_node", "_target", "_tx_size", "_interval", "_stop_at", "_sequence", "generated", "generated_bytes")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        node: BFTNodeBase,
-        target_pending_bytes: int = 8_000_000,
-        tx_size: int = DEFAULT_TX_SIZE,
-        refill_interval: float = 0.05,
-        stop_at: float | None = None,
-    ):
-        if target_pending_bytes <= 0:
-            raise ValueError("target_pending_bytes must be positive")
-        if tx_size <= 0:
-            raise ValueError("transaction size must be positive")
-        if refill_interval <= 0:
-            raise ValueError("refill_interval must be positive")
-        self._sim = sim
-        self._node = node
-        self._target = target_pending_bytes
-        self._tx_size = tx_size
-        self._interval = refill_interval
-        self._stop_at = stop_at
-        self._sequence = 0
-        self.generated = 0
-        self.generated_bytes = 0
-
-    def start(self) -> None:
-        """Fill the mempool immediately and keep it topped up."""
-        self._refill()
-
-    def _refill(self) -> None:
-        now = self._sim.now
-        if self._stop_at is not None and now >= self._stop_at:
-            return
-        missing = self._target - self._node.mempool.pending_bytes
-        if missing > 0:
-            count = -(-missing // self._tx_size)  # ceil division
-            n = self._node.params.n
-            first = self._sequence + 1
-            tx_ids = (np.arange(first, first + count, dtype=np.uint64)) * np.uint64(
-                n
-            ) + np.uint64(self._node.node_id)
-            self._sequence += count
-            created = np.full(count, now, dtype=np.float64)
-            batch = TxBatch.uniform(self._node.node_id, tx_ids, created, self._tx_size)
-            self._node.submit_batch(batch)
-            self.generated += count
-            self.generated_bytes += count * self._tx_size
-        self._sim.schedule(self._interval, self._refill)

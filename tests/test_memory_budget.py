@@ -1,7 +1,7 @@
 """Stated memory budgets, deterministic rather than RSS-based.
 
-**Per committed transaction** (``straggler-hetero``, the per-arrival client
-on a saturated cluster): what a run keeps for a committed transaction is its
+**Per committed transaction** (``straggler-hetero``, the saturating client
+on a straggler cluster): what a run keeps for a committed transaction is its
 row in the block's columns, shared by every node's ledger and collector —
 no record object, no per-node latency sample.
 
@@ -34,10 +34,11 @@ from repro.experiments import apply_overrides, get_scenario
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
-#: (measured: 67 and 0 — the peak is the initial mempool fill; with one
-#: ``Transaction`` and N latency floats kept per committed transaction it
-#: was 542 and 542).
-BYTES_PER_COMMITTED_TX = 120
+#: (measured: 65.0 and 65.2 — the peak is the end of the run now that the
+#: initial mempool fill stages no records, 15.1 MB at 4 s and 19.5 MB at 8 s;
+#: with one ``Transaction`` and N latency floats kept per committed
+#: transaction it was 542 and 542).
+BYTES_PER_COMMITTED_TX = 80
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
@@ -124,8 +125,8 @@ def test_memory_per_committed_transaction_and_no_record_kept():
     assert (long_end - short_end) / extra <= BYTES_PER_COMMITTED_TX
     assert (long_peak - short_peak) / extra <= BYTES_PER_COMMITTED_TX
 
-    # 536 000 records went through ``submit_transaction``; the run holds none
-    # of them, in the nodes (mempools, blocks, ledgers) or in the collector ...
+    # 536 000 transactions were submitted, all as columns; the run holds no
+    # record, in the nodes (mempools, blocks, ledgers) or in the collector ...
     assert sum(generator.generated for generator in long.generators) > 500_000
     assert not _reaches_a_record(long.nodes)
     assert not _reaches_a_record([long.collector])

@@ -1,8 +1,13 @@
 """Tests for workload generation: transaction generators and bandwidth traces."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.params import ProtocolParams
+from repro.core.block import Transaction
 from repro.core.config import NodeConfig
 from repro.core.node import DispersedLedgerNode
 from repro.sim.context import NodeContext
@@ -19,12 +24,12 @@ from repro.workload.traces import (
 from repro.workload.txgen import PoissonTransactionGenerator, SaturatingTransactionGenerator
 
 
-def make_node():
+def make_node(node_id=0):
     """A standalone node whose mempool the generators can feed."""
     params = ProtocolParams.for_n(4)
     network = InstantNetwork(4)
-    ctx = NodeContext(0, network, network)
-    return DispersedLedgerNode(0, params, ctx, config=NodeConfig())
+    ctx = NodeContext(node_id, network, network)
+    return DispersedLedgerNode(node_id, params, ctx, config=NodeConfig())
 
 
 def pending(node):
@@ -105,6 +110,113 @@ class TestSaturatingGenerator:
             SaturatingTransactionGenerator(sim, node, target_pending_bytes=0)
         with pytest.raises(ValueError):
             SaturatingTransactionGenerator(sim, node, refill_interval=0.0)
+
+
+class ReferenceSaturatingGenerator:
+    """The refill policy one record and one ``submit_transaction`` at a time.
+
+    This is the client every saturating run used before the generator
+    submitted columns; it stays here as the model the batch refill must
+    reproduce row for row.
+    """
+
+    def __init__(self, sim, node, target_pending_bytes, tx_size, refill_interval, stop_at):
+        self._sim, self._node = sim, node
+        self._target, self._tx_size = target_pending_bytes, tx_size
+        self._interval, self._stop_at = refill_interval, stop_at
+        self._sequence = self.generated = self.generated_bytes = 0
+
+    def start(self):
+        self._refill()
+
+    def _refill(self):
+        now, node = self._sim.now, self._node
+        if self._stop_at is not None and now >= self._stop_at:
+            return
+        missing = self._target - node.mempool.pending_bytes
+        while missing > 0:
+            self._sequence += 1
+            tx_id = self._sequence * node.params.n + node.node_id
+            node.submit_transaction(Transaction(tx_id, node.node_id, now, self._tx_size))
+            self.generated += 1
+            self.generated_bytes += self._tx_size
+            missing -= self._tx_size
+        self._sim.schedule(self._interval, self._refill)
+
+
+def _columns(batch):
+    """The four columns of a batch as plain lists."""
+    origins = [batch.origin] * len(batch) if batch.origins is None else batch.origins.tolist()
+    return batch.tx_ids.tolist(), origins, batch.created_at.tolist(), batch.sizes.tolist()
+
+
+def _drive_saturating(generator_class, node_id, drains, **knobs):
+    """Run one client against a drain schedule; log what every drain sees."""
+    sim, node = Simulator(), make_node(node_id)
+    generator = generator_class(sim, node, **knobs)
+    generator.start()
+    mempool, log = node.mempool, []
+    for delay, max_bytes in [*drains, (2 * knobs["refill_interval"], 10**12)]:
+        sim.run(until=sim.now + delay)
+        taken = mempool.take_batch(max_bytes, now=sim.now)
+        log.append(
+            (
+                _columns(taken),
+                generator.generated,
+                generator.generated_bytes,
+                mempool.pending_bytes,
+                mempool.total_submitted,
+            )
+        )
+    return log
+
+
+class TestSaturatingGeneratorAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        node_id=st.integers(0, 3),
+        target=st.integers(1, 6_000),
+        tx_size=st.integers(1, 700),
+        refills_per_second=st.sampled_from((4, 10, 20)),
+        stop_at_refill=st.one_of(st.none(), st.integers(0, 8)),
+        stop_at_offset=st.sampled_from((0.0, 0.0, 0.03, -0.03)),
+        drains=st.lists(
+            st.tuples(st.sampled_from((0.0, 0.05, 0.1, 0.125, 0.3)), st.integers(1, 8_000)),
+            max_size=8,
+        ),
+    )
+    # 1000 is not a multiple of 300; the refill at t = 0.5 lands exactly on
+    # ``stop_at`` (0.25 is a binary fraction, so the sums are exact).
+    @example(
+        node_id=2,
+        target=1_000,
+        tx_size=300,
+        refills_per_second=4,
+        stop_at_refill=2,
+        stop_at_offset=0.0,
+        drains=[(0.25, 700), (0.25, 700), (0.25, 700)],
+    )
+    def test_batch_refill_equals_the_per_transaction_refill(
+        self, node_id, target, tx_size, refills_per_second, stop_at_refill, stop_at_offset, drains
+    ):
+        interval = 1.0 / refills_per_second
+        stop_at = None
+        if stop_at_refill is not None:
+            # The instant of the k-th scheduled refill, summed the way the
+            # simulator sums it, optionally nudged to either side.
+            stop_at = stop_at_offset
+            for _ in range(stop_at_refill):
+                stop_at += interval
+        knobs = dict(
+            target_pending_bytes=target, tx_size=tx_size, refill_interval=interval, stop_at=stop_at
+        )
+        # The generator must not build a record, in a refill or anywhere else.
+        with mock.patch.object(Transaction, "__init__", side_effect=AssertionError("a record")):
+            real = _drive_saturating(SaturatingTransactionGenerator, node_id, drains, **knobs)
+        model = _drive_saturating(ReferenceSaturatingGenerator, node_id, drains, **knobs)
+        assert real == model
+        if stop_at is None or stop_at > 0:
+            assert real[-1][1] >= -(-target // tx_size)
 
 
 class TestGaussMarkovProcess:
