@@ -196,8 +196,9 @@ class BFTNodeBase(SnapshotState):
         # concrete dataclasses.  Subclassed messages fall through to the
         # isinstance path below.
         # Fast path: the target automaton already exists — one dict probe on
-        # the combined map (instance id types are disjoint across protocols,
-        # so a VID id can never resolve to a BA automaton or vice versa).
+        # the combined map, hashed and compared in C (the ids are int tuples
+        # whose kind tag differs across protocols, so a VID id can never
+        # resolve to a BA automaton or vice versa).
         # EAFP: every protocol message carries ``instance`` and misses only
         # happen on the first message of an instance, so the exception path
         # is orders of magnitude rarer than the hit path it speeds up.

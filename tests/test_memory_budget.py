@@ -19,10 +19,22 @@ Before sender tallies became bitmasks, latency columns became shared
 references and same-instant express unicasts started sharing a heap entry,
 both grew as N^3: 10 188 and 31 778 pending events (21 N^2, 31 N^2) and
 19.9 MB and 48.7 MB (41 and 48 kB per N^2) at N=22 and N=32.
+
+**Python frames per delivery** (``columnar-scale``).  The same split applies
+to host work that is not protocol logic: every delivery probes the node's
+automaton dict with an instance id and every vote reads a quorum threshold,
+N^3 times per epoch, so neither may enter a Python frame.  Under ``cProfile``
+the calls into ``repro/common/`` stay within 4 N^2 (measured: N + 2 — one
+``node_indices`` per node plus building the params) and no generated
+dataclass ``__eq__`` runs at all.  With ids that were dataclasses hashing
+through ``__hash__`` and thresholds that were properties it was ~19 N^3:
+209 508 and 626 498 calls at N=22 and N=32, plus 45 540 and 137 280
+``__eq__`` frames.
 """
 
 from __future__ import annotations
 
+import cProfile
 import gc
 import tracemalloc
 import types
@@ -44,6 +56,8 @@ BYTES_PER_COMMITTED_TX = 80
 PENDING_EVENTS_PER_N2 = 8
 #: ``tracemalloc`` peak bytes per N^2 (measured: 15.1 kB at N=22, 13.3 kB at N=32).
 TRACED_BYTES_PER_N2 = 20_000
+#: Profiled calls into ``repro/common/`` per N^2 (measured: 0.05 and 0.03).
+COMMON_CALLS_PER_N2 = 4
 
 
 def _build(num_nodes: int):
@@ -76,6 +90,31 @@ def test_traced_memory_stays_within_20_kb_per_n_squared(num_nodes):
         tracemalloc.stop()
     assert all(node.delivered_epoch == 1 for node in state.nodes)
     assert peak <= TRACED_BYTES_PER_N2 * num_nodes**2
+
+
+@pytest.mark.parametrize("num_nodes", [22, 32])
+def test_common_layer_calls_stay_within_4_n_squared(num_nodes):
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        spec, state = _build(num_nodes)
+        state.sim.run(until=spec.duration)
+    finally:
+        profile.disable()
+    assert all(node.delivered_epoch == 1 for node in state.nodes)
+    frames = [entry for entry in profile.getstats() if isinstance(entry.code, types.CodeType)]
+    common = [
+        (entry.code.co_qualname, entry.callcount)
+        for entry in frames
+        if "/repro/common/" in entry.code.co_filename
+    ]
+    generated_eq = [
+        entry.callcount
+        for entry in frames
+        if entry.code.co_filename == "<string>" and entry.code.co_name == "__eq__"
+    ]
+    assert sum(count for _name, count in common) <= COMMON_CALLS_PER_N2 * num_nodes**2, common
+    assert generated_eq == []
 
 
 def _run_straggler(duration: float):

@@ -1,5 +1,9 @@
 """Tests for the (N, f) protocol parameters."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -84,3 +88,69 @@ class TestThresholds:
     def test_node_indices(self):
         params = ProtocolParams(n=4, f=1)
         assert list(params.node_indices()) == [0, 1, 2, 3]
+
+
+#: Every derived threshold and the formula of ``(n, f)`` it must equal.
+THRESHOLD_FORMULAS = {
+    "quorum": lambda n, f: n - f,
+    "small_quorum": lambda n, f: f + 1,
+    "data_shards": lambda n, f: n - 2 * f,
+    "total_shards": lambda n, f: n,
+    "ready_threshold": lambda n, f: 2 * f + 1,
+    "ready_amplify_threshold": lambda n, f: f + 1,
+}
+
+
+def _assert_consistent(params: ProtocolParams, n: int, f: int) -> None:
+    assert (params.n, params.f) == (n, f)
+    for name, formula in THRESHOLD_FORMULAS.items():
+        value = getattr(params, name)
+        assert type(value) is int, name
+        assert value == formula(n, f), name
+
+
+class TestStoredThresholds:
+    def test_every_threshold_is_a_plain_int_equal_to_its_formula(self):
+        for n in range(1, 101):
+            for f in range((n - 1) // 3 + 1):
+                _assert_consistent(ProtocolParams(n=n, f=f), n, f)
+
+    def test_thresholds_are_instance_attributes_not_properties(self):
+        params = ProtocolParams(n=16, f=5)
+        for name in THRESHOLD_FORMULAS:
+            assert name in vars(params)
+            assert not hasattr(ProtocolParams, name)
+
+    def test_replace_recomputes_the_thresholds(self):
+        params = ProtocolParams(n=4, f=1)
+        _assert_consistent(dataclasses.replace(params, n=16, f=5), 16, 5)
+        _assert_consistent(dataclasses.replace(params, n=7), 7, 1)
+        _assert_consistent(dataclasses.replace(params, f=0), 4, 0)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(params, f=2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, quorum=2)
+
+    def test_pickle_and_copy_keep_the_thresholds(self):
+        params = ProtocolParams(n=16, f=5)
+        copies = [copy.copy(params), copy.deepcopy(params)]
+        copies += [
+            pickle.loads(pickle.dumps(params, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for restored in copies:
+            assert restored == params
+            _assert_consistent(restored, 16, 5)
+
+    def test_equality_hash_and_repr_cover_n_and_f_only(self):
+        assert ProtocolParams(4, 1) == ProtocolParams(4, 1)
+        assert hash(ProtocolParams(4, 1)) == hash(ProtocolParams(4, 1))
+        assert ProtocolParams(4, 1) != ProtocolParams(4, 0)
+        assert len({ProtocolParams(4, 1), ProtocolParams.for_n(4), ProtocolParams(5, 1)}) == 2
+        assert repr(ProtocolParams(4, 1)) == "ProtocolParams(n=4, f=1)"
+
+    @pytest.mark.parametrize("name", ["n", "f", *THRESHOLD_FORMULAS])
+    def test_assigning_any_field_or_threshold_raises(self, name):
+        params = ProtocolParams(n=4, f=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, 3)
