@@ -80,7 +80,6 @@ class BinaryAgreement(SnapshotState):
         "_rounds",
         "_decided_senders",
         "rounds_taken",
-        "probe",
     )
 
     def __init__(
@@ -107,9 +106,6 @@ class BinaryAgreement(SnapshotState):
         #: ``_decided_senders[v]``: bitmask of who sent ``DECIDED(v)``.
         self._decided_senders = [0, 0]
         self.rounds_taken = 0
-        #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by the
-        #: owning node as the instance is created; observes round boundaries.
-        self.probe = None
 
     # ------------------------------------------------------------------
     # Public interface
@@ -127,8 +123,8 @@ class BinaryAgreement(SnapshotState):
             return
         self._started = True
         self.estimate = value
-        if self.probe is not None:
-            self.probe.on_ba_round(
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_ba_round(
                 self.ctx.node_id, self.instance.epoch, self.instance.slot,
                 self.round_number, self.ctx.now,
             )
@@ -262,8 +258,8 @@ class BinaryAgreement(SnapshotState):
 
     def _advance_to(self, round_number: int) -> None:
         self.round_number = round_number
-        if self.probe is not None:
-            self.probe.on_ba_round(
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_ba_round(
                 self.ctx.node_id, self.instance.epoch, self.instance.slot,
                 round_number, self.ctx.now,
             )
@@ -278,8 +274,8 @@ class BinaryAgreement(SnapshotState):
     def _decide(self, value: int) -> None:
         if self.decided is None:
             self.decided = value
-            if self.probe is not None:
-                self.probe.on_ba_decide(
+            if self.ctx.probe is not None:
+                self.ctx.probe.on_ba_decide(
                     self.ctx.node_id, self.instance.epoch, self.instance.slot,
                     bool(value), self.ctx.now,
                 )

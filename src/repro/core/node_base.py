@@ -115,7 +115,6 @@ class BFTNodeBase(SnapshotState):
         "_epoch_start_pending",
         "_epoch_timer",
         "started",
-        "span_probe",
     )
 
     def __init__(
@@ -174,9 +173,6 @@ class BFTNodeBase(SnapshotState):
         #: The armed Nagle timer, as ``(epoch, cancellable handle or None)``.
         self._epoch_timer: tuple[int, Any] | None = None
         self.started = False
-        #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
-        #: ``attach``; copied onto VID/BA automata as they are created.
-        self.span_probe = None
 
     # ------------------------------------------------------------------
     # Process interface
@@ -291,7 +287,6 @@ class BFTNodeBase(SnapshotState):
                 allowed_disperser=instance.proposer,
                 retrieval_rank=float(instance.epoch),
             )
-            vid.probe = self.span_probe
             self._vid_instances[instance] = vid
             self._automata[instance] = vid.handle
         return vid
@@ -306,7 +301,6 @@ class BFTNodeBase(SnapshotState):
                 coin=self.coin,
                 on_output=self._handle_ba_output,
             )
-            ba.probe = self.span_probe
             self._ba_instances[instance] = ba
             self._automata[instance] = ba.handle
         return ba
@@ -368,8 +362,8 @@ class BFTNodeBase(SnapshotState):
         block = self._make_block(epoch)
         state.own_block = block
         state.proposed_at = self.ctx.now
-        if self.span_probe is not None:
-            self.span_probe.on_dispersal_start(self.node_id, epoch, self.ctx.now)
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_dispersal_start(self.node_id, epoch, self.ctx.now)
         self._disperse_block(epoch, block)
         if self.on_propose is not None:
             self.on_propose(self.node_id, block, self.ctx.now)
@@ -440,8 +434,8 @@ class BFTNodeBase(SnapshotState):
         while prefix + 1 in self._completed_vids[proposer]:
             prefix += 1
         self._v_prefix[proposer] = prefix
-        if self.span_probe is not None and proposer == self.node_id:
-            self.span_probe.on_dispersal_complete(
+        if self.ctx.probe is not None and proposer == self.node_id:
+            self.ctx.probe.on_dispersal_complete(
                 self.node_id, instance.epoch, self.ctx.now
             )
         self._on_vid_complete(instance)
@@ -498,14 +492,14 @@ class BFTNodeBase(SnapshotState):
         if slot in state.retrieved:
             self._after_retrieval_progress(epoch)
             return
-        if self.span_probe is not None:
-            self.span_probe.on_retrieval_start(self.node_id, epoch, slot, self.ctx.now)
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_retrieval_start(self.node_id, epoch, slot, self.ctx.now)
         instance = VIDInstanceId(epoch=epoch, proposer=slot)
         self._get_vid(instance).retrieve(partial(self._slot_retrieved, epoch, slot))
 
     def _slot_retrieved(self, epoch: int, slot: int, result: RetrievalResult) -> None:
-        if self.span_probe is not None:
-            self.span_probe.on_retrieval_done(self.node_id, epoch, slot, self.ctx.now)
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_retrieval_done(self.node_id, epoch, slot, self.ctx.now)
         block = self._block_from_payload(result.payload) if result.ok else None
         self._epoch_state(epoch).retrieved[slot] = block
         self._after_retrieval_progress(epoch)
@@ -588,8 +582,8 @@ class BFTNodeBase(SnapshotState):
             self._deliver_linked_blocks(epoch, state)
             state.fully_delivered = True
             self.delivered_epoch = epoch
-            if self.span_probe is not None:
-                self.span_probe.on_commit(self.node_id, epoch, self.ctx.now)
+            if self.ctx.probe is not None:
+                self.ctx.probe.on_commit(self.node_id, epoch, self.ctx.now)
             self._on_epoch_delivered(epoch, state)
 
     def _deliver_ba_blocks(self, epoch: int, state: EpochState) -> None:

@@ -36,7 +36,8 @@ replay (``trace-replay-wan``, ``trace-scale-sweep``, built on
 bit-for-bit by the golden-summary suite (:mod:`repro.experiments.golden`,
 snapshots in ``tests/golden/``; expensive scenarios live in a ``slow``
 CI-only tier), and ``python -m repro.experiments trace
-{inspect,convert,export}`` works with trace files and per-run telemetry.
+{inspect,convert,export,summarise,plot,diff,import,spans,flame}`` works with
+trace files, per-run telemetry and causal spans.
 
 The ``benchmarks/bench_fig*.py`` scripts sweep those entries at reduced
 durations (``REPRO_BENCH_DURATION`` virtual seconds) and print the figure

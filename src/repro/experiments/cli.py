@@ -43,10 +43,12 @@ to execute every point as ``W`` checkpoint-hand-off windows
 (:mod:`repro.experiments.windowed`) — pipelined across workers, with
 warmup-prefix sharing, and byte-identical summaries.  The two compose.
 
-``trace`` groups the measured-bandwidth utilities — ``inspect`` a trace
-file, ``convert`` between the CSV and JSON formats (optionally resampling,
-scaling or clipping), and ``export`` a scenario's telemetry time-series —
-see :mod:`repro.trace.cli`.
+``trace`` groups the nine trace, telemetry and span utilities (``inspect``,
+``convert``, ``export``, ``summarise``, ``plot``, ``diff``, ``import``,
+``spans``, ``flame``) — see :mod:`repro.trace.cli`.  ``trace export`` and
+``trace spans`` resolve their scenario through :func:`resolve_scenario`
+like ``run`` does, so every command reports an unknown scenario, a bad spec
+file or a malformed ``--set`` / ``--grid`` the same way.
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ from repro.experiments.scenario import ScenarioSpec, apply_override
 from repro.trace.cli import add_trace_parser, run_trace_command
 
 
-class SpecFileError(Exception):
-    """A scenario spec file could not be loaded (reported without traceback)."""
-
-
 def _is_spec_path(name: str) -> bool:
     """Catalog names never contain path separators or a .json suffix.
 
@@ -85,7 +83,10 @@ def resolve_entry(name: str) -> NamedScenario:
     """A catalog entry by name, or a spec file by path (see :func:`_is_spec_path`)."""
     if _is_spec_path(name):
         return load_spec_file(name)
-    return get_scenario(name)
+    try:
+        return get_scenario(name)
+    except KeyError as exc:
+        raise ConfigurationError(exc.args[0]) from None
 
 
 def load_spec_file(path: str) -> NamedScenario:
@@ -94,15 +95,15 @@ def load_spec_file(path: str) -> NamedScenario:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
+        raise ConfigurationError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         spec = ScenarioSpec.from_json(text)
     except json.JSONDecodeError as exc:
-        raise SpecFileError(f"spec file {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"spec file {path!r} is not valid JSON: {exc}") from exc
     except (TypeError, ValueError, ConfigurationError) as exc:
         # TypeError: unknown field names; ConfigurationError/ValueError:
         # values that fail a spec's validation.
-        raise SpecFileError(f"spec file {path!r} is not a valid scenario: {exc}") from exc
+        raise ConfigurationError(f"spec file {path!r} is not a valid scenario: {exc}") from exc
     return NamedScenario(
         name=spec.name, description=f"spec file {path}", base=spec
     )
@@ -118,7 +119,7 @@ def _parse_value(text: str) -> Any:
 def _parse_assignment(text: str) -> tuple[str, Any]:
     path, sep, value = text.partition("=")
     if not sep or not path:
-        raise argparse.ArgumentTypeError(f"expected PATH=VALUE, got {text!r}")
+        raise ConfigurationError(f"expected PATH=VALUE, got {text!r}")
     return path, _parse_value(value)
 
 
@@ -235,25 +236,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> tuple[NamedScenario, Any, dict[str, tuple]]:
-    entry = resolve_entry(args.scenario)
-    base = entry.base
-    if args.duration is not None:
-        base = replace(base, duration=args.duration)
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    if args.checkpoint_every is not None:
-        base = replace(base, checkpoint_every=args.checkpoint_every)
-    if args.telemetry:
-        base = replace(base, telemetry=replace(base.telemetry, enabled=True))
-    for assignment in args.overrides:
-        path, value = _parse_assignment(assignment)
-        base = apply_override(base, path, value)
-    grid: dict[str, tuple] = dict(entry.grid or {})
-    for axis in args.grid:
-        path, values = _parse_axis(axis)
-        grid[path] = values
-    return entry, base, grid
+def resolve_scenario(
+    name: str,
+    *,
+    overrides: Sequence[str] = (),
+    grid: Sequence[str] = (),
+    **fields: Any,
+) -> tuple[NamedScenario, ScenarioSpec, dict[str, tuple]]:
+    """The one place a command line becomes ``(entry, base spec, grid)``.
+
+    ``fields`` are top-level spec fields from dedicated flags (``duration``,
+    ``seed``, ``checkpoint_every``; ``None`` = flag not given), applied
+    before the ``PATH=VALUE`` ``overrides``; ``grid`` axes extend or replace
+    the entry's.  Every misuse — unknown scenario, unreadable or invalid
+    spec file, malformed assignment, unknown path, value a spec rejects —
+    is a :class:`ConfigurationError`, which ``main`` reports in one line.
+    """
+    entry = resolve_entry(name)
+    given = {key: value for key, value in fields.items() if value is not None}
+    base = replace(entry.base, **given)
+    for assignment in overrides:
+        try:
+            base = apply_override(base, *_parse_assignment(assignment))
+        except (TypeError, ValueError) as exc:
+            # A value of the wrong type, or one a registry-backed spec rejects.
+            raise ConfigurationError(f"--set {assignment}: {exc}") from exc
+    axes: dict[str, tuple] = dict(entry.grid or {})
+    axes.update(_parse_axis(axis) for axis in grid)
+    return entry, base, axes
+
+
+def force_observer(spec: ScenarioSpec, name: str, **changes: Any) -> ScenarioSpec:
+    """``spec`` with the observer row ``name`` switched on.
+
+    ``changes`` adjust the row's other settings (``out_dir``, ``interval``);
+    ``None`` keeps the spec's own value.
+    """
+    given = {key: value for key, value in changes.items() if value is not None}
+    return replace(spec, **{name: replace(getattr(spec, name), enabled=True, **given)})
 
 
 def _print_run(entry: NamedScenario, result: SweepResult, as_json: bool) -> None:
@@ -367,7 +387,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(payload, indent=2))
             return 0
 
-        entry, base, grid = _resolve(args)
+        entry, base, grid = resolve_scenario(
+            args.scenario,
+            overrides=args.overrides,
+            grid=args.grid,
+            duration=args.duration,
+            seed=args.seed,
+            checkpoint_every=args.checkpoint_every,
+        )
+        if args.telemetry:
+            base = force_observer(base, "telemetry")
         # A bad value (zero workers, zero windows, ...) is a ConfigurationError
         # from ExecutionOptions itself.
         options = ExecutionOptions(
@@ -378,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             window_dir=args.window_dir,
         )
         result = sweep(base, grid or None, options=options)
-    except (SpecFileError, ConfigurationError, WorkerDiedError) as exc:
+    except (ConfigurationError, WorkerDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_run(entry, result, args.json)

@@ -57,8 +57,7 @@ from repro.sim.snapshot import (
     read_snapshot_file,
     write_snapshot_file,
 )
-from repro.trace.recorder import TraceRecorder
-from repro.trace.spans import SpanRecorder
+from repro.trace.observers import Observer, enabled_observers
 
 
 @dataclass
@@ -153,14 +152,6 @@ def point_filename(
 #: Default directory for spec-driven checkpoints when no explicit path is given.
 DEFAULT_CHECKPOINT_DIR = "checkpoints"
 
-#: The per-point row observers: the spec field that enables one (and names
-#: its ``out_dir``), the ``SimulationState`` attribute it rides on, and its
-#: file suffix.
-OBSERVERS = (
-    ("telemetry", "recorder", ".jsonl"),
-    ("spans", "spans", ".spans.jsonl"),
-)
-
 
 def build_scenario(
     spec: ScenarioSpec, overrides: Mapping[str, Any] | None = None
@@ -173,12 +164,10 @@ def build_scenario(
     """
     return runner.build_experiment(
         **experiment_args(spec),
-        recorder=(
-            TraceRecorder(interval=spec.telemetry.interval)
-            if spec.telemetry.enabled
-            else None
-        ),
-        span_recorder=SpanRecorder() if spec.spans.enabled else None,
+        observers={
+            row.name: row.make(getattr(spec, row.name))
+            for row in enabled_observers(spec)
+        },
         meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
     )
 
@@ -228,12 +217,11 @@ def _run_task(task: _Task) -> tuple[ExperimentResult | None, dict[str, Any], flo
         state = runner.restore_experiment(task.source, task.expect)
         if task.fork:
             refit_forked_state(state, task.spec, task.overrides)
-    if task.profiler is not None:
-        state.sim.profiler = task.profiler
     stops = task.stops
     if task.periodic is not None:
         stops = (*runner.periodic_stops(state, *task.periodic), *stops)
-    return runner.execute(state, stops), {}, time.perf_counter() - started
+    result = runner.execute(state, stops, task.profiler)
+    return result, {}, time.perf_counter() - started
 
 
 def _segment(work_dir: Path, point: int, window: int, suffix: str) -> Path:
@@ -271,11 +259,7 @@ def _plan_tasks(
             tasks[index, 0], deps[index, 0] = _Task(spec, plan.overrides, ()), None
             continue
         last = len(plan.boundaries) - 1
-        flushed = [
-            (attribute, suffix)
-            for spec_field, attribute, suffix in OBSERVERS
-            if getattr(spec, spec_field).enabled
-        ]
+        flushed = enabled_observers(spec)
         periodic = None
         if last == 0 and spec.checkpoint_every is not None:
             periodic = (
@@ -291,8 +275,8 @@ def _plan_tasks(
                 Stop(
                     plan.boundaries[window],
                     flush={
-                        attribute: _segment(work_dir, index, window, suffix)
-                        for attribute, suffix in flushed
+                        row.name: _segment(work_dir, index, window, row.suffix)
+                        for row in flushed
                     },
                     checkpoint=(
                         _segment(work_dir, index, window, ".ckpt")
@@ -367,15 +351,14 @@ def _run_tasks(
             ) from None
 
 
-def _stitch(plan: PointPlan, work_dir: Path, spec_field: str, suffix: str) -> str | None:
+def _stitch(plan: PointPlan, work_dir: Path, row: Observer) -> str:
     """Byte-concatenate a point's per-window segments into its one observer file.
 
     A forked point reuses its leader's segments for the windows they share.
     """
-    observer = getattr(plan.spec, spec_field)
-    if not plan.boundaries or not observer.enabled:
-        return None
-    target = Path(observer.out_dir) / point_filename(plan.spec, plan.overrides, suffix)
+    suffix = row.suffix
+    out_dir = getattr(plan.spec, row.name).out_dir
+    target = Path(out_dir) / point_filename(plan.spec, plan.overrides, suffix)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("wb") as out:
         for window in range(len(plan.boundaries)):
@@ -537,8 +520,8 @@ def run_points(
                 return
             plan = plans[index]
             paths = {
-                spec_field: _stitch(plan, work_dir, spec_field, suffix)
-                for spec_field, _attribute, suffix in OBSERVERS
+                row.name: _stitch(plan, work_dir, row)
+                for row in enabled_observers(plan.spec)
             }
             results[index] = ScenarioResult(
                 spec=plan.spec,
@@ -546,8 +529,8 @@ def run_points(
                 result=result,
                 extra=extra,
                 wall_clock_seconds=walls[index],
-                telemetry_path=paths["telemetry"],
-                span_path=paths["spans"],
+                telemetry_path=paths.get("telemetry"),
+                span_path=paths.get("spans"),
             )
             if on_point is not None:
                 on_point(index, results[index])

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.adversary.registry import AdversarySpec, get_adversary
 from repro.ba.coin import CommonCoin
@@ -39,6 +39,7 @@ from repro.metrics.stats import Summary
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
+from repro.trace.recorder import write_jsonl
 from repro.workload.txgen import (
     DEFAULT_TX_SIZE,
     ColumnarPoissonTransactionGenerator,
@@ -48,9 +49,6 @@ from repro.workload.txgen import (
     bursty_rate_profile,
     diurnal_rate_profile,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.trace.recorder import TraceRecorder
 
 #: The protocols the paper's evaluation compares (S6), keyed by the labels
 #: used throughout the experiments and benchmark output.  Extend with
@@ -377,9 +375,7 @@ def build_experiment(
     seed: int = 0,
     warmup: float = 0.0,
     adversary: AdversarySpec | None = None,
-    recorder: "TraceRecorder | None" = None,
-    span_recorder=None,
-    profiler=None,
+    observers: Mapping[str, Any] | None = None,
     max_epochs: int | None = None,
     meta: dict | None = None,
 ) -> SimulationState:
@@ -388,9 +384,11 @@ def build_experiment(
     The result is a :class:`~repro.sim.snapshot.SimulationState` — what a
     checkpoint restores — so a fresh build and a restored run go through the
     same :func:`execute` and :func:`summarise_experiment`.
-    Construction order (nodes, adversary replacements, generators,
-    ``network.start()``, recorder attach) is part of the determinism
-    contract: it fixes the initial sequence numbers.
+    ``observers`` (name -> object with ``attach(state)`` / ``finish()`` /
+    ``rows``; see :mod:`repro.trace.observers`) are attached to the finished
+    state in mapping order.  Construction order (nodes, adversary
+    replacements, generators, ``network.start()``, observer attach) is part
+    of the determinism contract: it fixes the initial sequence numbers.
     """
     workload = workload or WorkloadSpec()
     node_config = node_config or NodeConfig()
@@ -431,13 +429,7 @@ def build_experiment(
         sim.schedule(0.0, generator.start)
 
     network.start()
-    if recorder is not None:
-        recorder.attach(sim, network, nodes, collector)
-    if span_recorder is not None:
-        span_recorder.attach(sim, network, nodes)
-    if profiler is not None:
-        sim.profiler = profiler
-    return SimulationState(
+    state = SimulationState(
         fingerprint=_experiment_fingerprint(
             protocol,
             network_config,
@@ -459,12 +451,14 @@ def build_experiment(
         collector=collector,
         nodes=nodes,
         generators=generators,
-        recorder=recorder,
         adversary=adversary,
         placement=placement,
-        spans=span_recorder,
+        observers=dict(observers or {}),
         meta=dict(meta or {}),
     )
+    for observer in state.observers.values():
+        observer.attach(state)
+    return state
 
 
 @dataclass(frozen=True)
@@ -472,8 +466,8 @@ class Stop:
     """A virtual time at which the engine touches a running simulation.
 
     :func:`execute` runs the simulation to ``time``, then writes and clears
-    the rows of the observers ``flush`` names (``SimulationState`` attribute
-    -> JSONL path), then saves a checkpoint to ``checkpoint``.  A window
+    the rows of the observers ``flush`` names (``state.observers`` key ->
+    JSONL path), then saves a checkpoint to ``checkpoint``.  A window
     boundary, a hand-off, a periodic checkpoint and the horizon are the same
     thing with different fields set.
     """
@@ -523,33 +517,36 @@ def restore_experiment(
     return source
 
 
-def execute(state: SimulationState, stops: Iterable[Stop]) -> "ExperimentResult | None":
+def execute(
+    state: SimulationState, stops: Iterable[Stop], profiler: Any = None
+) -> "ExperimentResult | None":
     """Advance ``state`` through ``stops`` in order; the one caller of ``sim.run``.
 
-    At each stop: run to it, finish the observers if it is the horizon
-    (post-run telemetry rows, aborted spans dropped), flush, checkpoint —
-    in that order, so a flushed segment holds the finished rows and a
-    checkpoint holds exactly what has not been flushed.  Returns the
-    summary once the horizon is reached and ``None`` for a plan that ends
-    earlier (its last stop saved the hand-off).
+    ``profiler`` (a :class:`~repro.sim.profiler.SimProfiler`) is installed
+    on the simulator first.  At each stop: run to it, finish the observers
+    if it is the horizon (post-run telemetry rows, aborted spans dropped),
+    flush, checkpoint — in that order, so a flushed segment holds the
+    finished rows and a checkpoint holds exactly what has not been flushed.
+    Returns the summary once the horizon is reached and ``None`` for a plan
+    that ends earlier (its last stop saved the hand-off).
     """
+    if profiler is not None:
+        state.sim.profiler = profiler
     result = None
     for stop in stops:
         state.sim.run(until=stop.time)
         at_horizon = stop.time >= state.duration
         if at_horizon:
-            if state.recorder is not None:
-                state.recorder.finish(state.nodes, adversarial=state.placement)
-            if state.spans is not None:
-                state.spans.finish()
-        for attribute, path in stop.flush.items():
-            observer = getattr(state, attribute)
+            for observer in state.observers.values():
+                observer.finish()
+        for name, path in stop.flush.items():
+            observer = state.observers.get(name)
             if observer is None:
                 raise SnapshotError(
                     f"cannot write {path}: this simulation was built without "
-                    f"a {attribute!r} observer"
+                    f"a {name!r} observer"
                 )
-            observer.write_jsonl(path)
+            write_jsonl(path, observer.rows)
             # The next stop must record only its own rows; on a hand-off the
             # cleared list rides forward inside the checkpoint.
             observer.rows.clear()
@@ -566,9 +563,7 @@ def _run_to_horizon(state: SimulationState, options: ExecutionOptions) -> "Exper
         if options.checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
         stops = periodic_stops(state, options.checkpoint_every, options.checkpoint_path) + stops
-    if options.profiler is not None:
-        state.sim.profiler = options.profiler
-    return execute(state, stops)
+    return execute(state, stops, options.profiler)
 
 
 def summarise_experiment(state: SimulationState) -> ExperimentResult:
@@ -675,9 +670,10 @@ def run_experiment(
             fresh simulation; the other arguments must describe the *same*
             scenario: the stored fingerprint is checked and a
             :class:`SnapshotError` is raised for a foreign-scenario restore.
-            ``profiler`` is installed on the simulator.  To attach a
-            telemetry or span recorder, use :func:`build_experiment` and
-            :func:`execute` directly (or a spec's ``telemetry`` / ``spans``).
+            ``profiler`` is installed on the simulator.  To attach
+            observers, pass ``observers=`` to :func:`build_experiment` and
+            :func:`execute` the state through a :class:`Stop` whose
+            ``flush`` names them (or set a spec's ``telemetry`` / ``spans``).
     """
     opts = options or ExecutionOptions()
     workload = workload or WorkloadSpec()

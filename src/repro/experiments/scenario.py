@@ -34,6 +34,7 @@ from repro.experiments.runner import PROTOCOLS, WorkloadSpec
 from repro.sim.bandwidth import BandwidthTrace, ConstantBandwidth
 from repro.sim.network import NetworkConfig
 from repro.trace.io import load_trace_cached
+from repro.trace.observers import OBSERVERS, enabled_observers
 from repro.trace.recorder import TelemetrySpec
 from repro.trace.spans import SpanSpec
 from repro.workload.cities import (
@@ -354,19 +355,14 @@ class ScenarioSpec:
                 'pair them with bandwidth kind "unlimited", not '
                 f"{self.bandwidth.kind!r}"
             )
-        if self.telemetry.enabled and self.kind != "sim":
-            # Analytic kinds never build a simulator, so there is nothing to
-            # sample; fail at spec construction rather than silently
-            # recording nothing.
-            raise ConfigurationError(
-                f"telemetry recording requires a sim scenario, not kind {self.kind!r}"
-            )
-        if self.spans.enabled and self.kind != "sim":
-            # Spans observe the simulated block lifecycle; analytic kinds
-            # have no lifecycle to observe.
-            raise ConfigurationError(
-                f"span recording requires a sim scenario, not kind {self.kind!r}"
-            )
+        for row in enabled_observers(self):
+            if self.kind != "sim":
+                # Analytic kinds never build a simulator, so there is nothing
+                # to observe; fail at spec construction rather than silently
+                # recording nothing.
+                raise ConfigurationError(
+                    f"{row.name} recording requires a sim scenario, not kind {self.kind!r}"
+                )
         if self.checkpoint_every is not None:
             if self.kind != "sim":
                 # Analytic kinds never build a simulator, so there is no
@@ -416,8 +412,7 @@ class ScenarioSpec:
             ("adversary", AdversarySpec),
             ("workload", WorkloadSpec),
             ("node", NodeConfig),
-            ("telemetry", TelemetrySpec),
-            ("spans", SpanSpec),
+            *((row.name, row.spec_class) for row in OBSERVERS),
         ):
             value = payload.pop(key, None)
             if value is None:

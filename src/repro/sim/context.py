@@ -47,12 +47,16 @@ class Clock(Protocol):
 class NodeContext(SnapshotState):
     """The sending/timing interface handed to every protocol automaton."""
 
-    _SNAPSHOT_FIELDS = ("node_id", "_router", "_clock")
+    _SNAPSHOT_FIELDS = ("node_id", "_router", "_clock", "probe")
 
     def __init__(self, node_id: int, router: Router, clock: Clock):
         self.node_id = node_id
         self._router = router
         self._clock = clock
+        #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
+        #: ``attach``: the receive-side home of the span probe.  The node and
+        #: its VID and BA automata share this context, so they share it.
+        self.probe = None
 
     @property
     def num_nodes(self) -> int:

@@ -362,7 +362,7 @@ class Network(SnapshotState):
         "_ingress",
         "stats",
         "messages_delivered",
-        "_span_probe",
+        "probe",
         "_train",
     )
 
@@ -421,8 +421,8 @@ class Network(SnapshotState):
         self.stats = [TrafficStats() for _ in range(config.num_nodes)]
         self.messages_delivered = 0
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
-        #: ``attach``; observes sends to open chunk-transfer spans.
-        self._span_probe = None
+        #: ``attach``: the send-side home of the span probe.
+        self.probe = None
         #: The express train still accepting unicasts (see
         #: :class:`_ExpressTrain`); ``None`` off the express path.
         self._train: _ExpressTrain | None = None
@@ -508,8 +508,8 @@ class Network(SnapshotState):
         """
         if not 0 <= dst < self._num_nodes:
             raise ConfigurationError(f"destination {dst} out of range")
-        if self._span_probe is not None:
-            self._span_probe.on_message_send(src, dst, msg, self._sim.now)
+        if self.probe is not None:
+            self.probe.on_message_send(src, dst, msg, self._sim.now)
         if src == dst:
             self.stats[src].sent[msg.priority] += msg.wire_size
             transfer = _MessageTransfer(self, src, dst, msg, rank, abort, _DELIVER)
@@ -555,7 +555,7 @@ class Network(SnapshotState):
             # ``send`` minus what does not vary across the fan-out: ``dst`` is
             # in range by construction, and the probe, the express switch and
             # the sender's pipe are looked up once.
-            probe = self._span_probe
+            probe = self.probe
             submit = self._egress[src].submit
             wire = msg.wire_size
             priority = msg.priority

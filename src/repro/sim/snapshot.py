@@ -40,7 +40,7 @@ import os
 import pickle
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -229,12 +229,12 @@ class SimulationState:
     collector: Any
     nodes: list[Any]
     generators: list[Any]
-    recorder: Any = None
     adversary: Any = None
     placement: tuple[int, ...] = ()
-    #: Optional :class:`repro.trace.spans.SpanRecorder` riding the checkpoint
-    #: (the deep pickle keeps it the same object the probes reference).
-    spans: Any = None
+    #: Attached observers by name (see :mod:`repro.trace.observers`), in
+    #: attach order.  They ride the checkpoint; the deep pickle keeps each
+    #: the same object its hooks and probes reference.
+    observers: dict[str, Any] = field(default_factory=dict)
     #: Scenario-level metadata (spec dict + overrides) carried through the
     #: checkpoint so ``repro.experiments resume`` can rebuild a summary.
     meta: dict[str, Any] = field(default_factory=dict)
@@ -266,6 +266,14 @@ def load_checkpoint(
     if not isinstance(state, SimulationState):
         raise SnapshotError(
             f"{path} does not contain a SimulationState payload"
+        )
+    # A plain dataclass unpickles whatever attribute set it was saved with;
+    # refuse another version's here, not at the first missing attribute.
+    mismatched = set(vars(state)) ^ {f.name for f in fields(SimulationState)}
+    if mismatched:
+        raise SnapshotError(
+            f"{path} was written by an incompatible version: SimulationState "
+            f"attributes {sorted(mismatched)} differ from this build's"
         )
     return state
 

@@ -54,19 +54,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from repro.common.errors import ConfigurationError, TraceError
 from repro.trace.io import load_trace, save_trace
 from repro.trace.model import MeasuredTrace
-from repro.trace.recorder import TelemetrySpec
 
 
 def add_trace_parser(subparsers) -> None:
     """Register the ``trace`` subcommand tree on the experiments CLI."""
     trace = subparsers.add_parser(
-        "trace", help="measured-bandwidth trace utilities (inspect/convert/export)"
+        "trace", help="trace-file, telemetry and span utilities (nine subcommands)"
     )
     nested = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -301,42 +299,13 @@ def _convert(args: argparse.Namespace) -> int:
 
 def _export(args: argparse.Namespace) -> int:
     # Imported here: repro.experiments.cli imports this module at load time.
-    from repro.experiments.cli import SpecFileError, resolve_entry
+    from repro.experiments.cli import force_observer, resolve_scenario
     from repro.experiments.engine import run_scenario
-    from repro.experiments.scenario import apply_override
 
-    try:
-        entry = resolve_entry(args.scenario)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    spec = entry.base
-    if args.duration is not None:
-        spec = replace(spec, duration=args.duration)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    for assignment in args.overrides:
-        path, _, value = assignment.partition("=")
-        if not path or not _:
-            print(f"error: expected PATH=VALUE, got {assignment!r}", file=sys.stderr)
-            return 2
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        spec = apply_override(spec, path, parsed)
-    telemetry = spec.telemetry
-    spec = replace(
-        spec,
-        telemetry=TelemetrySpec(
-            enabled=True,
-            interval=args.interval if args.interval is not None else telemetry.interval,
-            out_dir=args.out if args.out is not None else telemetry.out_dir,
-        ),
+    entry, spec, _grid = resolve_scenario(
+        args.scenario, overrides=args.overrides, duration=args.duration, seed=args.seed
     )
+    spec = force_observer(spec, "telemetry", interval=args.interval, out_dir=args.out)
     result = run_scenario(spec)
     if args.json:
         payload = {
@@ -516,40 +485,15 @@ def _diff(args: argparse.Namespace) -> int:
 
 def _record_spans(args: argparse.Namespace) -> tuple[str, list]:
     """Run a scenario with span recording forced on; returns (path, rows)."""
-    from repro.experiments.cli import SpecFileError, resolve_entry
+    from repro.experiments.cli import force_observer, resolve_scenario
     from repro.experiments.engine import run_scenario
     from repro.experiments.options import ExecutionOptions
-    from repro.experiments.scenario import apply_override
     from repro.sim.profiler import SimProfiler
-    from repro.trace.spans import SpanSpec
 
-    try:
-        entry = resolve_entry(args.source)
-    except SpecFileError as exc:
-        raise TraceError(str(exc)) from None
-    except KeyError as exc:
-        raise TraceError(exc.args[0]) from None
-    spec = entry.base
-    if args.duration is not None:
-        spec = replace(spec, duration=args.duration)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    for assignment in args.overrides:
-        path, sep, value = assignment.partition("=")
-        if not path or not sep:
-            raise TraceError(f"expected PATH=VALUE, got {assignment!r}")
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        spec = apply_override(spec, path, parsed)
-    spec = replace(
-        spec,
-        spans=SpanSpec(
-            enabled=True,
-            out_dir=args.out if args.out is not None else spec.spans.out_dir,
-        ),
+    _entry, spec, _grid = resolve_scenario(
+        args.source, overrides=args.overrides, duration=args.duration, seed=args.seed
     )
+    spec = force_observer(spec, "spans", out_dir=args.out)
     profiler = SimProfiler() if args.profile else None
     result = run_scenario(spec, options=ExecutionOptions(profiler=profiler))
     if profiler is not None:

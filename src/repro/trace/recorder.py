@@ -35,12 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.common.snapshot import SnapshotState
-from repro.sim.events import InternalCallback, Simulator
-from repro.sim.network import Network
+from repro.sim.events import InternalCallback
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,16 @@ class TelemetrySpec:
 class TraceRecorder(SnapshotState):
     """Samples link and protocol state on a virtual-time grid.
 
-    Usage (the engine does this when ``spec.telemetry.enabled``):
-
-    1. :meth:`attach` after the cluster is built — schedules the first
-       sample at ``t = 0`` through an uncounted internal callback;
-    2. run the simulation;
-    3. :meth:`finish` — derives the post-run rows from the ledgers;
-    4. :meth:`write_jsonl` (or read :attr:`rows` directly).
+    An observer (see :mod:`repro.trace.observers`): :meth:`attach` to a
+    built simulation schedules the first sample at ``t = 0`` through an
+    uncounted internal callback, :meth:`finish` at the horizon derives the
+    post-run rows from the ledgers, and :attr:`rows` is what gets written.
     """
 
     _SNAPSHOT_FIELDS = (
         "interval",
         "rows",
-        "_sim",
-        "_network",
-        "_nodes",
-        "_collector",
+        "_state",
         "_tick",
         "_busy",
         "_last_sample_at",
@@ -96,21 +89,17 @@ class TraceRecorder(SnapshotState):
             raise ConfigurationError("sampling interval must be positive")
         self.interval = interval
         self.rows: list[dict] = []
-        self._sim: Simulator | None = None
-        self._network: Network | None = None
-        self._nodes: Sequence = ()
-        self._collector = None
+        #: The ``SimulationState`` being sampled (set by :meth:`attach`).
+        self._state = None
         self._tick = InternalCallback(self._sample)
         #: Last-seen ``(egress_busy, ingress_busy)`` per node, for utilisation.
         self._busy: list[tuple[float, float]] = []
         self._last_sample_at = 0.0
 
-    def attach(self, sim: Simulator, network: Network, nodes: Sequence, collector) -> None:
-        """Start sampling ``nodes`` on ``sim``'s clock (first sample at now)."""
-        self._sim = sim
-        self._network = network
-        self._nodes = nodes
-        self._collector = collector
+    def attach(self, state) -> None:
+        """Start sampling ``state``'s nodes on its clock (first sample at now)."""
+        sim, network = state.sim, state.network
+        self._state = state
         self._busy = [(0.0, 0.0)] * network.num_nodes
         self._last_sample_at = sim.now
         self.rows.append(
@@ -124,12 +113,11 @@ class TraceRecorder(SnapshotState):
         sim.schedule_internal(0.0, self._tick)
 
     def _sample(self) -> None:
-        sim = self._sim
-        network = self._network
-        assert sim is not None and network is not None
+        state = self._state
+        sim, network = state.sim, state.network
         now = sim.now
         elapsed = now - self._last_sample_at
-        for node_id in range(network.num_nodes):
+        for node_id, node in enumerate(state.nodes):
             snap = network.link_snapshot(node_id)
             egress_busy, ingress_busy = self._busy[node_id]
             if elapsed > 0:
@@ -148,23 +136,20 @@ class TraceRecorder(SnapshotState):
                 "ingress_util": ingress_util,
                 "egress_bytes": snap["egress_bytes"],
                 "ingress_bytes": snap["ingress_bytes"],
+                "current_epoch": node.current_epoch,
+                "delivered_epoch": node.delivered_epoch,
+                "confirmed_bytes": state.collector.per_node[node_id].confirmed_bytes,
             }
-            if node_id < len(self._nodes):
-                node = self._nodes[node_id]
-                row["current_epoch"] = node.current_epoch
-                row["delivered_epoch"] = node.delivered_epoch
-            if self._collector is not None:
-                row["confirmed_bytes"] = self._collector.per_node[node_id].confirmed_bytes
             self.rows.append(row)
         self._last_sample_at = now
         # Re-arm for the next grid point; the run loop simply never fires it
         # once the horizon is reached.
         sim.schedule_internal(self.interval, self._tick)
 
-    def finish(self, nodes: Sequence, adversarial: Sequence[int] = ()) -> None:
+    def finish(self) -> None:
         """Derive the post-run rows (commits, adversary deliveries) from ledgers."""
-        adversarial_set = set(adversarial)
-        for node in nodes:
+        adversarial_set = set(self._state.placement)
+        for node in self._state.nodes:
             ledger = getattr(node, "ledger", None)
             if ledger is None:
                 continue
@@ -208,18 +193,19 @@ class TraceRecorder(SnapshotState):
                 )
                 previous = stats["t"]
 
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write every recorded row as one JSON object per line."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for row in self.rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return target
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
+    """Write observer rows as one JSON object per line; returns the path."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    return target
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Load a telemetry JSONL file back into its rows (analysis helper)."""
+    """Load an observer JSONL file back into its rows (analysis helper)."""
     rows = []
     with Path(path).open(encoding="utf-8") as handle:
         for line in handle:
@@ -229,4 +215,4 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return rows
 
 
-__all__ = ["TelemetrySpec", "TraceRecorder", "read_jsonl"]
+__all__ = ["TelemetrySpec", "TraceRecorder", "read_jsonl", "write_jsonl"]

@@ -32,13 +32,13 @@ or ``chrome://tracing``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, TraceError
 from repro.common.snapshot import SnapshotState
+from repro.trace.recorder import write_jsonl
 from repro.vid.messages import ChunkMsg, ReturnChunkMsg
 
 
@@ -97,19 +97,19 @@ class SpanRecorder(SnapshotState):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def attach(self, sim, network, nodes) -> None:
+    def attach(self, state) -> None:
         """Install the recorder as the probe on the network and every node.
 
-        Crash-replacement stand-ins aren't protocol nodes and carry no
-        probe slot; they simply stay untraced.
+        The probe has one home per side of the send/recv seam:
+        ``Network.probe`` and each node's ``NodeContext.probe``, which the
+        node shares with its VID and BA automata.
         """
         self.rows.append(
-            {"kind": "meta", "t": sim.now, "num_nodes": network.num_nodes}
+            {"kind": "meta", "t": state.sim.now, "num_nodes": state.network.num_nodes}
         )
-        network._span_probe = self
-        for node in nodes:
-            if hasattr(node, "span_probe"):
-                node.span_probe = self
+        state.network.probe = self
+        for node in state.nodes:
+            node.ctx.probe = self
 
     def finish(self) -> None:
         """End of run: drop still-open spans (aborted work emits no rows)."""
@@ -122,13 +122,7 @@ class SpanRecorder(SnapshotState):
 
     def write_jsonl(self, path: str | Path) -> Path:
         """Write the recorded rows as JSON-lines; returns the path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for row in self.rows:
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-        return target
+        return write_jsonl(path, self.rows)
 
     # -- span bookkeeping --------------------------------------------------
 

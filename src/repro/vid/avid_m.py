@@ -112,7 +112,6 @@ class AvidMInstance(SnapshotState):
         "_cancelled_retrievers",
         "_retriever_cancelled",
         "_retrieval_result",
-        "probe",
     )
 
     def __init__(
@@ -165,9 +164,6 @@ class AvidMInstance(SnapshotState):
         #: instance returns: one prebound membership test, not one callable
         #: per queued chunk.
         self._retriever_cancelled = self._cancelled_retrievers.__contains__
-        #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by the
-        #: owning node as the instance is created; observes chunk arrivals.
-        self.probe = None
 
     # ------------------------------------------------------------------
     # Dispersing client role
@@ -256,9 +252,9 @@ class AvidMInstance(SnapshotState):
     # --- server side (Fig. 3) ---
 
     def _on_chunk(self, src: int, msg: ChunkMsg) -> None:
-        if self.probe is not None:
+        if self.ctx.probe is not None:
             # The transfer completed even if the payload is rejected below.
-            self.probe.on_chunk_arrived(
+            self.ctx.probe.on_chunk_arrived(
                 src, self.ctx.node_id, self.instance.epoch,
                 self.instance.proposer, self.ctx.now,
             )
@@ -360,8 +356,8 @@ class AvidMInstance(SnapshotState):
     # --- client side (Fig. 4: collecting chunks) ---
 
     def _on_return_chunk(self, src: int, msg: ReturnChunkMsg) -> None:
-        if self.probe is not None:
-            self.probe.on_return_chunk_arrived(
+        if self.ctx.probe is not None:
+            self.ctx.probe.on_return_chunk_arrived(
                 src, self.ctx.node_id, self.instance.epoch,
                 self.instance.proposer, self.ctx.now,
             )

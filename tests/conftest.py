@@ -14,6 +14,8 @@ from repro.experiments.runner import summarise_experiment
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
+from repro.trace.observers import OBSERVERS
+from repro.trace.recorder import write_jsonl
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -104,12 +106,14 @@ def reference_run(
     """
     state = build_scenario(spec, overrides)
     state.sim.run(until=spec.duration)
-    telemetry = spans = b""
-    if state.recorder is not None:
-        state.recorder.finish(state.nodes, adversarial=state.placement)
-        telemetry = state.recorder.write_jsonl(out_dir / "reference.jsonl").read_bytes()
-    if state.spans is not None:
-        state.spans.finish()
-        spans = state.spans.write_jsonl(out_dir / "reference.spans.jsonl").read_bytes()
+    files = []
+    for row in OBSERVERS:
+        observer = state.observers.get(row.name)
+        if observer is None:
+            files.append(b"")
+            continue
+        observer.finish()
+        target = write_jsonl(out_dir / f"reference{row.suffix}", observer.rows)
+        files.append(target.read_bytes())
     result = ScenarioResult(spec, dict(overrides or {}), summarise_experiment(state))
-    return result.summary(), telemetry, spans
+    return (result.summary(), *files)

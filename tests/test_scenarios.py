@@ -415,6 +415,28 @@ class TestCatalog:
             assert len(points) == entry.num_points(), entry.name
 
 
+#: Scenario misuse by name: what it appends to the command line.  ``{dir}``
+#: is a tmp dir holding ``invalid.json`` (a spec file with an unknown field).
+CLI_MISUSE = {
+    "unknown-scenario": ["no-such"],
+    "unreadable-spec-file": ["{dir}/absent.json"],
+    "invalid-spec-file": ["{dir}/invalid.json"],
+    "malformed-set": ["straggler-hetero", "--set", "bogus"],
+    "unknown-set-path": ["straggler-hetero", "--set", "bogus=1"],
+    "rejected-set-value": ["straggler-hetero", "--set", "workload.kind=wormhole"],
+    "malformed-grid": ["straggler-hetero", "--grid", "bogus"],
+}
+
+#: (command, misuse) for every command that accepts the misused flag.
+CLI_MISUSE_CASES = [
+    (command, misuse)
+    for command in ("run", "sweep", "show", "trace export", "trace spans")
+    for misuse in CLI_MISUSE
+    if not (command == "show" and "-set" in misuse)
+    and not ("grid" in misuse and command not in ("run", "sweep"))
+]
+
+
 class TestCli:
     def test_list_runs(self, capsys):
         assert cli_main(["list"]) == 0
@@ -535,3 +557,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["summaries"]) == 1
         assert payload["summaries"][0]["protocol"] == "dl"
+
+    @pytest.mark.parametrize("command, misuse", CLI_MISUSE_CASES)
+    def test_scenario_misuse_is_one_error_line_and_exit_2(
+        self, tmp_path, capsys, command, misuse
+    ):
+        """Every command that resolves a scenario reports misuse the same way."""
+        (tmp_path / "invalid.json").write_text('{"protocl": "dl"}')
+        argv = command.split() + [word.format(dir=tmp_path) for word in CLI_MISUSE[misuse]]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

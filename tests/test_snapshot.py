@@ -398,6 +398,22 @@ def test_resume_cli_truncated_checkpoint_exit_2(tmp_path, capsys):
     assert "truncated" in captured.err
 
 
+def test_checkpoint_with_another_versions_state_attributes_is_refused(tmp_path, capsys):
+    """A pre-observer-seam ``SimulationState`` (``recorder``, no ``observers``)."""
+    state = _bare_state(Simulator())
+    del state.observers
+    state.recorder = None
+    path = write_snapshot_file(
+        tmp_path / "old.ckpt", state, kind=KIND_SIMULATION, fingerprint=state.fingerprint
+    )
+    with pytest.raises(SnapshotError, match="incompatible version.*observers.*recorder"):
+        load_checkpoint(path)
+    assert cli_main(["resume", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "incompatible version" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # Resuming a scenario: foreign checkpoints refused, observer files written
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from repro.core.config import NodeConfig
 from repro.experiments.catalog import get_scenario
 from repro.experiments.cli import main as cli_main
 from repro.experiments.engine import point_filename, run_scenario
+from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import WorkloadSpec
 from repro.experiments.scenario import (
     BandwidthSpec,
@@ -20,7 +22,15 @@ from repro.experiments.scenario import (
     TopologySpec,
     build_network_config,
 )
-from repro.trace import MeasuredTrace, TelemetrySpec, TraceRecorder, read_jsonl, save_trace
+from repro.sim.profiler import SimProfiler
+from repro.trace import (
+    MeasuredTrace,
+    SpanSpec,
+    TelemetrySpec,
+    TraceRecorder,
+    read_jsonl,
+    save_trace,
+)
 
 MB = 1_000_000
 
@@ -181,6 +191,39 @@ class TestRecorder:
         assert off.summary() == on.summary()
         assert off.telemetry_path is None
         assert on.telemetry_path is not None
+
+    @pytest.mark.parametrize(
+        "switched_on",
+        [
+            subset
+            for size in range(1, 4)
+            for subset in itertools.combinations(("telemetry", "spans", "profiler"), size)
+        ],
+        ids="+".join,
+    )
+    def test_summary_identical_under_every_observer_subset(
+        self, trace_file, tmp_path, switched_on
+    ):
+        """Telemetry, spans and the profiler are neutral alone and together."""
+        spec = replay_spec(trace_file)
+        off = run_scenario(spec)
+        observed = replace(
+            spec,
+            telemetry=TelemetrySpec(
+                enabled="telemetry" in switched_on, interval=0.5, out_dir=str(tmp_path)
+            ),
+            spans=SpanSpec(enabled="spans" in switched_on, out_dir=str(tmp_path)),
+        )
+        profiler = SimProfiler() if "profiler" in switched_on else None
+        on = run_scenario(observed, options=ExecutionOptions(profiler=profiler))
+        assert on.summary() == off.summary()
+        assert on.result.events_processed == off.result.events_processed
+        assert (on.telemetry_path is not None) == ("telemetry" in switched_on)
+        assert (on.span_path is not None) == ("spans" in switched_on)
+        for path in (on.telemetry_path, on.span_path):
+            assert path is None or read_jsonl(path)
+        if profiler is not None:
+            assert profiler.as_dict()["total_events"] > 0
 
     def test_jsonl_rows_cover_the_run(self, trace_file, tmp_path):
         spec = replay_spec(
