@@ -1,9 +1,9 @@
 """Ablation — what inter-node linking and retrieval decoupling each contribute.
 
-DESIGN.md calls out two design choices behind DispersedLedger's gains:
-(i) decoupling block retrieval from agreement and (ii) the inter-node
-linking rule that commits every correctly dispersed block.  This ablation
-runs the four combinations on one mid-sized controlled network:
+The paper credits DispersedLedger's gains to two design choices: (i)
+decoupling block retrieval from agreement and (ii) the inter-node linking
+rule that commits every correctly dispersed block.  This ablation runs the
+four combinations on one mid-sized controlled network:
 
 * ``hb``        — neither (lockstep, no linking)
 * ``hb-link``   — linking only

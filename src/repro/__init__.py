@@ -8,10 +8,15 @@ binary agreement, erasure coding, a bandwidth-accurate wide-area network
 simulator, the HoneyBadger baselines, and the full benchmark harness that
 regenerates the paper's evaluation figures.
 
-Quick start::
+Quick start — several protocols under identical network conditions and
+workloads are one catalog entry swept over a ``protocol`` axis::
 
-    from repro import ProtocolParams, DispersedLedgerNode
-    from repro.experiments import run_protocol_comparison
+    from repro.experiments import ExecutionOptions, get_scenario, sweep
+
+    entry = get_scenario("fig08-geo")
+    result = sweep(entry.base, {"protocol": ("dl", "hb")},
+                   options=ExecutionOptions(parallel=False))
+    print(result.table())
 
 See ``examples/quickstart.py`` for a runnable end-to-end walk-through.
 """

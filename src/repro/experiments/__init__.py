@@ -67,8 +67,6 @@ from repro.experiments.runner import (
     WorkloadSpec,
     register_protocol,
     register_workload,
-    run_experiment,
-    run_protocol_comparison,
 )
 from repro.experiments.scenario import (
     BANDWIDTH_MODELS,
@@ -111,8 +109,6 @@ __all__ = [
     "register_protocol",
     "register_scenario",
     "register_workload",
-    "run_experiment",
-    "run_protocol_comparison",
     "run_scenario",
     "sweep",
     "window_boundaries",

@@ -36,7 +36,9 @@ is always a one-line ``error: ...`` and exit status 2, never a traceback.
 ``--checkpoint-every`` / ``--set checkpoint_every=…``) to completion as the
 scenario it was taken from: it prints the same unified summary ``run`` would
 have produced and writes the same telemetry and span files; a truncated,
-corrupt, or foreign-scenario file is a one-line error and exit status 2.
+corrupt, or foreign-scenario file, a checkpoint that carries no spec, and
+``--checkpoint-path`` without ``--checkpoint-every`` are each a one-line
+error and exit status 2.
 ``run`` and ``sweep`` accept ``--resume-dir`` to journal per-point results
 so a crashed sweep re-runs only its unfinished points, and ``--windows W``
 to execute every point as ``W`` checkpoint-hand-off windows
@@ -64,7 +66,6 @@ from repro.common.errors import ConfigurationError, WorkerDiedError
 from repro.experiments.catalog import NamedScenario, get_scenario, list_scenarios
 from repro.experiments.engine import SweepResult, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import resume_experiment
 from repro.sim.snapshot import load_checkpoint
 from repro.experiments.scenario import ScenarioSpec, apply_override
 from repro.trace.cli import add_trace_parser, run_trace_command
@@ -182,8 +183,8 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     else:
         group.add_argument(
             "--checkpoint-path",
-            help="where continued checkpoints are written "
-            "(default: overwrite the source file)",
+            help="where the checkpoints --checkpoint-every asks for are "
+            "written (default: overwrite the source file)",
         )
 
 
@@ -307,47 +308,39 @@ def _print_run(entry: NamedScenario, result: SweepResult, as_json: bool) -> None
 def _run_resume(args: argparse.Namespace) -> int:
     """The ``resume`` subcommand: continue a checkpoint and print its summary.
 
-    Checkpoints written by the scenario engine carry the originating spec in
-    their metadata, so the run continues through :func:`run_scenario` as
+    A checkpoint written by the scenario engine carries the originating spec
+    in its metadata, so the run continues through :func:`run_scenario` as
     that scenario: the printed summary has the same unified schema as a
     fresh ``run`` — a resumed run is diffable against the golden summaries —
     and the telemetry and span files an uninterrupted run writes are
     written too.  Periodic checkpointing continues only when
-    ``--checkpoint-every`` asks for it.  Malformed or foreign checkpoints
-    produce a one-line error and exit status 2, never a traceback.
+    ``--checkpoint-every`` asks for it.  Malformed, foreign or spec-less
+    checkpoints and a ``--checkpoint-path`` that would write nothing produce
+    a one-line error and exit status 2, never a traceback.
     """
-    checkpoint_path = args.checkpoint_path
-    if args.checkpoint_every is not None and checkpoint_path is None:
-        checkpoint_path = args.checkpoint
     try:
+        if args.checkpoint_path is not None and args.checkpoint_every is None:
+            raise ConfigurationError(
+                "--checkpoint-path has no effect without --checkpoint-every"
+            )
         state = load_checkpoint(args.checkpoint)
-        if "spec" in state.meta:
-            spec = replace(
-                ScenarioSpec.from_dict(state.meta["spec"]),
-                checkpoint_every=args.checkpoint_every,
+        if "spec" not in state.meta:
+            raise ConfigurationError(
+                f"{args.checkpoint} carries no scenario spec (a hand-driven execute "
+                "wrote it); continue it from Python with "
+                "execute(restore_experiment(path), [Stop(state.duration)])"
             )
-            summary = run_scenario(
-                spec,
-                state.meta.get("overrides"),
-                options=ExecutionOptions(resume_from=state, checkpoint_path=checkpoint_path),
-            ).summary()
-        else:
-            # A checkpoint taken outside the scenario engine has no spec to
-            # rebuild the unified schema from; print the core result fields.
-            _, result = resume_experiment(
-                state,
-                options=ExecutionOptions(
-                    checkpoint_every=args.checkpoint_every, checkpoint_path=checkpoint_path
-                ),
-            )
-            summary = {
-                "protocol": result.protocol,
-                "num_nodes": result.num_nodes,
-                "duration": result.duration,
-                "mean_throughput": result.mean_throughput,
-                "delivered_epochs": min(result.delivered_epochs, default=0),
-                "events_processed": result.events_processed,
-            }
+        spec = replace(
+            ScenarioSpec.from_dict(state.meta["spec"]),
+            checkpoint_every=args.checkpoint_every,
+        )
+        summary = run_scenario(
+            spec,
+            state.meta.get("overrides"),
+            options=ExecutionOptions(
+                resume_from=state, checkpoint_path=args.checkpoint_path or args.checkpoint
+            ),
+        ).summary()
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,13 @@
 builds the point's simulation (:func:`build_scenario`) or restores it — from
 a hand-off checkpoint, a forked leader's, or ``options.resume_from`` — and
 hands it to :func:`~repro.experiments.runner.execute` with its stops: window
-boundaries, hand-offs and the horizon, after the periodic
-``checkpoint_every`` stops of a one-window run.  :func:`_run_tasks` runs the
-graph in this process or on the one process pool.  :func:`run_scenario` is a
-one-point :func:`run_points`; :func:`sweep` expands a grid, drops the points
-a resume journal already holds, and journals the rest as they complete.
+boundaries, hand-offs and the horizon, after the periodic stops of a
+one-window run whose spec sets ``checkpoint_every``.  :func:`_run_tasks`
+runs the graph in this process or on the one process pool.
+:func:`run_scenario` is a one-point :func:`run_points`; :func:`sweep`
+expands a grid, drops the points a resume journal already holds, and
+journals the rest as they complete.  Those two are the public ways to run a
+simulation: a run is a :class:`ScenarioSpec`.
 
 Each point is a pure function of its spec (all randomness is seeded from
 it), so serial, pooled, windowed, checkpointed and resumed execution produce

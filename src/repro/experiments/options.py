@@ -1,15 +1,13 @@
 """The execution-options surface for the experiment engine.
 
-*What* to simulate lives in :class:`~repro.experiments.scenario.ScenarioSpec`;
-*how* to execute it lives in :class:`ExecutionOptions`, one frozen, validated
-dataclass accepted by :func:`~repro.experiments.runner.run_experiment`,
-:func:`~repro.experiments.runner.resume_experiment`,
-:func:`~repro.experiments.engine.run_scenario`,
+*What* to simulate lives in :class:`~repro.experiments.scenario.ScenarioSpec`
+— including whether and how often a run checkpoints itself; *how* to execute
+it lives in :class:`ExecutionOptions`, one frozen, validated dataclass
+accepted by :func:`~repro.experiments.engine.run_scenario`,
 :func:`~repro.experiments.engine.run_points` and
-:func:`~repro.experiments.engine.sweep` (each consumer reads the fields that
-apply to it and documents which those are).  A spec therefore remains a
-complete deterministic recipe whose summary is byte-identical under every
-execution strategy.
+:func:`~repro.experiments.engine.sweep`, the engine's front doors.  A spec
+therefore remains a complete deterministic recipe whose summary is
+byte-identical under every execution strategy.
 """
 
 from __future__ import annotations
@@ -36,19 +34,14 @@ class ExecutionOptions:
             simulator for the run; host-side observability only — virtual
             behaviour is identical with or without it.  It observes runs
             executed in this process (a pool worker would fill a copy).
-        checkpoint_every: write a ``repro-ckpt-v1`` checkpoint at every
-            multiple of this many virtual seconds strictly inside the run
-            (:func:`run_experiment` / :func:`resume_experiment`; the scenario
-            engine reads the spec's ``checkpoint_every`` instead).
         checkpoint_path: where the (single, overwritten) periodic checkpoint
-            lives; required when ``checkpoint_every`` is set on
-            :func:`run_experiment`, defaulted per point by the engine.
+            of a spec that asks for one lives (default: a per-point file
+            under ``checkpoints/``); writes nothing for a spec that does not.
         resume_from: continue from a checkpoint — a file path or a loaded
             :class:`~repro.sim.snapshot.SimulationState` — instead of
-            building a fresh simulation (:func:`run_experiment` /
-            :func:`run_scenario`).
-        parallel: run sweep points across worker processes
-            (:func:`run_points` / :func:`sweep`; the default).
+            building a fresh simulation; it must be a checkpoint of the very
+            point it resumes (fingerprint-checked).
+        parallel: run sweep points across worker processes (the default).
         workers: worker-process count (``None`` = one per point, capped at
             the machine's CPU count).
         resume_dir: sweep crash-resume journal directory (:func:`sweep`).
@@ -61,7 +54,6 @@ class ExecutionOptions:
     """
 
     profiler: Any | None = None
-    checkpoint_every: float | None = None
     checkpoint_path: str | Path | None = None
     resume_from: Any | None = None
     parallel: bool = True
@@ -71,8 +63,6 @@ class ExecutionOptions:
     window_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every is not None and self.checkpoint_every <= 0:
-            raise ConfigurationError("checkpoint_every must be None or positive")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be None or >= 1")
         if self.windows is not None and self.windows < 1:

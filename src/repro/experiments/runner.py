@@ -5,9 +5,18 @@ the protocol under test (optionally replacing some with adversaries) and a
 workload generator per node; :func:`execute` advances that state through a
 plan of :class:`Stop` s — it is the one place that calls ``sim.run`` — and
 :func:`summarise_experiment` reads what the metrics collector saw.
-:func:`run_experiment` and :func:`resume_experiment` are the two thin
-wrappers for driving a single run by hand; the scenario engine
-(:mod:`repro.experiments.engine`) plans its stops itself.
+
+A run is a :class:`~repro.experiments.scenario.ScenarioSpec` executed by
+:func:`~repro.experiments.engine.run_scenario` or
+:func:`~repro.experiments.engine.sweep`, which plan their stops themselves.
+These three functions are the seam underneath, for driving a hand-built
+state::
+
+    state = build_experiment("dl", network_config, duration=10.0)
+    result = execute(state, [Stop(state.duration)])
+
+A checkpoint such a run writes carries no spec; continue it with
+``execute(restore_experiment(path), [Stop(state.duration)])``.
 
 Protocols and workloads are looked up in registries
 (:func:`register_protocol`, :func:`register_workload`), so new automata and
@@ -29,13 +38,13 @@ from repro.adversary.registry import AdversarySpec, get_adversary
 from repro.ba.coin import CommonCoin
 from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.params import ProtocolParams
-from repro.experiments.options import ExecutionOptions
 from repro.core.config import NodeConfig
 from repro.core.node import DLCoupledNode, DispersedLedgerNode
 from repro.core.node_base import BFTNodeBase
 from repro.honeybadger.node import HoneyBadgerLinkNode, HoneyBadgerNode
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import Summary
+from repro.sim.context import NodeContext
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
@@ -249,7 +258,6 @@ class ExperimentResult:
     #: ``equivocation_detected_epoch`` (first epoch an honest node delivered
     #: the ``BAD_UPLOADER`` placeholder) and ``bad_uploader_deliveries``.
     adversary_metrics: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
 
     @property
     def tx_committed(self) -> int:
@@ -272,49 +280,6 @@ class ExperimentResult:
     @property
     def max_throughput(self) -> float:
         return max(self.throughputs)
-
-    def median_latency(self, node: int, local_only: bool = True) -> float | None:
-        summary = (self.latency_local if local_only else self.latency_all)[node]
-        return None if summary is None else summary.p50
-
-
-def build_nodes(
-    protocol: str,
-    params: ProtocolParams,
-    network: Network,
-    node_config: NodeConfig,
-    collector: MetricsCollector,
-    coin_seed: bytes = b"dispersedledger-coin",
-    max_epochs: int | None = None,
-) -> list[BFTNodeBase]:
-    """Instantiate and attach one node of ``protocol`` per network endpoint."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}")
-    node_class = PROTOCOLS[protocol]
-    coin = CommonCoin(seed=coin_seed)
-    nodes: list[BFTNodeBase] = []
-    for node_id in range(params.n):
-        ctx = network_context(network, node_id)
-        node = node_class(
-            node_id,
-            params,
-            ctx,
-            config=node_config,
-            coin=coin,
-            max_epochs=max_epochs,
-            on_deliver=collector.record_delivery,
-            on_propose=collector.record_proposal,
-        )
-        network.attach(node_id, node)
-        nodes.append(node)
-    return nodes
-
-
-def network_context(network: Network, node_id: int):
-    """Build a :class:`NodeContext` bound to the simulated network."""
-    from repro.sim.context import NodeContext
-
-    return NodeContext(node_id, network, network.sim)
 
 
 def _experiment_fingerprint(
@@ -381,15 +346,27 @@ def build_experiment(
 ) -> SimulationState:
     """Build phase: construct the full simulation graph, ready to run.
 
+    ``protocol`` names a :data:`PROTOCOLS` entry; ``workload`` defaults to a
+    saturating one, ``node_config`` to :class:`NodeConfig`'s defaults and
+    ``params`` to the maximum-``f`` setting for the network's node count.
+    ``seed`` seeds the workload generators; ``warmup`` virtual seconds are
+    left out of the throughput denominator.  A placed ``adversary`` replaces
+    its nodes on the wire; a full-node replacement (``censor``,
+    ``equivocate``) also takes the honest node's place in the cluster.
+    ``max_epochs`` stops proposing after that many epochs so the run drains.
+
     The result is a :class:`~repro.sim.snapshot.SimulationState` — what a
     checkpoint restores — so a fresh build and a restored run go through the
     same :func:`execute` and :func:`summarise_experiment`.
     ``observers`` (name -> object with ``attach(state)`` / ``finish()`` /
     ``rows``; see :mod:`repro.trace.observers`) are attached to the finished
-    state in mapping order.  Construction order (nodes, adversary
-    replacements, generators, ``network.start()``, observer attach) is part
-    of the determinism contract: it fixes the initial sequence numbers.
+    state in mapping order.  Construction order (one :class:`CommonCoin`,
+    nodes in id order, adversary replacements, generators,
+    ``network.start()``, observer attach) is part of the determinism
+    contract: it fixes the initial sequence numbers.
     """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}")
     workload = workload or WorkloadSpec()
     node_config = node_config or NodeConfig()
     params = params or ProtocolParams.for_n(network_config.num_nodes)
@@ -403,9 +380,21 @@ def build_experiment(
     sim = Simulator()
     network = Network(sim, network_config)
     collector = MetricsCollector(params.n)
-    nodes = build_nodes(
-        protocol, params, network, node_config, collector, max_epochs=max_epochs
-    )
+    coin = CommonCoin(seed=b"dispersedledger-coin")
+    nodes: list[BFTNodeBase] = []
+    for node_id in range(params.n):
+        node = PROTOCOLS[protocol](
+            node_id,
+            params,
+            NodeContext(node_id, network, sim),
+            config=node_config,
+            coin=coin,
+            max_epochs=max_epochs,
+            on_deliver=collector.record_delivery,
+            on_propose=collector.record_proposal,
+        )
+        network.attach(node_id, node)
+        nodes.append(node)
 
     silent: frozenset[int] = frozenset()
     placement: tuple[int, ...] = ()
@@ -557,15 +546,6 @@ def execute(
     return result
 
 
-def _run_to_horizon(state: SimulationState, options: ExecutionOptions) -> "ExperimentResult":
-    stops = [Stop(state.duration)]
-    if options.checkpoint_every is not None:
-        if options.checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-        stops = periodic_stops(state, options.checkpoint_every, options.checkpoint_path) + stops
-    return execute(state, stops, options.profiler)
-
-
 def summarise_experiment(state: SimulationState) -> ExperimentResult:
     """Summarise phase: a pure function of the post-run simulation state."""
     collector = state.collector
@@ -598,105 +578,6 @@ def summarise_experiment(state: SimulationState) -> ExperimentResult:
         ],
         adversary_metrics=adversary_metrics,
     )
-
-
-def resume_experiment(
-    source: SimulationState | str | Path,
-    *,
-    options: ExecutionOptions | None = None,
-) -> tuple[SimulationState, ExperimentResult]:
-    """Continue a checkpointed experiment to completion.
-
-    ``source`` is a checkpoint file path (or an already-loaded
-    :class:`SimulationState`).  The restored state runs to its recorded
-    ``duration`` and is summarised exactly as an uninterrupted run would be.
-    Set ``options.checkpoint_every`` / ``options.checkpoint_path`` to keep
-    checkpointing while the resumed run executes.  A restored state is
-    consumed by running it; load the file again for another continuation.
-    """
-    state = restore_experiment(source)
-    return state, _run_to_horizon(state, options or ExecutionOptions())
-
-
-def run_experiment(
-    protocol: str,
-    network_config: NetworkConfig,
-    duration: float,
-    workload: WorkloadSpec | None = None,
-    node_config: NodeConfig | None = None,
-    params: ProtocolParams | None = None,
-    seed: int = 0,
-    warmup: float = 0.0,
-    adversary: AdversarySpec | None = None,
-    max_epochs: int | None = None,
-    *,
-    options: ExecutionOptions | None = None,
-) -> ExperimentResult:
-    """Run one protocol on one simulated network and summarise the outcome.
-
-    Args:
-        protocol: a registered protocol name (``"dl"``, ``"dl-coupled"``,
-            ``"hb"``, ``"hb-link"``, or anything added via
-            :func:`register_protocol`).
-        network_config: the simulated WAN (delays + bandwidth traces).
-        duration: virtual seconds to simulate.
-        workload: offered load (defaults to a saturating workload).
-        node_config: node behaviour knobs (defaults to the virtual data plane
-            with the paper's Nagle parameters).
-        params: protocol parameters (defaults to the maximum-``f`` setting
-            for the network's node count).
-        seed: seed for the workload generators.
-        warmup: virtual seconds excluded from the throughput denominator
-            (ramp-up of the first epochs).
-        adversary: which nodes misbehave and how (defaults to none).  The
-            placed nodes are replaced on the wire by the registered faulty
-            process; when the factory returns a full node (the node-class
-            adversaries ``censor`` and ``equivocate``), the replacement also
-            takes the honest node's place in the cluster, so it receives the
-            client workload and its epoch frontiers feed the result.
-            Per-node metrics (zero throughput for silent nodes) stay in the
-            result so summaries remain index-aligned with the cluster.
-        max_epochs: stop proposing new blocks after this many epochs
-            (``None`` = propose for the whole run).  Bounded-work runs (the
-            million-transaction benchmarks) use this to commit a known
-            transaction count and then let the run drain.
-        options: execution strategy.  ``checkpoint_every`` writes a
-            ``repro-ckpt-v1`` checkpoint to ``checkpoint_path`` (required
-            with it) at every multiple of that many virtual seconds strictly
-            inside the run; checkpoints are taken between slices of the run,
-            so event counts and summaries are byte-identical with them on or
-            off.  ``resume_from`` continues a checkpoint — a file path or an
-            already-loaded :class:`SimulationState` — instead of building a
-            fresh simulation; the other arguments must describe the *same*
-            scenario: the stored fingerprint is checked and a
-            :class:`SnapshotError` is raised for a foreign-scenario restore.
-            ``profiler`` is installed on the simulator.  To attach
-            observers, pass ``observers=`` to :func:`build_experiment` and
-            :func:`execute` the state through a :class:`Stop` whose
-            ``flush`` names them (or set a spec's ``telemetry`` / ``spans``).
-    """
-    opts = options or ExecutionOptions()
-    workload = workload or WorkloadSpec()
-    node_config = node_config or NodeConfig()
-    params = params or ProtocolParams.for_n(network_config.num_nodes)
-    scenario = (
-        protocol,
-        network_config,
-        duration,
-        workload,
-        node_config,
-        params,
-        seed,
-        warmup,
-        adversary,
-    )
-    if opts.resume_from is not None:
-        state = restore_experiment(
-            opts.resume_from, _experiment_fingerprint(*scenario, max_epochs)
-        )
-    else:
-        state = build_experiment(*scenario, max_epochs=max_epochs)
-    return _run_to_horizon(state, opts)
 
 
 def _adversary_metrics(
@@ -752,29 +633,3 @@ def _adversary_metrics(
             }
         )
     return metrics
-
-
-def run_protocol_comparison(
-    protocols: Sequence[str],
-    network_config: NetworkConfig,
-    duration: float,
-    workload: WorkloadSpec | None = None,
-    node_config: NodeConfig | None = None,
-    seed: int = 0,
-    warmup: float = 0.0,
-    adversary: AdversarySpec | None = None,
-) -> dict[str, ExperimentResult]:
-    """Run several protocols on identical network conditions and workloads."""
-    results = {}
-    for protocol in protocols:
-        results[protocol] = run_experiment(
-            protocol,
-            network_config,
-            duration,
-            workload=workload,
-            node_config=node_config,
-            seed=seed,
-            warmup=warmup,
-            adversary=adversary,
-        )
-    return results

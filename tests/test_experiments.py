@@ -17,9 +17,10 @@ from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import (
     PROTOCOLS,
     ExperimentResult,
+    Stop,
     WorkloadSpec,
-    run_experiment,
-    run_protocol_comparison,
+    build_experiment,
+    execute,
 )
 from repro.experiments.scenario import apply_overrides
 from repro.sim.bandwidth import ConstantBandwidth
@@ -38,6 +39,11 @@ def tiny_network(n=4, rate=2_000_000.0, delay=0.05):
     )
 
 
+def run_by_hand(protocol, network_config, duration, **kwargs):
+    """One hand-built state executed to its horizon: the seam under the engine."""
+    return execute(build_experiment(protocol, network_config, duration, **kwargs), [Stop(duration)])
+
+
 class TestRunner:
     def test_workload_spec_validation(self):
         with pytest.raises(ValueError):
@@ -45,19 +51,19 @@ class TestRunner:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("pbft", tiny_network(), duration=1.0)
+            build_experiment("pbft", tiny_network(), duration=1.0)
 
     def test_duration_must_exceed_warmup(self):
         with pytest.raises(ValueError):
-            run_experiment("dl", tiny_network(), duration=1.0, warmup=2.0)
+            build_experiment("dl", tiny_network(), duration=1.0, warmup=2.0)
 
     def test_params_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("dl", tiny_network(4), duration=1.0, params=ProtocolParams.for_n(7))
+            build_experiment("dl", tiny_network(4), duration=1.0, params=ProtocolParams.for_n(7))
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_all_protocols_run_and_confirm(self, protocol):
-        result = run_experiment(
+        result = run_by_hand(
             protocol,
             tiny_network(),
             duration=12.0,
@@ -71,7 +77,7 @@ class TestRunner:
         assert result.mean_block_size > 0
 
     def test_poisson_workload_produces_latency_samples(self):
-        result = run_experiment(
+        result = run_by_hand(
             "dl",
             tiny_network(),
             duration=12.0,
@@ -80,16 +86,6 @@ class TestRunner:
         samples = [summary for summary in result.latency_local if summary is not None]
         assert samples
         assert all(summary.p50 > 0 for summary in samples)
-
-    def test_comparison_runs_each_protocol_once(self):
-        results = run_protocol_comparison(
-            ("dl", "hb"),
-            tiny_network(),
-            duration=10.0,
-            workload=WorkloadSpec(kind="saturating", target_pending_bytes=300_000),
-            node_config=NodeConfig(max_block_size=100_000),
-        )
-        assert set(results) == {"dl", "hb"}
 
 
 def entry_sweep(name: str, overrides: dict, grid: dict | None = None) -> SweepResult:

@@ -3,7 +3,8 @@
 * construction-time validation (frozen dataclass, invalid values raise
   :class:`ConfigurationError` immediately, not mid-sweep);
 * ``options=`` is the only way in: the execution keywords the entry points
-  once accepted loosely are gone, so passing one is a ``TypeError``;
+  once accepted loosely are gone, so passing one is a ``TypeError`` — and so
+  is ``checkpoint_every``, which only a spec carries;
 * every strategy is invisible: ``run_scenario`` under ``windows=3`` equals
   the plain run.
 """
@@ -18,7 +19,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.config import NodeConfig
 from repro.experiments.engine import run_points, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import WorkloadSpec, resume_experiment, run_experiment
+from repro.experiments.runner import WorkloadSpec
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
@@ -59,8 +60,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"checkpoint_every": 0.0},
-            {"checkpoint_every": -1.0},
             {"workers": 0},
             {"windows": 0},
             # A checkpoint continues as one chain — even an explicit one-window one.
@@ -72,10 +71,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExecutionOptions(**kwargs)
 
-    def test_the_nine_fields(self):
+    def test_the_eight_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
             "profiler",
-            "checkpoint_every",
             "checkpoint_path",
             "resume_from",
             "parallel",
@@ -99,9 +97,9 @@ class TestOptionsIsTheOnlyWayIn:
             lambda: run_points(expand_grid(tiny_spec(), None), max_workers=1),
             lambda: run_scenario(tiny_spec(), checkpoint_path="/tmp/x.ckpt"),
             lambda: run_scenario(tiny_spec(), resume_from="/tmp/x.ckpt"),
-            lambda: run_experiment("dl", None, 1.0, recorder=None),
-            lambda: run_experiment("dl", None, 1.0, checkpoint_every=1.0),
-            lambda: resume_experiment("/tmp/x.ckpt", checkpoint_every=1.0),
+            # The periodic-checkpoint interval is a spec field, not an option.
+            lambda: ExecutionOptions(checkpoint_every=1.0),
+            lambda: run_scenario(tiny_spec(), options=ExecutionOptions(checkpoint_every=1.0)),
         ],
     )
     def test_loose_execution_keywords_are_type_errors(self, call):

@@ -47,7 +47,6 @@ INTENTIONAL_SURFACE = {
         "get_scenario",
         "register_protocol",
         "register_workload",
-        "run_experiment",
         "run_scenario",
         "sweep",
     ],

@@ -11,7 +11,7 @@ from repro.experiments.catalog import SCENARIOS, get_scenario, list_scenarios
 from repro.experiments.cli import main as cli_main
 from repro.experiments.engine import run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import WorkloadSpec, run_experiment
+from repro.experiments.runner import Stop, WorkloadSpec, build_experiment, execute
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
@@ -354,7 +354,7 @@ class TestRunScenario:
         spec = tiny_spec(duration=10.0, seed=3)
         via_engine = run_scenario(spec).result
         rate = 2 * MB
-        by_hand = run_experiment(
+        state = build_experiment(
             "dl",
             NetworkConfig(
                 num_nodes=4,
@@ -367,6 +367,7 @@ class TestRunScenario:
             node_config=NodeConfig(max_block_size=100_000),
             seed=3,
         )
+        by_hand = execute(state, [Stop(10.0)])
         assert via_engine.throughputs == by_hand.throughputs
         assert via_engine.delivered_epochs == by_hand.delivered_epochs
         assert via_engine.events_processed == by_hand.events_processed

@@ -3,10 +3,12 @@
 Covers the snapshot envelope's typed error paths (truncated file, version
 mismatch, corruption, foreign-scenario restore), the :class:`SnapshotState`
 field-drift detection, the deferred-compaction guard in the event loop,
-periodic checkpoint stops under :func:`execute`, and the ``resume`` CLI —
-its one-line exit-2 error convention and the observer files it writes.  The
-end-to-end bit-identical-continuation guarantees are exercised in
-``test_snapshot_properties.py`` and ``test_sweep_resume.py``.
+periodic checkpoint stops under :func:`execute` and through both engine
+doors (the spec's ``checkpoint_every`` is the one interval), and the
+``resume`` CLI — its one-line exit-2 error convention (spec-less files and a
+``--checkpoint-path`` that would write nothing included) and the observer
+files it writes.  The end-to-end bit-identical-continuation guarantees are
+exercised in ``test_snapshot_properties.py`` and ``test_sweep_resume.py``.
 """
 
 from __future__ import annotations
@@ -22,10 +24,21 @@ from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.snapshot import SnapshotState
 from repro.core.config import NodeConfig
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario
+from repro.experiments.engine import run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import WorkloadSpec, execute, periodic_stops
-from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
+from repro.experiments.runner import (
+    Stop,
+    WorkloadSpec,
+    build_experiment,
+    execute,
+    periodic_stops,
+)
+from repro.experiments.scenario import (
+    BandwidthSpec,
+    ScenarioSpec,
+    TopologySpec,
+    build_network_config,
+)
 from repro.sim.events import InternalCallback, Simulator
 from repro.sim.snapshot import (
     FORMAT_VERSION,
@@ -365,6 +378,14 @@ def test_vid_cost_scenario_refuses_resume(tmp_path):
         )
 
 
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if line]
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 @pytest.mark.parametrize(
     "prepare, match",
     [
@@ -376,14 +397,40 @@ def test_vid_cost_scenario_refuses_resume(tmp_path):
 def test_resume_cli_reports_one_line_error_and_exit_2(tmp_path, capsys, prepare, match):
     path = tmp_path / "bad.ckpt"
     prepare(path)
-    rc = cli_main(["resume", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    lines = [line for line in captured.err.splitlines() if line]
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ")
-    assert match.split()[0] in lines[0] or match in lines[0]
+    assert cli_main(["resume", str(path)]) == 2
+    line = _one_error_line(capsys)
+    assert match.split()[0] in line or match in line
+
+
+def test_resume_cli_refuses_a_checkpoint_without_a_spec(tmp_path, capsys):
+    """Only a hand-driven ``execute`` writes one; the error says how to continue it."""
+    spec = _unobserved_spec(tmp_path)
+    state = build_experiment(
+        spec.protocol,
+        build_network_config(spec),
+        spec.duration,
+        workload=spec.workload,
+        node_config=spec.node,
+    )
+    path = tmp_path / "hand.ckpt"
+    assert execute(state, [Stop(1.0, checkpoint=path)]) is None
+    assert load_checkpoint(path).meta == {}
+
+    assert cli_main(["resume", str(path)]) == 2
+    line = _one_error_line(capsys)
+    assert "carries no scenario spec" in line
+    assert "execute(restore_experiment(path), [Stop(state.duration)])" in line
+
+
+def test_resume_cli_refuses_checkpoint_path_without_checkpoint_every(tmp_path, capsys):
+    spec = _unobserved_spec(tmp_path, checkpoint_every=1.0)
+    checkpoint = tmp_path / "point.ckpt"
+    run_scenario(spec, options=ExecutionOptions(checkpoint_path=checkpoint))
+    elsewhere = tmp_path / "elsewhere.ckpt"
+
+    assert cli_main(["resume", str(checkpoint), "--checkpoint-path", str(elsewhere)]) == 2
+    assert "--checkpoint-path has no effect without --checkpoint-every" in _one_error_line(capsys)
+    assert not elsewhere.exists()
 
 
 def test_resume_cli_truncated_checkpoint_exit_2(tmp_path, capsys):
@@ -433,6 +480,25 @@ def _observed_spec(out_dir: Path, **overrides) -> ScenarioSpec:
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
+
+
+def _unobserved_spec(out_dir: Path, **overrides) -> ScenarioSpec:
+    return _observed_spec(out_dir, telemetry=TelemetrySpec(), spans=SpanSpec(), **overrides)
+
+
+@pytest.mark.parametrize("door", ["run_scenario", "sweep"])
+def test_spec_checkpoint_every_writes_through_both_engine_doors(tmp_path, door):
+    """The spec field is the one periodic-checkpoint interval, whichever door runs it."""
+    spec = _unobserved_spec(tmp_path, checkpoint_every=1.0)
+    checkpoint = tmp_path / "point.ckpt"
+    options = ExecutionOptions(checkpoint_path=checkpoint, parallel=False)
+    if door == "run_scenario":
+        uninterrupted = run_scenario(spec, options=options).summary()
+    else:
+        (uninterrupted,) = sweep(spec, options=options).summaries()
+    assert read_snapshot_header(checkpoint)["virtual_time"] == 2.0
+    resumed = run_scenario(spec, options=ExecutionOptions(resume_from=checkpoint))
+    assert resumed.summary() == uninterrupted
 
 
 def test_run_scenario_refuses_a_foreign_checkpoint_before_unpickling(tmp_path, monkeypatch):
