@@ -7,7 +7,7 @@ a constant-sized block), and larger blocks amortise the fixed cost better.
 The 16..128 sweep uses the byte-accurate cost model; the N = 16 point is
 also measured with the message-level simulator to validate the model (the
 pure-Python event loop cannot run N = 128 in reasonable time — see
-DESIGN.md).
+docs/architecture.md, Substitutions).
 """
 
 from conftest import bench_duration, fmt_mbps, report, sweep_entry

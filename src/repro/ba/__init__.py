@@ -6,7 +6,8 @@ signature-free protocol of Mostefaoui, Hamouma and Raynal (PODC 2014),
 which terminates in O(1) expected rounds given a common coin; this package
 implements that protocol together with a deterministic hash-based common
 coin (a documented substitution for threshold-signature coins — see
-DESIGN.md) and a Bracha-style termination gadget so nodes can halt.
+docs/architecture.md, Substitutions) and a Bracha-style termination gadget
+so nodes can halt.
 """
 
 from repro.ba.coin import CommonCoin

@@ -6,7 +6,7 @@ it from threshold signatures; for this reproduction the adversary in our
 experiments does not attack coin unpredictability, so a deterministic hash
 of the instance id, the round number and a per-deployment seed gives every
 node the same bit with the same statistical behaviour (documented
-substitution, see DESIGN.md).
+substitution, see docs/architecture.md, Substitutions).
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ so it only proposes transactions it was able to validate.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.ids import VIDInstanceId
 from repro.core.config import NodeConfig
 from repro.core.epoch import EpochState
@@ -50,7 +52,7 @@ class DispersedLedgerNode(BFTNodeBase):
         self._pump_retrievals()
 
     # ------------------------------------------------------------------
-    # Lazy, windowed retrieval (S4.5: multiple epochs in parallel)
+    # Lazy retrieval (S4.5: multiple epochs in parallel)
     # ------------------------------------------------------------------
 
     def _pump_retrievals(self) -> None:
@@ -97,21 +99,12 @@ class DLCoupledNode(DispersedLedgerNode):
     DEFAULT_COUPLED_LAG = 4
 
     def __init__(self, *args, **kwargs):
-        config: NodeConfig | None = kwargs.get("config")
-        if config is None:
-            config = NodeConfig(coupled=True, coupled_lag=self.DEFAULT_COUPLED_LAG)
-        elif not config.coupled:
-            config = NodeConfig(
-                data_plane=config.data_plane,
-                nagle_delay=config.nagle_delay,
-                nagle_size=config.nagle_size,
-                max_block_size=config.max_block_size,
-                linking=config.linking,
+        config: NodeConfig = kwargs.get("config") or NodeConfig()
+        if not config.coupled:
+            config = replace(
+                config,
                 coupled=True,
                 coupled_lag=max(config.coupled_lag, self.DEFAULT_COUPLED_LAG),
-                max_parallel_retrievals=config.max_parallel_retrievals,
-                propose_empty_when_idle=config.propose_empty_when_idle,
-                retrieval_uses_priority=config.retrieval_uses_priority,
             )
         kwargs["config"] = config
         super().__init__(*args, **kwargs)

@@ -5,12 +5,12 @@ The heart of this package is the **scenario engine**: declarative
 model, adversary placement, workload, duration), a catalog of named
 scenarios, and one execution path.  :func:`run_scenario` runs one point and
 :func:`sweep` a parameter grid; both go through
-:func:`repro.experiments.engine.run_points`, which plans every point into
-tasks — build or restore a simulation, then
-:func:`repro.experiments.runner.execute` it through its stops (window
-boundaries, checkpoints, the horizon) — and runs them in this process or on
-one process pool.  *How* to execute (workers, windows, checkpoints, resume,
-the sweep journal) is one :class:`ExecutionOptions` passed as ``options=``;
+:func:`repro.experiments.engine.run_points`, which runs every point as one
+task — build or restore a simulation, then
+:func:`repro.experiments.runner.execute` it through its stops (periodic
+checkpoints, the horizon) — in this process or on one process pool.  *How*
+to execute (workers, checkpoint path, resume, the sweep journal) is one
+:class:`ExecutionOptions` passed as ``options=``;
 every strategy produces bit-identical summaries.  One CLI entry point::
 
     python -m repro.experiments list
@@ -79,7 +79,6 @@ from repro.experiments.scenario import (
     expand_grid,
     register_bandwidth_model,
 )
-from repro.experiments.windowed import window_boundaries
 
 __all__ = [
     "BANDWIDTH_MODELS",
@@ -111,5 +110,4 @@ __all__ = [
     "register_workload",
     "run_scenario",
     "sweep",
-    "window_boundaries",
 ]

@@ -40,10 +40,7 @@ corrupt, or foreign-scenario file, a checkpoint that carries no spec, and
 ``--checkpoint-path`` without ``--checkpoint-every`` are each a one-line
 error and exit status 2.
 ``run`` and ``sweep`` accept ``--resume-dir`` to journal per-point results
-so a crashed sweep re-runs only its unfinished points, and ``--windows W``
-to execute every point as ``W`` checkpoint-hand-off windows
-(:mod:`repro.experiments.windowed`) — pipelined across workers, with
-warmup-prefix sharing, and byte-identical summaries.  The two compose.
+so a crashed sweep re-runs only its unfinished points.
 
 ``trace`` groups the nine trace, telemetry and span utilities (``inspect``,
 ``convert``, ``export``, ``summarise``, ``plot``, ``diff``, ``import``,
@@ -155,19 +152,6 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     if sweepable:
         group.add_argument("--serial", action="store_true", help="run points in-process")
         group.add_argument("--workers", type=int, help="worker-process count")
-        group.add_argument(
-            "--windows",
-            type=int,
-            help="split every point into this many checkpoint-hand-off "
-            "windows, pipelined across workers; points agreeing on a prefix "
-            "of the horizon fork one shared execution of it, and summaries "
-            "stay byte-identical to a monolithic run",
-        )
-        group.add_argument(
-            "--window-dir",
-            help="where hand-off checkpoints and telemetry segments live "
-            "(default: a temporary directory removed after the sweep)",
-        )
         group.add_argument(
             "--telemetry",
             action="store_true",
@@ -284,7 +268,6 @@ def _print_run(entry: NamedScenario, result: SweepResult, as_json: bool) -> None
             "figure": entry.figure,
             "parallel": result.parallel,
             "workers": result.workers,
-            "windows": result.windows,
             "wall_clock_seconds": result.wall_clock_seconds,
             "events_processed": result.events_processed,
             "summaries": result.summaries(),
@@ -295,8 +278,6 @@ def _print_run(entry: NamedScenario, result: SweepResult, as_json: bool) -> None
     print(f"scenario {entry.name}{figure}: {entry.description}")
     print(result.table(columns=entry.columns))
     mode = f"{result.workers} processes" if result.parallel else "serial"
-    if result.windows is not None:
-        mode += f", {result.windows} windows"
     events = result.events_processed
     rate = f", {events / result.wall_clock_seconds:,.0f} events/s" if events else ""
     print(
@@ -390,14 +371,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         if args.telemetry:
             base = force_observer(base, "telemetry")
-        # A bad value (zero workers, zero windows, ...) is a ConfigurationError
-        # from ExecutionOptions itself.
+        # A bad value (zero workers) is a ConfigurationError from
+        # ExecutionOptions itself.
         options = ExecutionOptions(
-            parallel=not args.serial,
-            workers=args.workers,
-            resume_dir=args.resume_dir,
-            windows=args.windows,
-            window_dir=args.window_dir,
+            parallel=not args.serial, workers=args.workers, resume_dir=args.resume_dir
         )
         result = sweep(base, grid or None, options=options)
     except (ConfigurationError, WorkerDiedError) as exc:

@@ -2,10 +2,10 @@
 
 Message-level simulation of a 128-node cluster is out of reach for a pure
 Python event loop (every epoch is tens of millions of message events), so —
-as documented in DESIGN.md — Fig. 12 and Fig. 13 are regenerated with an
-analytical model that uses exactly the same per-message byte formulas as the
-implementation (header sizes, hash sizes, Merkle proof depths, erasure-code
-expansion).  The model is validated against message-level runs at small N in
+as documented in docs/architecture.md, Substitutions — Fig. 12 and Fig. 13
+are regenerated with an analytical model that uses exactly the same
+per-message byte formulas as the implementation (header sizes, hash sizes,
+Merkle proof depths, erasure-code expansion).  The model is validated against message-level runs at small N in
 :func:`repro.experiments.figures.validate_cost_model` and in the test suite.
 
 The model computes, per epoch and per node:

@@ -1,21 +1,20 @@
-"""The scenario engine: every run is a plan of stops, executed by one scheduler.
+"""The scenario engine: a point is one task, run through its stops.
 
-:func:`run_points` is the only execution path.  Each point is planned
-(:func:`~repro.experiments.windowed.plan_windowed_points`; one window unless
-``ExecutionOptions.windows`` says otherwise) into a chain of tasks.  A task
-builds the point's simulation (:func:`build_scenario`) or restores it — from
-a hand-off checkpoint, a forked leader's, or ``options.resume_from`` — and
-hands it to :func:`~repro.experiments.runner.execute` with its stops: window
-boundaries, hand-offs and the horizon, after the periodic stops of a
-one-window run whose spec sets ``checkpoint_every``.  :func:`_run_tasks`
-runs the graph in this process or on the one process pool.
-:func:`run_scenario` is a one-point :func:`run_points`; :func:`sweep`
-expands a grid, drops the points a resume journal already holds, and
-journals the rest as they complete.  Those two are the public ways to run a
-simulation: a run is a :class:`ScenarioSpec`.
+:func:`run_points` is the only execution path.  Each point is one task
+(:func:`_run_point`): build the point's simulation (:func:`build_scenario`)
+or restore it from ``options.resume_from`` (fingerprint-checked), then hand
+it to :func:`~repro.experiments.runner.execute` with its stops — the
+periodic checkpoints of a spec that sets ``checkpoint_every``, then the
+horizon, which flushes every observer straight to its per-point file
+(:func:`point_filename`).  :func:`_run_tasks` runs the points in this
+process or maps them over the one process pool.  :func:`run_scenario` is a
+one-point :func:`run_points`; :func:`sweep` expands a grid, drops the
+points a resume journal already holds, and journals the rest as they
+complete.  Those two are the public ways to run a simulation: a run is a
+:class:`ScenarioSpec`.
 
 Each point is a pure function of its spec (all randomness is seeded from
-it), so serial, pooled, windowed, checkpointed and resumed execution produce
+it), so serial, pooled, checkpointed and resumed execution produce
 bit-identical summaries and observer files.  Wall-clock time is recorded per
 point and per sweep for the CLI to print; host performance is measured by the
 ledger (``benchmarks/ledger/``), not here.
@@ -27,7 +26,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -39,19 +37,13 @@ from repro.common.errors import SnapshotError, WorkerDiedError
 from repro.experiments import runner
 from repro.experiments.figures import measure_avid_m_dispersal_cost, vid_cost_row
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import ExperimentResult, Stop
+from repro.experiments.runner import ExperimentResult, Stop, _experiment_fingerprint
 from repro.experiments.scenario import (
     Grid,
     ScenarioSpec,
+    build_network_config,
     describe_overrides,
     expand_grid,
-)
-from repro.experiments.windowed import (
-    PointPlan,
-    experiment_args,
-    plan_windowed_points,
-    refit_forked_state,
-    spec_fingerprint,
 )
 from repro.sim.snapshot import (
     KIND_SWEEP_POINT,
@@ -59,7 +51,7 @@ from repro.sim.snapshot import (
     read_snapshot_file,
     write_snapshot_file,
 )
-from repro.trace.observers import Observer, enabled_observers
+from repro.trace.observers import enabled_observers
 
 
 @dataclass
@@ -155,6 +147,32 @@ def point_filename(
 DEFAULT_CHECKPOINT_DIR = "checkpoints"
 
 
+def experiment_args(spec: ScenarioSpec) -> dict[str, Any]:
+    """The one expansion of a spec into the runner's scenario arguments.
+
+    What :func:`~repro.experiments.runner.build_experiment` builds from and
+    what a checkpoint's fingerprint digests are the same ten values, so both
+    read them from here.
+    """
+    return {
+        "protocol": spec.protocol,
+        "network_config": build_network_config(spec),
+        "duration": spec.duration,
+        "workload": spec.workload,
+        "node_config": spec.node,
+        "params": spec.params(),
+        "seed": spec.seed,
+        "warmup": spec.effective_warmup(),
+        "adversary": spec.adversary,
+        "max_epochs": spec.max_epochs,
+    }
+
+
+def spec_fingerprint(spec: ScenarioSpec) -> str:
+    """The fingerprint a checkpoint of ``spec`` carries in its header."""
+    return _experiment_fingerprint(**experiment_args(spec))
+
+
 def build_scenario(
     spec: ScenarioSpec, overrides: Mapping[str, Any] | None = None
 ) -> SimulationState:
@@ -174,6 +192,16 @@ def build_scenario(
     )
 
 
+def _observer_paths(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> dict[str, str]:
+    """Observer name -> the one file its rows are written to for this point."""
+    return {
+        row.name: str(
+            Path(getattr(spec, row.name).out_dir) / point_filename(spec, overrides, row.suffix)
+        )
+        for row in enabled_observers(spec)
+    }
+
+
 def _run_vid_cost(spec: ScenarioSpec) -> dict[str, Any]:
     """The Fig. 2 point: modelled dispersal costs plus a measured AVID-M run."""
     n, block_size = spec.num_nodes, spec.block_size
@@ -183,190 +211,67 @@ def _run_vid_cost(spec: ScenarioSpec) -> dict[str, Any]:
     }
 
 
-#: A task's identity: (point index, first window it executes).
-TaskKey = tuple[int, int]
+def _run_point(
+    overrides: dict[str, Any], spec: ScenarioSpec, options: ExecutionOptions
+) -> tuple[ExperimentResult | None, dict[str, Any], float]:
+    """Run one point (in this process or a pool worker); ``(result, extra, wall seconds)``.
 
-
-@dataclass(frozen=True)
-class _Task:
-    """Build or restore one point's simulation, then run it through ``stops``.
-
-    Crosses to a pool worker as a pickle.  An analytic point has no stops.
+    A ``sim`` point is built, or restored from ``options.resume_from``, and
+    executed through its periodic checkpoint stops and one horizon stop.
     """
-
-    spec: ScenarioSpec
-    overrides: dict[str, Any]
-    stops: tuple[Stop, ...]
-    #: Checkpoint path or loaded state to restore (``None`` = build fresh),
-    #: and the fingerprint it must carry — the leader's when ``fork`` is set,
-    #: in which case the restored state is re-aimed at this point.
-    source: Any = None
-    expect: str | None = None
-    fork: bool = False
-    #: ``(every, path)`` of the periodic checkpoints to take ahead of ``stops``.
-    periodic: tuple[float, str | Path] | None = None
-    profiler: Any = None
-
-
-def _run_task(task: _Task) -> tuple[ExperimentResult | None, dict[str, Any], float]:
-    """Run one task; returns ``(result, extra, wall seconds)``."""
     started = time.perf_counter()
-    if not task.stops:
-        return None, _run_vid_cost(task.spec), time.perf_counter() - started
-    if task.source is None:
-        state = build_scenario(task.spec, task.overrides)
+    if spec.kind != "sim":
+        return None, _run_vid_cost(spec), time.perf_counter() - started
+    if options.resume_from is None:
+        state = build_scenario(spec, overrides)
     else:
-        state = runner.restore_experiment(task.source, task.expect)
-        if task.fork:
-            refit_forked_state(state, task.spec, task.overrides)
-    stops = task.stops
-    if task.periodic is not None:
-        stops = (*runner.periodic_stops(state, *task.periodic), *stops)
-    result = runner.execute(state, stops, task.profiler)
+        state = runner.restore_experiment(options.resume_from, spec_fingerprint(spec))
+    stops = []
+    if spec.checkpoint_every is not None:
+        path = options.checkpoint_path or Path(DEFAULT_CHECKPOINT_DIR) / point_filename(
+            spec, overrides, ".ckpt"
+        )
+        stops = runner.periodic_stops(state, spec.checkpoint_every, path)
+    stops.append(Stop(spec.duration, flush=_observer_paths(spec, overrides)))
+    result = runner.execute(state, stops, options.profiler)
     return result, {}, time.perf_counter() - started
 
 
-def _segment(work_dir: Path, point: int, window: int, suffix: str) -> Path:
-    return work_dir / f"point{point:04d}-w{window}{suffix}"
-
-
-def _plan_tasks(
-    plans: list[PointPlan], work_dir: Path, options: ExecutionOptions
-) -> tuple[dict[TaskKey, _Task], dict[TaskKey, TaskKey | None]]:
-    """Materialise the task graph: maximal fused chains, each with <= 1 dependency.
-
-    A point's chain is cut only where a checkpoint must exist: after a window
-    some follower forks from.  Every other boundary is crossed in-process, so
-    an unshared point is one task with no hand-off I/O, and followers start
-    the moment the shared prefix is on disk, not when the leader finishes.
-    """
-    # Windows whose end-of-window checkpoint some follower forks from.
-    demanded: dict[int, set[int]] = {}
-    for plan in plans:
-        if plan.leader is not None:
-            demanded.setdefault(plan.leader, set()).add(plan.fork_window - 1)
-
-    tasks: dict[TaskKey, _Task] = {}
-    deps: dict[TaskKey, TaskKey | None] = {}
-    # Task that writes the hand-off checkpoint at the end of (point, window).
-    producer: dict[TaskKey, TaskKey] = {}
-    for plan in plans:
-        spec, index = plan.spec, plan.index
-        if not plan.boundaries:
-            if options.resume_from is not None:
-                raise SnapshotError(
-                    f"{spec.kind} scenarios are analytic and cannot be "
-                    "checkpointed or resumed"
-                )
-            tasks[index, 0], deps[index, 0] = _Task(spec, plan.overrides, ()), None
-            continue
-        last = len(plan.boundaries) - 1
-        flushed = enabled_observers(spec)
-        periodic = None
-        if last == 0 and spec.checkpoint_every is not None:
-            periodic = (
-                spec.checkpoint_every,
-                options.checkpoint_path
-                or Path(DEFAULT_CHECKPOINT_DIR) / point_filename(spec, plan.overrides, ".ckpt"),
-            )
-        starts = [plan.fork_window]
-        starts += [window + 1 for window in sorted(demanded.get(index, ()))]
-        for start, following in zip(starts, starts[1:] + [last + 1]):
-            end = following - 1
-            stops = tuple(
-                Stop(
-                    plan.boundaries[window],
-                    flush={
-                        row.name: _segment(work_dir, index, window, row.suffix)
-                        for row in flushed
-                    },
-                    checkpoint=(
-                        _segment(work_dir, index, window, ".ckpt")
-                        if window == end < last
-                        else None
-                    ),
-                )
-                for window in range(start, end + 1)
-            )
-            owner, source, dep = index, options.resume_from, None
-            if start > 0:
-                if start == plan.fork_window and plan.leader is not None:
-                    owner = plan.leader
-                source = _segment(work_dir, owner, start - 1, ".ckpt")
-                dep = producer[owner, start - 1]
-            tasks[index, start] = _Task(
-                spec,
-                plan.overrides,
-                stops,
-                source=source,
-                expect=None if source is None else spec_fingerprint(plans[owner].spec),
-                fork=owner != index,
-                periodic=periodic,
-                profiler=options.profiler,
-            )
-            deps[index, start] = dep
-            if end < last:
-                producer[index, end] = (index, start)
-    return tasks, deps
-
-
 def _run_tasks(
-    tasks: dict[TaskKey, _Task],
-    deps: dict[TaskKey, TaskKey | None],
+    points: list[tuple[dict[str, Any], ScenarioSpec]],
+    options: ExecutionOptions,
     workers: int,
-    on_done: Callable[[TaskKey, tuple], None],
+    on_done: Callable[[int, tuple], None],
 ) -> None:
-    """Run the task graph, in this process (``workers <= 1``) or on the one pool.
+    """Run every point, in this process (``workers <= 1``) or on the one pool.
 
-    ``on_done(key, outcome)`` is called here as each task completes.  A
+    ``on_done(index, outcome)`` is called here as each point completes.  A
     worker that dies takes the pool with it; that surfaces as
     :class:`WorkerDiedError` naming the points that were in flight.
     """
-    # Start-window-major order is a topological order: every dependency
-    # produces its checkpoint in a strictly earlier window.
-    order = sorted(tasks, key=lambda key: (key[1], key[0]))
     if workers <= 1:
-        for key in order:
-            on_done(key, _run_task(tasks[key]))
+        for index, (overrides, spec) in enumerate(points):
+            on_done(index, _run_point(overrides, spec, options))
         return
-    pending = list(order)
-    finished: set[TaskKey] = set()
-    running: dict[Any, TaskKey] = {}
+    running: dict[Any, int] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            while pending or running:
-                for key in [k for k in pending if deps[k] is None or deps[k] in finished]:
-                    running[pool.submit(_run_task, tasks[key])] = key
-                    pending.remove(key)
+            for index, (overrides, spec) in enumerate(points):
+                running[pool.submit(_run_point, overrides, spec, options)] = index
+            while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 # Results before failures: a point that completed is reported
                 # (and journalled) even if the pool broke in the same wake-up.
                 for future in sorted(done, key=lambda f: f.exception() is not None):
                     on_done(running[future], future.result())
-                    finished.add(running.pop(future))
+                    del running[future]
         except BrokenProcessPool:
-            in_flight = sorted({describe_overrides(tasks[key].overrides) for key in running.values()})
+            in_flight = sorted({describe_overrides(points[index][0]) for index in running.values()})
             raise WorkerDiedError(
                 "a worker process died while running point(s) "
                 f"{', '.join(in_flight)}; points completed before that are kept "
                 "(with a resume journal, re-running executes only the rest)"
             ) from None
-
-
-def _stitch(plan: PointPlan, work_dir: Path, row: Observer) -> str:
-    """Byte-concatenate a point's per-window segments into its one observer file.
-
-    A forked point reuses its leader's segments for the windows they share.
-    """
-    suffix = row.suffix
-    out_dir = getattr(plan.spec, row.name).out_dir
-    target = Path(out_dir) / point_filename(plan.spec, plan.overrides, suffix)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as out:
-        for window in range(len(plan.boundaries)):
-            owner = plan.leader if window < plan.fork_window else plan.index
-            out.write(_segment(work_dir, owner, window, suffix).read_bytes())
-    return str(target)
 
 
 # -- sweep crash-resume ----------------------------------------------------
@@ -425,9 +330,6 @@ class SweepResult:
     #: Point indices whose results were loaded from a resume journal instead
     #: of re-executed (empty when the sweep ran without ``resume_dir``).
     resumed_points: list[int] = field(default_factory=list)
-    #: Window count when every point ran as more than one window
-    #: (:mod:`repro.experiments.windowed`); ``None`` for one-window points.
-    windows: int | None = None
 
     def summaries(self) -> list[dict[str, Any]]:
         return [point.summary() for point in self.points]
@@ -495,49 +397,39 @@ def run_points(
     :func:`run_scenario` for the per-point ones (``resume_from`` is restored
     by every point, so it must be a checkpoint of that very point).
     ``on_point(position, result)`` is called in this process as soon as a
-    point's last task completes.
+    point completes.
     """
     opts = options or ExecutionOptions()
-    plans = plan_windowed_points(points, opts.windows or 1)
-    results: list[ScenarioResult | None] = [None] * len(plans)
-    with tempfile.TemporaryDirectory(prefix="repro-windowed-") as scratch:
-        work_dir = Path(opts.window_dir or scratch)
-        work_dir.mkdir(parents=True, exist_ok=True)
-        tasks, deps = _plan_tasks(plans, work_dir, opts)
-        # One worker per point, capped at the CPU count, unless told otherwise.
-        workers = opts.workers or min(len(points), os.cpu_count() or 1)
-        if not opts.parallel or len(tasks) <= 1:
-            workers = 1
-        # The last task of each point's chain (sorted: the highest start wins).
-        final = dict(sorted(tasks))
-        walls = [0.0] * len(plans)
+    if opts.resume_from is not None:
+        for _, spec in points:
+            if spec.kind != "sim":
+                raise SnapshotError(
+                    f"{spec.kind} scenarios are analytic and cannot be "
+                    "checkpointed or resumed"
+                )
+    # One worker per point, capped at the CPU count, unless told otherwise.
+    workers = opts.workers or min(len(points), os.cpu_count() or 1)
+    if not opts.parallel or len(points) <= 1:
+        workers = 1
+    results: list[ScenarioResult | None] = [None] * len(points)
 
-        def on_done(key: TaskKey, outcome: tuple) -> None:
-            index, start = key
-            result, extra, wall = outcome
-            # A shared prefix is credited to its leader, so the work the
-            # prefix tree saves is visible in the per-point totals.
-            walls[index] += wall
-            if start != final[index]:
-                return
-            plan = plans[index]
-            paths = {
-                row.name: _stitch(plan, work_dir, row)
-                for row in enabled_observers(plan.spec)
-            }
-            results[index] = ScenarioResult(
-                spec=plan.spec,
-                overrides=plan.overrides,
-                result=result,
-                extra=extra,
-                wall_clock_seconds=walls[index],
-                telemetry_path=paths.get("telemetry"),
-                span_path=paths.get("spans"),
-            )
-            if on_point is not None:
-                on_point(index, results[index])
+    def on_done(index: int, outcome: tuple) -> None:
+        result, extra, wall = outcome
+        overrides, spec = points[index]
+        paths = _observer_paths(spec, overrides)
+        results[index] = ScenarioResult(
+            spec=spec,
+            overrides=dict(overrides),
+            result=result,
+            extra=extra,
+            wall_clock_seconds=wall,
+            telemetry_path=paths.get("telemetry"),
+            span_path=paths.get("spans"),
+        )
+        if on_point is not None:
+            on_point(index, results[index])
 
-        _run_tasks(tasks, deps, workers, on_done)
+    _run_tasks(points, opts, workers, on_done)
     return results, workers
 
 
@@ -549,8 +441,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scenario point: a one-point :func:`run_points`.
 
-    A single point is a single task (nothing forks from it), so it always
-    executes in this process, whatever ``options.parallel`` says.
+    A single point always executes in this process, whatever
+    ``options.parallel`` says.
 
     When the spec opts into telemetry (``spec.telemetry.enabled``) or span
     recording (``spec.spans.enabled``), the recorder rides along and its
@@ -563,8 +455,7 @@ def run_scenario(
     :data:`DEFAULT_CHECKPOINT_DIR` under a per-point name).
     ``options.resume_from`` continues a previous checkpoint instead of
     building a fresh run; the checkpoint must belong to this exact scenario
-    (fingerprint-checked).  More than one window (``options.windows``)
-    ignores ``checkpoint_every``: the hand-off checkpoints subsume it.
+    (fingerprint-checked).
     """
     results, _ = run_points([(dict(overrides or {}), spec)], options=options)
     return results[0]
@@ -598,13 +489,6 @@ def sweep(
               only the unfinished points and produces a result identical to
               an uninterrupted run.  Stale journals (different base spec,
               grid, or point order) are detected by fingerprint and ignored.
-            * ``windows`` — split every point's virtual-time horizon into
-              this many checkpoint-hand-off windows (pipelined across
-              points, with warmup-prefix sharing; see
-              :mod:`repro.experiments.windowed`); summaries are
-              byte-identical to one-window points.  Composes with
-              ``resume_dir``: the unfinished points are planned among
-              themselves.
     """
     opts = options or ExecutionOptions()
     started = time.perf_counter()
@@ -652,5 +536,4 @@ def sweep(
         workers=workers,
         wall_clock_seconds=time.perf_counter() - started,
         resumed_points=sorted(set(loaded) - set(todo)),
-        windows=opts.windows if (opts.windows or 1) > 1 else None,
     )

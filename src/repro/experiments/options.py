@@ -27,7 +27,7 @@ class ExecutionOptions:
 
     Every field is execution strategy only: any combination produces
     summaries byte-identical to the defaults — that invariant is pinned by
-    the golden suite and the windowed property tests.
+    the golden suite and the snapshot property tests.
 
     Attributes:
         profiler: a :class:`~repro.sim.profiler.SimProfiler` installed on the
@@ -45,12 +45,6 @@ class ExecutionOptions:
         workers: worker-process count (``None`` = one per point, capped at
             the machine's CPU count).
         resume_dir: sweep crash-resume journal directory (:func:`sweep`).
-        windows: split each point's virtual-time horizon into this many
-            windows executed via checkpoint hand-off, sharing common
-            prefixes between points (see :mod:`repro.experiments.windowed`).
-            ``None`` = one window.
-        window_dir: where hand-off checkpoints and observer segments live
-            (``None`` = a temporary directory, removed afterwards).
     """
 
     profiler: Any | None = None
@@ -59,13 +53,7 @@ class ExecutionOptions:
     parallel: bool = True
     workers: int | None = None
     resume_dir: str | Path | None = None
-    windows: int | None = None
-    window_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be None or >= 1")
-        if self.windows is not None and self.windows < 1:
-            raise ConfigurationError("windows must be None or >= 1")
-        if self.windows is not None and self.resume_from is not None:
-            raise ConfigurationError("windows cannot be combined with resume_from")

@@ -456,9 +456,8 @@ class Stop:
 
     :func:`execute` runs the simulation to ``time``, then writes and clears
     the rows of the observers ``flush`` names (``state.observers`` key ->
-    JSONL path), then saves a checkpoint to ``checkpoint``.  A window
-    boundary, a hand-off, a periodic checkpoint and the horizon are the same
-    thing with different fields set.
+    JSONL path), then saves a checkpoint to ``checkpoint``.  A periodic
+    checkpoint and the horizon are the same thing with different fields set.
     """
 
     time: float
@@ -514,10 +513,10 @@ def execute(
     ``profiler`` (a :class:`~repro.sim.profiler.SimProfiler`) is installed
     on the simulator first.  At each stop: run to it, finish the observers
     if it is the horizon (post-run telemetry rows, aborted spans dropped),
-    flush, checkpoint — in that order, so a flushed segment holds the
-    finished rows and a checkpoint holds exactly what has not been flushed.
-    Returns the summary once the horizon is reached and ``None`` for a plan
-    that ends earlier (its last stop saved the hand-off).
+    flush, checkpoint — in that order, so a flushed file holds the finished
+    rows and a checkpoint holds exactly what has not been flushed.  Returns
+    the summary once the horizon is reached and ``None`` for a plan that
+    ends earlier (its last stop saved a checkpoint to continue from).
     """
     if profiler is not None:
         state.sim.profiler = profiler
@@ -536,8 +535,8 @@ def execute(
                     f"a {name!r} observer"
                 )
             write_jsonl(path, observer.rows)
-            # The next stop must record only its own rows; on a hand-off the
-            # cleared list rides forward inside the checkpoint.
+            # The next stop must record only its own rows; a checkpoint
+            # saved after this flush carries the cleared list forward.
             observer.rows.clear()
         if stop.checkpoint is not None:
             save_checkpoint(stop.checkpoint, state)

@@ -123,7 +123,8 @@ class BandwidthSpec:
 
     ``egress_headroom`` scales the upload side relative to the download caps
     (1.0 = symmetric links, as in the scalability experiments; the
-    controlled Fig. 11 experiments use 2.0, see DESIGN.md).  For trace
+    controlled Fig. 11 experiments use 2.0, see docs/architecture.md,
+    Substitutions).  For trace
     replay the measured up rates already encode the asymmetry, so the
     headroom usually stays 1.0.
     """

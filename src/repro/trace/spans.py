@@ -17,8 +17,8 @@ emits one **span row** per completed lifecycle phase:
   advances or the instance decides.
 
 Rows are appended only when a span **closes**, so the file order is the
-deterministic close order — per-window segments written by the windowed
-engine concatenate byte-identically to a monolithic run's file.  The
+deterministic close order — a run resumed from a checkpoint writes the same
+bytes as one that never stopped.  The
 recorder schedules nothing and never mutates protocol state: summaries are
 bit-identical with recording on or off, and the open-span bookkeeping is
 snapshot-declared so checkpoints carry it across resume.

@@ -144,7 +144,7 @@ def city_delay_matrix(cities: tuple[CityProfile, ...]) -> list[list[float]]:
 #: capacity.  The paper's geo nodes sit on fat datacenter uplinks and are
 #: constrained by what each site can *pull* across the internet, so the
 #: profile's ``mean_bandwidth`` models the download side and the serving side
-#: gets proportional headroom (see DESIGN.md, substitution table).
+#: gets proportional headroom (see docs/architecture.md, Substitutions).
 DEFAULT_EGRESS_HEADROOM = 2.0
 
 

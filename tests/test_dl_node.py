@@ -5,6 +5,8 @@ end to end, with real erasure-coded blocks, under message reordering and in
 the presence of crashed, equivocating and censoring nodes.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.adversary.censor import CensoringNode
@@ -185,6 +187,51 @@ class TestDLCoupled:
     def test_coupled_config_forced(self, params4):
         network, nodes = build_cluster(DLCoupledNode, params4, max_epochs=1)
         assert all(node.config.coupled for node in nodes)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in dataclasses.fields(NodeConfig)
+            if f.name not in ("coupled", "coupled_lag")
+        ],
+    )
+    def test_coupled_config_keeps_every_other_field(self, params4, name):
+        # Forcing coupled mode may touch only coupled and coupled_lag; every
+        # other field the caller set must survive the rebuild.
+        default = getattr(NodeConfig(), name)
+        strings = {"data_plane": "real", "mempool": "columnar"}
+        if name in strings:
+            value = strings[name]
+        elif isinstance(default, bool):
+            value = not default
+        else:
+            value = default + 1
+        config = NodeConfig(**{name: value})
+        assert getattr(config, name) != default
+        _, nodes = build_cluster(DLCoupledNode, params4, config=config, max_epochs=1)
+        expected = dataclasses.replace(
+            config, coupled=True, coupled_lag=DLCoupledNode.DEFAULT_COUPLED_LAG
+        )
+        assert all(node.config == expected for node in nodes)
+
+    @pytest.mark.parametrize(
+        "coupled, lag, expected",
+        [
+            (False, 1, DLCoupledNode.DEFAULT_COUPLED_LAG),
+            (False, DLCoupledNode.DEFAULT_COUPLED_LAG + 3, DLCoupledNode.DEFAULT_COUPLED_LAG + 3),
+            (True, 2, 2),
+        ],
+        ids=["raised-to-default", "larger-lag-kept", "already-coupled-untouched"],
+    )
+    def test_coupled_lag_is_at_least_the_default_unless_already_coupled(
+        self, params4, coupled, lag, expected
+    ):
+        config = NodeConfig(coupled=coupled, coupled_lag=lag)
+        _, nodes = build_cluster(DLCoupledNode, params4, config=config, max_epochs=1)
+        assert {(node.config.coupled, node.config.coupled_lag) for node in nodes} == {
+            (True, expected)
+        }
 
 
 def _crashed_factory():

@@ -5,7 +5,7 @@
 * ``options=`` is the only way in: the execution keywords the entry points
   once accepted loosely are gone, so passing one is a ``TypeError`` — and so
   is ``checkpoint_every``, which only a spec carries;
-* every strategy is invisible: ``run_scenario`` under ``windows=3`` equals
+* every strategy is invisible: ``run_scenario`` under pool options equals
   the plain run.
 """
 
@@ -61,17 +61,13 @@ class TestValidation:
         "kwargs",
         [
             {"workers": 0},
-            {"windows": 0},
-            # A checkpoint continues as one chain — even an explicit one-window one.
-            {"windows": 1, "resume_from": "/tmp/x.ckpt"},
-            {"windows": 2, "resume_from": "/tmp/x.ckpt"},
         ],
     )
     def test_invalid_combinations_raise(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExecutionOptions(**kwargs)
 
-    def test_the_eight_fields(self):
+    def test_the_six_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
             "profiler",
             "checkpoint_path",
@@ -79,13 +75,7 @@ class TestValidation:
             "parallel",
             "workers",
             "resume_dir",
-            "windows",
-            "window_dir",
         ]
-
-    def test_windows_compose_with_resume_dir(self, tmp_path):
-        options = ExecutionOptions(windows=2, resume_dir=tmp_path)
-        assert (options.windows, options.resume_dir) == (2, tmp_path)
 
 
 class TestOptionsIsTheOnlyWayIn:
@@ -100,14 +90,17 @@ class TestOptionsIsTheOnlyWayIn:
             # The periodic-checkpoint interval is a spec field, not an option.
             lambda: ExecutionOptions(checkpoint_every=1.0),
             lambda: run_scenario(tiny_spec(), options=ExecutionOptions(checkpoint_every=1.0)),
+            # A point is one task: there is no window count or window directory.
+            lambda: ExecutionOptions(windows=2),
+            lambda: ExecutionOptions(window_dir="/tmp/windows"),
         ],
     )
     def test_loose_execution_keywords_are_type_errors(self, call):
         with pytest.raises(TypeError, match="unexpected keyword"):
             call()
 
-    def test_run_scenario_under_windows_equals_the_plain_run(self):
+    def test_run_scenario_under_pool_options_equals_the_plain_run(self):
         spec = tiny_spec()
         plain = run_scenario(spec).summary()
-        assert run_scenario(spec, options=ExecutionOptions(windows=3)).summary() == plain
+        assert run_scenario(spec, options=ExecutionOptions(workers=2)).summary() == plain
         assert run_scenario(spec, options=None).summary() == plain

@@ -11,8 +11,8 @@ changes nothing simulated:
   *content* and can be neither read wrongly nor poisoned, the proof shortcut is
   gated by chunk *identity*, eviction only loses sharing;
 * end-to-end neutrality — real-plane scenarios give byte-identical summaries
-  with a cold record, a warm one, windowed, and across checkpoint →
-  fresh-process resume; the record never reaches a checkpoint.
+  with a cold record, a warm one, and across checkpoint → fresh-process
+  resume; the record never reaches a checkpoint.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from repro.core.node import DispersedLedgerNode
 from repro.crypto.merkle import MerkleTree
 from repro.erasure.rs_code import ReedSolomonCode
 from repro.experiments import apply_overrides, get_scenario
-from repro.experiments.engine import run_scenario, sweep
-from repro.experiments.options import ExecutionOptions
+from repro.experiments.engine import run_scenario
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
 from repro.vid import codec as codec_module
@@ -338,15 +337,12 @@ def _canon(summary: dict) -> str:
 @pytest.mark.parametrize(
     "spec", _real_plane_specs(), ids=("split1", "split2", "split3", "honest-n7")
 )
-def test_summaries_identical_cold_warm_windowed_and_resumed(spec: ScenarioSpec, tmp_path):
+def test_summaries_identical_cold_warm_and_resumed(spec: ScenarioSpec, tmp_path):
     clear_retrieval_record()
     cold = _canon(run_scenario(spec).summary())
     assert retrieval_record_info()["served"] > 0
     warm = _canon(run_scenario(spec).summary())
     assert warm == cold
-
-    windowed = sweep(spec, None, options=ExecutionOptions(parallel=False, windows=3))
-    assert _canon(windowed.points[0].summary()) == cold
 
     clear_retrieval_record()
     state = build_scenario_state(spec)

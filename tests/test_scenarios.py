@@ -9,7 +9,12 @@ from repro.common.errors import ConfigurationError
 from repro.core.config import NodeConfig
 from repro.experiments.catalog import SCENARIOS, get_scenario, list_scenarios
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario, sweep
+from repro.experiments.engine import (
+    DEFAULT_CHECKPOINT_DIR,
+    point_filename,
+    run_scenario,
+    sweep,
+)
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import Stop, WorkloadSpec, build_experiment, execute
 from repro.experiments.scenario import (
@@ -23,6 +28,7 @@ from repro.experiments.scenario import (
 )
 from repro.sim.bandwidth import ConstantBandwidth
 from repro.sim.network import NetworkConfig
+from repro.sim.snapshot import read_snapshot_header
 from repro.workload.traces import MB
 
 
@@ -397,6 +403,24 @@ class TestSweep:
         table = result.table(columns=("label", "mean_throughput"))
         assert table.count("\n") == 3  # header + rule + 2 rows
 
+    def test_checkpoint_every_writes_one_file_per_point_under_the_default_dir(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        base = tiny_spec(duration=3.0, checkpoint_every=1.0)
+        result = sweep(base, {"seed": (0, 1)}, options=ExecutionOptions(parallel=False))
+        written = sorted(p.name for p in (tmp_path / DEFAULT_CHECKPOINT_DIR).iterdir())
+        assert written == sorted(
+            point_filename(point.spec, point.overrides, ".ckpt") for point in result.points
+        )
+        for name in written:
+            header = read_snapshot_header(tmp_path / DEFAULT_CHECKPOINT_DIR / name)
+            assert header["virtual_time"] == 2.0
+        plain = sweep(
+            tiny_spec(duration=3.0), {"seed": (0, 1)}, options=ExecutionOptions(parallel=False)
+        )
+        assert result.summaries() == plain.summaries()
+
 
 class TestCatalog:
     def test_figures_and_new_scenarios_present(self):
@@ -483,6 +507,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == spec.name
         assert payload["summaries"] == [run_scenario(spec).summary()]
+
+    def test_run_on_a_pool_matches_the_serial_run(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(tiny_spec(duration=3.0).to_json())
+        argv = ["run", str(path), "--grid", "seed=0,1", "--json"]
+        assert cli_main(argv + ["--serial"]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert cli_main(argv + ["--workers", "2"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert (serial["parallel"], serial["workers"]) == (False, 1)
+        assert (pooled["parallel"], pooled["workers"]) == (True, 2)
+        assert pooled["summaries"] == serial["summaries"]
+        # A point is one task: the payload has no window count.
+        assert "windows" not in pooled
+
+    @pytest.mark.parametrize("flag", ["--windows", "--window-dir"])
+    def test_windowed_execution_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", "straggler-hetero", flag, "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_show_spec_file(self, tmp_path, capsys):
         spec = tiny_spec(duration=5.0)

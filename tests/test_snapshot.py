@@ -4,7 +4,9 @@ Covers the snapshot envelope's typed error paths (truncated file, version
 mismatch, corruption, foreign-scenario restore), the :class:`SnapshotState`
 field-drift detection, the deferred-compaction guard in the event loop,
 periodic checkpoint stops under :func:`execute` and through both engine
-doors (the spec's ``checkpoint_every`` is the one interval), and the
+doors (the spec's ``checkpoint_every`` is the one interval), the
+checkpoint fingerprint (every simulated input is in it, the cadence is
+not), and the
 ``resume`` CLI — its one-line exit-2 error convention (spec-less files and a
 ``--checkpoint-path`` that would write nothing included) and the observer
 files it writes.  The end-to-end bit-identical-continuation guarantees are
@@ -24,7 +26,8 @@ from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.snapshot import SnapshotState
 from repro.core.config import NodeConfig
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario, sweep
+from repro.adversary.registry import AdversarySpec
+from repro.experiments.engine import build_scenario, run_scenario, spec_fingerprint, sweep
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import (
     Stop,
@@ -499,6 +502,50 @@ def test_spec_checkpoint_every_writes_through_both_engine_doors(tmp_path, door):
     assert read_snapshot_header(checkpoint)["virtual_time"] == 2.0
     resumed = run_scenario(spec, options=ExecutionOptions(resume_from=checkpoint))
     assert resumed.summary() == uninterrupted
+
+
+#: Spec changes that alter the simulated run: a checkpoint of one spec is
+#: foreign to the other.
+FINGERPRINTED = {
+    "seed": lambda spec: replace(spec, seed=1),
+    "duration": lambda spec: replace(spec, duration=4.0),
+    "protocol": lambda spec: replace(spec, protocol="hb"),
+    "warmup": lambda spec: replace(spec, warmup=1.0),
+    "num-nodes": lambda spec: replace(
+        spec, topology=replace(spec.topology, num_nodes=7)
+    ),
+    "crash-time": lambda spec: replace(
+        spec, adversary=AdversarySpec(kind="crash-after", count=1, crash_time=2.0)
+    ),
+    "node-config": lambda spec: replace(spec, node=NodeConfig(max_block_size=50_000)),
+}
+
+
+@pytest.mark.parametrize("change", FINGERPRINTED.values(), ids=FINGERPRINTED.keys())
+def test_every_simulated_input_is_in_the_checkpoint_fingerprint(tmp_path, change):
+    spec = _unobserved_spec(tmp_path)
+    assert spec_fingerprint(change(spec)) != spec_fingerprint(spec)
+
+
+def test_a_built_scenario_carries_its_spec_fingerprint(tmp_path):
+    spec = _unobserved_spec(tmp_path)
+    assert build_scenario(spec).fingerprint == spec_fingerprint(spec)
+
+
+def test_a_checkpoint_resumes_under_another_checkpoint_cadence(tmp_path):
+    """``resume --checkpoint-every`` relies on the cadence being outside the fingerprint."""
+    spec = _unobserved_spec(tmp_path, checkpoint_every=1.0)
+    checkpoint = tmp_path / "point.ckpt"
+    uninterrupted = run_scenario(spec, options=ExecutionOptions(checkpoint_path=checkpoint))
+    other = replace(spec, checkpoint_every=0.7)
+    assert spec_fingerprint(other) == spec_fingerprint(spec)
+    resumed = run_scenario(
+        other,
+        options=ExecutionOptions(resume_from=checkpoint, checkpoint_path=tmp_path / "next.ckpt"),
+    )
+    assert resumed.summary() == uninterrupted.summary()
+    # Resumed at t=2.0, the 0.7 cadence next lands at t=2.1 and t=2.8.
+    assert read_snapshot_header(tmp_path / "next.ckpt")["virtual_time"] == pytest.approx(2.8)
 
 
 def test_run_scenario_refuses_a_foreign_checkpoint_before_unpickling(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """Snapshot/restore/continue must be invisible: byte-identical summaries.
 
-Four layers of evidence:
+Five layers of evidence:
 
 * a hypothesis property — arbitrary fast-tier catalog scenarios snapshotted
   at arbitrary mid-run times, restored **in a fresh process** (via the
@@ -8,13 +8,21 @@ Four layers of evidence:
   summary JSON byte-for-byte, event counts included;
 * a deterministic sweep over every fast-tier golden ``sim`` scenario,
   snapshotting its first pinned point mid-run and diffing the fresh-process
-  continuation against the pinned golden snapshot on disk;
+  continuation against the pinned golden snapshot on disk — and running its
+  full pinned grid with periodic checkpoints, and again on a two-worker
+  pool, against the same snapshot;
 * a structural probe asserting the chosen snapshot time really does land
   mid-epoch, mid-dispersal and mid-transfer — so the suite cannot quietly
   degrade into snapshotting quiesced states only;
-* the express network's pending unicast trains: a periodic checkpoint and a
-  windowed hand-off that both land while one N^2 (N-1)-car train is in
-  flight continue to the clean run's summary.
+* the express network's pending unicast trains and the mempools' staged
+  runs: a periodic checkpoint that lands on them continues to the clean
+  run's summary;
+* observer files through the engine — a run with periodic checkpoints
+  (including a cadence that lands on the horizon), the run resumed from its
+  last checkpoint file, and every point of a two-worker pooled sweep must
+  each write the summary, telemetry bytes and span bytes of
+  ``tests/conftest.py::reference_run``, which shares no stop or task code
+  with the engine.
 """
 
 from __future__ import annotations
@@ -28,19 +36,27 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.experiments import apply_overrides, get_scenario
-from repro.experiments.engine import run_scenario, sweep
-from repro.experiments.golden import SLOW_GOLDEN, golden_names, golden_points
+from repro.experiments.engine import DEFAULT_CHECKPOINT_DIR, run_scenario, sweep
+from repro.experiments.golden import (
+    GOLDEN_CONFIGS,
+    SLOW_GOLDEN,
+    GoldenConfig,
+    golden_names,
+    golden_points,
+)
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.scenario import ScenarioSpec
 from repro.core.mempool import _ROW_WIDTH
 from repro.sim.network import _ExpressTrain
-from repro.sim.snapshot import load_checkpoint, save_checkpoint
-from tests.conftest import build_scenario_state
+from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
+from repro.trace.recorder import TelemetrySpec
+from repro.trace.spans import SpanSpec
+from tests.conftest import build_scenario_state, reference_run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -132,6 +148,44 @@ def test_fast_golden_scenarios_resume_to_pinned_snapshot(name: str, tmp_path):
     assert json.dumps(resumed, sort_keys=True) == json.dumps(pinned, sort_keys=True)
 
 
+def _pinned_grid(name: str) -> dict:
+    """The same grid :func:`golden_points` expands for the scenario."""
+    entry = get_scenario(name)
+    config = GOLDEN_CONFIGS.get(name, GoldenConfig())
+    return dict(entry.grid or {}) if config.grid is None else dict(config.grid)
+
+
+def _pinned_summaries(name: str) -> list[str]:
+    summaries = json.loads((GOLDEN_DIR / f"{name}.json").read_text())["summaries"]
+    return [json.dumps(summary, sort_keys=True) for summary in summaries]
+
+
+@pytest.mark.parametrize("name", _fast_sim_golden_names())
+def test_fast_golden_grids_run_checkpointed_to_pinned_snapshot(
+    name: str, tmp_path, monkeypatch
+):
+    """Every fast golden scenario's full pinned grid, checkpointing at T/3 and 2T/3."""
+    monkeypatch.chdir(tmp_path)
+    _config, base, _points = golden_points(name)
+    periodic = replace(base, checkpoint_every=base.duration / 3)
+    result = sweep(periodic, _pinned_grid(name), options=ExecutionOptions(parallel=False))
+    assert [json.dumps(p.summary(), sort_keys=True) for p in result.points] == (
+        _pinned_summaries(name)
+    )
+    assert len(list((tmp_path / DEFAULT_CHECKPOINT_DIR).iterdir())) == len(result.points)
+
+
+@pytest.mark.parametrize("name", _fast_sim_golden_names())
+def test_fast_golden_grids_run_pooled_to_pinned_snapshot(name: str):
+    """Every fast golden scenario's full pinned grid, on a two-worker pool."""
+    _config, base, _points = golden_points(name)
+    result = sweep(base, _pinned_grid(name), options=ExecutionOptions(workers=2))
+    assert result.workers == min(2, len(result.points))
+    assert [json.dumps(p.summary(), sort_keys=True) for p in result.points] == (
+        _pinned_summaries(name)
+    )
+
+
 def test_snapshot_point_lands_mid_epoch_mid_dispersal_mid_transfer():
     """Mid-run snapshot times inside the property range are genuinely mid-flight."""
     _config, _base, points = golden_points("trace-replay-wan")
@@ -161,8 +215,7 @@ def _scale22() -> ScenarioSpec:
     """``columnar-scale`` at N=22, cut right after its one epoch delivers.
 
     The N^2 (N-1) retrieval chunks are in flight — as one pending express
-    train — between t=0.30 and t=0.35, so a checkpoint or window boundary
-    at t=0.32 lands on it.
+    train — between t=0.30 and t=0.35, so a checkpoint at t=0.32 lands on it.
     """
     return apply_overrides(
         get_scenario("columnar-scale").base, {"topology.num_nodes": 22, "duration": 0.48}
@@ -190,25 +243,6 @@ def test_checkpoint_with_a_pending_express_train_resumes_byte_identically(tmp_pa
     resumed = _resume_in_fresh_process(checkpoint)
     assert json.dumps(resumed, sort_keys=True) == json.dumps(clean, sort_keys=True)
     assert resumed["events_processed"] == clean["events_processed"]
-
-
-def test_window_boundary_on_a_pending_express_train_matches_monolithic(tmp_path):
-    spec = _scale22()
-    grid = {"warmup": (0.0, 0.1)}
-    monolithic = sweep(spec, grid, options=ExecutionOptions(parallel=False))
-    windowed = sweep(
-        spec,
-        grid,
-        options=ExecutionOptions(parallel=False, windows=3, window_dir=tmp_path),
-    )
-    # The warmup point forks off the leader's hand-off checkpoint at the
-    # second boundary, t=0.32: the train crosses a pickle, not just a
-    # chained ``run(until=...)``.
-    handoff = load_checkpoint(tmp_path / "point0000-w1.ckpt")
-    assert any(type(entry[2]) is _ExpressTrain for entry in handoff.sim._queue)
-    assert [json.dumps(p.summary(), sort_keys=True) for p in windowed.points] == [
-        json.dumps(p.summary(), sort_keys=True) for p in monolithic.points
-    ]
 
 
 # Staged transactions across a checkpoint
@@ -245,19 +279,99 @@ def test_checkpoint_with_staged_transactions_resumes_byte_identically(tmp_path):
     assert json.dumps(resumed, sort_keys=True) == json.dumps(clean, sort_keys=True)
 
 
-def test_window_boundaries_on_staged_transactions_match_monolithic(tmp_path):
-    spec = _poisson7()
-    grid = {"warmup": (0.0, 0.5)}
-    monolithic = sweep(spec, grid, options=ExecutionOptions(parallel=False))
-    windowed = sweep(
+# ---------------------------------------------------------------------------
+# Observer files through the engine
+# ---------------------------------------------------------------------------
+
+
+def _canon(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _observed(spec: ScenarioSpec, out_dir: Path) -> ScenarioSpec:
+    """``spec`` with telemetry and spans recording into ``out_dir``."""
+    return replace(
         spec,
-        grid,
-        options=ExecutionOptions(parallel=False, windows=3, window_dir=tmp_path),
+        telemetry=TelemetrySpec(enabled=True, interval=0.25, out_dir=str(out_dir)),
+        spans=SpanSpec(enabled=True, out_dir=str(out_dir)),
     )
-    # The warmup point forks off the leader's hand-off checkpoint at the
-    # second boundary (t=4/3), so the staged runs cross a pickle.
-    handoff = load_checkpoint(tmp_path / "point0000-w1.ckpt")
-    assert all(node.mempool._staged for node in handoff.nodes)
-    assert [json.dumps(p.summary(), sort_keys=True) for p in windowed.points] == [
-        json.dumps(p.summary(), sort_keys=True) for p in monolithic.points
-    ]
+
+
+def _outputs(point) -> tuple[str, bytes, bytes]:
+    return (
+        _canon(point.summary()),
+        Path(point.telemetry_path).read_bytes(),
+        Path(point.span_path).read_bytes(),
+    )
+
+
+_REFERENCE_CACHE: dict[tuple, tuple[str, bytes, bytes]] = {}
+
+
+def _reference(name: str, tmp_path_factory, overrides: dict | None = None):
+    """The straight-line run of a scenario's first golden point (cached)."""
+    key = (name, _canon(overrides))
+    if key not in _REFERENCE_CACHE:
+        _config, _base, points = golden_points(name)
+        spec = _observed(points[0][1], tmp_path_factory.mktemp("reference"))
+        spec = apply_overrides(spec, overrides or {})
+        summary, telemetry, spans = reference_run(
+            spec, overrides, Path(spec.telemetry.out_dir)
+        )
+        assert telemetry and spans
+        _REFERENCE_CACHE[key] = (_canon(summary), telemetry, spans)
+    return _REFERENCE_CACHE[key]
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+)
+@given(
+    name=st.sampled_from(PROPERTY_SCENARIOS),
+    # T/4 lands a multiple on the horizon itself, T/3 does not.
+    checkpoints=st.sampled_from((None, 3, 4)),
+)
+@example(name="trace-replay-wan", checkpoints=4)
+@example(name="mid-run-crash", checkpoints=3)
+@example(name="censor-victim", checkpoints=4)
+def test_checkpointed_and_resumed_runs_write_the_reference_outputs(
+    name: str, checkpoints: int | None, tmp_path_factory
+):
+    tmp = tmp_path_factory.mktemp("checkpointed")
+    _config, _base, points = golden_points(name)
+    spec = _observed(points[0][1], tmp)
+    if checkpoints is not None:
+        spec = replace(spec, checkpoint_every=spec.duration / checkpoints)
+    periodic = tmp / "periodic.ckpt"
+    result = sweep(
+        spec, None, options=ExecutionOptions(parallel=False, checkpoint_path=periodic)
+    )
+    reference = _reference(name, tmp_path_factory)
+    assert _outputs(result.points[0]) == reference
+
+    # The last multiple strictly inside the horizon is left on disk, and
+    # resuming from it re-emits the same three outputs.
+    assert periodic.exists() == (checkpoints is not None)
+    if periodic.exists():
+        assert read_snapshot_header(periodic)["virtual_time"] == (
+            (checkpoints - 1) * spec.checkpoint_every
+        )
+        resumed = run_scenario(
+            spec, options=ExecutionOptions(resume_from=periodic, checkpoint_path=periodic)
+        )
+        assert _outputs(resumed) == reference
+
+
+def test_pooled_sweep_writes_the_reference_outputs(tmp_path_factory):
+    """Observer files written by pool workers match the straight-line runs."""
+    name = "trace-replay-wan"
+    _config, _base, points = golden_points(name)
+    spec = _observed(points[0][1], tmp_path_factory.mktemp("pooled"))
+    protocols = ("dl", "hb")
+    result = sweep(spec, {"protocol": protocols}, options=ExecutionOptions(workers=2))
+    assert (result.parallel, result.workers) == (True, 2)
+    for protocol, point in zip(protocols, result.points):
+        assert _outputs(point) == _reference(name, tmp_path_factory, {"protocol": protocol})

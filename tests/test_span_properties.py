@@ -1,16 +1,12 @@
 """Span recording is execution-shape-blind: byte-identical span trees.
 
 The :class:`~repro.trace.spans.SpanRecorder` promises that the causal span
-tree is a function of the run, not of how the run was executed.  Two
-hypothesis properties pin that down over the fast-tier catalog slice:
-
-* the span JSONL from a windowed run (``--windows W`` hand-off) must be
-  byte-identical to the monolithic run's — segments stitched across
-  windows can leave no seam;
-* the span JSONL from a run that checkpoints mid-flight, and from a run
-  *resumed* off that checkpoint, must both be byte-identical to the
-  monolithic file — open spans and FIFO transfer queues survive the
-  ``repro-ckpt-v1`` round trip exactly.
+tree is a function of the run, not of how the run was executed.  A
+hypothesis property pins that down over the fast-tier catalog slice: the
+span JSONL from a run that checkpoints mid-flight, and from a run *resumed*
+off that checkpoint, must both be byte-identical to the uninterrupted run's
+file — open spans and FIFO transfer queues survive the ``repro-ckpt-v1``
+round trip exactly.
 
 Summaries ride along in every comparison so behaviour-neutrality is
 re-asserted at the same time.
@@ -25,13 +21,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.engine import run_scenario, sweep
+from repro.experiments.engine import run_scenario
 from repro.experiments.golden import golden_points
 from repro.experiments.options import ExecutionOptions
 from repro.trace.spans import SpanSpec
 
-# The same diverse fast-tier slice the windowed properties use: plain
-# replay, a node-class adversary, heterogeneous stragglers.
+# A diverse slice of the fast tier: plain replay, a node-class adversary,
+# heterogeneous stragglers.
 PROPERTY_SCENARIOS = (
     "trace-replay-wan",
     "censor-victim",
@@ -64,28 +60,6 @@ def _monolithic(name: str, tmp_path_factory) -> tuple[str, bytes]:
             Path(result.span_path).read_bytes(),
         )
     return _MONO_CACHE[name]
-
-
-@settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-    derandomize=True,
-)
-@given(
-    name=st.sampled_from(PROPERTY_SCENARIOS),
-    windows=st.integers(min_value=2, max_value=4),
-)
-def test_windowed_span_tree_is_byte_identical(name, windows, tmp_path_factory):
-    spec = _span_spec(name, tmp_path_factory.mktemp("windowed"))
-    result = sweep(
-        spec, None, options=ExecutionOptions(parallel=False, windows=windows)
-    )
-    mono_summary, mono_bytes = _monolithic(name, tmp_path_factory)
-    point = result.points[0]
-    assert Path(point.span_path).read_bytes() == mono_bytes
-    assert len(mono_bytes) > 0
-    assert _canon(point.summary()) == mono_summary
 
 
 @settings(
