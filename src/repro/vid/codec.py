@@ -9,7 +9,9 @@ so the automaton takes a *codec* object:
   (the "re-encode and compare roots" check that is the key idea of AVID-M).
   That check is a pure function of the decoded payload and the root, so the
   simulator — which hosts every retriever in one process — runs it once per
-  root and shares the verdict (see :class:`_RetrievalRecord`).
+  root and shares the verdict; a retriever whose chunks are byte for byte
+  the recorded re-encoding takes the payload without decoding at all (see
+  :class:`_RetrievalRecord`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
   opaque objects that only declare a byte size; chunk sizes and message
   sizes are computed exactly as the real codec would, but no bytes are
@@ -97,11 +99,16 @@ _UNSET: Any = object()
 class _RootRecord:
     """What this process has established about one Merkle root."""
 
-    __slots__ = ("verified", "payload", "parsed")
+    __slots__ = ("verified", "consistent", "payload", "parsed")
 
     def __init__(self) -> None:
         #: ``id(chunk) -> chunk`` for the exact objects that passed their proof.
         self.verified: weakref.WeakValueDictionary[int, Chunk] = (
+            weakref.WeakValueDictionary()
+        )
+        #: ``id(chunk) -> chunk`` for verified objects whose bytes equal the
+        #: re-encoding of :attr:`payload` at their index.
+        self.consistent: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
         #: The payload whose re-encoding matched this root, once one did.
@@ -112,19 +119,32 @@ class _RootRecord:
     def has_verified(self, chunk: Chunk) -> bool:
         return self.verified.get(id(chunk)) is chunk
 
+    def is_encoding(self, chunks: dict[int, Chunk], indices: list[int]) -> bool:
+        """Whether each selected chunk is a consistent object filed under its index."""
+        return all(
+            chunks[i].index == i and self.consistent.get(id(chunks[i])) is chunks[i]
+            for i in indices
+        )
+
 
 class _RetrievalRecord:
     """Process-wide record of retrieval facts, keyed by code and Merkle root.
 
     AVID-M's retrieval (Fig. 4) decodes from ``N - 2f`` proof-checked chunks,
     re-encodes the result and compares Merkle roots.  Which chunks a retriever
-    holds is its own affair, so every retriever checks its own proofs and
-    decodes its own chunks.  The re-encode check, though, is a pure function
-    of ``(code, root, decoded payload)``: once one retriever has established
-    that a payload re-encodes to a root, any other whose decode produced the
-    same bytes would compute the same verdict, and takes it from here
-    instead.  It is also handed the *recorded* payload object, so a simulated
-    cluster holds one copy of each block, not one per node.
+    holds is its own affair, so every retriever checks its own proofs.  The
+    re-encode check, though, is a pure function of ``(code, root, decoded
+    payload)``: once one retriever has established that a payload re-encodes
+    to a root, any other whose decode produced the same bytes would compute
+    the same verdict, and takes it from here instead.  It is also handed the
+    *recorded* payload object, so a simulated cluster holds one copy of each
+    block, not one per node.
+
+    When the check passes, the root's verified chunk objects whose bytes equal
+    the re-encoding at their index are marked *consistent*.  A decode whose
+    ``k`` selected chunks are all marked, each filed under its own index, is
+    given the recorded payload without decoding: Reed-Solomon on ``k`` shards
+    of a payload's encoding gives back that payload (the code is MDS).
 
     Reading needs byte equality with a payload that passed the full check and
     writing happens only after the full check, so no caller — not even one
@@ -159,10 +179,17 @@ class _RetrievalRecord:
     def note_verified(self, key: tuple[int, int, bytes], chunk: Chunk) -> None:
         self._root(key).verified[id(chunk)] = chunk
 
-    def set_payload(self, key: tuple[int, int, bytes], payload: bytes) -> None:
+    def set_payload(
+        self, key: tuple[int, int, bytes], payload: bytes, reencoded: list[bytes]
+    ) -> None:
+        """File ``payload``, whose re-encoding ``reencoded`` matched the root."""
         record = self._root(key)
         record.payload = payload
         self._by_payload[id(payload)] = record
+        record.consistent.clear()
+        for chunk in list(record.verified.values()):
+            if chunk.data == reencoded[chunk.index]:
+                record.consistent[id(chunk)] = chunk
 
     def owner_of(self, payload: Any) -> _RootRecord | None:
         record = self._by_payload.get(id(payload))
@@ -220,13 +247,15 @@ def parse_shared(payload: bytes, parse: Callable[[bytes], Any]) -> Any:
 class RealCodec:
     """Erasure-code + Merkle-tree codec operating on real bytes.
 
-    Encoding and decoding are per call.  Verification and the retrieval check
-    consult the process-wide :class:`_RetrievalRecord`: a chunk object that
-    already passed its proof under a root is not hashed again, and a decode
-    that produced a payload already known to re-encode to the root skips the
-    re-encoding and root comparison another node of the simulated cluster
-    already did, returning that node's payload object.  Results are identical
-    with a cold, warm or evicted record; only host time and memory differ.
+    Encoding is per call.  Verification and decoding consult the
+    process-wide :class:`_RetrievalRecord`: a chunk object that already
+    passed its proof under a root is not hashed again; a decode from chunks
+    the record knows to be the root's recorded encoding returns the recorded
+    payload without Reed-Solomon work; and a decode that produced a payload
+    already known to re-encode to the root skips the re-encoding and root
+    comparison another node of the simulated cluster already did, returning
+    that node's payload object.  Results are identical with a cold, warm or
+    evicted record; only host time and memory differ.
     """
 
     def __init__(self, params: ProtocolParams):
@@ -298,19 +327,28 @@ class RealCodec:
 
         Returns the decoded payload bytes, or :data:`BAD_UPLOADER` if the
         chunks were not a consistent encoding of any payload (Fig. 4).  The
-        check is skipped when the shared record already holds these very
-        bytes as the payload that re-encodes to ``root``; the recorded object
-        is returned then, so all retrievers of a root share one payload.
+        decode is skipped when every chunk it would select is marked
+        consistent with the recorded payload, and the check when the shared
+        record already holds the decoded bytes as the payload that re-encodes
+        to ``root``; the recorded object is returned then, so all retrievers
+        of a root share one payload.
         """
         shards = {
             index: chunk.data for index, chunk in chunks.items() if chunk.data is not None
         }
+        key = self._record_key(root)
+        record = _RECORD.roots.get(key)
+        if (
+            record is not None
+            and len(shards) >= self.params.data_shards
+            and record.is_encoding(chunks, self._rs._select_indices(shards))
+        ):
+            _RECORD.served += 1
+            return record.payload
         try:
             payload = self._rs.decode(shards)
         except DecodingError:
             return BAD_UPLOADER
-        key = self._record_key(root)
-        record = _RECORD.roots.get(key)
         if record is not None and record.payload == payload:
             _RECORD.served += 1
             return record.payload
@@ -318,7 +356,7 @@ class RealCodec:
         reencoded = self._rs.encode(payload)
         if MerkleTree(reencoded).root != root:
             return BAD_UPLOADER
-        _RECORD.set_payload(key, payload)
+        _RECORD.set_payload(key, payload, reencoded)
         return payload
 
     def payload_size(self, payload: bytes) -> int:

@@ -1,18 +1,22 @@
 """The shared retrieval record must be invisible except in host time.
 
-Every retriever checks its own proofs and decodes its own chunks; what
-``RealCodec`` shares per Merkle root is the re-encode verdict for a decoded
-payload, the payload object itself, and the fact that a given chunk object
-already passed its proof (``vid/codec.py``).  Two layers of evidence that this
-changes nothing simulated:
+Every retriever checks its own proofs; what ``RealCodec`` shares per Merkle
+root is the re-encode verdict for a decoded payload, the payload object
+itself, the fact that a given chunk object already passed its proof, and the
+fact that it equals the recorded payload's re-encoding — which lets a
+retriever holding only such objects skip its decode (``vid/codec.py``).  Two
+layers of evidence that this changes nothing simulated:
 
 * codec-level properties — every ``k``-subset of proof-valid chunks under one
   root gives the same outcome, warm == cold, the verdict is shared by payload
-  *content* and can be neither read wrongly nor poisoned, the proof shortcut is
-  gated by chunk *identity*, eviction only loses sharing;
+  *content* and can be neither read wrongly nor poisoned, the proof shortcut
+  and the decode shortcut are gated by chunk *identity*, eviction only loses
+  sharing;
 * end-to-end neutrality — real-plane scenarios give byte-identical summaries
   with a cold record, a warm one, and across checkpoint → fresh-process
-  resume; the record never reaches a checkpoint.
+  resume; every honest retriever of a slot ends with one payload object or
+  one ⊥; one Reed-Solomon decode per root; the record never reaches a
+  checkpoint.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.core.node import DispersedLedgerNode
 from repro.crypto.merkle import MerkleTree
 from repro.erasure.rs_code import ReedSolomonCode
 from repro.experiments import apply_overrides, get_scenario
+from repro.experiments.runner import Stop, execute
 from repro.experiments.engine import run_scenario
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
@@ -100,6 +105,18 @@ def _verified(codec: RealCodec, root: bytes, chunks, indices) -> dict[int, Chunk
     return {index: chunks[index] for index in indices}
 
 
+def _count_decodes(monkeypatch, codec: RealCodec) -> list[int]:
+    """Patch ``codec``'s Reed-Solomon decode to append to the returned list."""
+    decodes: list[int] = []
+    rs_decode = codec._rs.decode
+    monkeypatch.setattr(codec._rs, "decode", lambda s: decodes.append(1) or rs_decode(s))
+    return decodes
+
+
+def _consistent(codec: RealCodec, root: bytes) -> list[Chunk]:
+    return list(codec_module._RECORD.roots[codec._record_key(root)].consistent.values())
+
+
 class TestOutcomeIsAFunctionOfTheRoot:
     @given(bundle=_bundles(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -134,6 +151,24 @@ class TestOutcomeIsAFunctionOfTheRoot:
             # A failed check is never recorded, so nothing is ever served.
             assert info["served"] == 0
 
+        # Every chunk verified before the check: whatever the check marks
+        # consistent, each subset decoded warm gives what it gives cold.
+        subsets = list(itertools.combinations(range(n), k))
+        if len(subsets) > 35:
+            subsets = _k_subsets(data.draw, n, k, count=8)
+        cold_outcomes = []
+        for indices in subsets:
+            clear_retrieval_record()
+            cold_outcomes.append(codec.decode(root, {i: chunks[i] for i in indices}))
+        clear_retrieval_record()
+        everything = _verified(codec, root, chunks, range(n))
+        recorded = codec.decode(root, everything)
+        for indices, cold_outcome in zip(subsets, cold_outcomes):
+            warm = codec.decode(root, {i: everything[i] for i in indices})
+            assert warm == cold_outcome
+            if isinstance(warm, bytes):
+                assert warm is recorded
+
 
 class TestVerdictIsSharedByPayloadContent:
     def _recorded(self, n: int = 7):
@@ -146,22 +181,39 @@ class TestVerdictIsSharedByPayloadContent:
         assert recorded == payload
         return codec, bundle, chunks, recorded
 
-    def test_every_retriever_still_decodes_its_own_chunks(self, monkeypatch):
+    def test_chunks_verified_before_the_check_are_not_decoded(self, monkeypatch):
+        codec = RealCodec(ProtocolParams.for_n(7))
+        bundle = codec.encode(bytes(range(200)))
+        k = codec.params.data_shards
+        verified = _verified(codec, bundle.root, bundle.chunks, range(codec.params.n))
+        recorded = codec.decode(bundle.root, {i: verified[i] for i in range(k)})
+        decodes = _count_decodes(monkeypatch, codec)
+        others = {i: verified[i] for i in range(1, k + 1)}
+        assert codec.decode(bundle.root, others) is recorded
+        assert len(decodes) == 0
+        assert retrieval_record_info() == {"roots": 1, "served": 1, "computed": 1}
+
+    def test_a_chunk_verified_after_the_check_forces_one_decode(self, monkeypatch):
         codec, bundle, chunks, recorded = self._recorded()
-        decodes, encodes = [], []
-        rs_decode, rs_encode = codec._rs.decode, codec._rs.encode
-        monkeypatch.setattr(codec._rs, "decode", lambda s: decodes.append(1) or rs_decode(s))
+        decodes, encodes = _count_decodes(monkeypatch, codec), []
+        rs_encode = codec._rs.encode
         monkeypatch.setattr(codec._rs, "encode", lambda b: encodes.append(1) or rs_encode(b))
+        # Chunk k is verified only now, so it was never compared with the re-encoding.
         others = _verified(codec, bundle.root, bundle.chunks, range(1, len(chunks) + 1))
         assert codec.decode(bundle.root, others) is recorded
         assert (len(decodes), len(encodes)) == (1, 0)
 
-    def test_equal_but_distinct_chunks_decode_to_the_recorded_payload(self):
+    def test_equal_but_distinct_chunks_decode_to_the_recorded_payload(self, monkeypatch):
         """The verdict belongs to the payload bytes, whoever produced them."""
         codec, bundle, chunks, recorded = self._recorded()
+        decodes = _count_decodes(monkeypatch, codec)
         copies = {i: dataclasses.replace(chunk) for i, chunk in chunks.items()}
         assert all(copies[i] == chunks[i] and copies[i] is not chunks[i] for i in chunks)
+        # Consistency is a mark on the compared object, never on equal bytes.
+        marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
+        assert marked and not marked & {id(copy) for copy in copies.values()}
         assert codec.decode(bundle.root, copies) is recorded
+        assert len(decodes) == 1
         assert retrieval_record_info()["served"] == 1
 
     def test_unverified_chunks_record_a_true_verdict_too(self):
@@ -195,6 +247,42 @@ class TestVerdictIsSharedByPayloadContent:
         own = codec.decode(other.root, {i: other.chunks[i] for i in range(k)})
         assert own == b"another block entirely"
         assert codec.decode(bundle.root, chunks) is recorded
+
+    def test_a_verified_chunk_unlike_the_reencoding_is_never_marked(self, monkeypatch):
+        """A proof-accepted chunk whose bytes are not the encoding keeps every
+        subset holding it on the full path (such a chunk needs a hash
+        collision, so it is filed as verified by hand)."""
+        codec = RealCodec(ProtocolParams.for_n(7))
+        n, k = codec.params.n, codec.params.data_shards
+        bundle = codec.encode(bytes(range(200)))
+        verified = _verified(codec, bundle.root, bundle.chunks, range(n))
+        honest = verified[2]
+        forged = dataclasses.replace(honest, data=bytes([honest.data[0] ^ 0xFF]) + honest.data[1:])
+        codec_module._RECORD.note_verified(codec._record_key(bundle.root), forged)
+        assert codec.decode(bundle.root, {i: verified[i] for i in range(k)}) == bytes(range(200))
+        marked = _consistent(codec, bundle.root)
+        assert all(chunk is not forged for chunk in marked)
+        assert len(marked) == n
+        decodes = _count_decodes(monkeypatch, codec)
+        holding = [s for s in itertools.combinations(range(n), k) if 2 in s]
+        for indices in holding:
+            chunks = {i: verified[i] for i in indices} | {2: forged}
+            assert codec.decode(bundle.root, chunks) == BAD_UPLOADER
+        assert len(decodes) == len(holding)
+
+    def test_marked_chunks_under_the_wrong_key_take_the_full_path(self, monkeypatch):
+        codec = RealCodec(ProtocolParams.for_n(7))
+        n, k = codec.params.n, codec.params.data_shards
+        bundle = codec.encode(bytes(range(200)))
+        verified = _verified(codec, bundle.root, bundle.chunks, range(n))
+        recorded = codec.decode(bundle.root, verified)
+        assert len(_consistent(codec, bundle.root)) == n
+        decodes = _count_decodes(monkeypatch, codec)
+        swapped = {i: verified[i] for i in range(k)} | {0: verified[1], 1: verified[0]}
+        assert codec.decode(bundle.root, swapped) == BAD_UPLOADER
+        assert len(decodes) == 1
+        assert codec.decode(bundle.root, verified) is recorded
+        assert len(decodes) == 1
 
     def test_misfiled_chunks_compute_as_before(self):
         """``decode`` trusts the dict key as the shard position; the result is garbage."""
@@ -332,6 +420,49 @@ def _real_plane_specs() -> list[ScenarioSpec]:
 
 def _canon(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True)
+
+
+def test_one_reed_solomon_decode_per_root(monkeypatch):
+    """An honest run decodes each retrieved root once; every other retriever
+    holds chunks already compared with that root's re-encoding."""
+    spec = _real_plane_specs()[-1]
+    decodes, retrievals = [], []
+    rs_decode, codec_decode = ReedSolomonCode.decode, RealCodec.decode
+
+    def counted_rs_decode(self, shards):
+        decodes.append(1)
+        return rs_decode(self, shards)
+
+    def noted_decode(self, root, chunks):
+        retrievals.append(root)
+        return codec_decode(self, root, chunks)
+
+    monkeypatch.setattr(ReedSolomonCode, "decode", counted_rs_decode)
+    monkeypatch.setattr(RealCodec, "decode", noted_decode)
+    run_scenario(spec)
+    assert len(retrievals) > len(set(retrievals)) > 0
+    assert len(decodes) == len(set(retrievals))
+
+
+@pytest.mark.parametrize("split", (1, 2, 3), ids=("split1", "split2", "split3"))
+def test_honest_retrievers_of_a_slot_agree(split):
+    """AVID-M retrieval consistency: one payload object or one ⊥ per slot."""
+    spec = _real_plane_specs()[split - 1]
+    outcomes = set()
+    for _record in ("cold", "warm"):
+        state = build_scenario_state(spec)
+        execute(state, [Stop(spec.duration)])
+        slots: dict[tuple[int, int], list] = {}
+        for node in state.nodes:
+            if node.node_id not in state.placement:
+                for epoch, epoch_state in node._epochs.items():
+                    for slot, block in epoch_state.retrieved.items():
+                        slots.setdefault((epoch, slot), []).append(block)
+        for key, blocks in slots.items():
+            assert all(block is blocks[0] for block in blocks), key
+            outcomes.add(blocks[0] is None)
+    # Each split leaves both outcomes: honest slots and the equivocator's ⊥.
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize(
