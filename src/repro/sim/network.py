@@ -25,6 +25,7 @@ dispersal-traffic fraction of Fig. 13 is read straight from these counters.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -295,18 +296,26 @@ class _ExpressTrain(SnapshotState):
     them: running the cars in append order from the train's slot is exactly
     the order the per-message heap entries had.  Every car still runs its
     abort and decline checks at arrival and counts as one processed event.
+
+    The cars are four parallel columns, not one tuple per unicast: node ids
+    as unsigned shorts (hence the express network's 65 536-node cap), the
+    message and the abort predicate as list slots.  At N=256 one train
+    carries the N^2 (N-1) retrieval answers of an epoch.
     """
 
-    __slots__ = ("network", "when", "seq", "cars")
-    _SNAPSHOT_FIELDS = ("network", "when", "seq", "cars")
+    __slots__ = ("network", "when", "seq", "srcs", "dsts", "msgs", "aborts")
+    _SNAPSHOT_FIELDS = ("network", "when", "seq", "srcs", "dsts", "msgs", "aborts")
 
-    def __init__(self, network: "Network", when: float, car: tuple):
+    def __init__(self, network: "Network", when: float):
         self.network = network
         self.when = when
         #: Sequence number of the train's heap entry; set once scheduled.
         self.seq = -1
-        #: ``(src, dst, msg, abort)`` per unicast, in send order.
-        self.cars = [car]
+        #: One entry per unicast in each column, in send order.
+        self.srcs = array("H")
+        self.dsts = array("H")
+        self.msgs: list[Message] = []
+        self.aborts: list[Callable[[int], bool] | None] = []
 
     def __call__(self) -> None:
         net = self.network
@@ -318,9 +327,9 @@ class _ExpressTrain(SnapshotState):
         decline_types = net._decline_types
         on_message = net._on_message
         stats = net.stats
-        cars = self.cars
+        msgs = self.msgs
         delivered = 0
-        for src, dst, msg, abort in cars:
+        for src, dst, msg, abort in zip(self.srcs, self.dsts, msgs, self.aborts):
             # Same semantics as the ingress leg of the pipe path: the
             # sender-side abort and the receiver's scoped decline hook both
             # run before the receiver is charged.
@@ -338,7 +347,7 @@ class _ExpressTrain(SnapshotState):
                 deliver(src, msg)
         net.messages_delivered += delivered
         # The run loop counts the train itself as one event.
-        net._sim.count_inline_events(len(cars) - 1)
+        net._sim.count_inline_events(len(msgs) - 1)
 
 
 class Network(SnapshotState):
@@ -376,6 +385,11 @@ class Network(SnapshotState):
                     f"{traces_name} has {len(traces)} entries for {config.num_nodes} nodes"
                 )
         if config.express:
+            if config.num_nodes > 65_536:
+                raise ConfigurationError(
+                    "express network supports at most 65 536 nodes "
+                    "(train cars store node ids as unsigned shorts)"
+                )
             if not isinstance(config.propagation_delay, (int, float)):
                 raise ConfigurationError(
                     "express broadcast requires a scalar propagation delay"
@@ -520,17 +534,20 @@ class Network(SnapshotState):
             # untouched, so skip them.  At N=256 the retrieval plane sends
             # N^3 of these per epoch, N at a time from one fan-out delivery;
             # consecutive ones ride one heap entry (see _ExpressTrain), so
-            # each costs a tuple instead of a callable plus a heap slot.
+            # each costs four column slots instead of a callable plus a heap
+            # slot.
             self.stats[src].sent[msg.priority] += msg.wire_size
             sim = self._sim
             when = sim.now + self._scalar_delay
             train = self._train
-            if train is not None and train.when == when and train.seq == sim.last_seq:
-                train.cars.append((src, dst, msg, abort))
-                return
-            train = self._train = _ExpressTrain(self, when, (src, dst, msg, abort))
-            sim.schedule(self._scalar_delay, train)
-            train.seq = sim.last_seq
+            if train is None or train.when != when or train.seq != sim.last_seq:
+                train = self._train = _ExpressTrain(self, when)
+                sim.schedule(self._scalar_delay, train)
+                train.seq = sim.last_seq
+            train.srcs.append(src)
+            train.dsts.append(dst)
+            train.msgs.append(msg)
+            train.aborts.append(abort)
             return
         transfer = _MessageTransfer(self, src, dst, msg, rank, abort)
         self._egress[src].submit(

@@ -12,10 +12,11 @@ slot per epoch in DispersedLedger) and plays up to three roles with it:
 * **retrieving client** — requests chunks, decodes, and runs the re-encode
   verification, returning either the payload or ``BAD_UPLOADER``.
 
-The retrieval client first asks ``N - 2f`` servers (spread deterministically
-across the cluster to balance load) and falls back to the remaining servers
-on a timer — the paper's prototype similarly stops transfers once a block is
-decodable to avoid downloading ``N/(N-2f)``x the block size.
+The retrieval client asks every server for its chunk (Fig. 4 broadcasts
+``RequestChunk``), decodes from the first ``N - 2f`` consistent chunks, and
+then tells the remaining servers to stop sending — the paper's prototype
+likewise stops transfers once a block is decodable (S6.3), so a client does
+not download ``N/(N-2f)``x the block size.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def disperse_many(instances: list["AvidMInstance"], payloads: list[Any]) -> list
 class AvidMInstance(SnapshotState):
     """One VID instance (server + optional client roles) at one node."""
 
-    #: ``_retrieval_result`` is set lazily on the first decode; a snapshot
-    #: taken before that simply omits it, and restore leaves it absent.
+    #: ``_retrieval_result`` is set and ``_received_chunks`` deleted on the
+    #: first decode; a snapshot simply omits an absent field, and restore
+    #: leaves it absent.
     _SNAPSHOT_FIELDS = (
         "params",
         "instance",
@@ -156,14 +158,17 @@ class AvidMInstance(SnapshotState):
         self._retrieving = False
         self._retrieval_done = False
         self._retrieval_callbacks: list[Callable[[RetrievalResult], None]] = []
+        #: Verified chunks per root until the decode, which deletes the map:
+        #: nothing reads it once ``_retrieval_done`` is set.
         self._received_chunks: dict[bytes, dict[int, Chunk]] = {}
         self._return_chunk_seen = 0
-        #: Clients that told us they decoded the block and need no more chunks.
-        self._cancelled_retrievers: set[int] = set()
+        #: ``[client] == 1`` once that client told us it decoded the block and
+        #: needs no more chunks.
+        self._cancelled_retrievers = bytearray(params.n)
         #: The transport's ``abort(dst)`` predicate for every chunk this
-        #: instance returns: one prebound membership test, not one callable
-        #: per queued chunk.
-        self._retriever_cancelled = self._cancelled_retrievers.__contains__
+        #: instance returns: one prebound C-level index, not one callable per
+        #: queued chunk.  Callers test its result for truth only.
+        self._retriever_cancelled = self._cancelled_retrievers.__getitem__
 
     # ------------------------------------------------------------------
     # Dispersing client role
@@ -247,7 +252,7 @@ class AvidMInstance(SnapshotState):
         elif kind is ChunkMsg:
             self._on_chunk(src, msg)
         elif kind is CancelChunkMsg:
-            self._cancelled_retrievers.add(src)
+            self._cancelled_retrievers[src] = 1
 
     # --- server side (Fig. 3) ---
 
@@ -333,7 +338,7 @@ class AvidMInstance(SnapshotState):
 
     def _send_return_chunk(self, dst: int) -> None:
         assert self.my_chunk is not None and self.my_root is not None
-        if dst in self._cancelled_retrievers:
+        if self._cancelled_retrievers[dst]:
             return
         msg = self._return_msg
         if msg is None:
@@ -380,6 +385,7 @@ class AvidMInstance(SnapshotState):
                 instance=self.instance, payload=decoded, ok=ok
             )
             self._retrieval_done = True
+            del self._received_chunks
             # Tell every server we are done so the chunks still queued at
             # their egress are dropped instead of transmitted (S6.3).
             self.ctx.broadcast(

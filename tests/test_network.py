@@ -117,6 +117,11 @@ class TestDelivery:
         with pytest.raises(ConfigurationError):
             Network(sim, config)
 
+    def test_express_node_ids_must_fit_the_train_columns(self):
+        config = NetworkConfig(num_nodes=65_537, propagation_delay=0.05, express=True)
+        with pytest.raises(ConfigurationError, match="65 536"):
+            Network(Simulator(), config)
+
 
 class TestStatsAndPriorities:
     def test_traffic_stats_split_by_priority(self):

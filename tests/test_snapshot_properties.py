@@ -237,7 +237,7 @@ def test_checkpoint_with_a_pending_express_train_resumes_byte_identically(tmp_pa
     state = load_checkpoint(checkpoint)
     assert state.sim.now == 0.32
     trains = [entry[2] for entry in state.sim._queue if type(entry[2]) is _ExpressTrain]
-    assert [len(train.cars) for train in trains] == [22 * 22 * 21]
+    assert [len(train.msgs) for train in trains] == [22 * 22 * 21]
     assert state.network._train is trains[0]
 
     resumed = _resume_in_fresh_process(checkpoint)

@@ -9,8 +9,9 @@ before ``input``/``retrieve``) the automaton must emit the same messages in
 the same order and end in the same state.
 
 A second test pins the point of the masks: after a full N=64 epoch no
-automaton holds a container that grew with the number of senders, apart
-from the two that carry per-sender payload.
+automaton holds a container that grew with the number of senders — not
+even for retrieval, whose chunk map is dropped at decode and whose
+cancellation marks are one ``bytearray``.
 """
 
 from __future__ import annotations
@@ -443,8 +444,6 @@ def test_avid_m_matches_the_set_based_model(data, n, length, retrieve_first):
 # Size: nothing per sender after a full epoch
 # ---------------------------------------------------------------------------
 
-#: The two containers that hold per-sender *payload*, not a tally.
-_PER_SENDER_BY_DESIGN = {"_cancelled_retrievers", "_received_chunks"}
 #: Collaborators an automaton points at but does not own.
 _NOT_OWNED = {"params", "instance", "ctx", "codec", "coin", "on_complete", "on_output", "probe"}
 
@@ -477,8 +476,8 @@ def test_no_per_sender_container_survives_a_full_n64_epoch():
         assert vid.completed and vid.retrieval_complete
         assert vid._got_chunk_seen.bit_count() >= spec.params().quorum
         # The sets the masks replaced held one entry per sender (>= N - f).
-        assert _largest_container(vid, _NOT_OWNED | _PER_SENDER_BY_DESIGN)[0] <= 2
-        assert len(vid._cancelled_retrievers) >= spec.params().quorum - 1
+        assert _largest_container(vid, _NOT_OWNED)[0] <= 2
+        assert vid._cancelled_retrievers.count(1) >= spec.params().quorum - 1
     for ba in node._ba_instances.values():
         assert ba.halted and ba.decided == 1
         assert max(ba._decided_senders).bit_count() >= spec.params().ready_threshold
