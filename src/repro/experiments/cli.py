@@ -42,9 +42,9 @@ error and exit status 2.
 ``run`` and ``sweep`` accept ``--resume-dir`` to journal per-point results
 so a crashed sweep re-runs only its unfinished points.
 
-``trace`` groups the nine trace, telemetry and span utilities (``inspect``,
-``convert``, ``export``, ``summarise``, ``plot``, ``diff``, ``import``,
-``spans``, ``flame``) — see :mod:`repro.trace.cli`.  ``trace export`` and
+``trace`` groups the seven trace, telemetry and span utilities (``inspect``,
+``convert``, ``export``, ``summarise``, ``diff``, ``spans``, ``flame``) —
+see :mod:`repro.trace.cli`.  ``trace export`` and
 ``trace spans`` resolve their scenario through :func:`resolve_scenario`
 like ``run`` does, so every command reports an unknown scenario, a bad spec
 file or a malformed ``--set`` / ``--grid`` the same way.

@@ -19,11 +19,8 @@ Two halves, both new layers over the simulator:
   (:class:`TelemetrySpec`) and behaviour-neutral: summaries are
   bit-identical with it on or off.  :mod:`repro.trace.analysis` reduces a
   recorded JSONL to time-weighted queue-depth and utilisation statistics;
-  :mod:`repro.trace.plot` renders it to heatmaps and progress curves;
   :mod:`repro.trace.diff` compares recordings (and pinned golden
-  envelopes) with per-series tolerances; :mod:`repro.trace.importers`
-  converts third-party recordings (Mahimahi, cloud-probe logs) into the
-  trace format.
+  envelopes) with per-series tolerances.
 * **Spans** (:mod:`repro.trace.spans`) — a :class:`SpanRecorder` that
   observes the per-block lifecycle (dispersal → chunk transfers →
   retrieval → BA rounds → commit) through protocol hooks and emits nested
@@ -33,7 +30,7 @@ Two halves, both new layers over the simulator:
   per spec (:class:`SpanSpec`) and behaviour-neutral.
 
 CLI: ``python -m repro.experiments trace
-{inspect,convert,export,summarise,plot,diff,import,spans,flame}``
+{inspect,convert,export,summarise,diff,spans,flame}``
 (:mod:`repro.trace.cli`).
 """
 
@@ -46,12 +43,6 @@ from repro.trace.diff import (
     envelope_from_summary,
     is_envelope,
 )
-from repro.trace.importers import (
-    import_cloudprobe,
-    import_mahimahi,
-    parse_cloudprobe,
-    parse_mahimahi,
-)
 from repro.trace.io import (
     load_trace,
     load_trace_cached,
@@ -63,7 +54,6 @@ from repro.trace.io import (
     to_json_text,
 )
 from repro.trace.model import REPLAY_RATE_FLOOR, MeasuredTrace, NodeTrace, TracePoint
-from repro.trace.plot import build_frame, plot_telemetry
 from repro.trace.recorder import TelemetrySpec, TraceRecorder, read_jsonl
 from repro.trace.spans import (
     SpanRecorder,
@@ -84,20 +74,14 @@ __all__ = [
     "TraceError",
     "TracePoint",
     "TraceRecorder",
-    "build_frame",
     "check_envelope",
     "diff_telemetry",
     "envelope_from_summary",
-    "import_cloudprobe",
-    "import_mahimahi",
     "is_envelope",
     "load_trace",
     "load_trace_cached",
-    "parse_cloudprobe",
     "parse_csv",
     "parse_json",
-    "parse_mahimahi",
-    "plot_telemetry",
     "profile_to_chrome",
     "read_jsonl",
     "resolve_trace_path",

@@ -7,11 +7,8 @@
     python -m repro.experiments trace convert in.csv out.csv --step 0.5 --scale 2
     python -m repro.experiments trace export trace-replay-wan --out telemetry
     python -m repro.experiments trace summarise telemetry/trace-replay-wan-base-seed7.jsonl
-    python -m repro.experiments trace plot telemetry/trace-replay-wan-base-seed0.jsonl
     python -m repro.experiments trace diff tests/golden/envelopes/trace-replay-wan.json \\
         telemetry/trace-replay-wan-base-seed0.jsonl
-    python -m repro.experiments trace import traces/mahimahi-cellular.down \\
-        --format mahimahi --name cellular-lte --out traces/cellular-lte.json
 
 * ``inspect`` prints per-node statistics of a trace file (breakpoints,
   duration, time-weighted mean/min/max rates), or the same as JSON.
@@ -25,16 +22,9 @@
 * ``summarise`` reduces a recorded telemetry JSONL (as written by
   ``export``) to time-weighted queue-depth and link-utilisation statistics,
   per node and cluster-wide, as a table or JSON.
-* ``plot`` renders a telemetry JSONL to files: per-node queue-depth
-  heatmaps (PNG), link-utilisation and queue curves, and the epoch-frontier
-  progress curve (SVG).  No plotting library needed — see
-  :mod:`repro.trace.plot`.
 * ``diff`` compares a telemetry recording against a reference: either a
   second recording or a pinned ``repro-envelope-v1`` envelope (detected by
   content).  Exit status 0 inside tolerance, **1** on any breach.
-* ``import`` converts third-party recordings (Mahimahi packet-delivery
-  files, cloud-probe logs) into a ``repro-trace-v1`` trace file — see
-  :mod:`repro.trace.importers`.
 * ``spans`` records (or reads back) causal block-lifecycle spans and
   reduces them to per-phase latency percentiles, commit-latency stats, and
   a critical-path drill-down of the slowest blocks — see
@@ -64,7 +54,7 @@ from repro.trace.model import MeasuredTrace
 def add_trace_parser(subparsers) -> None:
     """Register the ``trace`` subcommand tree on the experiments CLI."""
     trace = subparsers.add_parser(
-        "trace", help="trace-file, telemetry and span utilities (nine subcommands)"
+        "trace", help="trace-file, telemetry and span utilities (seven subcommands)"
     )
     nested = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -119,24 +109,6 @@ def add_trace_parser(subparsers) -> None:
     )
     summarise.add_argument("--json", action="store_true", help="emit the statistics as JSON")
 
-    plot = nested.add_parser(
-        "plot", help="render telemetry JSONL to queue heatmaps and progress curves"
-    )
-    plot.add_argument("telemetry", help="path to a telemetry .jsonl file (from `export`)")
-    plot.add_argument(
-        "--out-dir", default="plots", help="directory for the rendered files (default: plots)"
-    )
-    plot.add_argument(
-        "--series",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="heatmap series to render (repeatable; default: egress_queue, ingress_queue)",
-    )
-    plot.add_argument(
-        "--stem", default=None, help="output filename stem (default: the telemetry stem)"
-    )
-
     diff = nested.add_parser(
         "diff", help="compare telemetry against a recording or a pinned envelope"
     )
@@ -156,38 +128,6 @@ def add_trace_parser(subparsers) -> None:
         "number applying to every series",
     )
     diff.add_argument("--json", action="store_true", help="emit the deltas as JSON")
-
-    importer = nested.add_parser(
-        "import", help="convert third-party recordings into a repro-trace-v1 file"
-    )
-    importer.add_argument(
-        "sources", nargs="+", help="downlink recording files, one per node (in node order)"
-    )
-    importer.add_argument(
-        "--format",
-        dest="source_format",
-        default="mahimahi",
-        help="source format (default: mahimahi)",
-    )
-    importer.add_argument(
-        "--up",
-        nargs="+",
-        default=None,
-        metavar="FILE",
-        help="matching uplink files (same order); omitted, links are symmetric",
-    )
-    importer.add_argument(
-        "--bin",
-        dest="bin_seconds",
-        type=float,
-        default=None,
-        help="binning window in seconds when lowering to rates (default: 1.0)",
-    )
-    importer.add_argument(
-        "--mtu", type=int, default=None, help="bytes per delivery opportunity (default: 1504)"
-    )
-    importer.add_argument("--name", default=None, help="trace name (default: output stem)")
-    importer.add_argument("--out", required=True, help="destination .json or .csv trace file")
 
     spans = nested.add_parser(
         "spans", help="record or summarise causal block-lifecycle spans"
@@ -237,9 +177,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
         "inspect": _inspect,
         "convert": _convert,
         "summarise": _summarise,
-        "plot": _plot,
         "diff": _diff,
-        "import": _import,
         "export": _export,
         "spans": _spans,
         "flame": _flame,
@@ -325,15 +263,15 @@ def _export(args: argparse.Namespace) -> int:
 
 
 def _read_rows(path: str) -> list:
-    """Read telemetry JSONL, wrapping I/O and parse failures as TraceError."""
+    """Read telemetry or span JSONL, wrapping I/O and parse failures as TraceError."""
     from repro.trace.recorder import read_jsonl
 
     try:
         return read_jsonl(path)
     except OSError as exc:
-        raise TraceError(f"cannot read telemetry file: {exc}") from exc
+        raise TraceError(f"cannot read JSONL file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise TraceError(f"malformed telemetry JSONL {path}: {exc}") from exc
+        raise TraceError(f"malformed JSONL {path}: {exc}") from exc
 
 
 def _summarise(args: argparse.Namespace) -> int:
@@ -376,23 +314,6 @@ def _summarise(args: argparse.Namespace) -> int:
     for row in summary["nodes"]:
         for warning in row.get("warnings", ()):
             print(f"warning: node {row['node']}: {warning}")
-    return 0
-
-
-def _plot(args: argparse.Namespace) -> int:
-    from repro.trace.plot import HEATMAP_SERIES, plot_telemetry
-
-    series = tuple(args.series) if args.series else ("egress_queue", "ingress_queue")
-    unknown = sorted(set(series) - set(HEATMAP_SERIES))
-    if unknown:
-        raise TraceError(
-            f"unknown heatmap series {unknown} (choose from {', '.join(HEATMAP_SERIES)})"
-        )
-    rows = _read_rows(args.telemetry)
-    stem = args.stem if args.stem else Path(args.telemetry).stem
-    written = plot_telemetry(rows, args.out_dir, stem, heatmap_series=series)
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 
@@ -510,8 +431,7 @@ def _record_spans(args: argparse.Namespace) -> tuple[str, list]:
 def _spans(args: argparse.Namespace) -> int:
     from repro.trace.spans import summarise_spans
 
-    source = Path(args.source)
-    if source.suffix == ".jsonl" or source.is_file():
+    if Path(args.source).suffix == ".jsonl":
         if args.profile:
             raise TraceError(
                 "--profile records a fresh run; it cannot be combined with "
@@ -588,32 +508,6 @@ def _flame(args: argparse.Namespace) -> int:
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(trace, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(trace['traceEvents'])} trace event(s) to {target}")
-    return 0
-
-
-def _import(args: argparse.Namespace) -> int:
-    from repro.trace.importers import DEFAULT_BIN_SECONDS, IMPORTERS, MTU_BYTES
-
-    if args.source_format not in IMPORTERS:
-        raise TraceError(
-            f"unknown import format {args.source_format!r} "
-            f"(supported: {', '.join(sorted(IMPORTERS))})"
-        )
-    importer = IMPORTERS[args.source_format]
-    name = args.name if args.name else Path(args.out).stem
-    trace = importer(
-        name,
-        args.sources,
-        up_files=args.up,
-        bin_seconds=args.bin_seconds if args.bin_seconds is not None else DEFAULT_BIN_SECONDS,
-        mtu_bytes=args.mtu if args.mtu is not None else MTU_BYTES,
-    )
-    target = save_trace(trace, args.out)
-    print(
-        f"imported {len(args.sources)} {args.source_format} recording(s): "
-        f"trace {trace.name!r}, {trace.num_nodes} node(s), "
-        f"{trace.duration:g} s, {trace.num_points} breakpoint(s) -> {target}"
-    )
     return 0
 
 

@@ -112,6 +112,12 @@ def _resolve_abs_tol(
         return DEFAULT_ABS_TOL
     if isinstance(abs_tol, (int, float)):
         return {series: float(abs_tol) for series in ENVELOPE_SERIES}
+    unknown = sorted(set(abs_tol) - set(ENVELOPE_SERIES))
+    if unknown:
+        raise TraceError(
+            f"unknown absolute-tolerance series {unknown} "
+            f"(choose from {', '.join(ENVELOPE_SERIES)})"
+        )
     return {**DEFAULT_ABS_TOL, **{k: float(v) for k, v in abs_tol.items()}}
 
 
@@ -220,7 +226,7 @@ def _envelope_stats(envelope: Mapping[str, Any]) -> dict[int | str, dict]:
             int(node): series for node, series in envelope["nodes"].items()
         }
         stats["cluster"] = envelope["cluster"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed envelope: {exc!r}") from exc
     return stats
 

@@ -222,8 +222,55 @@ class TestSummariseCli:
         assert self.run("summarise", str(tmp_path / "nope.jsonl")) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_malformed_jsonl_is_a_one_line_error(self, tmp_path, capsys):
+        target = tmp_path / "bad.jsonl"
+        target.write_text('{"kind": "sample", \n', encoding="utf-8")
+        assert self.run("summarise", str(target)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSONL") and err.count("\n") == 1
+
     def test_unknown_node_is_a_one_line_error(self, tmp_path, capsys):
         target = tmp_path / "telemetry.jsonl"
         self.write_jsonl(target, [sample(0.0)])
         assert self.run("summarise", str(target), "--node", "5") == 2
         assert "node 5" in capsys.readouterr().err
+
+    def two_nodes(self, tmp_path):
+        target = tmp_path / "telemetry.jsonl"
+        self.write_jsonl(
+            target,
+            [
+                {"kind": "meta", "t": 0.0, "num_nodes": 2, "interval": 0.5},
+                sample(0.0, node=0),
+                sample(0.5, node=0, egress_queue=10),
+                sample(0.0, node=1),
+                sample(0.5, node=1, egress_queue=20),
+            ],
+        )
+        return str(target)
+
+    def test_node_filter_table_drops_the_other_nodes_and_cluster_row(self, tmp_path, capsys):
+        assert self.run("summarise", self.two_nodes(tmp_path), "--node", "1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Title, header, rule, then node 1's row alone.
+        assert len(lines) == 4
+        assert lines[3].split()[:2] == ["1", "2"]
+
+    def test_node_filter_json_keeps_the_cluster_aggregate(self, tmp_path, capsys):
+        assert self.run("summarise", self.two_nodes(tmp_path), "--node", "1", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [node["node"] for node in payload["nodes"]] == [1]
+        assert payload["cluster"]["samples"] == 4
+
+    def test_interval_from_the_meta_row_is_reported(self, tmp_path, capsys):
+        assert self.run("summarise", self.two_nodes(tmp_path)) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title.endswith("2 node(s), 4 sample(s), interval 0.5 s")
+
+    def test_single_sample_warning_is_printed(self, tmp_path, capsys):
+        target = tmp_path / "telemetry.jsonl"
+        self.write_jsonl(target, [sample(2.0, egress_queue=42)])
+        assert self.run("summarise", str(target)) == 0
+        out = capsys.readouterr().out
+        assert "warning: node 0: single sample" in out
+        assert "interval" not in out.splitlines()[0]

@@ -15,7 +15,7 @@ summary goldens::
 
 and commit the diff.  CI additionally runs the standalone gate — ``trace
 export`` + ``trace diff`` against the pinned envelope — on every push, with
-the rendered ``trace plot`` output uploaded as artifacts.
+the recordings uploaded as an artifact.
 """
 
 from __future__ import annotations

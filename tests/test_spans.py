@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.experiments.catalog import get_scenario
 from repro.sim.events import InternalCallback, Simulator
 from repro.sim.profiler import SimProfiler, callback_kind
 from repro.trace.cli import add_trace_parser, run_trace_command
+from repro.trace.io import REPO_ROOT
 from repro.trace.spans import (
     SPAN_PHASES,
     SpanRecorder,
@@ -390,6 +392,16 @@ class TestSpansCli:
         assert run_cli("spans", "no-such-scenario") == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_spec_file_source_records_spans(self, tmp_path, capsys):
+        spec_file = REPO_ROOT / "scenarios" / "trace-replay-wan.json"
+        code = run_cli(
+            "spans", str(spec_file), "--duration", "1", "--out", str(tmp_path), "--json"
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert Path(payload["span_path"]).parent == tmp_path
+        assert payload["summary"]["num_spans"] > 0
+
     def test_profile_with_a_file_source_is_exit_2(self, tmp_path, capsys):
         source = self.spans_file(tmp_path)
         code = run_cli(
@@ -420,3 +432,34 @@ class TestSpansCli:
         source.write_text('{"format": "something-else"}')
         assert run_cli("flame", str(source), "--out", str(tmp_path / "f.json")) == 2
         assert "repro-profile-v1" in capsys.readouterr().err
+
+    def test_flame_on_a_missing_profile_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert run_cli("flame", str(tmp_path / "gone.json"), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read profile file")
+        assert not out.exists()
+
+    def test_flame_on_malformed_profile_json_is_exit_2(self, tmp_path, capsys):
+        source = tmp_path / "broken.json"
+        source.write_text('{"format": ')
+        assert run_cli("flame", str(source), "--out", str(tmp_path / "f.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed profile JSON") and err.count("\n") == 1
+
+    def test_flame_on_a_missing_span_file_is_exit_2(self, tmp_path, capsys):
+        source = tmp_path / "gone.spans.jsonl"
+        assert run_cli("flame", str(source), "--out", str(tmp_path / "f.json")) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read JSONL file")
+
+    def test_malformed_span_file_is_exit_2(self, tmp_path, capsys):
+        source = tmp_path / "broken.spans.jsonl"
+        source.write_text('{"name": "dispersal", \n')
+        assert run_cli("spans", str(source)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSONL") and err.count("\n") == 1
+
+    def test_top_limits_the_drilldown(self, tmp_path, capsys):
+        assert run_cli("spans", str(self.spans_file(tmp_path)), "--top", "1") == 0
+        out = capsys.readouterr().out
+        assert out.count("slowest: ") == 1
+        assert "slowest: node 0 epoch 1" in out

@@ -326,6 +326,38 @@ class TestTraceCli:
         assert cli_main(["trace", "convert", str(bad), str(tmp_path / "out.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_convert_clips_and_renames(self, trace_file, tmp_path, capsys):
+        target = tmp_path / "clipped.json"
+        argv = ["trace", "convert", trace_file, str(target), "--clip", "1", "4"]
+        assert cli_main([*argv, "--name", "window"]) == 0
+        assert "wrote 2 node(s), 3 breakpoint(s)" in capsys.readouterr().out
+        from repro.trace import load_trace
+
+        clipped = load_trace(target)
+        assert clipped.name == "window"
+        assert clipped.nodes[0].points == ((0.0, 2 * MB, 2 * MB), (2.0, 1 * MB, 1 * MB))
+        assert clipped.nodes[1].points == ((0.0, 3 * MB, 3 * MB),)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--clip", "5", "6"], "nothing measured remains"),
+            (["--clip", "2", "1"], "need 0 <= start < end"),
+            (["--scale", "0"], "scale factor must be positive"),
+            (["--step", "-1"], "resampling step must be positive"),
+        ],
+    )
+    def test_convert_bad_transform_exits_2(self, trace_file, tmp_path, capsys, extra, message):
+        target = tmp_path / "out.json"
+        assert cli_main(["trace", "convert", trace_file, str(target), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not target.exists()
+
+    def test_convert_unsupported_output_extension_exits_2(self, trace_file, tmp_path, capsys):
+        assert cli_main(["trace", "convert", trace_file, str(tmp_path / "out.txt")]) == 2
+        assert "unsupported extension" in capsys.readouterr().err
+
     def test_export_runs_a_spec_file_with_telemetry(self, trace_file, tmp_path, capsys):
         spec_path = tmp_path / "tiny.json"
         spec_path.write_text(replay_spec(trace_file, duration=3.0).to_json())

@@ -1,21 +1,14 @@
-"""The telemetry toolchain: ``trace plot``, ``trace diff``, ``trace import``.
+"""The telemetry comparison toolchain: ``trace diff`` and envelopes.
 
-Unit coverage for the three modules behind the new subcommands —
-:mod:`repro.trace.plot` (frame building and the dependency-free PNG/SVG
-renderers), :mod:`repro.trace.diff` (structured deltas, tolerances and
-``repro-envelope-v1`` envelopes), :mod:`repro.trace.importers` (the
-Mahimahi packet-delivery and cloud-probe importers) — plus the CLI
-exit-status contracts: 0 ok, 1 out-of-tolerance (``diff`` only), 2 usage
-error.
+Unit coverage for :mod:`repro.trace.diff` (structured deltas, tolerances
+and ``repro-envelope-v1`` envelopes) plus the ``trace diff`` exit-status
+contract: 0 ok, 1 out-of-tolerance, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import struct
-import xml.etree.ElementTree as ET
-import zlib
 
 import pytest
 
@@ -24,27 +17,16 @@ from repro.trace.analysis import summarise_telemetry
 from repro.trace.cli import add_trace_parser, run_trace_command
 from repro.trace.diff import (
     DEFAULT_ABS_TOL,
+    ENVELOPE_FORMAT,
+    ENVELOPE_SERIES,
+    ENVELOPE_STATS,
     SeriesDelta,
     breaches,
     check_envelope,
+    diff_node_stats,
     diff_telemetry,
     envelope_from_summary,
     is_envelope,
-)
-from repro.trace.importers import (
-    import_cloudprobe,
-    import_mahimahi,
-    opportunities_to_rates,
-    parse_cloudprobe,
-    parse_mahimahi,
-    samples_to_rates,
-)
-from repro.trace.io import load_trace
-from repro.trace.plot import (
-    build_frame,
-    plot_telemetry,
-    render_commit_overlay,
-    write_png,
 )
 
 
@@ -93,125 +75,6 @@ def run_cli(*argv):
     return run_trace_command(parser.parse_args(["trace", *argv]))
 
 
-class TestPlotFrame:
-    def test_frame_shape_and_forward_fill(self):
-        frame = build_frame(recording())
-        assert frame.nodes == (0, 1)
-        assert len(frame.times) == 4
-        assert frame.series["egress_queue"][1][0] == 15_000
-        assert len(frame.commits) == 1
-
-    def test_no_samples_rejected(self):
-        with pytest.raises(TraceError, match="no sample rows"):
-            build_frame([{"kind": "meta", "t": 0.0}])
-
-    def test_png_is_well_formed(self, tmp_path):
-        target = tmp_path / "tiny.png"
-        write_png(target, [[(255, 0, 0), (0, 0, 255)], [(0, 255, 0), (0, 0, 0)]])
-        data = target.read_bytes()
-        assert data[:8] == b"\x89PNG\r\n\x1a\n"
-        pos, kinds = 8, []
-        while pos < len(data):
-            length, kind = struct.unpack(">I4s", data[pos : pos + 8])
-            body = data[pos + 8 : pos + 8 + length]
-            (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
-            assert crc == zlib.crc32(kind + body) & 0xFFFFFFFF
-            kinds.append(kind)
-            pos += 12 + length
-        assert kinds == [b"IHDR", b"IDAT", b"IEND"]
-        assert struct.unpack(">II", data[16:24]) == (2, 2)
-
-    def test_plot_telemetry_writes_the_full_set(self, tmp_path):
-        written = plot_telemetry(recording(), tmp_path, "demo")
-        names = {path.name for path in written}
-        assert names == {
-            "demo-egress_queue-heatmap.png",
-            "demo-ingress_queue-heatmap.png",
-            "demo-utilisation.svg",
-            "demo-queue.svg",
-            "demo-progress.svg",
-        }
-        for path in written:
-            if path.suffix == ".svg":
-                ET.parse(path)  # well-formed XML
-            else:
-                assert path.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
-
-    def test_progress_curve_skipped_without_epoch_frontier(self, tmp_path):
-        rows = [sample(0.0), sample(1.0)]
-        written = plot_telemetry(rows, tmp_path, "bare")
-        assert not [path for path in written if "progress" in path.name]
-
-
-def latency_recording(**kwargs):
-    """A recording whose commit rows carry per-epoch latencies, as the
-    recorder writes them (the bare ``recording()`` fixture omits them)."""
-    rows = recording(**kwargs)
-    rows[-1]["latency"] = 0.8
-    rows.append(
-        {"kind": "commit", "t": 2.7, "node": 1, "epoch": 2, "latency": 1.3}
-    )
-    return rows
-
-
-class TestCommitOverlay:
-    def test_build_frame_collects_commit_latencies(self):
-        frame = build_frame(latency_recording())
-        assert frame.commit_latencies == ((1.5, 0.8), (2.7, 1.3))
-        # Latency-free commit rows still land in commits, just not here.
-        assert len(build_frame(recording()).commit_latencies) == 0
-        assert len(build_frame(recording()).commits) == 1
-
-    def test_plot_telemetry_adds_the_overlay_when_latencies_present(self, tmp_path):
-        written = plot_telemetry(latency_recording(), tmp_path, "lat")
-        names = {path.name for path in written}
-        assert "lat-commit-overlay.svg" in names
-        overlay = tmp_path / "lat-commit-overlay.svg"
-        root = ET.parse(overlay).getroot()
-        dots = [el for el in root.iter() if el.tag.endswith("circle")]
-        assert len(dots) == 2  # one per latency-bearing commit
-
-    def test_overlay_skipped_without_latencies(self, tmp_path):
-        written = plot_telemetry(recording(), tmp_path, "bare")
-        assert not [path for path in written if "commit-overlay" in path.name]
-
-    def test_latency_free_stream_rejected(self, tmp_path):
-        with pytest.raises(TraceError, match="no commit row carries a latency"):
-            render_commit_overlay(build_frame(recording()), tmp_path / "x.svg")
-
-    def test_missing_util_series_rejected(self, tmp_path):
-        rows = [row for row in latency_recording() if row["kind"] != "sample"]
-        rows.insert(1, {"kind": "sample", "t": 0.0, "node": 0, "egress_queue": 1})
-        with pytest.raises(TraceError, match="no 'egress_util' series"):
-            render_commit_overlay(build_frame(rows), tmp_path / "x.svg")
-
-
-class TestPlotCli:
-    def test_renders_and_reports_paths(self, tmp_path, capsys):
-        source = tmp_path / "t.jsonl"
-        write_jsonl(source, recording())
-        assert run_cli("plot", str(source), "--out-dir", str(tmp_path / "plots")) == 0
-        out = capsys.readouterr().out
-        assert out.count("wrote ") == 5
-        assert (tmp_path / "plots" / "t-egress_queue-heatmap.png").exists()
-
-    def test_missing_file_is_exit_2(self, tmp_path, capsys):
-        assert run_cli("plot", str(tmp_path / "nope.jsonl")) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_malformed_jsonl_is_exit_2(self, tmp_path, capsys):
-        source = tmp_path / "bad.jsonl"
-        source.write_text('{"kind": "sample", \n', encoding="utf-8")
-        assert run_cli("plot", str(source)) == 2
-        assert "malformed" in capsys.readouterr().err
-
-    def test_unknown_series_is_exit_2(self, tmp_path, capsys):
-        source = tmp_path / "t.jsonl"
-        write_jsonl(source, recording())
-        assert run_cli("plot", str(source), "--series", "latency") == 2
-        assert "unknown heatmap series" in capsys.readouterr().err
-
-
 class TestDiff:
     def test_identical_recordings_have_no_breaches(self):
         deltas = diff_telemetry(recording(), recording())
@@ -253,6 +116,57 @@ class TestDiff:
         assert payload["delta"] == -10.0
         assert payload["breach"] is True
 
+    def test_a_delta_equal_to_the_allowance_is_not_a_breach(self):
+        assert not SeriesDelta(0, "egress_queue", "mean", 100.0, 105.0, 5.0).breach
+        assert SeriesDelta(0, "egress_queue", "mean", 100.0, 105.5, 5.0).breach
+
+    def test_every_node_series_and_stat_is_compared_in_node_order(self):
+        deltas = diff_telemetry(recording(), recording())
+        # Two nodes plus the cluster row, four series each, mean and max.
+        assert len(deltas) == 3 * len(ENVELOPE_SERIES) * len(ENVELOPE_STATS)
+        nodes = [delta.node for delta in deltas]
+        assert nodes == sorted(nodes, key=str)
+        assert set(nodes) == {0, 1, "cluster"}
+        assert {(delta.series, delta.stat) for delta in deltas if delta.node == "cluster"} == {
+            (series, stat) for series in ENVELOPE_SERIES for stat in ENVELOPE_STATS
+        }
+
+    def test_allowed_is_the_larger_of_floor_and_relative_band(self):
+        stats = {0: {"egress_queue": {"mean": 100_000.0, "max": 10.0}}}
+        allowed = {delta.stat: delta.allowed for delta in diff_node_stats(stats, stats)}
+        assert allowed == {"mean": 5_000.0, "max": DEFAULT_ABS_TOL["egress_queue"]}
+
+    def test_bare_abs_tol_number_applies_to_every_series(self):
+        deltas = diff_telemetry(recording(), recording(scale=1.5), abs_tol=1e12)
+        assert not breaches(deltas)
+        assert {delta.allowed for delta in deltas} == {1e12}
+
+    def test_per_series_abs_tol_keeps_the_other_defaults(self):
+        stats = {0: {"egress_queue": {"mean": 10.0}, "ingress_queue": {"mean": 10.0}}}
+        deltas = diff_node_stats(stats, stats, abs_tol={"egress_queue": 0.0}, rel_tol=0.0)
+        allowed = {delta.series: delta.allowed for delta in deltas}
+        assert allowed == {"egress_queue": 0.0, "ingress_queue": DEFAULT_ABS_TOL["ingress_queue"]}
+
+    def test_unknown_abs_tol_series_rejected(self):
+        with pytest.raises(TraceError, match="'egress_queu'"):
+            diff_telemetry(recording(), recording(), abs_tol={"egress_queu": 1e9})
+
+    def test_zero_tolerance_flags_a_one_byte_change(self):
+        nudged = recording()
+        nudged[1]["egress_queue"] += 1
+        assert not breaches(diff_telemetry(recording(), recording(), abs_tol=0.0, rel_tol=0.0))
+        assert breaches(diff_telemetry(recording(), nudged, abs_tol=0.0, rel_tol=0.0))
+
+    def test_observed_missing_a_series_rejected(self):
+        reference = {0: {"egress_queue": {"mean": 1.0}}}
+        with pytest.raises(TraceError, match="missing the 'egress_queue' series"):
+            diff_node_stats(reference, {0: {}})
+
+    def test_node_set_error_names_missing_and_unexpected(self):
+        stats = {"egress_queue": {"mean": 1.0}}
+        with pytest.raises(TraceError, match=r"missing \['1'\], unexpected \['2'\]"):
+            diff_node_stats({0: stats, 1: stats}, {0: stats, 2: stats})
+
 
 class TestEnvelope:
     def envelope(self, **kwargs):
@@ -290,6 +204,60 @@ class TestEnvelope:
     def test_non_envelope_payload_rejected(self):
         with pytest.raises(TraceError, match="repro-envelope-v1"):
             check_envelope(recording(), {"format": "something-else"})
+
+    def test_non_mapping_payload_rejected(self):
+        with pytest.raises(TraceError, match="repro-envelope-v1"):
+            check_envelope(recording(), [ENVELOPE_FORMAT])
+
+    @pytest.mark.parametrize(
+        "payload", [None, [], ENVELOPE_FORMAT, {"format": "repro-trace-v1"}, {}]
+    )
+    def test_is_envelope_rejects(self, payload):
+        assert not is_envelope(payload)
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"cluster": {}},
+            {"nodes": {"0": {}}},
+            {"nodes": {"zero": {}}, "cluster": {}},
+            {"nodes": ["0"], "cluster": {}},
+        ],
+    )
+    def test_malformed_envelope_rejected(self, broken):
+        with pytest.raises(TraceError, match="malformed envelope"):
+            check_envelope(recording(), {"format": ENVELOPE_FORMAT, **broken})
+
+    def test_envelope_survives_a_json_round_trip(self):
+        envelope = json.loads(json.dumps(self.envelope()))
+        assert not breaches(check_envelope(recording(), envelope))
+        assert breaches(check_envelope(recording(scale=1.5), envelope))
+
+    def test_envelope_pins_node_and_cluster_stats(self):
+        envelope = self.envelope()
+        # Node 1's deepest egress queue is the last tick: 10 000 * 4 + 5 000.
+        assert envelope["nodes"]["1"]["egress_queue"]["max"] == 45_000.0
+        assert envelope["cluster"]["egress_queue"]["max"] == 45_000.0
+        assert set(envelope["cluster"]) == set(ENVELOPE_SERIES)
+        assert set(envelope["cluster"]["ingress_util"]) == set(ENVELOPE_STATS)
+
+    def test_envelope_rejects_unknown_abs_tol_series(self):
+        with pytest.raises(TraceError, match="unknown absolute-tolerance series"):
+            self.envelope(abs_tol={"bogus": 1.0})
+
+    def test_explicit_tolerances_override_the_envelope(self):
+        wide = self.envelope(rel_tol=0.9)
+        assert breaches(check_envelope(recording(scale=1.5), wide, abs_tol=0.0, rel_tol=0.0))
+
+    def test_envelope_without_tolerances_uses_the_defaults(self):
+        envelope = self.envelope(rel_tol=0.9)
+        del envelope["tolerances"]
+        assert not breaches(check_envelope(recording(), envelope))
+        assert breaches(check_envelope(recording(scale=1.5), envelope))
+
+    def test_recording_with_other_nodes_rejected(self):
+        with pytest.raises(TraceError, match="node sets differ"):
+            check_envelope(recording(nodes=(0, 1, 2)), self.envelope())
 
 
 class TestDiffCli:
@@ -349,152 +317,93 @@ class TestDiffCli:
         assert run_cli("diff", str(a), str(a), "--abs-tol", "egress_queue=lots") == 2
         assert "not a number" in capsys.readouterr().err
 
+    def test_unknown_abs_tol_series_is_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        write_jsonl(a, recording())
+        assert run_cli("diff", str(a), str(a), "--abs-tol", "egress_queu=1e9") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'egress_queu'" in err and "egress_queue" in err
 
-class TestMahimahiImporter:
-    def test_parse_skips_comments_and_validates(self):
-        assert parse_mahimahi("# header\n0\n5\n5\n12\n") == (0, 5, 5, 12)
-        with pytest.raises(TraceError, match="not an integer|expected an integer"):
-            parse_mahimahi("0\nabc\n")
-        with pytest.raises(TraceError, match="non-decreasing"):
-            parse_mahimahi("10\n5\n")
-        with pytest.raises(TraceError, match="negative"):
-            parse_mahimahi("-3\n")
-        with pytest.raises(TraceError, match="no delivery"):
-            parse_mahimahi("# only a comment\n")
+    def pair(self, tmp_path, scale):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(a, recording())
+        write_jsonl(b, recording(scale=scale))
+        return str(a), str(b)
 
-    def test_binning_counts_opportunities_per_window(self):
-        # 2 opportunities in [0,1), none in [1,2), 1 in [2,3).
-        points = opportunities_to_rates((100, 900, 2500), bin_seconds=1.0, mtu_bytes=1000)
-        assert points == ((0.0, 2000.0), (1.0, 0.0), (2.0, 1000.0))
+    def test_bare_abs_tol_number_is_exit_0_on_a_wide_floor(self, tmp_path):
+        a, b = self.pair(tmp_path, 1.5)
+        assert run_cli("diff", a, b) == 1
+        assert run_cli("diff", a, b, "--abs-tol", "1e12") == 0
 
-    def test_equal_rate_bins_coalesce(self):
-        points = opportunities_to_rates((0, 1000, 2000), bin_seconds=1.0, mtu_bytes=1504)
-        assert points == ((0.0, 1504.0),)
+    def test_per_series_abs_tol_is_exit_1_when_another_series_breaches(self, tmp_path):
+        a, b = self.pair(tmp_path, 1.5)
+        assert run_cli("diff", a, b, "--abs-tol", "egress_queue=1e12") == 1
 
-    def test_symmetric_import_mirrors_down_into_up(self, tmp_path):
-        down = tmp_path / "link.down"
-        down.write_text("0\n400\n1200\n")
-        trace = import_mahimahi("sym", [down])
-        assert trace.num_nodes == 1
-        t, up, dn = trace.nodes[0].points[0]
-        assert up == dn
+    def test_two_bare_abs_tol_numbers_are_exit_2(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", a, b, "--abs-tol", "1", "--abs-tol", "2") == 2
+        assert "applies to every series" in capsys.readouterr().err
 
-    def test_uplink_files_give_asymmetric_links(self, tmp_path):
-        down = tmp_path / "a.down"
-        up = tmp_path / "a.up"
-        down.write_text("0\n100\n200\n300\n")
-        up.write_text("0\n")
-        trace = import_mahimahi("asym", [down], up_files=[up])
-        _, up_rate, down_rate = trace.nodes[0].points[0]
-        assert down_rate == 4 * 1504
-        assert up_rate == 1504
+    def test_non_numeric_bare_abs_tol_is_exit_2(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", a, b, "--abs-tol", "lots") == 2
+        assert "SERIES=VALUE or a number" in capsys.readouterr().err
 
-    def test_uplink_count_mismatch_rejected(self, tmp_path):
-        down = tmp_path / "a.down"
-        down.write_text("0\n")
-        with pytest.raises(TraceError, match="must match"):
-            import_mahimahi("bad", [down, down], up_files=[down])
+    def test_rel_tol_flag_widens_the_band(self, tmp_path):
+        a, b = self.pair(tmp_path, 1.2)
+        assert run_cli("diff", a, b) == 1
+        assert run_cli("diff", a, b, "--rel-tol", "0.5") == 0
 
-    def test_bundled_recording_matches_committed_import(self):
-        """The checked-in traces/cellular-lte.json is exactly what the
-        bundled mahimahi recording imports to under default options."""
-        imported = import_mahimahi("cellular-lte", ["traces/mahimahi-cellular.down"])
-        assert imported == load_trace("traces/cellular-lte.json")
+    def test_negative_rel_tol_is_exit_2(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", a, b, "--rel-tol", "-0.1") == 2
+        assert "non-negative" in capsys.readouterr().err
 
+    def test_table_lists_every_compared_series(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", a, b) == 0
+        lines = capsys.readouterr().out.splitlines()
+        compared = 3 * len(ENVELOPE_SERIES) * len(ENVELOPE_STATS)
+        # Header, rule, one row per compared statistic, verdict.
+        assert len(lines) == compared + 3
+        assert sum(line.endswith(" ok") for line in lines) == compared
+        assert lines[-1] == f"all {compared} compared series within tolerance"
 
-class TestCloudprobeImporter:
-    def test_parse_skips_comments_and_validates(self):
-        text = "# probe header\n0.0,1000\n1.5,2500\n\n3.0,0\n"
-        assert parse_cloudprobe(text) == ((0.0, 1000.0), (1.5, 2500.0), (3.0, 0.0))
-        with pytest.raises(TraceError, match="expected 'time,rate_bps'"):
-            parse_cloudprobe("0.0,1000,extra\n")
-        with pytest.raises(TraceError, match="expected two numbers"):
-            parse_cloudprobe("0.0,fast\n")
-        with pytest.raises(TraceError, match="strictly increasing"):
-            parse_cloudprobe("1.0,100\n1.0,200\n")
-        with pytest.raises(TraceError, match="bad rate"):
-            parse_cloudprobe("0.0,-5\n")
-        with pytest.raises(TraceError, match="bad sample time"):
-            parse_cloudprobe("-1.0,100\n")
-        with pytest.raises(TraceError, match="no samples"):
-            parse_cloudprobe("# nothing but comments\n")
+    def test_json_breach_is_exit_1_and_counts_the_breaches(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 2.0)
+        assert run_cli("diff", a, b, "--json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["breaches"] == sum(delta["breach"] for delta in payload["deltas"]) > 0
+        assert (payload["reference"], payload["observed"]) == (a, b)
 
-    def test_resample_is_time_weighted(self):
-        # 1000 B/s holds over [0, 0.5), 3000 B/s from 0.5 on: the first bin
-        # mixes them by overlap, the second sees only the later reading.
-        points = samples_to_rates(((0.0, 1000.0), (0.5, 3000.0)), bin_seconds=1.0)
-        assert points == ((0.0, 2000.0), (1.0, 3000.0))
-
-    def test_first_sample_backfills_to_time_zero(self):
-        # A probe whose first reading lands mid-bin still covers t = 0.
-        points = samples_to_rates(((0.25, 2000.0),), bin_seconds=1.0)
-        assert points == ((0.0, 2000.0),)
-
-    def test_equal_rate_bins_coalesce(self):
-        points = samples_to_rates(((0.0, 500.0), (2.5, 500.0)), bin_seconds=1.0)
-        assert points == ((0.0, 500.0),)
-
-    def test_mtu_is_ignored_for_probe_logs(self, tmp_path):
-        probe = tmp_path / "a.probe"
-        probe.write_text("0.0,8000\n2.0,4000\n")
-        assert import_cloudprobe("p", [probe], mtu_bytes=1) == import_cloudprobe(
-            "p", [probe], mtu_bytes=9000
+    def test_envelope_reference_breach_is_exit_1(self, tmp_path, capsys):
+        envelope = tmp_path / "envelope.json"
+        envelope.write_text(
+            json.dumps(envelope_from_summary(summarise_telemetry(recording()))),
+            encoding="utf-8",
         )
+        observed = tmp_path / "o.jsonl"
+        write_jsonl(observed, recording(scale=2.0))
+        assert run_cli("diff", str(envelope), str(observed)) == 1
+        assert "out of tolerance" in capsys.readouterr().err
 
-    def test_symmetric_import_mirrors_down_into_up(self, tmp_path):
-        probe = tmp_path / "a.probe"
-        probe.write_text("0.0,6000\n1.0,9000\n")
-        trace = import_cloudprobe("sym", [probe])
-        assert trace.num_nodes == 1
-        for _, up, down in trace.nodes[0].points:
-            assert up == down
+    def test_missing_envelope_reference_is_exit_2(self, tmp_path, capsys):
+        a, _ = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", str(tmp_path / "none.json"), a) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read reference file")
 
-    def test_bundled_recording_matches_committed_import(self):
-        """The checked-in traces/cloudprobe-wan.json is exactly what the
-        bundled probe log imports to under default options."""
-        imported = import_cloudprobe("cloudprobe-wan", ["traces/cloudprobe-wan.probe"])
-        assert imported == load_trace("traces/cloudprobe-wan.json")
+    def test_malformed_reference_json_is_exit_2(self, tmp_path, capsys):
+        bogus = tmp_path / "ref.json"
+        bogus.write_text("{not json", encoding="utf-8")
+        a, _ = self.pair(tmp_path, 1.0)
+        assert run_cli("diff", str(bogus), a) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed reference JSON") and err.count("\n") == 1
 
-
-class TestImportCli:
-    def test_import_writes_a_loadable_trace(self, tmp_path, capsys):
-        source = tmp_path / "node0.down"
-        source.write_text("0\n250\n600\n1700\n")
-        out = tmp_path / "imported.json"
-        assert run_cli("import", str(source), "--out", str(out)) == 0
-        assert "imported 1 mahimahi recording(s)" in capsys.readouterr().out
-        trace = load_trace(out)
-        assert trace.name == "imported"
-        assert trace.num_nodes == 1
-
-    def test_cloudprobe_format_selects_the_probe_importer(self, tmp_path, capsys):
-        source = tmp_path / "probe.log"
-        source.write_text("0.0,4000\n1.0,8000\n")
-        out = tmp_path / "probe.json"
-        code = run_cli(
-            "import", str(source), "--format", "cloudprobe", "--out", str(out)
-        )
-        assert code == 0
-        assert "imported 1 cloudprobe recording(s)" in capsys.readouterr().out
-        trace = load_trace(out)
-        assert trace.nodes[0].points[0] == (0.0, 4000.0, 4000.0)
-
-    def test_missing_source_is_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "x.json"
-        assert run_cli("import", str(tmp_path / "gone.down"), "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_unknown_format_is_exit_2(self, tmp_path, capsys):
-        source = tmp_path / "a.down"
-        source.write_text("0\n")
-        code = run_cli(
-            "import", str(source), "--format", "pcap", "--out", str(tmp_path / "x.json")
-        )
-        assert code == 2
-        assert "unknown import format" in capsys.readouterr().err
-
-    def test_malformed_recording_is_exit_2(self, tmp_path, capsys):
-        source = tmp_path / "a.down"
-        source.write_text("0\nnot-a-number\n")
-        assert run_cli("import", str(source), "--out", str(tmp_path / "x.json")) == 2
-        assert "expected an integer" in capsys.readouterr().err
+    def test_malformed_observed_jsonl_is_exit_2(self, tmp_path, capsys):
+        a, b = self.pair(tmp_path, 1.0)
+        (tmp_path / "b.jsonl").write_text('{"kind": "sample", \n', encoding="utf-8")
+        assert run_cli("diff", a, b) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSONL") and err.count("\n") == 1
