@@ -8,10 +8,10 @@ so the automaton takes a *codec* object:
   on receipt, and re-encode after decoding to detect inconsistent dispersals
   (the "re-encode and compare roots" check that is the key idea of AVID-M).
   That check is a pure function of the decoded payload and the root, so the
-  simulator — which hosts every retriever in one process — runs it once per
-  root and shares the verdict; a retriever whose chunks are byte for byte
-  the recorded re-encoding takes the payload without decoding at all (see
-  :class:`_RetrievalRecord`).
+  simulator — which hosts the disperser and every retriever in one process —
+  shares the verdict: the encoder files the payload it just encoded, and a
+  retriever holding the encoder's own chunk objects takes that payload
+  without decoding at all (see :class:`_RetrievalRecord`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
   opaque objects that only declare a byte size; chunk sizes and message
   sizes are computed exactly as the real codec would, but no bytes are
@@ -86,11 +86,11 @@ def _proof_wire_size(num_leaves: int) -> int:
     return 4 + DIGEST_SIZE * depth
 
 
-#: Merkle roots the shared retrieval record remembers (oldest evicted first;
-#: eviction only loses sharing).  After a run ends, a long-lived process
-#: retains at most this many checked payloads plus their parsed forms —
-#: about ``2 * RETRIEVAL_RECORD_ROOTS * block size`` (64 MB at 500 kB blocks);
-#: the notes on verified chunks are weak and die with the run's nodes.
+#: Merkle roots the shared retrieval record remembers, dispersed or retrieved
+#: (oldest evicted first; eviction only loses sharing).  After a run ends, a
+#: long-lived process retains at most this many filed payloads plus their
+#: parsed forms — about ``2 * RETRIEVAL_RECORD_ROOTS * block size`` (64 MB at
+#: 500 kB blocks); the notes on chunks are weak and die with the run's nodes.
 RETRIEVAL_RECORD_ROOTS = 64
 
 _UNSET: Any = object()
@@ -106,12 +106,13 @@ class _RootRecord:
         self.verified: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
-        #: ``id(chunk) -> chunk`` for verified objects whose bytes equal the
-        #: re-encoding of :attr:`payload` at their index.
+        #: ``id(chunk) -> chunk`` for objects whose bytes equal the encoding
+        #: of :attr:`payload` at their index: the encoder's own chunks, and
+        #: verified objects compared with the re-encoding.
         self.consistent: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
-        #: The payload whose re-encoding matched this root, once one did.
+        #: The payload the encoder filed, or whose re-encoding matched.
         self.payload: bytes | None = None
         #: What :func:`parse_shared` made of that payload.
         self.parsed: Any = _UNSET
@@ -140,18 +141,25 @@ class _RetrievalRecord:
     *recorded* payload object, so a simulated cluster holds one copy of each
     block, not one per node.
 
-    When the check passes, the root's verified chunk objects whose bytes equal
-    the re-encoding at their index are marked *consistent*.  A decode whose
-    ``k`` selected chunks are all marked, each filed under its own index, is
-    given the recorded payload without decoding: Reed-Solomon on ``k`` shards
-    of a payload's encoding gives back that payload (the code is MDS).
+    Chunk objects known to be the recorded payload's encoding are marked
+    *consistent*.  The first writer is the encoder (:meth:`file_encoding`,
+    called from ``RealCodec._bundle`` only): the chunks it just built are
+    ``P``'s shards and the root is their Merkle root, so the full check on
+    ``P`` would pass.  When a root was not filed that way (a checkpoint
+    restore, eviction) the first full check files it, marking the root's
+    verified chunk objects whose bytes equal the re-encoding at their index.
+    A decode whose ``k`` selected chunks are all marked, each filed under its
+    own index, is given the recorded payload without decoding: Reed-Solomon
+    on ``k`` shards of a payload's encoding gives back that payload (the code
+    is MDS).
 
-    Reading needs byte equality with a payload that passed the full check and
-    writing happens only after the full check, so no caller — not even one
-    decoding tampered chunks — can read a wrong verdict or leave one behind.
-    Failed checks are not recorded: an inconsistent dispersal decodes to a
-    different payload for different chunk subsets, so there is nothing to
-    share.
+    Reading needs byte equality with a payload that passed the full check, or
+    that the encoder filed, and nothing else writes, so no caller — not even
+    one decoding tampered chunks — can read a wrong verdict or leave one
+    behind.  Failed checks are not recorded: an inconsistent dispersal
+    decodes to a different payload for different chunk subsets, so there is
+    nothing to share.  The adversaries build their trees by hand and file
+    nothing.
 
     Separately, the record notes the exact ``Chunk`` objects
     :meth:`RealCodec.verify_chunk` accepted under a root, by *identity*: when
@@ -190,6 +198,23 @@ class _RetrievalRecord:
         for chunk in list(record.verified.values()):
             if chunk.data == reencoded[chunk.index]:
                 record.consistent[id(chunk)] = chunk
+
+    def file_encoding(
+        self, key: tuple[int, int, bytes], payload: bytes, chunks: tuple[Chunk, ...]
+    ) -> None:
+        """File an encoder's ``payload`` and mark its own ``chunks`` consistent.
+
+        A root that already holds an equal payload keeps that object and only
+        gains the marks; an unequal one (a hash collision) is left alone.
+        """
+        record = self._root(key)
+        if record.payload is None:
+            record.payload = payload
+            self._by_payload[id(payload)] = record
+        elif record.payload != payload:
+            return
+        for chunk in chunks:
+            record.consistent[id(chunk)] = chunk
 
     def owner_of(self, payload: Any) -> _RootRecord | None:
         record = self._by_payload.get(id(payload))
@@ -247,15 +272,16 @@ def parse_shared(payload: bytes, parse: Callable[[bytes], Any]) -> Any:
 class RealCodec:
     """Erasure-code + Merkle-tree codec operating on real bytes.
 
-    Encoding is per call.  Verification and decoding consult the
-    process-wide :class:`_RetrievalRecord`: a chunk object that already
-    passed its proof under a root is not hashed again; a decode from chunks
-    the record knows to be the root's recorded encoding returns the recorded
-    payload without Reed-Solomon work; and a decode that produced a payload
-    already known to re-encode to the root skips the re-encoding and root
-    comparison another node of the simulated cluster already did, returning
-    that node's payload object.  Results are identical with a cold, warm or
-    evicted record; only host time and memory differ.
+    Encoding is per call, and files the payload with its chunks in the
+    process-wide :class:`_RetrievalRecord`.  Verification and decoding
+    consult it: a chunk object that already passed its proof under a root is
+    not hashed again; a decode from chunks the record knows to be the root's
+    recorded encoding — an honest retriever's, since it holds the encoder's
+    objects — returns the recorded payload without Reed-Solomon work; and a
+    decode that produced a payload already known to re-encode to the root
+    skips the re-encoding and root comparison, returning the recorded
+    payload object.  Results are identical with a cold, warm or evicted
+    record; only host time and memory differ.
     """
 
     def __init__(self, params: ProtocolParams):
@@ -275,7 +301,7 @@ class RealCodec:
 
     def encode(self, payload: bytes) -> DispersalBundle:
         """Encode ``payload`` into N chunks committed to by a Merkle root."""
-        return self._bundle(self._rs.encode(payload), len(payload))
+        return self._bundle(self._rs.encode(payload), payload)
 
     def encode_many(self, payloads: list[bytes]) -> list[DispersalBundle]:
         """Encode several payloads, batching the Reed-Solomon parity work.
@@ -287,18 +313,21 @@ class RealCodec:
         """
         shard_lists = self._rs.encode_many(payloads)
         return [
-            self._bundle(shards, len(payload))
+            self._bundle(shards, payload)
             for shards, payload in zip(shard_lists, payloads)
         ]
 
-    def _bundle(self, shards: list[bytes], payload_size: int) -> DispersalBundle:
+    def _bundle(self, shards: list[bytes], payload: bytes) -> DispersalBundle:
         tree = MerkleTree(shards)
         proofs = tree.proofs_all()
         chunks = tuple(
             Chunk(index=i, size=len(shards[i]), data=shards[i], proof=proofs[i])
             for i in range(self.params.n)
         )
-        return DispersalBundle(root=tree.root, chunks=chunks, payload_size=payload_size)
+        # These chunks are ``payload``'s encoding and ``tree.root`` is their
+        # root: the retrieval check on ``payload`` would pass, so file it.
+        _RECORD.file_encoding(self._record_key(tree.root), bytes(payload), chunks)
+        return DispersalBundle(root=tree.root, chunks=chunks, payload_size=len(payload))
 
     def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:
         """Check that ``chunk`` really is the ``chunk.index``-th leaf under ``root``.

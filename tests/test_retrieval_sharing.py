@@ -1,10 +1,13 @@
 """The shared retrieval record must be invisible except in host time.
 
 Every retriever checks its own proofs; what ``RealCodec`` shares per Merkle
-root is the re-encode verdict for a decoded payload, the payload object
-itself, the fact that a given chunk object already passed its proof, and the
-fact that it equals the recorded payload's re-encoding — which lets a
-retriever holding only such objects skip its decode (``vid/codec.py``).  Two
+root is the re-encode verdict for a payload, the payload object itself, the
+fact that a given chunk object already passed its proof, and the fact that
+it is the recorded payload's encoding — which lets a retriever holding only
+such objects skip its decode (``vid/codec.py``).  The encoder files its own
+payload and chunks, so an honest retrieval decodes nothing; the full check
+runs for unfiled bundles (a restore, eviction, an adversary's hand-built
+tree).  Two
 layers of evidence that this changes nothing simulated:
 
 * codec-level properties — every ``k``-subset of proof-valid chunks under one
@@ -15,8 +18,8 @@ layers of evidence that this changes nothing simulated:
 * end-to-end neutrality — real-plane scenarios give byte-identical summaries
   with a cold record, a warm one, and across checkpoint → fresh-process
   resume; every honest retriever of a slot ends with one payload object or
-  one ⊥; one Reed-Solomon decode per root; the record never reaches a
-  checkpoint.
+  one ⊥; an honest run, cold or warm, makes no Reed-Solomon decode, and an
+  unfiled root is decoded once; the record never reaches a checkpoint.
 """
 
 from __future__ import annotations
@@ -24,13 +27,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_cluster, build_scenario_state, submit_texts
 from test_snapshot_properties import _resume_in_fresh_process
+from repro.adversary.equivocator import send_inconsistent_dispersal
+from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
 from repro.core.node import DispersedLedgerNode
 from repro.crypto.merkle import MerkleTree
@@ -41,6 +47,7 @@ from repro.experiments.engine import run_scenario
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
 from repro.vid import codec as codec_module
+from repro.vid.avid_m import AvidMInstance
 from repro.vid.codec import (
     BAD_UPLOADER,
     Chunk,
@@ -175,6 +182,7 @@ class TestVerdictIsSharedByPayloadContent:
         codec = RealCodec(ProtocolParams.for_n(n))
         payload = bytes(range(200))
         bundle = codec.encode(payload)
+        clear_retrieval_record()  # unfiled, as after a restore: the cold check runs
         k = codec.params.data_shards
         chunks = _verified(codec, bundle.root, bundle.chunks, range(k))
         recorded = codec.decode(bundle.root, chunks)
@@ -184,6 +192,7 @@ class TestVerdictIsSharedByPayloadContent:
     def test_chunks_verified_before_the_check_are_not_decoded(self, monkeypatch):
         codec = RealCodec(ProtocolParams.for_n(7))
         bundle = codec.encode(bytes(range(200)))
+        clear_retrieval_record()
         k = codec.params.data_shards
         verified = _verified(codec, bundle.root, bundle.chunks, range(codec.params.n))
         recorded = codec.decode(bundle.root, {i: verified[i] for i in range(k)})
@@ -220,6 +229,7 @@ class TestVerdictIsSharedByPayloadContent:
         """Writing needs the full check, not verified inputs, so anyone may write."""
         codec = RealCodec(ProtocolParams.for_n(7))
         bundle = codec.encode(b"never proof-checked" * 9)
+        clear_retrieval_record()
         k = codec.params.data_shards
         first = codec.decode(bundle.root, {i: bundle.chunks[i] for i in range(k)})
         assert first == b"never proof-checked" * 9
@@ -239,8 +249,9 @@ class TestVerdictIsSharedByPayloadContent:
         assert codec.decode(bundle.root, chunks) is recorded
 
     def test_a_valid_payload_under_the_wrong_root_is_refused_and_not_recorded(self):
+        # Encoded first, so ``_recorded`` leaves this bundle unfiled too.
+        other = RealCodec(ProtocolParams.for_n(7)).encode(b"another block entirely")
         codec, bundle, chunks, recorded = self._recorded()
-        other = codec.encode(b"another block entirely")
         assert codec.decode(other.root, chunks) == BAD_UPLOADER
         assert retrieval_record_info()["roots"] == 1
         k = codec.params.data_shards
@@ -298,6 +309,132 @@ class TestVerdictIsSharedByPayloadContent:
         few = dict(itertools.islice(chunks.items(), len(chunks) - 1))
         assert codec.decode(bundle.root, few) == BAD_UPLOADER
         assert codec.decode(bundle.root, chunks) is recorded
+
+
+def _equal_length_pair():
+    return st.binary(min_size=1, max_size=300).flatmap(
+        lambda a: st.tuples(st.just(a), st.binary(min_size=len(a), max_size=len(a)))
+    )
+
+
+class TestTheEncoderFilesItsEncoding:
+    """``RealCodec._bundle`` files the payload and marks its own chunks; these
+    hold with the record warm from honest ``encode`` calls."""
+
+    @given(
+        n=st.sampled_from((4, 5, 7, 10)),
+        pair=_equal_length_pair(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_an_inconsistent_dispersal_of_filed_payloads_is_never_served(self, n, pair, data):
+        payload_a, payload_b = pair
+        params = ProtocolParams.for_n(n)
+        codec = RealCodec(params)
+        k = params.data_shards
+        clear_retrieval_record()
+        codec.encode(payload_a)
+        codec.encode(payload_b)
+        split = data.draw(st.integers(min_value=1, max_value=n - 1))
+        mixed_root, _chunks, expected = _mixed_bundle(params, payload_a, payload_b, split)
+        assume(expected == BAD_UPLOADER)
+        sent = []
+        ctx = SimpleNamespace(send=lambda _dst, msg: sent.append(msg))
+        root = send_inconsistent_dispersal(
+            params, ctx, VIDInstanceId(epoch=1, proposer=0), payload_a, payload_b, split
+        )
+        assert root == mixed_root
+        chunks = [msg.chunk for msg in sent]
+        _verified(codec, root, chunks, range(n))
+        subsets = list(itertools.combinations(range(n), k))
+        if len(subsets) > 35:
+            subsets = _k_subsets(data.draw, n, k, count=8)
+        for indices in subsets:
+            assert codec.decode(root, {i: chunks[i] for i in indices}) == BAD_UPLOADER
+        assert retrieval_record_info()["served"] == 0
+        assert codec_module._RECORD.roots[codec._record_key(root)].payload is None
+
+    def test_chunks_of_two_filed_encodes_mixed_under_one_root_take_the_full_path(
+        self, monkeypatch
+    ):
+        codec = RealCodec(ProtocolParams.for_n(7))
+        k = codec.params.data_shards
+        first, second = codec.encode(bytes(range(200))), codec.encode(bytes(range(1, 201)))
+        decodes = _count_decodes(monkeypatch, codec)
+        mixed = {i: (first if i % 2 else second).chunks[i] for i in range(k)}
+        outcome = codec.decode(first.root, mixed)
+        assert len(decodes) == 1
+        assert retrieval_record_info()["served"] == 0
+        clear_retrieval_record()
+        assert outcome == codec.decode(first.root, mixed) == BAD_UPLOADER
+
+    def test_a_copy_of_a_filed_chunk_costs_one_decode(self, monkeypatch):
+        codec = RealCodec(ProtocolParams.for_n(7))
+        k = codec.params.data_shards
+        payload = bytes(range(200))
+        bundle = codec.encode(payload)
+        decodes = _count_decodes(monkeypatch, codec)
+        chunks = dict(enumerate(bundle.chunks[:k]))
+        assert codec.decode(bundle.root, chunks) is payload
+        assert len(decodes) == 0
+        chunks[0] = dataclasses.replace(chunks[0])
+        assert codec.decode(bundle.root, chunks) is payload
+        assert len(decodes) == 1
+        assert retrieval_record_info() == {"roots": 1, "served": 2, "computed": 0}
+
+    @given(payload=st.binary(min_size=1, max_size=300), n=st.sampled_from((4, 7, 10)))
+    @settings(max_examples=30, deadline=None)
+    def test_reencoding_an_equal_payload_keeps_the_first_object(self, payload, n):
+        codec = RealCodec(ProtocolParams.for_n(n))
+        k = codec.params.data_shards
+        clear_retrieval_record()
+        first = codec.encode(payload)
+        again = bytes(bytearray(payload))
+        assert again == payload and again is not payload
+        second = codec.encode(again)
+        assert second.root == first.root
+        marked = {id(chunk) for chunk in _consistent(codec, first.root)}
+        assert marked == {id(c) for c in first.chunks} | {id(c) for c in second.chunks}
+        chunks = dict(enumerate(second.chunks[n - k :], start=n - k))
+        assert codec.decode(first.root, chunks) is payload
+        assert retrieval_record_info() == {"roots": 1, "served": 1, "computed": 0}
+
+    def test_an_unequal_payload_under_a_filed_root_is_left_alone(self):
+        """Only a hash collision gets here, so it is filed by hand."""
+        codec = RealCodec(ProtocolParams.for_n(4))
+        payload = bytes(range(200))
+        bundle = codec.encode(payload)
+        impostor = codec.encode(b"another block entirely")
+        key = codec._record_key(bundle.root)
+        codec_module._RECORD.file_encoding(key, b"another block entirely", impostor.chunks)
+        assert codec_module._RECORD.roots[key].payload is payload
+        marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
+        assert marked == {id(chunk) for chunk in bundle.chunks}
+
+    @given(
+        payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=4, unique=True),
+        n=st.sampled_from((4, 7, 10)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_encode_many_files_exactly_like_encode(self, payloads, n):
+        codec = RealCodec(ProtocolParams.for_n(n))
+        k = codec.params.data_shards
+        roots = []
+        for encode in (lambda ps: [codec.encode(p) for p in ps], codec.encode_many):
+            clear_retrieval_record()
+            bundles = encode(payloads)
+            for bundle, payload in zip(bundles, payloads):
+                record = codec_module._RECORD.roots[codec._record_key(bundle.root)]
+                assert record.payload is payload
+                assert not record.verified  # each server still checks its proof
+                assert {id(c) for c in record.consistent.values()} == {
+                    id(c) for c in bundle.chunks
+                }
+                chunks = dict(enumerate(bundle.chunks[:k]))
+                assert codec.decode(bundle.root, chunks) is payload
+            assert retrieval_record_info()["computed"] == 0
+            roots.append([bundle.root for bundle in bundles])
+        assert roots[0] == roots[1]
 
 
 class TestIdentityGatesTheProofShortcut:
@@ -387,10 +524,11 @@ class TestSharedBlock:
                 assert all(tx.size > 0 for tx in block.transactions)
         assert carried == 12
         assert [n.ledger.sequence() for n in nodes] == [nodes[0].ledger.sequence()] * 4
-        # One re-encode check per committed root; the other three nodes are served.
+        # Each disperser filed its own encoding: no node runs the check, all
+        # four are served.
         info = retrieval_record_info()
         assert retrieved >= 6
-        assert (info["computed"], info["served"]) == (retrieved, 3 * retrieved)
+        assert (info["computed"], info["served"]) == (0, 4 * retrieved)
 
 
 # ----------------------------------------------------------------------
@@ -422,26 +560,72 @@ def _canon(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True)
 
 
-def test_one_reed_solomon_decode_per_root(monkeypatch):
-    """An honest run decodes each retrieved root once; every other retriever
-    holds chunks already compared with that root's re-encoding."""
-    spec = _real_plane_specs()[-1]
-    decodes, retrievals = [], []
-    rs_decode, codec_decode = ReedSolomonCode.decode, RealCodec.decode
+def _count_coding(monkeypatch) -> dict[str, list]:
+    """Patch RS encode and decode, ``RealCodec.decode`` and ``AvidMInstance.disperse``
+    to log the first argument of each call (for ``RealCodec.decode``, the root)."""
+    calls: dict[str, list] = {}
 
-    def counted_rs_decode(self, shards):
-        decodes.append(1)
-        return rs_decode(self, shards)
+    def log_calls(owner, name: str, log: str) -> None:
+        original = getattr(owner, name)
+        calls[log] = []
 
-    def noted_decode(self, root, chunks):
-        retrievals.append(root)
-        return codec_decode(self, root, chunks)
+        def logged(self, first, *rest):
+            calls[log].append(first)
+            return original(self, first, *rest)
 
-    monkeypatch.setattr(ReedSolomonCode, "decode", counted_rs_decode)
-    monkeypatch.setattr(RealCodec, "decode", noted_decode)
-    run_scenario(spec)
+        monkeypatch.setattr(owner, name, logged)
+
+    log_calls(ReedSolomonCode, "encode", "rs_encode")
+    log_calls(ReedSolomonCode, "decode", "rs_decode")
+    log_calls(RealCodec, "decode", "retrievals")
+    log_calls(AvidMInstance, "disperse", "dispersals")
+    return calls
+
+
+def test_an_honest_run_makes_no_reed_solomon_decode(monkeypatch):
+    """Every disperser files its own encoding, so every retriever holds chunks
+    already known to be it: one RS encode per dispersal, no decode, no re-encode."""
+    calls = _count_coding(monkeypatch)
+    run_scenario(_real_plane_specs()[-1])
+    retrievals = calls["retrievals"]
     assert len(retrievals) > len(set(retrievals)) > 0
-    assert len(decodes) == len(set(retrievals))
+    assert len(calls["rs_decode"]) == 0
+    assert len(calls["rs_encode"]) == len(calls["dispersals"]) > 0
+    assert retrieval_record_info()["computed"] == 0
+
+
+def test_a_warm_rerun_decodes_nothing(monkeypatch):
+    """A second identical run in one process re-files every root it disperses
+    (the record still holds each payload) and again decodes nothing."""
+    calls = _count_coding(monkeypatch)
+    spec = _real_plane_specs()[-1]
+    summaries = []
+    for _run in ("cold", "warm"):
+        calls["rs_decode"].clear()
+        summaries.append(_canon(run_scenario(spec).summary()))
+        assert len(calls["rs_decode"]) == 0
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("n", (4, 7, 16))
+def test_a_cold_root_is_decoded_once(monkeypatch, n):
+    """Unfiled (restored, or evicted before its first retrieval), a root costs
+    one decode and one re-encode check; every other retriever is served."""
+    codec = RealCodec(ProtocolParams.for_n(n))
+    k = codec.params.data_shards
+    payload = bytes(range(256)) * 3
+    bundle = codec.encode(payload)
+    clear_retrieval_record()
+    verified = _verified(codec, bundle.root, bundle.chunks, range(n))
+    decodes = _count_decodes(monkeypatch, codec)
+    outcomes = [
+        codec.decode(bundle.root, {(r + j) % n: verified[(r + j) % n] for j in range(k)})
+        for r in range(n)
+    ]
+    assert outcomes[0] == payload
+    assert all(outcome is outcomes[0] for outcome in outcomes)
+    assert len(decodes) == 1
+    assert retrieval_record_info() == {"roots": 1, "served": n - 1, "computed": 1}
 
 
 @pytest.mark.parametrize("split", (1, 2, 3), ids=("split1", "split2", "split3"))
@@ -481,6 +665,18 @@ def test_summaries_identical_cold_warm_and_resumed(spec: ScenarioSpec, tmp_path)
     checkpoint = tmp_path / "mid.ckpt"
     save_checkpoint(checkpoint, state)
     assert _canon(_resume_in_fresh_process(checkpoint)) == cold
+
+
+@pytest.mark.parametrize("spec", _real_plane_specs()[::3], ids=("split1", "honest-n7"))
+def test_summaries_identical_when_roots_are_evicted(spec: ScenarioSpec, monkeypatch):
+    """With room for one root, dispersals evict each other before they are
+    retrieved: retrievers run the full check, and the summary is the cold one."""
+    cold = _canon(run_scenario(spec).summary())
+    clear_retrieval_record()
+    monkeypatch.setattr(codec_module, "RETRIEVAL_RECORD_ROOTS", 1)
+    decodes = _count_coding(monkeypatch)["rs_decode"]
+    assert _canon(run_scenario(spec).summary()) == cold
+    assert decodes
 
 
 def test_record_never_reaches_a_checkpoint(tmp_path):
