@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-import numpy as np
-
 from repro.common.snapshot import SnapshotState
 from repro.core.block import Transaction
 from repro.core.txbatch import TxBatch
@@ -177,22 +175,18 @@ class Mempool(SnapshotState):
         Transactions are taken greedily in FIFO order; the first one is
         always taken even when it alone exceeds ``max_bytes`` (a single
         oversized transaction must not wedge the queue), and the drain stops
-        once the accumulated bytes reach ``max_bytes``.  The cut point
-        inside each queued batch is found with a ``searchsorted`` on its
-        cached size prefix-sums.
+        once the accumulated bytes reach ``max_bytes``.  The cut point is
+        asked of each queued batch (:meth:`TxBatch.rows_within`,
+        :meth:`TxBatch.bytes_before`).
         """
         self._seal_staged()
         taken: list[TxBatch] = []
         taken_bytes = 0
         while self._queue:
             head = self._queue[0]
-            cumsum = head.size_cumsum()
-            base = self._head_offset_bytes
             # Longest prefix of the undrained head whose cumulative bytes
             # (plus what this call already took) stays within the budget.
-            cut = int(
-                np.searchsorted(cumsum, (max_bytes - taken_bytes) + base, side="right")
-            )
+            cut = head.rows_within(max_bytes - taken_bytes + self._head_offset_bytes)
             if cut <= self._head_offset:
                 if not taken:
                     # Min-1 rule: a single oversized transaction must not
@@ -209,7 +203,7 @@ class Mempool(SnapshotState):
                 self._head_offset_bytes = 0
             else:
                 self._head_offset = cut
-                self._head_offset_bytes = int(cumsum[cut - 1])
+                self._head_offset_bytes = head.bytes_before(cut)
             self._pending_count -= piece.count
             self._pending_bytes -= piece.total_bytes
             if taken_bytes >= max_bytes:

@@ -21,6 +21,11 @@ compare by identity, so they can ride inside frozen dataclasses such as
 :class:`~repro.core.block.Block` without breaking ``__eq__``.  Slicing is
 O(1) — numpy views, no copies — which is what makes the mempool's
 ``take_batch`` cheap.
+
+**A constant column costs O(1)**: the sizes of a :meth:`TxBatch.uniform`
+batch (and a saturating refill's one stamp) are one read-only zero-stride
+view, not n copies, and the mempool's byte-budget cut is asked of the batch,
+which answers it by arithmetic.  Only this module knows a column can be one.
 """
 
 from __future__ import annotations
@@ -49,9 +54,30 @@ _HEADER_DTYPE = np.dtype([("tx_id", ">u8"), ("origin", ">u4"), ("size", ">u4"), 
 _NO_TIMES = np.empty(0, dtype=np.float64)
 _NO_TIMES.flags.writeable = False
 
+#: The per-row columns; ``payloads`` is a tuple, not a column.
+_COLUMNS = ("tx_ids", "created_at", "sizes", "origins")
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only column; a right-typed 1-D array (a zero-stride
+    constant among them) is kept as it is, not copied out to n values."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == dtype):
+        values = np.ascontiguousarray(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
+
+
+def _constant(value, length: int, dtype) -> np.ndarray:
+    """A read-only column of ``length`` rows that all read one ``value``."""
+    return np.broadcast_to(np.asarray(value, dtype=dtype), (length,))
+
+
+def _is_constant(column: np.ndarray) -> bool:
+    return len(column) > 0 and column.strides[0] == 0
+
 
 class TxBatch(SnapshotState):
-    """A read-only columnar run of transactions.
+    """A read-only columnar run of transactions; a constant column costs O(1).
 
     Attributes:
         origin: the node that generated every transaction in the batch, or
@@ -85,16 +111,11 @@ class TxBatch(SnapshotState):
         if (origin is None) == (origins is None):
             raise ValueError("a batch has either one origin or an origins column")
         self.origin = origin
-        self.tx_ids = np.ascontiguousarray(tx_ids, dtype=np.uint64)
-        self.created_at = np.ascontiguousarray(created_at, dtype=np.float64)
-        self.sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-        self.origins = (
-            None if origins is None else np.ascontiguousarray(origins, dtype=np.uint32)
-        )
+        self.tx_ids = _column(tx_ids, np.uint64)
+        self.created_at = _column(created_at, np.float64)
+        self.sizes = _column(sizes, np.int64)
+        self.origins = None if origins is None else _column(origins, np.uint32)
         self.payloads = payloads
-        for column in (self.tx_ids, self.created_at, self.sizes, self.origins):
-            if column is not None:
-                column.flags.writeable = False
         self._total_bytes = (
             int(self.sizes.sum()) if total_bytes is None else int(total_bytes)
         )
@@ -107,12 +128,15 @@ class TxBatch(SnapshotState):
         cls,
         origin: int,
         tx_ids: np.ndarray,
-        created_at: np.ndarray,
+        created_at: np.ndarray | float,
         tx_size: int,
     ) -> "TxBatch":
-        """A batch whose transactions all have the same wire size."""
-        sizes = np.full(len(tx_ids), tx_size, dtype=np.int64)
-        return cls(origin, tx_ids, created_at, sizes, total_bytes=tx_size * len(tx_ids))
+        """A batch of one wire size, and of one stamp if ``created_at`` is a scalar."""
+        count = len(tx_ids)
+        if np.ndim(created_at) == 0:
+            created_at = _constant(created_at, count, np.float64)
+        sizes = _constant(tx_size, count, np.int64)
+        return cls(origin, tx_ids, created_at, sizes, total_bytes=tx_size * count)
 
     @classmethod
     def from_columns(
@@ -211,10 +235,27 @@ class TxBatch(SnapshotState):
         return f"TxBatch(origin={self.origin}, count={self.count}, bytes={self.total_bytes})"
 
     def size_cumsum(self) -> np.ndarray:
-        """Cached inclusive prefix sums of ``sizes`` (drives byte-budget cuts)."""
+        """Cached inclusive prefix sums of ``sizes``."""
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.sizes)
         return self._cumsum
+
+    def rows_within(self, budget: int) -> int:
+        """Leading rows that fit ``budget`` bytes (``searchsorted`` right on the prefix sums)."""
+        if not _is_constant(self.sizes):
+            return int(np.searchsorted(self.size_cumsum(), budget, side="right"))
+        if budget < 0:
+            return 0
+        size = int(self.sizes[0])
+        return len(self) if size == 0 else min(len(self), int(budget // size))
+
+    def bytes_before(self, row: int) -> int:
+        """Total bytes of the rows before ``row`` (``0 <= row <= len(self)``)."""
+        if row <= 0:
+            return 0
+        if _is_constant(self.sizes):
+            return int(self.sizes[0]) * row
+        return int(self.size_cumsum()[row - 1])
 
     def _origin_column(self) -> np.ndarray:
         if self.origins is not None:
@@ -233,19 +274,40 @@ class TxBatch(SnapshotState):
         """The ``[start, stop)`` index range as a zero-copy view batch."""
         if start == 0 and stop >= len(self):
             return self
-        cumsum = self.size_cumsum()
-        total = int(cumsum[stop - 1] if stop > 0 else 0) - int(
-            cumsum[start - 1] if start > 0 else 0
-        )
         return TxBatch(
             self.origin,
             self.tx_ids[start:stop],
             self.created_at[start:stop],
             self.sizes[start:stop],
-            total_bytes=total,
+            total_bytes=self.bytes_before(stop) - self.bytes_before(start),
             origins=None if self.origins is None else self.origins[start:stop],
             payloads=None if self.payloads is None else self.payloads[start:stop],
         )
+
+    # -- checkpoints -------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        """The declared fields, a constant column as its ``(value, length)``."""
+        state = super().snapshot_state()
+        for name in _COLUMNS:
+            column = state[name]
+            if column is not None and _is_constant(column):
+                state[name] = (column[0], len(column))
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        """Every column read-only again; an array column (older files) loads too."""
+        super().restore_state(state)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if isinstance(column, tuple):
+                value, length = column
+                setattr(self, name, _constant(value, length, value.dtype))
+            elif column is not None:
+                column.flags.writeable = False
+
+    __getstate__ = snapshot_state
+    __setstate__ = restore_state
 
     # -- the client edge and the wire --------------------------------------
 

@@ -241,12 +241,12 @@ class SaturatingTransactionGenerator(SnapshotState):
 
     Used for the "infinitely-backlogged" throughput measurements (S6.2): at a
     fixed refill interval the generator tops the mempool up to a target
-    number of pending bytes.  Each top-up is one :class:`TxBatch` built from
-    vectorised id/stamp columns, so a refill costs one ``submit_batch`` call
-    however many transactions it adds.  Transactions are stamped with their
-    submission time, so latency numbers from a saturating run are
-    meaningless by design (the paper likewise only reports throughput for
-    these runs).
+    number of pending bytes.  Each top-up is one :class:`TxBatch` of a
+    vectorised id column and the refill's one stamp and size, so a refill
+    costs one ``submit_batch`` call however many transactions it adds.
+    Transactions are stamped with their submission time, so latency numbers
+    from a saturating run are meaningless by design (the paper likewise only
+    reports throughput for these runs).
 
     ``stop_at`` stops refilling at that virtual time (``None`` = never), the
     same drain-phase knob the Poisson generators offer.
@@ -296,8 +296,7 @@ class SaturatingTransactionGenerator(SnapshotState):
                 n
             ) + np.uint64(self._node.node_id)
             self._sequence += count
-            created = np.full(count, now, dtype=np.float64)
-            batch = TxBatch.uniform(self._node.node_id, tx_ids, created, self._tx_size)
+            batch = TxBatch.uniform(self._node.node_id, tx_ids, now, self._tx_size)
             self._node.submit_batch(batch)
             self.generated += count
             self.generated_bytes += count * self._tx_size

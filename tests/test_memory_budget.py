@@ -1,9 +1,13 @@
 """Stated memory budgets, deterministic rather than RSS-based.
 
-**Per committed transaction** (``straggler-hetero``, the saturating client
-on a straggler cluster): what a run keeps for a committed transaction is its
-row in the block's columns, shared by every node's ledger and collector —
-no record object, no per-node latency sample.
+**Per committed and per submitted transaction** (``straggler-hetero``, the
+saturating client on a straggler cluster): what a run keeps for a committed
+transaction is its id in the block's columns, shared by every node's ledger
+and collector — no record object, no per-node latency sample, and no size or
+stamp: a saturating refill's sizes and stamps are constant columns of O(1)
+bytes.  The traced peak of the 8 s run is 15.1 B per submitted transaction
+(35.9 B while sizes, stamps and the prefix sums the mempool cut by were
+arrays of one value per row).
 
 **Per N^2** (``columnar-scale``).  Two quantities are bounded, both as
 multiples of N^2 — a cluster runs N VID and N BA automata per node per
@@ -49,11 +53,14 @@ from repro.experiments import apply_overrides, get_scenario
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
-#: (measured: 65.0 and 65.2 — the peak is the end of the run now that the
-#: initial mempool fill stages no records, 15.1 MB at 4 s and 19.5 MB at 8 s;
-#: with one ``Transaction`` and N latency floats kept per committed
-#: transaction it was 542 and 542).
-BYTES_PER_COMMITTED_TX = 80
+#: (measured: 36.8 and 37.3 — the peak is the end of the run, 5.6 MB at 4 s
+#: and 8.1 MB at 8 s; what remains is per-epoch protocol state.  With
+#: materialised size and stamp columns it was 62.0 and 62.6, and with one
+#: ``Transaction`` and N latency floats kept per committed transaction 542).
+BYTES_PER_COMMITTED_TX = 45
+#: Traced peak bytes of the 8 s run per submitted transaction (measured: 15.1;
+#: 35.9 with materialised size and stamp columns).
+BYTES_PER_SUBMITTED_TX = 18
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
@@ -167,9 +174,12 @@ def test_memory_per_committed_transaction_and_no_record_kept():
     assert (long_end - short_end) / extra <= BYTES_PER_COMMITTED_TX
     assert (long_peak - short_peak) / extra <= BYTES_PER_COMMITTED_TX
 
-    # 536 000 transactions were submitted, all as columns; the run holds no
-    # record, in the nodes (mempools, blocks, ledgers) or in the collector ...
-    assert sum(generator.generated for generator in long.generators) > 500_000
+    # 536 000 transactions were submitted, all as columns, at 15 B each; the
+    # run holds no record, in the nodes (mempools, blocks, ledgers) or in the
+    # collector ...
+    submitted = sum(generator.generated for generator in long.generators)
+    assert submitted > 500_000
+    assert long_peak / submitted <= BYTES_PER_SUBMITTED_TX
     assert not _reaches_a_record(long.nodes)
     assert not _reaches_a_record([long.collector])
     # ... until someone asks a ledger for them.
