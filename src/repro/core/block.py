@@ -179,36 +179,19 @@ class Block:
     def deserialize(cls, payload: bytes) -> "Block":
         """Decode a block from bytes.
 
+        The transactions' bytes stay in ``payload`` (:meth:`TxBatch.deserialize`).
+        One serialised without data reads back with its wire zeros as ``data``:
+        the wire cannot tell the two apart.
+
         Raises:
             ValueError: if the payload is not a well-formed block (the caller
                 treats this as an ill-formatted block per S4.3).
         """
         try:
-            offset = 0
-            proposer, epoch, num_txs, v_len = _BLOCK_HEADER.unpack_from(payload, offset)
-            offset += _BLOCK_HEADER.size
-            v_array = []
-            for _ in range(v_len):
-                (entry,) = _V_ENTRY.unpack_from(payload, offset)
-                offset += _V_ENTRY.size
-                v_array.append(entry)
-            transactions = []
-            for _ in range(num_txs):
-                tx_id, origin, size, created_at = TX_HEADER.unpack_from(payload, offset)
-                offset += TX_HEADER.size
-                data = payload[offset : offset + size]
-                if len(data) != size:
-                    raise ValueError("truncated transaction payload")
-                offset += size
-                transactions.append(
-                    Transaction(
-                        tx_id=tx_id,
-                        origin=origin,
-                        created_at=created_at,
-                        size=size,
-                        data=bytes(data),
-                    )
-                )
+            proposer, epoch, num_txs, v_len = _BLOCK_HEADER.unpack_from(payload)
+            v_array = struct.unpack_from(f">{v_len}q", payload, _BLOCK_HEADER.size)
+            offset = _BLOCK_HEADER.size + v_len * _V_ENTRY.size
+            tx_batch, offset = TxBatch.deserialize(payload, offset, num_txs)
             if offset != len(payload):
                 raise ValueError("trailing bytes after block payload")
         except struct.error as exc:
@@ -216,6 +199,6 @@ class Block:
         return cls(
             proposer=proposer,
             epoch=epoch,
-            transactions=transactions,
-            v_array=tuple(v_array),
+            v_array=v_array,
+            tx_batch=tx_batch,
         )

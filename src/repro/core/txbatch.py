@@ -13,8 +13,9 @@ latency percentiles straight from the columns.
 
 Most batches come from one client population, so the origin is a scalar;
 a batch cut across transactions of several origins carries a per-row
-``origins`` column instead.  Transactions that carry real bytes (the real
-data plane's ``submit_payload``) ride in the optional ``payloads`` column.
+``origins`` column instead.  Transactions that carry real bytes ride in the
+optional payload column: one ``bytes`` buffer plus each row's start in it —
+for a parsed block, the wire payload itself (see :meth:`TxBatch.deserialize`).
 
 Batches are **immutable once built** (the arrays are flagged read-only) and
 compare by identity, so they can ride inside frozen dataclasses such as
@@ -54,8 +55,8 @@ _HEADER_DTYPE = np.dtype([("tx_id", ">u8"), ("origin", ">u4"), ("size", ">u4"), 
 _NO_TIMES = np.empty(0, dtype=np.float64)
 _NO_TIMES.flags.writeable = False
 
-#: The per-row columns; ``payloads`` is a tuple, not a column.
-_COLUMNS = ("tx_ids", "created_at", "sizes", "origins")
+#: The per-row columns; ``payloads`` is the buffer ``payload_starts`` points into.
+_COLUMNS = ("tx_ids", "created_at", "sizes", "origins", "payload_starts")
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -76,6 +77,20 @@ def _is_constant(column: np.ndarray) -> bool:
     return len(column) > 0 and column.strides[0] == 0
 
 
+def _joined(payloads: Sequence[bytes], sizes: np.ndarray) -> tuple[bytes | None, np.ndarray | None]:
+    """Per-row ``data`` as one buffer plus each row's start in it (-1: no data);
+    a row whose data is neither empty nor its size would overwrite the next
+    row's header on the wire and is a ``ValueError``."""
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    if not lengths.any():
+        return None, None
+    wrong = (lengths != 0) & (lengths != sizes)
+    if wrong.any():
+        row = int(wrong.argmax())
+        raise ValueError(f"row {row} declares size {sizes[row]} but carries {lengths[row]} bytes")
+    return b"".join(payloads), np.where(lengths > 0, np.cumsum(lengths) - lengths, -1)
+
+
 class TxBatch(SnapshotState):
     """A read-only columnar run of transactions; a constant column costs O(1).
 
@@ -87,11 +102,12 @@ class TxBatch(SnapshotState):
         sizes: ``int64`` column of wire sizes in bytes.
         origins: ``uint32`` per-transaction origin column of a mixed-origin
             batch; ``None`` when ``origin`` says it all.
-        payloads: per-transaction ``data`` bytes (``b""`` for none), or
-            ``None`` when no transaction of the batch carries any.
+        payloads: one ``bytes`` buffer holding the ``data`` of the rows that
+            carry any, and ``payload_starts`` the ``int64`` column of each
+            row's start in it (-1: none); both ``None`` when no row does.
     """
 
-    __slots__ = ("origin", "tx_ids", "created_at", "sizes", "origins", "payloads", "_total_bytes", "_cumsum")
+    __slots__ = ("origin", "tx_ids", "created_at", "sizes", "origins", "payloads", "payload_starts", "_total_bytes", "_cumsum")
     _SNAPSHOT_FIELDS = __slots__
 
     def __init__(
@@ -102,7 +118,8 @@ class TxBatch(SnapshotState):
         sizes: np.ndarray,
         total_bytes: int | None = None,
         origins: np.ndarray | None = None,
-        payloads: tuple[bytes, ...] | None = None,
+        payloads: bytes | None = None,
+        payload_starts: np.ndarray | None = None,
     ):
         if not (len(tx_ids) == len(created_at) == len(sizes)):
             raise ValueError(
@@ -116,6 +133,7 @@ class TxBatch(SnapshotState):
         self.sizes = _column(sizes, np.int64)
         self.origins = None if origins is None else _column(origins, np.uint32)
         self.payloads = payloads
+        self.payload_starts = None if payloads is None else _column(payload_starts, np.int64)
         self._total_bytes = (
             int(self.sizes.sum()) if total_bytes is None else int(total_bytes)
         )
@@ -149,19 +167,26 @@ class TxBatch(SnapshotState):
     ) -> "TxBatch":
         """A batch from five row-parallel sequences, one entry per transaction.
 
-        A single distinct origin becomes the scalar ``origin`` and an
-        all-empty ``payloads`` becomes ``None``.
+        A single distinct origin becomes the scalar ``origin``; the payloads
+        are joined into one buffer (none if all are empty), and one that is
+        neither empty nor its row's size is a ``ValueError``.
         """
         if not len(tx_ids):
             return cls.empty()
+        sizes = np.array(sizes, dtype=np.int64)
+        return cls._of_rows(tx_ids, origins, created_at, sizes, *_joined(payloads, sizes))
+
+    @classmethod
+    def _of_rows(cls, tx_ids, origins, created_at, sizes, payloads, payload_starts) -> "TxBatch":
         mixed = len(set(origins)) > 1
         return cls(
             origin=None if mixed else origins[0],
             tx_ids=np.array(tx_ids, dtype=np.uint64),
             created_at=np.array(created_at, dtype=np.float64),
-            sizes=np.array(sizes, dtype=np.int64),
+            sizes=sizes,
             origins=np.array(origins, dtype=np.uint32) if mixed else None,
-            payloads=tuple(payloads) if any(payloads) else None,
+            payloads=payloads,
+            payload_starts=payload_starts,
         )
 
     @classmethod
@@ -195,18 +220,17 @@ class TxBatch(SnapshotState):
             return parts[0]
         origin = parts[0].origin
         mixed = origin is None or any(batch.origin != origin for batch in parts)
-        payloads = None
+        sizes = np.concatenate([batch.sizes for batch in parts])
+        payloads = payload_starts = None
         if any(batch.payloads is not None for batch in parts):
-            payloads = tuple(
-                chain.from_iterable(
-                    batch.payloads or repeat(b"", len(batch)) for batch in parts
-                )
+            payloads, payload_starts = _joined(
+                list(chain.from_iterable(batch._payload_rows() for batch in parts)), sizes
             )
         return cls(
             None if mixed else origin,
             np.concatenate([batch.tx_ids for batch in parts]),
             np.concatenate([batch.created_at for batch in parts]),
-            np.concatenate([batch.sizes for batch in parts]),
+            sizes,
             total_bytes=sum(batch.total_bytes for batch in parts),
             origins=(
                 np.concatenate([batch._origin_column() for batch in parts])
@@ -214,6 +238,7 @@ class TxBatch(SnapshotState):
                 else None
             ),
             payloads=payloads,
+            payload_starts=payload_starts,
         )
 
     # -- inspection --------------------------------------------------------
@@ -281,7 +306,8 @@ class TxBatch(SnapshotState):
             self.sizes[start:stop],
             total_bytes=self.bytes_before(stop) - self.bytes_before(start),
             origins=None if self.origins is None else self.origins[start:stop],
-            payloads=None if self.payloads is None else self.payloads[start:stop],
+            payloads=self.payloads,
+            payload_starts=None if self.payloads is None else self.payload_starts[start:stop],
         )
 
     # -- checkpoints -------------------------------------------------------
@@ -296,8 +322,10 @@ class TxBatch(SnapshotState):
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Every column read-only again; an array column (older files) loads too."""
+        """Every column read-only again; array columns and payload tuples (older files) load too."""
         super().restore_state(state)
+        if "payload_starts" not in state:
+            self.payloads, self.payload_starts = _joined(self.payloads or (), self.sizes)
         for name in _COLUMNS:
             column = getattr(self, name)
             if isinstance(column, tuple):
@@ -311,12 +339,21 @@ class TxBatch(SnapshotState):
 
     # -- the client edge and the wire --------------------------------------
 
+    def _payload_rows(self) -> list[bytes]:
+        """Each row's ``data`` cut out of the buffer (``b""`` for a row without)."""
+        if self.payloads is None:
+            return [b""] * len(self)
+        buffer = self.payloads
+        return [
+            buffer[start : start + size] if start >= 0 else b""
+            for start, size in zip(self.payload_starts.tolist(), self.sizes.tolist())
+        ]
+
     def as_transactions(self) -> list["Transaction"]:
         """Build the batch's rows as :class:`Transaction` records."""
         from repro.core.block import Transaction
 
         origins = repeat(self.origin) if self.origins is None else self.origins.tolist()
-        payloads = repeat(b"") if self.payloads is None else self.payloads
         return [
             Transaction(tx_id, origin, created, size, data)
             for tx_id, origin, created, size, data in zip(
@@ -324,7 +361,7 @@ class TxBatch(SnapshotState):
                 origins,
                 self.created_at.tolist(),
                 self.sizes.tolist(),
-                payloads,
+                self._payload_rows(),
             )
         ]
 
@@ -352,10 +389,32 @@ class TxBatch(SnapshotState):
         starts = np.arange(len(self)) * width + (self.size_cumsum() - self.sizes)
         wire[starts[:, None] + np.arange(width)] = headers.view(np.uint8).reshape(-1, width)
         if self.payloads is not None:
-            for start, data in zip((starts + width).tolist(), self.payloads):
-                if data:
-                    wire[start : start + len(data)] = np.frombuffer(data, dtype=np.uint8)
+            buffer = np.frombuffer(self.payloads, dtype=np.uint8)
+            rows = zip((starts + width).tolist(), self.payload_starts.tolist(), self.sizes.tolist())
+            for start, source, size in rows:
+                if source >= 0:
+                    wire[start : start + size] = buffer[source : source + size]
         return wire.tobytes()
+
+    @classmethod
+    def deserialize(cls, wire: bytes, offset: int, count: int) -> tuple["TxBatch", int]:
+        """The ``count`` transactions :meth:`serialize` wrote at ``wire[offset:]``,
+        and the offset past them: one pass over the headers, and the payload
+        buffer *is* ``wire`` (as ``bytes``).  ``ValueError`` if they overrun it."""
+        wire = bytes(wire)
+        headers, starts = [], []
+        for _ in range(count):
+            header = TX_HEADER.unpack_from(wire, offset)
+            offset += TX_HEADER.size
+            headers.append(header)
+            starts.append(offset)
+            offset += header[2]
+        if offset > len(wire):
+            raise ValueError("truncated transaction payload")
+        if not headers:
+            return cls.empty(), offset
+        tx_ids, origins, sizes, created_at = zip(*headers)
+        return cls._of_rows(tx_ids, origins, created_at, sizes, wire, starts), offset
 
 
 __all__ = ["TX_HEADER", "TxBatch"]

@@ -134,14 +134,16 @@ class GF256:
     # --- matrix helpers -------------------------------------------------
 
     @staticmethod
-    def mat_vec_bytes(matrix: np.ndarray, rows: list[bytes]) -> list[bytes]:
+    def mat_vec_bytes(matrix: np.ndarray, rows: list) -> list[bytes]:
         """Multiply ``matrix`` (m x k, uint8) by ``k`` equal-length byte rows.
 
         Every element product is carried out in GF(256); sums are XORs.  This
         is the hot kernel of Reed-Solomon encoding and decoding, operating
-        directly on shard byte strings (no staging copies): each product is
-        one ``bytes.translate`` pass, each sum one numpy XOR, and the Python
-        loop only walks the m x k coefficient grid.
+        directly on shard byte strings: each product is one
+        ``bytes.translate`` pass, each sum one numpy XOR, and the Python
+        loop only walks the m x k coefficient grid.  A row may be any
+        bytes-like buffer; one that is not ``bytes`` is copied for the call
+        (only ``bytes`` translate, and a copy costs ~1/30 of a translate).
         """
         m, k = matrix.shape
         if len(rows) != k:
@@ -154,6 +156,7 @@ class GF256:
         if width == 0:
             return [b""] * m
 
+        rows = [bytes(row) for row in rows]
         views = [np.frombuffer(row, dtype=np.uint8) for row in rows]
         coeffs = matrix.tolist()
         out: list[bytes] = []

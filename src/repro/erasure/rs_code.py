@@ -15,7 +15,7 @@ Performance structure (see docs/performance.md):
 * code matrices are built once per ``(k, n)`` pair and shared between all
   instances (every node of a simulated cluster builds the same code);
 * encoding only runs the GF(256) kernel over the ``n - k`` parity rows —
-  the systematic shards are sliced straight out of the padded block;
+  the systematic shards are read-only views of the block where they can be;
 * ``encode_many`` stacks several blocks side by side and runs one kernel
   call for all of them (the kernel is column-wise independent, so blocks of
   different sizes can share a single matrix multiply);
@@ -109,28 +109,35 @@ class ReedSolomonCode:
         payload = block_size + _LENGTH_HEADER.size
         return max(1, -(-payload // self.data_shards))
 
-    def _data_slices(self, block: bytes) -> list[bytes]:
-        """The ``k`` systematic shards: slices of the length-prefixed, padded block."""
-        shard_size = self.shard_size(len(block))
-        padded = _LENGTH_HEADER.pack(len(block)) + block
-        padded = padded.ljust(self.data_shards * shard_size, b"\x00")
-        return [
-            padded[i * shard_size : (i + 1) * shard_size]
-            for i in range(self.data_shards)
-        ]
+    def _data_slices(self, block: bytes) -> list[bytes | memoryview]:
+        """The ``k`` systematic shards of the length-prefixed, zero-padded block:
+        a read-only view of ``block`` (made ``bytes`` first) for each shard wholly
+        inside it, a copy for each one that overlaps the header or the padding."""
+        block = bytes(block)
+        size, h = self.shard_size(len(block)), _LENGTH_HEADER.size
+        header, view = _LENGTH_HEADER.pack(len(block)), memoryview(block)
+        shards: list[bytes | memoryview] = []
+        for start in range(-h, self.data_shards * size - h, size):
+            stop = start + size
+            if 0 <= start and stop <= len(block):
+                shards.append(view[start:stop])
+            else:
+                edge = header[start + h : stop + h] + block[max(start, 0) : max(stop, 0)]
+                shards.append(edge.ljust(size, b"\x00"))
+        return shards
 
-    def encode(self, block: bytes) -> list[bytes]:
+    def encode(self, block: bytes) -> list[bytes | memoryview]:
         """Encode ``block`` into ``n`` equally sized shards.
 
-        The first ``k`` shards are slices of the (padded) block itself; only
-        the ``n - k`` parity shards go through the GF(256) kernel.
+        The first ``k`` shards are the (padded) block itself, views where they
+        can be; only the ``n - k`` parity shards go through the GF(256) kernel.
         """
         shards = self._data_slices(block)
         if self.total_shards > self.data_shards:
             shards.extend(GF256.mat_vec_bytes(self._parity_matrix, shards))
         return shards
 
-    def encode_many(self, blocks: list[bytes]) -> list[list[bytes]]:
+    def encode_many(self, blocks: list[bytes]) -> list[list[bytes | memoryview]]:
         """Encode several blocks with a single parity-kernel invocation.
 
         The GF(256) kernel operates column-wise, so blocks of different

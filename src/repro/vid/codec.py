@@ -44,7 +44,9 @@ class Chunk:
 
     ``data`` and ``proof`` are populated by the real codec; the virtual codec
     leaves them ``None`` and only carries ``size`` (payload bytes) plus the
-    payload reference needed to reassemble the virtual block.
+    payload reference needed to reassemble the virtual block.  An encoder's
+    systematic ``data`` may be a read-only ``memoryview`` of the dispersed
+    payload; it compares equal to its bytes and pickles as ``bytes``.
 
     The class must stay weak-referenceable (no ``__slots__``): the shared
     retrieval record notes verified chunk objects without keeping them alive.
@@ -52,9 +54,12 @@ class Chunk:
 
     index: int
     size: int
-    data: bytes | None = None
+    data: bytes | memoryview | None = None
     proof: MerkleProof | None = None
     payload_ref: Any = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "data": None if self.data is None else bytes(self.data)}
 
     @property
     def wire_size(self) -> int:
@@ -89,8 +94,8 @@ def _proof_wire_size(num_leaves: int) -> int:
 #: Merkle roots the shared retrieval record remembers, dispersed or retrieved
 #: (oldest evicted first; eviction only loses sharing).  After a run ends, a
 #: long-lived process retains at most this many filed payloads plus their
-#: parsed forms — about ``2 * RETRIEVAL_RECORD_ROOTS * block size`` (64 MB at
-#: 500 kB blocks); the notes on chunks are weak and die with the run's nodes.
+#: parsed forms, which view them — about ``RETRIEVAL_RECORD_ROOTS * block size``
+#: (32 MB at 500 kB blocks); the notes on chunks are weak and die with the run.
 RETRIEVAL_RECORD_ROOTS = 64
 
 _UNSET: Any = object()
@@ -301,6 +306,7 @@ class RealCodec:
 
     def encode(self, payload: bytes) -> DispersalBundle:
         """Encode ``payload`` into N chunks committed to by a Merkle root."""
+        payload = bytes(payload)
         return self._bundle(self._rs.encode(payload), payload)
 
     def encode_many(self, payloads: list[bytes]) -> list[DispersalBundle]:
@@ -311,13 +317,14 @@ class RealCodec:
         still gets its own Merkle tree and root.  Bundles are byte-identical
         to encoding each payload with :meth:`encode`.
         """
+        payloads = [bytes(payload) for payload in payloads]
         shard_lists = self._rs.encode_many(payloads)
         return [
             self._bundle(shards, payload)
             for shards, payload in zip(shard_lists, payloads)
         ]
 
-    def _bundle(self, shards: list[bytes], payload: bytes) -> DispersalBundle:
+    def _bundle(self, shards: list, payload: bytes) -> DispersalBundle:
         tree = MerkleTree(shards)
         proofs = tree.proofs_all()
         chunks = tuple(
@@ -326,7 +333,7 @@ class RealCodec:
         )
         # These chunks are ``payload``'s encoding and ``tree.root`` is their
         # root: the retrieval check on ``payload`` would pass, so file it.
-        _RECORD.file_encoding(self._record_key(tree.root), bytes(payload), chunks)
+        _RECORD.file_encoding(self._record_key(tree.root), payload, chunks)
         return DispersalBundle(root=tree.root, chunks=chunks, payload_size=len(payload))
 
     def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:

@@ -59,7 +59,7 @@ class TestTxBatch:
         ]
         b = TxBatch.from_transactions(txs)
         assert b.origin is None and b.origins.tolist() == [0, 4, 0]
-        assert b.payloads == (b"abc", b"", b"")
+        assert b.payloads == b"abc" and b.payload_starts.tolist() == [0, -1, -1]
         assert b.as_transactions() == txs
         assert b.slice(1, 3).as_transactions() == txs[1:]
         assert b.created_at_from(0).tolist() == [0.5, 0.7]
@@ -108,7 +108,7 @@ class TestTxBatch:
         with_data = TxBatch.from_transactions([Transaction(20, 1, 0.0, 2, b"hi")])
         joined = TxBatch.concat([mixed, with_data])
         assert joined.origins.tolist() == [0, 0, 1, 1]
-        assert joined.payloads == (b"", b"", b"", b"hi")
+        assert joined.payloads == b"hi" and joined.payload_starts.tolist() == [-1, -1, -1, 0]
 
     def test_concat_of_empties_is_empty(self):
         assert TxBatch.concat([TxBatch.empty(0), TxBatch.empty(1)]).count == 0

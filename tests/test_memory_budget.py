@@ -9,6 +9,15 @@ bytes.  The traced peak of the 8 s run is 15.1 B per submitted transaction
 (35.9 B while sizes, stamps and the prefix sums the mempool cut by were
 arrays of one value per row).
 
+**Per dispersed payload byte** (``equivocate-split`` made honest: N=7, two
+epochs of 100 kB real blocks, every node retrieving every block).  The
+traced peak is 3.35 B per byte of the 14 dispersed blocks, against a layout
+floor of 1 + (N-k)/k + 2/k = 3.0: one payload, the parity, and the two edge
+shards (length header, padding) that are copies; every interior systematic
+shard is a view of the payload and a parsed block's transactions are views
+of the retrieved one.  With systematic shards and parsed transactions
+copied out it was 4.92 B.
+
 **Per N^2** (``columnar-scale``).  Two quantities are bounded, both as
 multiples of N^2 — a cluster runs N VID and N BA automata per node per
 epoch, so N^2 automata is the state it cannot avoid, while anything that
@@ -50,6 +59,7 @@ import pytest
 
 from repro.core.block import Transaction
 from repro.experiments import apply_overrides, get_scenario
+from repro.vid.codec import clear_retrieval_record
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
@@ -61,6 +71,10 @@ BYTES_PER_COMMITTED_TX = 45
 #: Traced peak bytes of the 8 s run per submitted transaction (measured: 15.1;
 #: 35.9 with materialised size and stamp columns).
 BYTES_PER_SUBMITTED_TX = 18
+
+#: Traced peak bytes of the small real-plane run per dispersed payload byte
+#: (measured: 3.35; 4.92 with copied systematic shards and parsed transactions).
+TRACED_BYTES_PER_DISPERSED_BYTE = 4.0
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
@@ -125,6 +139,37 @@ def test_common_layer_calls_stay_within_4_n_squared(num_nodes):
     ]
     assert sum(count for _name, count in common) <= COMMON_CALLS_PER_N2 * num_nodes**2, common
     assert generated_eq == []
+
+
+def test_a_real_plane_run_holds_each_block_about_once():
+    spec = apply_overrides(
+        get_scenario("equivocate-split").base,
+        {
+            "adversary.kind": "none",
+            "adversary.count": 0,
+            "topology.num_nodes": 7,
+            "bandwidth.rate": 1e7,
+            "workload.kind": "saturating",
+            "workload.tx_size": 20_000,
+            "workload.target_pending_bytes": 1_000_000,
+            "node.nagle_size": 100_000,
+            "max_epochs": 2,
+            "duration": 8.0,
+        },
+    )
+    clear_retrieval_record()
+    tracemalloc.start()
+    try:
+        state = build_scenario_state(spec)
+        state.sim.run(until=spec.duration)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ledgers = [node.ledger for node in state.nodes]
+    assert [ledger.num_blocks for ledger in ledgers] == [2 * 7] * 7
+    dispersed = sum(entry.block.size for entry in ledgers[0].entries)
+    assert dispersed > 1_000_000
+    assert peak / dispersed <= TRACED_BYTES_PER_DISPERSED_BYTE
 
 
 def _run_straggler(duration: float):

@@ -1,0 +1,227 @@
+"""One copy of a block's bytes: shards and parsed transactions are views.
+
+The Reed-Solomon encoder hands out every systematic shard that lies wholly
+inside the payload as a read-only ``memoryview`` of it, and a parsed block's
+transaction batch keeps the parsed wire payload itself as its payload buffer
+(per-row start offsets into it, no per-row copy).  Every test here compares
+against the definitions those views replace — shards as slices of the
+length-prefixed, zero-padded block, parsed rows as one ``bytes`` per
+transaction — and checks that nothing a caller can observe tells them apart:
+shard bytes, Merkle roots, pickles, slices, concatenation, old checkpoints.
+Payload lengths run from 0 past several ``k * 4`` bytes, so shards narrower
+than the 4-byte length header are covered.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.params import ProtocolParams
+from repro.common.snapshot import SnapshotState
+from repro.core.block import Block, Transaction
+from repro.core.txbatch import TxBatch
+from repro.crypto.merkle import MerkleTree
+from repro.erasure.gf256 import GF256
+from repro.erasure.rs_code import ReedSolomonCode
+from repro.vid.codec import RealCodec, parse_shared
+
+_SIZES = (4, 7, 16)
+
+
+def _reference_shards(code: ReedSolomonCode, block: bytes) -> list[bytes]:
+    """Shards as slices of the length-prefixed, zero-padded block, plus parity."""
+    size = code.shard_size(len(block))
+    padded = (struct.pack(">I", len(block)) + block).ljust(code.data_shards * size, b"\x00")
+    data = [padded[i * size : (i + 1) * size] for i in range(code.data_shards)]
+    return data + GF256.mat_vec_bytes(code._parity_matrix, data)
+
+
+def _code(n: int) -> ReedSolomonCode:
+    params = ProtocolParams.for_n(n)
+    return ReedSolomonCode(params.data_shards, params.total_shards)
+
+
+@given(n=st.sampled_from(_SIZES), blocks=st.lists(st.binary(max_size=200), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_shards_and_roots_equal_the_padded_slice_definition(n, blocks):
+    code = _code(n)
+    expected = [_reference_shards(code, block) for block in blocks]
+    assert [[bytes(s) for s in code.encode(block)] for block in blocks] == expected
+    assert [[bytes(s) for s in shards] for shards in code.encode_many(blocks)] == expected
+    codec = RealCodec(ProtocolParams.for_n(n))
+    for block, shards in zip(blocks, expected):
+        bundle = codec.encode(block)
+        assert bundle.root == MerkleTree(shards).root
+        assert [chunk.data for chunk in bundle.chunks] == shards
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_only_interior_systematic_shards_are_views(n):
+    code = _code(n)
+    k = code.data_shards
+    for length in range(8 * k * 4):
+        block = bytes(range(length))
+        shards = code.encode(block)
+        size = code.shard_size(length)
+        for index, shard in enumerate(shards[:k]):
+            start = index * size - 4
+            inside = start >= 0 and start + size <= length
+            assert isinstance(shard, memoryview) == inside, (length, index)
+            if inside:
+                assert shard.readonly and shard.obj is block
+        assert all(type(shard) is bytes for shard in shards[k:])
+
+
+@given(n=st.sampled_from(_SIZES), block=st.binary(min_size=1, max_size=200), many=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_mutable_input_mutated_after_encode_changes_no_chunk(n, block, many):
+    codec = RealCodec(ProtocolParams.for_n(n))
+    buffer = bytearray(block)
+    bundle = codec.encode_many([buffer])[0] if many else codec.encode(buffer)
+    before = [bytes(chunk.data) for chunk in bundle.chunks]
+    buffer[:] = bytes(len(buffer))
+    buffer.extend(b"more")
+    assert [bytes(chunk.data) for chunk in bundle.chunks] == before
+    assert bundle.root == MerkleTree(before).root
+
+
+def test_a_view_holding_chunk_pickles_as_bytes_and_compares_equal():
+    bundle = RealCodec(ProtocolParams.for_n(16)).encode(bytes(range(256)) * 8)
+    views = [chunk for chunk in bundle.chunks if isinstance(chunk.data, memoryview)]
+    assert views
+    for chunk in views:
+        restored = pickle.loads(pickle.dumps(chunk))
+        assert type(restored.data) is bytes
+        assert restored == chunk and restored.data == bytes(chunk.data)
+
+
+#: One transaction row: origin, stamp, size, whether it carries data.
+_row = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.integers(min_value=0, max_value=64),
+    st.booleans(),
+)
+
+
+def _transactions(rows) -> list[Transaction]:
+    return [
+        Transaction(tx_id, origin, stamp, size, bytes([tx_id % 251 + 1]) * size if data else b"")
+        for tx_id, (origin, stamp, size, data) in enumerate(rows, start=1)
+    ]
+
+
+def _wire_view(txs: list[Transaction]) -> list[Transaction]:
+    """What a parse must give back: data-less rows carry their wire zeros."""
+    return [
+        Transaction(tx.tx_id, tx.origin, tx.created_at, tx.size, tx.data or bytes(tx.size))
+        for tx in txs
+    ]
+
+
+def _reachable_bytes(root) -> list[bytes]:
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if type(obj) is bytes:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@given(rows=st.lists(_row, max_size=12), v_array=st.lists(st.integers(-1, 9), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_a_parsed_block_views_the_wire_and_cuts_bytes_only_on_request(rows, v_array):
+    txs = _transactions(rows)
+    wire = Block(3, 7, transactions=txs, v_array=tuple(v_array)).serialize()
+    parsed = Block.deserialize(wire)
+    assert parsed.serialize() == wire
+    if not txs:
+        assert parsed.tx_batch is None
+        return
+    assert parsed.tx_batch.payloads is wire
+    assert _reachable_bytes(parsed) == [wire]  # no per-row copy
+    records = parsed.transactions
+    assert records == tuple(_wire_view(txs))
+    assert all(type(record.data) is bytes for record in records)
+
+
+def test_a_data_less_row_reads_back_as_its_wire_zeros():
+    block = Block(0, 1, tx_batch=TxBatch.uniform(0, np.arange(3, dtype=np.uint64), 0.5, 4))
+    parsed = Block.deserialize(block.serialize())
+    assert parsed.transactions != block.transactions
+    assert [tx.data for tx in parsed.transactions] == [bytes(4)] * 3
+    assert [tx.data for tx in block.transactions] == [b""] * 3
+
+
+def test_a_retrieved_block_references_the_recorded_payload():
+    params = ProtocolParams.for_n(7)
+    codec = RealCodec(params)
+    wire = Block(1, 2, transactions=_transactions([(1, 0.5, 40, True), (1, 0.7, 9, False)])).serialize()
+    bundle = codec.encode(wire)
+    chunks = {chunk.index: chunk for chunk in bundle.chunks[: params.data_shards]}
+    payload = codec.decode(bundle.root, chunks)
+    block = parse_shared(payload, Block.deserialize)
+    assert block.tx_batch.payloads is payload
+    assert parse_shared(codec.decode(bundle.root, chunks), Block.deserialize) is block
+
+
+@given(
+    rows=st.lists(_row, min_size=1, max_size=10),
+    extra=st.lists(_row, max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_parsed_batch_survives_slice_concat_and_pickle(rows, extra, data):
+    txs = _transactions(rows)
+    parsed = Block.deserialize(Block(0, 0, transactions=txs).serialize()).tx_batch
+    expected = _wire_view(txs)
+    start = data.draw(st.integers(0, len(txs)))
+    stop = data.draw(st.integers(start, len(txs)))
+    piece = parsed.slice(start, stop)
+    assert piece.payloads is parsed.payloads
+    assert piece.as_transactions() == expected[start:stop]
+    others = _transactions(extra)
+    tail = TxBatch.from_transactions(others)
+    joined = TxBatch.concat([piece, tail])
+    assert joined.as_transactions() == expected[start:stop] + others
+    assert joined.serialize() == piece.serialize() + tail.serialize()
+    restored = pickle.loads(pickle.dumps(parsed))
+    assert restored.as_transactions() == expected
+    assert not restored.payload_starts.flags.writeable
+
+
+@given(rows=st.lists(_row, min_size=1, max_size=10))
+@settings(max_examples=50, deadline=None)
+def test_an_old_snapshot_with_a_payload_tuple_restores(rows):
+    """Files written while ``payloads`` was a tuple of one ``bytes`` per row."""
+    txs = _transactions(rows)
+    batch = TxBatch.from_transactions(txs)
+    state = SnapshotState.snapshot_state(batch)
+    del state["payload_starts"]
+    state["payloads"] = tuple(tx.data for tx in txs) if any(tx.data for tx in txs) else None
+    restored = TxBatch.__new__(TxBatch)
+    restored.__setstate__(pickle.loads(pickle.dumps(state)))
+    assert restored.as_transactions() == txs
+    assert restored.serialize() == batch.serialize()
+    assert restored.payload_starts is None or not restored.payload_starts.flags.writeable
+
+
+def test_a_payload_longer_than_its_row_is_rejected():
+    """It would overwrite the next row's header on the wire."""
+    with pytest.raises(ValueError, match="row 0 declares size 3 but carries 4 bytes"):
+        TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abcd", b""])
+    with pytest.raises(ValueError, match="row 1"):
+        TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abc", b"x"])
+    batch = TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abc", b""])
+    assert Block.deserialize(Block(0, 1, tx_batch=batch).serialize()).tx_batch.tx_ids.tolist() == [1, 2]

@@ -12,6 +12,12 @@ no record, and the per-plane forks the unified plane removed stay out of
 the places where blocks are cut and deliveries recorded.  A constant batch
 column is a zero-stride view that only ``core/txbatch.py`` builds or
 inspects.
+
+**Retrieval.**  Its state costs bytes (express-train cars are columns,
+AVID-M's cancellation marks a ``bytearray``), ``RealCodec`` decodes on one
+path, only the honest encoder files an encoding, and a block's bytes are
+held once: only the Reed-Solomon layer takes ``memoryview`` slices of a
+payload, and parsing a block builds no ``Transaction``.
 """
 
 from __future__ import annotations
@@ -133,4 +139,139 @@ def test_the_saturating_client_materialises_no_constant_column():
     assert not fills, (
         "the saturating client fills a constant column row by row again; pass the "
         f"scalar to TxBatch.uniform (see docs/performance.md, The saturating client), lines {fills}"
+    )
+
+
+def _lines_matching(pattern: str, paths) -> list[str]:
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in paths
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if regex.search(line)
+    ]
+
+
+def _calls(tree: ast.AST, name: str, receiver: str | None = None) -> list[ast.Call]:
+    """Calls of ``name`` in ``tree``, through ``<...>.receiver.name`` if ``receiver`` is given."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node) == name
+        and (receiver is None or getattr(getattr(node.func, "value", None), "attr", None) == receiver)
+    ]
+
+
+def _method(path: Path, cls: str, name: str) -> ast.FunctionDef:
+    (method,) = [
+        item
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == name
+    ]
+    return method
+
+
+def test_express_train_cars_are_columns():
+    tuples = _lines_matching(
+        r"\.cars\b|append\(\(src, dst|_ExpressTrain\(self, when, \(", [SRC / "sim" / "network.py"]
+    )
+    assert not tuples, f"express-train cars are tuples again: {tuples}"
+
+
+def test_avid_m_cancellation_marks_are_not_a_set():
+    sets = _lines_matching(
+        r"_cancelled_retrievers.*(set\(|\.add\(|__contains__)", sorted((SRC / "vid").rglob("*.py"))
+    )
+    assert not sets, f"AVID-M cancellation marks are a set again: {sets}"
+
+
+def test_one_decode_call_site_in_the_codec():
+    sites = [call.lineno for call in _calls(_tree(SRC / "vid" / "codec.py"), "decode", "_rs")]
+    assert len(sites) == 1, (
+        f"src/repro/vid/codec.py has {len(sites)} _rs.decode( call sites, want 1 "
+        f"(one decode path; see docs/performance.md, Serving the decode): lines {sites}"
+    )
+
+
+def _is_selection_rule(node: ast.AST) -> bool:
+    """``sorted(...)[:...]``: a leading slice of a sorted sequence."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and _called_name(node.value) == "sorted"
+        and isinstance(node.slice, ast.Slice)
+        and node.slice.lower is None
+    )
+
+
+def test_the_shard_selection_rule_lives_in_select_indices():
+    rules = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if _is_selection_rule(node)
+    ]
+    select = _method(SRC / "erasure" / "rs_code.py", "ReedSolomonCode", "_select_indices")
+    inside = [node for node in ast.walk(select) if _is_selection_rule(node)]
+    assert len(rules) == 1 and len(inside) == 1, (
+        f"the shard selection rule is defined outside ReedSolomonCode._select_indices: {rules}"
+    )
+
+
+def test_no_environment_toggle_under_vid():
+    toggles = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "vid").rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "environ"
+        and getattr(node.value, "id", None) == "os"
+    ]
+    assert not toggles, f"src/repro/vid/ reads an environment toggle: {toggles}"
+
+
+def test_only_the_honest_encoder_files_an_encoding():
+    """One ``.file_encoding(`` call site, inside ``RealCodec._bundle``; none in the adversaries."""
+    sites = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for call in _calls(_tree(path), "file_encoding")
+        if isinstance(call.func, ast.Attribute)
+    ]
+    inside = _calls(_method(SRC / "vid" / "codec.py", "RealCodec", "_bundle"), "file_encoding")
+    adversaries = _lines_matching(r"file_encoding", sorted((SRC / "adversary").rglob("*.py")))
+    assert len(sites) == 1 and len(inside) == 1, (
+        f"file_encoding must have exactly one call site, inside RealCodec._bundle: {sites}"
+    )
+    assert not adversaries, f"src/repro/adversary/ files an encoding: {adversaries}"
+
+
+def test_only_the_reed_solomon_layer_takes_views():
+    """``memoryview(`` is called in ``erasure/rs_code.py`` alone: a view is taken
+    only of the immutable ``bytes`` a systematic shard lies in."""
+    rs_code = SRC / "erasure" / "rs_code.py"
+    sites = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != rs_code
+        for call in _calls(_tree(path), "memoryview")
+    ]
+    assert not sites, (
+        "a memoryview is taken outside erasure/rs_code.py (see docs/performance.md, "
+        f"One copy of a block's bytes): {sites}"
+    )
+
+
+def test_parsing_a_block_builds_no_transaction():
+    parsers = [
+        _method(SRC / "core" / "block.py", "Block", "deserialize"),
+        _method(SRC / "core" / "txbatch.py", "TxBatch", "deserialize"),
+    ]
+    records = [call.lineno for parser in parsers for call in _calls(parser, "Transaction")]
+    assert not records, (
+        "parsing a block builds Transaction records again (see docs/performance.md, "
+        f"One copy of a block's bytes), lines {records}"
     )
