@@ -42,7 +42,10 @@ class _RoundState:
     Sender tallies are ``int`` bitmasks indexed by binary value (bit
     ``1 << src`` set once ``src`` voted), counted with ``int.bit_count()``:
     one machine word per tally up to N=64, where a sender set or dict cost
-    kilobytes per round per instance.
+    kilobytes per round per instance.  ``bval_sent`` and ``bin_values`` are
+    2-bit masks over the binary values (bit ``1 << v``), not sets.  An
+    instance holds only its current and future rounds: it drops a round when
+    it leaves it, and all of them when it halts.
     """
 
     __slots__ = ("bval_senders", "aux_senders", "bval_sent", "aux_sent", "bin_values", "advanced")
@@ -56,9 +59,9 @@ class _RoundState:
         #: ``bin_values``, so a vote parked while its value was outside
         #: counts from the moment the value is promoted, with no re-filing.
         self.aux_senders = [0, 0]
-        self.bval_sent: set[int] = set()
+        self.bval_sent = 0
         self.aux_sent = False
-        self.bin_values: set[int] = set()
+        self.bin_values = 0
         self.advanced = False
 
 
@@ -157,9 +160,10 @@ class BinaryAgreement(SnapshotState):
 
     def _broadcast_bval(self, round_number: int, value: int) -> None:
         state = self._round(round_number)
-        if value in state.bval_sent:
+        bit = 1 << value
+        if state.bval_sent & bit:
             return
-        state.bval_sent.add(value)
+        state.bval_sent |= bit
         self.ctx.broadcast(
             BValMsg(instance=self.instance, round_number=round_number, value=value)
         )
@@ -194,7 +198,7 @@ class BinaryAgreement(SnapshotState):
         if (aux[0] | aux[1]) & bit:
             return  # one AUX per sender per round counts
         aux[msg.value] |= bit
-        if msg.value not in state.bin_values:
+        if not state.bin_values >> msg.value & 1:
             # Not (yet) a valid vote; it counts once the value is promoted.
             # Nothing the quorum rule counts changed.
             return
@@ -203,7 +207,7 @@ class BinaryAgreement(SnapshotState):
         # The N - f rule counts the masks of the values inside bin_values:
         # this vote's value is one, the other value counts only if it is too.
         valid = aux[msg.value].bit_count()
-        if len(state.bin_values) == 2:
+        if state.bin_values == 3:
             valid += aux[1 - msg.value].bit_count()
         if valid < self.params.quorum:
             return
@@ -217,13 +221,14 @@ class BinaryAgreement(SnapshotState):
 
         # Rule: echo BVAL values supported by f + 1 nodes; promote at 2f + 1.
         for value in (0, 1):
+            bit = 1 << value
             supporters = state.bval_senders[value].bit_count()
-            if supporters >= self.params.small_quorum and value not in state.bval_sent:
+            if supporters >= self.params.small_quorum and not state.bval_sent & bit:
                 self._broadcast_bval(round_number, value)
-            if supporters >= self.params.ready_threshold and value not in state.bin_values:
+            if supporters >= self.params.ready_threshold and not state.bin_values & bit:
                 # AUX votes for this value, parked while it was outside
                 # bin_values, count from now on.
-                state.bin_values.add(value)
+                state.bin_values |= bit
                 if not state.aux_sent:
                     state.aux_sent = True
                     self.ctx.broadcast(
@@ -237,8 +242,8 @@ class BinaryAgreement(SnapshotState):
         # the round with the common coin.
         bin_values = state.bin_values
         aux0, aux1 = state.aux_senders
-        valid0 = aux0.bit_count() if 0 in bin_values else 0
-        valid1 = aux1.bit_count() if 1 in bin_values else 0
+        valid0 = aux0.bit_count() if bin_values & 1 else 0
+        valid1 = aux1.bit_count() if bin_values & 2 else 0
         if valid0 + valid1 < self.params.quorum:
             return
         coin_value = self.coin.flip(self.instance, round_number)
@@ -257,6 +262,8 @@ class BinaryAgreement(SnapshotState):
         self._advance_to(round_number + 1)
 
     def _advance_to(self, round_number: int) -> None:
+        # Votes for a round below round_number are ignored on arrival.
+        del self._rounds[round_number - 1]
         self.round_number = round_number
         if self.ctx.probe is not None:
             self.ctx.probe.on_ba_round(
@@ -298,3 +305,5 @@ class BinaryAgreement(SnapshotState):
             self._decide(msg.value)
         if count >= self.params.ready_threshold and self.decided == msg.value:
             self.halted = True
+            # handle() drops every message once halted.
+            del self._rounds

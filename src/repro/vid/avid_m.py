@@ -144,7 +144,10 @@ class AvidMInstance(SnapshotState):
         # Distinct-sender vote counts per root.  The seen-masks dedup senders
         # (bit ``1 << src``, one vote each), so a plain counter is enough for
         # the quorum rules — no per-root sender sets, and one machine word
-        # per tally up to N=64 where a set cost 2 KB.
+        # per tally up to N=64 where a set cost 2 KB.  Completion rebuilds
+        # both without ``chunk_root`` (rebuilds, because a dict keeps its
+        # table after its last key is deleted) and later votes for that root
+        # only set their seen bit.
         self._got_chunk_count: dict[bytes, int] = {}
         self._ready_count: dict[bytes, int] = {}
         self._got_chunk_seen = 0
@@ -282,6 +285,8 @@ class AvidMInstance(SnapshotState):
         if self._got_chunk_seen & bit:
             return
         self._got_chunk_seen |= bit
+        if self.completed and msg.root == self.chunk_root:
+            return
         count = self._got_chunk_count.get(msg.root, 0) + 1
         self._got_chunk_count[msg.root] = count
         # The count rises by exactly one per distinct sender, so the quorum
@@ -295,6 +300,8 @@ class AvidMInstance(SnapshotState):
         if self._ready_seen & bit:
             return
         self._ready_seen |= bit
+        if self.completed and msg.root == self.chunk_root:
+            return
         count = self._ready_count.get(msg.root, 0) + 1
         self._ready_count[msg.root] = count
         if count == self.params.ready_amplify_threshold:
@@ -302,6 +309,10 @@ class AvidMInstance(SnapshotState):
         if count == self.params.ready_threshold and not self.completed:
             self.chunk_root = msg.root
             self.completed = True
+            # Ready(root) went out at f + 1 and counts only rise: no rule for root can fire again.
+            root = msg.root
+            self._ready_count = {r: c for r, c in self._ready_count.items() if r != root}
+            self._got_chunk_count = {r: c for r, c in self._got_chunk_count.items() if r != root}
             self._answer_pending_requests()
             if self.on_complete is not None:
                 self.on_complete(self.instance)

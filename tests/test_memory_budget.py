@@ -5,9 +5,19 @@ saturating client on a straggler cluster): what a run keeps for a committed
 transaction is its id in the block's columns, shared by every node's ledger
 and collector — no record object, no per-node latency sample, and no size or
 stamp: a saturating refill's sizes and stamps are constant columns of O(1)
-bytes.  The traced peak of the 8 s run is 15.1 B per submitted transaction
-(35.9 B while sizes, stamps and the prefix sums the mempool cut by were
-arrays of one value per row).
+bytes.  The traced peak of the 8 s run is 13.5 B per submitted transaction
+(15.1 B while the automata kept every BA round and VID count to the end of
+the run, 35.9 B while sizes, stamps and the prefix sums the mempool cut by
+were arrays of one value per row).
+
+**Per delivered epoch** (the ``temporal16-columnar`` ledger workload's base
+of ``fig11b-temporal``: N=16, three and six epochs).  Each epoch adds N VID
+and N BA automata per node, and after the run each keeps only what a later
+message could read: a halted agreement holds no rounds, an agreement that
+moves on drops the round it leaves, and a completed dispersal holds no
+count for its own root.  The bytes retained at the end of the run grow by
+3.5 kB per extra delivered epoch per N^2; with every round, tally and
+count kept to the end of the run it was 5.4 kB.
 
 **Per dispersed payload byte** (``equivocate-split`` made honest: N=7, two
 epochs of 100 kB real blocks, every node retrieving every block).  The
@@ -63,14 +73,22 @@ from repro.vid.codec import clear_retrieval_record
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
-#: (measured: 36.8 and 37.3 — the peak is the end of the run, 5.6 MB at 4 s
-#: and 8.1 MB at 8 s; what remains is per-epoch protocol state.  With
-#: materialised size and stamp columns it was 62.0 and 62.6, and with one
-#: ``Transaction`` and N latency floats kept per committed transaction 542).
-BYTES_PER_COMMITTED_TX = 45
-#: Traced peak bytes of the 8 s run per submitted transaction (measured: 15.1;
-#: 35.9 with materialised size and stamp columns).
+#: (measured: 29.8 and 30.5 — the peak is the end of the run; what remains
+#: is the id column and the automata of each epoch, bounded per epoch below.
+#: With every BA round and VID count kept to the end of the run it was 36.7
+#: and 37.3, with materialised size and stamp columns 62.0 and 62.6, and
+#: with one ``Transaction`` and N latency floats kept per committed
+#: transaction 542).
+BYTES_PER_COMMITTED_TX = 33
+#: Traced peak bytes of the 8 s run per submitted transaction (measured: 13.5;
+#: 15.1 with every BA round and VID count kept, 35.9 with materialised size
+#: and stamp columns).
 BYTES_PER_SUBMITTED_TX = 18
+
+#: Traced bytes retained at the end of a run per extra delivered epoch per
+#: N^2 (measured: 3 488; 5 433 with every BA round, halted agreement's
+#: tallies and completed dispersal's own-root counts kept).
+BYTES_PER_EPOCH_PER_N2 = 4_500
 
 #: Traced peak bytes of the small real-plane run per dispersed payload byte
 #: (measured: 3.35; 4.92 with copied systematic shards and parsed transactions).
@@ -78,7 +96,7 @@ TRACED_BYTES_PER_DISPERSED_BYTE = 4.0
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
-#: ``tracemalloc`` peak bytes per N^2 (measured: 13.1 kB at N=22, 10.6 kB at N=32).
+#: ``tracemalloc`` peak bytes per N^2 (measured: 7.0 kB at N=22, 6.0 kB at N=32).
 TRACED_BYTES_PER_N2 = 14_000
 #: Profiled calls into ``repro/common/`` per N^2 (measured: 0.05 and 0.03).
 COMMON_CALLS_PER_N2 = 4
@@ -170,6 +188,38 @@ def test_a_real_plane_run_holds_each_block_about_once():
     dispersed = sum(entry.block.size for entry in ledgers[0].entries)
     assert dispersed > 1_000_000
     assert peak / dispersed <= TRACED_BYTES_PER_DISPERSED_BYTE
+
+
+def _run_temporal(max_epochs: int):
+    """``fig11b-temporal`` as the ``temporal16-columnar`` ledger workload runs it."""
+    spec = apply_overrides(
+        get_scenario("fig11b-temporal").base,
+        {
+            "protocol": "dl",
+            "bandwidth.kind": "gauss-markov",
+            "bandwidth.sigma": 2_500_000.0,
+            "workload.kind": "saturating",
+            "workload.tx_size": 1000,
+            "max_epochs": max_epochs,
+            "duration": 60.0,
+        },
+    )
+    tracemalloc.start()
+    try:
+        state = build_scenario_state(spec)
+        state.sim.run(until=spec.duration)
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return state, current
+
+
+def test_memory_retained_per_delivered_epoch_stays_within_4_5_kb_per_n_squared():
+    (short, short_end), (long, long_end) = map(_run_temporal, (3, 6))
+    delivered = [{node.delivered_epoch for node in state.nodes} for state in (short, long)]
+    assert delivered == [{3}, {6}]
+    n = len(long.nodes)
+    assert (long_end - short_end) / 3 <= BYTES_PER_EPOCH_PER_N2 * n**2
 
 
 def _run_straggler(duration: float):

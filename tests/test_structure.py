@@ -18,6 +18,10 @@ AVID-M's cancellation marks a ``bytearray``), ``RealCodec`` decodes on one
 path, only the honest encoder files an encoding, and a block's bytes are
 held once: only the Reed-Solomon layer takes ``memoryview`` slices of a
 payload, and parsing a block builds no ``Transaction``.
+
+**Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
+instance ids hash and compare in C.  A binary agreement's round flags are
+bits, so ``ba/mmr.py`` builds no ``set``.
 """
 
 from __future__ import annotations
@@ -274,4 +278,45 @@ def test_parsing_a_block_builds_no_transaction():
     assert not records, (
         "parsing a block builds Transaction records again (see docs/performance.md, "
         f"One copy of a block's bytes), lines {records}"
+    )
+
+
+def test_instance_ids_hash_and_compare_in_c():
+    """``common/ids.py`` defines no ``__hash__``/``__eq__`` and caches no hash."""
+    sites = []
+    for node in ast.walk(_tree(SRC / "common" / "ids.py")):
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A slot or setattr name; prose (docstrings) is not an identifier.
+            names = [node.value] if node.value.isidentifier() else []
+        else:
+            continue
+        sites += [
+            f"common/ids.py:{node.lineno}: {name}"
+            for name in names
+            if name in ("__hash__", "__eq__") or "_hash" in name
+        ]
+    assert not sites, (
+        "instance ids hash or compare in Python again (see docs/performance.md, "
+        f"Dispatch): {sites}"
+    )
+
+
+def test_binary_agreement_builds_no_set():
+    sets = [
+        f"ba/mmr.py:{node.lineno}"
+        for node in ast.walk(_tree(SRC / "ba" / "mmr.py"))
+        if isinstance(node, (ast.Set, ast.SetComp))
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "set")
+    ]
+    assert not sets, (
+        "a binary agreement builds a set again; its round flags are 2-bit masks "
+        f"(see docs/performance.md, Bitmask tallies): {sets}"
     )

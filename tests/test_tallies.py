@@ -11,7 +11,10 @@ the same order and end in the same state.
 A second test pins the point of the masks: after a full N=64 epoch no
 automaton holds a container that grew with the number of senders — not
 even for retrieval, whose chunk map is dropped at decode and whose
-cancellation marks are one ``bytearray``.
+cancellation marks are one ``bytearray``.  It and a mid-run walk also pin
+what the automata free: a halted agreement holds no rounds, a live one no
+round below its current one, and a completed dispersal no count for its
+own root.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.ba.messages import AuxMsg, BValMsg, DecidedMsg
 from repro.ba.mmr import BinaryAgreement, _RoundState
 from repro.common.ids import BAInstanceId, VIDInstanceId
 from repro.common.params import ProtocolParams
-from repro.experiments import get_scenario
+from repro.experiments import apply_overrides, get_scenario
 from repro.sim.context import NodeContext
 from repro.vid.avid_m import AvidMInstance
 from repro.vid.codec import Chunk
@@ -474,11 +477,31 @@ def test_no_per_sender_container_survives_a_full_n64_epoch():
     assert len(node._vid_instances) == n and len(node._ba_instances) == n
     for vid in node._vid_instances.values():
         assert vid.completed and vid.retrieval_complete
+        assert vid.chunk_root not in vid._got_chunk_count
+        assert vid.chunk_root not in vid._ready_count
         assert vid._got_chunk_seen.bit_count() >= spec.params().quorum
         # The sets the masks replaced held one entry per sender (>= N - f).
         assert _largest_container(vid, _NOT_OWNED)[0] <= 2
         assert vid._cancelled_retrievers.count(1) >= spec.params().quorum - 1
     for ba in node._ba_instances.values():
         assert ba.halted and ba.decided == 1
+        assert not hasattr(ba, "_rounds")
         assert max(ba._decided_senders).bit_count() >= spec.params().ready_threshold
         assert _largest_container(ba, _NOT_OWNED)[0] <= 2
+
+
+def test_a_live_agreement_holds_no_past_round():
+    spec = apply_overrides(get_scenario("columnar-scale").base, {"topology.num_nodes": 22})
+    state = build_scenario_state(spec)
+    sim = state.sim
+    past_round_zero = 0
+    while sim.now < spec.duration:
+        sim.run(until=spec.duration, max_events=1000)
+        for node in state.nodes:
+            for ba in node._ba_instances.values():
+                if ba.halted:
+                    continue
+                past_round_zero += ba.round_number > 0
+                assert min(ba._rounds, default=ba.round_number) >= ba.round_number
+    assert all(node.delivered_epoch == 1 for node in state.nodes)
+    assert past_round_zero > 0
