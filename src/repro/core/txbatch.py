@@ -7,7 +7,7 @@ delivery accounting, the latency summary — works on :class:`TxBatch`
 columns, because allocating, queueing and walking one Python object per
 client payment dominates every profile long before the protocol does.  A
 batch holds the ids, creation times and sizes of a run of transactions as
-numpy arrays, so the mempool slices batches as index ranges, a block carries
+columns, so the mempool slices batches as index ranges, a block carries
 a batch instead of a transaction tuple, and the metrics collector computes
 latency percentiles straight from the columns.
 
@@ -27,6 +27,13 @@ O(1) — numpy views, no copies — which is what makes the mempool's
 batch (and a saturating refill's one stamp) are one read-only zero-stride
 view, not n copies, and the mempool's byte-budget cut is asked of the batch,
 which answers it by arithmetic.  Only this module knows a column can be one.
+
+**So does an arithmetic id column**: a client numbering ``seq * N + node``
+passes its ids as a ``range``, which slices to a ``range`` and stays one when
+joined to the batch that continues it, so a block holds its ids in O(1) bytes
+rather than keeping a refill's id array alive.  Other ids are a read-only
+``uint64`` array; the wire, digest and records read both through
+:func:`_id_array`.  No other module reads ``tx_ids``.
 """
 
 from __future__ import annotations
@@ -77,6 +84,25 @@ def _is_constant(column: np.ndarray) -> bool:
     return len(column) > 0 and column.strides[0] == 0
 
 
+def _id_array(tx_ids: range | np.ndarray) -> np.ndarray:
+    """An id column as a ``uint64`` array (a ``range`` is materialised)."""
+    if isinstance(tx_ids, range):
+        return np.arange(tx_ids.start, tx_ids.stop, tx_ids.step, dtype=np.uint64)
+    return tx_ids
+
+
+def _joined_ids(columns: list[range | np.ndarray]) -> range | np.ndarray:
+    """Non-empty id columns end to end: a ``range`` if each is one that
+    continues the column before it with the same step, else an array."""
+    first = columns[0]
+    if all(isinstance(column, range) for column in columns) and all(
+        column.step == first.step and before[-1] + first.step == column.start
+        for before, column in zip(columns, columns[1:])
+    ):
+        return range(first.start, columns[-1].stop, first.step)
+    return np.concatenate([_id_array(column) for column in columns])
+
+
 def _joined(payloads: Sequence[bytes], sizes: np.ndarray) -> tuple[bytes | None, np.ndarray | None]:
     """Per-row ``data`` as one buffer plus each row's start in it (-1: no data);
     a row whose data is neither empty nor its size would overwrite the next
@@ -97,7 +123,8 @@ class TxBatch(SnapshotState):
     Attributes:
         origin: the node that generated every transaction in the batch, or
             ``None`` when the batch mixes origins (then ``origins`` is set).
-        tx_ids: ``uint64`` column of globally unique transaction ids.
+        tx_ids: globally unique transaction ids, as a ``range`` (a client's
+            arithmetic numbering) or a ``uint64`` column.
         created_at: ``float64`` column of submission (arrival) times.
         sizes: ``int64`` column of wire sizes in bytes.
         origins: ``uint32`` per-transaction origin column of a mixed-origin
@@ -113,7 +140,7 @@ class TxBatch(SnapshotState):
     def __init__(
         self,
         origin: int | None,
-        tx_ids: np.ndarray,
+        tx_ids: range | np.ndarray,
         created_at: np.ndarray,
         sizes: np.ndarray,
         total_bytes: int | None = None,
@@ -128,7 +155,7 @@ class TxBatch(SnapshotState):
         if (origin is None) == (origins is None):
             raise ValueError("a batch has either one origin or an origins column")
         self.origin = origin
-        self.tx_ids = _column(tx_ids, np.uint64)
+        self.tx_ids = tx_ids if isinstance(tx_ids, range) else _column(tx_ids, np.uint64)
         self.created_at = _column(created_at, np.float64)
         self.sizes = _column(sizes, np.int64)
         self.origins = None if origins is None else _column(origins, np.uint32)
@@ -145,7 +172,7 @@ class TxBatch(SnapshotState):
     def uniform(
         cls,
         origin: int,
-        tx_ids: np.ndarray,
+        tx_ids: range | np.ndarray,
         created_at: np.ndarray | float,
         tx_size: int,
     ) -> "TxBatch":
@@ -228,7 +255,7 @@ class TxBatch(SnapshotState):
             )
         return cls(
             None if mixed else origin,
-            np.concatenate([batch.tx_ids for batch in parts]),
+            _joined_ids([batch.tx_ids for batch in parts]),
             np.concatenate([batch.created_at for batch in parts]),
             sizes,
             total_bytes=sum(batch.total_bytes for batch in parts),
@@ -296,8 +323,11 @@ class TxBatch(SnapshotState):
     # -- slicing -----------------------------------------------------------
 
     def slice(self, start: int, stop: int) -> "TxBatch":
-        """The ``[start, stop)`` index range as a zero-copy view batch."""
-        if start == 0 and stop >= len(self):
+        """The ``[start, stop)`` index range as a zero-copy view batch, the
+        bounds clamped as Python slicing clamps them."""
+        start, stop, _step = slice(start, stop).indices(len(self))  # the builtin
+        stop = max(start, stop)
+        if start == 0 and stop == len(self):
             return self
         return TxBatch(
             self.origin,
@@ -317,7 +347,7 @@ class TxBatch(SnapshotState):
         state = super().snapshot_state()
         for name in _COLUMNS:
             column = state[name]
-            if column is not None and _is_constant(column):
+            if isinstance(column, np.ndarray) and _is_constant(column):
                 state[name] = (column[0], len(column))
         return state
 
@@ -331,7 +361,7 @@ class TxBatch(SnapshotState):
             if isinstance(column, tuple):
                 value, length = column
                 setattr(self, name, _constant(value, length, value.dtype))
-            elif column is not None:
+            elif isinstance(column, np.ndarray):
                 column.flags.writeable = False
 
     __getstate__ = snapshot_state
@@ -357,7 +387,7 @@ class TxBatch(SnapshotState):
         return [
             Transaction(tx_id, origin, created, size, data)
             for tx_id, origin, created, size, data in zip(
-                self.tx_ids.tolist(),
+                _id_array(self.tx_ids).tolist(),
                 origins,
                 self.created_at.tolist(),
                 self.sizes.tolist(),
@@ -368,7 +398,7 @@ class TxBatch(SnapshotState):
     def digest_material(self) -> bytes:
         """The ``">QI"`` (tx id, size) digest bytes of every transaction."""
         material = np.empty(len(self), dtype=_DIGEST_DTYPE)
-        material["tx_id"] = self.tx_ids
+        material["tx_id"] = _id_array(self.tx_ids)
         material["size"] = self.sizes
         return material.tobytes()
 
@@ -380,7 +410,7 @@ class TxBatch(SnapshotState):
         transactions that carry data cost a Python step.
         """
         headers = np.empty(len(self), dtype=_HEADER_DTYPE)
-        headers["tx_id"] = self.tx_ids
+        headers["tx_id"] = _id_array(self.tx_ids)
         headers["origin"] = self.origin if self.origins is None else self.origins
         headers["size"] = self.sizes
         headers["created_at"] = self.created_at

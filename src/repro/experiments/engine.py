@@ -22,6 +22,7 @@ ledger (``benchmarks/ledger/``), not here.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -234,6 +235,10 @@ def _run_point(
         stops = runner.periodic_stops(state, spec.checkpoint_every, path)
     stops.append(Stop(spec.duration, flush=_observer_paths(spec, overrides)))
     result = runner.execute(state, stops, options.profiler)
+    # The run held the collector off and its graph has cycles (each pipe
+    # keeps its own bound drain): free it before the next point builds.
+    del state
+    gc.collect()
     return result, {}, time.perf_counter() - started
 
 

@@ -10,7 +10,7 @@ from repro.common.snapshot import SnapshotState
 from repro.core.block import Block
 from repro.core.ledger import DeliveredBlock
 from repro.core.txbatch import TxBatch
-from repro.metrics.stats import Summary, summarise
+from repro.metrics.stats import Summary, summarise_in_place
 
 
 @dataclass
@@ -37,7 +37,7 @@ class NodeMetrics(SnapshotState):
     #: Latency samples: one ``(delivered_at, batch)`` chunk per delivered
     #: non-empty block.  The batch is the one every node's copy of the block
     #: shares, so N deliveries of a block store N references, not N latency
-    #: columns; the subtraction happens in :meth:`latency_summary`.
+    #: columns; :meth:`latency_summary` subtracts them into one buffer.
     latency_chunks: list[tuple[float, TxBatch]] = field(default_factory=list)
     #: Number of blocks this node proposed.
     blocks_proposed: int = 0
@@ -77,18 +77,21 @@ class NodeMetrics(SnapshotState):
 
         Over locally generated transactions only (the paper's default latency
         metric, Appendix A.1) or, with ``local_only=False``, over every
-        delivered transaction — in delivery order either way.
+        delivered transaction — in delivery order either way.  The samples
+        are one buffer of 8 bytes each, which the summary reorders in place.
         """
-        samples = []
-        for delivered_at, batch in self.latency_chunks:
-            created_at = (
-                batch.created_at_from(self.node_id) if local_only else batch.created_at
-            )
-            if len(created_at):
-                samples.append(delivered_at - created_at)
-        if not samples:
+        chunks = [
+            (delivered_at, batch.created_at_from(self.node_id) if local_only else batch.created_at)
+            for delivered_at, batch in self.latency_chunks
+        ]
+        samples = np.empty(sum(len(created_at) for _at, created_at in chunks))
+        if not len(samples):
             return None
-        return summarise(np.concatenate(samples))
+        end = 0
+        for delivered_at, created_at in chunks:
+            start, end = end, end + len(created_at)
+            np.subtract(delivered_at, created_at, out=samples[start:end])
+        return summarise_in_place(samples)
 
 
 class MetricsCollector(SnapshotState):

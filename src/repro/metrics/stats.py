@@ -55,8 +55,29 @@ class Summary:
         }
 
 
+#: Samples per ``np.add.accumulate`` call of the mean: the running total is
+#: carried from chunk to chunk, so the scratch is this many floats, not n.
+_ACCUMULATE_CHUNK = 4096
+
+
+def _sequential_sum(samples: np.ndarray) -> float:
+    """``((v0 + v1) + v2) + ...`` of a non-empty sample, a chunk at a time."""
+    total = samples[:1]
+    for start in range(1, len(samples), _ACCUMULATE_CHUNK):
+        chunk = np.concatenate((total, samples[start : start + _ACCUMULATE_CHUNK]))
+        total = np.add.accumulate(chunk)[-1:]
+    return float(total[0])
+
+
 def summarise(values: Sequence[float] | np.ndarray) -> Summary:
-    """Mean and percentile summary of ``values`` (which must be non-empty).
+    """Mean and percentile summary of ``values`` (which must be non-empty;
+    a copy is summarised, so an array passed in is left as it is)."""
+    return summarise_in_place(np.array(values, dtype=np.float64))
+
+
+def summarise_in_place(samples: np.ndarray) -> Summary:
+    """:func:`summarise` of a ``float64`` buffer the caller hands over: it is
+    reordered, and nothing of its size is allocated beside it.
 
     The results are pinned bit for bit by the golden summaries, so both
     reductions are defined down to the rounding:
@@ -64,21 +85,19 @@ def summarise(values: Sequence[float] | np.ndarray) -> Summary:
     * the mean is the samples added **one at a time in sample order** in
       IEEE-754 double precision, ``((v0 + v1) + v2) + ...``, divided by the
       count.  Neither ``sum()`` (compensated since CPython 3.12) nor
-      ``ndarray.sum`` (pairwise) is that; the last element of
-      ``np.add.accumulate`` is, without a Python step per sample;
+      ``ndarray.sum`` (pairwise) is that; ``np.add.accumulate`` is, without
+      a Python step per sample, run over chunks with the total carried;
     * a percentile interpolates between its two neighbouring order
-      statistics as ``lo * (1 - f) + hi * f`` (:func:`percentile`), all four
-      from one sort.
+      statistics as ``lo * (1 - f) + hi * f`` (:func:`percentile`), all
+      eight read after one in-place ``partition`` at their ranks, which
+      puts the same values there as a full sort would.
     """
-    samples = np.asarray(values, dtype=np.float64)
-    if samples.size == 0:
+    count = int(samples.size)
+    if count == 0:
         raise ValueError("cannot summarise an empty sequence")
-    ordered = np.sort(samples)
-    return Summary(
-        count=int(samples.size),
-        mean=float(np.add.accumulate(samples)[-1]) / int(samples.size),
-        p5=_interpolate(ordered, 5),
-        p50=_interpolate(ordered, 50),
-        p95=_interpolate(ordered, 95),
-        p99=_interpolate(ordered, 99),
-    )
+    mean = _sequential_sum(samples) / count
+    quantiles = (5, 50, 95, 99)
+    ranks = {side(q / 100 * (count - 1)) for q in quantiles for side in (math.floor, math.ceil)}
+    samples.partition(sorted(ranks))
+    p5, p50, p95, p99 = (_interpolate(samples, q) for q in quantiles)
+    return Summary(count=count, mean=mean, p5=p5, p50=p50, p95=p95, p99=p99)

@@ -242,8 +242,9 @@ class SaturatingTransactionGenerator(SnapshotState):
     Used for the "infinitely-backlogged" throughput measurements (S6.2): at a
     fixed refill interval the generator tops the mempool up to a target
     number of pending bytes.  Each top-up is one :class:`TxBatch` of a
-    vectorised id column and the refill's one stamp and size, so a refill
-    costs one ``submit_batch`` call however many transactions it adds.
+    ``range`` of ids (``seq * N + node``, ``seq`` counting up across
+    refills) and the refill's one stamp and size, so a refill costs one
+    ``submit_batch`` call and O(1) bytes however many transactions it adds.
     Transactions are stamped with their submission time, so latency numbers
     from a saturating run are meaningless by design (the paper likewise only
     reports throughput for these runs).
@@ -290,13 +291,11 @@ class SaturatingTransactionGenerator(SnapshotState):
         missing = self._target - self._node.mempool.pending_bytes
         if missing > 0:
             count = -(-missing // self._tx_size)  # ceil division
-            n = self._node.params.n
+            n, node_id = self._node.params.n, self._node.node_id
             first = self._sequence + 1
-            tx_ids = (np.arange(first, first + count, dtype=np.uint64)) * np.uint64(
-                n
-            ) + np.uint64(self._node.node_id)
+            tx_ids = range(first * n + node_id, (first + count) * n + node_id, n)
             self._sequence += count
-            batch = TxBatch.uniform(self._node.node_id, tx_ids, now, self._tx_size)
+            batch = TxBatch.uniform(node_id, tx_ids, now, self._tx_size)
             self._node.submit_batch(batch)
             self.generated += count
             self.generated_bytes += count * self._tx_size
@@ -364,13 +363,11 @@ class ColumnarPoissonTransactionGenerator(SnapshotState):
         if count:
             arrivals = start + span * self._rng.random(count)
             arrivals.sort()
-            n = self._node.params.n
+            n, node_id = self._node.params.n, self._node.node_id
             first = self._sequence + 1
-            tx_ids = (np.arange(first, first + count, dtype=np.uint64)) * np.uint64(
-                n
-            ) + np.uint64(self._node.node_id)
+            tx_ids = range(first * n + node_id, (first + count) * n + node_id, n)
             self._sequence += count
-            batch = TxBatch.uniform(self._node.node_id, tx_ids, arrivals, self._tx_size)
+            batch = TxBatch.uniform(node_id, tx_ids, arrivals, self._tx_size)
             self._node.submit_batch(batch)
             self.generated += count
             self.generated_bytes += count * self._tx_size

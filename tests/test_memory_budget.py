@@ -1,14 +1,24 @@
 """Stated memory budgets, deterministic rather than RSS-based.
 
 **Per committed and per submitted transaction** (``straggler-hetero``, the
-saturating client on a straggler cluster): what a run keeps for a committed
-transaction is its id in the block's columns, shared by every node's ledger
-and collector — no record object, no per-node latency sample, and no size or
-stamp: a saturating refill's sizes and stamps are constant columns of O(1)
-bytes.  The traced peak of the 8 s run is 13.5 B per submitted transaction
-(15.1 B while the automata kept every BA round and VID count to the end of
-the run, 35.9 B while sizes, stamps and the prefix sums the mempool cut by
-were arrays of one value per row).
+saturating client on a straggler cluster): a run keeps nothing per committed
+transaction — no record object, no per-node latency sample, and no id, size
+or stamp: a saturating refill's ids are a ``range`` and its sizes and stamps
+constant columns, all of O(1) bytes, and a block cut from it holds a slice
+of the range, not a view that keeps the refill's id array alive.  What grows
+with the run is the automata of each epoch (bounded per epoch below), the
+per-block lists and the traffic queued for the stragglers.  The traced peak of the 8 s run is 5.5 B per submitted
+transaction (13.5 B with an id array per refill, 15.1 B while the automata
+also kept every BA round and VID count to the end of the run, 35.9 B while
+sizes, stamps and the prefix sums the mempool cut by were arrays of one
+value per row).
+
+**Per latency sample** (the same 8 s run): a node's latency summary
+subtracts every delivered chunk into one ``float64`` buffer and reduces it
+in place, so its traced peak is 8.6 B per sample; with the per-chunk
+differences, their concatenation, a sorted copy and the running sums it was
+32.05 B.  A finished point leaves no simulator behind for the next one to
+build on: the engine collects its cycles once the run returns.
 
 **Per delivered epoch** (the ``temporal16-columnar`` ledger workload's base
 of ``fig11b-temporal``: N=16, three and six epochs).  Each epoch adds N VID
@@ -69,21 +79,29 @@ import pytest
 
 from repro.core.block import Transaction
 from repro.experiments import apply_overrides, get_scenario
+from repro.experiments.engine import run_scenario
+from repro.sim.events import Simulator
 from repro.vid.codec import clear_retrieval_record
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
-#: (measured: 29.8 and 30.5 — the peak is the end of the run; what remains
-#: is the id column and the automata of each epoch, bounded per epoch below.
-#: With every BA round and VID count kept to the end of the run it was 36.7
-#: and 37.3, with materialised size and stamp columns 62.0 and 62.6, and
-#: with one ``Transaction`` and N latency floats kept per committed
-#: transaction 542).
-BYTES_PER_COMMITTED_TX = 33
-#: Traced peak bytes of the 8 s run per submitted transaction (measured: 13.5;
-#: 15.1 with every BA round and VID count kept, 35.9 with materialised size
-#: and stamp columns).
-BYTES_PER_SUBMITTED_TX = 18
+#: (measured: 17.2 and 18.0 after this module's other tests, 17.8 and 18.5
+#: alone — the peak is the end of the run; what remains is the automata of
+#: each epoch, bounded per epoch below, the per-block lists and the traffic
+#: queued for the stragglers.  With an id array per refill it was 30.0 and
+#: 30.8, with every BA round and VID count kept to the end of the run 36.7
+#: and 37.3, with materialised size and stamp columns 62.0 and 62.6, and with
+#: one ``Transaction`` and N latency floats kept per committed transaction
+#: 542).
+BYTES_PER_COMMITTED_TX = 21
+#: Traced peak bytes of the 8 s run per submitted transaction (measured: 5.5;
+#: 13.5 with an id array per refill, 15.1 with every BA round and VID count
+#: kept, 35.9 with materialised size and stamp columns).
+BYTES_PER_SUBMITTED_TX = 8
+#: Traced peak bytes of the 8 s run's ``latency_summaries(local_only=False)``
+#: per sample of its largest node (measured: 8.6; 32.05 with four arrays of
+#: one float per sample).
+BYTES_PER_LATENCY_SAMPLE = 10
 
 #: Traced bytes retained at the end of a run per extra delivered epoch per
 #: N^2 (measured: 3 488; 5 433 with every BA round, halted agreement's
@@ -257,9 +275,21 @@ def _reaches_a_record(roots) -> bool:
     return False
 
 
-def test_memory_per_committed_transaction_and_no_record_kept():
-    short, short_end, short_peak = _run_straggler(4.0)
-    long, long_end, long_peak = _run_straggler(8.0)
+@pytest.fixture(scope="module")
+def straggler_runs():
+    """The 4 s and 8 s runs, shared by the per-transaction and per-sample budgets.
+
+    A 1 s run first pays what the process builds once (lazy imports and
+    caches), so the difference of the two runs is the same whichever tests
+    ran before — without it, it read 17.0 B alone and 21.1 B after the rest
+    of this module.
+    """
+    _run_straggler(1.0)
+    return _run_straggler(4.0), _run_straggler(8.0)
+
+
+def test_memory_per_committed_transaction_and_no_record_kept(straggler_runs):
+    (short, short_end, short_peak), (long, long_end, long_peak) = straggler_runs
     committed = [
         max(metrics.confirmed_transactions for metrics in state.collector.per_node)
         for state in (short, long)
@@ -269,7 +299,7 @@ def test_memory_per_committed_transaction_and_no_record_kept():
     assert (long_end - short_end) / extra <= BYTES_PER_COMMITTED_TX
     assert (long_peak - short_peak) / extra <= BYTES_PER_COMMITTED_TX
 
-    # 536 000 transactions were submitted, all as columns, at 15 B each; the
+    # 536 000 transactions were submitted, all as columns, at 5.5 B each; the
     # run holds no record, in the nodes (mempools, blocks, ledgers) or in the
     # collector ...
     submitted = sum(generator.generated for generator in long.generators)
@@ -281,3 +311,40 @@ def test_memory_per_committed_transaction_and_no_record_kept():
     records = long.nodes[0].ledger.transactions()
     assert len(records) == long.collector.per_node[0].confirmed_transactions > 0
     assert type(records[0]) is Transaction
+
+
+def test_a_latency_summary_costs_one_float_per_sample(straggler_runs):
+    _short, (long, _end, _peak) = straggler_runs
+    samples = max(metrics.confirmed_transactions for metrics in long.collector.per_node)
+    assert samples > 100_000
+    tracemalloc.start()
+    try:
+        summaries = long.collector.latency_summaries(local_only=False)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(summary.count for summary in summaries if summary is not None) == samples
+    assert peak / samples <= BYTES_PER_LATENCY_SAMPLE
+
+
+def test_a_finished_point_leaves_no_simulator_behind():
+    """The run's graph has cycles and the event loop holds the collector off,
+    so without a collection after the run the state outlives its point."""
+    spec = apply_overrides(
+        get_scenario("straggler-hetero").base, {"protocol": "dl", "duration": 1.0}
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = [obj for obj in gc.get_objects() if type(obj) is Simulator]
+        run_scenario(spec)
+        left = [
+            obj
+            for obj in gc.get_objects()
+            if type(obj) is Simulator and not any(obj is old for old in before)
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    assert not left, f"{len(left)} simulator(s) outlived run_scenario"

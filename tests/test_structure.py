@@ -11,7 +11,8 @@ of the one saturating client, which submits a batch per refill and builds
 no record, and the per-plane forks the unified plane removed stay out of
 the places where blocks are cut and deliveries recorded.  A constant batch
 column is a zero-stride view that only ``core/txbatch.py`` builds or
-inspects.
+inspects, and only that module reads a batch's ``tx_ids``, which may be a
+``range``.
 
 **Retrieval.**  Its state costs bytes (express-train cars are columns,
 AVID-M's cancellation marks a ``bytearray``), ``RealCodec`` decodes on one
@@ -22,6 +23,11 @@ payload, and parsing a block builds no ``Transaction``.
 **Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
 instance ids hash and compare in C.  A binary agreement's round flags are
 bits, so ``ba/mmr.py`` builds no ``set``.
+
+**One run loop, one definition per experiment.**  The simulator pops its
+heap in one place and has no profiled twin of the loop; a paper experiment
+is a ``ScenarioSpec`` built in ``catalog.py`` only, no legacy
+``benchmarks/BENCH_*.json`` report or deleted figure driver comes back.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from repro.experiments.cli import resolve_scenario
 from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -46,6 +53,21 @@ def _tree(path: Path) -> ast.Module:
 
 def _called_name(call: ast.Call) -> str | None:
     return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _identifiers(path: Path) -> list[tuple[int, str]]:
+    """Every name ``path`` defines, reads, imports or looks up as an attribute."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, part) for alias in node.names for part in alias.name.split(".")]
+    return found
 
 
 def _summaries(setting: str) -> str:
@@ -130,6 +152,22 @@ def test_only_txbatch_builds_or_inspects_constant_columns():
     assert not sites, (
         "a constant column is built or inspected outside core/txbatch.py "
         f"(see docs/performance.md, The columnar data plane): {sites}"
+    )
+
+
+def test_only_txbatch_reads_transaction_ids():
+    """A batch's ``tx_ids`` is a ``range`` or an array; only ``core/txbatch.py`` knows which."""
+    txbatch = SRC / "core" / "txbatch.py"
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != txbatch
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "tx_ids"
+    ]
+    assert not sites, (
+        "a module outside core/txbatch.py reads a batch's tx_ids, which may be a range "
+        f"(see docs/performance.md, One transaction plane): {sites}"
     )
 
 
@@ -319,4 +357,54 @@ def test_binary_agreement_builds_no_set():
     assert not sets, (
         "a binary agreement builds a set again; its round flags are 2-bit masks "
         f"(see docs/performance.md, Bitmask tallies): {sets}"
+    )
+
+
+def test_one_run_loop():
+    """The in-order lane is merged with the heap in exactly one place; a
+    budgeted or profiled twin of the loop would have to duplicate it."""
+    twins = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _identifiers(path)
+        if name == "_run_loop_profiled"
+    ]
+    assert not twins, (
+        f"a twin of the run loop is back (see docs/performance.md, Simulator core): {twins}"
+    )
+    pops = [call.lineno for call in _calls(_tree(SRC / "sim" / "events.py"), "heappop")]
+    assert len(pops) == 1, (
+        f"src/repro/sim/events.py has {len(pops)} heappop( call sites, want 1 (one run loop): "
+        f"lines {pops}"
+    )
+
+
+def test_one_definition_per_experiment():
+    """A paper experiment is a catalog entry; ``figures.py`` only reduces its
+    sweeps, and host performance is reported by the ledger alone."""
+    catalog = SRC / "experiments" / "catalog.py"
+    literals = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in sorted((SRC / "experiments").rglob("*.py"))
+        if path != catalog
+        for call in _calls(_tree(path), "ScenarioSpec")
+    ]
+    assert not literals, (
+        "a second experiment definition is back: ScenarioSpec( literals belong in "
+        f"catalog.py: {literals}"
+    )
+    reports = sorted(path.name for path in (ROOT / "benchmarks").glob("BENCH_*.json"))
+    assert not reports, (
+        "a legacy benchmarks/BENCH_*.json report is tracked again; the ledger is the "
+        f"performance reporter: {reports}"
+    )
+    deleted = {"run_geo_throughput", "run_latency_sweep", "run_spatial_variation", "simulate_point"}
+    drivers = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _identifiers(path)
+        if name in deleted
+    ]
+    assert not drivers, (
+        f"a deleted figure driver is back (see docs/scenarios.md, Paper figures): {drivers}"
     )

@@ -147,7 +147,7 @@ class ReferenceSaturatingGenerator:
 def _columns(batch):
     """The four columns of a batch as plain lists."""
     origins = [batch.origin] * len(batch) if batch.origins is None else batch.origins.tolist()
-    return batch.tx_ids.tolist(), origins, batch.created_at.tolist(), batch.sizes.tolist()
+    return list(map(int, batch.tx_ids)), origins, batch.created_at.tolist(), batch.sizes.tolist()
 
 
 def _drive_saturating(generator_class, node_id, drains, **knobs):
