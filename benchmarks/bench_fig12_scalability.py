@@ -46,6 +46,7 @@ def test_fig12_throughput_vs_cluster_size(benchmark):
         assert throughput[(128, block)] <= 1.05 * throughput[(16, block)]
     # Bigger blocks never hurt.
     assert throughput[(128, 1_000_000)] >= throughput[(128, 500_000)]
-    # The model is a steady-state ceiling: the (ramp-up-including) simulation
-    # lands below it but within a small factor.
+    # The simulation lands below the model by about (N-2f)/N: every server
+    # answers every chunk request, and the model does not charge that upload
+    # (ROADMAP.md measurement 4, open item 2), so it is not a ramp-up effect.
     assert 0.25 < validation["throughput_ratio"] <= 1.2

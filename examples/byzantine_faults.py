@@ -31,6 +31,7 @@ from repro.adversary.censor import CensoringNode
 from repro.adversary.crash import CrashedNode
 from repro.adversary.equivocator import EquivocatingDisperserNode
 from repro.ba.coin import CommonCoin
+from repro.core.node_base import codec_for
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
 
@@ -44,6 +45,7 @@ def build_cluster(byzantine: dict[int, object]) -> tuple[InstantNetwork, list]:
     network = InstantNetwork(NUM_NODES, seed=7)
     coin = CommonCoin()
     config = NodeConfig(data_plane="real")
+    codec = codec_for(config, params)
     nodes = []
     for node_id in range(NUM_NODES):
         if node_id in byzantine and byzantine[node_id] is CrashedNode:
@@ -53,7 +55,8 @@ def build_cluster(byzantine: dict[int, object]) -> tuple[InstantNetwork, list]:
             ctx = NodeContext(node_id, network, network)
             kwargs = {"victim": 0} if node_class is CensoringNode else {}
             node = node_class(
-                node_id, params, ctx, config=config, coin=coin, max_epochs=NUM_EPOCHS, **kwargs
+                node_id, params, ctx, config=config, coin=coin, codec=codec,
+                max_epochs=NUM_EPOCHS, **kwargs,
             )
         network.attach(node_id, node)
         nodes.append(node)

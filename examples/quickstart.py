@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from repro import DispersedLedgerNode, NodeConfig, ProtocolParams
 from repro.ba.coin import CommonCoin
+from repro.core.node_base import codec_for
 from repro.core.state_machine import KeyValueStateMachine, encode_operation
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
@@ -40,11 +41,12 @@ def build_cluster() -> tuple[InstantNetwork, list[DispersedLedgerNode]]:
     network = InstantNetwork(NUM_NODES, seed=42)
     coin = CommonCoin()
     config = NodeConfig(data_plane="real")  # move real erasure-coded bytes
+    codec = codec_for(config, params)  # one per cluster, like the coin
     nodes = []
     for node_id in range(NUM_NODES):
         ctx = NodeContext(node_id, network, network)
         node = DispersedLedgerNode(
-            node_id, params, ctx, config=config, coin=coin, max_epochs=NUM_EPOCHS
+            node_id, params, ctx, config=config, coin=coin, codec=codec, max_epochs=NUM_EPOCHS
         )
         network.attach(node_id, node)
         nodes.append(node)

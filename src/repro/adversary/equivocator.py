@@ -74,11 +74,11 @@ def send_virtual_inconsistent_dispersal(
     """The virtual-plane analogue of :func:`send_inconsistent_dispersal`.
 
     Disperses chunks of an ``inconsistent`` :class:`VirtualPayload` of
-    ``payload_size`` bytes: chunk and proof sizes on the wire match an honest
-    dispersal of the same block, but any retrieval decodes to
-    ``BAD_UPLOADER``.
+    ``payload_size`` bytes, named after ``instance``: chunk and proof sizes on
+    the wire match an honest dispersal of the same block, but any retrieval
+    decodes to ``BAD_UPLOADER``.
     """
-    payload = VirtualPayload.create(payload_size, label="equivocation", inconsistent=True)
+    payload = VirtualPayload(instance, payload_size, label="equivocation", inconsistent=True)
     bundle = codec.encode(payload)
     for server, chunk in enumerate(bundle.chunks):
         ctx.send(server, ChunkMsg(instance=instance, root=bundle.root, chunk=chunk))

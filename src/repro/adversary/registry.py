@@ -133,7 +133,7 @@ def rebuild_node(node_class: type, node, **extra):
     """Rebuild an already-built honest node as ``node_class``.
 
     The replacement shares the honest node's identity, parameters, network
-    context, configuration, coin and callbacks, so dropping a node-class
+    context, configuration, coin, codec and callbacks, so dropping a node-class
     adversary into a cluster changes *behaviour* without changing any other
     experimental condition.  ``extra`` carries behaviour parameters
     (``victim=...``, ``split=...``).
@@ -144,6 +144,7 @@ def rebuild_node(node_class: type, node, **extra):
         node.ctx,
         config=node.config,
         coin=node.coin,
+        codec=node.codec,
         max_epochs=node.max_epochs,
         on_deliver=node.on_deliver,
         on_propose=node.on_propose,

@@ -46,7 +46,7 @@ from repro.core.txbatch import TxBatch
 from repro.sim.context import NodeContext
 from repro.sim.messages import Message
 from repro.vid.avid_m import AvidMInstance, RetrievalResult
-from repro.vid.codec import RealCodec, VirtualCodec, parse_shared
+from repro.vid.codec import RealCodec, VirtualCodec
 from repro.vid.messages import VID_MESSAGE_TYPES, ReturnChunkMsg
 
 #: First epoch number.  The paper indexes epochs from 1 (Fig. 17 initialises
@@ -60,6 +60,14 @@ _MESSAGE_ROUTES: dict[type, int] = {
     **{cls: _ROUTE_VID for cls in VID_MESSAGE_TYPES},
     **{cls: _ROUTE_BA for cls in BA_MESSAGE_TYPES},
 }
+
+
+def codec_for(config: NodeConfig, params: ProtocolParams) -> RealCodec | VirtualCodec:
+    """The codec of ``config``'s data plane.  A run builds one and hands it to
+    every node: the real codec's retrieval record is the run's."""
+    if config.data_plane == REAL_PLANE:
+        return RealCodec(params)
+    return VirtualCodec(params)
 
 
 def _parse_block(payload: bytes) -> Block | None:
@@ -79,6 +87,8 @@ class BFTNodeBase(SnapshotState):
         ctx: the node's network/timer handle.
         config: behavioural knobs (data plane, Nagle thresholds, linking...).
         coin: common coin shared by every binary-agreement instance.
+        codec: the run's codec, shared by every node (default: a codec of
+            this node's own, :func:`codec_for` its data plane).
         max_epochs: stop proposing new blocks after this many epochs (used by
             tests and bounded experiments); ``None`` means run forever.
         on_deliver: optional callback invoked as ``on_deliver(node_id, entry)``
@@ -124,6 +134,7 @@ class BFTNodeBase(SnapshotState):
         ctx: NodeContext,
         config: NodeConfig | None = None,
         coin: CommonCoin | None = None,
+        codec: RealCodec | VirtualCodec | None = None,
         max_epochs: int | None = None,
         on_deliver: Callable[[int, DeliveredBlock], None] | None = None,
         on_propose: Callable[[int, Block, float], None] | None = None,
@@ -133,14 +144,10 @@ class BFTNodeBase(SnapshotState):
         self.ctx = ctx
         self.config = config or NodeConfig()
         self.coin = coin or CommonCoin()
+        self.codec = codec or codec_for(self.config, params)
         self.max_epochs = max_epochs
         self.on_deliver = on_deliver
         self.on_propose = on_propose
-
-        if self.config.data_plane == REAL_PLANE:
-            self.codec: Any = RealCodec(params)
-        else:
-            self.codec = VirtualCodec(params)
 
         self.mempool = Mempool(
             nagle_delay=self.config.nagle_delay, nagle_size=self.config.nagle_size
@@ -420,7 +427,7 @@ class BFTNodeBase(SnapshotState):
         if isinstance(payload, Block):
             return payload
         if isinstance(payload, (bytes, bytearray)):
-            return parse_shared(bytes(payload), _parse_block)
+            return self.codec.parse_shared(bytes(payload), _parse_block)
         return None
 
     # ------------------------------------------------------------------

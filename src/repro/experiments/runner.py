@@ -40,7 +40,7 @@ from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
 from repro.core.node import DLCoupledNode, DispersedLedgerNode
-from repro.core.node_base import BFTNodeBase
+from repro.core.node_base import BFTNodeBase, codec_for
 from repro.honeybadger.node import HoneyBadgerLinkNode, HoneyBadgerNode
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import Summary
@@ -74,7 +74,7 @@ def register_protocol(name: str, node_class: type[BFTNodeBase]) -> None:
     """Register a protocol automaton so experiments and scenarios can run it.
 
     The class must accept the :class:`BFTNodeBase` constructor signature
-    (``node_id, params, ctx, config=, coin=, max_epochs=, on_deliver=,
+    (``node_id, params, ctx, config=, coin=, codec=, max_epochs=, on_deliver=,
     on_propose=``).
     """
     existing = PROTOCOLS.get(name)
@@ -360,8 +360,8 @@ def build_experiment(
     same :func:`execute` and :func:`summarise_experiment`.
     ``observers`` (name -> object with ``attach(state)`` / ``finish()`` /
     ``rows``; see :mod:`repro.trace.observers`) are attached to the finished
-    state in mapping order.  Construction order (one :class:`CommonCoin`,
-    nodes in id order, adversary replacements, generators,
+    state in mapping order.  Construction order (one :class:`CommonCoin`
+    and one codec, nodes in id order, adversary replacements, generators,
     ``network.start()``, observer attach) is part of the determinism
     contract: it fixes the initial sequence numbers.
     """
@@ -381,6 +381,7 @@ def build_experiment(
     network = Network(sim, network_config)
     collector = MetricsCollector(params.n)
     coin = CommonCoin(seed=b"dispersedledger-coin")
+    codec = codec_for(node_config, params)
     nodes: list[BFTNodeBase] = []
     for node_id in range(params.n):
         node = PROTOCOLS[protocol](
@@ -389,6 +390,7 @@ def build_experiment(
             NodeContext(node_id, network, sim),
             config=node_config,
             coin=coin,
+            codec=codec,
             max_epochs=max_epochs,
             on_deliver=collector.record_delivery,
             on_propose=collector.record_proposal,

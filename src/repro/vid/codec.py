@@ -7,11 +7,11 @@ so the automaton takes a *codec* object:
   payload bytes, build a Merkle tree over the chunks, verify Merkle proofs
   on receipt, and re-encode after decoding to detect inconsistent dispersals
   (the "re-encode and compare roots" check that is the key idea of AVID-M).
-  That check is a pure function of the decoded payload and the root, so the
-  simulator — which hosts the disperser and every retriever in one process —
-  shares the verdict: the encoder files the payload it just encoded, and a
-  retriever holding the encoder's own chunk objects takes that payload
-  without decoding at all (see :class:`_RetrievalRecord`).
+  That check is a pure function of the decoded payload and the root, so a
+  run — which hosts the disperser and every retriever in one process, with
+  one codec — shares the verdict: the encoder files the payload it just
+  encoded, and a retriever holding the encoder's own chunk objects takes
+  that payload without decoding at all (see :class:`RealCodec`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
   opaque objects that only declare a byte size; chunk sizes and message
   sizes are computed exactly as the real codec would, but no bytes are
@@ -22,7 +22,6 @@ so the automaton takes a *codec* object:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -48,7 +47,7 @@ class Chunk:
     systematic ``data`` may be a read-only ``memoryview`` of the dispersed
     payload; it compares equal to its bytes and pickles as ``bytes``.
 
-    The class must stay weak-referenceable (no ``__slots__``): the shared
+    The class must stay weak-referenceable (no ``__slots__``): the codec's
     retrieval record notes verified chunk objects without keeping them alive.
     """
 
@@ -91,18 +90,11 @@ def _proof_wire_size(num_leaves: int) -> int:
     return 4 + DIGEST_SIZE * depth
 
 
-#: Merkle roots the shared retrieval record remembers, dispersed or retrieved
-#: (oldest evicted first; eviction only loses sharing).  After a run ends, a
-#: long-lived process retains at most this many filed payloads plus their
-#: parsed forms, which view them — about ``RETRIEVAL_RECORD_ROOTS * block size``
-#: (32 MB at 500 kB blocks); the notes on chunks are weak and die with the run.
-RETRIEVAL_RECORD_ROOTS = 64
-
 _UNSET: Any = object()
 
 
 class _RootRecord:
-    """What this process has established about one Merkle root."""
+    """What one run has established about one Merkle root."""
 
     __slots__ = ("verified", "consistent", "payload", "parsed")
 
@@ -111,15 +103,13 @@ class _RootRecord:
         self.verified: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
-        #: ``id(chunk) -> chunk`` for objects whose bytes equal the encoding
-        #: of :attr:`payload` at their index: the encoder's own chunks, and
-        #: verified objects compared with the re-encoding.
+        #: ``id(chunk) -> chunk`` for the encoder's own chunks of :attr:`payload`.
         self.consistent: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
         #: The payload the encoder filed, or whose re-encoding matched.
         self.payload: bytes | None = None
-        #: What :func:`parse_shared` made of that payload.
+        #: What :meth:`RealCodec.parse_shared` made of that payload.
         self.parsed: Any = _UNSET
 
     def has_verified(self, chunk: Chunk) -> bool:
@@ -133,168 +123,112 @@ class _RootRecord:
         )
 
 
-class _RetrievalRecord:
-    """Process-wide record of retrieval facts, keyed by code and Merkle root.
-
-    AVID-M's retrieval (Fig. 4) decodes from ``N - 2f`` proof-checked chunks,
-    re-encodes the result and compares Merkle roots.  Which chunks a retriever
-    holds is its own affair, so every retriever checks its own proofs.  The
-    re-encode check, though, is a pure function of ``(code, root, decoded
-    payload)``: once one retriever has established that a payload re-encodes
-    to a root, any other whose decode produced the same bytes would compute
-    the same verdict, and takes it from here instead.  It is also handed the
-    *recorded* payload object, so a simulated cluster holds one copy of each
-    block, not one per node.
-
-    Chunk objects known to be the recorded payload's encoding are marked
-    *consistent*.  The first writer is the encoder (:meth:`file_encoding`,
-    called from ``RealCodec._bundle`` only): the chunks it just built are
-    ``P``'s shards and the root is their Merkle root, so the full check on
-    ``P`` would pass.  When a root was not filed that way (a checkpoint
-    restore, eviction) the first full check files it, marking the root's
-    verified chunk objects whose bytes equal the re-encoding at their index.
-    A decode whose ``k`` selected chunks are all marked, each filed under its
-    own index, is given the recorded payload without decoding: Reed-Solomon
-    on ``k`` shards of a payload's encoding gives back that payload (the code
-    is MDS).
-
-    Reading needs byte equality with a payload that passed the full check, or
-    that the encoder filed, and nothing else writes, so no caller — not even
-    one decoding tampered chunks — can read a wrong verdict or leave one
-    behind.  Failed checks are not recorded: an inconsistent dispersal
-    decodes to a different payload for different chunk subsets, so there is
-    nothing to share.  The adversaries build their trees by hand and file
-    nothing.
-
-    Separately, the record notes the exact ``Chunk`` objects
-    :meth:`RealCodec.verify_chunk` accepted under a root, by *identity*: when
-    one node forwards the object it verified to another, hashing the same
-    bytes against the same root again proves nothing new.  An equal-looking
-    copy is a different object and is hashed.
-    """
-
-    def __init__(self) -> None:
-        #: Insertion-ordered, so the first key is the oldest root.
-        self.roots: dict[tuple[int, int, bytes], _RootRecord] = {}
-        #: ``id(payload) -> record`` for recorded payloads (see ``parse_shared``).
-        self._by_payload: dict[int, _RootRecord] = {}
-        self.served = 0
-        self.computed = 0
-
-    def _root(self, key: tuple[int, int, bytes]) -> _RootRecord:
-        record = self.roots.get(key)
-        if record is None:
-            while len(self.roots) >= RETRIEVAL_RECORD_ROOTS:
-                self._evict_oldest()
-            record = self.roots[key] = _RootRecord()
-        return record
-
-    def note_verified(self, key: tuple[int, int, bytes], chunk: Chunk) -> None:
-        self._root(key).verified[id(chunk)] = chunk
-
-    def set_payload(
-        self, key: tuple[int, int, bytes], payload: bytes, reencoded: list[bytes]
-    ) -> None:
-        """File ``payload``, whose re-encoding ``reencoded`` matched the root."""
-        record = self._root(key)
-        record.payload = payload
-        self._by_payload[id(payload)] = record
-        record.consistent.clear()
-        for chunk in list(record.verified.values()):
-            if chunk.data == reencoded[chunk.index]:
-                record.consistent[id(chunk)] = chunk
-
-    def file_encoding(
-        self, key: tuple[int, int, bytes], payload: bytes, chunks: tuple[Chunk, ...]
-    ) -> None:
-        """File an encoder's ``payload`` and mark its own ``chunks`` consistent.
-
-        A root that already holds an equal payload keeps that object and only
-        gains the marks; an unequal one (a hash collision) is left alone.
-        """
-        record = self._root(key)
-        if record.payload is None:
-            record.payload = payload
-            self._by_payload[id(payload)] = record
-        elif record.payload != payload:
-            return
-        for chunk in chunks:
-            record.consistent[id(chunk)] = chunk
-
-    def owner_of(self, payload: Any) -> _RootRecord | None:
-        record = self._by_payload.get(id(payload))
-        return record if record is not None and record.payload is payload else None
-
-    def _evict_oldest(self) -> None:
-        record = self.roots.pop(next(iter(self.roots)))
-        self._by_payload.pop(id(record.payload), None)
-
-    def clear(self) -> None:
-        self.roots.clear()
-        self._by_payload.clear()
-        self.served = self.computed = 0
-
-    def info(self) -> dict[str, int]:
-        return {"roots": len(self.roots), "served": self.served, "computed": self.computed}
-
-
-_RECORD = _RetrievalRecord()
-
-
-def clear_retrieval_record() -> None:
-    """Forget everything the shared retrieval record holds (tests, benchmarks)."""
-    _RECORD.clear()
-
-
-def retrieval_record_info() -> dict[str, int]:
-    """Counters of the shared retrieval record (for tests and docs).
-
-    ``served`` decodes took their re-encode verdict from the record,
-    ``computed`` re-encoded and compared roots themselves; ``roots`` is the
-    current entry count, bounded by :data:`RETRIEVAL_RECORD_ROOTS`.
-    """
-    return _RECORD.info()
-
-
-def parse_shared(payload: bytes, parse: Callable[[bytes], Any]) -> Any:
-    """``parse(payload)``, computed once per recorded payload object.
-
-    Every retriever of a root receives the *same* payload object from
-    :meth:`RealCodec.decode`, so the parsed form (the node layer's frozen
-    ``Block``) can be shared exactly as the virtual plane shares one block
-    object across all nodes.  A record keeps one parsed form, so all callers
-    must pass the same ``parse``; payloads the record does not hold (direct
-    calls, evicted roots) are parsed afresh.
-    """
-    record = _RECORD.owner_of(payload)
-    if record is None:
-        return parse(payload)
-    if record.parsed is _UNSET:
-        record.parsed = parse(payload)
-    return record.parsed
-
-
 class RealCodec:
     """Erasure-code + Merkle-tree codec operating on real bytes.
 
-    Encoding is per call, and files the payload with its chunks in the
-    process-wide :class:`_RetrievalRecord`.  Verification and decoding
-    consult it: a chunk object that already passed its proof under a root is
-    not hashed again; a decode from chunks the record knows to be the root's
-    recorded encoding — an honest retriever's, since it holds the encoder's
-    objects — returns the recorded payload without Reed-Solomon work; and a
-    decode that produced a payload already known to re-encode to the root
-    skips the re-encoding and root comparison, returning the recorded
-    payload object.  Results are identical with a cold, warm or evicted
-    record; only host time and memory differ.
+    A run builds one codec and hands it to every node, as it hands them one
+    common coin, and the codec keeps the run's *retrieval record*, keyed by
+    Merkle root.  AVID-M's retrieval (Fig. 4) decodes from ``N - 2f``
+    proof-checked chunks, re-encodes the result and compares Merkle roots.
+    Which chunks a retriever holds is its own affair, so every retriever
+    checks its own proofs.  The re-encode check, though, is a pure function of
+    ``(root, decoded payload)``: once one retriever has established that a
+    payload re-encodes to a root, any other whose decode produced the same
+    bytes would compute the same verdict, and takes it from the record
+    instead.  It is also handed the *recorded* payload object, so a simulated
+    cluster holds one copy of each block, not one per node.
+
+    The encoder is the one writer of *consistent* marks (:meth:`file_encoding`,
+    called from :meth:`_bundle` only): the chunks it just built are ``P``'s
+    shards and the root is their Merkle root, so the full check on ``P``
+    would pass.  A decode whose ``k`` selected chunks are all marked, each
+    filed under its own index, is given the filed payload without decoding:
+    Reed-Solomon on ``k`` shards of a payload's encoding gives back that
+    payload (the code is MDS).  A root the encoder did not file (after a
+    checkpoint restore, or an adversary's hand-built tree) is decoded by
+    every retriever; the first full check files its payload, and later
+    retrievers whose decode equals it skip the re-encoding.
+
+    Reading needs byte equality with a payload that passed the full check, or
+    that the encoder filed, so no caller — not even one decoding tampered
+    chunks — can read a wrong verdict or leave one behind.  Failed checks are
+    not recorded: an inconsistent dispersal decodes to a different payload
+    for different chunk subsets, so there is nothing to share.
+
+    Separately, the record notes the exact ``Chunk`` objects
+    :meth:`verify_chunk` accepted under a root, by *identity*: when one node
+    forwards the object it verified to another, hashing the same bytes
+    against the same root again proves nothing new.  An equal-looking copy
+    is a different object and is hashed.
+
+    The record lives as long as the run, whose ledgers hold every retrieved
+    block anyway, so it needs no bound.  Results are identical with a cold or
+    a warm record; only host time and memory differ.  A codec pickles as its
+    ``params``, so a restored run starts with an empty record.
     """
 
     def __init__(self, params: ProtocolParams):
         self.params = params
         self._rs = ReedSolomonCode(params.data_shards, params.total_shards)
+        self._roots: dict[bytes, _RootRecord] = {}
+        #: ``id(payload) -> record`` for filed payloads (see :meth:`parse_shared`).
+        self._by_payload: dict[int, _RootRecord] = {}
+        self._served = 0
+        self._computed = 0
 
-    def _record_key(self, root: bytes) -> tuple[int, int, bytes]:
-        return (self.params.data_shards, self.params.total_shards, root)
+    def __getstate__(self) -> dict:
+        return {"params": self.params}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["params"])
+
+    def counters(self) -> dict[str, int]:
+        """The record's size and work: ``roots`` it holds, ``served`` decodes
+        that took their verdict from it, ``computed`` re-encode checks run."""
+        return {"roots": len(self._roots), "served": self._served, "computed": self._computed}
+
+    def _root(self, root: bytes) -> _RootRecord:
+        record = self._roots.get(root)
+        if record is None:
+            record = self._roots[root] = _RootRecord()
+        return record
+
+    def _file(self, root: bytes, payload: bytes) -> _RootRecord | None:
+        """File ``payload`` under ``root`` unless an unequal one (a hash
+        collision) is there already; the record, if it holds ``payload``."""
+        record = self._root(root)
+        if record.payload is None:
+            record.payload = payload
+            self._by_payload[id(payload)] = record
+        return record if record.payload == payload else None
+
+    def file_encoding(self, root: bytes, payload: bytes, chunks: tuple[Chunk, ...]) -> None:
+        """File an encoder's ``payload`` and mark its own ``chunks`` consistent.
+
+        A root that already holds an equal payload keeps that object and only
+        gains the marks.
+        """
+        record = self._file(root, payload)
+        if record is not None:
+            for chunk in chunks:
+                record.consistent[id(chunk)] = chunk
+
+    def parse_shared(self, payload: bytes, parse: Callable[[bytes], Any]) -> Any:
+        """``parse(payload)``, computed once per filed payload object.
+
+        Every retriever of a root receives the *same* payload object from
+        :meth:`decode`, so the parsed form (the node layer's frozen ``Block``)
+        can be shared exactly as the virtual plane shares one block object
+        across all nodes.  A record keeps one parsed form, so all callers must
+        pass the same ``parse``; payloads the record does not hold are parsed
+        afresh.
+        """
+        record = self._by_payload.get(id(payload))
+        if record is None:
+            return parse(payload)
+        if record.parsed is _UNSET:
+            record.parsed = parse(payload)
+        return record.parsed
 
     def chunk_payload_size(self, payload_size: int) -> int:
         """Size in bytes of each chunk's data for a payload of ``payload_size``."""
@@ -333,7 +267,7 @@ class RealCodec:
         )
         # These chunks are ``payload``'s encoding and ``tree.root`` is their
         # root: the retrieval check on ``payload`` would pass, so file it.
-        _RECORD.file_encoding(self._record_key(tree.root), payload, chunks)
+        self.file_encoding(tree.root, payload, chunks)
         return DispersalBundle(root=tree.root, chunks=chunks, payload_size=len(payload))
 
     def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:
@@ -349,13 +283,12 @@ class RealCodec:
             return False
         if chunk.size != len(chunk.data):
             return False
-        key = self._record_key(root)
-        record = _RECORD.roots.get(key)
+        record = self._roots.get(root)
         if record is not None and record.has_verified(chunk):
             return True
         if not verify_proof(root, chunk.data, chunk.proof):
             return False
-        _RECORD.note_verified(key, chunk)
+        self._root(root).verified[id(chunk)] = chunk
         return True
 
     def decode(self, root: bytes, chunks: dict[int, Chunk]) -> Any:
@@ -364,47 +297,46 @@ class RealCodec:
         Returns the decoded payload bytes, or :data:`BAD_UPLOADER` if the
         chunks were not a consistent encoding of any payload (Fig. 4).  The
         decode is skipped when every chunk it would select is marked
-        consistent with the recorded payload, and the check when the shared
-        record already holds the decoded bytes as the payload that re-encodes
-        to ``root``; the recorded object is returned then, so all retrievers
-        of a root share one payload.
+        consistent with the filed payload, and the check when the record
+        already holds the decoded bytes as the payload that re-encodes to
+        ``root``; the filed object is returned then, so all retrievers of a
+        root share one payload.
         """
         shards = {
             index: chunk.data for index, chunk in chunks.items() if chunk.data is not None
         }
-        key = self._record_key(root)
-        record = _RECORD.roots.get(key)
+        record = self._roots.get(root)
         if (
             record is not None
             and len(shards) >= self.params.data_shards
             and record.is_encoding(chunks, self._rs._select_indices(shards))
         ):
-            _RECORD.served += 1
+            self._served += 1
             return record.payload
         try:
             payload = self._rs.decode(shards)
         except DecodingError:
             return BAD_UPLOADER
         if record is not None and record.payload == payload:
-            _RECORD.served += 1
+            self._served += 1
             return record.payload
-        _RECORD.computed += 1
-        reencoded = self._rs.encode(payload)
-        if MerkleTree(reencoded).root != root:
+        self._computed += 1
+        if MerkleTree(self._rs.encode(payload)).root != root:
             return BAD_UPLOADER
-        _RECORD.set_payload(key, payload, reencoded)
+        self._file(root, payload)
         return payload
 
     def payload_size(self, payload: bytes) -> int:
         return len(payload)
 
 
-_virtual_ids = itertools.count()
-
-
 @dataclass(frozen=True)
 class VirtualPayload:
     """A stand-in for a block: an identity plus a declared byte size.
+
+    ``payload_id`` names the payload (the equivocator names it after its VID
+    instance); the virtual root is a digest of it and ``size``, so it is the
+    same in every process and every run.
 
     ``inconsistent`` marks the virtual counterpart of an equivocating
     dispersal: the chunks carry the right sizes, but they are not the
@@ -413,16 +345,10 @@ class VirtualPayload:
     would (Fig. 4, step 4).
     """
 
-    payload_id: int
+    payload_id: object
     size: int
     label: str = ""
     inconsistent: bool = False
-
-    @classmethod
-    def create(cls, size: int, label: str = "", inconsistent: bool = False) -> "VirtualPayload":
-        return cls(
-            payload_id=next(_virtual_ids), size=size, label=label, inconsistent=inconsistent
-        )
 
     def digest(self) -> bytes:
         return hashlib.sha256(f"virtual-{self.payload_id}-{self.size}".encode()).digest()

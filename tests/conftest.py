@@ -9,6 +9,7 @@ import pytest
 from repro.ba.coin import CommonCoin
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
+from repro.core.node_base import codec_for
 from repro.experiments.engine import ScenarioResult, build_scenario
 from repro.experiments.runner import summarise_experiment
 from repro.experiments.scenario import ScenarioSpec
@@ -63,6 +64,7 @@ def build_cluster(
     network = InstantNetwork(params.n, seed=seed)
     coin = CommonCoin()
     config = config or NodeConfig(data_plane="real")
+    codec = codec_for(config, params)
     nodes = []
     for node_id in range(params.n):
         cls = (node_classes or {}).get(node_id, node_class)
@@ -73,6 +75,7 @@ def build_cluster(
             ctx,
             config=config,
             coin=coin,
+            codec=codec,
             max_epochs=max_epochs,
             **node_kwargs,
         )

@@ -81,7 +81,6 @@ from repro.core.block import Transaction
 from repro.experiments import apply_overrides, get_scenario
 from repro.experiments.engine import run_scenario
 from repro.sim.events import Simulator
-from repro.vid.codec import clear_retrieval_record
 from tests.conftest import build_scenario_state
 
 #: Traced bytes per additionally committed transaction, end-of-run and peak
@@ -193,7 +192,6 @@ def test_a_real_plane_run_holds_each_block_about_once():
             "duration": 8.0,
         },
     )
-    clear_retrieval_record()
     tracemalloc.start()
     try:
         state = build_scenario_state(spec)

@@ -30,7 +30,7 @@ from repro.core.txbatch import TxBatch
 from repro.crypto.merkle import MerkleTree
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs_code import ReedSolomonCode
-from repro.vid.codec import RealCodec, parse_shared
+from repro.vid.codec import RealCodec
 
 _SIZES = (4, 7, 16)
 
@@ -171,9 +171,9 @@ def test_a_retrieved_block_references_the_recorded_payload():
     bundle = codec.encode(wire)
     chunks = {chunk.index: chunk for chunk in bundle.chunks[: params.data_shards]}
     payload = codec.decode(bundle.root, chunks)
-    block = parse_shared(payload, Block.deserialize)
+    block = codec.parse_shared(payload, Block.deserialize)
     assert block.tx_batch.payloads is payload
-    assert parse_shared(codec.decode(bundle.root, chunks), Block.deserialize) is block
+    assert codec.parse_shared(codec.decode(bundle.root, chunks), Block.deserialize) is block
 
 
 @given(

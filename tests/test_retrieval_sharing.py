@@ -1,25 +1,26 @@
-"""The shared retrieval record must be invisible except in host time.
+"""The retrieval record must be invisible except in host time, and belong to the run.
 
-Every retriever checks its own proofs; what ``RealCodec`` shares per Merkle
-root is the re-encode verdict for a payload, the payload object itself, the
-fact that a given chunk object already passed its proof, and the fact that
-it is the recorded payload's encoding — which lets a retriever holding only
-such objects skip its decode (``vid/codec.py``).  The encoder files its own
-payload and chunks, so an honest retrieval decodes nothing; the full check
-runs for unfiled bundles (a restore, eviction, an adversary's hand-built
-tree).  Two
-layers of evidence that this changes nothing simulated:
+Every retriever checks its own proofs; what a run's one ``RealCodec`` shares
+per Merkle root is the re-encode verdict for a payload, the payload object
+itself, the fact that a given chunk object already passed its proof, and the
+fact that it is the encoder's own chunk of the filed payload — which lets a
+retriever holding only such objects skip its decode (``vid/codec.py``).  The
+encoder is the one writer of that mark, so an honest retrieval decodes
+nothing; the full check runs for unfiled roots (a restore, an adversary's
+hand-built tree).  A fresh codec is a cold record.  Three layers of evidence:
 
 * codec-level properties — every ``k``-subset of proof-valid chunks under one
   root gives the same outcome, warm == cold, the verdict is shared by payload
   *content* and can be neither read wrongly nor poisoned, the proof shortcut
-  and the decode shortcut are gated by chunk *identity*, eviction only loses
-  sharing;
+  and the decode shortcut are gated by chunk *identity*, the check marks
+  nothing;
 * end-to-end neutrality — real-plane scenarios give byte-identical summaries
-  with a cold record, a warm one, and across checkpoint → fresh-process
-  resume; every honest retriever of a slot ends with one payload object or
-  one ⊥; an honest run, cold or warm, makes no Reed-Solomon decode, and an
-  unfiled root is decoded once; the record never reaches a checkpoint.
+  run twice in one process and across checkpoint → fresh-process resume;
+  every honest retriever of a slot ends with one payload object or one ⊥;
+  an honest run makes no Reed-Solomon decode, and an unfiled root is checked
+  once;
+* hermeticity — a run's codec counters do not depend on what ran before it
+  in the process, and a checkpoint holds no record.
 """
 
 from __future__ import annotations
@@ -45,23 +46,10 @@ from repro.experiments import apply_overrides, get_scenario
 from repro.experiments.runner import Stop, execute
 from repro.experiments.engine import run_scenario
 from repro.experiments.scenario import ScenarioSpec
-from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
+from repro.sim.snapshot import load_checkpoint, save_checkpoint
 from repro.vid import codec as codec_module
 from repro.vid.avid_m import AvidMInstance
-from repro.vid.codec import (
-    BAD_UPLOADER,
-    Chunk,
-    RealCodec,
-    clear_retrieval_record,
-    retrieval_record_info,
-)
-
-
-@pytest.fixture(autouse=True)
-def _cold_record():
-    clear_retrieval_record()
-    yield
-    clear_retrieval_record()
+from repro.vid.codec import BAD_UPLOADER, Chunk, RealCodec
 
 
 def _mixed_bundle(params: ProtocolParams, payload_a: bytes, payload_b: bytes, split: int):
@@ -121,28 +109,30 @@ def _count_decodes(monkeypatch, codec: RealCodec) -> list[int]:
 
 
 def _consistent(codec: RealCodec, root: bytes) -> list[Chunk]:
-    return list(codec_module._RECORD.roots[codec._record_key(root)].consistent.values())
+    return list(codec._roots[root].consistent.values())
 
 
 class TestOutcomeIsAFunctionOfTheRoot:
     @given(bundle=_bundles(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_k_subset_gives_the_same_outcome_cold(self, bundle, data):
-        """What lets retrievers share a payload, checked with the record out of play."""
+        """What lets retrievers share a payload, checked with fresh codecs and
+        with the encoder's."""
         codec, root, chunks, expected = bundle
         n, k = codec.params.n, codec.params.data_shards
         for indices in _k_subsets(data.draw, n, k, count=5):
-            clear_retrieval_record()
-            outcome = codec.decode(root, _verified(codec, root, chunks, indices))
-            assert outcome == expected
-            assert retrieval_record_info()["served"] == 0
+            cold = RealCodec(codec.params)
+            assert cold.decode(root, _verified(cold, root, chunks, indices)) == expected
+            assert cold.counters()["served"] == 0
+            assert codec.decode(root, {i: chunks[i] for i in indices}) == expected
 
     @given(bundle=_bundles(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_warm_equals_cold_and_payloads_are_one_object(self, bundle, data):
         codec, root, chunks, expected = bundle
-        n, k = codec.params.n, codec.params.data_shards
-        clear_retrieval_record()
+        params = codec.params
+        n, k = params.n, params.data_shards
+        codec = RealCodec(params)
         first, *rest = _k_subsets(data.draw, n, k, count=4)
         cold = codec.decode(root, _verified(codec, root, chunks, first))
         assert cold == expected
@@ -151,23 +141,22 @@ class TestOutcomeIsAFunctionOfTheRoot:
             assert warm == cold
             if isinstance(cold, bytes):
                 assert warm is cold
-        info = retrieval_record_info()
+        counters = codec.counters()
         if isinstance(cold, bytes):
-            assert info == {"roots": 1, "served": 3, "computed": 1}
+            assert counters == {"roots": 1, "served": 3, "computed": 1}
         else:
             # A failed check is never recorded, so nothing is ever served.
-            assert info["served"] == 0
+            assert counters["served"] == 0
 
-        # Every chunk verified before the check: whatever the check marks
-        # consistent, each subset decoded warm gives what it gives cold.
+        # Every chunk verified before the check: each subset decoded warm
+        # gives what it gives cold.
         subsets = list(itertools.combinations(range(n), k))
         if len(subsets) > 35:
             subsets = _k_subsets(data.draw, n, k, count=8)
-        cold_outcomes = []
-        for indices in subsets:
-            clear_retrieval_record()
-            cold_outcomes.append(codec.decode(root, {i: chunks[i] for i in indices}))
-        clear_retrieval_record()
+        cold_outcomes = [
+            RealCodec(params).decode(root, {i: chunks[i] for i in indices}) for indices in subsets
+        ]
+        codec = RealCodec(params)
         everything = _verified(codec, root, chunks, range(n))
         recorded = codec.decode(root, everything)
         for indices, cold_outcome in zip(subsets, cold_outcomes):
@@ -179,38 +168,33 @@ class TestOutcomeIsAFunctionOfTheRoot:
 
 class TestVerdictIsSharedByPayloadContent:
     def _recorded(self, n: int = 7):
-        codec = RealCodec(ProtocolParams.for_n(n))
+        params = ProtocolParams.for_n(n)
         payload = bytes(range(200))
-        bundle = codec.encode(payload)
-        clear_retrieval_record()  # unfiled, as after a restore: the cold check runs
+        bundle = RealCodec(params).encode(payload)
+        codec = RealCodec(params)  # unfiled, as after a restore: the cold check runs
         k = codec.params.data_shards
         chunks = _verified(codec, bundle.root, bundle.chunks, range(k))
         recorded = codec.decode(bundle.root, chunks)
         assert recorded == payload
         return codec, bundle, chunks, recorded
 
-    def test_chunks_verified_before_the_check_are_not_decoded(self, monkeypatch):
-        codec = RealCodec(ProtocolParams.for_n(7))
-        bundle = codec.encode(bytes(range(200)))
-        clear_retrieval_record()
-        k = codec.params.data_shards
-        verified = _verified(codec, bundle.root, bundle.chunks, range(codec.params.n))
+    def test_the_check_marks_nothing(self, monkeypatch):
+        """Only the encoder marks chunks consistent: after a cold check, a
+        retriever holding chunks verified before it still decodes, and is
+        served the filed payload without re-encoding."""
+        params = ProtocolParams.for_n(7)
+        bundle = RealCodec(params).encode(bytes(range(200)))
+        codec = RealCodec(params)
+        k = params.data_shards
+        verified = _verified(codec, bundle.root, bundle.chunks, range(params.n))
         recorded = codec.decode(bundle.root, {i: verified[i] for i in range(k)})
-        decodes = _count_decodes(monkeypatch, codec)
-        others = {i: verified[i] for i in range(1, k + 1)}
-        assert codec.decode(bundle.root, others) is recorded
-        assert len(decodes) == 0
-        assert retrieval_record_info() == {"roots": 1, "served": 1, "computed": 1}
-
-    def test_a_chunk_verified_after_the_check_forces_one_decode(self, monkeypatch):
-        codec, bundle, chunks, recorded = self._recorded()
+        assert not _consistent(codec, bundle.root)
         decodes, encodes = _count_decodes(monkeypatch, codec), []
         rs_encode = codec._rs.encode
         monkeypatch.setattr(codec._rs, "encode", lambda b: encodes.append(1) or rs_encode(b))
-        # Chunk k is verified only now, so it was never compared with the re-encoding.
-        others = _verified(codec, bundle.root, bundle.chunks, range(1, len(chunks) + 1))
-        assert codec.decode(bundle.root, others) is recorded
+        assert codec.decode(bundle.root, {i: verified[i] for i in range(1, k + 1)}) is recorded
         assert (len(decodes), len(encodes)) == (1, 0)
+        assert codec.counters() == {"roots": 1, "served": 1, "computed": 1}
 
     def test_equal_but_distinct_chunks_decode_to_the_recorded_payload(self, monkeypatch):
         """The verdict belongs to the payload bytes, whoever produced them."""
@@ -218,23 +202,20 @@ class TestVerdictIsSharedByPayloadContent:
         decodes = _count_decodes(monkeypatch, codec)
         copies = {i: dataclasses.replace(chunk) for i, chunk in chunks.items()}
         assert all(copies[i] == chunks[i] and copies[i] is not chunks[i] for i in chunks)
-        # Consistency is a mark on the compared object, never on equal bytes.
-        marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
-        assert marked and not marked & {id(copy) for copy in copies.values()}
         assert codec.decode(bundle.root, copies) is recorded
         assert len(decodes) == 1
-        assert retrieval_record_info()["served"] == 1
+        assert codec.counters()["served"] == 1
 
     def test_unverified_chunks_record_a_true_verdict_too(self):
         """Writing needs the full check, not verified inputs, so anyone may write."""
-        codec = RealCodec(ProtocolParams.for_n(7))
-        bundle = codec.encode(b"never proof-checked" * 9)
-        clear_retrieval_record()
+        params = ProtocolParams.for_n(7)
+        bundle = RealCodec(params).encode(b"never proof-checked" * 9)
+        codec = RealCodec(params)
         k = codec.params.data_shards
         first = codec.decode(bundle.root, {i: bundle.chunks[i] for i in range(k)})
         assert first == b"never proof-checked" * 9
         assert codec.decode(bundle.root, {i: bundle.chunks[i] for i in range(1, k + 1)}) is first
-        assert retrieval_record_info() == {"roots": 1, "served": 1, "computed": 1}
+        assert codec.counters() == {"roots": 1, "served": 1, "computed": 1}
 
     def test_tampered_chunks_neither_read_nor_poison_the_record(self):
         codec, bundle, chunks, recorded = self._recorded()
@@ -244,16 +225,15 @@ class TestVerdictIsSharedByPayloadContent:
         tampered[1] = dataclasses.replace(victim, data=flipped)
         assert not codec.verify_chunk(bundle.root, tampered[1])
         assert codec.decode(bundle.root, tampered) == BAD_UPLOADER
-        assert retrieval_record_info()["served"] == 0
+        assert codec.counters()["served"] == 0
         # The honest retrievers that follow still get the recorded payload.
         assert codec.decode(bundle.root, chunks) is recorded
 
     def test_a_valid_payload_under_the_wrong_root_is_refused_and_not_recorded(self):
-        # Encoded first, so ``_recorded`` leaves this bundle unfiled too.
         other = RealCodec(ProtocolParams.for_n(7)).encode(b"another block entirely")
         codec, bundle, chunks, recorded = self._recorded()
         assert codec.decode(other.root, chunks) == BAD_UPLOADER
-        assert retrieval_record_info()["roots"] == 1
+        assert codec.counters()["roots"] == 1
         k = codec.params.data_shards
         own = codec.decode(other.root, {i: other.chunks[i] for i in range(k)})
         assert own == b"another block entirely"
@@ -269,7 +249,7 @@ class TestVerdictIsSharedByPayloadContent:
         verified = _verified(codec, bundle.root, bundle.chunks, range(n))
         honest = verified[2]
         forged = dataclasses.replace(honest, data=bytes([honest.data[0] ^ 0xFF]) + honest.data[1:])
-        codec_module._RECORD.note_verified(codec._record_key(bundle.root), forged)
+        codec._roots[bundle.root].verified[id(forged)] = forged
         assert codec.decode(bundle.root, {i: verified[i] for i in range(k)}) == bytes(range(200))
         marked = _consistent(codec, bundle.root)
         assert all(chunk is not forged for chunk in marked)
@@ -332,7 +312,6 @@ class TestTheEncoderFilesItsEncoding:
         params = ProtocolParams.for_n(n)
         codec = RealCodec(params)
         k = params.data_shards
-        clear_retrieval_record()
         codec.encode(payload_a)
         codec.encode(payload_b)
         split = data.draw(st.integers(min_value=1, max_value=n - 1))
@@ -351,8 +330,8 @@ class TestTheEncoderFilesItsEncoding:
             subsets = _k_subsets(data.draw, n, k, count=8)
         for indices in subsets:
             assert codec.decode(root, {i: chunks[i] for i in indices}) == BAD_UPLOADER
-        assert retrieval_record_info()["served"] == 0
-        assert codec_module._RECORD.roots[codec._record_key(root)].payload is None
+        assert codec.counters()["served"] == 0
+        assert codec._roots[root].payload is None
 
     def test_chunks_of_two_filed_encodes_mixed_under_one_root_take_the_full_path(
         self, monkeypatch
@@ -364,9 +343,8 @@ class TestTheEncoderFilesItsEncoding:
         mixed = {i: (first if i % 2 else second).chunks[i] for i in range(k)}
         outcome = codec.decode(first.root, mixed)
         assert len(decodes) == 1
-        assert retrieval_record_info()["served"] == 0
-        clear_retrieval_record()
-        assert outcome == codec.decode(first.root, mixed) == BAD_UPLOADER
+        assert codec.counters()["served"] == 0
+        assert outcome == RealCodec(codec.params).decode(first.root, mixed) == BAD_UPLOADER
 
     def test_a_copy_of_a_filed_chunk_costs_one_decode(self, monkeypatch):
         codec = RealCodec(ProtocolParams.for_n(7))
@@ -380,14 +358,13 @@ class TestTheEncoderFilesItsEncoding:
         chunks[0] = dataclasses.replace(chunks[0])
         assert codec.decode(bundle.root, chunks) is payload
         assert len(decodes) == 1
-        assert retrieval_record_info() == {"roots": 1, "served": 2, "computed": 0}
+        assert codec.counters() == {"roots": 1, "served": 2, "computed": 0}
 
     @given(payload=st.binary(min_size=1, max_size=300), n=st.sampled_from((4, 7, 10)))
     @settings(max_examples=30, deadline=None)
     def test_reencoding_an_equal_payload_keeps_the_first_object(self, payload, n):
         codec = RealCodec(ProtocolParams.for_n(n))
         k = codec.params.data_shards
-        clear_retrieval_record()
         first = codec.encode(payload)
         again = bytes(bytearray(payload))
         assert again == payload and again is not payload
@@ -397,7 +374,7 @@ class TestTheEncoderFilesItsEncoding:
         assert marked == {id(c) for c in first.chunks} | {id(c) for c in second.chunks}
         chunks = dict(enumerate(second.chunks[n - k :], start=n - k))
         assert codec.decode(first.root, chunks) is payload
-        assert retrieval_record_info() == {"roots": 1, "served": 1, "computed": 0}
+        assert codec.counters() == {"roots": 1, "served": 1, "computed": 0}
 
     def test_an_unequal_payload_under_a_filed_root_is_left_alone(self):
         """Only a hash collision gets here, so it is filed by hand."""
@@ -405,9 +382,8 @@ class TestTheEncoderFilesItsEncoding:
         payload = bytes(range(200))
         bundle = codec.encode(payload)
         impostor = codec.encode(b"another block entirely")
-        key = codec._record_key(bundle.root)
-        codec_module._RECORD.file_encoding(key, b"another block entirely", impostor.chunks)
-        assert codec_module._RECORD.roots[key].payload is payload
+        codec.file_encoding(bundle.root, b"another block entirely", impostor.chunks)
+        assert codec._roots[bundle.root].payload is payload
         marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
         assert marked == {id(chunk) for chunk in bundle.chunks}
 
@@ -417,14 +393,16 @@ class TestTheEncoderFilesItsEncoding:
     )
     @settings(max_examples=30, deadline=None)
     def test_encode_many_files_exactly_like_encode(self, payloads, n):
-        codec = RealCodec(ProtocolParams.for_n(n))
-        k = codec.params.data_shards
+        params = ProtocolParams.for_n(n)
+        k = params.data_shards
         roots = []
-        for encode in (lambda ps: [codec.encode(p) for p in ps], codec.encode_many):
-            clear_retrieval_record()
-            bundles = encode(payloads)
+        for batched in (False, True):
+            codec = RealCodec(params)
+            bundles = (
+                codec.encode_many(payloads) if batched else [codec.encode(p) for p in payloads]
+            )
             for bundle, payload in zip(bundles, payloads):
-                record = codec_module._RECORD.roots[codec._record_key(bundle.root)]
+                record = codec._roots[bundle.root]
                 assert record.payload is payload
                 assert not record.verified  # each server still checks its proof
                 assert {id(c) for c in record.consistent.values()} == {
@@ -432,7 +410,7 @@ class TestTheEncoderFilesItsEncoding:
                 }
                 chunks = dict(enumerate(bundle.chunks[:k]))
                 assert codec.decode(bundle.root, chunks) is payload
-            assert retrieval_record_info()["computed"] == 0
+            assert codec.counters()["computed"] == 0
             roots.append([bundle.root for bundle in bundles])
         assert roots[0] == roots[1]
 
@@ -464,35 +442,10 @@ class TestIdentityGatesTheProofShortcut:
         codec = RealCodec(ProtocolParams.for_n(4))
         bundle = codec.encode(b"short-lived")
         assert codec.verify_chunk(bundle.root, bundle.chunks[0])
-        record = codec_module._RECORD.roots.get(codec._record_key(bundle.root))
+        record = codec._roots[bundle.root]
         assert len(record.verified) == 1
         del bundle
         assert len(record.verified) == 0
-
-
-class TestEviction:
-    def test_recomputed_answer_is_unchanged_after_eviction(self, monkeypatch):
-        monkeypatch.setattr(codec_module, "RETRIEVAL_RECORD_ROOTS", 2)
-        codec = RealCodec(ProtocolParams.for_n(4))
-        k = codec.params.data_shards
-        payloads = [bytes([i]) * (50 + i) for i in range(3)]
-        bundles = [codec.encode(payload) for payload in payloads]
-        held = []
-        for bundle, payload in zip(bundles, payloads):
-            chunks = _verified(codec, bundle.root, bundle.chunks, range(k))
-            assert codec.decode(bundle.root, chunks) == payload
-            held.append(chunks)
-        assert retrieval_record_info()["roots"] == 2
-        # The first root is gone: its next retriever runs the check itself...
-        before = retrieval_record_info()
-        first = codec.decode(bundles[0].root, held[0])
-        assert first == payloads[0]
-        after = retrieval_record_info()
-        assert (after["served"], after["computed"]) == (before["served"], before["computed"] + 1)
-        # ...which files the root again (evicting the next oldest), and sharing resumes.
-        assert codec.decode(bundles[0].root, held[0]) is first
-        assert retrieval_record_info()["served"] == after["served"] + 1
-        assert retrieval_record_info()["roots"] == 2
 
 
 class TestSharedBlock:
@@ -524,11 +477,12 @@ class TestSharedBlock:
                 assert all(tx.size > 0 for tx in block.transactions)
         assert carried == 12
         assert [n.ledger.sequence() for n in nodes] == [nodes[0].ledger.sequence()] * 4
-        # Each disperser filed its own encoding: no node runs the check, all
-        # four are served.
-        info = retrieval_record_info()
+        # The nodes share one codec, and each disperser filed its own
+        # encoding in it: no node runs the check, all four are served.
+        assert all(node.codec is nodes[0].codec for node in nodes)
+        counters = nodes[0].codec.counters()
         assert retrieved >= 6
-        assert (info["computed"], info["served"]) == (0, 4 * retrieved)
+        assert (counters["computed"], counters["served"]) == (0, 4 * retrieved)
 
 
 # ----------------------------------------------------------------------
@@ -582,21 +536,29 @@ def _count_coding(monkeypatch) -> dict[str, list]:
     return calls
 
 
+def _counters_after(spec: ScenarioSpec) -> dict[str, int]:
+    """Run ``spec`` to its horizon; the counters of the one codec its nodes share."""
+    state = build_scenario_state(spec)
+    execute(state, [Stop(spec.duration)])
+    (codec,) = {id(node.codec): node.codec for node in state.nodes}.values()
+    return codec.counters()
+
+
 def test_an_honest_run_makes_no_reed_solomon_decode(monkeypatch):
     """Every disperser files its own encoding, so every retriever holds chunks
     already known to be it: one RS encode per dispersal, no decode, no re-encode."""
     calls = _count_coding(monkeypatch)
-    run_scenario(_real_plane_specs()[-1])
+    counters = _counters_after(_real_plane_specs()[-1])
     retrievals = calls["retrievals"]
     assert len(retrievals) > len(set(retrievals)) > 0
     assert len(calls["rs_decode"]) == 0
     assert len(calls["rs_encode"]) == len(calls["dispersals"]) > 0
-    assert retrieval_record_info()["computed"] == 0
+    assert counters["computed"] == 0
 
 
 def test_a_warm_rerun_decodes_nothing(monkeypatch):
-    """A second identical run in one process re-files every root it disperses
-    (the record still holds each payload) and again decodes nothing."""
+    """A second identical run in one process builds its own codec, files every
+    root it disperses there, and again decodes nothing."""
     calls = _count_coding(monkeypatch)
     spec = _real_plane_specs()[-1]
     summaries = []
@@ -608,14 +570,14 @@ def test_a_warm_rerun_decodes_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (4, 7, 16))
-def test_a_cold_root_is_decoded_once(monkeypatch, n):
-    """Unfiled (restored, or evicted before its first retrieval), a root costs
-    one decode and one re-encode check; every other retriever is served."""
-    codec = RealCodec(ProtocolParams.for_n(n))
-    k = codec.params.data_shards
+def test_a_cold_root_is_checked_once(monkeypatch, n):
+    """Unfiled (as after a restore), a root costs one re-encode check: every
+    retriever decodes, and every one after the first is served its payload."""
+    params = ProtocolParams.for_n(n)
+    k = params.data_shards
     payload = bytes(range(256)) * 3
-    bundle = codec.encode(payload)
-    clear_retrieval_record()
+    bundle = RealCodec(params).encode(payload)
+    codec = RealCodec(params)
     verified = _verified(codec, bundle.root, bundle.chunks, range(n))
     decodes = _count_decodes(monkeypatch, codec)
     outcomes = [
@@ -624,74 +586,69 @@ def test_a_cold_root_is_decoded_once(monkeypatch, n):
     ]
     assert outcomes[0] == payload
     assert all(outcome is outcomes[0] for outcome in outcomes)
-    assert len(decodes) == 1
-    assert retrieval_record_info() == {"roots": 1, "served": n - 1, "computed": 1}
+    assert len(decodes) == n
+    assert codec.counters() == {"roots": 1, "served": n - 1, "computed": 1}
 
 
 @pytest.mark.parametrize("split", (1, 2, 3), ids=("split1", "split2", "split3"))
 def test_honest_retrievers_of_a_slot_agree(split):
     """AVID-M retrieval consistency: one payload object or one ⊥ per slot."""
     spec = _real_plane_specs()[split - 1]
-    outcomes = set()
-    for _record in ("cold", "warm"):
-        state = build_scenario_state(spec)
-        execute(state, [Stop(spec.duration)])
-        slots: dict[tuple[int, int], list] = {}
-        for node in state.nodes:
-            if node.node_id not in state.placement:
-                for epoch, epoch_state in node._epochs.items():
-                    for slot, block in epoch_state.retrieved.items():
-                        slots.setdefault((epoch, slot), []).append(block)
-        for key, blocks in slots.items():
-            assert all(block is blocks[0] for block in blocks), key
-            outcomes.add(blocks[0] is None)
+    state = build_scenario_state(spec)
+    execute(state, [Stop(spec.duration)])
+    slots: dict[tuple[int, int], list] = {}
+    for node in state.nodes:
+        if node.node_id not in state.placement:
+            for epoch, epoch_state in node._epochs.items():
+                for slot, block in epoch_state.retrieved.items():
+                    slots.setdefault((epoch, slot), []).append(block)
+    for key, blocks in slots.items():
+        assert all(block is blocks[0] for block in blocks), key
     # Each split leaves both outcomes: honest slots and the equivocator's ⊥.
-    assert outcomes == {True, False}
+    assert {blocks[0] is None for blocks in slots.values()} == {True, False}
 
 
 @pytest.mark.parametrize(
     "spec", _real_plane_specs(), ids=("split1", "split2", "split3", "honest-n7")
 )
-def test_summaries_identical_cold_warm_and_resumed(spec: ScenarioSpec, tmp_path):
-    clear_retrieval_record()
-    cold = _canon(run_scenario(spec).summary())
-    assert retrieval_record_info()["served"] > 0
-    warm = _canon(run_scenario(spec).summary())
-    assert warm == cold
-
-    clear_retrieval_record()
+def test_summaries_identical_rerun_and_resumed(spec: ScenarioSpec, tmp_path):
+    first = _canon(run_scenario(spec).summary())
+    assert _canon(run_scenario(spec).summary()) == first
     state = build_scenario_state(spec)
     state.sim.run(until=spec.duration * 0.45)
     checkpoint = tmp_path / "mid.ckpt"
     save_checkpoint(checkpoint, state)
-    assert _canon(_resume_in_fresh_process(checkpoint)) == cold
+    assert _canon(_resume_in_fresh_process(checkpoint)) == first
 
 
-@pytest.mark.parametrize("spec", _real_plane_specs()[::3], ids=("split1", "honest-n7"))
-def test_summaries_identical_when_roots_are_evicted(spec: ScenarioSpec, monkeypatch):
-    """With room for one root, dispersals evict each other before they are
-    retrieved: retrievers run the full check, and the summary is the cold one."""
-    cold = _canon(run_scenario(spec).summary())
-    clear_retrieval_record()
-    monkeypatch.setattr(codec_module, "RETRIEVAL_RECORD_ROOTS", 1)
-    decodes = _count_coding(monkeypatch)["rs_decode"]
-    assert _canon(run_scenario(spec).summary()) == cold
-    assert decodes
-
-
-def test_record_never_reaches_a_checkpoint(tmp_path):
+def test_a_run_counts_the_same_first_or_second_in_a_process():
     spec = _real_plane_specs()[-1]
-    sizes = []
-    for attempt in ("cold", "warm"):
-        state = build_scenario_state(spec)
-        state.sim.run(until=spec.duration * 0.6)
-        path = tmp_path / f"{attempt}.ckpt"
-        save_checkpoint(path, state)
-        sizes.append(read_snapshot_header(path)["payload_bytes"])
-    assert retrieval_record_info()["roots"] > 0
-    # A warm record serves verdicts and payloads of an earlier run; the
-    # checkpoint holds byte for byte what a cold run's does.
-    assert sizes[0] == sizes[1]
-    clear_retrieval_record()
-    load_checkpoint(tmp_path / "warm.ckpt")
-    assert retrieval_record_info() == {"roots": 0, "served": 0, "computed": 0}
+    first = _counters_after(spec)
+    assert first["served"] > 0
+    assert _counters_after(spec) == first
+
+
+def test_a_point_after_another_point_counts_the_same():
+    """What a pool worker does: execute one point, then another, in one process."""
+    split, honest = _real_plane_specs()[0], _real_plane_specs()[-1]
+    alone = _counters_after(split)
+    assert alone["computed"] > 0
+    run_scenario(honest)
+    assert _counters_after(split) == alone
+
+
+def test_a_checkpoint_holds_no_record(tmp_path):
+    """A state's checkpoint bytes are equal with its record full and emptied,
+    and the restored nodes share one codec with an empty record."""
+    spec = _real_plane_specs()[-1]
+    state = build_scenario_state(spec)
+    state.sim.run(until=spec.duration * 0.6)
+    codec = state.nodes[0].codec
+    assert codec.counters()["roots"] > 0
+    full = save_checkpoint(tmp_path / "full.ckpt", state).read_bytes()
+    codec.__init__(codec.params)
+    assert codec.counters() == {"roots": 0, "served": 0, "computed": 0}
+    assert save_checkpoint(tmp_path / "emptied.ckpt", state).read_bytes() == full
+    restored = load_checkpoint(tmp_path / "full.ckpt")
+    (codec,) = {id(node.codec): node.codec for node in restored.nodes}.values()
+    assert codec.counters() == {"roots": 0, "served": 0, "computed": 0}

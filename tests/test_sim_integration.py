@@ -12,6 +12,7 @@ from repro.ba.coin import CommonCoin
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
 from repro.core.node import DispersedLedgerNode
+from repro.core.node_base import codec_for
 from repro.honeybadger.node import HoneyBadgerNode
 from repro.metrics.collector import MetricsCollector
 from repro.sim.bandwidth import ConstantBandwidth
@@ -44,6 +45,7 @@ def run_cluster(
     collector = MetricsCollector(n)
     coin = CommonCoin()
     config = config or NodeConfig(data_plane=data_plane, max_block_size=200_000)
+    codec = codec_for(config, params)
     nodes = []
     for node_id in range(n):
         ctx = NodeContext(node_id, network, sim)
@@ -53,6 +55,7 @@ def run_cluster(
             ctx,
             config=config,
             coin=coin,
+            codec=codec,
             on_deliver=collector.record_delivery,
             on_propose=collector.record_proposal,
         )

@@ -16,9 +16,10 @@ inspects, and only that module reads a batch's ``tx_ids``, which may be a
 
 **Retrieval.**  Its state costs bytes (express-train cars are columns,
 AVID-M's cancellation marks a ``bytearray``), ``RealCodec`` decodes on one
-path, only the honest encoder files an encoding, and a block's bytes are
-held once: only the Reed-Solomon layer takes ``memoryview`` slices of a
-payload, and parsing a block builds no ``Transaction``.
+path, only the honest encoder files an encoding, ``vid/`` holds no
+module-level state (the retrieval record is the run's codec), and a block's
+bytes are held once: only the Reed-Solomon layer takes ``memoryview`` slices
+of a payload, and parsing a block builds no ``Transaction``.
 
 **Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
 instance ids hash and compare in C.  A binary agreement's round flags are
@@ -28,13 +29,23 @@ bits, so ``ba/mmr.py`` builds no ``set``.
 heap in one place and has no profiled twin of the loop; a paper experiment
 is a ``ScenarioSpec`` built in ``catalog.py`` only, no legacy
 ``benchmarks/BENCH_*.json`` report or deleted figure driver comes back.
+
+**One execution path, one observer seam.**  Every point goes through
+``engine.run_points`` -> ``runner.execute`` (one executor, one scheduler
+call, no shim or windowed twin); observers plug in through
+``build_experiment(observers=)``; the CLIs resolve a scenario in one place,
+and their misuse is one ``error:`` line and exit 2 (run as subprocesses, so
+the exit code and stderr are the real ones).
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +53,8 @@ import pytest
 from repro.experiments.cli import resolve_scenario
 from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
+from repro.experiments.runner import Stop, build_experiment, execute
+from repro.sim.network import NetworkConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -187,7 +200,7 @@ def test_the_saturating_client_materialises_no_constant_column():
 def _lines_matching(pattern: str, paths) -> list[str]:
     regex = re.compile(pattern)
     return [
-        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
         for path in paths
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if regex.search(line)
@@ -289,6 +302,34 @@ def test_only_the_honest_encoder_files_an_encoding():
         f"file_encoding must have exactly one call site, inside RealCodec._bundle: {sites}"
     )
     assert not adversaries, f"src/repro/adversary/ files an encoding: {adversaries}"
+
+
+def test_no_module_level_state_under_vid():
+    """No module-level name under ``vid/`` is bound to a call (the ``object()``
+    sentinel aside) and no function rebinds a global: the retrieval record and
+    any id counter belong to a run, not to the process."""
+    sentinel = "object()"
+    sites = []
+    for path in sorted((SRC / "vid").rglob("*.py")):
+        tree = _tree(path)
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if (
+                isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                and value is not None
+                and ast.unparse(value) != sentinel
+                and any(isinstance(sub, ast.Call) for sub in ast.walk(value))
+            ):
+                sites.append(f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}")
+        sites += [
+            f"{path.relative_to(SRC)}:{node.lineno}: global"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert not sites, (
+        "src/repro/vid/ holds process-wide state again; it belongs to the run's codec "
+        f"(see docs/performance.md, Real data plane): {sites}"
+    )
 
 
 def test_only_the_reed_solomon_layer_takes_views():
@@ -408,3 +449,149 @@ def test_one_definition_per_experiment():
     assert not drivers, (
         f"a deleted figure driver is back (see docs/scenarios.md, Paper figures): {drivers}"
     )
+
+
+def _source_lines(pattern: str, *roots: Path, exclude: tuple[Path, ...] = ()) -> list[str]:
+    """Lines matching ``pattern`` in ``roots``: files, or the ``*.py``/``*.yml``/``*.md``
+    files under directories."""
+    paths = [
+        path
+        for root in roots
+        for path in ([root] if root.is_file() else sorted(root.rglob("*")))
+        if path.suffix in (".py", ".yml", ".md") and path.is_file()
+        and not any(path.is_relative_to(skip) for skip in exclude)
+    ]
+    return _lines_matching(pattern, paths)
+
+
+def _call_sites(name: str, paths, receiver: str | None = None) -> list[str]:
+    return [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in paths
+        for call in _calls(_tree(path), name, receiver)
+    ]
+
+
+def test_one_execution_path():
+    """Every point is one task through ``engine.run_points`` -> ``runner.execute``;
+    a shim, a checkpoint timer, a second executor or windowed execution would be
+    a second path (see docs/architecture.md, The experiment layer)."""
+    removed = _source_lines(
+        r"\b(merge_deprecated_kwargs|UNSET|CheckpointTimer|_finish_experiment|run_windowed_sweep"
+        r"|run_experiment|resume_experiment|run_protocol_comparison|_run_to_horizon|build_nodes"
+        r"|network_context)\b",
+        SRC,
+    )
+    assert not removed, (
+        "a removed execution path is back (see docs/architecture.md, The experiment layer): "
+        f"{removed}"
+    )
+    options = SRC / "experiments" / "options.py"
+    interval = _source_lines(r"\bcheckpoint_every\b", options)
+    assert not interval, (
+        "ExecutionOptions has a periodic-checkpoint interval again; it is the spec's field: "
+        f"{interval}"
+    )
+    windowed = _source_lines(
+        r"\b(windowed|window_dir|plan_windowed_points|prefix_key|refit_forked_state|_stitch)\b"
+        r"|repro-windowed-",
+        SRC,
+    ) + _source_lines(r"\bwindows\b", options)
+    assert not windowed, (
+        "windowed execution is back (see docs/architecture.md, The experiment layer): "
+        f"{windowed}"
+    )
+    design = _source_lines(
+        r"DESIGN\.md", SRC, ROOT / "benchmarks", exclude=(ROOT / "benchmarks" / "ledger",)
+    )
+    assert not design, f"DESIGN.md does not exist; cite docs/architecture.md, Substitutions: {design}"
+    deleted = _source_lines(
+        r"repro\.trace\.plot|repro\.trace\.importers|plot_telemetry|IMPORTERS",
+        SRC, ROOT / "tests", ROOT / "benchmarks",
+        exclude=(Path(__file__).resolve(),),
+    )
+    assert not deleted, (
+        "the trace plot renderer or recording importers are back; trace summarise, diff "
+        f"and spans give the numbers: {deleted}"
+    )
+    sources = sorted(SRC.rglob("*.py"))
+    for name, receiver, why in (
+        ("ProcessPoolExecutor", None, "one executor"),
+        ("run", "sim", "one scheduler"),
+        ("execute", None, "one executor"),
+    ):
+        sites = _call_sites(name, sources, receiver)
+        spelled = f"{'.' + receiver + '.' if receiver else ''}{name}("
+        assert len(sites) == 1, (
+            f"src/repro/ has {len(sites)} '{spelled}' call sites, want 1 ({why}): {sites}"
+        )
+
+
+def _cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def _assert_one_error_line(proc: subprocess.CompletedProcess, what: str) -> None:
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and len(lines) == 1 and lines[0].startswith("error: "), (
+        f"{what} exited {proc.returncode} with:\n{proc.stderr}"
+    )
+
+
+def test_a_spec_less_checkpoint_does_not_resume(tmp_path):
+    """Only a hand-driven ``execute`` writes a checkpoint with no spec in it,
+    and ``resume`` refuses it in one line."""
+    checkpoint = tmp_path / "spec-less.ckpt"
+    state = build_experiment("dl", NetworkConfig(num_nodes=4), 2.0)
+    execute(state, [Stop(0.5, checkpoint=str(checkpoint))])
+    _assert_one_error_line(
+        _cli("resume", str(checkpoint), cwd=tmp_path), "resume of a spec-less checkpoint"
+    )
+
+
+def test_one_observer_seam():
+    """Telemetry, spans and the profiler plug in through
+    ``build_experiment(observers=)`` -> ``execute`` -> ``Stop.flush``; the span
+    probe has two homes (``NodeContext.probe``, ``Network.probe``); the CLI
+    resolves a scenario in one place (see docs/architecture.md, Observers)."""
+    forks = _source_lines(r"recorder=|state\.recorder|state\.spans|span_probe", SRC)
+    assert not forks, f"a per-observer keyword, state field or probe copy is back: {forks}"
+    profilers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "experiments").rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and target.attr == "profiler"
+        and getattr(target.value, "attr", getattr(target.value, "id", None)) == "sim"
+    ]
+    assert len(profilers) == 1, (
+        f"src/repro/experiments/ has {len(profilers)} 'sim.profiler = ' sites, want 1 "
+        f"(runner.execute): {profilers}"
+    )
+    clis = [SRC / "experiments" / "cli.py", SRC / "trace" / "cli.py"]
+    overrides = _call_sites("apply_override", clis)
+    assert len(overrides) == 1, (
+        f"the CLIs have {len(overrides)} apply_override( call sites, want 1 "
+        f"(resolve_scenario): {overrides}"
+    )
+
+
+@pytest.mark.parametrize(
+    "misuse",
+    [
+        "run no-such",
+        "sweep no-such",
+        "show no-such",
+        "run straggler-hetero --set bogus",
+        "run straggler-hetero --grid bogus",
+        "trace export no-such",
+        "trace spans straggler-hetero --set bogus",
+    ],
+)
+def test_cli_misuse_is_one_error_line(misuse, tmp_path):
+    _assert_one_error_line(_cli(*misuse.split(), cwd=tmp_path), repr(misuse))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.equivocator import send_virtual_inconsistent_dispersal
+from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
 from repro.crypto.merkle import MerkleTree
 from repro.vid.codec import (
@@ -121,7 +123,7 @@ class TestRealCodec:
 class TestVirtualCodec:
     def test_payload_roundtrip(self):
         codec = VirtualCodec(ProtocolParams.for_n(4))
-        payload = VirtualPayload.create(size=10_000, label="block")
+        payload = VirtualPayload(payload_id=0, size=10_000, label="block")
         bundle = codec.encode(payload)
         assert bundle.payload_size == 10_000
         decoded = codec.decode(bundle.root, {c.index: c for c in bundle.chunks[:2]})
@@ -136,11 +138,28 @@ class TestVirtualCodec:
 
     def test_distinct_payloads_distinct_roots(self):
         codec = VirtualCodec(ProtocolParams.for_n(4))
-        a = codec.encode(VirtualPayload.create(size=100))
-        b = codec.encode(VirtualPayload.create(size=100))
+        a = codec.encode(VirtualPayload(payload_id=0, size=100))
+        b = codec.encode(VirtualPayload(payload_id=1, size=100))
         assert a.root != b.root
+
+    def test_an_equivocation_is_named_after_its_instance(self):
+        """The same root in any process, run or resumed run; no id counter."""
+        codec = VirtualCodec(ProtocolParams.for_n(4))
+        sent = []
+
+        class Ctx:
+            def send(self, _dst, msg):
+                sent.append(msg)
+
+        first, again, other = (
+            send_virtual_inconsistent_dispersal(codec, Ctx(), VIDInstanceId(epoch, 1), 1_000)
+            for epoch in (3, 3, 4)
+        )
+        assert first == again != other
+        assert all(msg.chunk.payload_ref.payload_id == VIDInstanceId(3, 1) for msg in sent[:4])
+        assert codec.decode(first, {m.chunk.index: m.chunk for m in sent[:2]}) == BAD_UPLOADER
 
     def test_payload_size_helper(self):
         codec = VirtualCodec(ProtocolParams.for_n(4))
-        assert codec.payload_size(VirtualPayload.create(size=42)) == 42
+        assert codec.payload_size(VirtualPayload(payload_id=0, size=42)) == 42
         assert codec.payload_size(b"abc") == 3
