@@ -176,7 +176,7 @@ class Block:
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, payload: bytes) -> "Block":
+    def deserialize(cls, payload: bytes | memoryview) -> "Block":
         """Decode a block from bytes.
 
         The transactions' bytes stay in ``payload`` (:meth:`TxBatch.deserialize`).

@@ -70,7 +70,7 @@ def codec_for(config: NodeConfig, params: ProtocolParams) -> RealCodec | Virtual
     return VirtualCodec(params)
 
 
-def _parse_block(payload: bytes) -> Block | None:
+def _parse_block(payload: bytes | memoryview) -> Block | None:
     """Deserialise a retrieved payload (None if ill-formatted, S4.3)."""
     try:
         return Block.deserialize(payload)
@@ -422,12 +422,13 @@ class BFTNodeBase(SnapshotState):
 
         On the real plane every node retrieving a root is handed the same
         payload object, and shares one frozen :class:`Block` parsed from it —
-        as the virtual plane shares the dispersed block object itself.
+        as the virtual plane shares the dispersed block object itself.  It is
+        a view of the codec's buffer, or ``bytes`` once a checkpoint restored it.
         """
         if isinstance(payload, Block):
             return payload
-        if isinstance(payload, (bytes, bytearray)):
-            return self.codec.parse_shared(bytes(payload), _parse_block)
+        if isinstance(payload, (bytes, memoryview)):
+            return self.codec.parse_shared(payload, _parse_block)
         return None
 
     # ------------------------------------------------------------------

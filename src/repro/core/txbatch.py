@@ -14,8 +14,9 @@ latency percentiles straight from the columns.
 Most batches come from one client population, so the origin is a scalar;
 a batch cut across transactions of several origins carries a per-row
 ``origins`` column instead.  Transactions that carry real bytes ride in the
-optional payload column: one ``bytes`` buffer plus each row's start in it —
-for a parsed block, the wire payload itself (see :meth:`TxBatch.deserialize`).
+optional payload column: one bytes-like buffer plus each row's start in it —
+for a parsed block, the retrieved payload view itself (see
+:meth:`TxBatch.deserialize`), which pickles as ``bytes``.
 
 Batches are **immutable once built** (the arrays are flagged read-only) and
 compare by identity, so they can ride inside frozen dataclasses such as
@@ -129,7 +130,7 @@ class TxBatch(SnapshotState):
         sizes: ``int64`` column of wire sizes in bytes.
         origins: ``uint32`` per-transaction origin column of a mixed-origin
             batch; ``None`` when ``origin`` says it all.
-        payloads: one ``bytes`` buffer holding the ``data`` of the rows that
+        payloads: one bytes-like buffer holding the ``data`` of the rows that
             carry any, and ``payload_starts`` the ``int64`` column of each
             row's start in it (-1: none); both ``None`` when no row does.
     """
@@ -145,7 +146,7 @@ class TxBatch(SnapshotState):
         sizes: np.ndarray,
         total_bytes: int | None = None,
         origins: np.ndarray | None = None,
-        payloads: bytes | None = None,
+        payloads: bytes | memoryview | None = None,
         payload_starts: np.ndarray | None = None,
     ):
         if not (len(tx_ids) == len(created_at) == len(sizes)):
@@ -370,12 +371,12 @@ class TxBatch(SnapshotState):
     # -- the client edge and the wire --------------------------------------
 
     def _payload_rows(self) -> list[bytes]:
-        """Each row's ``data`` cut out of the buffer (``b""`` for a row without)."""
+        """Each row's ``data`` cut out of the buffer as ``bytes`` (``b""`` for a row without)."""
         if self.payloads is None:
             return [b""] * len(self)
         buffer = self.payloads
         return [
-            buffer[start : start + size] if start >= 0 else b""
+            bytes(buffer[start : start + size]) if start >= 0 else b""
             for start, size in zip(self.payload_starts.tolist(), self.sizes.tolist())
         ]
 
@@ -427,11 +428,12 @@ class TxBatch(SnapshotState):
         return wire.tobytes()
 
     @classmethod
-    def deserialize(cls, wire: bytes, offset: int, count: int) -> tuple["TxBatch", int]:
+    def deserialize(
+        cls, wire: bytes | memoryview, offset: int, count: int
+    ) -> tuple["TxBatch", int]:
         """The ``count`` transactions :meth:`serialize` wrote at ``wire[offset:]``,
         and the offset past them: one pass over the headers, and the payload
-        buffer *is* ``wire`` (as ``bytes``).  ``ValueError`` if they overrun it."""
-        wire = bytes(wire)
+        buffer *is* ``wire``.  ``ValueError`` if they overrun it."""
         headers, starts = [], []
         for _ in range(count):
             header = TX_HEADER.unpack_from(wire, offset)

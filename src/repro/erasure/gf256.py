@@ -20,11 +20,11 @@ fully vectorised:
   workloads — measured 1.8x slower end-to-end; the full ``(m, k, width)``
   product-cube gather is 5-6x slower still.)
 
-``mat_vec_bytes`` / ``mat_vec_rows`` — the Reed-Solomon encode/decode
-kernels — therefore spend no Python time proportional to the data size: the
-only remaining Python loop iterates over the ``m x k`` coefficient grid of
-the (small) code matrix, while every O(bytes) operation is a translate map
-or a numpy XOR.
+``mat_vec_into`` — the Reed-Solomon encode/decode kernel, which writes into
+a caller's array — therefore spends no Python time proportional to the data
+size: the only remaining Python loop iterates over the ``m x k`` coefficient
+grid of the (small) code matrix, while every O(bytes) operation is a
+translate map or a numpy XOR.
 """
 
 from __future__ import annotations
@@ -134,37 +134,33 @@ class GF256:
     # --- matrix helpers -------------------------------------------------
 
     @staticmethod
-    def mat_vec_bytes(matrix: np.ndarray, rows: list) -> list[bytes]:
-        """Multiply ``matrix`` (m x k, uint8) by ``k`` equal-length byte rows.
+    def mat_vec_into(matrix: np.ndarray, rows: list, out: np.ndarray) -> np.ndarray:
+        """Multiply ``matrix`` (m x k, uint8) by ``k`` equal-length byte rows into ``out``.
 
+        ``out`` is a writable ``(m, width)`` uint8 array; product row ``i``
+        is written to ``out[i]`` in place, so a caller chooses where the rows
+        land (the parity rows of an encode buffer, a decode's joined block).
         Every element product is carried out in GF(256); sums are XORs.  This
-        is the hot kernel of Reed-Solomon encoding and decoding, operating
-        directly on shard byte strings: each product is one
-        ``bytes.translate`` pass, each sum one numpy XOR, and the Python
-        loop only walks the m x k coefficient grid.  A row may be any
+        is the hot kernel of Reed-Solomon encoding and decoding: each product
+        is one ``bytes.translate`` pass, each sum one numpy XOR, and the
+        Python loop only walks the m x k coefficient grid.  A row may be any
         bytes-like buffer; one that is not ``bytes`` is copied for the call
         (only ``bytes`` translate, and a copy costs ~1/30 of a translate).
         """
         m, k = matrix.shape
         if len(rows) != k:
             raise ValueError(f"matrix has {k} columns but got {len(rows)} rows")
-        if m == 0 or k == 0:
-            return [b""] * m
-        width = len(rows[0])
+        width = out.shape[1]
+        if out.shape[0] != m:
+            raise ValueError(f"matrix has {m} rows but out has {out.shape[0]}")
         if any(len(row) != width for row in rows):
-            raise ValueError("all rows must have the same length")
-        if width == 0:
-            return [b""] * m
+            raise ValueError("all rows must have the output's length")
 
         rows = [bytes(row) for row in rows]
         views = [np.frombuffer(row, dtype=np.uint8) for row in rows]
-        coeffs = matrix.tolist()
-        out: list[bytes] = []
-        acc = np.empty(width, dtype=np.uint8)
-        for row_coeffs in coeffs:
+        for row_coeffs, acc in zip(matrix.tolist(), out):
             started = False
-            for col in range(k):
-                coeff = row_coeffs[col]
+            for col, coeff in enumerate(row_coeffs):
                 if coeff == 0:
                     continue
                 if coeff == 1:
@@ -178,29 +174,22 @@ class GF256:
                     np.copyto(acc, src)
                 else:
                     np.bitwise_xor(acc, src, out=acc)
-            out.append(acc.tobytes() if started else bytes(width))
+            if not started:
+                acc.fill(0)
         return out
 
     @staticmethod
     def mat_vec_rows(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Multiply ``matrix`` (m x k, uint8) by ``data`` (k x width, uint8).
 
-        Array-shaped wrapper around :meth:`mat_vec_bytes` (the byte-string
-        kernel), kept for matrix algebra and tests.
+        Array-shaped form of :meth:`mat_vec_into`, for matrix algebra and tests.
         """
         m, k = matrix.shape
         if data.shape[0] != k:
             raise ValueError(f"matrix has {k} columns but data has {data.shape[0]} rows")
-        width = data.shape[1]
-        if m == 0 or width == 0 or k == 0:
-            return np.zeros((m, width), dtype=np.uint8)
-        if data.dtype != np.uint8:
-            data = data.astype(np.uint8)
-        rows = [data[col].tobytes() for col in range(k)]
-        out = np.empty((m, width), dtype=np.uint8)
-        for row, row_bytes in enumerate(GF256.mat_vec_bytes(matrix, rows)):
-            out[row] = np.frombuffer(row_bytes, dtype=np.uint8)
-        return out
+        data = np.ascontiguousarray(data, dtype=np.uint8)
+        out = np.empty((m, data.shape[1]), dtype=np.uint8)
+        return GF256.mat_vec_into(matrix, list(data), out)
 
     @staticmethod
     def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ Performance structure (see docs/performance.md):
 
 * code matrices are built once per ``(k, n)`` pair and shared between all
   instances (every node of a simulated cluster builds the same code);
-* encoding only runs the GF(256) kernel over the ``n - k`` parity rows —
-  the systematic shards are read-only views of the block where they can be;
-* ``encode_many`` stacks several blocks side by side and runs one kernel
-  call for all of them (the kernel is column-wise independent, so blocks of
-  different sizes can share a single matrix multiply);
+* a block is encoded into one buffer of ``n`` shard-sized rows: the length
+  header and the block fill the first ``k``, the GF(256) kernel writes the
+  ``n - k`` parity rows in place, and every shard is a read-only view of a
+  row, so a dispersed block costs ``n / k`` times its size and one
+  allocation;
 * decode matrices (inverted ``k x k`` sub-matrices) are memoised per sorted
   shard-index tuple in a small LRU cache — the experiments decode at the
   same index subsets over and over;
@@ -28,6 +28,7 @@ Performance structure (see docs/performance.md):
 
 from __future__ import annotations
 
+import copyreg
 import struct
 from functools import lru_cache
 
@@ -38,15 +39,18 @@ from repro.erasure.gf256 import GF256
 
 _LENGTH_HEADER = struct.Struct(">I")
 
+
+def _pickle_view(view: memoryview) -> tuple:
+    """A view pickles as the bytes it shows.  Pickle memoises the view
+    object, so a payload view held in several places is written once."""
+    return bytes, (view.tobytes(),)
+
+
+copyreg.pickle(memoryview, _pickle_view)
+
 #: Maximum number of inverted decode matrices kept (shared by all code
 #: instances — every node of a simulated cluster decodes the same subsets).
 DECODE_CACHE_SIZE = 128
-
-#: Target shard width (bytes per row) of one batched parity-kernel call.
-#: Batches are split so each call's working set (k source rows + the
-#: accumulator) stays inside L2; beyond that the joined rows stream from L3
-#: and the batch runs slower per byte than block-at-a-time encoding.
-BATCH_KERNEL_WIDTH = 64 * 1024
 
 
 @lru_cache(maxsize=None)
@@ -109,75 +113,36 @@ class ReedSolomonCode:
         payload = block_size + _LENGTH_HEADER.size
         return max(1, -(-payload // self.data_shards))
 
-    def _data_slices(self, block: bytes) -> list[bytes | memoryview]:
-        """The ``k`` systematic shards of the length-prefixed, zero-padded block:
-        a read-only view of ``block`` (made ``bytes`` first) for each shard wholly
-        inside it, a copy for each one that overlaps the header or the padding."""
-        block = bytes(block)
-        size, h = self.shard_size(len(block)), _LENGTH_HEADER.size
-        header, view = _LENGTH_HEADER.pack(len(block)), memoryview(block)
-        shards: list[bytes | memoryview] = []
-        for start in range(-h, self.data_shards * size - h, size):
-            stop = start + size
-            if 0 <= start and stop <= len(block):
-                shards.append(view[start:stop])
-            else:
-                edge = header[start + h : stop + h] + block[max(start, 0) : max(stop, 0)]
-                shards.append(edge.ljust(size, b"\x00"))
-        return shards
-
-    def encode(self, block: bytes) -> list[bytes | memoryview]:
+    def encode(self, block: bytes) -> list[memoryview]:
         """Encode ``block`` into ``n`` equally sized shards.
 
-        The first ``k`` shards are the (padded) block itself, views where they
-        can be; only the ``n - k`` parity shards go through the GF(256) kernel.
+        The shards are read-only views of consecutive rows of one buffer
+        (see :meth:`encode_with_payload`); the first ``k`` are the padded block.
         """
-        shards = self._data_slices(block)
-        if self.total_shards > self.data_shards:
-            shards.extend(GF256.mat_vec_bytes(self._parity_matrix, shards))
-        return shards
+        return self.encode_with_payload(block)[1]
 
-    def encode_many(self, blocks: list[bytes]) -> list[list[bytes | memoryview]]:
-        """Encode several blocks with a single parity-kernel invocation.
+    def encode_with_payload(self, block: bytes) -> tuple[memoryview, list[memoryview]]:
+        """Encode ``block`` into one buffer of ``n`` rows; views of it.
 
-        The GF(256) kernel operates column-wise, so blocks of different
-        sizes can be laid side by side in one ``(k, sum of widths)`` matrix
-        and encoded with one pass; the outputs are then split back per
-        block.  Results are byte-identical to calling :meth:`encode` on each
-        block individually.
+        The buffer holds ``n x shard_size`` bytes: the 4-byte length header
+        and ``block`` fill its first ``k`` rows, the rest of those rows stays
+        zero, and the GF(256) kernel writes the ``n - k`` parity rows in
+        place.  Returns ``block`` as it lies in the buffer and the ``n``
+        shards, all read-only views of it, so a caller that mutates ``block``
+        afterwards changes no shard.
         """
-        if not blocks:
-            return []
-        shard_sizes = [self.shard_size(len(block)) for block in blocks]
-        results = [self._data_slices(block) for block in blocks]
-        if self.total_shards == self.data_shards:
-            return results
-        start = 0
-        while start < len(results):
-            stop = start + 1
-            width = shard_sizes[start]
-            while stop < len(results) and width + shard_sizes[stop] <= BATCH_KERNEL_WIDTH:
-                width += shard_sizes[stop]
-                stop += 1
-            self._append_parity(results[start:stop], shard_sizes[start:stop])
-            start = stop
-        return results
-
-    def _append_parity(self, results: list[list[bytes]], shard_sizes: list[int]) -> None:
-        """Append the parity shards for one cache-sized group of blocks."""
-        if len(results) == 1:
-            results[0].extend(GF256.mat_vec_bytes(self._parity_matrix, results[0]))
-            return
-        stacked = [
-            b"".join(result[row] for result in results)
-            for row in range(self.data_shards)
-        ]
-        parity = GF256.mat_vec_bytes(self._parity_matrix, stacked)
-        for row_bytes in parity:
-            offset = 0
-            for result, size in zip(results, shard_sizes):
-                result.append(row_bytes[offset : offset + size])
-                offset += size
+        length, h = len(block), _LENGTH_HEADER.size
+        size, k = self.shard_size(length), self.data_shards
+        buffer = bytearray(self.total_shards * size)
+        _LENGTH_HEADER.pack_into(buffer, 0, length)
+        buffer[h : h + length] = block
+        view = memoryview(buffer).toreadonly()
+        shards = [view[row * size : (row + 1) * size] for row in range(self.total_shards)]
+        parity = np.frombuffer(buffer, dtype=np.uint8, offset=k * size)
+        GF256.mat_vec_into(
+            self._parity_matrix, shards[:k], parity.reshape(self.total_shards - k, size)
+        )
+        return view[h : h + length], shards
 
     # --- decoding --------------------------------------------------------
 
@@ -221,8 +186,11 @@ class ReedSolomonCode:
             "size": _decode_inverse.cache_info().currsize,
         }
 
-    def decode(self, shards: dict[int, bytes]) -> bytes:
+    def decode(self, shards: dict[int, bytes]) -> memoryview:
         """Reconstruct the original block from any ``k`` shards.
+
+        The block is returned as a read-only view of the one buffer the
+        shards were joined or decoded into.
 
         Args:
             shards: mapping from shard index to shard bytes; at least ``k``
@@ -249,15 +217,18 @@ class ReedSolomonCode:
         if indices == list(range(self.data_shards)):
             # Systematic fast path: the selected shards *are* the padded
             # block — reassemble without touching the kernel.
-            payload = b"".join(shards[i] for i in indices)
+            padded = b"".join(shards[i] for i in indices)
         else:
-            inverse = self._decode_matrix(tuple(indices))
-            rows = GF256.mat_vec_bytes(inverse, [shards[i] for i in indices])
-            payload = b"".join(rows)
-        (length,) = _LENGTH_HEADER.unpack_from(payload)
+            padded = bytearray(self.data_shards * shard_size)
+            GF256.mat_vec_into(
+                self._decode_matrix(tuple(indices)),
+                [shards[i] for i in indices],
+                np.frombuffer(padded, dtype=np.uint8).reshape(self.data_shards, shard_size),
+            )
+        (length,) = _LENGTH_HEADER.unpack_from(padded)
         capacity = self.data_shards * shard_size - _LENGTH_HEADER.size
         if length > capacity:
             raise DecodingError(
                 f"decoded length header {length} exceeds shard capacity {capacity}"
             )
-        return payload[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]
+        return memoryview(padded).toreadonly()[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]

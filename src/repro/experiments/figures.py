@@ -50,7 +50,7 @@ from repro.experiments.cost_model import estimate_throughput
 from repro.experiments.scenario import ScenarioSpec, apply_overrides
 from repro.sim.context import NodeContext
 from repro.sim.instant import InstantNetwork
-from repro.vid.avid_m import AvidMInstance, disperse_many
+from repro.vid.avid_m import AvidMInstance
 from repro.vid.codec import RealCodec
 from repro.vid.costs import (
     avid_fp_per_node_cost,
@@ -303,10 +303,9 @@ def measure_avid_m_dispersal_cost(n: int, block_size: int, num_blocks: int = 1) 
     """Run real AVID-M dispersals; the mean per-node download, normalised.
 
     Node 0 disperses ``num_blocks`` payloads of ``block_size`` bytes, one VID
-    instance each, through :func:`repro.vid.avid_m.disperse_many` (which
-    batches the Reed-Solomon parity work into one GF(256) kernel call).  The
-    result is normalised by the *total* payload size, so it does not depend
-    on ``num_blocks``; it validates the model it is plotted against.
+    instance each.  The result is normalised by the *total* payload size, so
+    it does not depend on ``num_blocks``; it validates the model it is
+    plotted against.
     """
     params = ProtocolParams.for_n(n)
     router = _ByteCountingRouter(n)
@@ -330,7 +329,8 @@ def measure_avid_m_dispersal_cost(n: int, block_size: int, num_blocks: int = 1) 
         router.inner.attach(node_id, _InstanceProcess(instances))
         by_node.append(instances)
     payloads = [bytes([s % 256]) * block_size for s in range(num_blocks)]
-    disperse_many([by_node[0][instance_id] for instance_id in instance_ids], payloads)
+    for instance_id, payload in zip(instance_ids, payloads):
+        by_node[0][instance_id].disperse(payload)
     router.inner.run()
     if len(completed) < n * num_blocks:
         raise RuntimeError("dispersal did not complete at every node")

@@ -8,7 +8,7 @@ tests, examples) or on virtual payloads whose sizes alone matter
 (throughput experiments).
 """
 
-from repro.vid.avid_m import AvidMInstance, RetrievalResult, disperse_many
+from repro.vid.avid_m import AvidMInstance, RetrievalResult
 from repro.vid.codec import BAD_UPLOADER, Chunk, DispersalBundle, RealCodec, VirtualCodec, VirtualPayload
 from repro.vid.costs import avid_fp_per_node_cost, avid_m_per_node_cost, dispersal_lower_bound
 
@@ -24,5 +24,4 @@ __all__ = [
     "avid_fp_per_node_cost",
     "avid_m_per_node_cost",
     "dispersal_lower_bound",
-    "disperse_many",
 ]

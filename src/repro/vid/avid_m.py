@@ -54,32 +54,6 @@ class RetrievalResult:
         return not self.ok
 
 
-def disperse_many(instances: list["AvidMInstance"], payloads: list[Any]) -> list[bytes]:
-    """Disperse ``payloads[i]`` through ``instances[i]``, batching the encode.
-
-    All instances must belong to the same node.  When the shared codec
-    offers ``encode_many`` (the real codec batches the Reed-Solomon parity
-    work across payloads into one GF(256) kernel call), the whole batch is
-    encoded in one shot; otherwise this degrades to per-instance
-    :meth:`AvidMInstance.disperse`.  Returns the Merkle roots, one per
-    instance.
-    """
-    if len(instances) != len(payloads):
-        raise ValueError(
-            f"got {len(instances)} instances but {len(payloads)} payloads"
-        )
-    if not instances:
-        return []
-    codec = instances[0].codec
-    encode_many = getattr(codec, "encode_many", None)
-    if encode_many is None or any(inst.codec is not codec for inst in instances):
-        return [inst.disperse(payload) for inst, payload in zip(instances, payloads)]
-    for inst in instances:
-        inst._check_allowed_disperser()
-    bundles = encode_many(payloads)
-    return [inst._send_bundle(bundle) for inst, bundle in zip(instances, bundles)]
-
-
 class AvidMInstance(SnapshotState):
     """One VID instance (server + optional client roles) at one node."""
 
@@ -182,17 +156,11 @@ class AvidMInstance(SnapshotState):
 
         Returns the Merkle root committing to the dispersed chunks.
         """
-        self._check_allowed_disperser()
-        bundle = self.codec.encode(payload)
-        return self._send_bundle(bundle)
-
-    def _check_allowed_disperser(self) -> None:
         if self.allowed_disperser is not None and self.ctx.node_id != self.allowed_disperser:
             raise DispersalError(
                 f"node {self.ctx.node_id} is not allowed to disperse into {self.instance}"
             )
-
-    def _send_bundle(self, bundle: Any) -> bytes:
+        bundle = self.codec.encode(payload)
         for server in range(self.params.n):
             self.ctx.send(
                 server,

@@ -26,6 +26,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.common.errors import DecodingError
 from repro.common.params import ProtocolParams
 from repro.crypto.hashing import DIGEST_SIZE
@@ -44,8 +46,11 @@ class Chunk:
     ``data`` and ``proof`` are populated by the real codec; the virtual codec
     leaves them ``None`` and only carries ``size`` (payload bytes) plus the
     payload reference needed to reassemble the virtual block.  An encoder's
-    systematic ``data`` may be a read-only ``memoryview`` of the dispersed
-    payload; it compares equal to its bytes and pickles as ``bytes``.
+    ``data`` is a read-only ``memoryview`` of one row of the block's encoding
+    buffer (:meth:`ReedSolomonCode.encode_with_payload`); it compares equal
+    to its bytes and pickles as ``bytes`` (the reducer :mod:`rs_code
+    <repro.erasure.rs_code>` registers), but does not hash: a view hashes
+    only when the object under it does, and that buffer is a ``bytearray``.
 
     The class must stay weak-referenceable (no ``__slots__``): the codec's
     retrieval record notes verified chunk objects without keeping them alive.
@@ -56,9 +61,6 @@ class Chunk:
     data: bytes | memoryview | None = None
     proof: MerkleProof | None = None
     payload_ref: Any = None
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "data": None if self.data is None else bytes(self.data)}
 
     @property
     def wire_size(self) -> int:
@@ -93,6 +95,16 @@ def _proof_wire_size(num_leaves: int) -> int:
 _UNSET: Any = object()
 
 
+def _same_bytes(a: memoryview, b: memoryview) -> bool:
+    """``a == b`` for two payloads at ``memcmp`` speed: ``memoryview.__eq__``
+    compares item by item, ~150x slower than ``bytes`` on a 500 kB block."""
+    if a is b:
+        return True
+    return len(a) == len(b) and np.array_equal(
+        np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8)
+    )
+
+
 class _RootRecord:
     """What one run has established about one Merkle root."""
 
@@ -107,8 +119,9 @@ class _RootRecord:
         self.consistent: weakref.WeakValueDictionary[int, Chunk] = (
             weakref.WeakValueDictionary()
         )
-        #: The payload the encoder filed, or whose re-encoding matched.
-        self.payload: bytes | None = None
+        #: The payload the encoder filed, or whose re-encoding matched: a
+        #: read-only view of its encoding or decoding buffer.
+        self.payload: memoryview | None = None
         #: What :meth:`RealCodec.parse_shared` made of that payload.
         self.parsed: Any = _UNSET
 
@@ -139,7 +152,7 @@ class RealCodec:
     cluster holds one copy of each block, not one per node.
 
     The encoder is the one writer of *consistent* marks (:meth:`file_encoding`,
-    called from :meth:`_bundle` only): the chunks it just built are ``P``'s
+    called from :meth:`encode` only): the chunks it just built are ``P``'s
     shards and the root is their Merkle root, so the full check on ``P``
     would pass.  A decode whose ``k`` selected chunks are all marked, each
     filed under its own index, is given the filed payload without decoding:
@@ -193,16 +206,16 @@ class RealCodec:
             record = self._roots[root] = _RootRecord()
         return record
 
-    def _file(self, root: bytes, payload: bytes) -> _RootRecord | None:
+    def _file(self, root: bytes, payload: memoryview) -> _RootRecord | None:
         """File ``payload`` under ``root`` unless an unequal one (a hash
         collision) is there already; the record, if it holds ``payload``."""
         record = self._root(root)
         if record.payload is None:
             record.payload = payload
             self._by_payload[id(payload)] = record
-        return record if record.payload == payload else None
+        return record if _same_bytes(record.payload, payload) else None
 
-    def file_encoding(self, root: bytes, payload: bytes, chunks: tuple[Chunk, ...]) -> None:
+    def file_encoding(self, root: bytes, payload: memoryview, chunks: tuple[Chunk, ...]) -> None:
         """File an encoder's ``payload`` and mark its own ``chunks`` consistent.
 
         A root that already holds an equal payload keeps that object and only
@@ -213,7 +226,7 @@ class RealCodec:
             for chunk in chunks:
                 record.consistent[id(chunk)] = chunk
 
-    def parse_shared(self, payload: bytes, parse: Callable[[bytes], Any]) -> Any:
+    def parse_shared(self, payload: memoryview, parse: Callable[[memoryview], Any]) -> Any:
         """``parse(payload)``, computed once per filed payload object.
 
         Every retriever of a root receives the *same* payload object from
@@ -239,26 +252,12 @@ class RealCodec:
         return self.chunk_payload_size(payload_size) + _proof_wire_size(self.params.n)
 
     def encode(self, payload: bytes) -> DispersalBundle:
-        """Encode ``payload`` into N chunks committed to by a Merkle root."""
-        payload = bytes(payload)
-        return self._bundle(self._rs.encode(payload), payload)
+        """Encode ``payload`` into N chunks committed to by a Merkle root.
 
-    def encode_many(self, payloads: list[bytes]) -> list[DispersalBundle]:
-        """Encode several payloads, batching the Reed-Solomon parity work.
-
-        All payloads share one GF(256) kernel invocation (see
-        :meth:`repro.erasure.rs_code.ReedSolomonCode.encode_many`); each
-        still gets its own Merkle tree and root.  Bundles are byte-identical
-        to encoding each payload with :meth:`encode`.
+        The chunks' data and the payload this files are read-only views of
+        one buffer (:meth:`ReedSolomonCode.encode_with_payload`).
         """
-        payloads = [bytes(payload) for payload in payloads]
-        shard_lists = self._rs.encode_many(payloads)
-        return [
-            self._bundle(shards, payload)
-            for shards, payload in zip(shard_lists, payloads)
-        ]
-
-    def _bundle(self, shards: list, payload: bytes) -> DispersalBundle:
+        payload, shards = self._rs.encode_with_payload(payload)
         tree = MerkleTree(shards)
         proofs = tree.proofs_all()
         chunks = tuple(
@@ -294,8 +293,8 @@ class RealCodec:
     def decode(self, root: bytes, chunks: dict[int, Chunk]) -> Any:
         """Decode from at least ``N - 2f`` chunks and run the re-encode check.
 
-        Returns the decoded payload bytes, or :data:`BAD_UPLOADER` if the
-        chunks were not a consistent encoding of any payload (Fig. 4).  The
+        Returns the decoded payload (a read-only view), or :data:`BAD_UPLOADER`
+        if the chunks were not a consistent encoding of any payload (Fig. 4).  The
         decode is skipped when every chunk it would select is marked
         consistent with the filed payload, and the check when the record
         already holds the decoded bytes as the payload that re-encodes to
@@ -317,16 +316,17 @@ class RealCodec:
             payload = self._rs.decode(shards)
         except DecodingError:
             return BAD_UPLOADER
-        if record is not None and record.payload == payload:
+        filed = None if record is None else record.payload
+        if filed is not None and _same_bytes(filed, payload):
             self._served += 1
-            return record.payload
+            return filed
         self._computed += 1
         if MerkleTree(self._rs.encode(payload)).root != root:
             return BAD_UPLOADER
         self._file(root, payload)
         return payload
 
-    def payload_size(self, payload: bytes) -> int:
+    def payload_size(self, payload: memoryview) -> int:
         return len(payload)
 
 
@@ -367,10 +367,6 @@ class VirtualCodec:
 
     def chunk_wire_size(self, payload_size: int) -> int:
         return self.chunk_payload_size(payload_size) + _proof_wire_size(self.params.n)
-
-    def encode_many(self, payloads: list[Any]) -> list[DispersalBundle]:
-        """Batch form of :meth:`encode` (no actual batching — nothing to batch)."""
-        return [self.encode(payload) for payload in payloads]
 
     def encode(self, payload: Any) -> DispersalBundle:
         size = payload.size if hasattr(payload, "size") else len(payload)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.adversary.equivocator import send_inconsistent_dispersal
 from repro.adversary.filters import drop_messages_from
+from repro.common.errors import DispersalError
 from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
 from repro.sim.context import NodeContext
@@ -221,6 +222,15 @@ class TestDispersalRestrictions:
         with pytest.raises(Exception):
             harness.instances[0].disperse(b"not mine")
 
+    def test_a_disallowed_disperser_raises_before_encoding_or_sending(self):
+        harness = VidHarness(4, allowed_disperser=1)
+        with pytest.raises(DispersalError):
+            harness.instances[0].disperse(b"not mine")
+        harness.run()
+        assert harness.network.messages_delivered == 0
+        assert harness.codec.counters()["roots"] == 0
+        assert harness.completed == []
+
     def test_anyone_may_disperse_when_unrestricted(self):
         harness = VidHarness(4, allowed_disperser=None)
         harness.disperse(b"open slot", from_node=2)
@@ -228,60 +238,3 @@ class TestDispersalRestrictions:
         assert len(harness.completed) == 4
 
 
-class TestDisperseMany:
-    def test_batch_of_one_matches_disperse(self):
-        from repro.vid.avid_m import disperse_many
-
-        harness_a = VidHarness(4)
-        root_a = harness_a.disperse(b"batched payload")
-        harness_a.run()
-
-        harness_b = VidHarness(4)
-        (root_b,) = disperse_many([harness_b.instances[0]], [b"batched payload"])
-        harness_b.run()
-
-        assert root_a == root_b
-        assert sorted(harness_b.completed) == list(range(4))
-        results = harness_b.retrieve_all()
-        assert all(res.payload == b"batched payload" for res in results.values())
-
-    def test_mismatched_lengths_raise(self):
-        from repro.vid.avid_m import disperse_many
-
-        harness = VidHarness(4)
-        with pytest.raises(ValueError):
-            disperse_many([harness.instances[0]], [b"a", b"b"])
-
-    def test_empty_batch(self):
-        from repro.vid.avid_m import disperse_many
-
-        assert disperse_many([], []) == []
-
-    def test_disallowed_disperser_raises_before_sending(self):
-        from repro.common.errors import DispersalError
-        from repro.vid.avid_m import disperse_many
-
-        harness = VidHarness(4, allowed_disperser=1)
-        with pytest.raises(DispersalError):
-            disperse_many([harness.instances[0]], [b"not mine"])
-
-    def test_falls_back_without_encode_many(self):
-        from repro.vid.avid_m import disperse_many
-
-        harness = VidHarness(4)
-
-        class _NoBatchCodec:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                if name == "encode_many":
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-        instance = harness.instances[0]
-        instance.codec = _NoBatchCodec(harness.codec)
-        (root,) = disperse_many([instance], [b"fallback path"])
-        harness.run()
-        assert sorted(harness.completed) == list(range(4))
-        assert root == harness.codec.encode(b"fallback path").root

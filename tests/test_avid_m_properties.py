@@ -39,4 +39,4 @@ def test_retrievals_agree_even_for_inconsistent_dispersals(payload_a, payload_b,
     harness.run()
     results = harness.retrieve_all()
     payloads = {id(r.payload): r.payload for r in results.values()}
-    assert len({bytes(p) if isinstance(p, bytes) else p for p in payloads.values()}) == 1
+    assert len({bytes(p) if isinstance(p, memoryview) else p for p in payloads.values()}) == 1

@@ -192,25 +192,32 @@ class TestVectorizedKernelVsScalarReference:
             _scalar_mat_vec(matrix, np.ascontiguousarray(strided)),
         )
 
-    def test_mat_vec_bytes_matches_array_kernel(self):
+    def test_mat_vec_into_matches_array_kernel(self):
         rng = np.random.default_rng(13)
         matrix = rng.integers(0, 256, size=(4, 3), dtype=np.uint8)
         data = rng.integers(0, 256, size=(3, 17), dtype=np.uint8)
         rows = [data[i].tobytes() for i in range(3)]
-        expected = GF256.mat_vec_rows(matrix, data)
-        result = GF256.mat_vec_bytes(matrix, rows)
-        assert result == [expected[i].tobytes() for i in range(4)]
+        expected = _scalar_mat_vec(matrix, data)
+        out = np.full((4, 17), 0xAB, dtype=np.uint8)
+        assert GF256.mat_vec_into(matrix, rows, out) is out
+        assert np.array_equal(out, expected)
+        # Any bytes-like row: views of a buffer multiply like their bytes.
+        views = [memoryview(row) for row in rows]
+        assert np.array_equal(GF256.mat_vec_into(matrix, views, np.empty_like(out)), expected)
 
-    def test_mat_vec_bytes_rejects_ragged_rows(self):
+    def test_mat_vec_into_rejects_ragged_rows(self):
         matrix = np.ones((2, 2), dtype=np.uint8)
         with pytest.raises(ValueError):
-            GF256.mat_vec_bytes(matrix, [b"abc", b"ab"])
+            GF256.mat_vec_into(matrix, [b"abc", b"ab"], np.empty((2, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            GF256.mat_vec_bytes(matrix, [b"abc"])
+            GF256.mat_vec_into(matrix, [b"abc"], np.empty((2, 3), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            GF256.mat_vec_into(matrix, [b"abc", b"abc"], np.empty((3, 3), dtype=np.uint8))
 
-    def test_mat_vec_bytes_zero_matrix_row(self):
+    def test_mat_vec_into_zero_matrix_row(self):
         matrix = np.array([[0, 0]], dtype=np.uint8)
-        assert GF256.mat_vec_bytes(matrix, [b"xy", b"zw"]) == [b"\x00\x00"]
+        out = np.full((1, 2), 7, dtype=np.uint8)
+        assert GF256.mat_vec_into(matrix, [b"xy", b"zw"], out).tobytes() == b"\x00\x00"
 
     def test_mat_mul_matches_scalar_reference(self):
         rng = np.random.default_rng(11)

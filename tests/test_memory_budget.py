@@ -31,12 +31,13 @@ count kept to the end of the run it was 5.4 kB.
 
 **Per dispersed payload byte** (``equivocate-split`` made honest: N=7, two
 epochs of 100 kB real blocks, every node retrieving every block).  The
-traced peak is 3.35 B per byte of the 14 dispersed blocks, against a layout
-floor of 1 + (N-k)/k + 2/k = 3.0: one payload, the parity, and the two edge
-shards (length header, padding) that are copies; every interior systematic
-shard is a view of the payload and a parsed block's transactions are views
-of the retrieved one.  With systematic shards and parsed transactions
-copied out it was 4.92 B.
+traced peak is 2.95 B per byte of the 14 dispersed blocks, against a layout
+floor of N/k = N/(N-2f) = 2.33: a block is encoded into one buffer of N
+shard-sized rows, every shard and the filed payload are views of it, and a
+parsed block's transactions are views of that payload.  With the payload,
+the parity and the two edge shards (length header, padding) in separate
+buffers it was 3.23 B; with systematic shards and parsed transactions
+copied out as well, 4.92 B.
 
 **Per N^2** (``columnar-scale``).  Two quantities are bounded, both as
 multiples of N^2 — a cluster runs N VID and N BA automata per node per
@@ -108,8 +109,10 @@ BYTES_PER_LATENCY_SAMPLE = 10
 BYTES_PER_EPOCH_PER_N2 = 4_500
 
 #: Traced peak bytes of the small real-plane run per dispersed payload byte
-#: (measured: 3.35; 4.92 with copied systematic shards and parsed transactions).
-TRACED_BYTES_PER_DISPERSED_BYTE = 4.0
+#: (measured: 2.95 against a layout floor of N/(N-2f) = 2.33 at N=7; 3.23
+#: with the payload, the parity and the edge shards in separate buffers, 4.92
+#: with copied systematic shards and parsed transactions).
+TRACED_BYTES_PER_DISPERSED_BYTE = 3.1
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8

@@ -1,13 +1,15 @@
-"""One copy of a block's bytes: shards and parsed transactions are views.
+"""One copy of a block's bytes: shards, payload and parsed transactions are views.
 
-The Reed-Solomon encoder hands out every systematic shard that lies wholly
-inside the payload as a read-only ``memoryview`` of it, and a parsed block's
-transaction batch keeps the parsed wire payload itself as its payload buffer
-(per-row start offsets into it, no per-row copy).  Every test here compares
-against the definitions those views replace — shards as slices of the
-length-prefixed, zero-padded block, parsed rows as one ``bytes`` per
-transaction — and checks that nothing a caller can observe tells them apart:
-shard bytes, Merkle roots, pickles, slices, concatenation, old checkpoints.
+The Reed-Solomon encoder writes a block into one buffer of ``N`` shard-sized
+rows (length header and payload in the first ``k``, parity in place in the
+rest) and hands out every shard, and the payload the codec files, as a
+read-only ``memoryview`` of it; a parsed block's transaction batch keeps that
+payload view itself as its payload buffer (per-row start offsets into it, no
+per-row copy).  Every test here compares against the definitions those views
+replace — shards as slices of the length-prefixed, zero-padded block, parsed
+rows as one ``bytes`` per transaction — and checks that nothing a caller can
+observe tells them apart: shard bytes, Merkle roots, pickles, slices,
+concatenation, old checkpoints.
 Payload lengths run from 0 past several ``k * 4`` bytes, so shards narrower
 than the 4-byte length header are covered.
 """
@@ -30,7 +32,7 @@ from repro.core.txbatch import TxBatch
 from repro.crypto.merkle import MerkleTree
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs_code import ReedSolomonCode
-from repro.vid.codec import RealCodec
+from repro.vid.codec import RealCodec, _same_bytes
 
 _SIZES = (4, 7, 16)
 
@@ -40,7 +42,8 @@ def _reference_shards(code: ReedSolomonCode, block: bytes) -> list[bytes]:
     size = code.shard_size(len(block))
     padded = (struct.pack(">I", len(block)) + block).ljust(code.data_shards * size, b"\x00")
     data = [padded[i * size : (i + 1) * size] for i in range(code.data_shards)]
-    return data + GF256.mat_vec_bytes(code._parity_matrix, data)
+    rows = np.frombuffer(padded, dtype=np.uint8).reshape(code.data_shards, size)
+    return data + [row.tobytes() for row in GF256.mat_vec_rows(code._parity_matrix, rows)]
 
 
 def _code(n: int) -> ReedSolomonCode:
@@ -54,7 +57,6 @@ def test_shards_and_roots_equal_the_padded_slice_definition(n, blocks):
     code = _code(n)
     expected = [_reference_shards(code, block) for block in blocks]
     assert [[bytes(s) for s in code.encode(block)] for block in blocks] == expected
-    assert [[bytes(s) for s in shards] for shards in code.encode_many(blocks)] == expected
     codec = RealCodec(ProtocolParams.for_n(n))
     for block, shards in zip(blocks, expected):
         bundle = codec.encode(block)
@@ -63,33 +65,97 @@ def test_shards_and_roots_equal_the_padded_slice_definition(n, blocks):
 
 
 @pytest.mark.parametrize("n", _SIZES)
-def test_only_interior_systematic_shards_are_views(n):
+def test_every_shard_and_the_payload_view_one_buffer_of_n_rows(n):
+    params = ProtocolParams.for_n(n)
+    code = _code(n)
+    for length in range(0, 8 * code.data_shards * 4, 3):
+        block = bytes(range(256)) * (length // 256) + bytes(range(length % 256))
+        size = code.shard_size(length)
+        codec = RealCodec(params)
+        bundle = codec.encode(block)
+        payload = codec._roots[bundle.root].payload
+        views = [chunk.data for chunk in bundle.chunks] + [payload]
+        assert all(type(view) is memoryview and view.readonly for view in views)
+        buffer = views[0].obj
+        assert all(view.obj is buffer for view in views), length
+        assert len(buffer) == n * size
+        assert [bytes(chunk.data) for chunk in bundle.chunks] == [
+            bytes(buffer[i * size : (i + 1) * size]) for i in range(n)
+        ]
+        assert bytes(buffer[4 : 4 + length]) == payload == block
+        payload_view, shards = code.encode_with_payload(block)
+        assert payload_view == block
+        assert {id(view.obj) for view in shards} == {id(payload_view.obj)}
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_a_decoded_payload_is_a_view_of_one_joined_buffer(n):
     code = _code(n)
     k = code.data_shards
-    for length in range(8 * k * 4):
+    for length in range(0, 8 * k * 4, 5):
         block = bytes(range(length))
         shards = code.encode(block)
-        size = code.shard_size(length)
-        for index, shard in enumerate(shards[:k]):
-            start = index * size - 4
-            inside = start >= 0 and start + size <= length
-            assert isinstance(shard, memoryview) == inside, (length, index)
-            if inside:
-                assert shard.readonly and shard.obj is block
-        assert all(type(shard) is bytes for shard in shards[k:])
+        for indices in (range(k), range(n - k, n)):
+            payload = code.decode({i: shards[i] for i in indices})
+            assert type(payload) is memoryview and payload.readonly
+            assert len(payload.obj) == k * code.shard_size(length)
+            assert payload == block
 
 
-@given(n=st.sampled_from(_SIZES), block=st.binary(min_size=1, max_size=200), many=st.booleans())
+@pytest.mark.parametrize("n", _SIZES)
+def test_blocks_encoded_in_turn_each_own_a_buffer(n):
+    """Every ``encode`` allocates afresh: no block's buffer is reused for a
+    later one, so earlier shards keep their bytes and still decode."""
+    code = _code(n)
+    k = code.data_shards
+    blocks = [b"", b"a", b"hello world", bytes(range(256)) * 2, b"x" * 37]
+    encoded = [code.encode(block) for block in blocks]
+    assert len({id(shards[0].obj) for shards in encoded}) == len(blocks)
+    for block, shards in zip(blocks, encoded):
+        assert [bytes(shard) for shard in shards] == _reference_shards(code, block)
+        assert code.decode({i: shards[i] for i in range(n - k, n)}) == block
+
+
+def _view(data: bytes) -> memoryview:
+    return memoryview(bytearray(data)).toreadonly()
+
+
+_BLOCK = bytes(range(256)) * 4
+_ONE_VIEW = _view(_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(_ONE_VIEW, _ONE_VIEW, id="one-view"),
+        pytest.param(_view(_BLOCK), _view(_BLOCK), id="equal-buffers"),
+        pytest.param(_view(_BLOCK), _BLOCK, id="view-and-bytes"),
+        pytest.param(_view(_BLOCK), _view(_BLOCK[:-1]), id="prefix"),
+        pytest.param(_view(_BLOCK), _view(_BLOCK[:-1] + b"\x00"), id="last-byte"),
+        pytest.param(_view(_BLOCK), _view(b"\x00" + _BLOCK[1:]), id="first-byte"),
+        pytest.param(_view(b""), b"", id="empty"),
+    ],
+)
+def test_same_bytes_is_bytes_equality(a, b):
+    """The codec's fast payload compare answers as ``bytes`` equality does,
+    for views and for the ``bytes`` a restored checkpoint holds."""
+    expected = bytes(a) == bytes(b)
+    assert _same_bytes(a, b) == expected
+    assert _same_bytes(b, a) == expected
+
+
+@given(n=st.sampled_from(_SIZES), block=st.binary(min_size=1, max_size=200))
 @settings(max_examples=100, deadline=None)
-def test_a_mutable_input_mutated_after_encode_changes_no_chunk(n, block, many):
+def test_a_mutable_input_mutated_after_encode_changes_no_chunk(n, block):
     codec = RealCodec(ProtocolParams.for_n(n))
     buffer = bytearray(block)
-    bundle = codec.encode_many([buffer])[0] if many else codec.encode(buffer)
+    bundle = codec.encode(buffer)
     before = [bytes(chunk.data) for chunk in bundle.chunks]
     buffer[:] = bytes(len(buffer))
     buffer.extend(b"more")
     assert [bytes(chunk.data) for chunk in bundle.chunks] == before
     assert bundle.root == MerkleTree(before).root
+    assert codec._roots[bundle.root].payload == block
 
 
 def test_a_view_holding_chunk_pickles_as_bytes_and_compares_equal():
@@ -100,6 +166,15 @@ def test_a_view_holding_chunk_pickles_as_bytes_and_compares_equal():
         restored = pickle.loads(pickle.dumps(chunk))
         assert type(restored.data) is bytes
         assert restored == chunk and restored.data == bytes(chunk.data)
+
+
+def test_a_shared_view_pickles_once_and_restores_as_one_object():
+    payload, _ = _code(16).encode_with_payload(bytes(range(256)) * 64)
+    data = pickle.dumps([payload, payload, payload])
+    assert len(data) < len(payload) + 100
+    first, second, third = pickle.loads(data)
+    assert type(first) is bytes and first == payload
+    assert first is second is third
 
 
 #: One transaction row: origin, stamp, size, whether it carries data.

@@ -139,10 +139,10 @@ class TestOutcomeIsAFunctionOfTheRoot:
         for indices in rest:
             warm = codec.decode(root, _verified(codec, root, chunks, indices))
             assert warm == cold
-            if isinstance(cold, bytes):
+            if cold != BAD_UPLOADER:
                 assert warm is cold
         counters = codec.counters()
-        if isinstance(cold, bytes):
+        if cold != BAD_UPLOADER:
             assert counters == {"roots": 1, "served": 3, "computed": 1}
         else:
             # A failed check is never recorded, so nothing is ever served.
@@ -162,7 +162,7 @@ class TestOutcomeIsAFunctionOfTheRoot:
         for indices, cold_outcome in zip(subsets, cold_outcomes):
             warm = codec.decode(root, {i: everything[i] for i in indices})
             assert warm == cold_outcome
-            if isinstance(warm, bytes):
+            if warm != BAD_UPLOADER:
                 assert warm is recorded
 
 
@@ -298,7 +298,7 @@ def _equal_length_pair():
 
 
 class TestTheEncoderFilesItsEncoding:
-    """``RealCodec._bundle`` files the payload and marks its own chunks; these
+    """``RealCodec.encode`` files the payload and marks its own chunks; these
     hold with the record warm from honest ``encode`` calls."""
 
     @given(
@@ -349,8 +349,8 @@ class TestTheEncoderFilesItsEncoding:
     def test_a_copy_of_a_filed_chunk_costs_one_decode(self, monkeypatch):
         codec = RealCodec(ProtocolParams.for_n(7))
         k = codec.params.data_shards
-        payload = bytes(range(200))
-        bundle = codec.encode(payload)
+        bundle = codec.encode(bytes(range(200)))
+        payload = codec._roots[bundle.root].payload
         decodes = _count_decodes(monkeypatch, codec)
         chunks = dict(enumerate(bundle.chunks[:k]))
         assert codec.decode(bundle.root, chunks) is payload
@@ -366,53 +366,26 @@ class TestTheEncoderFilesItsEncoding:
         codec = RealCodec(ProtocolParams.for_n(n))
         k = codec.params.data_shards
         first = codec.encode(payload)
-        again = bytes(bytearray(payload))
-        assert again == payload and again is not payload
-        second = codec.encode(again)
+        filed = codec._roots[first.root].payload
+        second = codec.encode(payload)
         assert second.root == first.root
+        assert codec._roots[first.root].payload is filed
         marked = {id(chunk) for chunk in _consistent(codec, first.root)}
         assert marked == {id(c) for c in first.chunks} | {id(c) for c in second.chunks}
         chunks = dict(enumerate(second.chunks[n - k :], start=n - k))
-        assert codec.decode(first.root, chunks) is payload
+        assert codec.decode(first.root, chunks) is filed
         assert codec.counters() == {"roots": 1, "served": 1, "computed": 0}
 
     def test_an_unequal_payload_under_a_filed_root_is_left_alone(self):
         """Only a hash collision gets here, so it is filed by hand."""
         codec = RealCodec(ProtocolParams.for_n(4))
-        payload = bytes(range(200))
-        bundle = codec.encode(payload)
+        bundle = codec.encode(bytes(range(200)))
+        payload = codec._roots[bundle.root].payload
         impostor = codec.encode(b"another block entirely")
         codec.file_encoding(bundle.root, b"another block entirely", impostor.chunks)
         assert codec._roots[bundle.root].payload is payload
         marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
         assert marked == {id(chunk) for chunk in bundle.chunks}
-
-    @given(
-        payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=4, unique=True),
-        n=st.sampled_from((4, 7, 10)),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_encode_many_files_exactly_like_encode(self, payloads, n):
-        params = ProtocolParams.for_n(n)
-        k = params.data_shards
-        roots = []
-        for batched in (False, True):
-            codec = RealCodec(params)
-            bundles = (
-                codec.encode_many(payloads) if batched else [codec.encode(p) for p in payloads]
-            )
-            for bundle, payload in zip(bundles, payloads):
-                record = codec._roots[bundle.root]
-                assert record.payload is payload
-                assert not record.verified  # each server still checks its proof
-                assert {id(c) for c in record.consistent.values()} == {
-                    id(c) for c in bundle.chunks
-                }
-                chunks = dict(enumerate(bundle.chunks[:k]))
-                assert codec.decode(bundle.root, chunks) is payload
-            assert codec.counters()["computed"] == 0
-            roots.append([bundle.root for bundle in bundles])
-        assert roots[0] == roots[1]
 
 
 class TestIdentityGatesTheProofShortcut:
@@ -529,7 +502,7 @@ def _count_coding(monkeypatch) -> dict[str, list]:
 
         monkeypatch.setattr(owner, name, logged)
 
-    log_calls(ReedSolomonCode, "encode", "rs_encode")
+    log_calls(ReedSolomonCode, "encode_with_payload", "rs_encode")
     log_calls(ReedSolomonCode, "decode", "rs_decode")
     log_calls(RealCodec, "decode", "retrievals")
     log_calls(AvidMInstance, "disperse", "dispersals")

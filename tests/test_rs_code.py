@@ -29,7 +29,7 @@ class TestConstruction:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (6, 16), (2, 7), (3, 10)])
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (6, 16), (2, 7), (3, 10), (3, 3)])
     def test_decode_from_first_k(self, k, n):
         code = ReedSolomonCode(k, n)
         block = b"dispersed ledger" * 10
@@ -79,7 +79,7 @@ class TestDecodeErrors:
         code = ReedSolomonCode(2, 4)
         shards = code.encode(b"hello world")
         with pytest.raises(DecodingError):
-            code.decode({0: shards[0], 1: shards[1] + b"\x00"})
+            code.decode({0: shards[0], 1: bytes(shards[1]) + b"\x00"})
 
     def test_out_of_range_index(self):
         code = ReedSolomonCode(2, 4)
@@ -196,29 +196,6 @@ class TestDecodeMatrixCache:
         assert _decode_inverse.cache_info().misses == 1
         assert first.decode_cache_info()["misses"] == 1
         assert second.decode_cache_info() == {"hits": 1, "misses": 0, "size": 1}
-
-
-class TestEncodeMany:
-    def test_matches_individual_encodes(self):
-        code = ReedSolomonCode(3, 8)
-        blocks = [b"", b"a", b"hello world", bytes(range(256)) * 2, b"x" * 37]
-        batched = code.encode_many(blocks)
-        assert batched == [code.encode(block) for block in blocks]
-
-    def test_empty_batch(self):
-        assert ReedSolomonCode(2, 4).encode_many([]) == []
-
-    def test_no_parity_code(self):
-        code = ReedSolomonCode(3, 3)
-        blocks = [b"abcdef", b"ghi"]
-        assert code.encode_many(blocks) == [code.encode(block) for block in blocks]
-
-    @given(blocks=st.lists(st.binary(min_size=0, max_size=200), min_size=1, max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_batched_shards_roundtrip(self, blocks):
-        code = ReedSolomonCode(3, 9)
-        for block, shards in zip(blocks, code.encode_many(blocks)):
-            assert code.decode({i: shards[i] for i in (0, 4, 8)}) == block
 
 
 class TestProperties:

@@ -19,7 +19,8 @@ AVID-M's cancellation marks a ``bytearray``), ``RealCodec`` decodes on one
 path, only the honest encoder files an encoding, ``vid/`` holds no
 module-level state (the retrieval record is the run's codec), and a block's
 bytes are held once: only the Reed-Solomon layer takes ``memoryview`` slices
-of a payload, and parsing a block builds no ``Transaction``.
+of the one buffer a block is encoded into, no batched encode path grows back
+beside it, and parsing a block builds no ``Transaction``.
 
 **Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
 instance ids hash and compare in C.  A binary agreement's round flags are
@@ -289,17 +290,17 @@ def test_no_environment_toggle_under_vid():
 
 
 def test_only_the_honest_encoder_files_an_encoding():
-    """One ``.file_encoding(`` call site, inside ``RealCodec._bundle``; none in the adversaries."""
+    """One ``.file_encoding(`` call site, inside ``RealCodec.encode``; none in the adversaries."""
     sites = [
         f"{path.relative_to(SRC)}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         for call in _calls(_tree(path), "file_encoding")
         if isinstance(call.func, ast.Attribute)
     ]
-    inside = _calls(_method(SRC / "vid" / "codec.py", "RealCodec", "_bundle"), "file_encoding")
+    inside = _calls(_method(SRC / "vid" / "codec.py", "RealCodec", "encode"), "file_encoding")
     adversaries = _lines_matching(r"file_encoding", sorted((SRC / "adversary").rglob("*.py")))
     assert len(sites) == 1 and len(inside) == 1, (
-        f"file_encoding must have exactly one call site, inside RealCodec._bundle: {sites}"
+        f"file_encoding must have exactly one call site, inside RealCodec.encode: {sites}"
     )
     assert not adversaries, f"src/repro/adversary/ files an encoding: {adversaries}"
 
@@ -334,7 +335,7 @@ def test_no_module_level_state_under_vid():
 
 def test_only_the_reed_solomon_layer_takes_views():
     """``memoryview(`` is called in ``erasure/rs_code.py`` alone: a view is taken
-    only of the immutable ``bytes`` a systematic shard lies in."""
+    only of the buffer a block is encoded or decoded into."""
     rs_code = SRC / "erasure" / "rs_code.py"
     sites = [
         f"{path.relative_to(SRC)}:{call.lineno}"
@@ -344,6 +345,27 @@ def test_only_the_reed_solomon_layer_takes_views():
     ]
     assert not sites, (
         "a memoryview is taken outside erasure/rs_code.py (see docs/performance.md, "
+        f"One copy of a block's bytes): {sites}"
+    )
+
+
+def test_no_batched_encode_path():
+    """No ``encode_many`` or ``disperse_many`` under ``src/``, by name or as a
+    string: a block is encoded alone, into its own buffer."""
+    batched = {"encode_many", "disperse_many"}
+    sites = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _identifiers(path)
+        + [
+            (node.lineno, node.value)
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        if name in batched
+    ]
+    assert not sites, (
+        "a batched encode path is back (see docs/performance.md, "
         f"One copy of a block's bytes): {sites}"
     )
 

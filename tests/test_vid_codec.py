@@ -23,18 +23,6 @@ def codec():
 
 
 class TestRealCodec:
-    def test_encode_many_matches_individual_encodes(self, codec):
-        payloads = [b"", b"first", b"second payload" * 5, bytes(range(200))]
-        bundles = codec.encode_many(payloads)
-        for payload, bundle in zip(payloads, bundles):
-            single = codec.encode(payload)
-            assert bundle.root == single.root
-            assert bundle.payload_size == single.payload_size
-            assert bundle.chunks == single.chunks
-
-    def test_encode_many_empty(self, codec):
-        assert codec.encode_many([]) == []
-
     def test_encode_produces_n_chunks_with_valid_proofs(self, codec):
         bundle = codec.encode(b"payload bytes")
         assert len(bundle.chunks) == 4
