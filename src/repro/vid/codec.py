@@ -7,11 +7,11 @@ so the automaton takes a *codec* object:
   payload bytes, build a Merkle tree over the chunks, verify Merkle proofs
   on receipt, and re-encode after decoding to detect inconsistent dispersals
   (the "re-encode and compare roots" check that is the key idea of AVID-M).
-  That check is a pure function of the decoded payload and the root, so a
-  run — which hosts the disperser and every retriever in one process, with
-  one codec — shares the verdict: the encoder files the payload it just
-  encoded, and a retriever holding the encoder's own chunk objects takes
-  that payload without decoding at all (see :class:`RealCodec`).
+  The proof check and the re-encode check are pure functions, so a run —
+  which hosts the disperser and every retriever in one process, with one
+  codec — memoises both by value: a chunk equal to one that passed its proof
+  is not hashed again, and chunks equal to a filed encoding are given its
+  payload without decoding (see :class:`RealCodec`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
   opaque objects that only declare a byte size; chunk sizes and message
   sizes are computed exactly as the real codec would, but no bytes are
@@ -22,7 +22,6 @@ so the automaton takes a *codec* object:
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from repro.common.errors import DecodingError
 from repro.common.params import ProtocolParams
-from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from repro.erasure.rs_code import ReedSolomonCode
 
@@ -51,9 +49,6 @@ class Chunk:
     to its bytes and pickles as ``bytes`` (the reducer :mod:`rs_code
     <repro.erasure.rs_code>` registers), but does not hash: a view hashes
     only when the object under it does, and that buffer is a ``bytearray``.
-
-    The class must stay weak-referenceable (no ``__slots__``): the codec's
-    retrieval record notes verified chunk objects without keeping them alive.
     """
 
     index: int
@@ -83,21 +78,12 @@ class DispersalBundle:
     payload_size: int
 
 
-def _proof_wire_size(num_leaves: int) -> int:
-    depth = 0
-    width = 1
-    while width < num_leaves:
-        width *= 2
-        depth += 1
-    return 4 + DIGEST_SIZE * depth
-
-
 _UNSET: Any = object()
 
 
-def _same_bytes(a: memoryview, b: memoryview) -> bool:
-    """``a == b`` for two payloads at ``memcmp`` speed: ``memoryview.__eq__``
-    compares item by item, ~150x slower than ``bytes`` on a 500 kB block."""
+def _same_bytes(a: bytes | memoryview, b: bytes | memoryview) -> bool:
+    """``a == b`` at ``memcmp`` speed: ``memoryview.__eq__`` compares item
+    by item, ~150x slower than ``bytes`` on a 500 kB block."""
     if a is b:
         return True
     return len(a) == len(b) and np.array_equal(
@@ -108,32 +94,18 @@ def _same_bytes(a: memoryview, b: memoryview) -> bool:
 class _RootRecord:
     """What one run has established about one Merkle root."""
 
-    __slots__ = ("verified", "consistent", "payload", "parsed")
+    __slots__ = ("leaves", "shards", "payload", "parsed")
 
     def __init__(self) -> None:
-        #: ``id(chunk) -> chunk`` for the exact objects that passed their proof.
-        self.verified: weakref.WeakValueDictionary[int, Chunk] = (
-            weakref.WeakValueDictionary()
-        )
-        #: ``id(chunk) -> chunk`` for the encoder's own chunks of :attr:`payload`.
-        self.consistent: weakref.WeakValueDictionary[int, Chunk] = (
-            weakref.WeakValueDictionary()
-        )
-        #: The payload the encoder filed, or whose re-encoding matched: a
-        #: read-only view of its encoding or decoding buffer.
+        #: ``index -> chunk`` whose proof passed under this root.
+        self.leaves: dict[int, Chunk] = {}
+        #: The filed encoding: ``N`` read-only shard views of one buffer whose
+        #: Merkle root is this root, and the payload they encode, a view of
+        #: the same buffer.
+        self.shards: list[memoryview] | None = None
         self.payload: memoryview | None = None
         #: What :meth:`RealCodec.parse_shared` made of that payload.
         self.parsed: Any = _UNSET
-
-    def has_verified(self, chunk: Chunk) -> bool:
-        return self.verified.get(id(chunk)) is chunk
-
-    def is_encoding(self, chunks: dict[int, Chunk], indices: list[int]) -> bool:
-        """Whether each selected chunk is a consistent object filed under its index."""
-        return all(
-            chunks[i].index == i and self.consistent.get(id(chunks[i])) is chunks[i]
-            for i in indices
-        )
 
 
 class RealCodec:
@@ -141,43 +113,33 @@ class RealCodec:
 
     A run builds one codec and hands it to every node, as it hands them one
     common coin, and the codec keeps the run's *retrieval record*, keyed by
-    Merkle root.  AVID-M's retrieval (Fig. 4) decodes from ``N - 2f``
-    proof-checked chunks, re-encodes the result and compares Merkle roots.
-    Which chunks a retriever holds is its own affair, so every retriever
-    checks its own proofs.  The re-encode check, though, is a pure function of
-    ``(root, decoded payload)``: once one retriever has established that a
-    payload re-encodes to a root, any other whose decode produced the same
-    bytes would compute the same verdict, and takes it from the record
-    instead.  It is also handed the *recorded* payload object, so a simulated
-    cluster holds one copy of each block, not one per node.
+    Merkle root.  AVID-M's retrieval (Fig. 4) is two pure functions: a proof
+    check per chunk, and a decode from ``N - 2f`` chunks that re-encodes the
+    result and compares Merkle roots.  The record memoises both by value.
 
-    The encoder is the one writer of *consistent* marks (:meth:`file_encoding`,
-    called from :meth:`encode` only): the chunks it just built are ``P``'s
-    shards and the root is their Merkle root, so the full check on ``P``
-    would pass.  A decode whose ``k`` selected chunks are all marked, each
-    filed under its own index, is given the filed payload without decoding:
-    Reed-Solomon on ``k`` shards of a payload's encoding gives back that
-    payload (the code is MDS).  A root the encoder did not file (after a
-    checkpoint restore, or an adversary's hand-built tree) is decoded by
-    every retriever; the first full check files its payload, and later
-    retrievers whose decode equals it skip the re-encoding.
+    *Leaves.*  :meth:`verify_chunk` files under its index each chunk whose
+    proof passed.  A chunk with an equal proof and equal bytes would pass
+    the same check, so it is not hashed again; anything else is.
 
-    Reading needs byte equality with a payload that passed the full check, or
-    that the encoder filed, so no caller — not even one decoding tampered
-    chunks — can read a wrong verdict or leave one behind.  Failed checks are
-    not recorded: an inconsistent dispersal decodes to a different payload
-    for different chunk subsets, so there is nothing to share.
-
-    Separately, the record notes the exact ``Chunk`` objects
-    :meth:`verify_chunk` accepted under a root, by *identity*: when one node
-    forwards the object it verified to another, hashing the same bytes
-    against the same root again proves nothing new.  An equal-looking copy
-    is a different object and is hashed.
+    *The filed encoding.*  :meth:`encode` files its buffer: the ``N`` shards
+    are ``P``'s encoding and the root is their Merkle root, so the full check
+    on ``P`` would pass.  A passing full check files its own re-encoding.  A
+    decode whose every given chunk equals the filed shard at its key is
+    *served* the filed payload: Reed-Solomon on ``k`` shards of a codeword
+    gives back that codeword's payload (the code is MDS), whose re-encoding
+    is the filed one.  Any other decode runs the full check, so no caller —
+    not even one decoding tampered chunks — can read a wrong verdict or
+    leave one behind.  Failed checks are not recorded: an inconsistent
+    dispersal decodes to a different payload for different chunk subsets,
+    so there is nothing to share.  Every retriever of a root is handed the
+    filed payload object, so a simulated cluster holds one copy of each
+    block, not one per node.
 
     The record lives as long as the run, whose ledgers hold every retrieved
     block anyway, so it needs no bound.  Results are identical with a cold or
     a warm record; only host time and memory differ.  A codec pickles as its
-    ``params``, so a restored run starts with an empty record.
+    ``params``, so a restored run starts with an empty record and checks
+    each root once.
     """
 
     def __init__(self, params: ProtocolParams):
@@ -206,25 +168,15 @@ class RealCodec:
             record = self._roots[root] = _RootRecord()
         return record
 
-    def _file(self, root: bytes, payload: memoryview) -> _RootRecord | None:
-        """File ``payload`` under ``root`` unless an unequal one (a hash
-        collision) is there already; the record, if it holds ``payload``."""
+    def _file(self, root: bytes, payload: memoryview, shards: list[memoryview]) -> memoryview:
+        """File ``payload`` and its encoding ``shards`` under ``root`` unless
+        a payload is there already; the filed one if equal, else ``payload``
+        (an unequal one needs a hash collision, and is left alone)."""
         record = self._root(root)
         if record.payload is None:
-            record.payload = payload
+            record.payload, record.shards = payload, shards
             self._by_payload[id(payload)] = record
-        return record if _same_bytes(record.payload, payload) else None
-
-    def file_encoding(self, root: bytes, payload: memoryview, chunks: tuple[Chunk, ...]) -> None:
-        """File an encoder's ``payload`` and mark its own ``chunks`` consistent.
-
-        A root that already holds an equal payload keeps that object and only
-        gains the marks.
-        """
-        record = self._file(root, payload)
-        if record is not None:
-            for chunk in chunks:
-                record.consistent[id(chunk)] = chunk
+        return record.payload if _same_bytes(record.payload, payload) else payload
 
     def parse_shared(self, payload: memoryview, parse: Callable[[memoryview], Any]) -> Any:
         """``parse(payload)``, computed once per filed payload object.
@@ -243,14 +195,6 @@ class RealCodec:
             record.parsed = parse(payload)
         return record.parsed
 
-    def chunk_payload_size(self, payload_size: int) -> int:
-        """Size in bytes of each chunk's data for a payload of ``payload_size``."""
-        return self._rs.shard_size(payload_size)
-
-    def chunk_wire_size(self, payload_size: int) -> int:
-        """Bytes one chunk message body occupies (chunk data + Merkle proof)."""
-        return self.chunk_payload_size(payload_size) + _proof_wire_size(self.params.n)
-
     def encode(self, payload: bytes) -> DispersalBundle:
         """Encode ``payload`` into N chunks committed to by a Merkle root.
 
@@ -264,9 +208,7 @@ class RealCodec:
             Chunk(index=i, size=len(shards[i]), data=shards[i], proof=proofs[i])
             for i in range(self.params.n)
         )
-        # These chunks are ``payload``'s encoding and ``tree.root`` is their
-        # root: the retrieval check on ``payload`` would pass, so file it.
-        self.file_encoding(tree.root, payload, chunks)
+        self._file(tree.root, payload, shards)
         return DispersalBundle(root=tree.root, chunks=chunks, payload_size=len(payload))
 
     def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:
@@ -283,32 +225,36 @@ class RealCodec:
         if chunk.size != len(chunk.data):
             return False
         record = self._roots.get(root)
-        if record is not None and record.has_verified(chunk):
+        leaf = None if record is None else record.leaves.get(chunk.index)
+        if leaf is not None and (
+            leaf is chunk or (leaf.proof == chunk.proof and _same_bytes(leaf.data, chunk.data))
+        ):
             return True
         if not verify_proof(root, chunk.data, chunk.proof):
             return False
-        self._root(root).verified[id(chunk)] = chunk
+        self._root(root).leaves[chunk.index] = chunk
         return True
 
     def decode(self, root: bytes, chunks: dict[int, Chunk]) -> Any:
         """Decode from at least ``N - 2f`` chunks and run the re-encode check.
 
         Returns the decoded payload (a read-only view), or :data:`BAD_UPLOADER`
-        if the chunks were not a consistent encoding of any payload (Fig. 4).  The
-        decode is skipped when every chunk it would select is marked
-        consistent with the filed payload, and the check when the record
-        already holds the decoded bytes as the payload that re-encodes to
-        ``root``; the filed object is returned then, so all retrievers of a
-        root share one payload.
+        if the chunks were not a consistent encoding of any payload (Fig. 4).
+        Chunks whose bytes all equal the filed encoding at their keys are
+        served its payload without decoding; a passing check files its
+        re-encoding.  Either way a root's retrievers share one payload object.
         """
         shards = {
             index: chunk.data for index, chunk in chunks.items() if chunk.data is not None
         }
         record = self._roots.get(root)
+        filed = None if record is None else record.shards
         if (
-            record is not None
+            filed is not None
             and len(shards) >= self.params.data_shards
-            and record.is_encoding(chunks, self._rs._select_indices(shards))
+            and all(
+                0 <= i < len(filed) and _same_bytes(data, filed[i]) for i, data in shards.items()
+            )
         ):
             self._served += 1
             return record.payload
@@ -316,18 +262,11 @@ class RealCodec:
             payload = self._rs.decode(shards)
         except DecodingError:
             return BAD_UPLOADER
-        filed = None if record is None else record.payload
-        if filed is not None and _same_bytes(filed, payload):
-            self._served += 1
-            return filed
         self._computed += 1
-        if MerkleTree(self._rs.encode(payload)).root != root:
+        payload, encoding = self._rs.encode_with_payload(payload)
+        if MerkleTree(encoding).root != root:
             return BAD_UPLOADER
-        self._file(root, payload)
-        return payload
-
-    def payload_size(self, payload: memoryview) -> int:
-        return len(payload)
+        return self._file(root, payload, encoding)
 
 
 @dataclass(frozen=True)
@@ -365,9 +304,6 @@ class VirtualCodec:
         padded = payload_size + self._rs_overhead
         return max(1, -(-padded // self.params.data_shards))
 
-    def chunk_wire_size(self, payload_size: int) -> int:
-        return self.chunk_payload_size(payload_size) + _proof_wire_size(self.params.n)
-
     def encode(self, payload: Any) -> DispersalBundle:
         size = payload.size if hasattr(payload, "size") else len(payload)
         chunk_size = self.chunk_payload_size(size)
@@ -394,6 +330,3 @@ class VirtualCodec:
                     return BAD_UPLOADER
                 return chunk.payload_ref
         return BAD_UPLOADER
-
-    def payload_size(self, payload: Any) -> int:
-        return payload.size if hasattr(payload, "size") else len(payload)

@@ -21,14 +21,16 @@ class TestByteFormulas:
         assert merkle_proof_bytes(2) == 4 + 32
 
     def test_chunk_wire_bytes_matches_real_codec(self):
+        from repro.common.ids import VIDInstanceId
         from repro.vid.codec import RealCodec
+        from repro.vid.messages import ChunkMsg
 
         params = ProtocolParams.for_n(16)
-        codec = RealCodec(params)
         block = 500_000
-        modelled = chunk_wire_bytes(params, block)
-        real = 24 + 32 + codec.chunk_wire_size(block)
-        assert modelled == pytest.approx(real, rel=0.01)
+        bundle = RealCodec(params).encode(bytes(block))
+        instance = VIDInstanceId(epoch=1, proposer=0)
+        real = ChunkMsg(instance=instance, root=bundle.root, chunk=bundle.chunks[0]).wire_size
+        assert chunk_wire_bytes(params, block) == pytest.approx(real, rel=0.01)
 
     def test_dispersal_download_scales_quadratically_in_votes(self):
         small = dispersal_download_bytes(ProtocolParams.for_n(16), 0)

@@ -1,24 +1,25 @@
 """The retrieval record must be invisible except in host time, and belong to the run.
 
 Every retriever checks its own proofs; what a run's one ``RealCodec`` shares
-per Merkle root is the re-encode verdict for a payload, the payload object
-itself, the fact that a given chunk object already passed its proof, and the
-fact that it is the encoder's own chunk of the filed payload — which lets a
-retriever holding only such objects skip its decode (``vid/codec.py``).  The
-encoder is the one writer of that mark, so an honest retrieval decodes
-nothing; the full check runs for unfiled roots (a restore, an adversary's
-hand-built tree).  A fresh codec is a cold record.  Three layers of evidence:
+per Merkle root, by value, is which chunks passed their proof (the *leaves*)
+and one encoding known to re-encode to the root (the *filed* shards and
+their payload object) — chunks equal to it are given that payload without a
+decode (``vid/codec.py``).  The encoder files its encoding, so an honest
+retrieval decodes nothing; a root unfiled (after a restore, or an
+adversary's hand-built tree) is decoded once, by the first full check that
+passes, which files its re-encoding.  A fresh codec is a cold record.  Three
+layers of evidence:
 
 * codec-level properties — every ``k``-subset of proof-valid chunks under one
   root gives the same outcome, warm == cold, the verdict is shared by payload
   *content* and can be neither read wrongly nor poisoned, the proof shortcut
-  and the decode shortcut are gated by chunk *identity*, the check marks
-  nothing;
+  and the decode shortcut are taken on equal bytes and nothing else, the
+  check files its re-encoding;
 * end-to-end neutrality — real-plane scenarios give byte-identical summaries
   run twice in one process and across checkpoint → fresh-process resume;
   every honest retriever of a slot ends with one payload object or one ⊥;
-  an honest run makes no Reed-Solomon decode, and an unfiled root is checked
-  once;
+  an honest run makes no Reed-Solomon decode, and an unfiled root, cold or
+  resumed, is decoded once;
 * hermeticity — a run's codec counters do not depend on what ran before it
   in the process, and a checkpoint holds no record.
 """
@@ -44,7 +45,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.erasure.rs_code import ReedSolomonCode
 from repro.experiments import apply_overrides, get_scenario
 from repro.experiments.runner import Stop, execute
-from repro.experiments.engine import run_scenario
+from repro.experiments.engine import ScenarioResult, run_scenario
 from repro.experiments.scenario import ScenarioSpec
 from repro.sim.snapshot import load_checkpoint, save_checkpoint
 from repro.vid import codec as codec_module
@@ -108,8 +109,9 @@ def _count_decodes(monkeypatch, codec: RealCodec) -> list[int]:
     return decodes
 
 
-def _consistent(codec: RealCodec, root: bytes) -> list[Chunk]:
-    return list(codec._roots[root].consistent.values())
+def _flipped(chunk: Chunk) -> Chunk:
+    """``chunk`` with its first data byte flipped."""
+    return dataclasses.replace(chunk, data=bytes([chunk.data[0] ^ 0xFF]) + chunk.data[1:])
 
 
 class TestOutcomeIsAFunctionOfTheRoot:
@@ -178,22 +180,23 @@ class TestVerdictIsSharedByPayloadContent:
         assert recorded == payload
         return codec, bundle, chunks, recorded
 
-    def test_the_check_marks_nothing(self, monkeypatch):
-        """Only the encoder marks chunks consistent: after a cold check, a
-        retriever holding chunks verified before it still decodes, and is
-        served the filed payload without re-encoding."""
+    def test_the_check_files_its_reencoding(self, monkeypatch):
+        """After a cold check, a retriever holding chunks verified before it
+        is served the filed payload: no decode, no re-encoding."""
         params = ProtocolParams.for_n(7)
         bundle = RealCodec(params).encode(bytes(range(200)))
         codec = RealCodec(params)
         k = params.data_shards
         verified = _verified(codec, bundle.root, bundle.chunks, range(params.n))
         recorded = codec.decode(bundle.root, {i: verified[i] for i in range(k)})
-        assert not _consistent(codec, bundle.root)
+        assert codec._roots[bundle.root].shards == [chunk.data for chunk in bundle.chunks]
         decodes, encodes = _count_decodes(monkeypatch, codec), []
-        rs_encode = codec._rs.encode
-        monkeypatch.setattr(codec._rs, "encode", lambda b: encodes.append(1) or rs_encode(b))
+        rs_encode = codec._rs.encode_with_payload
+        monkeypatch.setattr(
+            codec._rs, "encode_with_payload", lambda b: encodes.append(1) or rs_encode(b)
+        )
         assert codec.decode(bundle.root, {i: verified[i] for i in range(1, k + 1)}) is recorded
-        assert (len(decodes), len(encodes)) == (1, 0)
+        assert (len(decodes), len(encodes)) == (0, 0)
         assert codec.counters() == {"roots": 1, "served": 1, "computed": 1}
 
     def test_equal_but_distinct_chunks_decode_to_the_recorded_payload(self, monkeypatch):
@@ -203,7 +206,7 @@ class TestVerdictIsSharedByPayloadContent:
         copies = {i: dataclasses.replace(chunk) for i, chunk in chunks.items()}
         assert all(copies[i] == chunks[i] and copies[i] is not chunks[i] for i in chunks)
         assert codec.decode(bundle.root, copies) is recorded
-        assert len(decodes) == 1
+        assert len(decodes) == 0
         assert codec.counters()["served"] == 1
 
     def test_unverified_chunks_record_a_true_verdict_too(self):
@@ -220,9 +223,7 @@ class TestVerdictIsSharedByPayloadContent:
     def test_tampered_chunks_neither_read_nor_poison_the_record(self):
         codec, bundle, chunks, recorded = self._recorded()
         tampered = dict(chunks)
-        victim = chunks[1]
-        flipped = bytes([victim.data[0] ^ 0xFF]) + victim.data[1:]
-        tampered[1] = dataclasses.replace(victim, data=flipped)
+        tampered[1] = _flipped(chunks[1])
         assert not codec.verify_chunk(bundle.root, tampered[1])
         assert codec.decode(bundle.root, tampered) == BAD_UPLOADER
         assert codec.counters()["served"] == 0
@@ -239,21 +240,20 @@ class TestVerdictIsSharedByPayloadContent:
         assert own == b"another block entirely"
         assert codec.decode(bundle.root, chunks) is recorded
 
-    def test_a_verified_chunk_unlike_the_reencoding_is_never_marked(self, monkeypatch):
+    def test_a_verified_chunk_unlike_the_filed_shard_takes_the_full_path(self, monkeypatch):
         """A proof-accepted chunk whose bytes are not the encoding keeps every
         subset holding it on the full path (such a chunk needs a hash
-        collision, so it is filed as verified by hand)."""
+        collision, so it is filed as a leaf by hand)."""
         codec = RealCodec(ProtocolParams.for_n(7))
         n, k = codec.params.n, codec.params.data_shards
         bundle = codec.encode(bytes(range(200)))
         verified = _verified(codec, bundle.root, bundle.chunks, range(n))
-        honest = verified[2]
-        forged = dataclasses.replace(honest, data=bytes([honest.data[0] ^ 0xFF]) + honest.data[1:])
-        codec._roots[bundle.root].verified[id(forged)] = forged
+        forged = _flipped(verified[2])
+        record = codec._roots[bundle.root]
+        record.leaves[2] = forged
+        assert codec.verify_chunk(bundle.root, forged)
         assert codec.decode(bundle.root, {i: verified[i] for i in range(k)}) == bytes(range(200))
-        marked = _consistent(codec, bundle.root)
-        assert all(chunk is not forged for chunk in marked)
-        assert len(marked) == n
+        assert record.shards == [chunk.data for chunk in bundle.chunks]
         decodes = _count_decodes(monkeypatch, codec)
         holding = [s for s in itertools.combinations(range(n), k) if 2 in s]
         for indices in holding:
@@ -261,19 +261,22 @@ class TestVerdictIsSharedByPayloadContent:
             assert codec.decode(bundle.root, chunks) == BAD_UPLOADER
         assert len(decodes) == len(holding)
 
-    def test_marked_chunks_under_the_wrong_key_take_the_full_path(self, monkeypatch):
+    def test_filed_chunks_under_the_wrong_key_take_the_full_path(self, monkeypatch):
         codec = RealCodec(ProtocolParams.for_n(7))
         n, k = codec.params.n, codec.params.data_shards
         bundle = codec.encode(bytes(range(200)))
         verified = _verified(codec, bundle.root, bundle.chunks, range(n))
         recorded = codec.decode(bundle.root, verified)
-        assert len(_consistent(codec, bundle.root)) == n
         decodes = _count_decodes(monkeypatch, codec)
         swapped = {i: verified[i] for i in range(k)} | {0: verified[1], 1: verified[0]}
         assert codec.decode(bundle.root, swapped) == BAD_UPLOADER
         assert len(decodes) == 1
+        # A key past the filed encoding is decoded too (and fails).
+        beyond = {i: verified[i] for i in range(1, k)} | {n: verified[0]}
+        assert codec.decode(bundle.root, beyond) == BAD_UPLOADER
+        assert len(decodes) == 2
         assert codec.decode(bundle.root, verified) is recorded
-        assert len(decodes) == 1
+        assert len(decodes) == 2
 
     def test_misfiled_chunks_compute_as_before(self):
         """``decode`` trusts the dict key as the shard position; the result is garbage."""
@@ -298,8 +301,8 @@ def _equal_length_pair():
 
 
 class TestTheEncoderFilesItsEncoding:
-    """``RealCodec.encode`` files the payload and marks its own chunks; these
-    hold with the record warm from honest ``encode`` calls."""
+    """``RealCodec.encode`` files the payload and its shards; these hold with
+    the record warm from honest ``encode`` calls."""
 
     @given(
         n=st.sampled_from((4, 5, 7, 10)),
@@ -346,7 +349,7 @@ class TestTheEncoderFilesItsEncoding:
         assert codec.counters()["served"] == 0
         assert outcome == RealCodec(codec.params).decode(first.root, mixed) == BAD_UPLOADER
 
-    def test_a_copy_of_a_filed_chunk_costs_one_decode(self, monkeypatch):
+    def test_a_copy_of_a_filed_chunk_is_served_and_a_flipped_byte_is_not(self, monkeypatch):
         codec = RealCodec(ProtocolParams.for_n(7))
         k = codec.params.data_shards
         bundle = codec.encode(bytes(range(200)))
@@ -354,11 +357,13 @@ class TestTheEncoderFilesItsEncoding:
         decodes = _count_decodes(monkeypatch, codec)
         chunks = dict(enumerate(bundle.chunks[:k]))
         assert codec.decode(bundle.root, chunks) is payload
-        assert len(decodes) == 0
-        chunks[0] = dataclasses.replace(chunks[0])
+        chunks[0] = dataclasses.replace(chunks[0], data=bytes(chunks[0].data))
         assert codec.decode(bundle.root, chunks) is payload
+        assert len(decodes) == 0
+        chunks[1] = _flipped(chunks[1])
+        assert codec.decode(bundle.root, chunks) == BAD_UPLOADER
         assert len(decodes) == 1
-        assert codec.counters() == {"roots": 1, "served": 2, "computed": 0}
+        assert codec.counters() == {"roots": 1, "served": 2, "computed": 1}
 
     @given(payload=st.binary(min_size=1, max_size=300), n=st.sampled_from((4, 7, 10)))
     @settings(max_examples=30, deadline=None)
@@ -369,9 +374,9 @@ class TestTheEncoderFilesItsEncoding:
         filed = codec._roots[first.root].payload
         second = codec.encode(payload)
         assert second.root == first.root
-        assert codec._roots[first.root].payload is filed
-        marked = {id(chunk) for chunk in _consistent(codec, first.root)}
-        assert marked == {id(c) for c in first.chunks} | {id(c) for c in second.chunks}
+        record = codec._roots[first.root]
+        assert record.payload is filed
+        assert all(a is b.data for a, b in zip(record.shards, first.chunks, strict=True))
         chunks = dict(enumerate(second.chunks[n - k :], start=n - k))
         assert codec.decode(first.root, chunks) is filed
         assert codec.counters() == {"roots": 1, "served": 1, "computed": 0}
@@ -381,44 +386,66 @@ class TestTheEncoderFilesItsEncoding:
         codec = RealCodec(ProtocolParams.for_n(4))
         bundle = codec.encode(bytes(range(200)))
         payload = codec._roots[bundle.root].payload
-        impostor = codec.encode(b"another block entirely")
-        codec.file_encoding(bundle.root, b"another block entirely", impostor.chunks)
+        shards = codec._roots[bundle.root].shards
+        impostor, impostor_shards = codec._rs.encode_with_payload(b"another block entirely")
+        assert codec._file(bundle.root, impostor, impostor_shards) is impostor
         assert codec._roots[bundle.root].payload is payload
-        marked = {id(chunk) for chunk in _consistent(codec, bundle.root)}
-        assert marked == {id(chunk) for chunk in bundle.chunks}
+        assert codec._roots[bundle.root].shards is shards
 
 
-class TestIdentityGatesTheProofShortcut:
+class TestTheProofShortcutIsByValue:
     def _verified_bundle(self, n: int = 7):
         codec = RealCodec(ProtocolParams.for_n(n))
         bundle = codec.encode(bytes(range(200)))
         assert all(codec.verify_chunk(bundle.root, chunk) for chunk in bundle.chunks)
         return codec, bundle
 
-    def test_verified_chunk_is_not_hashed_again(self, monkeypatch):
+    def _count_hashes(self, monkeypatch) -> list[int]:
+        hashes: list[int] = []
+        proof_check = codec_module.verify_proof
+        monkeypatch.setattr(
+            codec_module, "verify_proof", lambda *args: hashes.append(1) or proof_check(*args)
+        )
+        return hashes
+
+    def test_an_equal_chunk_is_not_hashed_again(self, monkeypatch):
         codec, bundle = self._verified_bundle()
-
-        def no_hashing(*_args):
-            raise AssertionError("a verified chunk object was hashed again")
-
-        monkeypatch.setattr(codec_module, "verify_proof", no_hashing)
+        hashes = self._count_hashes(monkeypatch)
         assert all(codec.verify_chunk(bundle.root, chunk) for chunk in bundle.chunks)
-        with pytest.raises(AssertionError):
-            codec.verify_chunk(bundle.root, dataclasses.replace(bundle.chunks[0]))
+        copies = [
+            dataclasses.replace(
+                chunk,
+                data=bytes(chunk.data),
+                proof=dataclasses.replace(
+                    chunk.proof, siblings=tuple(bytes(bytearray(s)) for s in chunk.proof.siblings)
+                ),
+            )
+            for chunk in bundle.chunks
+        ]
+        assert all(copy is not chunk for copy, chunk in zip(copies, bundle.chunks))
+        assert all(codec.verify_chunk(bundle.root, copy) for copy in copies)
+        assert len(hashes) == 0
+
+    def test_a_flipped_byte_or_another_proof_is_hashed_and_refused(self, monkeypatch):
+        codec, bundle = self._verified_bundle()
+        hashes = self._count_hashes(monkeypatch)
+        assert not codec.verify_chunk(bundle.root, _flipped(bundle.chunks[0]))
+        assert len(hashes) == 1
+        chunk = bundle.chunks[0]
+        other_proof = dataclasses.replace(
+            chunk.proof, siblings=(bytes(len(chunk.proof.siblings[0])),) + chunk.proof.siblings[1:]
+        )
+        assert not codec.verify_chunk(bundle.root, dataclasses.replace(chunk, proof=other_proof))
+        assert len(hashes) == 2
+        # Neither refused chunk displaced the leaf: the honest one still skips the hash.
+        assert codec._roots[bundle.root].leaves[0] is chunk
+        assert codec.verify_chunk(bundle.root, chunk)
+        assert len(hashes) == 2
 
     def test_a_chunk_verified_under_one_root_is_checked_under_another(self):
         codec, bundle = self._verified_bundle()
         other = codec.encode(b"another block entirely")
         assert not codec.verify_chunk(other.root, bundle.chunks[0])
-
-    def test_notes_do_not_keep_chunks_alive(self):
-        codec = RealCodec(ProtocolParams.for_n(4))
-        bundle = codec.encode(b"short-lived")
-        assert codec.verify_chunk(bundle.root, bundle.chunks[0])
-        record = codec._roots[bundle.root]
-        assert len(record.verified) == 1
-        del bundle
-        assert len(record.verified) == 0
 
 
 class TestSharedBlock:
@@ -544,8 +571,9 @@ def test_a_warm_rerun_decodes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("n", (4, 7, 16))
 def test_a_cold_root_is_checked_once(monkeypatch, n):
-    """Unfiled (as after a restore), a root costs one re-encode check: every
-    retriever decodes, and every one after the first is served its payload."""
+    """Unfiled (as after a restore), a root costs one decode and one re-encode
+    check: the first retriever files its re-encoding, and every one after it
+    is served the payload by value."""
     params = ProtocolParams.for_n(n)
     k = params.data_shards
     payload = bytes(range(256)) * 3
@@ -559,7 +587,7 @@ def test_a_cold_root_is_checked_once(monkeypatch, n):
     ]
     assert outcomes[0] == payload
     assert all(outcome is outcomes[0] for outcome in outcomes)
-    assert len(decodes) == n
+    assert len(decodes) == 1
     assert codec.counters() == {"roots": 1, "served": n - 1, "computed": 1}
 
 
@@ -592,6 +620,24 @@ def test_summaries_identical_rerun_and_resumed(spec: ScenarioSpec, tmp_path):
     checkpoint = tmp_path / "mid.ckpt"
     save_checkpoint(checkpoint, state)
     assert _canon(_resume_in_fresh_process(checkpoint)) == first
+
+
+def test_a_resumed_real_run_decodes_once_per_root(monkeypatch, tmp_path):
+    """A restore empties the record: each root filed before it is decoded by
+    its first retriever after it, whose check files the re-encoding that
+    every later retriever of the root is served by value."""
+    calls = _count_coding(monkeypatch)
+    spec = _real_plane_specs()[-1]
+    first = _canon(run_scenario(spec).summary())
+    state = build_scenario_state(spec)
+    state.sim.run(until=spec.duration * 0.45)
+    unfiled = state.nodes[0].codec.counters()["roots"]
+    restored = load_checkpoint(save_checkpoint(tmp_path / "mid.ckpt", state))
+    calls["rs_decode"].clear()
+    result = execute(restored, [Stop(spec.duration)])
+    (codec,) = {id(node.codec): node.codec for node in restored.nodes}.values()
+    assert 0 < len(calls["rs_decode"]) == codec.counters()["computed"] <= unfiled
+    assert _canon(ScenarioResult(spec=spec, result=result).summary()) == first
 
 
 def test_a_run_counts_the_same_first_or_second_in_a_process():

@@ -289,20 +289,65 @@ def test_no_environment_toggle_under_vid():
     assert not toggles, f"src/repro/vid/ reads an environment toggle: {toggles}"
 
 
-def test_only_the_honest_encoder_files_an_encoding():
-    """One ``.file_encoding(`` call site, inside ``RealCodec.encode``; none in the adversaries."""
-    sites = [
-        f"{path.relative_to(SRC)}:{call.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for call in _calls(_tree(path), "file_encoding")
-        if isinstance(call.func, ast.Attribute)
+def test_only_encode_and_decode_file_an_encoding():
+    """``_file(`` is called once in ``RealCodec.encode`` (the honest encoder's
+    buffer) and once in ``RealCodec.decode`` (a passing check's re-encoding),
+    and nowhere else; the adversaries never name it."""
+    sites = _call_sites("_file", sorted(SRC.rglob("*.py")))
+    codec = SRC / "vid" / "codec.py"
+    inside = [
+        len(_calls(_method(codec, "RealCodec", name), "_file")) for name in ("encode", "decode")
     ]
-    inside = _calls(_method(SRC / "vid" / "codec.py", "RealCodec", "encode"), "file_encoding")
-    adversaries = _lines_matching(r"file_encoding", sorted((SRC / "adversary").rglob("*.py")))
-    assert len(sites) == 1 and len(inside) == 1, (
-        f"file_encoding must have exactly one call site, inside RealCodec.encode: {sites}"
+    adversaries = _lines_matching(r"\b_file\b", sorted((SRC / "adversary").rglob("*.py")))
+    assert len(sites) == 2 and inside == [1, 1], (
+        f"_file must be called once in RealCodec.encode and once in RealCodec.decode: {sites}"
     )
     assert not adversaries, f"src/repro/adversary/ files an encoding: {adversaries}"
+
+
+def _leaf_writes(tree: ast.AST) -> list[int]:
+    """Lines that store into ``<...>.leaves[...]`` or call a method of ``<...>.leaves``
+    other than ``get``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and getattr(node.value, "attr", None) == "leaves"
+        )
+        or (
+            isinstance(node, ast.Call)
+            and getattr(getattr(node.func, "value", None), "attr", None) == "leaves"
+            and _called_name(node) != "get"
+        )
+    ]
+
+
+def test_only_verify_chunk_writes_a_leaf():
+    """A leaf is a chunk whose proof passed, so only ``RealCodec.verify_chunk``
+    may file one."""
+    sites = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _leaf_writes(_tree(path))
+    ]
+    inside = _leaf_writes(_method(SRC / "vid" / "codec.py", "RealCodec", "verify_chunk"))
+    assert len(sites) == len(inside) == 1, (
+        f"leaves[...] must be written only in RealCodec.verify_chunk: {sites}"
+    )
+
+
+def test_no_weakref_under_vid():
+    """The retrieval record is keyed by value; nothing under ``vid/`` tracks objects."""
+    imports = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "vid").rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "weakref")
+    ]
+    assert not imports, f"src/repro/vid/ imports weakref: {imports}"
 
 
 def test_no_module_level_state_under_vid():

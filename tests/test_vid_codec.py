@@ -8,6 +8,7 @@ from repro.adversary.equivocator import send_virtual_inconsistent_dispersal
 from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
 from repro.crypto.merkle import MerkleTree
+from repro.vid.messages import ChunkMsg
 from repro.vid.codec import (
     BAD_UPLOADER,
     Chunk,
@@ -90,13 +91,10 @@ class TestRealCodec:
     def test_chunk_sizes_match_declared(self, codec):
         payload = b"x" * 1000
         bundle = codec.encode(payload)
-        expected = codec.chunk_payload_size(len(payload))
+        expected = codec._rs.shard_size(len(payload))
         for chunk in bundle.chunks:
             assert chunk.size == expected
             assert len(chunk.data) == expected
-
-    def test_chunk_wire_size_includes_proof(self, codec):
-        assert codec.chunk_wire_size(1000) > codec.chunk_payload_size(1000)
 
     @given(payload=st.binary(min_size=0, max_size=300))
     @settings(max_examples=30, deadline=None)
@@ -120,9 +118,30 @@ class TestVirtualCodec:
     def test_chunk_sizes_match_real_codec(self):
         params = ProtocolParams.for_n(16)
         real, virtual = RealCodec(params), VirtualCodec(params)
-        for size in (1, 100, 150_000, 1_000_000):
-            assert virtual.chunk_payload_size(size) == real.chunk_payload_size(size)
-            assert virtual.chunk_wire_size(size) == real.chunk_wire_size(size)
+        for size in (0, 1, 100, 150_000, 1_000_000):
+            real_chunks = real.encode(bytes(size)).chunks
+            virtual_chunks = virtual.encode(VirtualPayload(payload_id=size, size=size)).chunks
+            for real_chunk, virtual_chunk in zip(real_chunks, virtual_chunks, strict=True):
+                assert virtual_chunk.size == len(real_chunk.data)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a virtual chunk is billed 4 B of Merkle proof, a real one 4 + 32·⌈log2 N⌉ "
+        "(128 B short at N=16, 192 B at N=64); the fix moves every virtual golden and "
+        "belongs with ROADMAP item 2 PR A, the upload term",
+    )
+    @pytest.mark.parametrize("n", (16, 64))
+    def test_a_virtual_chunk_message_is_as_large_as_a_real_one(self, n):
+        params = ProtocolParams.for_n(n)
+        size = 500_000
+        instance = VIDInstanceId(epoch=1, proposer=0)
+        real = RealCodec(params).encode(bytes(size))
+        virtual = VirtualCodec(params).encode(VirtualPayload(payload_id=0, size=size))
+        messages = [
+            ChunkMsg(instance=instance, root=bundle.root, chunk=bundle.chunks[0]).wire_size
+            for bundle in (real, virtual)
+        ]
+        assert messages[1] == messages[0]
 
     def test_distinct_payloads_distinct_roots(self):
         codec = VirtualCodec(ProtocolParams.for_n(4))
@@ -146,8 +165,3 @@ class TestVirtualCodec:
         assert first == again != other
         assert all(msg.chunk.payload_ref.payload_id == VIDInstanceId(3, 1) for msg in sent[:4])
         assert codec.decode(first, {m.chunk.index: m.chunk for m in sent[:2]}) == BAD_UPLOADER
-
-    def test_payload_size_helper(self):
-        codec = VirtualCodec(ProtocolParams.for_n(4))
-        assert codec.payload_size(VirtualPayload(payload_id=0, size=42)) == 42
-        assert codec.payload_size(b"abc") == 3
