@@ -9,7 +9,7 @@ subsystem's time-weighted statistics match the declared process parameters
 
 from conftest import report
 
-from repro.trace import MeasuredTrace
+from repro.trace.model import MeasuredTrace
 from repro.workload.traces import MB, GaussMarkovProcess
 
 

@@ -2,7 +2,7 @@
 
 The one cost the performance ledger (``benchmarks/ledger/``) does not
 measure.  The observability layer promises a near-free off switch: with no
-:class:`~repro.trace.SpanRecorder` attached and no
+:class:`~repro.trace.spans.SpanRecorder` attached and no
 :class:`~repro.sim.profiler.SimProfiler` installed, the only cost the
 instrumentation adds to the hot paths is an ``is None`` branch per hook
 site and per dispatched callback.  This report runs one
@@ -47,7 +47,8 @@ from repro.experiments.engine import run_scenario
 from repro.experiments.options import ExecutionOptions
 from repro.sim import events
 from repro.sim.profiler import SimProfiler
-from repro.trace import SpanSpec, read_jsonl
+from repro.trace.observers import SpanSpec
+from repro.trace.recorder import read_jsonl
 
 OUTPUT_PATH = Path("BENCH_spans.json")
 SCENARIO = "trace-replay-wan"

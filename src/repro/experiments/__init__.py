@@ -57,8 +57,6 @@ from repro.experiments.engine import (
     run_scenario,
     sweep,
 )
-from repro.experiments.cli import load_spec_file
-from repro.experiments.golden import canonical_json, golden_names, golden_payload
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import (
     PROTOCOLS,
@@ -76,6 +74,7 @@ from repro.experiments.scenario import (
     apply_override,
     apply_overrides,
     build_network_config,
+    canonical_json,
     expand_grid,
     register_bandwidth_model,
 )
@@ -100,10 +99,7 @@ __all__ = [
     "canonical_json",
     "expand_grid",
     "get_scenario",
-    "golden_names",
-    "golden_payload",
     "list_scenarios",
-    "load_spec_file",
     "register_bandwidth_model",
     "register_protocol",
     "register_scenario",

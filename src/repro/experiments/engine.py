@@ -28,15 +28,12 @@ import json
 import os
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.errors import SnapshotError, WorkerDiedError
 from repro.experiments import runner
-from repro.experiments.figures import measure_avid_m_dispersal_cost, vid_cost_row
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import ExperimentResult, Stop, _experiment_fingerprint
 from repro.experiments.scenario import (
@@ -205,6 +202,8 @@ def _observer_paths(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> dict[st
 
 def _run_vid_cost(spec: ScenarioSpec) -> dict[str, Any]:
     """The Fig. 2 point: modelled dispersal costs plus a measured AVID-M run."""
+    from repro.experiments.figures import measure_avid_m_dispersal_cost, vid_cost_row
+
     n, block_size = spec.num_nodes, spec.block_size
     return {
         **vid_cost_row(n, block_size),
@@ -258,6 +257,9 @@ def _run_tasks(
         for index, (overrides, spec) in enumerate(points):
             on_done(index, _run_point(overrides, spec, options))
         return
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     running: dict[Any, int] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:

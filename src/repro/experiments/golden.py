@@ -23,7 +23,6 @@ fast tier only, while CI's golden step (and a local
 
 from __future__ import annotations
 
-import json
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -166,11 +165,6 @@ def golden_payload(name: str) -> dict[str, Any]:
         },
         "summaries": [result.summary() for result in results],
     }
-
-
-def canonical_json(payload: Any) -> str:
-    """The byte-stable serialisation the golden files are stored in."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ from repro.core.config import NodeConfig
 from repro.experiments.runner import PROTOCOLS, WorkloadSpec
 from repro.sim.bandwidth import BandwidthTrace, ConstantBandwidth
 from repro.sim.network import NetworkConfig
-from repro.trace.io import load_trace_cached
-from repro.trace.observers import OBSERVERS, enabled_observers
+from repro.trace.observers import OBSERVERS, SpanSpec, enabled_observers
 from repro.trace.recorder import TelemetrySpec
-from repro.trace.spans import SpanSpec
 from repro.workload.cities import (
     DEFAULT_EGRESS_HEADROOM,
     city_network_config,
@@ -250,6 +248,8 @@ def _bw_straggler(spec: BandwidthSpec, n: int, duration: float, seed: int) -> Tr
 
 
 def _bw_trace_replay(spec: BandwidthSpec, n: int, duration: float, seed: int) -> TraceLists:
+    from repro.trace.io import load_trace_cached
+
     # The file is loaded through an LRU cache, so a sweep over seeds or
     # trace_scale parses and validates it exactly once per process.
     trace = load_trace_cached(spec.trace_path)
@@ -289,7 +289,7 @@ class ScenarioSpec:
             (:class:`~repro.trace.recorder.TelemetrySpec`); summaries are
             bit-identical whether it is on or off.
         spans: opt-in causal span recording
-            (:class:`~repro.trace.spans.SpanSpec`); summaries are
+            (:class:`~repro.trace.observers.SpanSpec`); summaries are
             bit-identical whether it is on or off.
         duration: virtual seconds to simulate.
         warmup: absolute virtual seconds excluded from throughput
@@ -430,6 +430,11 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
+
+
+def canonical_json(payload: Any) -> str:
+    """The byte-stable serialisation golden files and summary digests use."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def build_network_config(spec: ScenarioSpec) -> NetworkConfig:

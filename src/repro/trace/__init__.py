@@ -1,6 +1,6 @@
-"""Measured-bandwidth trace replay and per-run telemetry.
+"""Measured-bandwidth trace replay, per-run telemetry and causal spans.
 
-Two halves, both new layers over the simulator:
+Three parts, all layers over the simulator:
 
 * **Replay** (:mod:`repro.trace.model`, :mod:`repro.trace.io`) — a file
   format for measured per-node bandwidth breakpoints
@@ -27,69 +27,15 @@ Two halves, both new layers over the simulator:
   causal spans as JSONL, plus the reductions behind ``trace spans``
   (:func:`summarise_spans`) and ``trace flame`` (:func:`spans_to_chrome`,
   :func:`profile_to_chrome`).  Like telemetry, span recording is opt-in
-  per spec (:class:`SpanSpec`) and behaviour-neutral.
+  per spec (:class:`~repro.trace.observers.SpanSpec`, next to the observer
+  table) and behaviour-neutral.
 
 CLI: ``python -m repro.experiments trace
 {inspect,convert,export,summarise,diff,spans,flame}``
 (:mod:`repro.trace.cli`).
+
+The package re-exports nothing: import each name from the module that
+defines it, so a run loads only the parts it uses.
 """
 
-from repro.common.errors import TraceError
-from repro.trace.analysis import summarise_node_samples, summarise_telemetry
-from repro.trace.diff import (
-    SeriesDelta,
-    check_envelope,
-    diff_telemetry,
-    envelope_from_summary,
-    is_envelope,
-)
-from repro.trace.io import (
-    load_trace,
-    load_trace_cached,
-    parse_csv,
-    parse_json,
-    resolve_trace_path,
-    save_trace,
-    to_csv_text,
-    to_json_text,
-)
-from repro.trace.model import REPLAY_RATE_FLOOR, MeasuredTrace, NodeTrace, TracePoint
-from repro.trace.recorder import TelemetrySpec, TraceRecorder, read_jsonl
-from repro.trace.spans import (
-    SpanRecorder,
-    SpanSpec,
-    profile_to_chrome,
-    spans_to_chrome,
-    summarise_spans,
-)
-
-__all__ = [
-    "MeasuredTrace",
-    "NodeTrace",
-    "REPLAY_RATE_FLOOR",
-    "SeriesDelta",
-    "SpanRecorder",
-    "SpanSpec",
-    "TelemetrySpec",
-    "TraceError",
-    "TracePoint",
-    "TraceRecorder",
-    "check_envelope",
-    "diff_telemetry",
-    "envelope_from_summary",
-    "is_envelope",
-    "load_trace",
-    "load_trace_cached",
-    "parse_csv",
-    "parse_json",
-    "profile_to_chrome",
-    "read_jsonl",
-    "resolve_trace_path",
-    "save_trace",
-    "spans_to_chrome",
-    "summarise_node_samples",
-    "summarise_spans",
-    "summarise_telemetry",
-    "to_csv_text",
-    "to_json_text",
-]
+__all__: list[str] = []

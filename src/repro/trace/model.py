@@ -293,3 +293,6 @@ class MeasuredTrace:
                 row[f"{side}_max"] = max(rates)
             rows.append(row)
         return rows
+
+
+__all__ = ["REPLAY_RATE_FLOOR", "MeasuredTrace", "NodeTrace", "TracePoint"]

@@ -15,10 +15,32 @@ that order.  See ``docs/architecture.md``, "Observers".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
+from repro.common.errors import ConfigurationError
 from repro.trace.recorder import TelemetrySpec, TraceRecorder
-from repro.trace.spans import SpanRecorder, SpanSpec
+
+
+@dataclass(frozen=True)
+class SpanSpec:
+    """Per-spec switch for span recording (sibling of ``TelemetrySpec``).
+
+    It lives here rather than beside :class:`~repro.trace.spans.SpanRecorder`
+    so that a spec can name it without loading the recorder and its
+    reductions; the ``spans`` row below imports the recorder only to build one.
+
+    Attributes:
+        enabled: record spans for this run.
+        out_dir: directory the span JSONL is written into.
+    """
+
+    enabled: bool = False
+    out_dir: str = "spans"
+
+    def __post_init__(self) -> None:
+        if not self.out_dir:
+            raise ConfigurationError("span out_dir must be a non-empty path")
 
 
 class Observer(NamedTuple):
@@ -34,6 +56,12 @@ class Observer(NamedTuple):
     suffix: str
 
 
+def _span_recorder(section: SpanSpec):
+    from repro.trace.spans import SpanRecorder
+
+    return SpanRecorder()
+
+
 OBSERVERS: tuple[Observer, ...] = (
     Observer(
         "telemetry",
@@ -41,7 +69,7 @@ OBSERVERS: tuple[Observer, ...] = (
         lambda section: TraceRecorder(interval=section.interval),
         ".jsonl",
     ),
-    Observer("spans", SpanSpec, lambda section: SpanRecorder(), ".spans.jsonl"),
+    Observer("spans", SpanSpec, _span_recorder, ".spans.jsonl"),
 )
 
 
@@ -50,4 +78,4 @@ def enabled_observers(spec) -> list[Observer]:
     return [row for row in OBSERVERS if getattr(spec, row.name).enabled]
 
 
-__all__ = ["OBSERVERS", "Observer", "enabled_observers"]
+__all__ = ["OBSERVERS", "Observer", "SpanSpec", "enabled_observers"]

@@ -32,31 +32,13 @@ or ``chrome://tracing``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import TraceError
 from repro.common.snapshot import SnapshotState
 from repro.trace.recorder import write_jsonl
 from repro.vid.messages import ChunkMsg, ReturnChunkMsg
-
-
-@dataclass(frozen=True)
-class SpanSpec:
-    """Per-spec switch for span recording (sibling of ``TelemetrySpec``).
-
-    Attributes:
-        enabled: record spans for this run.
-        out_dir: directory the span JSONL is written into.
-    """
-
-    enabled: bool = False
-    out_dir: str = "spans"
-
-    def __post_init__(self) -> None:
-        if not self.out_dir:
-            raise ConfigurationError("span out_dir must be a non-empty path")
 
 
 class SpanRecorder(SnapshotState):
@@ -489,7 +471,6 @@ def profile_to_chrome(payload: Mapping[str, Any]) -> dict[str, Any]:
 __all__ = [
     "SPAN_PHASES",
     "SpanRecorder",
-    "SpanSpec",
     "critical_path",
     "profile_to_chrome",
     "spans_to_chrome",

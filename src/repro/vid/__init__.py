@@ -2,7 +2,9 @@
 
 This package implements AVID-M, the paper's new asynchronous VID protocol
 (S3), together with the byte-accurate cost models of the prior protocols it
-is compared against in Fig. 2 (AVID and AVID-FP), and the pluggable codecs
+is compared against in Fig. 2 (AVID and AVID-FP; :mod:`repro.vid.costs`,
+which only the Fig. 2 runner loads, so it is not re-exported here), and the
+pluggable codecs
 that let the same automaton run either on real erasure-coded bytes (unit
 tests, examples) or on virtual payloads whose sizes alone matter
 (throughput experiments).
@@ -10,7 +12,6 @@ tests, examples) or on virtual payloads whose sizes alone matter
 
 from repro.vid.avid_m import AvidMInstance, RetrievalResult
 from repro.vid.codec import BAD_UPLOADER, Chunk, DispersalBundle, RealCodec, VirtualCodec, VirtualPayload
-from repro.vid.costs import avid_fp_per_node_cost, avid_m_per_node_cost, dispersal_lower_bound
 
 __all__ = [
     "AvidMInstance",
@@ -21,7 +22,4 @@ __all__ = [
     "RetrievalResult",
     "VirtualCodec",
     "VirtualPayload",
-    "avid_fp_per_node_cost",
-    "avid_m_per_node_cost",
-    "dispersal_lower_bound",
 ]

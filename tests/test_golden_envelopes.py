@@ -25,9 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import canonical_json
 from repro.experiments.golden import (
     ENVELOPE_CONFIGS,
-    canonical_json,
     envelope_names,
     envelope_payload,
     golden_names,

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import canonical_json
 from repro.experiments.golden import (
     SLOW_GOLDEN,
-    canonical_json,
     golden_names,
     golden_payload,
 )

@@ -54,7 +54,7 @@ from repro.sim.snapshot import (
     write_snapshot_file,
 )
 from repro.trace.recorder import TelemetrySpec
-from repro.trace.spans import SpanSpec
+from repro.trace.observers import SpanSpec
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from repro.core.mempool import _ROW_WIDTH
 from repro.sim.network import _ExpressTrain
 from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
 from repro.trace.recorder import TelemetrySpec
-from repro.trace.spans import SpanSpec
+from repro.trace.observers import SpanSpec
 from tests.conftest import build_scenario_state, reference_run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.experiments.engine import run_scenario
 from repro.experiments.golden import golden_points
 from repro.experiments.options import ExecutionOptions
-from repro.trace.spans import SpanSpec
+from repro.trace.observers import SpanSpec
 
 # A diverse slice of the fast tier: plain replay, a node-class adversary,
 # heterogeneous stragglers.

@@ -26,10 +26,10 @@ from repro.sim.events import InternalCallback, Simulator
 from repro.sim.profiler import SimProfiler, callback_kind
 from repro.trace.cli import add_trace_parser, run_trace_command
 from repro.trace.io import REPO_ROOT
+from repro.trace.observers import SpanSpec
 from repro.trace.spans import (
     SPAN_PHASES,
     SpanRecorder,
-    SpanSpec,
     critical_path,
     profile_to_chrome,
     spans_to_chrome,

@@ -37,6 +37,13 @@ call, no shim or windowed twin); observers plug in through
 ``build_experiment(observers=)``; the CLIs resolve a scenario in one place,
 and their misuse is one ``error:`` line and exit 2 (run as subprocesses, so
 the exit code and stderr are the real ones).
+
+**A run loads only what it runs.**  Importing what the performance ledger's
+child imports, or running a point with observers off, loads none of the
+CLIs, figure, golden and trace-analysis modules, nor ``argparse`` or the
+process pool (each checked in a fresh interpreter); so every CLI verb is
+driven here once, with ``--help``, to catch a broken import that only the
+CLI would hit.
 """
 
 from __future__ import annotations
@@ -662,3 +669,92 @@ def test_one_observer_seam():
 )
 def test_cli_misuse_is_one_error_line(misuse, tmp_path):
     _assert_one_error_line(_cli(*misuse.split(), cwd=tmp_path), repr(misuse))
+
+
+#: Modules no simulated run executes: the CLIs, the figure / golden /
+#: cost-model reductions, trace-file handling and analysis, the span
+#: recorder (loaded only when spans are on), the instant router used by the
+#: Fig. 2 point and the tests, and the standard library only the CLI and the
+#: process pool use.  See docs/performance.md, "Start-up".
+OFF_THE_RUN_PATH = (
+    "repro.trace.cli",
+    "repro.trace.diff",
+    "repro.trace.analysis",
+    "repro.trace.io",
+    "repro.trace.model",
+    "repro.trace.spans",
+    "repro.experiments.cli",
+    "repro.experiments.golden",
+    "repro.experiments.figures",
+    "repro.experiments.cost_model",
+    "repro.sim.instant",
+    "repro.vid.costs",
+    "argparse",
+    "concurrent.futures",
+    "multiprocessing",
+)
+
+#: What ``benchmarks/ledger/`` imports from the package before it times a run.
+LEDGER_IMPORTS = (
+    "import repro.experiments, repro.sim.snapshot, repro.trace.recorder, repro.common.errors"
+)
+
+#: A short N=4 catalog point, built and run in the probe interpreter.
+SHORT_RUN = """
+from repro.experiments import apply_overrides, get_scenario, run_scenario
+run_scenario(apply_overrides(get_scenario("equivocate-split").base, {overrides!r}))
+"""
+
+
+def _loaded_after(code: str, cwd: Path) -> list[str]:
+    """The :data:`OFF_THE_RUN_PATH` modules a fresh interpreter holds after ``code``."""
+    probe = (
+        f"{code}\nimport sys\n"
+        f"print(sorted(m for m in {OFF_THE_RUN_PATH!r} if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_the_ledger_imports_load_nothing_a_run_does_not_execute(tmp_path):
+    loaded = _loaded_after(LEDGER_IMPORTS, tmp_path)
+    assert not loaded, (
+        f"importing the package loads {loaded}; import them where they are used "
+        "(see docs/performance.md, Start-up)"
+    )
+
+
+def test_a_run_loads_nothing_it_does_not_execute(tmp_path):
+    loaded = _loaded_after(SHORT_RUN.format(overrides={"duration": 2.0}), tmp_path)
+    assert not loaded, (
+        f"a run with observers off loads {loaded}; import them where they are used "
+        "(see docs/performance.md, Start-up)"
+    )
+
+
+def test_recording_spans_loads_the_span_recorder(tmp_path):
+    overrides = {"duration": 2.0, "spans.enabled": True, "spans.out_dir": str(tmp_path)}
+    assert _loaded_after(SHORT_RUN.format(overrides=overrides), tmp_path) == [
+        "repro.trace.spans"
+    ]
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        "list", "show", "run", "sweep", "resume", "trace",
+        *(f"trace {sub}" for sub in
+          ("inspect", "convert", "export", "summarise", "diff", "spans", "flame")),
+    ],
+)
+def test_every_cli_verb_answers_help(verb, tmp_path):
+    """The CLI modules load only when the CLI runs, so drive each verb once."""
+    proc = _cli(*verb.split(), "--help", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage:"), (
+        f"{verb} --help exited {proc.returncode} with:\n{proc.stderr}"
+    )

@@ -23,14 +23,10 @@ from repro.experiments.scenario import (
     build_network_config,
 )
 from repro.sim.profiler import SimProfiler
-from repro.trace import (
-    MeasuredTrace,
-    SpanSpec,
-    TelemetrySpec,
-    TraceRecorder,
-    read_jsonl,
-    save_trace,
-)
+from repro.trace.io import load_trace, save_trace
+from repro.trace.model import MeasuredTrace
+from repro.trace.observers import SpanSpec
+from repro.trace.recorder import TelemetrySpec, TraceRecorder, read_jsonl
 
 MB = 1_000_000
 
@@ -304,8 +300,6 @@ class TestTraceCli:
         assert cli_main(["trace", "convert", trace_file, str(as_json)]) == 0
         back = tmp_path / "back.csv"
         assert cli_main(["trace", "convert", str(as_json), str(back)]) == 0
-        from repro.trace import load_trace
-
         original = load_trace(trace_file)
         assert load_trace(back).nodes == original.nodes
 
@@ -331,8 +325,6 @@ class TestTraceCli:
         argv = ["trace", "convert", trace_file, str(target), "--clip", "1", "4"]
         assert cli_main([*argv, "--name", "window"]) == 0
         assert "wrote 2 node(s), 3 breakpoint(s)" in capsys.readouterr().out
-        from repro.trace import load_trace
-
         clipped = load_trace(target)
         assert clipped.name == "window"
         assert clipped.nodes[0].points == ((0.0, 2 * MB, 2 * MB), (2.0, 1 * MB, 1 * MB))

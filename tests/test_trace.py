@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
-from repro.trace import (
-    MeasuredTrace,
-    NodeTrace,
+from repro.trace.io import (
+    REPO_ROOT,
     load_trace,
     load_trace_cached,
     parse_csv,
@@ -21,7 +20,7 @@ from repro.trace import (
     to_csv_text,
     to_json_text,
 )
-from repro.trace.io import REPO_ROOT
+from repro.trace.model import MeasuredTrace, NodeTrace
 
 MB = 1_000_000
 
