@@ -16,8 +16,11 @@ from repro.experiments.figures import model_sweep, validate_cost_model
 
 
 def test_fig12_throughput_vs_cluster_size(benchmark):
-    # The validation run needs enough virtual time to amortise the first
-    # epochs' ramp-up, since the analytic model describes the steady state.
+    # The floor bites only when REPRO_BENCH_DURATION is below 12.5 s.  It
+    # keeps enough whole epochs delivered for the throughput ratio to settle:
+    # at the N=16 base point a 5 s run delivers 2 epochs and reads 0.30,
+    # 10 s reads 0.39 and 25 s 0.37.  It is not a ramp-up allowance; the
+    # gap to the model is the upload term noted at the assertion.
     duration = max(25.0, bench_duration(2.0))
 
     def run():

@@ -62,3 +62,6 @@ class CrashAfterNode(SnapshotState):
             self.messages_ignored += 1
             return
         self.inner.on_message(src, msg)
+
+
+__all__ = ["CrashAfterNode", "CrashedNode"]

@@ -29,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.adversary.censor import CensoringNode
-from repro.adversary.crash import CrashAfterNode, CrashedNode
-from repro.adversary.equivocator import EquivocatingDisperserNode
 from repro.common.errors import ConfigurationError
 from repro.sim.process import Process
 
@@ -152,15 +149,25 @@ def rebuild_node(node_class: type, node, **extra):
     )
 
 
+# Each factory imports its node class, so a run loads only the adversaries
+# it places.
+
+
 def _crashed(node, clock, spec: AdversarySpec) -> Process:
+    from repro.adversary.crash import CrashedNode
+
     return CrashedNode(node.node_id)
 
 
 def _crash_after(node, clock, spec: AdversarySpec) -> Process:
+    from repro.adversary.crash import CrashAfterNode
+
     return CrashAfterNode(node, clock, spec.crash_time)
 
 
 def _censor(node, clock, spec: AdversarySpec) -> Process:
+    from repro.adversary.censor import CensoringNode
+
     n = node.params.n
     if not 0 <= spec.victim < n:
         raise ConfigurationError(f"censor victim {spec.victim} out of range for n={n}")
@@ -172,6 +179,8 @@ def _censor(node, clock, spec: AdversarySpec) -> Process:
 
 
 def _equivocate(node, clock, spec: AdversarySpec) -> Process:
+    from repro.adversary.equivocator import EquivocatingDisperserNode
+
     n = node.params.n
     if spec.split is not None and not 1 <= spec.split < n:
         raise ConfigurationError(
@@ -184,3 +193,6 @@ register_adversary("crash", _crashed)
 register_adversary("crash-after", _crash_after)
 register_adversary("censor", _censor)
 register_adversary("equivocate", _equivocate)
+
+
+__all__ = ["ADVERSARIES", "AdversarySpec", "get_adversary", "rebuild_node", "register_adversary"]

@@ -6,7 +6,8 @@ receives its chunk together with a proof that it is the ``i``-th leaf under
 that root, and verifies the proof before accepting the chunk.
 
 The tree pads the leaf layer to the next power of two with a fixed empty
-digest so that proof sizes are ``ceil(log2 N)`` siblings.
+digest so that every proof has ``ceil(log2 N)`` siblings
+(:func:`proof_depth`).
 
 Every level is stored as one packed ``bytes`` buffer of 32-byte digests,
 built bottom-up in a single :mod:`hashlib` pass per level — no per-node
@@ -28,6 +29,12 @@ from repro.crypto.hashing import (
 )
 
 _EMPTY_LEAF = hash_data(b"\x00merkle-padding")
+
+
+def proof_depth(num_leaves: int) -> int:
+    """Sibling digests in every inclusion proof of a tree over ``num_leaves``
+    leaves: ``ceil(log2 N)``, the height of the padded tree."""
+    return (num_leaves - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,7 @@ class MerkleTree:
         if not leaves:
             raise ValueError("Merkle tree needs at least one leaf")
         self._num_leaves = len(leaves)
-        width = 1
-        while width < len(leaves):
-            width *= 2
+        width = 1 << proof_depth(len(leaves))
         level = bytearray(width * DIGEST_SIZE)
         digest_leaves_into(level, leaves)
         for pos in range(len(leaves), width):
@@ -103,6 +108,17 @@ class MerkleTree:
         their siblings straight out of the packed level buffers.
         """
         return [self.proof(index) for index in range(self._num_leaves)]
+
+
+def placeholder_proofs(num_leaves: int) -> tuple[MerkleProof, ...]:
+    """One proof per leaf of the shape a tree over ``num_leaves`` leaves
+    gives, whose siblings are one shared tuple of zero digests.
+
+    A data plane that moves no bytes hands chunk ``i`` proof ``i``, so the
+    chunk is billed the proof a real one carries.
+    """
+    siblings = (bytes(DIGEST_SIZE),) * proof_depth(num_leaves)
+    return tuple(MerkleProof(index, siblings) for index in range(num_leaves))
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:

@@ -48,6 +48,19 @@ def _pickle_view(view: memoryview) -> tuple:
 
 copyreg.pickle(memoryview, _pickle_view)
 
+
+def shard_size(block_size: int, data_shards: int) -> int:
+    """Size of every shard of a ``(data_shards, n)`` code for a block of
+    ``block_size`` bytes.
+
+    A 4-byte length header is prepended before padding so that decoding
+    recovers the exact original block.  The virtual data plane bills its
+    chunks by this rule too.
+    """
+    payload = block_size + _LENGTH_HEADER.size
+    return max(1, -(-payload // data_shards))
+
+
 #: Maximum number of inverted decode matrices kept (shared by all code
 #: instances — every node of a simulated cluster decodes the same subsets).
 DECODE_CACHE_SIZE = 128
@@ -104,15 +117,6 @@ class ReedSolomonCode:
 
     # --- shard-level API -------------------------------------------------
 
-    def shard_size(self, block_size: int) -> int:
-        """Size of every shard for a block of ``block_size`` bytes.
-
-        A 4-byte length header is prepended before padding so that decoding
-        recovers the exact original block.
-        """
-        payload = block_size + _LENGTH_HEADER.size
-        return max(1, -(-payload // self.data_shards))
-
     def encode(self, block: bytes) -> list[memoryview]:
         """Encode ``block`` into ``n`` equally sized shards.
 
@@ -132,7 +136,8 @@ class ReedSolomonCode:
         afterwards changes no shard.
         """
         length, h = len(block), _LENGTH_HEADER.size
-        size, k = self.shard_size(length), self.data_shards
+        k = self.data_shards
+        size = shard_size(length, k)
         buffer = bytearray(self.total_shards * size)
         _LENGTH_HEADER.pack_into(buffer, 0, length)
         buffer[h : h + length] = block

@@ -21,11 +21,11 @@ node's download bandwidth and respecting the protocol's latency floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.common.params import ProtocolParams
 from repro.crypto.hashing import DIGEST_SIZE
+from repro.crypto.merkle import placeholder_proofs
 from repro.sim.messages import HEADER_SIZE
 
 #: Bytes of a BA vote body (round number + value), matching repro.ba.messages.
@@ -44,12 +44,6 @@ CRITICAL_PATH_STEPS = 6
 #: show that effect.  It is *not* wire traffic, so it is excluded from the
 #: dispersal-fraction accounting of Fig. 13.
 PER_MESSAGE_OVERHEAD = 300.0
-
-
-def merkle_proof_bytes(n: int) -> int:
-    """Wire size of one Merkle inclusion proof for an ``n``-leaf tree."""
-    depth = max(1, math.ceil(math.log2(n))) if n > 1 else 0
-    return 4 + DIGEST_SIZE * depth
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ class EpochCost:
 def chunk_wire_bytes(params: ProtocolParams, block_size: int) -> float:
     """Wire size of one chunk message (header, root, chunk slice, Merkle proof)."""
     slice_bytes = block_size / params.data_shards
-    return HEADER_SIZE + DIGEST_SIZE + slice_bytes + merkle_proof_bytes(params.n)
+    return HEADER_SIZE + DIGEST_SIZE + slice_bytes + placeholder_proofs(params.n)[0].wire_size
 
 
 def dispersal_download_bytes(params: ProtocolParams, block_size: int) -> float:

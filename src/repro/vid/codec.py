@@ -13,10 +13,15 @@ so the automaton takes a *codec* object:
   is not hashed again, and chunks equal to a filed encoding are given its
   payload without decoding (see :class:`RealCodec`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
-  opaque objects that only declare a byte size; chunk sizes and message
-  sizes are computed exactly as the real codec would, but no bytes are
-  moved, so simulating multi-megabyte blocks is cheap.  Correctness of the
-  real data path is established separately by the unit/property tests.
+  opaque objects that only declare a byte size.  A virtual chunk is a real
+  chunk without bytes: its size is the real shard size
+  (:func:`~repro.erasure.rs_code.shard_size`) and it carries a Merkle proof
+  of the real shape (:func:`~repro.crypto.merkle.placeholder_proofs`), so
+  every message is billed exactly what the real codec's is, but no bytes
+  are moved and simulating multi-megabyte blocks is cheap.  The two planes
+  give equal summaries, byte counts and ledgers
+  (``tests/test_sim_integration.py``); correctness of the real data path is
+  established separately by the unit/property tests.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 
 from repro.common.errors import DecodingError
 from repro.common.params import ProtocolParams
-from repro.crypto.merkle import MerkleProof, MerkleTree, verify_proof
-from repro.erasure.rs_code import ReedSolomonCode
+from repro.crypto.merkle import MerkleProof, MerkleTree, placeholder_proofs, verify_proof
+from repro.erasure.rs_code import ReedSolomonCode, shard_size
 
 #: The fixed error string returned when an inconsistent dispersal is detected
 #: (Fig. 4, step 4 of the paper).
@@ -39,11 +44,14 @@ BAD_UPLOADER = "BAD_UPLOADER"
 
 @dataclass(frozen=True)
 class Chunk:
-    """One erasure-coded chunk as held by a server.
+    """One erasure-coded chunk as held by a server: ``Chunk(r, C_i, P_i)``
+    carries its Merkle proof.
 
-    ``data`` and ``proof`` are populated by the real codec; the virtual codec
-    leaves them ``None`` and only carries ``size`` (payload bytes) plus the
-    payload reference needed to reassemble the virtual block.  An encoder's
+    The real codec fills ``data``.  The virtual codec leaves it ``None`` and
+    carries ``size`` (payload bytes), a proof of the real shape whose
+    digests are zeros, and the payload reference needed to reassemble the
+    virtual block; so a virtual chunk is billed exactly what a real one is,
+    and :meth:`RealCodec.verify_chunk` refuses it.  An encoder's
     ``data`` is a read-only ``memoryview`` of one row of the block's encoding
     buffer (:meth:`ReedSolomonCode.encode_with_payload`); it compares equal
     to its bytes and pickles as ``bytes`` (the reducer :mod:`rs_code
@@ -53,20 +61,14 @@ class Chunk:
 
     index: int
     size: int
+    proof: MerkleProof
     data: bytes | memoryview | None = None
-    proof: MerkleProof | None = None
     payload_ref: Any = None
 
     @property
     def wire_size(self) -> int:
         """Bytes the chunk body plus its Merkle proof occupy on the wire."""
-        proof_size = self.proof.wire_size if self.proof is not None else self._proof_size_estimate()
-        return self.size + proof_size
-
-    def _proof_size_estimate(self) -> int:
-        # Virtual chunks still account for the Merkle proof the real protocol
-        # would carry: index (4 bytes) plus ceil(log2 N) sibling digests.
-        return 4
+        return self.size + self.proof.wire_size
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ class RealCodec:
         differs from the bytes it carries, and an index outside ``0..N-1``
         (padding leaves of the Merkle tree are not chunks).
         """
-        if chunk.data is None or chunk.proof is None:
+        if chunk.data is None:
             return False
         if chunk.proof.index != chunk.index or not 0 <= chunk.index < self.params.n:
             return False
@@ -294,26 +296,28 @@ class VirtualPayload:
 
 
 class VirtualCodec:
-    """Byte-accounting codec: moves no data, but sizes match the real codec."""
+    """Byte-accounting codec: moves no data, but bills what the real codec does.
+
+    Chunk ``i`` of every dispersal has the real shard size and carries proof
+    ``i`` of :func:`~repro.crypto.merkle.placeholder_proofs`, built once per
+    codec: a proof of the real shape, so a virtual chunk is a real chunk
+    without bytes.
+    """
 
     def __init__(self, params: ProtocolParams):
         self.params = params
-        self._rs_overhead = 4  # length header added by the real Reed-Solomon code
-
-    def chunk_payload_size(self, payload_size: int) -> int:
-        padded = payload_size + self._rs_overhead
-        return max(1, -(-padded // self.params.data_shards))
+        self._proofs = placeholder_proofs(params.n)
 
     def encode(self, payload: Any) -> DispersalBundle:
         size = payload.size if hasattr(payload, "size") else len(payload)
-        chunk_size = self.chunk_payload_size(size)
+        chunk_size = shard_size(size, self.params.data_shards)
         root = (
             payload.digest()
             if hasattr(payload, "digest")
             else hashlib.sha256(bytes(payload)).digest()
         )
         chunks = tuple(
-            Chunk(index=i, size=chunk_size, payload_ref=payload)
+            Chunk(index=i, size=chunk_size, proof=self._proofs[i], payload_ref=payload)
             for i in range(self.params.n)
         )
         return DispersalBundle(root=root, chunks=chunks, payload_size=size)

@@ -195,3 +195,14 @@ def city_network_config(
         egress_traces=egress,
         ingress_traces=ingress,
     )
+
+
+__all__ = [
+    "AWS_CITIES",
+    "TESTBEDS",
+    "VULTR_CITIES",
+    "CityProfile",
+    "city_network_config",
+    "register_testbed",
+    "resolve_testbed",
+]

@@ -372,3 +372,13 @@ class ColumnarPoissonTransactionGenerator(SnapshotState):
             self.generated += count
             self.generated_bytes += count * self._tx_size
         self._sim.schedule(self._window, self._close_window)
+
+
+__all__ = [
+    "ColumnarPoissonTransactionGenerator",
+    "ModulatedPoissonTransactionGenerator",
+    "PoissonTransactionGenerator",
+    "SaturatingTransactionGenerator",
+    "bursty_rate_profile",
+    "diurnal_rate_profile",
+]

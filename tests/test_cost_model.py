@@ -8,18 +8,12 @@ from repro.experiments.cost_model import (
     dispersal_download_bytes,
     epoch_cost,
     estimate_throughput,
-    merkle_proof_bytes,
     retrieval_download_bytes,
 )
 from repro.workload.traces import MB
 
 
 class TestByteFormulas:
-    def test_merkle_proof_depth(self):
-        assert merkle_proof_bytes(16) == 4 + 32 * 4
-        assert merkle_proof_bytes(17) == 4 + 32 * 5
-        assert merkle_proof_bytes(2) == 4 + 32
-
     def test_chunk_wire_bytes_matches_real_codec(self):
         from repro.common.ids import VIDInstanceId
         from repro.vid.codec import RealCodec

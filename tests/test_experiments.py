@@ -128,7 +128,7 @@ def latency():
         grid={"protocol": ("dl", "hb"), "workload.rate_bytes_per_second": loads},
     )
     assert [sum(s is None for s in point.result.latency_local) for point in result.points] == [
-        0, 1, 0, 2
+        0, 2, 0, 2
     ]
     return result
 

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import DIGEST_SIZE, hash_data, hash_pair
-from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root, verify_proof
+from repro.crypto.merkle import (
+    MerkleProof,
+    MerkleTree,
+    merkle_root,
+    placeholder_proofs,
+    proof_depth,
+    verify_proof,
+)
 
 
 class TestHashing:
@@ -80,6 +87,19 @@ class TestMerkleTree:
         tree = MerkleTree([bytes([i]) for i in range(16)])
         proof = tree.proof(0)
         assert proof.wire_size == 4 + DIGEST_SIZE * 4
+
+    def test_the_depth_rule_is_every_proofs_length(self):
+        """Real proofs, and the placeholders the virtual plane bills, all
+        have ``proof_depth(N)`` siblings; the placeholders share one tuple."""
+        for n in range(1, 71):
+            tree = MerkleTree([bytes([i]) for i in range(n)])
+            placeholders = placeholder_proofs(n)
+            assert [p.index for p in placeholders] == list(range(n))
+            assert len({id(p.siblings) for p in placeholders}) == 1
+            assert set(placeholders[0].siblings) <= {bytes(DIGEST_SIZE)}
+            for i in range(n):
+                assert len(tree.proof(i).siblings) == proof_depth(n), (n, i)
+            assert len(placeholders[0].siblings) == proof_depth(n)
 
 
 class TestProofsAll:

@@ -31,7 +31,7 @@ from repro.core.block import Block, Transaction
 from repro.core.txbatch import TxBatch
 from repro.crypto.merkle import MerkleTree
 from repro.erasure.gf256 import GF256
-from repro.erasure.rs_code import ReedSolomonCode
+from repro.erasure.rs_code import ReedSolomonCode, shard_size
 from repro.vid.codec import RealCodec, _same_bytes
 
 _SIZES = (4, 7, 16)
@@ -39,7 +39,7 @@ _SIZES = (4, 7, 16)
 
 def _reference_shards(code: ReedSolomonCode, block: bytes) -> list[bytes]:
     """Shards as slices of the length-prefixed, zero-padded block, plus parity."""
-    size = code.shard_size(len(block))
+    size = shard_size(len(block), code.data_shards)
     padded = (struct.pack(">I", len(block)) + block).ljust(code.data_shards * size, b"\x00")
     data = [padded[i * size : (i + 1) * size] for i in range(code.data_shards)]
     rows = np.frombuffer(padded, dtype=np.uint8).reshape(code.data_shards, size)
@@ -70,7 +70,7 @@ def test_every_shard_and_the_payload_view_one_buffer_of_n_rows(n):
     code = _code(n)
     for length in range(0, 8 * code.data_shards * 4, 3):
         block = bytes(range(256)) * (length // 256) + bytes(range(length % 256))
-        size = code.shard_size(length)
+        size = shard_size(length, code.data_shards)
         codec = RealCodec(params)
         bundle = codec.encode(block)
         payload = codec._roots[bundle.root].payload
@@ -98,7 +98,7 @@ def test_a_decoded_payload_is_a_view_of_one_joined_buffer(n):
         for indices in (range(k), range(n - k, n)):
             payload = code.decode({i: shards[i] for i in indices})
             assert type(payload) is memoryview and payload.readonly
-            assert len(payload.obj) == k * code.shard_size(length)
+            assert len(payload.obj) == k * shard_size(length, code.data_shards)
             assert payload == block
 
 

@@ -7,9 +7,10 @@ Three layers of assertions:
 * every module (not just packages) carries a docstring;
 * each package's ``__all__`` contains the names the rest of the codebase and
   the docs rely on — the *intentional* surface — so an accidental removal
-  fails here before it breaks a downstream import.  ``repro.trace``
-  re-exports nothing (a run must not load its CLI and analysis modules), so
-  its surface is pinned on the modules that define it.
+  fails here before it breaks a downstream import.  ``repro.trace``,
+  ``repro.adversary`` and ``repro.workload`` re-export nothing (a run must
+  not load the modules it does not use), so their surface is pinned on the
+  modules that define it.
 """
 
 import importlib
@@ -37,7 +38,8 @@ PACKAGES = [
 #: The names each package promises to keep exporting (a subset of __all__).
 INTENTIONAL_SURFACE = {
     "repro": ["DispersedLedgerNode", "HoneyBadgerNode", "NodeConfig", "ProtocolParams"],
-    "repro.adversary": ["AdversarySpec", "CrashedNode", "register_adversary"],
+    "repro.adversary.crash": ["CrashedNode"],
+    "repro.adversary.registry": ["AdversarySpec", "register_adversary"],
     "repro.ba": ["BinaryAgreement", "CommonCoin"],
     "repro.common": ["ProtocolParams", "VIDInstanceId"],
     "repro.core": ["Block", "Ledger", "Mempool", "Transaction"],
@@ -60,12 +62,8 @@ INTENTIONAL_SURFACE = {
     "repro.trace.observers": ["SpanSpec"],
     "repro.trace.recorder": ["TelemetrySpec", "TraceRecorder", "read_jsonl"],
     "repro.vid": ["AvidMInstance", "RealCodec", "VirtualCodec"],
-    "repro.workload": [
-        "AWS_CITIES",
-        "PoissonTransactionGenerator",
-        "SaturatingTransactionGenerator",
-        "register_testbed",
-    ],
+    "repro.workload.cities": ["AWS_CITIES", "register_testbed"],
+    "repro.workload.txgen": ["PoissonTransactionGenerator", "SaturatingTransactionGenerator"],
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, DecodingError
-from repro.erasure.rs_code import ReedSolomonCode
+from repro.erasure.rs_code import ReedSolomonCode, shard_size
 
 
 class TestConstruction:
@@ -65,7 +65,7 @@ class TestRoundtrip:
         code = ReedSolomonCode(3, 9)
         shards = code.encode(b"x" * 100)
         assert len({len(s) for s in shards}) == 1
-        assert len(shards[0]) == code.shard_size(100)
+        assert len(shards[0]) == shard_size(100, code.data_shards)
 
 
 class TestDecodeErrors:

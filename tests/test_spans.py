@@ -35,15 +35,20 @@ from repro.trace.spans import (
     spans_to_chrome,
     summarise_spans,
 )
-from repro.vid.codec import Chunk
+from repro.common.params import ProtocolParams
+from repro.vid.codec import VirtualCodec, VirtualPayload
 from repro.vid.messages import ChunkMsg, GotChunkMsg, ReturnChunkMsg
+
+
+#: Chunk 0 of a virtual block at N=4.
+CHUNK = VirtualCodec(ProtocolParams.for_n(4)).encode(VirtualPayload(payload_id=0, size=252)).chunks[0]
 
 
 def chunk_msg(epoch=0, proposer=0):
     return ChunkMsg(
         instance=VIDInstanceId(epoch=epoch, proposer=proposer),
         root=b"r" * 32,
-        chunk=Chunk(index=0, size=128),
+        chunk=CHUNK,
     )
 
 
@@ -51,7 +56,7 @@ def return_chunk_msg(epoch=0, proposer=0):
     return ReturnChunkMsg(
         instance=VIDInstanceId(epoch=epoch, proposer=proposer),
         root=b"r" * 32,
-        chunk=Chunk(index=0, size=128),
+        chunk=CHUNK,
     )
 
 

@@ -694,6 +694,14 @@ OFF_THE_RUN_PATH = (
     "multiprocessing",
 )
 
+#: The adversary modules: each loads only in a run that places it.
+ADVERSARY_MODULES = (
+    "repro.adversary.censor",
+    "repro.adversary.crash",
+    "repro.adversary.equivocator",
+    "repro.adversary.filters",
+)
+
 #: What ``benchmarks/ledger/`` imports from the package before it times a run.
 LEDGER_IMPORTS = (
     "import repro.experiments, repro.sim.snapshot, repro.trace.recorder, repro.common.errors"
@@ -706,11 +714,11 @@ run_scenario(apply_overrides(get_scenario("equivocate-split").base, {overrides!r
 """
 
 
-def _loaded_after(code: str, cwd: Path) -> list[str]:
-    """The :data:`OFF_THE_RUN_PATH` modules a fresh interpreter holds after ``code``."""
+def _loaded_after(code: str, cwd: Path, modules: tuple = OFF_THE_RUN_PATH) -> list[str]:
+    """The ``modules`` a fresh interpreter holds after ``code``."""
     probe = (
         f"{code}\nimport sys\n"
-        f"print(sorted(m for m in {OFF_THE_RUN_PATH!r} if m in sys.modules))"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -735,6 +743,12 @@ def test_a_run_loads_nothing_it_does_not_execute(tmp_path):
         f"a run with observers off loads {loaded}; import them where they are used "
         "(see docs/performance.md, Start-up)"
     )
+
+
+def test_a_run_loads_only_the_adversaries_it_places(tmp_path):
+    assert _loaded_after(LEDGER_IMPORTS, tmp_path, ADVERSARY_MODULES) == []
+    run = SHORT_RUN.format(overrides={"duration": 2.0})
+    assert _loaded_after(run, tmp_path, ADVERSARY_MODULES) == ["repro.adversary.equivocator"]
 
 
 def test_recording_spans_loads_the_span_recorder(tmp_path):

@@ -30,7 +30,7 @@ from repro.common.params import ProtocolParams
 from repro.experiments import apply_overrides, get_scenario
 from repro.sim.context import NodeContext
 from repro.vid.avid_m import AvidMInstance
-from repro.vid.codec import Chunk
+from repro.vid.codec import VirtualCodec, VirtualPayload
 from repro.vid.messages import (
     CancelChunkMsg,
     ChunkMsg,
@@ -378,10 +378,14 @@ class _SetVid:
                 self._broadcast(False, "CancelChunkMsg")
 
 
+#: Chunk ``i`` of a 1-byte virtual block, wide enough for either cluster size.
+_CHUNKS = VirtualCodec(ProtocolParams.for_n(7)).encode(VirtualPayload(payload_id=0, size=1)).chunks
+
+
 def _vid_message(kind: str, root: bytes, index: int):
     if kind in ("chunk", "return"):
         cls = ChunkMsg if kind == "chunk" else ReturnChunkMsg
-        return cls(instance=VID_ID, root=root, chunk=Chunk(index=index, size=1))
+        return cls(instance=VID_ID, root=root, chunk=_CHUNKS[index])
     if kind in ("got_chunk", "ready"):
         cls = GotChunkMsg if kind == "got_chunk" else ReadyMsg
         return cls(instance=VID_ID, root=root)

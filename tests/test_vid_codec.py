@@ -8,7 +8,8 @@ from repro.adversary.equivocator import send_virtual_inconsistent_dispersal
 from repro.common.ids import VIDInstanceId
 from repro.common.params import ProtocolParams
 from repro.crypto.merkle import MerkleTree
-from repro.vid.messages import ChunkMsg
+from repro.erasure.rs_code import shard_size
+from repro.vid.messages import ChunkMsg, ReturnChunkMsg
 from repro.vid.codec import (
     BAD_UPLOADER,
     Chunk,
@@ -91,7 +92,7 @@ class TestRealCodec:
     def test_chunk_sizes_match_declared(self, codec):
         payload = b"x" * 1000
         bundle = codec.encode(payload)
-        expected = codec._rs.shard_size(len(payload))
+        expected = shard_size(len(payload), codec.params.data_shards)
         for chunk in bundle.chunks:
             assert chunk.size == expected
             assert len(chunk.data) == expected
@@ -115,33 +116,30 @@ class TestVirtualCodec:
         decoded = codec.decode(bundle.root, {c.index: c for c in bundle.chunks[:2]})
         assert decoded is payload
 
-    def test_chunk_sizes_match_real_codec(self):
-        params = ProtocolParams.for_n(16)
-        real, virtual = RealCodec(params), VirtualCodec(params)
-        for size in (0, 1, 100, 150_000, 1_000_000):
-            real_chunks = real.encode(bytes(size)).chunks
-            virtual_chunks = virtual.encode(VirtualPayload(payload_id=size, size=size)).chunks
-            for real_chunk, virtual_chunk in zip(real_chunks, virtual_chunks, strict=True):
-                assert virtual_chunk.size == len(real_chunk.data)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a virtual chunk is billed 4 B of Merkle proof, a real one 4 + 32·⌈log2 N⌉ "
-        "(128 B short at N=16, 192 B at N=64); the fix moves every virtual golden and "
-        "belongs with ROADMAP item 2 PR A, the upload term",
-    )
-    @pytest.mark.parametrize("n", (16, 64))
-    def test_a_virtual_chunk_message_is_as_large_as_a_real_one(self, n):
+    @pytest.mark.parametrize("n", (4, 7, 10, 16, 64))
+    @pytest.mark.parametrize("size", (0, 1, 100, 150_000, 1_000_000))
+    def test_chunk_sizes_match_real_codec(self, n, size):
+        """A virtual chunk, and each message that carries it, is billed
+        exactly what the real one is: shard bytes plus a proof of
+        ``ceil(log2 N)`` siblings."""
         params = ProtocolParams.for_n(n)
-        size = 500_000
         instance = VIDInstanceId(epoch=1, proposer=0)
         real = RealCodec(params).encode(bytes(size))
-        virtual = VirtualCodec(params).encode(VirtualPayload(payload_id=0, size=size))
-        messages = [
-            ChunkMsg(instance=instance, root=bundle.root, chunk=bundle.chunks[0]).wire_size
-            for bundle in (real, virtual)
-        ]
-        assert messages[1] == messages[0]
+        virtual = VirtualCodec(params).encode(VirtualPayload(payload_id=size, size=size))
+        for real_chunk, virtual_chunk in zip(real.chunks, virtual.chunks, strict=True):
+            assert virtual_chunk.size == len(real_chunk.data)
+            assert virtual_chunk.proof.index == real_chunk.proof.index
+            assert virtual_chunk.wire_size == real_chunk.wire_size
+            for cls in (ChunkMsg, ReturnChunkMsg):
+                assert (
+                    cls(instance=instance, root=virtual.root, chunk=virtual_chunk).wire_size
+                    == cls(instance=instance, root=real.root, chunk=real_chunk).wire_size
+                )
+
+    def test_a_virtual_chunk_is_refused_by_the_real_codec(self):
+        params = ProtocolParams.for_n(4)
+        bundle = VirtualCodec(params).encode(VirtualPayload(payload_id=0, size=100))
+        assert not RealCodec(params).verify_chunk(bundle.root, bundle.chunks[0])
 
     def test_distinct_payloads_distinct_roots(self):
         codec = VirtualCodec(ProtocolParams.for_n(4))
