@@ -43,8 +43,8 @@ def test_headline_summary(benchmark):
         f"{'DL throughput vs HB-Link':<38} {'+41%':>10} {pct(headline.dl_over_hb_link):>10}",
         f"{'DL-Coupled penalty vs DL':<38} {'-12%':>10} {pct(-headline.coupled_penalty if headline.coupled_penalty is not None else None):>10}",
         f"{'DL latency reduction vs HB':<38} {'-74%':>10} {pct(-headline.latency_reduction if headline.latency_reduction is not None else None):>10}",
-        "(see ROADMAP.md open items 1-3 for the gaps to the paper; the untested hypothesis is that",
-        " the emulated WAN drops far fewer HoneyBadger blocks than the real internet)",
+        "(measured on windows that have not converged, latency at overload: ROADMAP.md item 1;",
+        " whether the emulated WAN drops fewer HoneyBadger blocks than the internet: item 3)",
     ]
     report(*lines)
 

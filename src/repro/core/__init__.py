@@ -6,7 +6,8 @@ The package is organised like the paper's nested IO automata (S5):
   (including the per-block ``V`` observation arrays) and the Nagle-style
   block proposal rate control of S5.
 * :mod:`repro.core.txbatch` — the numpy columns transactions are held in
-  behind ``submit_transaction`` / ``submit_batch``.
+  behind ``submit_batch`` (every client) and ``submit_transaction`` (a
+  hand-built record).
 * :mod:`repro.core.linking` — the inter-node linking rule of S4.3.
 * :mod:`repro.core.epoch` — per-epoch bookkeeping (``DLEpoch``): BA outputs,
   the committed set, retrieved blocks, and linked slots.

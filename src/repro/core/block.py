@@ -39,8 +39,9 @@ class Transaction:
     ``size`` is the transaction's wire size in bytes; ``data`` carries real
     bytes only when the real data plane is in use (tests, examples).
 
-    This is the record at the *client edge*: generators and ``submit_payload``
-    build one per arrival and hand it to ``submit_transaction``; behind that
+    This is the record at the *client edge*: ``submit_payload`` (and any
+    hand-driven client) builds one and hands it to ``submit_transaction``,
+    while the workload clients submit batches and build none; behind that
     seam a transaction is a row of :class:`~repro.core.txbatch.TxBatch`
     columns, and ``Block.transactions`` / ``Ledger.transactions()`` build
     equal records again on request.  Immutable by convention: a run creates

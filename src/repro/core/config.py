@@ -42,12 +42,6 @@ class NodeConfig:
         max_parallel_retrievals: how many epochs a node retrieves concurrently
             (S4.5 allows retrieving from multiple epochs in parallel while
             always delivering in serial order).
-        propose_empty_when_idle: if the mempool is empty when the node is
-            ready for a new epoch, propose an empty block instead of waiting.
-            Keeps the epoch pipeline advancing under light load.
-        retrieval_uses_priority: mark retrieval traffic with the low-priority
-            class (True for DispersedLedger; HoneyBadger has no separate
-            retrieval phase competing with dispersal so the flag is moot).
         mempool: accepted and ignored.  There is one mempool
             (:class:`repro.core.mempool.Mempool`); ``"object"`` and
             ``"columnar"`` are spellings kept because the pinned
@@ -69,8 +63,6 @@ class NodeConfig:
     coupled: bool = False
     coupled_lag: int = 1
     max_parallel_retrievals: int = 4
-    propose_empty_when_idle: bool = True
-    retrieval_uses_priority: bool = True
     retrieve_blocks: bool = True
     mempool: str = "object"
 

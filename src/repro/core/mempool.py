@@ -35,6 +35,11 @@ class Mempool(SnapshotState):
     batches when the cut falls inside a single run, so draining a million
     pending transactions into blocks costs a handful of ``searchsorted``
     calls rather than a million ``popleft``s.
+
+    A pulled client (:class:`repro.workload.txgen.PoissonSource`) attaches
+    itself as ``source``; each read of the queue (``ready_to_propose``,
+    ``take_batch``) first has it submit its arrivals stamped at or before
+    the read, so the queue never holds an arrival still in the future.
     """
 
     _SNAPSHOT_FIELDS = (
@@ -47,6 +52,7 @@ class Mempool(SnapshotState):
         "_pending_count",
         "_pending_bytes",
         "_last_proposal_time",
+        "source",
         "total_submitted",
         "total_proposed",
     )
@@ -66,6 +72,7 @@ class Mempool(SnapshotState):
         self._pending_count = 0
         self._pending_bytes = 0
         self._last_proposal_time = float("-inf")
+        self.source = None
         self.total_submitted = 0
         self.total_proposed = 0
 
@@ -159,6 +166,8 @@ class Mempool(SnapshotState):
         A node proposes when (i) ``nagle_delay`` has passed since the last
         proposal, or (ii) at least ``nagle_size`` bytes have accumulated.
         """
+        if self.source is not None:
+            self.source.submit_until(now)
         if self._pending_bytes >= self.nagle_size:
             return True
         return now - self._last_proposal_time >= self.nagle_delay
@@ -179,6 +188,8 @@ class Mempool(SnapshotState):
         asked of each queued batch (:meth:`TxBatch.rows_within`,
         :meth:`TxBatch.bytes_before`).
         """
+        if self.source is not None:
+            self.source.submit_until(now)
         self._seal_staged()
         taken: list[TxBatch] = []
         taken_bytes = 0

@@ -1,8 +1,8 @@
 """Struct-of-arrays transaction batches: how transactions live inside a node.
 
-Clients hand a node one :class:`~repro.core.block.Transaction` record per
-arrival (or a ready-made batch); everything behind ``submit_transaction`` /
-``submit_batch`` — the mempool queue, the block payload, digest and size,
+Clients hand a node ready-made batches (and ``submit_payload`` or a test one
+:class:`~repro.core.block.Transaction` record); everything behind
+``submit_transaction`` / ``submit_batch`` — the mempool queue, the block payload, digest and size,
 delivery accounting, the latency summary — works on :class:`TxBatch`
 columns, because allocating, queueing and walking one Python object per
 client payment dominates every profile long before the protocol does.  A

@@ -59,7 +59,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
-from repro.common.errors import ConfigurationError, WorkerDiedError
+from repro.common.errors import ConfigurationError, SnapshotError, WorkerDiedError
 from repro.experiments.catalog import NamedScenario, get_scenario, list_scenarios
 from repro.experiments.engine import SweepResult, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
@@ -296,7 +296,8 @@ def _run_resume(args: argparse.Namespace) -> int:
     and the telemetry and span files an uninterrupted run writes are
     written too.  Periodic checkpointing continues only when
     ``--checkpoint-every`` asks for it.  Malformed, foreign or spec-less
-    checkpoints and a ``--checkpoint-path`` that would write nothing produce
+    checkpoints, a stored spec with a field this build no longer has, and a
+    ``--checkpoint-path`` that would write nothing produce
     a one-line error and exit status 2, never a traceback.
     """
     try:
@@ -311,10 +312,14 @@ def _run_resume(args: argparse.Namespace) -> int:
                 "wrote it); continue it from Python with "
                 "execute(restore_experiment(path), [Stop(state.duration)])"
             )
-        spec = replace(
-            ScenarioSpec.from_dict(state.meta["spec"]),
-            checkpoint_every=args.checkpoint_every,
-        )
+        try:
+            stored = ScenarioSpec.from_dict(state.meta["spec"])
+        except TypeError as exc:  # a field this build no longer has
+            raise SnapshotError(
+                f"{args.checkpoint} was written by an incompatible version: its spec "
+                f"does not load ({exc})"
+            ) from exc
+        spec = replace(stored, checkpoint_every=args.checkpoint_every)
         summary = run_scenario(
             spec,
             state.meta.get("overrides"),

@@ -51,12 +51,11 @@ from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
 from repro.trace.recorder import write_jsonl
 from repro.workload.txgen import (
     DEFAULT_TX_SIZE,
-    ColumnarPoissonTransactionGenerator,
-    ModulatedPoissonTransactionGenerator,
-    PoissonTransactionGenerator,
+    BurstyRateProfile,
+    ConstantRate,
+    DiurnalRateProfile,
+    PoissonSource,
     SaturatingTransactionGenerator,
-    bursty_rate_profile,
-    diurnal_rate_profile,
 )
 
 #: The protocols the paper's evaluation compares (S6), keyed by the labels
@@ -93,20 +92,19 @@ class WorkloadSpec:
       :class:`~repro.core.txbatch.TxBatch` per refill, never a record per
       transaction.  ``"saturating-columnar"`` is a second spelling of the
       same factory;
-    * ``"poisson"`` — constant-rate Poisson arrivals (latency-vs-load, S6.2),
-      one record and one simulator event per arrival;
+    * ``"poisson"`` — constant-rate Poisson arrivals (latency-vs-load, S6.2);
     * ``"bursty"`` — on/off Poisson bursts: load ``rate / duty`` for
       ``duty * period`` seconds of every ``period``, zero otherwise;
     * ``"diurnal"`` — sinusoidal day/night Poisson modulation with relative
-      swing ``amplitude`` over each ``period``;
-    * ``"poisson-columnar"`` — statistically the same process as
-      ``"poisson"`` from a different RNG, emitting one batch per ``window``
-      instead of one event per transaction, for million-transaction runs.
+      swing ``amplitude`` over each ``period``.
 
-    For all Poisson-family workloads ``rate_bytes_per_second`` is the mean
-    *per-node* offered load.  ``period``, ``duty`` and ``amplitude`` only
-    apply to the modulated kinds; ``window`` only to the columnar Poisson
-    kind.  ``stop_after`` cuts the client load at that virtual time
+    The three Poisson-family kinds are one client, a
+    :class:`~repro.workload.txgen.PoissonSource` with the kind's rate
+    profile: it schedules no simulator event, and a node's mempool draws
+    the arrivals stamped up to each read as one batch.
+    ``rate_bytes_per_second`` is the mean *per-node* offered load;
+    ``period``, ``duty`` and ``amplitude`` only apply to the modulated
+    kinds.  ``stop_after`` cuts the client load at that virtual time
     (``None`` = offered for the whole run), which lets drain-phase scenarios
     measure how long in-flight transactions take to clear.
     """
@@ -119,7 +117,6 @@ class WorkloadSpec:
     duty: float = 0.25
     amplitude: float = 0.8
     stop_after: float | None = None
-    window: float = 0.25
 
     def __post_init__(self) -> None:
         if self.kind not in WORKLOADS:
@@ -128,8 +125,6 @@ class WorkloadSpec:
             )
         if self.stop_after is not None and self.stop_after <= 0:
             raise ValueError("stop_after must be positive (or None)")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
 
 
 #: ``factory(sim, node, spec, seed) -> generator`` — builds the per-node load
@@ -159,61 +154,27 @@ def _saturating(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int
 
 
 def _poisson(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int):
-    return PoissonTransactionGenerator(
-        sim,
-        node,
-        rate_bytes_per_second=spec.rate_bytes_per_second,
-        tx_size=spec.tx_size,
-        seed=_per_node_seed(seed, node),
-        stop_at=spec.stop_after,
-    )
-
-
-def _bursty(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int):
-    profile = bursty_rate_profile(
-        spec.rate_bytes_per_second, period=spec.period, duty=spec.duty
-    )
-    return ModulatedPoissonTransactionGenerator(
+    rate = spec.rate_bytes_per_second
+    if spec.kind == "bursty":
+        profile = BurstyRateProfile(rate, period=spec.period, duty=spec.duty)
+    elif spec.kind == "diurnal":
+        profile = DiurnalRateProfile(rate, period=spec.period, amplitude=spec.amplitude)
+    else:
+        profile = ConstantRate(rate)
+    return PoissonSource(
         sim,
         node,
         profile,
         tx_size=spec.tx_size,
         seed=_per_node_seed(seed, node),
         stop_at=spec.stop_after,
-    )
-
-
-def _diurnal(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int):
-    profile = diurnal_rate_profile(
-        spec.rate_bytes_per_second, period=spec.period, amplitude=spec.amplitude
-    )
-    return ModulatedPoissonTransactionGenerator(
-        sim,
-        node,
-        profile,
-        tx_size=spec.tx_size,
-        seed=_per_node_seed(seed, node),
-        stop_at=spec.stop_after,
-    )
-
-
-def _poisson_columnar(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int):
-    return ColumnarPoissonTransactionGenerator(
-        sim,
-        node,
-        rate_bytes_per_second=spec.rate_bytes_per_second,
-        tx_size=spec.tx_size,
-        seed=_per_node_seed(seed, node),
-        stop_at=spec.stop_after,
-        window=spec.window,
     )
 
 
 register_workload("saturating", _saturating)
 register_workload("poisson", _poisson)
-register_workload("bursty", _bursty)
-register_workload("diurnal", _diurnal)
-register_workload("poisson-columnar", _poisson_columnar)
+register_workload("bursty", _poisson)
+register_workload("diurnal", _poisson)
 # A second spelling of ``"saturating"``, kept because the pinned ledger
 # workloads and the ``columnar-scale`` entry name it (cf. ``ColumnarMempool``).
 register_workload("saturating-columnar", _saturating)
@@ -527,6 +488,10 @@ def execute(
         state.sim.run(until=stop.time)
         at_horizon = stop.time >= state.duration
         if at_horizon:
+            # A pulled client has submitted only what its node has read.
+            for node in state.nodes:
+                if node.mempool.source is not None:
+                    node.mempool.source.submit_until(stop.time)
             for observer in state.observers.values():
                 observer.finish()
         for name, path in stop.flush.items():

@@ -35,11 +35,6 @@ from repro.sim.bandwidth import BandwidthTrace, ConstantBandwidth
 from repro.sim.network import NetworkConfig
 from repro.trace.observers import OBSERVERS, SpanSpec, enabled_observers
 from repro.trace.recorder import TelemetrySpec
-from repro.workload.cities import (
-    DEFAULT_EGRESS_HEADROOM,
-    city_network_config,
-    resolve_testbed,
-)
 from repro.workload.traces import (
     MB,
     flapping_traces,
@@ -47,6 +42,13 @@ from repro.workload.traces import (
     spatial_variation_rates,
     straggler_rates,
 )
+
+#: How much larger a city's upload capacity is than its (binding) download
+#: capacity.  The paper's geo nodes sit on fat datacenter uplinks and are
+#: constrained by what each site can *pull* across the internet, so the
+#: profile's ``mean_bandwidth`` models the download side and the serving side
+#: gets proportional headroom (see docs/architecture.md, Substitutions).
+DEFAULT_EGRESS_HEADROOM = 2.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class TopologySpec:
         fluctuate: sample Gauss-Markov fluctuation around each city's mean
             (city topologies).
         egress_headroom: upload-capacity multiple of the (binding) download
-            capacity for city topologies (see ``repro.workload.cities``).
+            capacity for city topologies (:data:`DEFAULT_EGRESS_HEADROOM`).
         express: enable the network's express broadcast fan-out fast path
             (:class:`~repro.sim.network.NetworkConfig` ``express``); uniform
             topologies with unlimited bandwidth only.  For protocol-logic
@@ -93,6 +95,8 @@ class TopologySpec:
 
     def resolved_num_nodes(self) -> int:
         if self.kind == "cities":
+            from repro.workload.cities import resolve_testbed
+
             return len(resolve_testbed(self.testbed))
         return self.num_nodes
 
@@ -441,6 +445,8 @@ def build_network_config(spec: ScenarioSpec) -> NetworkConfig:
     """The one place a spec's simulated WAN is constructed."""
     topology = spec.topology
     if topology.kind == "cities":
+        from repro.workload.cities import city_network_config, resolve_testbed
+
         return city_network_config(
             resolve_testbed(topology.testbed),
             spec.duration,

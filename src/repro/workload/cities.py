@@ -140,14 +140,6 @@ def city_delay_matrix(cities: tuple[CityProfile, ...]) -> list[list[float]]:
     return matrix
 
 
-#: How much larger a city's upload capacity is than its (binding) download
-#: capacity.  The paper's geo nodes sit on fat datacenter uplinks and are
-#: constrained by what each site can *pull* across the internet, so the
-#: profile's ``mean_bandwidth`` models the download side and the serving side
-#: gets proportional headroom (see docs/architecture.md, Substitutions).
-DEFAULT_EGRESS_HEADROOM = 2.0
-
-
 def city_traces(
     cities: tuple[CityProfile, ...],
     duration: float,
@@ -182,9 +174,14 @@ def city_network_config(
     duration: float,
     seed: int = 0,
     fluctuate: bool = True,
-    egress_headroom: float = DEFAULT_EGRESS_HEADROOM,
+    *,
+    egress_headroom: float,
 ) -> NetworkConfig:
-    """Build the simulator's :class:`NetworkConfig` for one of the testbeds."""
+    """Build the simulator's :class:`NetworkConfig` for one of the testbeds.
+
+    ``egress_headroom`` multiplies each city's mean for its upload side
+    (:data:`repro.experiments.scenario.DEFAULT_EGRESS_HEADROOM` in a spec).
+    """
     ingress = city_traces(cities, duration, seed=seed + 1, fluctuate=fluctuate)
     egress = city_traces(
         cities, duration, seed=seed, fluctuate=fluctuate, scale=egress_headroom

@@ -131,8 +131,6 @@ class TestCrossProtocolEquivalence:
             "coupled": True,
             "coupled_lag": 3,
             "max_parallel_retrievals": 2,
-            "propose_empty_when_idle": False,
-            "retrieval_uses_priority": False,
             "retrieve_blocks": False,
             "mempool": "columnar",
         }

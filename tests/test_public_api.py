@@ -63,7 +63,7 @@ INTENTIONAL_SURFACE = {
     "repro.trace.recorder": ["TelemetrySpec", "TraceRecorder", "read_jsonl"],
     "repro.vid": ["AvidMInstance", "RealCodec", "VirtualCodec"],
     "repro.workload.cities": ["AWS_CITIES", "register_testbed"],
-    "repro.workload.txgen": ["PoissonTransactionGenerator", "SaturatingTransactionGenerator"],
+    "repro.workload.txgen": ["PoissonSource", "SaturatingTransactionGenerator"],
 }
 
 

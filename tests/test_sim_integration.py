@@ -24,7 +24,7 @@ from repro.sim.bandwidth import ConstantBandwidth
 from repro.sim.context import NodeContext
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.workload.txgen import PoissonTransactionGenerator
+from repro.workload.txgen import ConstantRate, PoissonSource
 from tests.conftest import build_scenario_state
 
 
@@ -68,7 +68,7 @@ def run_cluster(
         network.attach(node_id, node)
         nodes.append(node)
     generators = [
-        PoissonTransactionGenerator(sim, node, rate_bytes_per_second=load_rate, seed=node.node_id)
+        PoissonSource(sim, node, ConstantRate(load_rate), seed=node.node_id)
         for node in nodes
     ]
     for generator in generators:
@@ -209,8 +209,8 @@ def _point(name: str, overrides: dict, slow: bool = False):
     )
 
 
-#: Catalog points covering DL, DL-Coupled, HB and HB-Link; saturating and
-#: Poisson load on the object and the columnar tx plane; and the censor,
+#: Catalog points covering DL, DL-Coupled, HB and HB-Link; saturating load
+#: under both spellings and constant, bursty and diurnal Poisson load; and the censor,
 #: equivocate, crash and crash-after adversaries.  The N <= 10 points run
 #: in tier-1; the geo testbed and the latency sweep (~10 s each for both
 #: planes) in CI's slow tier.
@@ -221,7 +221,7 @@ _PLANE_POINTS = [
     _point("straggler-hetero", {"protocol": "hb-link", "duration": 6.0}),
     _point("straggler-hetero", {"workload.kind": "saturating-columnar", "duration": 6.0}),
     _point("censor-victim", {"duration": 5.0}),
-    _point("censor-victim", {"workload.kind": "poisson-columnar", "duration": 5.0}),
+    _point("censor-victim", {"workload.kind": "diurnal", "duration": 5.0}),
     _point("equivocate-split", {"duration": 10.0}),
     _point(
         "adversary-crash-mix",

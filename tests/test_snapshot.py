@@ -464,6 +464,22 @@ def test_checkpoint_with_another_versions_state_attributes_is_refused(tmp_path, 
     assert "Traceback" not in captured.err
 
 
+def test_a_stored_spec_with_a_deleted_field_is_refused(tmp_path, capsys):
+    """A checkpoint whose spec names a field this build deleted (here the
+    Poisson window, gone with the windowed client) is one error line."""
+    checkpoint = tmp_path / "point.ckpt"
+    run_scenario(
+        _unobserved_spec(tmp_path, checkpoint_every=1.0),
+        options=ExecutionOptions(checkpoint_path=checkpoint),
+    )
+    state = load_checkpoint(checkpoint)
+    state.meta["spec"]["workload"]["window"] = 0.25
+    save_checkpoint(checkpoint, state)
+    assert cli_main(["resume", str(checkpoint)]) == 2
+    line = _one_error_line(capsys)
+    assert "incompatible version" in line and "window" in line
+
+
 # ---------------------------------------------------------------------------
 # Resuming a scenario: foreign checkpoints refused, observer files written
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ Five layers of evidence:
 * a structural probe asserting the chosen snapshot time really does land
   mid-epoch, mid-dispersal and mid-transfer — so the suite cannot quietly
   degrade into snapshotting quiesced states only;
-* the express network's pending unicast trains and the mempools' staged
-  runs: a periodic checkpoint that lands on them continues to the clean
-  run's summary;
+* the express network's pending unicast trains and the Poisson-family
+  clients' drawn-ahead arrivals: a periodic checkpoint that lands on them
+  continues to the clean run's summary;
 * observer files through the engine — a run with periodic checkpoints
   (including a cadence that lands on the horizon), the run resumed from its
   last checkpoint file, and every point of a two-worker pooled sweep must
@@ -51,7 +51,6 @@ from repro.experiments.golden import (
 )
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.scenario import ScenarioSpec
-from repro.core.mempool import _ROW_WIDTH
 from repro.sim.network import _ExpressTrain
 from repro.sim.snapshot import load_checkpoint, read_snapshot_header, save_checkpoint
 from repro.trace.recorder import TelemetrySpec
@@ -245,35 +244,48 @@ def test_checkpoint_with_a_pending_express_train_resumes_byte_identically(tmp_pa
     assert resumed["events_processed"] == clean["events_processed"]
 
 
-# Staged transactions across a checkpoint
+# Drawn-ahead arrivals across a checkpoint
 # ---------------------------------------------------------------------------
 
 
-def _poisson7() -> ScenarioSpec:
-    """``latency-fault-matrix`` for 2 s: per-arrival submission, Nagle-timer blocks.
+@pytest.mark.parametrize(
+    "kind, shape",
+    [
+        ("poisson", {}),
+        # Periods short enough that the run crosses on/off edges and a swing;
+        # the bursts offer the constant point's rate, half the time.
+        (
+            "bursty",
+            {"workload.period": 1.0, "workload.duty": 0.5, "workload.rate_bytes_per_second": 250_000.0},
+        ),
+        ("diurnal", {"workload.period": 2.0}),
+    ],
+)
+def test_checkpoint_between_two_draws_resumes_byte_identically(tmp_path, kind, shape):
+    """``latency-fault-matrix`` for 2 s: Poisson-family clients, Nagle-timer blocks.
 
-    Between two proposals every mempool holds the arrivals since the last
-    one as a staged run, not yet a batch; t=0.73 is no proposal instant.
+    A client draws its next arrival when its node reads the mempool and
+    holds it until a later read reaches it, so every client is checkpointed
+    holding one — some already past their stamp, since t=0.73 and t=1.46
+    are no read instants.
     """
-    return apply_overrides(get_scenario("latency-fault-matrix").base, {"duration": 2.0})
-
-
-def test_checkpoint_with_staged_transactions_resumes_byte_identically(tmp_path):
-    spec = _poisson7()
+    spec = apply_overrides(
+        get_scenario("latency-fault-matrix").base,
+        {"duration": 2.0, "workload.kind": kind, **shape},
+    )
     clean = run_scenario(spec).summary()
     assert clean["delivered_epochs"] > 1
 
-    checkpoint = tmp_path / "poisson7.ckpt"
+    checkpoint = tmp_path / f"{kind}7.ckpt"
     periodic = replace(spec, checkpoint_every=0.73)
     full = run_scenario(periodic, options=ExecutionOptions(checkpoint_path=checkpoint))
     assert json.dumps(full.summary(), sort_keys=True) == json.dumps(clean, sort_keys=True)
 
-    # The last periodic checkpoint (t=1.46) caught every mempool mid-window.
+    # The last periodic checkpoint (t=1.46) caught every client between draws.
     state = load_checkpoint(checkpoint)
     assert state.sim.now == 1.46
-    staged = [len(node.mempool._staged) // _ROW_WIDTH for node in state.nodes]
-    assert all(staged)
-    assert [node.mempool.pending_count for node in state.nodes] >= staged
+    held = [node.mempool.source._next for node in state.nodes]
+    assert all(0.0 < at < 2.0 for at in held) and min(held) < state.sim.now, held
 
     resumed = _resume_in_fresh_process(checkpoint)
     assert json.dumps(resumed, sort_keys=True) == json.dumps(clean, sort_keys=True)

@@ -41,9 +41,12 @@ the exit code and stderr are the real ones).
 **A run loads only what it runs.**  Importing what the performance ledger's
 child imports, or running a point with observers off, loads none of the
 CLIs, figure, golden and trace-analysis modules, nor ``argparse`` or the
-process pool (each checked in a fresh interpreter); so every CLI verb is
-driven here once, with ``--help``, to catch a broken import that only the
-CLI would hit.
+process pool (each checked in a fresh interpreter), and only a run on a
+city testbed loads the testbeds; so every CLI verb is driven here once,
+with ``--help``, to catch a broken import that only the CLI would hit.
+
+**One Poisson client.**  The Poisson-family arrivals are drawn when a
+mempool is read: only the saturating client schedules simulator events.
 """
 
 from __future__ import annotations
@@ -202,6 +205,24 @@ def test_the_saturating_client_materialises_no_constant_column():
     assert not fills, (
         "the saturating client fills a constant column row by row again; pass the "
         f"scalar to TxBatch.uniform (see docs/performance.md, The saturating client), lines {fills}"
+    )
+
+
+def test_only_the_saturating_client_schedules():
+    """A Poisson-family client is drawn when its mempool is read, never by an event."""
+    path = SRC / "workload" / "txgen.py"
+    schedulers = sorted(
+        {
+            top.name
+            for top in _tree(path).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and (_called_name(node) or "").startswith("schedule")
+        }
+    )
+    assert schedulers == ["SaturatingTransactionGenerator"], (
+        f"{path.relative_to(SRC)}: {schedulers} schedule simulator events; arrivals "
+        "are drawn at each mempool read (see docs/performance.md, Arrivals are drawn "
+        "when the queue is read)"
     )
 
 
@@ -713,6 +734,9 @@ from repro.experiments import apply_overrides, get_scenario, run_scenario
 run_scenario(apply_overrides(get_scenario("equivocate-split").base, {overrides!r}))
 """
 
+#: A short point on a city testbed (N=15 Vultr), run in the probe interpreter.
+CITY_RUN = SHORT_RUN.replace("equivocate-split", "fig15-vultr")
+
 
 def _loaded_after(code: str, cwd: Path, modules: tuple = OFF_THE_RUN_PATH) -> list[str]:
     """The ``modules`` a fresh interpreter holds after ``code``."""
@@ -749,6 +773,15 @@ def test_a_run_loads_only_the_adversaries_it_places(tmp_path):
     assert _loaded_after(LEDGER_IMPORTS, tmp_path, ADVERSARY_MODULES) == []
     run = SHORT_RUN.format(overrides={"duration": 2.0})
     assert _loaded_after(run, tmp_path, ADVERSARY_MODULES) == ["repro.adversary.equivocator"]
+
+
+def test_only_a_city_run_loads_the_city_testbeds(tmp_path):
+    cities = ("repro.workload.cities",)
+    assert _loaded_after(LEDGER_IMPORTS, tmp_path, cities) == []
+    uniform = SHORT_RUN.format(overrides={"duration": 2.0})
+    assert _loaded_after(uniform, tmp_path, cities) == []
+    city = CITY_RUN.format(overrides={"duration": 0.5})
+    assert _loaded_after(city, tmp_path, cities) == list(cities)
 
 
 def test_recording_spans_loads_the_span_recorder(tmp_path):

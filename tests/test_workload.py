@@ -1,5 +1,7 @@
-"""Tests for workload generation: transaction generators and bandwidth traces."""
+"""Tests for workload generation: transaction clients and bandwidth traces."""
 
+import math
+import random
 from unittest import mock
 
 import pytest
@@ -10,6 +12,9 @@ from repro.common.params import ProtocolParams
 from repro.core.block import Transaction
 from repro.core.config import NodeConfig
 from repro.core.node import DispersedLedgerNode
+from repro.experiments import apply_overrides, get_scenario
+from repro.experiments.runner import Stop, execute
+from repro.experiments.scenario import DEFAULT_EGRESS_HEADROOM
 from repro.sim.context import NodeContext
 from repro.sim.events import Simulator
 from repro.sim.instant import InstantNetwork
@@ -21,7 +26,14 @@ from repro.workload.traces import (
     gauss_markov_traces,
     spatial_variation_rates,
 )
-from repro.workload.txgen import PoissonTransactionGenerator, SaturatingTransactionGenerator
+from repro.workload.txgen import (
+    BurstyRateProfile,
+    ConstantRate,
+    DiurnalRateProfile,
+    PoissonSource,
+    SaturatingTransactionGenerator,
+)
+from tests.conftest import build_scenario_state
 
 
 def make_node(node_id=0):
@@ -32,62 +44,231 @@ def make_node(node_id=0):
     return DispersedLedgerNode(node_id, params, ctx, config=NodeConfig())
 
 
-def pending(node):
-    """Everything waiting in the node's mempool, as records."""
-    return node.mempool.take_batch(10**12, now=0.0).as_transactions()
+def pending(node, now):
+    """Everything a read of the node's mempool at ``now`` finds, as records."""
+    return node.mempool.take_batch(10**12, now=now).as_transactions()
 
 
-class TestPoissonGenerator:
+def started_source(profile, node=None, **knobs):
+    """A started :class:`PoissonSource` on ``node`` (a fresh node 0 by default)."""
+    sim, node = Simulator(), node or make_node()
+    source = PoissonSource(sim, node, profile, **knobs)
+    source.start()
+    return node, source
+
+
+class TestPoissonSource:
     def test_mean_rate_is_respected(self):
-        sim = Simulator()
-        node = make_node()
-        generator = PoissonTransactionGenerator(
-            sim, node, rate_bytes_per_second=100_000, tx_size=250, seed=7
-        )
-        generator.start()
-        sim.run(until=50.0)
-        rate = generator.generated_bytes / 50.0
+        node, source = started_source(ConstantRate(100_000), tx_size=250, seed=7)
+        node.mempool.ready_to_propose(50.0)
+        rate = source.generated_bytes / 50.0
         assert rate == pytest.approx(100_000, rel=0.15)
-        assert node.mempool.pending_count == generator.generated
+        assert node.mempool.pending_count == source.generated
 
     def test_transactions_carry_timestamps_and_origin(self):
-        sim = Simulator()
-        node = make_node()
-        PoissonTransactionGenerator(sim, node, rate_bytes_per_second=10_000, seed=1).start()
-        sim.run(until=5.0)
-        txs = pending(node)
-        assert txs, "generator produced nothing"
+        node, _source = started_source(ConstantRate(10_000), seed=1)
+        txs = pending(node, 5.0)
+        assert txs, "source produced nothing"
         assert all(tx.origin == 0 for tx in txs)
         assert all(0 <= tx.created_at <= 5.0 for tx in txs)
 
     def test_stop_at(self):
-        sim = Simulator()
-        node = make_node()
-        generator = PoissonTransactionGenerator(
-            sim, node, rate_bytes_per_second=1_000_000, seed=2, stop_at=1.0
-        )
-        generator.start()
-        sim.run(until=10.0)
-        txs = pending(node)
-        assert txs and all(tx.created_at <= 1.0 for tx in txs)
+        node, source = started_source(ConstantRate(1_000_000), seed=2, stop_at=1.0)
+        txs = pending(node, 10.0)
+        assert txs and all(tx.created_at < 1.0 for tx in txs)
+        assert source.generated == len(txs)
 
     def test_seeds_give_distinct_but_reproducible_streams(self):
         def arrivals(seed):
-            sim = Simulator()
-            node = make_node()
-            PoissonTransactionGenerator(sim, node, rate_bytes_per_second=50_000, seed=seed).start()
-            sim.run(until=5.0)
-            return [tx.created_at for tx in pending(node)]
+            node, _source = started_source(ConstantRate(50_000), seed=seed)
+            return [tx.created_at for tx in pending(node, 5.0)]
 
         assert arrivals(1) == arrivals(1)
         assert arrivals(1) != arrivals(2)
 
+    def test_a_read_submits_only_what_has_arrived_and_schedules_nothing(self):
+        sim, node = Simulator(), make_node()
+        PoissonSource(sim, node, ConstantRate(100_000), seed=3).start()
+        assert sim.pending_events == 0
+        assert node.mempool.pending_count == 0
+        early = pending(node, 1.0)
+        assert early and max(tx.created_at for tx in early) <= 1.0
+        later = pending(node, 2.0)
+        assert later and min(tx.created_at for tx in later) > 1.0
+
+    def test_a_row_stamped_exactly_at_a_read_is_pending(self):
+        """The tie rule: a read at ``t`` finds the arrival stamped ``t``."""
+        _node, reference = started_reference(50_000, seed=4)
+        reference._sim.run(until=1.0)
+        stamp = reference._node.mempool.take_batch(10**12, now=1.0).created_at[0]
+        node, _source = started_source(ConstantRate(50_000), seed=4)
+        assert pending(node, math.nextafter(stamp, 0.0)) == []
+        (first,) = [tx.created_at for tx in pending(node, stamp)]
+        assert first == stamp
+
+    def test_requeued_rows_go_ahead_of_later_arrivals(self):
+        """HoneyBadger re-proposes a dropped block before anything newer."""
+        node, _source = started_source(ConstantRate(50_000), seed=5)
+        dropped = node.mempool.take_batch(10**12, now=1.0)
+        node.mempool.requeue_front(dropped)
+        rows = node.mempool.take_batch(10**12, now=2.0).created_at.tolist()
+        assert rows[: len(dropped)] == dropped.created_at.tolist()
+        assert rows == sorted(rows) and rows[-1] > 1.0
+
     def test_rejects_bad_parameters(self):
         sim, node = Simulator(), make_node()
         with pytest.raises(ValueError):
-            PoissonTransactionGenerator(sim, node, rate_bytes_per_second=0)
+            ConstantRate(0)
         with pytest.raises(ValueError):
-            PoissonTransactionGenerator(sim, node, rate_bytes_per_second=100, tx_size=0)
+            PoissonSource(sim, node, ConstantRate(100), tx_size=0)
+        with pytest.raises(ValueError):
+            BurstyRateProfile(100, duty=0.0)
+        with pytest.raises(ValueError):
+            DiurnalRateProfile(100, amplitude=1.0)
+
+
+class ReferencePoissonGenerator:
+    """The Poisson-family client as one simulator event per arrival.
+
+    Every ``poisson`` / ``bursty`` / ``diurnal`` run used this loop before
+    arrivals were drawn at the mempool's reads; it stays here as the model
+    the source must reproduce row for row.  Without ``rate_at`` it draws at
+    the constant ``1 / (tx_size / rate)``; with one (bytes/s at a virtual
+    time) at ``rate_at(now) / tx_size``, re-drawing every ``max_step``
+    past the horizon or at zero rate.
+    """
+
+    def __init__(self, sim, node, rate, rate_at=None, tx_size=250, seed=None, stop_at=None, max_step=0.25):
+        self._sim, self._node, self._tx_size = sim, node, tx_size
+        self._rng, self._stop_at, self._max_step = random.Random(seed), stop_at, max_step
+        self._mean_interarrival, self._rate_at = tx_size / rate, rate_at
+        self._sequence = self.generated = self.generated_bytes = 0
+
+    def start(self):
+        self._schedule_next()
+
+    def _schedule_next(self):
+        if self._rate_at is None:
+            delay = self._rng.expovariate(1.0 / self._mean_interarrival)
+            self._sim.schedule(delay, self._arrive)
+            return
+        rate = self._rate_at(self._sim.now)
+        if rate <= 0:
+            self._sim.schedule(self._max_step, self._schedule_next)
+            return
+        delay = self._rng.expovariate(rate / self._tx_size)
+        if delay > self._max_step:
+            self._sim.schedule(self._max_step, self._schedule_next)
+            return
+        self._sim.schedule(delay, self._arrive)
+
+    def _arrive(self):
+        now, node = self._sim.now, self._node
+        if self._stop_at is not None and now >= self._stop_at:
+            return
+        self._sequence += 1
+        tx_id = self._sequence * node.params.n + node.node_id
+        node.submit_transaction(Transaction(tx_id, node.node_id, now, self._tx_size))
+        self.generated += 1
+        self.generated_bytes += self._tx_size
+        self._schedule_next()
+
+
+def started_reference(rate, node=None, **knobs):
+    sim, node = Simulator(), node or make_node()
+    reference = ReferencePoissonGenerator(sim, node, rate, **knobs)
+    sim.schedule(0.0, reference.start)
+    return node, reference
+
+
+def _drive_poisson(sim, client, reads):
+    """Read the client's mempool at each ``(instant, max_bytes)``; log what it finds."""
+    mempool, log = client._node.mempool, []
+    for instant, max_bytes in reads:
+        sim.run(until=instant)
+        ready = mempool.ready_to_propose(instant)
+        taken = mempool.take_batch(max_bytes, now=instant)
+        rows = list(zip(map(int, taken.tx_ids), taken.created_at.tolist()))
+        log.append((ready, rows, client.generated, client.generated_bytes, mempool.pending_bytes))
+    return log
+
+
+def _profiles(kind, rate):
+    """``kind``'s rate profile and the reference's ``rate_at`` for it (bytes/s).
+
+    Short periods put on/off edges and the whole swing inside a few seconds.
+    """
+    if kind == "bursty":
+        period, duty = 1.5, 0.4
+        on_rate, on_for = rate / duty, duty * period
+        return (
+            BurstyRateProfile(rate, period=period, duty=duty),
+            lambda t: on_rate if t % period < on_for else 0.0,
+        )
+    if kind == "diurnal":
+        period, amplitude = 2.5, 0.9
+        return (
+            DiurnalRateProfile(rate, period=period, amplitude=amplitude),
+            lambda t: rate * (1.0 - amplitude * math.cos(2.0 * math.pi * t / period)),
+        )
+    return ConstantRate(rate), None
+
+
+class TestPoissonSourceAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(("constant", "bursty", "diurnal")),
+        node_id=st.integers(0, 3),
+        rate=st.sampled_from((2_000.0, 30_000.0, 120_000.0)),
+        tx_size=st.integers(1, 700),
+        seed=st.integers(0, 2**16),
+        stop_at=st.one_of(st.none(), st.floats(0.01, 4.0)),
+        reads=st.lists(
+            st.tuples(st.floats(0.0, 5.0), st.integers(1, 40_000)), max_size=12
+        ),
+    )
+    def test_drawn_arrivals_equal_the_per_event_arrivals(
+        self, kind, node_id, rate, tx_size, seed, stop_at, reads
+    ):
+        reads = [*sorted(reads), (5.0, 10**12)]
+        knobs = dict(tx_size=tx_size, seed=seed, stop_at=stop_at)
+        profile, rate_at = _profiles(kind, rate)
+        real_sim, real_node = Simulator(), make_node(node_id)
+        source = PoissonSource(real_sim, real_node, profile, **knobs)
+        real_sim.schedule(0.0, source.start)
+        # The source must not build a record, nor schedule past its start.
+        with mock.patch.object(Transaction, "__init__", side_effect=AssertionError("a record")):
+            real = _drive_poisson(real_sim, source, reads)
+        assert real_sim.processed_events == 1
+        _node, reference = started_reference(rate, make_node(node_id), rate_at=rate_at, **knobs)
+        model = _drive_poisson(reference._sim, reference, reads)
+        assert real == model
+
+
+def test_a_run_counts_every_arrival_up_to_its_horizon():
+    """``execute``'s horizon stop draws what no read reached: ``tx_generated``
+    is every arrival stamped up to the horizon, as the per-event client's."""
+    spec = apply_overrides(
+        get_scenario("latency-fault-matrix").base,
+        {
+            "duration": 2.0,
+            "adversary.kind": "crash-after",
+            "adversary.count": 2,
+            "adversary.crash_time": 0.5,
+            "seed": 3,
+        },
+    )
+    state = build_scenario_state(spec)
+    result = execute(state, [Stop(spec.duration)])
+    expected = 0
+    for node in state.nodes:
+        _node, reference = started_reference(
+            spec.workload.rate_bytes_per_second, make_node(node.node_id), seed=3_000 + node.node_id
+        )
+        reference._sim.run(until=spec.duration)
+        expected += reference.generated
+    # Two nodes crash at 0.5 s, so most of their arrivals are never read.
+    assert result.tx_generated == expected
 
 
 class TestSaturatingGenerator:
@@ -292,7 +473,9 @@ class TestCityProfiles:
                 assert matrix[i][j] == matrix[j][i]
 
     def test_network_config_shape(self):
-        config = city_network_config(AWS_CITIES, duration=10.0, seed=0)
+        config = city_network_config(
+            AWS_CITIES, duration=10.0, seed=0, egress_headroom=DEFAULT_EGRESS_HEADROOM
+        )
         assert config.num_nodes == 16
         assert len(config.egress_traces) == 16
         assert len(config.ingress_traces) == 16
