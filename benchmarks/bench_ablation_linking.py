@@ -35,7 +35,7 @@ def test_ablation_linking_and_decoupling(benchmark):
         workload=WorkloadSpec(kind="saturating"),
         node=NodeConfig(max_block_size=1_000_000),
         duration=duration,
-        warmup_fraction=0.0,
+        warmup=0.0,
     )
     variants = {
         "hb": {"protocol": "hb"},

@@ -31,7 +31,7 @@ SPEC_AS_DATA = {
     "workload": {"kind": "saturating", "target_pending_bytes": 2_000_000},
     "node": {"max_block_size": 400_000},
     "duration": 15.0,
-    "warmup_fraction": 0.2,
+    "warmup": 3.0,
 }
 
 

@@ -30,7 +30,7 @@ from repro.experiments.engine import sweep
 SPEC = replace(
     get_scenario("bandwidth-flapping").base,
     name="variable-bandwidth-wan",
-    warmup_fraction=0.0,
+    warmup=0.0,
 )
 NUM_NODES = SPEC.topology.num_nodes
 NUM_FLAKY = SPEC.bandwidth.count  # more than f, so lockstep cannot ignore them all

@@ -15,7 +15,7 @@ workloads are one catalog entry swept over a ``protocol`` axis::
 
     entry = get_scenario("fig08-geo")
     result = sweep(entry.base, {"protocol": ("dl", "hb")},
-                   options=ExecutionOptions(parallel=False))
+                   options=ExecutionOptions(workers=1))
     print(result.table())
 
 See ``examples/quickstart.py`` for a runnable end-to-end walk-through.

@@ -26,7 +26,7 @@ well as on the instant router used by the unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
@@ -50,7 +50,6 @@ class AdversarySpec:
             the real payload's encoding to the decoy's (``None`` = the codec
             default, ``N - 2f``); must satisfy ``1 <= split < N`` so the
             dispersal is actually inconsistent.
-        params: free-form behaviour parameters for registered extensions.
     """
 
     kind: str = "none"
@@ -59,7 +58,6 @@ class AdversarySpec:
     crash_time: float = 0.0
     victim: int = 0
     split: int | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind != "none" and self.kind not in ADVERSARIES:

@@ -34,14 +34,6 @@ class NodeConfig:
         max_block_size: cap on the transaction bytes packed into one block.
         linking: enable the inter-node linking rule of S4.3 so that every
             correct dispersed block is eventually delivered.
-        coupled: the DL-Coupled variant of S4.5 — propose an *empty* block
-            (no transactions) whenever retrieval lags more than
-            ``coupled_lag`` epochs behind the dispersal frontier.
-        coupled_lag: the ``P`` parameter of S4.5 (``P = 1`` matches
-            HoneyBadger's behaviour).
-        max_parallel_retrievals: how many epochs a node retrieves concurrently
-            (S4.5 allows retrieving from multiple epochs in parallel while
-            always delivering in serial order).
         mempool: accepted and ignored.  There is one mempool
             (:class:`repro.core.mempool.Mempool`); ``"object"`` and
             ``"columnar"`` are spellings kept because the pinned
@@ -60,9 +52,6 @@ class NodeConfig:
     nagle_size: int = 150_000
     max_block_size: int = 2_000_000
     linking: bool = True
-    coupled: bool = False
-    coupled_lag: int = 1
-    max_parallel_retrievals: int = 4
     retrieve_blocks: bool = True
     mempool: str = "object"
 
@@ -82,7 +71,3 @@ class NodeConfig:
             raise ConfigurationError("nagle_size must be non-negative")
         if self.max_block_size <= 0:
             raise ConfigurationError("max_block_size must be positive")
-        if self.coupled_lag < 1:
-            raise ConfigurationError("coupled_lag must be at least 1")
-        if self.max_parallel_retrievals < 1:
-            raise ConfigurationError("max_parallel_retrievals must be at least 1")

@@ -61,6 +61,10 @@ class Ledger(SnapshotState):
         """True if the block proposed by ``proposer`` in ``epoch`` is in the log."""
         return (epoch, proposer) in self._delivered_slots
 
+    def __contains__(self, slot: tuple[int, int]) -> bool:
+        """``(epoch, proposer) in ledger``: :meth:`has_delivered` of one slot."""
+        return slot in self._delivered_slots
+
     @property
     def num_blocks(self) -> int:
         return len(self.entries)

@@ -17,7 +17,7 @@ completion up to ``E[j]``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from repro.common.params import ProtocolParams
 
@@ -101,21 +101,23 @@ def compute_linking_targets(
 
 def linked_slots(
     targets: Sequence[int],
-    already_delivered: Iterable[tuple[int, int]],
+    delivered: Container[tuple[int, int]],
     committed_this_epoch: Iterable[tuple[int, int]],
 ) -> list[tuple[int, int]]:
     """Slots ``(epoch, proposer)`` that inter-node linking must now deliver.
 
     Returns the slots with ``epoch <= targets[proposer]`` that are neither
-    already delivered nor among this epoch's BA-committed slots, sorted by
-    increasing epoch number then node index (the total order of S4.3).
+    in ``delivered`` (a node passes its :class:`~repro.core.ledger.Ledger`,
+    whose slot set answers in O(1)) nor among this epoch's BA-committed
+    slots, sorted by increasing epoch number then node index (the total
+    order of S4.3).
     """
-    skip = set(already_delivered) | set(committed_this_epoch)
-    slots = []
-    for proposer, target in enumerate(targets):
-        for epoch in range(1, target + 1):
-            slot = (epoch, proposer)
-            if slot not in skip:
-                slots.append(slot)
+    committed = set(committed_this_epoch)
+    slots = [
+        (epoch, proposer)
+        for proposer, target in enumerate(targets)
+        for epoch in range(1, target + 1)
+        if (epoch, proposer) not in delivered and (epoch, proposer) not in committed
+    ]
     slots.sort()
     return slots

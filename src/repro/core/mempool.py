@@ -18,17 +18,12 @@ from repro.core.block import Transaction
 from repro.core.txbatch import TxBatch
 
 
-#: Entries one staged transaction takes in ``Mempool._staged``.
-_ROW_WIDTH = 5
-
-
 class Mempool(SnapshotState):
     """FIFO queue of pending transactions, held as :class:`TxBatch` runs.
 
-    ``submit`` copies one :class:`Transaction` record's fields onto a staging
-    run in O(1) and keeps no reference to the record; the run is sealed into
-    a columnar batch the next time the queue needs it (``take_batch``,
-    ``submit_batch``).  ``submit_batch`` queues a ready-made batch as it is.
+    ``submit`` and ``submit_many`` queue the records they are given as one
+    columnar batch per call and keep no reference to them; ``submit_batch``
+    queues a ready-made batch as it is.
     ``take_batch`` cuts greedily by byte budget — always at least one
     transaction, stopping once the budget is reached — and returns one
     :class:`TxBatch` whose columns are zero-copy views into the queued
@@ -46,7 +41,6 @@ class Mempool(SnapshotState):
         "nagle_delay",
         "nagle_size",
         "_queue",
-        "_staged",
         "_head_offset",
         "_head_offset_bytes",
         "_pending_count",
@@ -61,12 +55,6 @@ class Mempool(SnapshotState):
         self.nagle_delay = nagle_delay
         self.nagle_size = nagle_size
         self._queue: deque[TxBatch] = deque()
-        #: The tail of the queue: transactions submitted one at a time since
-        #: the last seal, flattened row after row — ``tx_id, origin,
-        #: created_at, size, data, tx_id, ...`` in the argument order of
-        #: :meth:`TxBatch.from_columns` — so a submission is one list
-        #: extension and a column is a strided slice.
-        self._staged: list = []
         self._head_offset = 0  # txs already drained from the head batch
         self._head_offset_bytes = 0  # their bytes
         self._pending_count = 0
@@ -82,21 +70,16 @@ class Mempool(SnapshotState):
 
     def submit(self, tx: Transaction) -> None:
         """Append one transaction to the tail of the queue."""
-        self._staged += (tx.tx_id, tx.origin, tx.created_at, tx.size, tx.data)
-        self._pending_count += 1
-        self._pending_bytes += tx.size
-        self.total_submitted += 1
+        self.submit_batch(TxBatch.from_transactions([tx]))
 
     def submit_many(self, txs: Iterable[Transaction]) -> None:
         """Append a run of transactions."""
-        for tx in txs:
-            self.submit(tx)
+        self.submit_batch(TxBatch.from_transactions(list(txs)))
 
     def submit_batch(self, batch: TxBatch) -> None:
         """Append a columnar batch to the tail of the queue."""
         if not len(batch):
             return
-        self._seal_staged()
         self._queue.append(batch)
         self._pending_count += batch.count
         self._pending_bytes += batch.total_bytes
@@ -124,14 +107,6 @@ class Mempool(SnapshotState):
             self._queue.appendleft(head.slice(self._head_offset, len(head)))
         self._head_offset = 0
         self._head_offset_bytes = 0
-
-    def _seal_staged(self) -> None:
-        """Turn the staged transactions into one queued batch."""
-        rows = self._staged
-        if rows:
-            columns = [rows[field::_ROW_WIDTH] for field in range(_ROW_WIDTH)]
-            self._queue.append(TxBatch.from_columns(*columns))
-            self._staged = []
 
     # ------------------------------------------------------------------
     # Inspection
@@ -190,7 +165,6 @@ class Mempool(SnapshotState):
         """
         if self.source is not None:
             self.source.submit_until(now)
-        self._seal_staged()
         taken: list[TxBatch] = []
         taken_bytes = 0
         while self._queue:

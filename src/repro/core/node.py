@@ -12,23 +12,24 @@ A :class:`DispersedLedgerNode` decouples agreement from block downloads:
   dispersal pipeline (S4.5).
 
 :class:`DLCoupledNode` is the spam-resistant variant of S4.5: it behaves
-identically except that it proposes an *empty* block whenever its delivery
-frontier lags more than ``coupled_lag`` epochs behind its dispersal frontier,
-so it only proposes transactions it was able to validate.
+identically except that it proposes an *empty* block whenever the epoch it
+proposes runs more than ``P`` epochs ahead of its delivery frontier, so it
+only proposes transactions it was able to validate.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.common.ids import VIDInstanceId
-from repro.core.config import NodeConfig
 from repro.core.epoch import EpochState
 from repro.core.node_base import BFTNodeBase
 
 
 class DispersedLedgerNode(BFTNodeBase):
     """One DispersedLedger node (the paper's ``DL`` automaton)."""
+
+    #: How many epochs a node retrieves concurrently (S4.5 allows retrieving
+    #: several epochs in parallel while always delivering in serial order).
+    RETRIEVAL_WINDOW = 4
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -63,7 +64,7 @@ class DispersedLedgerNode(BFTNodeBase):
             return
         active = 0
         epoch = self.delivered_epoch + 1
-        while active < self.config.max_parallel_retrievals:
+        while active < self.RETRIEVAL_WINDOW:
             state = self._epochs.get(epoch)
             if state is None or not state.agreement_done:
                 return
@@ -75,36 +76,21 @@ class DispersedLedgerNode(BFTNodeBase):
             active += 1
             epoch += 1
 
-    # ------------------------------------------------------------------
-    # Introspection helpers used by experiments and examples
-    # ------------------------------------------------------------------
-
-    @property
-    def retrieval_lag(self) -> int:
-        """How many epochs the delivery frontier trails the dispersal frontier."""
-        return max(0, self.current_epoch - self.delivered_epoch)
-
 
 class DLCoupledNode(DispersedLedgerNode):
     """The DL-Coupled variant (S4.5): empty blocks while lagging on retrieval.
 
-    The lag tolerance (``P`` in the paper's discussion of constantly-slow
-    nodes) defaults to :data:`DEFAULT_COUPLED_LAG` epochs: a node keeps
-    proposing transactions while its delivery frontier is within that many
-    epochs of its dispersal frontier, and falls back to empty blocks beyond
-    it.  ``P = 1`` would make the node as conservative as HoneyBadger.
+    A node keeps proposing transactions while the epoch it proposes is at
+    most :attr:`COUPLED_LAG` (the paper's ``P``) epochs ahead of its delivery
+    frontier, and falls back to empty blocks beyond it.  ``P = 1`` would
+    make the node as conservative as HoneyBadger.
     """
 
-    #: Default retrieval-lag tolerance (epochs) before proposing empty blocks.
-    DEFAULT_COUPLED_LAG = 4
+    #: Retrieval-lag tolerance ``P`` (epochs) before proposing empty blocks.
+    COUPLED_LAG = 4
 
-    def __init__(self, *args, **kwargs):
-        config: NodeConfig = kwargs.get("config") or NodeConfig()
-        if not config.coupled:
-            config = replace(
-                config,
-                coupled=True,
-                coupled_lag=max(config.coupled_lag, self.DEFAULT_COUPLED_LAG),
-            )
-        kwargs["config"] = config
-        super().__init__(*args, **kwargs)
+    def _may_include_transactions(self, epoch: int) -> bool:
+        return (
+            super()._may_include_transactions(epoch)
+            and epoch - self.delivered_epoch <= self.COUPLED_LAG
+        )

@@ -390,23 +390,20 @@ class BFTNodeBase(SnapshotState):
         now = self.ctx.now
         v_array = tuple(self._v_prefix) if self.config.linking else ()
         if not self._may_include_transactions(epoch):
-            # DL-Coupled (S4.5): participate with an empty block while lagging.
+            # Low-bandwidth mode, or DL-Coupled lagging (S4.5): participate
+            # with an empty block.
             self.mempool.mark_proposal(now)
             return Block(proposer=self.node_id, epoch=epoch, v_array=v_array)
         batch = self.mempool.take_batch(self.config.max_block_size, now)
         return Block(proposer=self.node_id, epoch=epoch, v_array=v_array, tx_batch=batch)
 
     def _may_include_transactions(self, epoch: int) -> bool:
-        """Whether this epoch's block may carry client transactions."""
-        if not self.config.retrieve_blocks:
-            # Low-bandwidth mode (S1): the node cannot validate state, so it
-            # only ever contributes empty blocks to the agreement.
-            return False
-        if not self.config.coupled:
-            return True
-        # DL-Coupled: only propose transactions when retrieval/delivery is at
-        # most ``coupled_lag`` epochs behind the epoch being proposed.
-        return epoch - self.delivered_epoch <= self.config.coupled_lag
+        """Whether this epoch's block may carry client transactions.
+
+        Not in low-bandwidth mode (S1): a node that never retrieves cannot
+        validate state, so it only ever contributes empty blocks.
+        """
+        return self.config.retrieve_blocks
 
     # ------------------------------------------------------------------
     # Payload plumbing (virtual vs real data plane)
@@ -538,7 +535,7 @@ class BFTNodeBase(SnapshotState):
                 observations[slot] = list(block.v_array)
         targets = compute_linking_targets(self.params, observations)
         committed_slots = [(epoch, slot) for slot in state.committed]
-        pending = linked_slots(targets, self.ledger.sequence(), committed_slots)
+        pending = linked_slots(targets, self.ledger, committed_slots)
         state.linked_slots = tuple(pending)
         for linked_epoch, proposer in pending:
             self._retrieve_linked_slot(epoch, linked_epoch, proposer)

@@ -104,17 +104,14 @@ def _joined_ids(columns: list[range | np.ndarray]) -> range | np.ndarray:
     return np.concatenate([_id_array(column) for column in columns])
 
 
-def _joined(payloads: Sequence[bytes], sizes: np.ndarray) -> tuple[bytes | None, np.ndarray | None]:
-    """Per-row ``data`` as one buffer plus each row's start in it (-1: no data);
-    a row whose data is neither empty nor its size would overwrite the next
-    row's header on the wire and is a ``ValueError``."""
+def _joined(payloads: Sequence[bytes]) -> tuple[bytes | None, np.ndarray | None]:
+    """Per-row ``data`` as one buffer plus each row's start in it (-1: no data).
+
+    A :class:`Transaction` carries either no data or exactly its size, so
+    no row can overwrite the next row's header on the wire."""
     lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
     if not lengths.any():
         return None, None
-    wrong = (lengths != 0) & (lengths != sizes)
-    if wrong.any():
-        row = int(wrong.argmax())
-        raise ValueError(f"row {row} declares size {sizes[row]} but carries {lengths[row]} bytes")
     return b"".join(payloads), np.where(lengths > 0, np.cumsum(lengths) - lengths, -1)
 
 
@@ -185,26 +182,6 @@ class TxBatch(SnapshotState):
         return cls(origin, tx_ids, created_at, sizes, total_bytes=tx_size * count)
 
     @classmethod
-    def from_columns(
-        cls,
-        tx_ids: Sequence[int],
-        origins: Sequence[int],
-        created_at: Sequence[float],
-        sizes: Sequence[int],
-        payloads: Sequence[bytes],
-    ) -> "TxBatch":
-        """A batch from five row-parallel sequences, one entry per transaction.
-
-        A single distinct origin becomes the scalar ``origin``; the payloads
-        are joined into one buffer (none if all are empty), and one that is
-        neither empty nor its row's size is a ``ValueError``.
-        """
-        if not len(tx_ids):
-            return cls.empty()
-        sizes = np.array(sizes, dtype=np.int64)
-        return cls._of_rows(tx_ids, origins, created_at, sizes, *_joined(payloads, sizes))
-
-    @classmethod
     def _of_rows(cls, tx_ids, origins, created_at, sizes, payloads, payload_starts) -> "TxBatch":
         mixed = len(set(origins)) > 1
         return cls(
@@ -219,13 +196,19 @@ class TxBatch(SnapshotState):
 
     @classmethod
     def from_transactions(cls, txs: Sequence["Transaction"]) -> "TxBatch":
-        """Columnarise transaction records, keeping their origins and ``data``."""
-        return cls.from_columns(
+        """Columnarise transaction records, keeping their origins and ``data``.
+
+        A single distinct origin becomes the scalar ``origin``; the rows'
+        ``data`` are joined into one buffer (none if every row's is empty).
+        """
+        if not txs:
+            return cls.empty()
+        return cls._of_rows(
             [tx.tx_id for tx in txs],
             [tx.origin for tx in txs],
             [tx.created_at for tx in txs],
-            [tx.size for tx in txs],
-            [tx.data for tx in txs],
+            np.array([tx.size for tx in txs], dtype=np.int64),
+            *_joined([tx.data for tx in txs]),
         )
 
     @classmethod
@@ -252,7 +235,7 @@ class TxBatch(SnapshotState):
         payloads = payload_starts = None
         if any(batch.payloads is not None for batch in parts):
             payloads, payload_starts = _joined(
-                list(chain.from_iterable(batch._payload_rows() for batch in parts)), sizes
+                list(chain.from_iterable(batch._payload_rows() for batch in parts))
             )
         return cls(
             None if mixed else origin,
@@ -356,7 +339,7 @@ class TxBatch(SnapshotState):
         """Every column read-only again; array columns and payload tuples (older files) load too."""
         super().restore_state(state)
         if "payload_starts" not in state:
-            self.payloads, self.payload_starts = _joined(self.payloads or (), self.sizes)
+            self.payloads, self.payload_starts = _joined(self.payloads or ())
         for name in _COLUMNS:
             column = getattr(self, name)
             if isinstance(column, tuple):

@@ -32,11 +32,6 @@ def hash_pair(left: bytes, right: bytes) -> bytes:
     return _sha256(_NODE_PREFIX + left + right).digest()
 
 
-def hash_leaves(leaves: list[bytes]) -> list[bytes]:
-    """Hash a list of leaf payloads."""
-    return [hash_data(leaf) for leaf in leaves]
-
-
 def digest_leaves_into(out: bytearray, leaves: list[bytes]) -> None:
     """Write the leaf digests of ``leaves`` into ``out`` back to back.
 

@@ -489,7 +489,7 @@ register_scenario(
         description="Batch clients at scale: N=64 express cluster committing ~100k tx in one epoch",
         base=ScenarioSpec(
             name="columnar-scale",
-            topology=TopologySpec(kind="uniform", num_nodes=64, delay=0.05, express=True),
+            topology=TopologySpec(kind="uniform", num_nodes=64, delay=0.05),
             bandwidth=BandwidthSpec(kind="unlimited"),
             workload=WorkloadSpec(
                 kind="saturating-columnar", target_pending_bytes=800_000, tx_size=250
@@ -499,7 +499,6 @@ register_scenario(
             node=NodeConfig(max_block_size=400_000, nagle_size=400_000),
             duration=2.0,
             warmup=0.0,
-            warmup_fraction=0.0,
             max_epochs=1,
         ),
         columns=_SIM_COLUMNS,

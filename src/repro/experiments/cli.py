@@ -150,7 +150,9 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     )
     group.add_argument("--json", action="store_true", help="emit JSON summaries")
     if sweepable:
-        group.add_argument("--serial", action="store_true", help="run points in-process")
+        group.add_argument(
+            "--serial", action="store_true", help="run points in-process (--workers 1)"
+        )
         group.add_argument("--workers", type=int, help="worker-process count")
         group.add_argument(
             "--telemetry",
@@ -379,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A bad value (zero workers) is a ConfigurationError from
         # ExecutionOptions itself.
         options = ExecutionOptions(
-            parallel=not args.serial, workers=args.workers, resume_dir=args.resume_dir
+            workers=1 if args.serial else args.workers, resume_dir=args.resume_dir
         )
         result = sweep(base, grid or None, options=options)
     except (ConfigurationError, WorkerDiedError) as exc:

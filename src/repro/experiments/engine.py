@@ -331,12 +331,16 @@ class SweepResult:
     base: ScenarioSpec
     grid: dict[str, list[Any]]
     points: list[ScenarioResult]
-    parallel: bool
+    #: Processes the points ran on (1 = this process).
     workers: int
     wall_clock_seconds: float
     #: Point indices whose results were loaded from a resume journal instead
     #: of re-executed (empty when the sweep ran without ``resume_dir``).
     resumed_points: list[int] = field(default_factory=list)
+
+    @property
+    def parallel(self) -> bool:
+        return self.workers > 1
 
     def summaries(self) -> list[dict[str, Any]]:
         return [point.summary() for point in self.points]
@@ -416,7 +420,7 @@ def run_points(
                 )
     # One worker per point, capped at the CPU count, unless told otherwise.
     workers = opts.workers or min(len(points), os.cpu_count() or 1)
-    if not opts.parallel or len(points) <= 1:
+    if len(points) <= 1:
         workers = 1
     results: list[ScenarioResult | None] = [None] * len(points)
 
@@ -449,7 +453,7 @@ def run_scenario(
     """Run one scenario point: a one-point :func:`run_points`.
 
     A single point always executes in this process, whatever
-    ``options.parallel`` says.
+    ``options.workers`` says.
 
     When the spec opts into telemetry (``spec.telemetry.enabled``) or span
     recording (``spec.spans.enabled``), the recorder rides along and its
@@ -483,12 +487,10 @@ def sweep(
             base spec.
         options: the execution strategy (:class:`ExecutionOptions`):
 
-            * ``parallel`` — run points across worker processes (the
-              default).  Points never share state, so this is safe for any
-              scenario; flip to ``False`` for easier debugging or when
-              profiling a single run.
             * ``workers`` — process count (default: one per point, capped
-              at the machine's CPU count).
+              at the machine's CPU count).  Points never share state, so a
+              pool is safe for any scenario; ``1`` runs every point in this
+              process, for easier debugging or when profiling a single run.
             * ``resume_dir`` — crash-resume journal directory.  Each
               completed point writes its result there atomically
               (``point-NNNN.ckpt``, ``repro-ckpt-v1`` format); rerunning an
@@ -539,7 +541,6 @@ def sweep(
         base=base,
         grid=grid_values,
         points=[loaded[index] for index in range(len(points))],
-        parallel=workers > 1,
         workers=workers,
         wall_clock_seconds=time.perf_counter() - started,
         resumed_points=sorted(set(loaded) - set(todo)),

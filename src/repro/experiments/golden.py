@@ -155,7 +155,7 @@ def golden_points(name: str):
 def golden_payload(name: str) -> dict[str, Any]:
     """Run one scenario's pinned points (serially) and collect the snapshot."""
     config, base, points = golden_points(name)
-    results, _ = run_points(points, options=ExecutionOptions(parallel=False))
+    results, _ = run_points(points, options=ExecutionOptions(workers=1))
     return {
         "scenario": name,
         "golden": {

@@ -41,16 +41,14 @@ class ExecutionOptions:
             :class:`~repro.sim.snapshot.SimulationState` — instead of
             building a fresh simulation; it must be a checkpoint of the very
             point it resumes (fingerprint-checked).
-        parallel: run sweep points across worker processes (the default).
         workers: worker-process count (``None`` = one per point, capped at
-            the machine's CPU count).
+            the machine's CPU count; ``1`` = run every point in this process).
         resume_dir: sweep crash-resume journal directory (:func:`sweep`).
     """
 
     profiler: Any | None = None
     checkpoint_path: str | Path | None = None
     resume_from: Any | None = None
-    parallel: bool = True
     workers: int | None = None
     resume_dir: str | Path | None = None
 

@@ -258,15 +258,18 @@ def _experiment_fingerprint(
     """A short deterministic digest of *what* is being simulated.
 
     Stored in every ``repro-ckpt-v1`` header and recomputed on resume, so a
-    checkpoint taken by one scenario cannot silently continue another.  Trace
-    objects are summarised by class name (their content is not JSON-stable);
+    checkpoint taken by one scenario cannot silently continue another.  A
+    spec-built run digests the arguments :func:`build_experiment` gets from
+    it (:func:`~repro.experiments.engine.spec_fingerprint`), so a run of the
+    same conditions built by hand carries the same fingerprint.  A bandwidth
+    trace is digested by class and content (its breakpoints or rate);
     everything else is the exact argument value.
     """
 
-    def trace_kinds(traces) -> list[str] | None:
+    def trace_content(traces) -> list | None:
         if traces is None:
             return None
-        return [type(t).__name__ if t is not None else "None" for t in traces]
+        return [None if t is None else [type(t).__name__, vars(t)] for t in traces]
 
     material = {
         "protocol": protocol,
@@ -282,9 +285,8 @@ def _experiment_fingerprint(
         "network": {
             "num_nodes": network_config.num_nodes,
             "propagation_delay": network_config.propagation_delay,
-            "express": network_config.express,
-            "egress": trace_kinds(network_config.egress_traces),
-            "ingress": trace_kinds(network_config.ingress_traces),
+            "egress": trace_content(network_config.egress_traces),
+            "ingress": trace_content(network_config.ingress_traces),
         },
     }
     blob = json.dumps(material, sort_keys=True).encode("utf-8")

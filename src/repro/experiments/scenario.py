@@ -69,10 +69,10 @@ class TopologySpec:
             (city topologies).
         egress_headroom: upload-capacity multiple of the (binding) download
             capacity for city topologies (:data:`DEFAULT_EGRESS_HEADROOM`).
-        express: enable the network's express broadcast fan-out fast path
-            (:class:`~repro.sim.network.NetworkConfig` ``express``); uniform
-            topologies with unlimited bandwidth only.  For protocol-logic
-            scalability runs at large N.
+
+    A uniform topology with ``"unlimited"`` bandwidth builds an express
+    network (:class:`~repro.sim.network.Network`): one fan-out event per
+    broadcast, for protocol-logic scalability runs at large N.
     """
 
     kind: str = "uniform"
@@ -81,7 +81,6 @@ class TopologySpec:
     testbed: str = "aws"
     fluctuate: bool = True
     egress_headroom: float = DEFAULT_EGRESS_HEADROOM
-    express: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "cities"):
@@ -90,8 +89,6 @@ class TopologySpec:
             raise ConfigurationError("num_nodes must be positive")
         if self.delay < 0:
             raise ConfigurationError("delay must be non-negative")
-        if self.express and self.kind != "uniform":
-            raise ConfigurationError("express broadcast requires a uniform topology")
 
     def resolved_num_nodes(self) -> int:
         if self.kind == "cities":
@@ -107,7 +104,8 @@ class BandwidthSpec:
 
     ``kind`` names an entry of :data:`BANDWIDTH_MODELS`:
 
-    * ``"unlimited"`` — no bandwidth limits (protocol-logic smoke runs);
+    * ``"unlimited"`` — no bandwidth limits (protocol-logic scalability
+      runs; the network is then express);
     * ``"constant"`` — every node capped at ``rate``;
     * ``"spatial"`` — node ``i`` capped at ``rate + step * i`` (Fig. 11a);
     * ``"gauss-markov"`` — independent Gauss-Markov fluctuation with mean
@@ -296,9 +294,8 @@ class ScenarioSpec:
             (:class:`~repro.trace.observers.SpanSpec`); summaries are
             bit-identical whether it is on or off.
         duration: virtual seconds to simulate.
-        warmup: absolute virtual seconds excluded from throughput
-            denominators; ``None`` means ``warmup_fraction * duration``.
-        warmup_fraction: fractional warmup used when ``warmup`` is ``None``.
+        warmup: virtual seconds excluded from throughput denominators;
+            ``None`` means a quarter of ``duration``.
         seed: master seed; workload generators and bandwidth fluctuation
             derive their per-node seeds from it, so a spec is a complete
             recipe for a deterministic run.
@@ -322,7 +319,6 @@ class ScenarioSpec:
     spans: SpanSpec = field(default_factory=SpanSpec)
     duration: float = 30.0
     warmup: float | None = None
-    warmup_fraction: float = 0.25
     seed: int = 0
     f: int | None = None
     #: Stop proposing new blocks after this many epochs (``None`` = propose
@@ -344,22 +340,12 @@ class ScenarioSpec:
             )
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ConfigurationError("warmup_fraction must be in [0, 1)")
         if self.warmup is not None and not 0 <= self.warmup < self.duration:
             raise ConfigurationError("warmup must be in [0, duration)")
         if self.block_size <= 0:
             raise ConfigurationError("block_size must be positive")
         if self.max_epochs is not None and self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be None or >= 1")
-        if self.topology.express and self.bandwidth.kind != "unlimited":
-            # Fail at spec construction: the network would reject the pairing
-            # anyway, but with less context.
-            raise ConfigurationError(
-                "express topologies model propagation delay only; "
-                'pair them with bandwidth kind "unlimited", not '
-                f"{self.bandwidth.kind!r}"
-            )
         for row in enabled_observers(self):
             if self.kind != "sim":
                 # Analytic kinds never build a simulator, so there is nothing
@@ -391,7 +377,7 @@ class ScenarioSpec:
     def effective_warmup(self) -> float:
         if self.warmup is not None:
             return self.warmup
-        return self.duration * self.warmup_fraction
+        return self.duration * 0.25
 
     # -- serialisation -----------------------------------------------------
 
@@ -461,7 +447,6 @@ def build_network_config(spec: ScenarioSpec) -> NetworkConfig:
         propagation_delay=topology.delay,
         egress_traces=egress,
         ingress_traces=ingress,
-        express=topology.express,
     )
 
 

@@ -81,26 +81,15 @@ class NetworkConfig:
         egress_traces: per-node egress bandwidth traces (bytes/s); ``None``
             entries mean unlimited.
         ingress_traces: per-node ingress bandwidth traces; same convention.
-        express: opt-in broadcast fast path for protocol-scalability studies.
-            A broadcast schedules **one** fan-out event that delivers the
-            message to every recipient inline, instead of one three-hop pipe
-            journey per recipient — collapsing the O(N) scheduler entries per
-            broadcast that dominate large-N runs.  Only valid with unlimited
-            bandwidth and a scalar propagation delay (there are no pipes to
-            queue in and every copy arrives together); per-delivery work is
-            still counted via ``Simulator.count_inline_event`` so events/s
-            stays comparable.  Express delivery changes event interleaving
-            relative to the per-message path (identical arrival *times*,
-            different ordering within a timestamp), so an express scenario
-            pins its own summary (``columnar-scale`` in the slow golden
-            tier) and is never compared with a per-message run of itself.
+
+    With every trace unlimited and a scalar delay the network is *express*
+    (see :class:`Network`).
     """
 
     num_nodes: int
     propagation_delay: float | list[list[float]] = 0.1
     egress_traces: list[BandwidthTrace | None] | None = None
     ingress_traces: list[BandwidthTrace | None] | None = None
-    express: bool = False
 
     def delay(self, src: int, dst: int) -> float:
         if isinstance(self.propagation_delay, (int, float)):
@@ -351,7 +340,22 @@ class _ExpressTrain(SnapshotState):
 
 
 class Network(SnapshotState):
-    """Connects protocol automata through bandwidth-limited pipes."""
+    """Connects protocol automata through bandwidth-limited pipes.
+
+    A network whose every link is unlimited (no trace, or ``None`` entries
+    only) and whose delay is one scalar is **express**: no pipe could queue
+    a message and every copy of a broadcast arrives together, so the pipes
+    are skipped.  A broadcast schedules one fan-out event that delivers
+    every off-node copy inline (:class:`_BroadcastFanout`) and consecutive
+    same-instant unicasts share one heap entry (:class:`_ExpressTrain`),
+    instead of one three-hop pipe journey per message — the O(N) scheduler
+    entries per broadcast that dominate large-N runs.  Per-delivery work is
+    still counted through ``Simulator.count_inline_events``, so events/s
+    stays comparable.  Express delivery orders the copies of one instant
+    differently from the per-message path (identical arrival *times*), so
+    an express run pins its own summary (``columnar-scale`` in the slow
+    golden tier).
+    """
 
     #: The attach-time resolved hooks (``_on_message``, ``_declines``) are
     #: bound methods of the attached processes; they pickle by reference and
@@ -362,6 +366,7 @@ class Network(SnapshotState):
         "_config",
         "_num_nodes",
         "_scalar_delay",
+        "_express",
         "_handlers",
         "_on_message",
         "_declines",
@@ -384,30 +389,24 @@ class Network(SnapshotState):
                 raise ConfigurationError(
                     f"{traces_name} has {len(traces)} entries for {config.num_nodes} nodes"
                 )
-        if config.express:
-            if config.num_nodes > 65_536:
-                raise ConfigurationError(
-                    "express network supports at most 65 536 nodes "
-                    "(train cars store node ids as unsigned shorts)"
-                )
-            if not isinstance(config.propagation_delay, (int, float)):
-                raise ConfigurationError(
-                    "express broadcast requires a scalar propagation delay"
-                )
-            for traces_name in ("egress_traces", "ingress_traces"):
-                traces = getattr(config, traces_name)
-                if traces is not None and any(trace is not None for trace in traces):
-                    raise ConfigurationError(
-                        "express broadcast requires unlimited bandwidth "
-                        f"(got {traces_name})"
-                    )
-        self._sim = sim
-        self._config = config
-        self._num_nodes = config.num_nodes
         delay = config.propagation_delay
         self._scalar_delay: float | None = (
             float(delay) if isinstance(delay, (int, float)) else None
         )
+        #: Every link unlimited and one scalar delay (see the class docstring).
+        self._express = self._scalar_delay is not None and all(
+            trace is None
+            for traces in (config.egress_traces, config.ingress_traces)
+            for trace in traces or ()
+        )
+        if self._express and config.num_nodes > 65_536:
+            raise ConfigurationError(
+                "express network supports at most 65 536 nodes "
+                "(train cars store node ids as unsigned shorts)"
+            )
+        self._sim = sim
+        self._config = config
+        self._num_nodes = config.num_nodes
         self._handlers: list[Process | None] = [None] * config.num_nodes
         #: Per-node bound ``on_message`` methods, resolved at attach time so
         #: the delivery hot paths skip a per-message attribute lookup.
@@ -529,7 +528,7 @@ class Network(SnapshotState):
             transfer = _MessageTransfer(self, src, dst, msg, rank, abort, _DELIVER)
             self._sim.schedule(LOOPBACK_DELAY, transfer)
             return
-        if self._config.express:
+        if self._express:
             # Unlimited bandwidth: the pipes would pass the message through
             # untouched, so skip them.  At N=256 the retrieval plane sends
             # N^3 of these per epoch, N at a time from one fan-out delivery;
@@ -563,12 +562,12 @@ class Network(SnapshotState):
     ) -> None:
         """Send ``msg`` from ``src`` to every node.
 
-        On an express network (``NetworkConfig.express``) the off-node copies
+        On an express network (see :class:`Network`) the off-node copies
         share one scheduled fan-out event; otherwise this is exactly a loop
         of :meth:`send`.  The loopback copy always takes the normal local
         path so self-delivery ordering matches the per-message network.
         """
-        if not self._config.express:
+        if not self._express:
             # ``send`` minus what does not vary across the fan-out: ``dst`` is
             # in range by construction, and the probe, the express switch and
             # the sender's pipe are looked up once.

@@ -49,10 +49,6 @@ class RetrievalResult:
     payload: Any
     ok: bool
 
-    @property
-    def is_bad_uploader(self) -> bool:
-        return not self.ok
-
 
 class AvidMInstance(SnapshotState):
     """One VID instance (server + optional client roles) at one node."""

@@ -12,7 +12,6 @@ class TestDefaults:
         assert config.nagle_delay == pytest.approx(0.1)
         assert config.nagle_size == 150_000
         assert config.linking is True
-        assert config.coupled is False
         assert config.data_plane == VIRTUAL_PLANE
 
     def test_real_plane(self):
@@ -35,14 +34,6 @@ class TestValidation:
     def test_non_positive_block_size(self):
         with pytest.raises(ConfigurationError):
             NodeConfig(max_block_size=0)
-
-    def test_coupled_lag_minimum(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(coupled_lag=0)
-
-    def test_parallel_retrievals_minimum(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(max_parallel_retrievals=0)
 
     def test_mempool_accepts_its_two_kept_spellings_only(self):
         assert NodeConfig(mempool="object").mempool == "object"

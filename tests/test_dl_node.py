@@ -5,8 +5,6 @@ end to end, with real erasure-coded blocks, under message reordering and in
 the presence of crashed, equivocating and censoring nodes.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.adversary.censor import CensoringNode
@@ -184,54 +182,22 @@ class TestDLCoupled:
         assert_identical_ledgers(nodes)
         assert nodes[0].ledger.num_transactions == 8
 
-    def test_coupled_config_forced(self, params4):
-        network, nodes = build_cluster(DLCoupledNode, params4, max_epochs=1)
-        assert all(node.config.coupled for node in nodes)
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            f.name
-            for f in dataclasses.fields(NodeConfig)
-            if f.name not in ("coupled", "coupled_lag")
-        ],
-    )
-    def test_coupled_config_keeps_every_other_field(self, params4, name):
-        # Forcing coupled mode may touch only coupled and coupled_lag; every
-        # other field the caller set must survive the rebuild.
-        default = getattr(NodeConfig(), name)
-        strings = {"data_plane": "real", "mempool": "columnar"}
-        if name in strings:
-            value = strings[name]
-        elif isinstance(default, bool):
-            value = not default
-        else:
-            value = default + 1
-        config = NodeConfig(**{name: value})
-        assert getattr(config, name) != default
+    def test_the_config_is_passed_on_unchanged(self, params4):
+        config = NodeConfig(data_plane="real", nagle_size=77_000, max_block_size=123_456)
         _, nodes = build_cluster(DLCoupledNode, params4, config=config, max_epochs=1)
-        expected = dataclasses.replace(
-            config, coupled=True, coupled_lag=DLCoupledNode.DEFAULT_COUPLED_LAG
-        )
-        assert all(node.config == expected for node in nodes)
+        assert all(node.config is config for node in nodes)
 
-    @pytest.mark.parametrize(
-        "coupled, lag, expected",
-        [
-            (False, 1, DLCoupledNode.DEFAULT_COUPLED_LAG),
-            (False, DLCoupledNode.DEFAULT_COUPLED_LAG + 3, DLCoupledNode.DEFAULT_COUPLED_LAG + 3),
-            (True, 2, 2),
-        ],
-        ids=["raised-to-default", "larger-lag-kept", "already-coupled-untouched"],
-    )
-    def test_coupled_lag_is_at_least_the_default_unless_already_coupled(
-        self, params4, coupled, lag, expected
-    ):
-        config = NodeConfig(coupled=coupled, coupled_lag=lag)
-        _, nodes = build_cluster(DLCoupledNode, params4, config=config, max_epochs=1)
-        assert {(node.config.coupled, node.config.coupled_lag) for node in nodes} == {
-            (True, expected)
-        }
+    @pytest.mark.parametrize("node_class", [DispersedLedgerNode, DLCoupledNode])
+    def test_transactions_ride_up_to_p_epochs_ahead_of_delivery(self, params4, node_class):
+        """DL-Coupled proposes an empty block for an epoch more than ``P``
+        ahead of its delivery frontier; DL never does."""
+        _, nodes = build_cluster(node_class, params4, max_epochs=1)
+        node = nodes[0]
+        lag = DLCoupledNode.COUPLED_LAG
+        submit_texts(node, ["within"])
+        assert not node._make_block(lag).is_empty
+        submit_texts(node, ["beyond"])
+        assert node._make_block(lag + 1).is_empty is (node_class is DLCoupledNode)
 
 
 def _crashed_factory():

@@ -94,7 +94,7 @@ def entry_sweep(name: str, overrides: dict, grid: dict | None = None) -> SweepRe
     return sweep(
         apply_overrides(entry.base, overrides),
         entry.grid if grid is None else grid,
-        options=ExecutionOptions(parallel=False),
+        options=ExecutionOptions(workers=1),
     )
 
 

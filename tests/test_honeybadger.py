@@ -128,9 +128,6 @@ class TestCrossProtocolEquivalence:
             "nagle_delay": 0.25,
             "nagle_size": 77_000,
             "max_block_size": 123_456,
-            "coupled": True,
-            "coupled_lag": 3,
-            "max_parallel_retrievals": 2,
             "retrieve_blocks": False,
             "mempool": "columnar",
         }

@@ -290,17 +290,18 @@ def test_directed_program_hits_the_named_corners():
     driver.apply("take_exactly", 2)  # budget met exactly, head left part-drained
     driver.apply("submit_batch", [(300, 0, False), (300, 0, True)])
     driver.apply("take_and_requeue", 150)  # requeue onto a part-drained head
-    driver.apply("submit", (10, 2, True))  # staged behind queued batches
+    driver.apply("submit", (10, 2, True))  # queued behind the requeued batches
     driver.apply("take", 10**6)
     assert driver.pool.is_empty and driver.pool.total_proposed == 9
 
 
-def test_submit_stays_constant_time():
-    """Per-arrival submission must not build a batch per transaction."""
+def test_the_queue_holds_one_batch_per_submission():
+    """``submit`` and ``submit_many`` each queue one batch; nothing is staged."""
     pool = Mempool()
-    for i in range(1_000):
+    for i in range(500):
         pool.submit(tx(i))
-    assert len(pool._queue) == 0  # nothing sealed until the queue is cut
+    pool.submit_many(tx(i) for i in range(500, 1_000))
+    assert len(pool._queue) == 501
     assert pool.pending_count == 1_000
     taken = pool.take_batch(10**9, now=0.0)
     np.testing.assert_array_equal(taken.tx_ids, np.arange(1_000, dtype=np.uint64))

@@ -118,7 +118,7 @@ class TestDelivery:
             Network(sim, config)
 
     def test_express_node_ids_must_fit_the_train_columns(self):
-        config = NetworkConfig(num_nodes=65_537, propagation_delay=0.05, express=True)
+        config = NetworkConfig(num_nodes=65_537, propagation_delay=0.05)
         with pytest.raises(ConfigurationError, match="65 536"):
             Network(Simulator(), config)
 
@@ -361,10 +361,26 @@ class TestPropagationRidesTheInOrderLane:
         assert statistics.median(pending) >= 3 * 8 * num_nodes
 
 
+@pytest.mark.parametrize(
+    "config, express",
+    [
+        (NetworkConfig(num_nodes=3, propagation_delay=0.05), True),
+        (NetworkConfig(num_nodes=3, egress_traces=[None] * 3, ingress_traces=[None] * 3), True),
+        (NetworkConfig(num_nodes=3, egress_traces=[None, None, ConstantBandwidth(1e6)]), False),
+        (NetworkConfig(num_nodes=3, ingress_traces=[ConstantBandwidth(None)] * 3), False),
+        (NetworkConfig(num_nodes=2, propagation_delay=[[0.0, 0.1], [0.1, 0.0]]), False),
+    ],
+    ids=["no-traces", "none-traces", "one-limited-link", "trace-objects", "delay-matrix"],
+)
+def test_the_links_select_the_express_path(config, express):
+    """Express exactly when no link has a trace and the delay is one scalar."""
+    assert Network(Simulator(), config)._express is express
+
+
 def build_express(num_nodes=4, delay=0.05, on_receive=None, recorder_class=LogRecorder):
     sim = Simulator()
     network = Network(
-        sim, NetworkConfig(num_nodes=num_nodes, propagation_delay=delay, express=True)
+        sim, NetworkConfig(num_nodes=num_nodes, propagation_delay=delay)
     )
     log = []
     for node in range(num_nodes):

@@ -38,24 +38,21 @@ def tiny_spec(**overrides) -> ScenarioSpec:
         workload=WorkloadSpec(kind="saturating", target_pending_bytes=500_000),
         node=NodeConfig(max_block_size=100_000),
         duration=4.0,
-        warmup_fraction=0.0,
+        warmup=0.0,
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
 
 
 class TestValidation:
-    def test_defaults_are_all_none_except_parallel(self):
+    def test_defaults_are_all_none(self):
         options = ExecutionOptions()
         for f in dataclasses.fields(ExecutionOptions):
-            if f.name == "parallel":
-                assert options.parallel is True
-            else:
-                assert getattr(options, f.name) is None, f.name
+            assert getattr(options, f.name) is None, f.name
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ExecutionOptions().parallel = False
+            ExecutionOptions().workers = 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,12 +64,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExecutionOptions(**kwargs)
 
-    def test_the_six_fields(self):
+    def test_the_five_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
             "profiler",
             "checkpoint_path",
             "resume_from",
-            "parallel",
             "workers",
             "resume_dir",
         ]
@@ -87,6 +83,8 @@ class TestOptionsIsTheOnlyWayIn:
             lambda: run_points(expand_grid(tiny_spec(), None), max_workers=1),
             lambda: run_scenario(tiny_spec(), checkpoint_path="/tmp/x.ckpt"),
             lambda: run_scenario(tiny_spec(), resume_from="/tmp/x.ckpt"),
+            # ``workers`` alone decides where points run.
+            lambda: ExecutionOptions(parallel=False),
             # The periodic-checkpoint interval is a spec field, not an option.
             lambda: ExecutionOptions(checkpoint_every=1.0),
             lambda: run_scenario(tiny_spec(), options=ExecutionOptions(checkpoint_every=1.0)),

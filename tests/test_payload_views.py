@@ -294,9 +294,9 @@ def test_an_old_snapshot_with_a_payload_tuple_restores(rows):
 
 def test_a_payload_longer_than_its_row_is_rejected():
     """It would overwrite the next row's header on the wire."""
-    with pytest.raises(ValueError, match="row 0 declares size 3 but carries 4 bytes"):
-        TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abcd", b""])
-    with pytest.raises(ValueError, match="row 1"):
-        TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abc", b"x"])
-    batch = TxBatch.from_columns([1, 2], [0, 0], [0.0, 0.0], [3, 2], [b"abc", b""])
+    with pytest.raises(ValueError, match="declares size 3 but carries 4 bytes"):
+        Transaction(1, 0, 0.0, 3, b"abcd")
+    with pytest.raises(ValueError, match="declares size 2 but carries 1 bytes"):
+        Transaction(2, 0, 0.0, 2, b"x")
+    batch = TxBatch.from_transactions([Transaction(1, 0, 0.0, 3, b"abc"), Transaction(2, 0, 0.0, 2)])
     assert Block.deserialize(Block(0, 1, tx_batch=batch).serialize()).tx_batch.tx_ids.tolist() == [1, 2]

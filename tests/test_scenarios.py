@@ -40,7 +40,7 @@ def tiny_spec(**overrides) -> ScenarioSpec:
         workload=WorkloadSpec(kind="saturating", target_pending_bytes=500_000),
         node=NodeConfig(max_block_size=100_000),
         duration=8.0,
-        warmup_fraction=0.0,
+        warmup=0.0,
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
@@ -383,15 +383,15 @@ class TestSweep:
     def test_parallel_and_serial_summaries_identical(self):
         base = tiny_spec(duration=6.0)
         grid = {"protocol": ("dl", "hb"), "seed": (0, 1)}
-        serial = sweep(base, grid, options=ExecutionOptions(parallel=False))
-        parallel = sweep(base, grid, options=ExecutionOptions(parallel=True, workers=2))
+        serial = sweep(base, grid, options=ExecutionOptions(workers=1))
+        parallel = sweep(base, grid, options=ExecutionOptions(workers=2))
         assert len(serial.points) == 4
         assert parallel.workers == 2
         assert serial.summaries() == parallel.summaries()
 
     def test_sweep_orders_points_deterministically(self):
         base = tiny_spec(duration=6.0)
-        result = sweep(base, {"seed": (2, 0, 1)}, options=ExecutionOptions(parallel=False))
+        result = sweep(base, {"seed": (2, 0, 1)}, options=ExecutionOptions(workers=1))
         assert [point.spec.seed for point in result.points] == [2, 0, 1]
         assert result.events_processed == sum(
             point.result.events_processed for point in result.points
@@ -399,7 +399,7 @@ class TestSweep:
 
     def test_table_renders_every_point(self):
         base = tiny_spec(duration=6.0)
-        result = sweep(base, {"seed": (0, 1)}, options=ExecutionOptions(parallel=False))
+        result = sweep(base, {"seed": (0, 1)}, options=ExecutionOptions(workers=1))
         table = result.table(columns=("label", "mean_throughput"))
         assert table.count("\n") == 3  # header + rule + 2 rows
 
@@ -408,7 +408,7 @@ class TestSweep:
     ):
         monkeypatch.chdir(tmp_path)
         base = tiny_spec(duration=3.0, checkpoint_every=1.0)
-        result = sweep(base, {"seed": (0, 1)}, options=ExecutionOptions(parallel=False))
+        result = sweep(base, {"seed": (0, 1)}, options=ExecutionOptions(workers=1))
         written = sorted(p.name for p in (tmp_path / DEFAULT_CHECKPOINT_DIR).iterdir())
         assert written == sorted(
             point_filename(point.spec, point.overrides, ".ckpt") for point in result.points
@@ -417,7 +417,7 @@ class TestSweep:
             header = read_snapshot_header(tmp_path / DEFAULT_CHECKPOINT_DIR / name)
             assert header["virtual_time"] == 2.0
         plain = sweep(
-            tiny_spec(duration=3.0), {"seed": (0, 1)}, options=ExecutionOptions(parallel=False)
+            tiny_spec(duration=3.0), {"seed": (0, 1)}, options=ExecutionOptions(workers=1)
         )
         assert result.summaries() == plain.summaries()
 
@@ -591,7 +591,7 @@ class TestCli:
                     "6",
                     "--json",
                     "--set",
-                    "warmup_fraction=0.0",
+                    "warmup=0.0",
                     "--grid",
                     "protocol=dl",
                     "--grid",

@@ -36,13 +36,17 @@ from repro.experiments.runner import (
     execute,
     periodic_stops,
 )
+from repro.experiments.catalog import get_scenario
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
     TopologySpec,
+    apply_overrides,
     build_network_config,
 )
+from repro.sim.bandwidth import ConstantBandwidth
 from repro.sim.events import InternalCallback, Simulator
+from repro.sim.network import NetworkConfig
 from repro.sim.snapshot import (
     FORMAT_VERSION,
     KIND_SIMULATION,
@@ -493,7 +497,7 @@ def _observed_spec(out_dir: Path, **overrides) -> ScenarioSpec:
         workload=WorkloadSpec(kind="poisson", rate_bytes_per_second=600_000.0),
         node=NodeConfig(max_block_size=100_000),
         duration=3.0,
-        warmup_fraction=0.0,
+        warmup=0.0,
         telemetry=TelemetrySpec(enabled=True, interval=0.25, out_dir=str(out_dir)),
         spans=SpanSpec(enabled=True, out_dir=str(out_dir)),
     )
@@ -510,7 +514,7 @@ def test_spec_checkpoint_every_writes_through_both_engine_doors(tmp_path, door):
     """The spec field is the one periodic-checkpoint interval, whichever door runs it."""
     spec = _unobserved_spec(tmp_path, checkpoint_every=1.0)
     checkpoint = tmp_path / "point.ckpt"
-    options = ExecutionOptions(checkpoint_path=checkpoint, parallel=False)
+    options = ExecutionOptions(checkpoint_path=checkpoint, workers=1)
     if door == "run_scenario":
         uninterrupted = run_scenario(spec, options=options).summary()
     else:
@@ -534,6 +538,7 @@ FINGERPRINTED = {
         spec, adversary=AdversarySpec(kind="crash-after", count=1, crash_time=2.0)
     ),
     "node-config": lambda spec: replace(spec, node=NodeConfig(max_block_size=50_000)),
+    "bandwidth-rate": lambda spec: replace(spec, bandwidth=BandwidthSpec(rate=1_000_000.0)),
 }
 
 
@@ -543,9 +548,55 @@ def test_every_simulated_input_is_in_the_checkpoint_fingerprint(tmp_path, change
     assert spec_fingerprint(change(spec)) != spec_fingerprint(spec)
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("straggler-hetero", {"bandwidth.rate": 1.0}),
+        ("straggler-hetero", {"bandwidth.degraded_rate": 5.0}),
+        ("straggler-hetero", {"bandwidth.count": 1}),
+        ("fig08-geo", {"topology.egress_headroom": 3.0}),
+    ],
+)
+def test_a_bandwidth_trace_is_fingerprinted_by_its_content(name, overrides):
+    """Same trace classes, other rates: a checkpoint of one is foreign to the other."""
+    spec = get_scenario(name).base
+    assert spec_fingerprint(apply_overrides(spec, overrides)) != spec_fingerprint(spec)
+
+
+def test_a_checkpoint_does_not_resume_under_another_bandwidth_rate(tmp_path):
+    spec = _unobserved_spec(tmp_path, checkpoint_every=1.0)
+    checkpoint = tmp_path / "point.ckpt"
+    run_scenario(spec, options=ExecutionOptions(checkpoint_path=checkpoint))
+    faster = apply_overrides(spec, {"bandwidth.rate": 4_000_000.0})
+    with pytest.raises(SnapshotError, match="different scenario"):
+        run_scenario(faster, options=ExecutionOptions(resume_from=checkpoint))
+
+
 def test_a_built_scenario_carries_its_spec_fingerprint(tmp_path):
     spec = _unobserved_spec(tmp_path)
     assert build_scenario(spec).fingerprint == spec_fingerprint(spec)
+
+
+def test_a_hand_built_run_of_a_spec_carries_its_fingerprint(tmp_path):
+    """One fingerprint for spec-built and hand-built states: traces are
+    digested by content, so distinct equal trace objects digest alike."""
+    spec = _unobserved_spec(tmp_path)
+    rate = ConstantBandwidth(spec.bandwidth.rate)
+    state = build_experiment(
+        spec.protocol,
+        NetworkConfig(
+            num_nodes=4,
+            propagation_delay=spec.topology.delay,
+            egress_traces=[rate] * 4,
+            ingress_traces=[rate] * 4,
+        ),
+        spec.duration,
+        workload=spec.workload,
+        node_config=spec.node,
+        warmup=spec.effective_warmup(),
+        adversary=spec.adversary,
+    )
+    assert state.fingerprint == spec_fingerprint(spec)
 
 
 def test_a_checkpoint_resumes_under_another_checkpoint_cadence(tmp_path):

@@ -167,7 +167,7 @@ def test_fast_golden_grids_run_checkpointed_to_pinned_snapshot(
     monkeypatch.chdir(tmp_path)
     _config, base, _points = golden_points(name)
     periodic = replace(base, checkpoint_every=base.duration / 3)
-    result = sweep(periodic, _pinned_grid(name), options=ExecutionOptions(parallel=False))
+    result = sweep(periodic, _pinned_grid(name), options=ExecutionOptions(workers=1))
     assert [json.dumps(p.summary(), sort_keys=True) for p in result.points] == (
         _pinned_summaries(name)
     )
@@ -359,7 +359,7 @@ def test_checkpointed_and_resumed_runs_write_the_reference_outputs(
         spec = replace(spec, checkpoint_every=spec.duration / checkpoints)
     periodic = tmp / "periodic.ckpt"
     result = sweep(
-        spec, None, options=ExecutionOptions(parallel=False, checkpoint_path=periodic)
+        spec, None, options=ExecutionOptions(workers=1, checkpoint_path=periodic)
     )
     reference = _reference(name, tmp_path_factory)
     assert _outputs(result.points[0]) == reference

@@ -47,11 +47,17 @@ with ``--help``, to catch a broken import that only the CLI would hit.
 
 **One Poisson client.**  The Poisson-family arrivals are drawn when a
 mempool is read: only the saturating client schedules simulator events.
+
+**Every option left is one a caller sets.**  The fields of the six option
+surfaces are pinned by name: an option that restates a protocol class, picks
+a path the code works out itself or that nothing reads comes back only by
+editing that table.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -61,10 +67,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.adversary.registry import AdversarySpec
+from repro.core.config import NodeConfig
 from repro.experiments.cli import resolve_scenario
 from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import Stop, build_experiment, execute
+from repro.experiments.scenario import ScenarioSpec, TopologySpec
 from repro.sim.network import NetworkConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,7 +106,7 @@ def _identifiers(path: Path) -> list[tuple[int, str]]:
 def _summaries(setting: str) -> str:
     """``run straggler-hetero --duration 4 --serial --set <setting>``'s summaries."""
     _entry, base, grid = resolve_scenario("straggler-hetero", overrides=[setting], duration=4.0)
-    result = sweep(base, grid or None, options=ExecutionOptions(parallel=False))
+    result = sweep(base, grid or None, options=ExecutionOptions(workers=1))
     return json.dumps(result.summaries(), sort_keys=True)
 
 
@@ -804,4 +813,52 @@ def test_every_cli_verb_answers_help(verb, tmp_path):
     proc = _cli(*verb.split(), "--help", cwd=tmp_path)
     assert proc.returncode == 0 and proc.stdout.startswith("usage:"), (
         f"{verb} --help exited {proc.returncode} with:\n{proc.stderr}"
+    )
+
+
+#: The settable fields of each option surface, in declaration order.  DL-Coupled
+#: is its class, the express network is selected by its links, a default warmup
+#: is ``warmup=None`` and ``workers`` alone decides where points run.
+OPTION_FIELDS = {
+    NodeConfig: (
+        "data_plane",
+        "nagle_delay",
+        "nagle_size",
+        "max_block_size",
+        "linking",
+        "retrieve_blocks",
+        "mempool",
+    ),
+    TopologySpec: ("kind", "num_nodes", "delay", "testbed", "fluctuate", "egress_headroom"),
+    NetworkConfig: ("num_nodes", "propagation_delay", "egress_traces", "ingress_traces"),
+    ScenarioSpec: (
+        "name",
+        "kind",
+        "protocol",
+        "topology",
+        "bandwidth",
+        "adversary",
+        "workload",
+        "node",
+        "telemetry",
+        "spans",
+        "duration",
+        "warmup",
+        "seed",
+        "f",
+        "max_epochs",
+        "block_size",
+        "checkpoint_every",
+    ),
+    AdversarySpec: ("kind", "count", "nodes", "crash_time", "victim", "split"),
+    ExecutionOptions: ("profiler", "checkpoint_path", "resume_from", "workers", "resume_dir"),
+}
+
+
+@pytest.mark.parametrize("surface", OPTION_FIELDS, ids=lambda surface: surface.__name__)
+def test_every_option_left_is_one_a_caller_sets(surface):
+    fields = tuple(field.name for field in dataclasses.fields(surface))
+    assert fields == OPTION_FIELDS[surface], (
+        f"{surface.__name__} grew or lost an option: {fields}; an option comes "
+        "back only by editing OPTION_FIELDS"
     )

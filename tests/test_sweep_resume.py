@@ -53,7 +53,7 @@ from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
 
 base = replace(get_scenario({SCENARIO!r}).base, duration={DURATION!r})
-sweep(base, {GRID!r}, options=ExecutionOptions(parallel=False, resume_dir=sys.argv[1]))
+sweep(base, {GRID!r}, options=ExecutionOptions(workers=1, resume_dir=sys.argv[1]))
 """
 
 
@@ -87,7 +87,7 @@ def test_sigkilled_sweep_resumes_only_unfinished_points(tmp_path):
     before = {path.name: path.read_bytes() for path in finished}
 
     base = _base_spec()
-    resumed = sweep(base, GRID, options=ExecutionOptions(parallel=False, resume_dir=str(journal)))
+    resumed = sweep(base, GRID, options=ExecutionOptions(workers=1, resume_dir=str(journal)))
     assert resumed.resumed_points == finished_indices
 
     # The journalled results were reused verbatim; the missing ones now exist.
@@ -97,7 +97,7 @@ def test_sigkilled_sweep_resumes_only_unfinished_points(tmp_path):
         f"point-{i:04d}.ckpt" for i in range(3)
     ]
 
-    clean = sweep(base, GRID, options=ExecutionOptions(parallel=False))
+    clean = sweep(base, GRID, options=ExecutionOptions(workers=1))
     assert json.dumps(resumed.summaries(), sort_keys=True) == json.dumps(
         clean.summaries(), sort_keys=True
     )
@@ -110,17 +110,17 @@ def test_stale_journal_from_a_different_sweep_is_ignored(tmp_path):
     """Changing the base spec invalidates every journalled point (fingerprints)."""
     journal = tmp_path / "journal"
     base = _base_spec()
-    first = sweep(base, GRID, options=ExecutionOptions(parallel=False, resume_dir=str(journal)))
+    first = sweep(base, GRID, options=ExecutionOptions(workers=1, resume_dir=str(journal)))
     assert first.resumed_points == []
 
     # Same journal, different sweep: nothing may be reused.
     other = replace(base, duration=DURATION + 0.5)
-    resumed = sweep(other, GRID, options=ExecutionOptions(parallel=False, resume_dir=str(journal)))
+    resumed = sweep(other, GRID, options=ExecutionOptions(workers=1, resume_dir=str(journal)))
     assert resumed.resumed_points == []
 
     # Rerunning the original sweep *after* the journal was overwritten by the
     # other sweep re-executes everything again rather than mixing results.
-    again = sweep(base, GRID, options=ExecutionOptions(parallel=False, resume_dir=str(journal)))
+    again = sweep(base, GRID, options=ExecutionOptions(workers=1, resume_dir=str(journal)))
     assert again.resumed_points == []
     assert json.dumps(again.summaries(), sort_keys=True) == json.dumps(
         first.summaries(), sort_keys=True
@@ -138,7 +138,7 @@ def tiny_spec(**overrides) -> ScenarioSpec:
         workload=WorkloadSpec(kind="poisson", rate_bytes_per_second=600_000.0),
         node=NodeConfig(max_block_size=100_000),
         duration=3.0,
-        warmup_fraction=0.0,
+        warmup=0.0,
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
@@ -146,7 +146,7 @@ def tiny_spec(**overrides) -> ScenarioSpec:
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
 def test_resume_dir_reruns_only_unjournalled_points(tmp_path, pooled):
-    options = ExecutionOptions(parallel=pooled, workers=2, resume_dir=tmp_path / "journal")
+    options = ExecutionOptions(workers=2 if pooled else 1, resume_dir=tmp_path / "journal")
     grid = {"warmup": (0.0, 0.5, 1.0)}
 
     def spec(out_dir: str) -> ScenarioSpec:
@@ -156,7 +156,7 @@ def test_resume_dir_reruns_only_unjournalled_points(tmp_path, pooled):
             )
         )
 
-    clean = sweep(spec("clean"), grid, options=ExecutionOptions(parallel=False))
+    clean = sweep(spec("clean"), grid, options=ExecutionOptions(workers=1))
     first = sweep(spec("out"), grid, options=options)
     assert (first.resumed_points, first.workers) == ([], 2 if pooled else 1)
 
@@ -247,7 +247,7 @@ class TestWorkerDeath:
         _FATAL_SEEDS.clear()
         rerun = sweep(self._spec(), self.GRID, options=options)
         assert rerun.resumed_points == journalled
-        clean = sweep(self._spec(), self.GRID, options=ExecutionOptions(parallel=False))
+        clean = sweep(self._spec(), self.GRID, options=ExecutionOptions(workers=1))
         assert rerun.summaries() == clean.summaries()
 
     def test_cli_reports_a_dead_worker_as_a_one_line_error(self, tmp_path, capsys):

@@ -52,7 +52,7 @@ def replay_spec(trace_file, **overrides) -> ScenarioSpec:
         workload=WorkloadSpec(kind="saturating", target_pending_bytes=500_000),
         node=NodeConfig(max_block_size=100_000),
         duration=6.0,
-        warmup_fraction=0.0,
+        warmup=0.0,
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)

@@ -136,6 +136,12 @@ class ReferencePoissonGenerator:
     the constant ``1 / (tx_size / rate)``; with one (bytes/s at a virtual
     time) at ``rate_at(now) / tx_size``, re-drawing every ``max_step``
     past the horizon or at zero rate.
+
+    Each arrival is one record, handed to the mempool when it is next read
+    (the model attaches itself as the mempool's ``source``): every record
+    then queued is stamped at or before the read, as when each was
+    submitted at its own event, and a read queues one batch rather than one
+    per record.
     """
 
     def __init__(self, sim, node, rate, rate_at=None, tx_size=250, seed=None, stop_at=None, max_step=0.25):
@@ -143,6 +149,8 @@ class ReferencePoissonGenerator:
         self._rng, self._stop_at, self._max_step = random.Random(seed), stop_at, max_step
         self._mean_interarrival, self._rate_at = tx_size / rate, rate_at
         self._sequence = self.generated = self.generated_bytes = 0
+        self._arrived = []
+        node.mempool.source = self
 
     def start(self):
         self._schedule_next()
@@ -168,10 +176,15 @@ class ReferencePoissonGenerator:
             return
         self._sequence += 1
         tx_id = self._sequence * node.params.n + node.node_id
-        node.submit_transaction(Transaction(tx_id, node.node_id, now, self._tx_size))
+        self._arrived.append(Transaction(tx_id, node.node_id, now, self._tx_size))
         self.generated += 1
         self.generated_bytes += self._tx_size
         self._schedule_next()
+
+    def submit_until(self, now):
+        assert all(tx.created_at <= now for tx in self._arrived)
+        self._node.mempool.submit_many(self._arrived)
+        self._arrived = []
 
 
 def started_reference(rate, node=None, **knobs):
