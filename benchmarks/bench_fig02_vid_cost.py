@@ -11,17 +11,13 @@ from conftest import report
 from repro.experiments.figures import crossover_n, measure_avid_m_dispersal_cost, vid_cost_row
 
 
-def test_fig02_vid_dispersal_cost(benchmark):
-    def run():
-        rows = [
-            vid_cost_row(n, block_size)
-            for block_size in (100_000, 1_000_000)
-            for n in (4, 8, 16, 32, 64, 100, 128)
-        ]
-        measured = measure_avid_m_dispersal_cost(n=16, block_size=100_000)
-        return rows, measured
-
-    rows, measured = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig02_vid_dispersal_cost():
+    rows = [
+        vid_cost_row(n, block_size)
+        for block_size in (100_000, 1_000_000)
+        for n in (4, 8, 16, 32, 64, 100, 128)
+    ]
+    measured = measure_avid_m_dispersal_cost(n=16, block_size=100_000)
 
     lines = [
         "",
@@ -46,4 +42,3 @@ def test_fig02_vid_dispersal_cost(benchmark):
     by_key = {(row["n"], row["block_size"]): row for row in rows}
     assert by_key[(128, 1_000_000)]["avid_m"] < 0.1
     assert by_key[(128, 100_000)]["avid_fp"] > 1.0
-    benchmark.extra_info["measured_avid_m_n16_100kb"] = measured

@@ -6,20 +6,16 @@ capacity, while HoneyBadger's servers are pinned to a common (straggler-
 gated) rate.
 """
 
-from conftest import bench_duration, fmt_mbps, report, sweep_entry
+from conftest import entry_sweep, fmt_mbps, report
 
 from repro.experiments.figures import by_protocol, improvement, throughput_table
 
 
-def test_fig08_geo_throughput(benchmark):
-    duration = bench_duration()
-
-    geo = benchmark.pedantic(
-        lambda: sweep_entry("fig08-geo", duration=duration), rounds=1, iterations=1
-    )
+def test_fig08_geo_throughput():
+    geo = entry_sweep("fig08-geo")
     results = by_protocol(geo)
 
-    lines = ["", f"=== Fig. 8: geo-distributed throughput ({duration:.0f}s virtual) ==="]
+    lines = ["", f"=== Fig. 8: geo-distributed throughput ({geo.base.duration:.0f}s virtual) ==="]
     header = f"{'city':<14}" + "".join(f"{p:>14}" for p in results)
     lines.append(header)
     for row in throughput_table(geo):
@@ -46,4 +42,3 @@ def test_fig08_geo_throughput(benchmark):
     dl = results["dl"]
     hb = results["hb"]
     assert (dl.max_throughput - dl.min_throughput) > (hb.max_throughput - hb.min_throughput)
-    benchmark.extra_info["mean_throughput"] = means

@@ -5,7 +5,7 @@ own pace (the per-server curves fan out), while with HoneyBadger-Link all
 servers progress along nearly the same, slower curve.
 """
 
-from conftest import bench_duration, report, sweep_entry
+from conftest import entry_sweep, report
 
 from repro.experiments.figures import progress_timelines
 
@@ -14,18 +14,14 @@ def _final(timeline):
     return timeline[-1][1] if timeline else 0
 
 
-def test_fig09_progress_timelines(benchmark):
-    duration = bench_duration()
-
-    def run():
-        return sweep_entry(
-            "fig08-geo", grid={"protocol": ("dl", "hb-link")}, duration=duration
-        )
-
-    timelines = progress_timelines(benchmark.pedantic(run, rounds=1, iterations=1))
+def test_fig09_progress_timelines():
+    geo = entry_sweep("fig08-geo")
+    duration = geo.base.duration
+    timelines = progress_timelines(geo)
 
     lines = ["", f"=== Fig. 9: confirmed data over time ({duration:.0f}s virtual) ==="]
-    for protocol, per_node in timelines.items():
+    for protocol in ("dl", "hb-link"):
+        per_node = timelines[protocol]
         finals = [_final(t) for t in per_node]
         spread = (max(finals) - min(finals)) / 1e6
         lines.append(

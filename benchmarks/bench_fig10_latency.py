@@ -7,27 +7,14 @@ growing), while DispersedLedger's stays nearly flat, at both a
 well-connected server (Ohio) and a poorly-connected one (Mumbai).
 """
 
-from conftest import bench_duration, fmt_ms, report, sweep_entry
+from conftest import entry_sweep, fmt_ms, report
 
 from repro.experiments.figures import latency_series
 from repro.workload.cities import AWS_CITIES
 
 
-def test_fig10_latency_vs_load(benchmark):
-    duration = max(20.0, bench_duration(1.5))
-    # Per-node offered load: the low point is comfortably inside every
-    # protocol's capacity; the high point is near DispersedLedger's capacity
-    # and beyond HoneyBadger's (which is where the paper's curves diverge).
-    loads = (300_000.0, 1_000_000.0)
-
-    def run():
-        return sweep_entry(
-            "fig10-latency",
-            grid={"protocol": ("dl", "hb"), "workload.rate_bytes_per_second": loads},
-            duration=duration,
-        )
-
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10_latency_vs_load():
+    sweep = entry_sweep("fig10-latency")
 
     # The paper's well-connected and poorly-connected example servers.
     cities = [city.name for city in AWS_CITIES]
@@ -39,7 +26,7 @@ def test_fig10_latency_vs_load(benchmark):
         latency_series(sweep, slow),
         latency_series(sweep, slow, "p95"),
     )
-    lines = ["", f"=== Fig. 10: latency vs per-node offered load ({duration:.0f}s virtual) ==="]
+    lines = ["", f"=== Fig. 10: latency vs per-node offered load ({sweep.base.duration:.0f}s virtual) ==="]
     lines.append(f"{'protocol':>9} {'load':>12} {'Ohio p50':>10} {'Ohio p95':>10} {'Mumbai p50':>11} {'Mumbai p95':>11}")
     for protocol in fast_p50:
         for (load, f50), (_, f95), (_, s50), (_, s95) in zip(*(c[protocol] for c in columns)):
@@ -57,5 +44,3 @@ def test_fig10_latency_vs_load(benchmark):
     # stays cheaper than HB at the highest load.
     assert (dl_medians[-1] or 0) <= (hb_medians[-1] or float("inf"))
     assert dl_growth <= hb_growth * 1.25
-    benchmark.extra_info["dl_median_growth"] = dl_growth
-    benchmark.extra_info["hb_median_growth"] = hb_growth

@@ -7,21 +7,17 @@ DispersedLedger's per-node throughput is roughly proportional to that
 node's own capacity.
 """
 
-from conftest import bench_duration, fmt_mbps, report, sweep_entry
+from conftest import entry_sweep, fmt_mbps, report
 
 from repro.experiments.figures import by_protocol, throughput_spread, throughput_table
 
 
-def test_fig11a_spatial_variation(benchmark):
-    duration = bench_duration()
-
-    result = benchmark.pedantic(
-        lambda: sweep_entry("fig11a-spatial", duration=duration), rounds=1, iterations=1
-    )
+def test_fig11a_spatial_variation():
+    result = entry_sweep("fig11a-spatial")
     results = by_protocol(result)
     spread = {protocol: throughput_spread(r) for protocol, r in results.items()}
 
-    lines = ["", f"=== Fig. 11a: spatial bandwidth variation ({duration:.0f}s virtual) ==="]
+    lines = ["", f"=== Fig. 11a: spatial bandwidth variation ({result.base.duration:.0f}s virtual) ==="]
     lines.append(f"{'node':>4} {'capacity':>12} {'dl':>12} {'hb-link':>12} {'hb':>12}")
     for row in throughput_table(result):
         lines.append(

@@ -7,20 +7,16 @@ unchanged by the fluctuation, while HoneyBadger (with or without linking)
 loses roughly 20-25%.
 """
 
-from conftest import bench_duration, fmt_mbps, report, sweep_entry
+from conftest import entry_sweep, fmt_mbps, report
 
 from repro.experiments.figures import temporal_drop_table
 
 
-def test_fig11b_temporal_variation(benchmark):
-    duration = bench_duration()
-
-    result = benchmark.pedantic(
-        lambda: sweep_entry("fig11b-temporal", duration=duration), rounds=1, iterations=1
-    )
+def test_fig11b_temporal_variation():
+    result = entry_sweep("fig11b-temporal")
     rows = temporal_drop_table(result)
 
-    lines = ["", f"=== Fig. 11b: temporal bandwidth variation ({duration:.0f}s virtual) ==="]
+    lines = ["", f"=== Fig. 11b: temporal bandwidth variation ({result.base.duration:.0f}s virtual) ==="]
     lines.append(f"{'protocol':>9} {'fixed':>12} {'varying':>12} {'drop':>8}")
     for row in rows:
         lines.append(
@@ -36,5 +32,3 @@ def test_fig11b_temporal_variation(benchmark):
     # tolerance absorbs run-to-run noise of the short benchmark runs).
     assert dl_drop < hb_drop + 0.08
     assert dl_drop < 0.30
-    benchmark.extra_info["dl_drop"] = dl_drop
-    benchmark.extra_info["hb_drop"] = hb_drop

@@ -7,24 +7,20 @@ the local-only metric, because stale transactions proposed by overloaded
 servers drag it up — which is why the paper reports local-only latency.
 """
 
-from conftest import bench_duration, fmt_ms, report, sweep_entry
+from conftest import entry_sweep, fmt_ms, report
 
 from repro.experiments.figures import latency_metric_table
 
 
-def test_fig14_latency_metric_comparison(benchmark):
-    duration = max(20.0, bench_duration(1.5))
-    load = 2_000_000.0
-
-    def run():
-        return sweep_entry(
-            "fig10-latency",
-            grid={"protocol": ("dl", "hb"), "workload.rate_bytes_per_second": (load,)},
-            duration=duration,
-        )
-
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
-    tables = {point.spec.protocol: latency_metric_table(point) for point in sweep.points}
+def test_fig14_latency_metric_comparison():
+    # The highest load of the Fig. 10 sweep, where HB's servers fall behind.
+    sweep = entry_sweep("fig10-latency")
+    load = max(sweep.grid["workload.rate_bytes_per_second"])
+    tables = {
+        point.spec.protocol: latency_metric_table(point)
+        for point in sweep.points
+        if point.spec.workload.rate_bytes_per_second == load
+    }
 
     lines = ["", f"=== Fig. 14: latency metric comparison at {load/1e6:.0f} MB/s per node ==="]
     for protocol, rows in tables.items():

@@ -6,23 +6,16 @@ HoneyBadger, confirming that the Fig. 8 result is not an artefact of one
 particular testbed.
 """
 
-from conftest import bench_duration, fmt_mbps, report, sweep_entry
+from conftest import entry_sweep, fmt_mbps, report
 
 from repro.experiments.figures import by_protocol, improvement, throughput_table
 
 
-def test_fig15_vultr_throughput(benchmark):
-    # The Vultr-like sites are slow relative to an epoch's data volume, so
-    # give this run a little more virtual time than the AWS-like one to keep
-    # whole-epoch quantisation of the slowest sites out of the mean.
-    duration = max(20.0, bench_duration(1.5))
-
-    geo = benchmark.pedantic(
-        lambda: sweep_entry("fig15-vultr", duration=duration), rounds=1, iterations=1
-    )
+def test_fig15_vultr_throughput():
+    geo = entry_sweep("fig15-vultr")
     results = by_protocol(geo)
 
-    lines = ["", f"=== Fig. 15: Vultr-like testbed throughput ({duration:.0f}s virtual) ==="]
+    lines = ["", f"=== Fig. 15: Vultr-like testbed throughput ({geo.base.duration:.0f}s virtual) ==="]
     header = f"{'city':<14}" + "".join(f"{p:>14}" for p in results)
     lines.append(header)
     for row in throughput_table(geo):

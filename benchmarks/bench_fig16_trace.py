@@ -13,15 +13,12 @@ from repro.trace.model import MeasuredTrace
 from repro.workload.traces import MB, GaussMarkovProcess
 
 
-def test_fig16_example_bandwidth_trace(benchmark):
-    def run():
-        process = GaussMarkovProcess(mean=10 * MB, sigma=5 * MB, alpha=0.98, seed=16)
-        path = process.sample_path(duration=300.0, step=1.0)
-        return MeasuredTrace.from_node_rates(
-            "fig16-gauss-markov", {0: [(t, rate, rate) for t, rate in path]}
-        )
-
-    trace = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig16_example_bandwidth_trace():
+    process = GaussMarkovProcess(mean=10 * MB, sigma=5 * MB, alpha=0.98, seed=16)
+    path = process.sample_path(duration=300.0, step=1.0)
+    trace = MeasuredTrace.from_node_rates(
+        "fig16-gauss-markov", {0: [(t, rate, rate) for t, rate in path]}
+    )
 
     stats = trace.stats()[0]
     resampled = trace.resampled(1.0).nodes[0].points

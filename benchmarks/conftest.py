@@ -1,11 +1,15 @@
 """Shared infrastructure for the figure-regenerating benchmarks.
 
-Every ``bench_fig*.py`` regenerates one table or figure of the paper's
-evaluation: it sweeps a catalog entry (:func:`sweep_entry`) and prints a
-reduction from :mod:`repro.experiments.figures`.  The simulated durations
-default to values short enough that the whole suite finishes in minutes;
-set ``REPRO_BENCH_DURATION`` (seconds of virtual time) for longer, smoother
-runs closer to the paper's 2+ minute measurements.
+Every ``bench_*.py`` regenerates one table or figure of the paper's
+evaluation: it sweeps a catalog entry exactly as the catalog defines it
+(:func:`entry_sweep`), reduces the sweep with a function of
+:mod:`repro.experiments.figures`, prints the table and asserts the figure's
+shape.  A bench states no window, load or grid of its own; a figure that
+needs another point changes its entry, so the bench, the CLI's ``run`` of
+the same name and ``docs/scenarios.md`` describe one experiment.  Each entry
+is swept once per session: Figs. 8 and 9 and the headline share
+``fig08-geo``, Figs. 10 and 14 and the headline share ``fig10-latency``, and
+Figs. 12 and 13 share ``fig12-scalability``.
 
 Results are printed through :func:`report`, which bypasses pytest's output
 capture so the tables appear in ``bench_output.txt``, and are also appended
@@ -14,37 +18,26 @@ to ``benchmarks/results.txt``.
 
 from __future__ import annotations
 
-import os
+import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import SweepResult, get_scenario, sweep
 
-#: Default virtual duration (seconds) of the heavier WAN simulations.
-DEFAULT_DURATION = float(os.environ.get("REPRO_BENCH_DURATION", "15"))
 #: Where the printed tables are also archived.
 RESULTS_PATH = Path(__file__).parent / "results.txt"
 
 MB = 1_000_000.0
 
 
-def bench_duration(scale: float = 1.0) -> float:
-    """Virtual seconds to simulate for one run (scaled per experiment)."""
-    return DEFAULT_DURATION * scale
-
-
-def sweep_entry(name: str, grid: dict | None = None, **overrides) -> SweepResult:
-    """Sweep the catalog entry ``name`` — the one definition of its experiment.
-
-    A figure's departures from its entry are stated here, at the call site:
-    ``overrides`` replace fields of the entry's base spec (``duration``,
-    ``seed``, …) and ``grid``, when given, replaces the entry's axes.
-    """
+@functools.cache
+def entry_sweep(name: str) -> SweepResult:
+    """Sweep the catalog entry ``name`` over its grid (once per session; the
+    benches that share the result only read it)."""
     entry = get_scenario(name)
-    return sweep(replace(entry.base, **overrides), entry.grid if grid is None else grid)
+    return sweep(entry.base, entry.grid)
 
 
 def report(*lines: str) -> None:

@@ -336,10 +336,8 @@ class TxBatch(SnapshotState):
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Every column read-only again; array columns and payload tuples (older files) load too."""
+        """Every column read-only again, a constant column rebuilt from its ``(value, length)``."""
         super().restore_state(state)
-        if "payload_starts" not in state:
-            self.payloads, self.payload_starts = _joined(self.payloads or ())
         for name in _COLUMNS:
             column = getattr(self, name)
             if isinstance(column, tuple):

@@ -39,9 +39,8 @@ CI-only tier), and ``python -m repro.experiments trace
 {inspect,convert,export,summarise,diff,spans,flame}`` works with
 trace files, per-run telemetry and causal spans.
 
-The ``benchmarks/bench_fig*.py`` scripts sweep those entries at reduced
-durations (``REPRO_BENCH_DURATION`` virtual seconds) and print the figure
-tables.
+The ``benchmarks/bench_*.py`` scripts sweep those entries as defined and
+print the figure tables.
 """
 
 from repro.experiments.catalog import (

@@ -12,7 +12,8 @@ measurements.
 The paper-figure entries (``fig02-vid-cost``, ``fig08-geo``, …) are the only
 definition of the paper's experiments; :mod:`repro.experiments.figures`
 reduces their sweeps to figure tables.  The remaining entries grow scenario
-coverage beyond the paper: bandwidth churn, heavy-tailed stragglers,
+coverage beyond the paper: the linking x decoupling ablation
+(``ablation-linking``), bandwidth churn, heavy-tailed stragglers,
 crash-fault mixes, mid-run
 churn, non-stationary workloads, Byzantine node-class adversaries on the
 timed simulator (``censor-victim``, ``equivocate-split``,
@@ -149,9 +150,12 @@ register_scenario(
             node=NodeConfig(max_block_size=4_000_000),
             duration=20.0,
         ),
+        # Per-node offered load: 300 kB/s is inside every protocol's
+        # capacity; 1 MB/s (16 MB/s offered) is beyond it, where HoneyBadger's
+        # latency climbs and the paper's curves diverge.
         grid={
             "protocol": ("dl", "hb"),
-            "workload.rate_bytes_per_second": (1_000_000.0, 3_000_000.0, 6_000_000.0),
+            "workload.rate_bytes_per_second": (300_000.0, 1_000_000.0),
         },
         columns=_SIM_COLUMNS,
     )
@@ -207,7 +211,7 @@ register_scenario(
 register_scenario(
     NamedScenario(
         name="fig12-scalability",
-        description="Throughput and dispersal fraction vs cluster size at fixed block sizes",
+        description="Throughput and dispersal fraction at N = 16 by block size (model to N = 128)",
         figure="Fig. 12 / Fig. 13",
         base=ScenarioSpec(
             name="fig12-scalability",
@@ -217,8 +221,9 @@ register_scenario(
             node=NodeConfig(max_block_size=500_000, nagle_size=500_000),
             duration=20.0,
         ),
+        # N = 16 only: the N axis of Figs. 12/13 is the cost model's
+        # (figures.model_sweep), which these points validate.
         grid={
-            "topology.num_nodes": (16, 32),
             "block": (
                 {"node.max_block_size": 500_000, "node.nagle_size": 500_000},
                 {"node.max_block_size": 1_000_000, "node.nagle_size": 1_000_000},
@@ -246,6 +251,31 @@ register_scenario(
 )
 
 # -- beyond the paper ------------------------------------------------------
+
+register_scenario(
+    NamedScenario(
+        name="ablation-linking",
+        description="Ablation: hb, hb-link, dl without linking and dl on one spatial-variation cluster",
+        base=ScenarioSpec(
+            name="ablation-linking",
+            topology=TopologySpec(kind="uniform", num_nodes=10, delay=0.1),
+            bandwidth=BandwidthSpec(kind="spatial", rate=8 * MB, step=1.0 * MB),
+            workload=WorkloadSpec(kind="saturating"),
+            node=NodeConfig(max_block_size=1_000_000),
+            duration=20.0,
+        ),
+        # Neither ingredient, linking only, decoupling only, both.
+        grid={
+            "variant": (
+                {"protocol": "hb"},
+                {"protocol": "hb-link"},
+                {"protocol": "dl", "node.linking": False},
+                {"protocol": "dl"},
+            ),
+        },
+        columns=_SIM_COLUMNS,
+    )
+)
 
 register_scenario(
     NamedScenario(

@@ -2,9 +2,9 @@
 
 An experiment of the paper is defined once, as an entry of
 :mod:`repro.experiments.catalog`.  A figure is that entry run through
-:func:`~repro.experiments.engine.sweep` (a benchmark script states its
-departures — duration, seed, a narrower grid — as overrides at the call
-site) followed by one of the pure functions below, which turn the
+:func:`~repro.experiments.engine.sweep` exactly as defined (a benchmark
+script states no window, load or grid of its own) followed by one of the
+pure functions below, which turn the
 :class:`~repro.experiments.engine.SweepResult` into figure-shaped rows.  No
 function here builds a :class:`~repro.experiments.scenario.ScenarioSpec` or
 runs a simulation.  A ratio whose denominator is zero (a protocol that
@@ -29,6 +29,7 @@ Fig. 14 (App. A.1)   ``fig10-latency`` -> :func:`latency_metric_table`
 Fig. 15 (App. A.2)   ``fig15-vultr`` -> :func:`throughput_table`,
                      :func:`improvement`
 Headline (S1)        ``fig08-geo`` + ``fig10-latency`` -> :func:`headline_numbers`
+Ablation             ``ablation-linking`` -> :func:`linking_ablation`
 ==================  =======================================================
 
 Two figures are not simulations and live here whole: the Fig. 2 dispersal
@@ -113,6 +114,15 @@ def improvement(sweep: SweepResult, better: str, worse: str) -> float:
 def progress_timelines(sweep: SweepResult) -> dict[str, list[list[tuple[float, int]]]]:
     """Fig. 9: per-node cumulative confirmed-bytes timelines of each protocol."""
     return {protocol: result.timelines for protocol, result in by_protocol(sweep).items()}
+
+
+def linking_ablation(sweep: SweepResult) -> dict[str, ExperimentResult]:
+    """Each ablation variant's result: ``hb``, ``hb-link``, ``dl-nolink``
+    (decoupling without linking) and ``dl`` (both)."""
+    return {
+        point.spec.protocol + ("" if point.spec.node.linking else "-nolink"): point.result
+        for point in sweep.points
+    }
 
 
 def throughput_spread(result: ExperimentResult) -> float:

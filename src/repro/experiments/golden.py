@@ -50,9 +50,9 @@ class GoldenConfig:
             move mid-run events (crash times, warmups) inside the shortened
             window.
         grid: replacement sweep axes; ``None`` keeps the catalog grid.  Used
-            to keep the most expensive axes (N = 32 clusters, wide load
-            sweeps) out of the per-commit regression loop — the trimmed axes
-            are still exercised by the benchmarks.
+            to keep the most expensive axes (the high loads, the widest
+            protocol sweeps) out of the per-commit regression loop — the
+            trimmed axes are still exercised by the figure benchmarks.
     """
 
     duration: float = GOLDEN_DURATION

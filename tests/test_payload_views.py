@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.params import ProtocolParams
-from repro.common.snapshot import SnapshotState
 from repro.core.block import Block, Transaction
 from repro.core.txbatch import TxBatch
 from repro.crypto.merkle import MerkleTree
@@ -274,22 +273,6 @@ def test_a_parsed_batch_survives_slice_concat_and_pickle(rows, extra, data):
     restored = pickle.loads(pickle.dumps(parsed))
     assert restored.as_transactions() == expected
     assert not restored.payload_starts.flags.writeable
-
-
-@given(rows=st.lists(_row, min_size=1, max_size=10))
-@settings(max_examples=50, deadline=None)
-def test_an_old_snapshot_with_a_payload_tuple_restores(rows):
-    """Files written while ``payloads`` was a tuple of one ``bytes`` per row."""
-    txs = _transactions(rows)
-    batch = TxBatch.from_transactions(txs)
-    state = SnapshotState.snapshot_state(batch)
-    del state["payload_starts"]
-    state["payloads"] = tuple(tx.data for tx in txs) if any(tx.data for tx in txs) else None
-    restored = TxBatch.__new__(TxBatch)
-    restored.__setstate__(pickle.loads(pickle.dumps(state)))
-    assert restored.as_transactions() == txs
-    assert restored.serialize() == batch.serialize()
-    assert restored.payload_starts is None or not restored.payload_starts.flags.writeable
 
 
 def test_a_payload_longer_than_its_row_is_rejected():

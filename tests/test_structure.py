@@ -29,7 +29,9 @@ bits, so ``ba/mmr.py`` builds no ``set``.
 **One run loop, one definition per experiment.**  The simulator pops its
 heap in one place and has no profiled twin of the loop; a paper experiment
 is a ``ScenarioSpec`` built in ``catalog.py`` only, no legacy
-``benchmarks/BENCH_*.json`` report or deleted figure driver comes back.
+``benchmarks/BENCH_*.json`` report or deleted figure driver comes back, and
+a figure bench sweeps its catalog entry as defined: it builds, overrides and
+re-grids no spec and reads no environment variable.
 
 **One execution path, one observer seam.**  Every point goes through
 ``engine.run_points`` -> ``runner.execute`` (one executor, one scheduler
@@ -552,6 +554,44 @@ def test_one_definition_per_experiment():
     ]
     assert not drivers, (
         f"a deleted figure driver is back (see docs/scenarios.md, Paper figures): {drivers}"
+    )
+
+
+def test_a_figure_bench_sweeps_its_entry_as_defined():
+    """A figure's window, load and grid are its catalog entry's: the benches and
+    their conftest build and override no spec, read no environment variable, and
+    sweep only ``entry.base`` over ``entry.grid``, by name."""
+    benches = ROOT / "benchmarks"
+    # The span off-switch report times its own short runs; it draws no figure.
+    paths = [
+        benches / "conftest.py",
+        *(path for path in sorted(benches.glob("bench_*.py")) if path.name != "bench_spans_report.py"),
+    ]
+    trees = {path.relative_to(ROOT): _tree(path) for path in paths}
+    departures = [
+        f"{name}:{call.lineno}: {ast.unparse(call)}"
+        for name, tree in trees.items()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (
+            _called_name(call) in ("ScenarioSpec", "apply_overrides", "replace", "run_scenario")
+            or (_called_name(call) == "entry_sweep" and (len(call.args) != 1 or call.keywords))
+        )
+    ]
+    departures += [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
+        for line, name in _identifiers(path)
+        if name in ("environ", "getenv")
+    ]
+    sweeps = [
+        ast.unparse(call)
+        for tree in trees.values()
+        for call in _calls(tree, "sweep")
+    ]
+    assert not departures and sweeps == ["sweep(entry.base, entry.grid)"], (
+        "a figure bench departs from its catalog entry; change the entry instead "
+        f"(benchmarks/conftest.py): {departures}, sweeps {sweeps}"
     )
 
 

@@ -78,6 +78,18 @@ class TestPoissonSource:
         assert txs and all(tx.created_at < 1.0 for tx in txs)
         assert source.generated == len(txs)
 
+    def test_an_arrival_stamped_exactly_at_stop_at_is_dropped(self):
+        """``stop_at`` is exclusive, as the per-event client's ``now >= stop_at``."""
+        node, _source = started_source(ConstantRate(50_000), seed=6)
+        stamps = [tx.created_at for tx in pending(node, 1.0)]
+        stop = stamps[3]
+        node, source = started_source(ConstantRate(50_000), seed=6, stop_at=stop)
+        assert [tx.created_at for tx in pending(node, 10.0)] == stamps[:3]
+        assert source.generated == 3
+        _node, reference = started_reference(50_000, seed=6, stop_at=stop)
+        reference._sim.run(until=10.0)
+        assert reference.generated == 3
+
     def test_seeds_give_distinct_but_reproducible_streams(self):
         def arrivals(seed):
             node, _source = started_source(ConstantRate(50_000), seed=seed)
