@@ -222,21 +222,16 @@ class BFTNodeBase(SnapshotState):
         elif isinstance(msg, BA_MESSAGE_TYPES):
             self._get_ba(msg.instance).handle(src, msg)
 
-    #: Scope advertised to the network: :meth:`declines_transfer` can only
-    #: ever return True for these message types, so the delivery hot paths
-    #: skip the Python call for everything else.  A subclass overriding
-    #: ``declines_transfer`` must restate its own scope (the network ignores
-    #: an inherited ``DECLINE_TYPES`` in that case and always consults the
-    #: hook).
-    DECLINE_TYPES = (ReturnChunkMsg,)
-
     def declines_transfer(self, msg: Message) -> bool:
         """Receiver-side cancellation hook for the bandwidth-accurate network.
 
-        Retrieval chunks for a block this node has already decoded are
-        declined so they are not charged against its download bandwidth —
-        the receiver-driven half of the "stop sending more chunks once the
-        block is decodable" optimisation (S6.3).
+        The network asks it only about a transfer its sender marked
+        cancellable (an ``abort`` passed to ``send``), at the transfer's
+        arrival, and never about a broadcast.  Retrieval chunks for a block
+        this node has already decoded are declined so they are not charged
+        against its download bandwidth — the receiver-driven half of the
+        "stop sending more chunks once the block is decodable" optimisation
+        (S6.3).
         """
         if isinstance(msg, ReturnChunkMsg):
             vid = self._vid_instances.get(msg.instance)

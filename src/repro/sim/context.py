@@ -75,11 +75,14 @@ class NodeContext(SnapshotState):
     ) -> None:
         """Send ``msg`` to node ``dst``.
 
-        ``abort`` lets bandwidth-accurate routers drop the transfer before it
-        consumes bandwidth if it is no longer needed (chunk cancellation):
-        the router asks ``abort(dst)``, so one predicate — e.g. a bound
-        ``set.__contains__`` over cancelled clients — serves every
-        destination and the sender allocates nothing per message.
+        A transfer can be cancelled only if its sender passes ``abort``:
+        bandwidth-accurate routers then drop it before it consumes bandwidth
+        if it is no longer needed (chunk cancellation), when ``abort(dst)``
+        is true or the receiver's ``declines_transfer`` declines it on
+        arrival.  The router asks ``abort(dst)``, so one predicate — e.g. a
+        bound ``set.__contains__`` over cancelled clients — serves every
+        destination and the sender allocates nothing per message.  A send
+        without ``abort``, and every broadcast, is never cancelled.
         """
         self._router.send(self.node_id, dst, msg, rank, abort)
 

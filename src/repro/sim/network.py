@@ -25,6 +25,7 @@ dispersal-traffic fraction of Fig. 13 is read straight from these counters.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable
@@ -79,7 +80,7 @@ class NetworkConfig:
         propagation_delay: one-way delay in seconds, either a scalar applied
             to every ordered pair or a matrix ``delay[src][dst]``.
         egress_traces: per-node egress bandwidth traces (bytes/s); ``None``
-            entries mean unlimited.
+            entries mean unlimited, as ``ConstantBandwidth(None)`` does.
         ingress_traces: per-node ingress bandwidth traces; same convention.
 
     With every trace unlimited and a scalar delay the network is *express*
@@ -166,60 +167,42 @@ class _MessageTransfer(SnapshotState):
             # the propagation hop rides the simulator's in-order lane.
             net._sim.schedule_in_order(delay, self)
         else:
-            # Arrived at the receiver: charge its ingress pipe.  The pipe gets
-            # an abort predicate only if one can fire: the sender supplied an
-            # abort, or the receiver's decline hook has this type in scope.
-            dst = self.dst
-            abort = None
-            if self.abort is not None:
-                abort = self.should_abort
-            elif net._declines[dst] is not None:
-                scope = net._decline_types[dst]
-                if scope is None or type(msg) in scope:
-                    abort = self.should_abort
+            # Arrived at the receiver: charge its ingress pipe.  Only a
+            # transfer its sender marked cancellable can be dropped there.
             self.phase = _DELIVER
-            net._ingress[dst].submit(msg.wire_size, msg.priority, self, self.rank, abort)
+            net._ingress[self.dst].submit(
+                msg.wire_size,
+                msg.priority,
+                self,
+                self.rank,
+                None if self.abort is None else self.should_abort,
+            )
 
     def sender_aborted(self) -> bool:
         """The sender's ``abort(dst)`` as the no-argument predicate a pipe asks."""
         return self.abort(self.dst)
 
     def should_abort(self) -> bool:
-        # Receiver-side cancellation: before the transfer is charged against
-        # the receiver's ingress bandwidth, the receiving automaton may
-        # decline it (e.g. a retrieval chunk for a block it already decoded).
-        # This models receiver-driven stream cancellation (QUIC STOP_SENDING
-        # / flow control): the bytes are neither transmitted in full nor
-        # charged to the receiver's scarce download capacity.
-        abort = self.abort
-        dst = self.dst
-        if abort is not None and abort(dst):
-            return True
-        net = self.network
-        decline = net._declines[dst]
-        if decline is None:
-            return False
-        scope = net._decline_types[dst]
-        if scope is not None and type(self.msg) not in scope:
-            return False  # the hook guarantees False for this type
-        return decline(self.msg)
+        """The ingress predicate of a cancellable transfer (see :func:`_cancelled`)."""
+        return _cancelled(self.network, self.abort, self.dst, self.msg)
 
 
-def _decline_scope(handler: object) -> tuple | None:
-    """Message types ``handler.declines_transfer`` can ever decline.
+def _cancelled(net: "Network", abort: Callable[[int], bool], dst: int, msg: Message) -> bool:
+    """The cancellation rule, asked of a transfer whose sender passed ``abort``.
 
-    A handler advertises the scope of its decline hook through a
-    ``DECLINE_TYPES`` class attribute — a tuple of message types outside
-    which the hook is guaranteed to return False.  To stay safe under
-    subclassing, the attribute only counts when it is declared on the same
-    class that defines ``declines_transfer``: a subclass overriding the hook
-    without restating its scope gets ``None`` (hook always consulted).
+    It is dropped before the receiver is charged when the sender aborts it
+    (``abort(dst)``) or the receiving automaton declines it (its
+    ``declines_transfer(msg)``, e.g. a retrieval chunk for a block it has
+    already decoded).  This models receiver-driven stream cancellation (QUIC
+    STOP_SENDING / flow control): the bytes are neither transmitted in full
+    nor charged to the receiver's scarce download capacity.  A transfer sent
+    without ``abort`` — every broadcast among them — is never cancelled and
+    its receiver is never asked.
     """
-    for klass in type(handler).__mro__:
-        if "declines_transfer" in klass.__dict__:
-            scope = klass.__dict__.get("DECLINE_TYPES")
-            return tuple(scope) if scope is not None else None
-    return None
+    if abort(dst):
+        return True
+    decline = net._declines[dst]
+    return decline is not None and decline(msg)
 
 
 class _BroadcastFanout(SnapshotState):
@@ -239,37 +222,16 @@ class _BroadcastFanout(SnapshotState):
         msg = self.msg
         wire = msg.wire_size
         priority = msg.priority
-        mtype = type(msg)
         on_message = net._on_message
         stats = net.stats
-        num_nodes = net._num_nodes
-        if net._fanout_skips_declines(mtype):
-            # No attached node can decline this type: decline-free tight loop.
-            for dst in range(num_nodes):
-                if dst == src:
-                    continue
-                stats[dst].received[priority] += wire
-                deliver = on_message[dst]
-                if deliver is not None:
-                    deliver(src, msg)
-            delivered = num_nodes - 1
-        else:
-            declines = net._declines
-            decline_types = net._decline_types
-            delivered = 0
-            for dst in range(num_nodes):
-                if dst == src:
-                    continue
-                decline = declines[dst]
-                if decline is not None:
-                    scope = decline_types[dst]
-                    if (scope is None or mtype in scope) and decline(msg):
-                        continue  # dropped before delivery, like the ingress path
-                stats[dst].received[priority] += wire
-                delivered += 1
-                deliver = on_message[dst]
-                if deliver is not None:
-                    deliver(src, msg)
+        for dst in range(net._num_nodes):
+            if dst == src:
+                continue
+            stats[dst].received[priority] += wire
+            deliver = on_message[dst]
+            if deliver is not None:
+                deliver(src, msg)
+        delivered = net._num_nodes - 1
         net.messages_delivered += delivered
         net._sim.count_inline_events(delivered)
 
@@ -283,8 +245,9 @@ class _ExpressTrain(SnapshotState):
     Scheduled one by one, those unicasts would have drawn consecutive
     sequence numbers at one timestamp, so no other event could sort between
     them: running the cars in append order from the train's slot is exactly
-    the order the per-message heap entries had.  Every car still runs its
-    abort and decline checks at arrival and counts as one processed event.
+    the order the per-message heap entries had.  Every cancellable car still
+    meets the cancellation rule at arrival, and every car counts as one
+    processed event.
 
     The cars are four parallel columns, not one tuple per unicast: node ids
     as unsigned shorts (hence the express network's 65 536-node cap), the
@@ -312,23 +275,15 @@ class _ExpressTrain(SnapshotState):
             # Fired: a unicast sent from a handler below (arriving at this
             # very instant on a zero-delay network) must start a new train.
             net._train = None
-        declines = net._declines
-        decline_types = net._decline_types
         on_message = net._on_message
         stats = net.stats
         msgs = self.msgs
         delivered = 0
         for src, dst, msg, abort in zip(self.srcs, self.dsts, msgs, self.aborts):
-            # Same semantics as the ingress leg of the pipe path: the
-            # sender-side abort and the receiver's scoped decline hook both
-            # run before the receiver is charged.
-            if abort is not None and abort(dst):
+            # The ingress leg of the pipe path: a cancellable transfer meets
+            # the cancellation rule before the receiver is charged.
+            if abort is not None and _cancelled(net, abort, dst, msg):
                 continue
-            decline = declines[dst]
-            if decline is not None:
-                scope = decline_types[dst]
-                if (scope is None or type(msg) in scope) and decline(msg):
-                    continue
             stats[dst].received[msg.priority] += msg.wire_size
             delivered += 1
             deliver = on_message[dst]
@@ -342,19 +297,24 @@ class _ExpressTrain(SnapshotState):
 class Network(SnapshotState):
     """Connects protocol automata through bandwidth-limited pipes.
 
-    A network whose every link is unlimited (no trace, or ``None`` entries
-    only) and whose delay is one scalar is **express**: no pipe could queue
-    a message and every copy of a broadcast arrives together, so the pipes
-    are skipped.  A broadcast schedules one fan-out event that delivers
+    A network whose every link is unlimited (no trace, a ``None`` entry or
+    ``ConstantBandwidth(None)``) and whose delay is one scalar is
+    **express**: no pipe could queue a message and every copy of a
+    broadcast arrives together, so the pipes are skipped.  A broadcast schedules one fan-out event that delivers
     every off-node copy inline (:class:`_BroadcastFanout`) and consecutive
     same-instant unicasts share one heap entry (:class:`_ExpressTrain`),
     instead of one three-hop pipe journey per message — the O(N) scheduler
     entries per broadcast that dominate large-N runs.  Per-delivery work is
     still counted through ``Simulator.count_inline_events``, so events/s
-    stays comparable.  Express delivery orders the copies of one instant
-    differently from the per-message path (identical arrival *times*), so
-    an express run pins its own summary (``columnar-scale`` in the slow
-    golden tier).
+    stays comparable.  The pipe path on the same links is the reference.
+    Its arrival times are the same, but it orders the deliveries of one
+    instant differently (its ingress hop draws a sequence number at
+    arrival), so of a burst of retrieval chunks arriving together a
+    different subset is decoded and the rest declined.  Every simulated
+    result still agrees: the summary, the bytes by node and traffic class
+    and the honest ledgers.  Only ``events_processed`` differs, because the
+    pipe path counts every hop of a journey
+    (``test_the_express_network_equals_the_pipe_network``).
     """
 
     #: The attach-time resolved hooks (``_on_message``, ``_declines``) are
@@ -370,8 +330,6 @@ class Network(SnapshotState):
         "_handlers",
         "_on_message",
         "_declines",
-        "_decline_types",
-        "_no_decline_cache",
         "_egress",
         "_ingress",
         "stats",
@@ -395,9 +353,9 @@ class Network(SnapshotState):
         )
         #: Every link unlimited and one scalar delay (see the class docstring).
         self._express = self._scalar_delay is not None and all(
-            trace is None
-            for traces in (config.egress_traces, config.ingress_traces)
-            for trace in traces or ()
+            isinstance(trace, ConstantBandwidth) and trace.rate_at(0.0) == math.inf
+            for node in range(config.num_nodes)
+            for trace in (config.egress_trace(node), config.ingress_trace(node))
         )
         if self._express and config.num_nodes > 65_536:
             raise ConfigurationError(
@@ -415,16 +373,6 @@ class Network(SnapshotState):
         )
         #: Per-node ``declines_transfer`` hooks, resolved at attach time.
         self._declines: list[Callable[[Message], bool] | None] = [None] * config.num_nodes
-        #: Per node: the message types its decline hook can ever return True
-        #: for (``None`` = unknown, always consult the hook).  Lets the hot
-        #: delivery paths skip the Python call for the overwhelming majority
-        #: of messages, which are not declinable at all.
-        self._decline_types: list[tuple | None] = [None] * config.num_nodes
-        #: ``message type -> True`` when *no* attached node can ever decline
-        #: that type (every decline hook is absent or scoped away from it).
-        #: Lets the broadcast fan-out take a decline-free tight loop; rebuilt
-        #: lazily per type and invalidated on attach.
-        self._no_decline_cache: dict[type, bool] = {}
         self._egress = [
             Pipe(sim, config.egress_trace(i)) for i in range(config.num_nodes)
         ]
@@ -475,25 +423,6 @@ class Network(SnapshotState):
         self._handlers[node_id] = handler
         self._on_message[node_id] = handler.on_message
         self._declines[node_id] = getattr(handler, "declines_transfer", None)
-        self._decline_types[node_id] = _decline_scope(handler)
-        self._no_decline_cache.clear()
-
-    def _fanout_skips_declines(self, mtype: type) -> bool:
-        """True when no attached node's decline hook can fire for ``mtype``.
-
-        A node is decline-free for a type when it has no hook at all, or its
-        advertised ``DECLINE_TYPES`` scope excludes the type.  Any node with
-        an unscoped hook (``None`` scope) forces the conservative answer.
-        The verdict is cached per type; :meth:`attach` invalidates the cache.
-        """
-        cached = self._no_decline_cache.get(mtype)
-        if cached is None:
-            cached = all(
-                decline is None or (scope is not None and mtype not in scope)
-                for decline, scope in zip(self._declines, self._decline_types)
-            )
-            self._no_decline_cache[mtype] = cached
-        return cached
 
     def start(self) -> None:
         """Invoke ``start()`` on every attached automaton at time zero."""
@@ -511,13 +440,17 @@ class Network(SnapshotState):
     ) -> None:
         """Send ``msg`` from ``src`` to ``dst``, charging bandwidth on both ends.
 
-        ``abort`` (optional) is asked ``abort(dst)`` when the message reaches
-        the head of the sender's egress queue and again at the receiver's
-        ingress queue; if it returns True the transfer is dropped without
-        consuming bandwidth.  Senders use it to cancel retrieval chunks the
-        receiver no longer needs (S6.3's "stop sending more chunks"
-        optimisation); taking the destination lets one predicate serve every
-        message of a protocol instance.
+        A transfer can be cancelled only if its sender passes ``abort``.  It
+        is asked ``abort(dst)`` when the message reaches the head of the
+        sender's egress queue; at the receiver's ingress queue the transfer
+        meets the cancellation rule (:func:`_cancelled`: ``abort(dst)``, then
+        the receiver's ``declines_transfer(msg)``).  A cancelled transfer is
+        dropped without consuming bandwidth.  Senders use it to cancel
+        retrieval chunks the receiver no longer needs (S6.3's "stop sending
+        more chunks" optimisation); taking the destination lets one
+        predicate serve every message of a protocol instance.  Without
+        ``abort`` — and on :meth:`broadcast` — the message is always
+        delivered and the receiver's hook is never asked.
         """
         if not 0 <= dst < self._num_nodes:
             raise ConfigurationError(f"destination {dst} out of range")

@@ -158,14 +158,22 @@ class TestStatsAndPriorities:
 class TestReceiverSideCancellation:
     def test_declined_transfer_not_delivered_or_charged(self):
         sim, network, recorders = build(rate=100.0, recorder_class=DecliningRecorder)
-        network.send(0, 1, Message(wire_size=1000))
-        network.send(0, 1, Message(wire_size=100))
+        network.send(0, 1, Message(wire_size=1000), abort=lambda dst: False)
+        network.send(0, 1, Message(wire_size=100), abort=lambda dst: False)
         sim.run()
         sizes = [msg.wire_size for _, _, msg in recorders[1].received]
         assert sizes == [100]
         # The declined kilobyte was dropped at the ingress, so only the small
         # message was charged against the receiver.
         assert network.stats[1].total_received == 100
+
+    def test_a_transfer_sent_without_abort_is_never_declined(self):
+        sim, network, recorders = build(rate=100.0, recorder_class=DecliningRecorder)
+        network.send(0, 1, Message(wire_size=1000))
+        network.broadcast(0, Message(wire_size=600), include_self=False)
+        sim.run()
+        assert [msg.wire_size for _, _, msg in recorders[1].received] == [1000, 600]
+        assert network.stats[1].total_received == 1600
 
     def test_abort_callable_from_sender(self):
         sim, network, recorders = build(rate=10.0)
@@ -232,70 +240,88 @@ class Tagged(Message):
         self.tag = tag
 
 
-class ScopedDecliner(Recorder):
-    """A decline hook scoped to ``Tagged`` messages that logs every ask."""
+class AskedRecorder(Recorder):
+    """A recorder whose decline hook logs every ask and declines when told to."""
 
-    DECLINE_TYPES = (Tagged,)
-    asked: list = []
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.asked = []
+        self.declining = False
 
     def declines_transfer(self, msg):
-        self.asked.append(type(msg).__name__)
-        return False
+        self.asked.append(msg.wire_size)
+        return self.declining
 
 
 class TestIngressAbortPredicateIsDecidedAtArrival:
-    """The ingress pipe gets a predicate only when one can fire."""
+    """The ingress pipe gets a predicate exactly when the sender passed
+    ``abort``, and only such a transfer's receiver is asked to decline it."""
 
-    def predicates(self, recorder_class, send):
+    def predicates(self, send, recorder_class=AskedRecorder, declining=False):
         sim, network, recorders = build(num_nodes=3, rate=1000.0, recorder_class=recorder_class)
+        receiver = recorders[1]
+        receiver.declining = declining
         submitted = []
         ingress = network._ingress[1]
         submit = ingress.submit
         ingress.submit = lambda *args: (submitted.append(args[4]), submit(*args))
         send(network)
         sim.run()
-        assert len(recorders[1].received) == len(submitted) > 0
-        return submitted
+        return submitted, receiver
 
-    def test_out_of_scope_type_without_sender_abort_gets_none(self):
-        ScopedDecliner.asked = []
-        submitted = self.predicates(
-            ScopedDecliner, lambda network: network.broadcast(0, Message(wire_size=40))
+    def test_a_plain_send_gets_none_and_never_asks_the_hook(self):
+        submitted, receiver = self.predicates(
+            lambda network: network.send(0, 1, Message(wire_size=40)), declining=True
         )
         assert submitted == [None]
-        assert ScopedDecliner.asked == []
+        assert receiver.asked == []
+        assert len(receiver.received) == 1
 
-    def test_in_scope_type_consults_the_hook(self):
-        ScopedDecliner.asked = []
-        submitted = self.predicates(
-            ScopedDecliner, lambda network: network.send(0, 1, Tagged(1, wire_size=40))
+    def test_a_broadcast_gets_none_and_never_asks_the_hook(self):
+        submitted, receiver = self.predicates(
+            lambda network: network.broadcast(0, Message(wire_size=40)), declining=True
+        )
+        assert submitted == [None]
+        assert receiver.asked == []
+        assert len(receiver.received) == 1
+
+    def test_a_cancellable_send_consults_the_hook(self):
+        submitted, receiver = self.predicates(
+            lambda network: network.send(0, 1, Message(wire_size=40), abort=lambda dst: False),
+            declining=True,
         )
         assert submitted != [None]
-        assert ScopedDecliner.asked == ["Tagged"]
+        assert receiver.asked == [40]
+        assert receiver.received == []
 
-    def test_sender_abort_is_asked_even_out_of_scope(self):
-        ScopedDecliner.asked = []
+    def test_the_sender_abort_is_asked_before_the_hook(self):
         asked = []
-        submitted = self.predicates(
-            ScopedDecliner,
+        submitted, receiver = self.predicates(
             lambda network: network.send(
                 0, 1, Message(wire_size=40), abort=lambda dst: bool(asked.append(dst))
             ),
         )
         assert submitted != [None]
         assert asked == [1, 1]  # egress head, ingress head
-        assert ScopedDecliner.asked == []  # out of scope: the hook is not consulted
+        assert receiver.asked == [40]  # after the sender's abort said no
+        assert len(receiver.received) == 1
 
-    def test_unscoped_hook_is_always_consulted(self):
-        submitted = self.predicates(
-            DecliningRecorder, lambda network: network.send(0, 1, Message(wire_size=40))
+    def test_a_sender_abort_at_ingress_skips_the_hook(self):
+        submitted, receiver = self.predicates(
+            lambda network: network.send(
+                0, 1, Message(wire_size=40), abort=lambda dst: network.sim.now > 0
+            ),
         )
         assert submitted != [None]
+        assert receiver.asked == []
+        assert receiver.received == []
 
     def test_no_hook_no_abort_gets_none(self):
-        assert self.predicates(
-            Recorder, lambda network: network.send(0, 1, Message(wire_size=40))
-        ) == [None]
+        submitted, receiver = self.predicates(
+            lambda network: network.send(0, 1, Message(wire_size=40)), recorder_class=Recorder
+        )
+        assert submitted == [None]
+        assert len(receiver.received) == 1
 
 
 class TestPropagationRidesTheInOrderLane:
@@ -367,13 +393,14 @@ class TestPropagationRidesTheInOrderLane:
         (NetworkConfig(num_nodes=3, propagation_delay=0.05), True),
         (NetworkConfig(num_nodes=3, egress_traces=[None] * 3, ingress_traces=[None] * 3), True),
         (NetworkConfig(num_nodes=3, egress_traces=[None, None, ConstantBandwidth(1e6)]), False),
-        (NetworkConfig(num_nodes=3, ingress_traces=[ConstantBandwidth(None)] * 3), False),
+        (NetworkConfig(num_nodes=3, ingress_traces=[ConstantBandwidth(None)] * 3), True),
         (NetworkConfig(num_nodes=2, propagation_delay=[[0.0, 0.1], [0.1, 0.0]]), False),
     ],
     ids=["no-traces", "none-traces", "one-limited-link", "trace-objects", "delay-matrix"],
 )
 def test_the_links_select_the_express_path(config, express):
-    """Express exactly when no link has a trace and the delay is one scalar."""
+    """Express exactly when every link is unlimited (no trace, a ``None``
+    entry or ``ConstantBandwidth(None)``) and the delay is one scalar."""
     assert Network(Simulator(), config)._express is express
 
 
@@ -471,25 +498,41 @@ class TestExpressTrains:
         assert sim.pending_events == 0
 
     def test_abort_and_decline_run_at_arrival_and_dropped_cars_still_count(self):
+        asked = []
+
         class Declining(LogRecorder):
             def declines_transfer(self, msg):
-                return msg.tag == "declined"
+                asked.append(msg.tag)
+                return msg.tag != "kept"
 
         sim, network, log = build_express(recorder_class=Declining)
         cancelled = set()
         network.send(0, 1, Tagged("aborted", 100), abort=cancelled.__contains__)
         network.send(0, 2, Tagged("kept", 100), abort=cancelled.__contains__)
-        network.send(0, 3, Tagged("declined", 100))
+        network.send(0, 3, Tagged("declined", 100), abort=cancelled.__contains__)
         network.send(0, 3, Tagged("plain", 100))
         cancelled.add(1)  # flips between send and arrival
         sim.run()
         assert log == [(2, 0, "kept"), (3, 0, "plain")]
+        # The sender's abort is asked first; a plain send is never asked.
+        assert asked == ["kept", "declined"]
         # The sender is charged at send time, the receiver only on delivery;
         # a dropped unicast was one event on the per-message path too.
         assert network.stats[0].total_sent == 400
         assert [network.stats[n].total_received for n in (1, 2, 3)] == [0, 100, 100]
         assert network.messages_delivered == 2
         assert sim.processed_events == 4
+
+    def test_an_express_broadcast_never_asks_the_hook(self):
+        class Declining(LogRecorder):
+            def declines_transfer(self, msg):
+                raise AssertionError("a broadcast is not cancellable")
+
+        sim, network, log = build_express(recorder_class=Declining)
+        network.broadcast(0, Tagged("all", 100), include_self=False)
+        sim.run()
+        assert log == [(1, 0, "all"), (2, 0, "all"), (3, 0, "all")]
+        assert [network.stats[n].total_received for n in range(4)] == [0, 100, 100, 100]
 
     def test_train_join_needs_the_last_push_to_be_the_train(self):
         sim, network, log = build_express()

@@ -246,3 +246,110 @@ def test_the_virtual_data_plane_equals_the_real_one(name, overrides):
     assert virtual[1] == real[1], "bytes sent by message kind differ"
     assert virtual[2] == real[2], "bytes sent by node and traffic class differ"
     assert virtual[3] == real[3], "honest ledgers differ"
+
+
+# ---------------------------------------------------------------------------
+# The express network is the pipe network without pipes
+# ---------------------------------------------------------------------------
+
+
+def _run_transport(name: str, overrides: dict, path: str):
+    """One catalog point on unlimited links, on ``path``: ``"express"`` as
+    built, ``"one-car"`` (express with every unicast on a train of its own,
+    i.e. one heap entry per message) or ``"pipe"`` (express cleared).
+
+    Returns the summary without the label and the event count, the event
+    count, the bytes sent and received by node and traffic class, each
+    honest ledger's ``(epoch, proposer)`` sequence and, per node, a hash
+    chained over its deliveries ``(time, sender, message kind)`` in order.
+    """
+    spec = apply_overrides(
+        get_scenario(name).base, {**overrides, "bandwidth.kind": "unlimited"}
+    )
+    state = build_scenario_state(spec)
+    network, sim = state.network, state.sim
+    assert network._express
+    network._express = path != "pipe"
+    if path == "one-car":
+        send = network.send
+
+        def send_on_a_new_train(*args, **kwargs):
+            network._train = None
+            send(*args, **kwargs)
+
+        network.send = send_on_a_new_train
+    deliveries = [0] * spec.topology.num_nodes
+
+    def logged(node, deliver):
+        def on_message(src, msg):
+            deliveries[node] = hash((deliveries[node], sim.now, src, type(msg).__name__))
+            deliver(src, msg)
+
+        return on_message
+
+    network._on_message = [
+        logged(node, deliver) for node, deliver in enumerate(network._on_message)
+    ]
+    sim.run(until=spec.duration)
+    summary = ScenarioResult(spec, {}, summarise_experiment(state)).summary()
+    del summary["label"]
+    events = summary.pop("events_processed")
+    stats = [(list(node.sent), list(node.received)) for node in network.stats]
+    ledgers = [
+        node.ledger.sequence()
+        for node in state.nodes
+        if node.node_id not in state.placement
+    ]
+    return summary, events, stats, ledgers, deliveries
+
+
+#: Catalog points on unlimited links covering DL, DL-Coupled, HB and
+#: HB-Link; saturating load under both spellings and constant and diurnal
+#: Poisson load; the censor, equivocate, crash and crash-after adversaries;
+#: and N = 4 to 32.  The N = 32 and the uncapped N = 16 points (~5 s for
+#: both paths together) run in CI's slow tier.
+_TRANSPORT_POINTS = [
+    _point("straggler-hetero", {"protocol": "dl", "duration": 6.0}),
+    _point("straggler-hetero", {"protocol": "dl-coupled", "duration": 6.0}),
+    _point("straggler-hetero", {"protocol": "hb", "duration": 6.0}),
+    _point("straggler-hetero", {"protocol": "hb-link", "duration": 6.0}),
+    _point("straggler-hetero", {"workload.kind": "saturating-columnar", "duration": 6.0}),
+    _point("censor-victim", {"duration": 6.0}),
+    _point("censor-victim", {"workload.kind": "diurnal", "duration": 6.0}),
+    _point("equivocate-split", {"duration": 10.0}),
+    _point(
+        "adversary-crash-mix",
+        {"adversary.kind": "crash", "adversary.count": 1, "duration": 6.0},
+    ),
+    _point("mid-run-crash", {"adversary.crash_time": 3.0, "duration": 6.0}),
+    _point("columnar-scale", {"topology.num_nodes": 4}),
+    _point("columnar-scale", {"topology.num_nodes": 16}),
+    _point("columnar-scale", {"topology.num_nodes": 32}, slow=True),
+    _point(
+        "columnar-scale",
+        {"topology.num_nodes": 16, "protocol": "hb-link", "max_epochs": None, "duration": 3.0},
+        slow=True,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, overrides", _TRANSPORT_POINTS)
+def test_the_express_network_equals_the_pipe_network(name, overrides):
+    """Skipping the pipes of unlimited links changes only the event count.
+
+    The two paths order the deliveries of one instant differently, and every
+    simulated result still agrees: the bytes, the ledgers and every summary
+    field but ``events_processed``.  The order the express path does have is
+    pinned against its own reference: a train of cars delivers exactly what
+    one heap entry per unicast would, in the same order, for the same count.
+    """
+    express = _run_transport(name, overrides, "express")
+    pipe = _run_transport(name, overrides, "pipe")
+    one_car = _run_transport(name, overrides, "one-car")
+    assert express[0]["mean_throughput"] > 0
+    assert express[0] == pipe[0], "summaries differ"
+    assert express[1] < pipe[1]  # the pipe path counts every hop
+    assert express[2] == pipe[2], "bytes by node and traffic class differ"
+    assert express[3] == pipe[3], "honest ledgers differ"
+    assert express[4] == one_car[4], "trains reorder deliveries"
+    assert express[1] == one_car[1], "trains miscount events"

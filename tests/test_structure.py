@@ -22,6 +22,12 @@ bytes are held once: only the Reed-Solomon layer takes ``memoryview`` slices
 of the one buffer a block is encoded into, no batched encode path grows back
 beside it, and parsing a block builds no ``Transaction``.
 
+**One cancellation rule.**  A transfer can be cancelled only if its sender
+passed ``abort``, so the network keeps one per-node decline hook and nothing
+that scopes it: no ``DECLINE_TYPES``, scope table or per-type decline cache,
+and ``Network.attach`` reads only ``on_message`` and ``declines_transfer``
+from a handler.
+
 **Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
 instance ids hash and compare in C.  A binary agreement's round flags are
 bits, so ``ba/mmr.py`` builds no ``set``.
@@ -274,6 +280,56 @@ def test_express_train_cars_are_columns():
         r"\.cars\b|append\(\(src, dst|_ExpressTrain\(self, when, \(", [SRC / "sim" / "network.py"]
     )
     assert not tuples, f"express-train cars are tuples again: {tuples}"
+
+
+def test_no_decline_scope():
+    """No name or string under ``src/`` mentions declining but the hook, the
+    network's per-node table of it and a local bound to one entry."""
+    allowed = {"declines_transfer", "_declines", "decline"}
+    sites = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _identifiers(path)
+        + [
+            (node.lineno, node.value)
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        if "decline" in name.lower() and name not in allowed and " " not in name
+    ]
+    assert not sites, (
+        "a decline scope or cache is back; only a cancellable transfer's receiver is "
+        f"asked (see docs/architecture.md, The life of a transaction): {sites}"
+    )
+
+
+def test_attach_reads_only_the_two_hooks():
+    """``Network.attach`` stores the handler and reads ``on_message`` and
+    ``declines_transfer`` from it, and nothing else (no class attribute, no
+    MRO walk, no handler passed on to a helper)."""
+    attach = _method(SRC / "sim" / "network.py", "Network", "attach")
+    parents = {child: node for node in ast.walk(attach) for child in ast.iter_child_nodes(node)}
+    read, other = set(), []
+    for node in ast.walk(attach):
+        if not (isinstance(node, ast.Name) and node.id == "handler"):
+            continue
+        parent = parents[node]
+        if isinstance(parent, ast.Attribute):
+            read.add(parent.attr)
+        elif (
+            isinstance(parent, ast.Call)
+            and _called_name(parent) == "getattr"
+            and parent.args[0] is node
+            and isinstance(parent.args[1], ast.Constant)
+        ):
+            read.add(parent.args[1].value)
+        elif isinstance(parent, ast.Assign) and parent.value is node:
+            continue  # stored, e.g. in ``self._handlers``
+        else:
+            other.append(f"line {parent.lineno}: {ast.unparse(parent)}")
+    assert read <= {"on_message", "declines_transfer"} and not other, (
+        f"Network.attach reads {sorted(read)} from a handler and uses it in {other}"
+    )
 
 
 def test_avid_m_cancellation_marks_are_not_a_set():
