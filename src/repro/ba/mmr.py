@@ -4,7 +4,9 @@ One :class:`BinaryAgreement` object is the automaton for one BA instance at
 one node.  The interface matches the paper's abstraction (S4.1):
 
 * ``input(b)`` — provide the node's binary input;
-* the ``on_output`` callback fires exactly once with the decided bit.
+* the ``on_output`` callback fires exactly once with the decided bit;
+* the ``on_halt`` callback fires once the instance halts, after which it
+  drops every message, so its owner may drop the instance too.
 
 Protocol sketch (per round ``r``):
 
@@ -36,29 +38,33 @@ from repro.ba.coin import CommonCoin
 from repro.ba.messages import AuxMsg, BValMsg, DecidedMsg
 
 
-class _RoundState:
+class _RoundState(SnapshotState):
     """Book-keeping for one round of the protocol.
 
-    Sender tallies are ``int`` bitmasks indexed by binary value (bit
+    Sender tallies are ``int`` bitmasks, one slot per binary value (bit
     ``1 << src`` set once ``src`` voted), counted with ``int.bit_count()``:
     one machine word per tally up to N=64, where a sender set or dict cost
-    kilobytes per round per instance.  ``bval_sent`` and ``bin_values`` are
-    2-bit masks over the binary values (bit ``1 << v``), not sets.  An
-    instance holds only its current and future rounds: it drops a round when
-    it leaves it, and all of them when it halts.
+    kilobytes per round per instance, and a ``[0, 0]`` list per tally kind
+    72 B.  ``bval_sent`` and ``bin_values`` are 2-bit masks over the binary
+    values (bit ``1 << v``), not sets.  An instance holds only its current
+    and future rounds: it drops a round when it leaves it, and all of them
+    when it halts.
     """
 
-    __slots__ = ("bval_senders", "aux_senders", "bval_sent", "aux_sent", "bin_values", "advanced")
+    _SNAPSHOT_FIELDS = (
+        "bval0", "bval1", "aux0", "aux1", "bval_sent", "aux_sent", "bin_values", "advanced",
+    )
+    __slots__ = _SNAPSHOT_FIELDS
 
     def __init__(self) -> None:
-        #: ``bval_senders[v]``: who sent ``BVAL(r, v)``.
-        self.bval_senders = [0, 0]
-        #: ``aux_senders[v]``: whose (first) ``AUX(r, *)`` carried ``v``.  The
-        #: two masks are disjoint — one AUX per sender per round counts — and
-        #: the N - f quorum rule counts the masks of the values inside
+        #: ``bval<v>``: who sent ``BVAL(r, v)``.
+        self.bval0 = self.bval1 = 0
+        #: ``aux<v>``: whose (first) ``AUX(r, *)`` carried ``v``.  The two
+        #: masks are disjoint — one AUX per sender per round counts — and the
+        #: N - f quorum rule counts the masks of the values inside
         #: ``bin_values``, so a vote parked while its value was outside
         #: counts from the moment the value is promoted, with no re-filing.
-        self.aux_senders = [0, 0]
+        self.aux0 = self.aux1 = 0
         self.bval_sent = 0
         self.aux_sent = False
         self.bin_values = 0
@@ -74,6 +80,7 @@ class BinaryAgreement(SnapshotState):
         "ctx",
         "coin",
         "on_output",
+        "on_halt",
         "round_number",
         "estimate",
         "decided",
@@ -81,9 +88,11 @@ class BinaryAgreement(SnapshotState):
         "_started",
         "_sent_decided",
         "_rounds",
-        "_decided_senders",
+        "_decided0",
+        "_decided1",
         "rounds_taken",
     )
+    __slots__ = _SNAPSHOT_FIELDS
 
     def __init__(
         self,
@@ -92,12 +101,14 @@ class BinaryAgreement(SnapshotState):
         ctx: NodeContext,
         coin: CommonCoin | None = None,
         on_output: Callable[[BAInstanceId, int], None] | None = None,
+        on_halt: Callable[[BAInstanceId], None] | None = None,
     ):
         self.params = params
         self.instance = instance
         self.ctx = ctx
         self.coin = coin or CommonCoin()
         self.on_output = on_output
+        self.on_halt = on_halt
 
         self.round_number = 0
         self.estimate: int | None = None
@@ -106,8 +117,8 @@ class BinaryAgreement(SnapshotState):
         self._started = False
         self._sent_decided = False
         self._rounds: dict[int, _RoundState] = {}
-        #: ``_decided_senders[v]``: bitmask of who sent ``DECIDED(v)``.
-        self._decided_senders = [0, 0]
+        #: ``_decided<v>``: bitmask of who sent ``DECIDED(v)``.
+        self._decided0 = self._decided1 = 0
         self.rounds_taken = 0
 
     # ------------------------------------------------------------------
@@ -169,14 +180,19 @@ class BinaryAgreement(SnapshotState):
         )
 
     def _on_bval(self, src: int, msg: BValMsg) -> None:
-        if msg.value not in (0, 1) or msg.round_number < self.round_number:
+        value = msg.value
+        if value not in (0, 1) or msg.round_number < self.round_number:
             return
         state = self._round(msg.round_number)
         bit = 1 << src
-        senders = state.bval_senders[msg.value]
+        senders = state.bval1 if value else state.bval0
         if senders & bit:
             return  # duplicate vote: no state change, nothing can fire
-        state.bval_senders[msg.value] = senders = senders | bit
+        senders |= bit
+        if value:
+            state.bval1 = senders
+        else:
+            state.bval0 = senders
         if not self._started:
             return
         # The echo and promote rules fire exactly when the supporter count
@@ -190,15 +206,19 @@ class BinaryAgreement(SnapshotState):
         self._evaluate_round(msg.round_number)
 
     def _on_aux(self, src: int, msg: AuxMsg) -> None:
-        if msg.value not in (0, 1) or msg.round_number < self.round_number:
+        value = msg.value
+        if value not in (0, 1) or msg.round_number < self.round_number:
             return
         state = self._round(msg.round_number)
         bit = 1 << src
-        aux = state.aux_senders
-        if (aux[0] | aux[1]) & bit:
+        if (state.aux0 | state.aux1) & bit:
             return  # one AUX per sender per round counts
-        aux[msg.value] |= bit
-        if not state.bin_values >> msg.value & 1:
+        if value:
+            state.aux1 |= bit
+        else:
+            state.aux0 |= bit
+        bin_values = state.bin_values
+        if not bin_values >> value & 1:
             # Not (yet) a valid vote; it counts once the value is promoted.
             # Nothing the quorum rule counts changed.
             return
@@ -206,9 +226,9 @@ class BinaryAgreement(SnapshotState):
             return
         # The N - f rule counts the masks of the values inside bin_values:
         # this vote's value is one, the other value counts only if it is too.
-        valid = aux[msg.value].bit_count()
-        if state.bin_values == 3:
-            valid += aux[1 - msg.value].bit_count()
+        valid = (state.aux0.bit_count() if bin_values & 1 else 0) + (
+            state.aux1.bit_count() if bin_values & 2 else 0
+        )
         if valid < self.params.quorum:
             return
         self._evaluate_round(msg.round_number)
@@ -222,7 +242,7 @@ class BinaryAgreement(SnapshotState):
         # Rule: echo BVAL values supported by f + 1 nodes; promote at 2f + 1.
         for value in (0, 1):
             bit = 1 << value
-            supporters = state.bval_senders[value].bit_count()
+            supporters = (state.bval1 if value else state.bval0).bit_count()
             if supporters >= self.params.small_quorum and not state.bval_sent & bit:
                 self._broadcast_bval(round_number, value)
             if supporters >= self.params.ready_threshold and not state.bin_values & bit:
@@ -241,9 +261,8 @@ class BinaryAgreement(SnapshotState):
         # Rule: once N - f AUX votes carry values inside bin_values, conclude
         # the round with the common coin.
         bin_values = state.bin_values
-        aux0, aux1 = state.aux_senders
-        valid0 = aux0.bit_count() if bin_values & 1 else 0
-        valid1 = aux1.bit_count() if bin_values & 2 else 0
+        valid0 = state.aux0.bit_count() if bin_values & 1 else 0
+        valid1 = state.aux1.bit_count() if bin_values & 2 else 0
         if valid0 + valid1 < self.params.quorum:
             return
         coin_value = self.coin.flip(self.instance, round_number)
@@ -293,17 +312,24 @@ class BinaryAgreement(SnapshotState):
             self.ctx.broadcast(DecidedMsg(instance=self.instance, value=value))
 
     def _on_decided(self, src: int, msg: DecidedMsg) -> None:
-        if msg.value not in (0, 1):
+        value = msg.value
+        if value not in (0, 1):
             return
         bit = 1 << src
-        senders = self._decided_senders[msg.value]
+        senders = self._decided1 if value else self._decided0
         if senders & bit:
             return  # duplicate: counts unchanged, rules re-check nothing new
-        self._decided_senders[msg.value] = senders = senders | bit
+        senders |= bit
+        if value:
+            self._decided1 = senders
+        else:
+            self._decided0 = senders
         count = senders.bit_count()
         if count >= self.params.small_quorum and self.decided is None:
-            self._decide(msg.value)
-        if count >= self.params.ready_threshold and self.decided == msg.value:
+            self._decide(value)
+        if count >= self.params.ready_threshold and self.decided == value:
             self.halted = True
             # handle() drops every message once halted.
             del self._rounds
+            if self.on_halt is not None:
+                self.on_halt(self.instance)

@@ -62,6 +62,12 @@ _MESSAGE_ROUTES: dict[type, int] = {
 }
 
 
+def _drop(src: int, msg: Message) -> None:
+    """The ``_automata`` entry of every halted agreement: a halted
+    ``BinaryAgreement`` dropped every message, so its node drops the
+    instance and keeps only this shared handler in its place."""
+
+
 def codec_for(config: NodeConfig, params: ProtocolParams) -> RealCodec | VirtualCodec:
     """The codec of ``config``'s data plane.  A run builds one and hands it to
     every node: the real codec's retrieval record is the run's."""
@@ -98,9 +104,10 @@ class BFTNodeBase(SnapshotState):
     """
 
     #: ``_automata`` maps instance ids to bound ``handle`` methods of the
-    #: VID/BA automata; those pickle as (instance, name) references so the
-    #: restored dispatch table points at the restored automata.  Node-class
-    #: adversary subclasses that add state extend this tuple.
+    #: VID/BA automata (or to the module-level ``_drop``); those pickle as
+    #: (instance, name) references so the restored dispatch table points at
+    #: the restored automata.  Node-class adversary subclasses that add
+    #: state extend this tuple.
     _SNAPSHOT_FIELDS = (
         "node_id",
         "params",
@@ -120,7 +127,10 @@ class BFTNodeBase(SnapshotState):
         "_vid_instances",
         "_ba_instances",
         "_automata",
-        "_completed_vids",
+        "_vid_complete",
+        "_ba_output",
+        "_ba_halt",
+        "_vids_ahead",
         "_v_prefix",
         "_epoch_start_pending",
         "_epoch_timer",
@@ -164,17 +174,27 @@ class BFTNodeBase(SnapshotState):
 
         self._epochs: dict[int, EpochState] = {}
         self._vid_instances: dict[VIDInstanceId, AvidMInstance] = {}
+        #: The live agreements: one halts once it can output nothing new and
+        #: leaves this dict, and its id maps to ``_drop`` in ``_automata``.
         self._ba_instances: dict[BAInstanceId, BinaryAgreement] = {}
         #: Union of the two dicts above, keyed by instance id (the id types
         #: never compare equal across protocols), mapping to the automaton's
-        #: *bound* ``handle`` method.  ``on_message`` resolves and dispatches
-        #: with one dict probe and one call on this map.
+        #: *bound* ``handle`` method, or to ``_drop`` for a halted agreement.
+        #: ``on_message`` resolves and dispatches with one dict probe and one
+        #: call on this map.
         self._automata: dict[Any, Callable[[int, Message], None]] = {}
+        # The automata's callbacks, bound once per node rather than once per
+        # automaton.
+        self._vid_complete = self._handle_vid_complete
+        self._ba_output = self._handle_ba_output
+        self._ba_halt = self._handle_ba_halt
 
-        # Observation state for inter-node linking (S4.3): which VID instances
-        # of each proposer have completed, and the contiguous prefix thereof.
-        self._completed_vids: list[set[int]] = [set() for _ in range(params.n)]
+        # Observation state for inter-node linking (S4.3): the contiguous
+        # prefix of each proposer's completed VID instances, and the
+        # ``(proposer, epoch)`` completions above it, each discarded once its
+        # proposer's prefix reaches it.
         self._v_prefix: list[int] = [0] * params.n
+        self._vids_ahead: set[tuple[int, int]] = set()
 
         self._epoch_start_pending = False
         #: The armed Nagle timer, as ``(epoch, cancellable handle or None)``.
@@ -285,7 +305,7 @@ class BFTNodeBase(SnapshotState):
                 instance=instance,
                 ctx=self.ctx,
                 codec=self.codec,
-                on_complete=self._handle_vid_complete,
+                on_complete=self._vid_complete,
                 allowed_disperser=instance.proposer,
                 retrieval_rank=float(instance.epoch),
             )
@@ -293,15 +313,18 @@ class BFTNodeBase(SnapshotState):
             self._automata[instance] = vid.handle
         return vid
 
-    def _get_ba(self, instance: BAInstanceId) -> BinaryAgreement:
+    def _get_ba(self, instance: BAInstanceId) -> BinaryAgreement | None:
+        """The agreement of ``instance``, created on first use; ``None`` once
+        it halted (its output is already in its epoch's ``ba_outputs``)."""
         ba = self._ba_instances.get(instance)
-        if ba is None:
+        if ba is None and instance not in self._automata:
             ba = BinaryAgreement(
                 params=self.params,
                 instance=instance,
                 ctx=self.ctx,
                 coin=self.coin,
-                on_output=self._handle_ba_output,
+                on_output=self._ba_output,
+                on_halt=self._ba_halt,
             )
             self._ba_instances[instance] = ba
             self._automata[instance] = ba.handle
@@ -429,11 +452,16 @@ class BFTNodeBase(SnapshotState):
 
     def _handle_vid_complete(self, instance: VIDInstanceId) -> None:
         proposer = instance.proposer
-        self._completed_vids[proposer].add(instance.epoch)
         prefix = self._v_prefix[proposer]
-        while prefix + 1 in self._completed_vids[proposer]:
+        if instance.epoch == prefix + 1:
+            ahead = self._vids_ahead
             prefix += 1
-        self._v_prefix[proposer] = prefix
+            while (proposer, prefix + 1) in ahead:
+                prefix += 1
+                ahead.remove((proposer, prefix))
+            self._v_prefix[proposer] = prefix
+        elif instance.epoch > prefix:
+            self._vids_ahead.add((proposer, instance.epoch))
         if self.ctx.probe is not None and proposer == self.node_id:
             self.ctx.probe.on_dispersal_complete(
                 self.node_id, instance.epoch, self.ctx.now
@@ -450,8 +478,14 @@ class BFTNodeBase(SnapshotState):
 
     def _input_ba(self, epoch: int, slot: int, value: int) -> None:
         ba = self._get_ba(BAInstanceId(epoch=epoch, slot=slot))
-        if not ba.has_input:
+        if ba is not None and not ba.has_input:
             ba.input(value)
+
+    def _handle_ba_halt(self, instance: BAInstanceId) -> None:
+        # A halted agreement drops every message and ignores every input, so
+        # nothing it holds can be read again.
+        del self._ba_instances[instance]
+        self._automata[instance] = _drop
 
     def _handle_ba_output(self, instance: BAInstanceId, value: int) -> None:
         state = self._epoch_state(instance.epoch)
@@ -495,9 +529,10 @@ class BFTNodeBase(SnapshotState):
         if self.ctx.probe is not None:
             self.ctx.probe.on_retrieval_start(self.node_id, epoch, slot, self.ctx.now)
         instance = VIDInstanceId(epoch=epoch, proposer=slot)
-        self._get_vid(instance).retrieve(partial(self._slot_retrieved, epoch, slot))
+        self._get_vid(instance).retrieve(self._slot_retrieved)
 
-    def _slot_retrieved(self, epoch: int, slot: int, result: RetrievalResult) -> None:
+    def _slot_retrieved(self, result: RetrievalResult) -> None:
+        epoch, slot = result.instance.epoch, result.instance.proposer
         if self.ctx.probe is not None:
             self.ctx.probe.on_retrieval_done(self.node_id, epoch, slot, self.ctx.now)
         block = self._block_from_payload(result.payload) if result.ok else None

@@ -17,7 +17,6 @@ dropped-block bandwidth waste but keeps the lockstep epoch structure.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 
 from repro.common.ids import VIDInstanceId
 from repro.core.config import NodeConfig
@@ -52,9 +51,10 @@ class HoneyBadgerNode(BFTNodeBase):
         if slot in state.retrieved:
             self._input_ba(epoch, slot, 1)
             return
-        self._get_vid(instance).retrieve(partial(self._block_fetched, epoch, slot))
+        self._get_vid(instance).retrieve(self._block_fetched)
 
-    def _block_fetched(self, epoch: int, slot: int, result: RetrievalResult) -> None:
+    def _block_fetched(self, result: RetrievalResult) -> None:
+        epoch, slot = result.instance.epoch, result.instance.proposer
         state = self._epoch_state(epoch)
         block = self._block_from_payload(result.payload) if result.ok else None
         if slot not in state.retrieved:

@@ -519,6 +519,13 @@ class Network(SnapshotState):
             return
         if include_self:
             self.send(src, src, msg, rank)
+        probe = self.probe
+        if probe is not None:
+            # The probe sees every off-node copy, as on the pipe path.
+            now = self._sim.now
+            for dst in range(self._num_nodes):
+                if dst != src:
+                    probe.on_message_send(src, dst, msg, now)
         if self._num_nodes > 1:
             self.stats[src].sent[msg.priority] += msg.wire_size * (self._num_nodes - 1)
             self._sim.schedule(self._scalar_delay, _BroadcastFanout(self, src, msg))

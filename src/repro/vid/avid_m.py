@@ -41,6 +41,13 @@ from repro.vid.messages import (
 )
 
 
+def _without(counts: dict[bytes, int] | None, root: bytes) -> dict[bytes, int] | None:
+    """``counts`` rebuilt without ``root``, or ``None`` if no other root counts."""
+    if counts is None:
+        return None
+    return {r: c for r, c in counts.items() if r != root} or None
+
+
 @dataclass(frozen=True)
 class RetrievalResult:
     """Outcome of a ``Retrieve`` invocation."""
@@ -53,8 +60,9 @@ class RetrievalResult:
 class AvidMInstance(SnapshotState):
     """One VID instance (server + optional client roles) at one node."""
 
-    #: ``_retrieval_result`` is set and ``_received_chunks`` deleted on the
-    #: first decode; a snapshot simply omits an absent field, and restore
+    #: ``_received_chunks`` is set by the first ``retrieve``; it and
+    #: ``_return_chunk_seen`` are deleted, and ``_retrieval_result`` set, on
+    #: the first decode.  A snapshot simply omits an absent slot, and restore
     #: leaves it absent.
     _SNAPSHOT_FIELDS = (
         "params",
@@ -85,6 +93,7 @@ class AvidMInstance(SnapshotState):
         "_retriever_cancelled",
         "_retrieval_result",
     )
+    __slots__ = _SNAPSHOT_FIELDS
 
     def __init__(
         self,
@@ -110,19 +119,24 @@ class AvidMInstance(SnapshotState):
         self.chunk_root: bytes | None = None
         self.completed = False
         self._sent_got_chunk = False
-        self._sent_ready_roots: set[bytes] = set()
-        # Distinct-sender vote counts per root.  The seen-masks dedup senders
-        # (bit ``1 << src``, one vote each), so a plain counter is enough for
-        # the quorum rules — no per-root sender sets, and one machine word
-        # per tally up to N=64 where a set cost 2 KB.  Completion rebuilds
-        # both without ``chunk_root`` (rebuilds, because a dict keeps its
-        # table after its last key is deleted) and later votes for that root
-        # only set their seen bit.
-        self._got_chunk_count: dict[bytes, int] = {}
-        self._ready_count: dict[bytes, int] = {}
+        #: The roots this node sent ``Ready`` for: one, unless the disperser
+        #: equivocated, so a tuple (a set cost 216 B per instance).
+        self._sent_ready_roots: tuple[bytes, ...] = ()
+        # Distinct-sender vote counts per root, ``None`` while empty.  The
+        # seen-masks dedup senders (bit ``1 << src``, one vote each), so a
+        # plain counter is enough for the quorum rules — no per-root sender
+        # sets, and one machine word per tally up to N=64 where a set cost
+        # 2 KB.  Completion rebuilds both without ``chunk_root`` (rebuilds,
+        # because a dict keeps its table after its last key is deleted), to
+        # ``None`` unless another root still counts, and later votes for
+        # that root only set their seen bit.
+        self._got_chunk_count: dict[bytes, int] | None = None
+        self._ready_count: dict[bytes, int] | None = None
         self._got_chunk_seen = 0
         self._ready_seen = 0
-        self._pending_requests: list[int] = []
+        #: Clients whose request came before this node could answer it, in
+        #: arrival order; ``None`` while there are none.
+        self._pending_requests: list[int] | None = None
         #: The answer to a retrieval request — identical (root, chunk) for
         #: every client, so one message object serves all of them.
         self._return_msg: ReturnChunkMsg | None = None
@@ -130,10 +144,8 @@ class AvidMInstance(SnapshotState):
         # --- retrieval client state (Fig. 4) ---
         self._retrieving = False
         self._retrieval_done = False
-        self._retrieval_callbacks: list[Callable[[RetrievalResult], None]] = []
-        #: Verified chunks per root until the decode, which deletes the map:
-        #: nothing reads it once ``_retrieval_done`` is set.
-        self._received_chunks: dict[bytes, dict[int, Chunk]] = {}
+        #: Who waits for the decoded payload; ``None`` while nobody does.
+        self._retrieval_callbacks: list[Callable[[RetrievalResult], None]] | None = None
         self._return_chunk_seen = 0
         #: ``[client] == 1`` once that client told us it decoded the block and
         #: needs no more chunks.
@@ -182,13 +194,20 @@ class AvidMInstance(SnapshotState):
         remaining servers to stop sending (the paper's cancellation
         optimisation, S6.3), so slow servers never gate the download.
         """
-        self._retrieval_callbacks.append(callback)
+        callbacks = self._retrieval_callbacks
+        if callbacks is None:
+            self._retrieval_callbacks = [callback]
+        else:
+            callbacks.append(callback)
         if self._retrieval_done:
             self._finish_retrieval_again()
             return
         if self._retrieving:
             return
         self._retrieving = True
+        #: Verified chunks per root until the decode, which deletes the map:
+        #: nothing reads it before ``_retrieving`` or after ``_retrieval_done``.
+        self._received_chunks: dict[bytes, dict[int, Chunk]] = {}
         # One broadcast, not N unicasts: every server receives the identical
         # request, and the network's broadcast path delivers in the same
         # 0..N-1 order the per-server loop did (the express network collapses
@@ -251,8 +270,10 @@ class AvidMInstance(SnapshotState):
         self._got_chunk_seen |= bit
         if self.completed and msg.root == self.chunk_root:
             return
-        count = self._got_chunk_count.get(msg.root, 0) + 1
-        self._got_chunk_count[msg.root] = count
+        counts = self._got_chunk_count
+        if counts is None:
+            counts = self._got_chunk_count = {}
+        count = counts[msg.root] = counts.get(msg.root, 0) + 1
         # The count rises by exactly one per distinct sender, so the quorum
         # rule fires at the crossing and never needs re-checking (_send_ready
         # is idempotent anyway).
@@ -266,8 +287,10 @@ class AvidMInstance(SnapshotState):
         self._ready_seen |= bit
         if self.completed and msg.root == self.chunk_root:
             return
-        count = self._ready_count.get(msg.root, 0) + 1
-        self._ready_count[msg.root] = count
+        counts = self._ready_count
+        if counts is None:
+            counts = self._ready_count = {}
+        count = counts[msg.root] = counts.get(msg.root, 0) + 1
         if count == self.params.ready_amplify_threshold:
             self._send_ready(msg.root)
         if count == self.params.ready_threshold and not self.completed:
@@ -275,8 +298,8 @@ class AvidMInstance(SnapshotState):
             self.completed = True
             # Ready(root) went out at f + 1 and counts only rise: no rule for root can fire again.
             root = msg.root
-            self._ready_count = {r: c for r, c in self._ready_count.items() if r != root}
-            self._got_chunk_count = {r: c for r, c in self._got_chunk_count.items() if r != root}
+            self._ready_count = _without(counts, root)
+            self._got_chunk_count = _without(self._got_chunk_count, root)
             self._answer_pending_requests()
             if self.on_complete is not None:
                 self.on_complete(self.instance)
@@ -284,15 +307,18 @@ class AvidMInstance(SnapshotState):
     def _send_ready(self, root: bytes) -> None:
         if root in self._sent_ready_roots:
             return
-        self._sent_ready_roots.add(root)
+        self._sent_ready_roots += (root,)
         self.ctx.broadcast(ReadyMsg(instance=self.instance, root=root))
 
     # --- server side (Fig. 4: answering retrievals) ---
 
     def _on_request_chunk(self, src: int) -> None:
         if not self._can_answer_request():
-            if src not in self._pending_requests:
-                self._pending_requests.append(src)
+            pending = self._pending_requests
+            if pending is None:
+                self._pending_requests = [src]
+            elif src not in pending:
+                pending.append(src)
             return
         self._send_return_chunk(src)
 
@@ -305,9 +331,9 @@ class AvidMInstance(SnapshotState):
         )
 
     def _answer_pending_requests(self) -> None:
-        if not self._can_answer_request():
+        if self._pending_requests is None or not self._can_answer_request():
             return
-        pending, self._pending_requests = self._pending_requests, []
+        pending, self._pending_requests = self._pending_requests, None
         for src in pending:
             self._send_return_chunk(src)
 
@@ -360,7 +386,8 @@ class AvidMInstance(SnapshotState):
                 instance=self.instance, payload=decoded, ok=ok
             )
             self._retrieval_done = True
-            del self._received_chunks
+            # Nothing reads either once _retrieval_done is set.
+            del self._received_chunks, self._return_chunk_seen
             # Tell every server we are done so the chunks still queued at
             # their egress are dropped instead of transmitted (S6.3).
             self.ctx.broadcast(
@@ -369,6 +396,6 @@ class AvidMInstance(SnapshotState):
             self._finish_retrieval_again()
 
     def _finish_retrieval_again(self) -> None:
-        callbacks, self._retrieval_callbacks = self._retrieval_callbacks, []
+        callbacks, self._retrieval_callbacks = self._retrieval_callbacks, None
         for callback in callbacks:
             callback(self._retrieval_result)

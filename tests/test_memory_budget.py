@@ -22,12 +22,16 @@ build on: the engine collects its cycles once the run returns.
 
 **Per delivered epoch** (the ``temporal16-columnar`` ledger workload's base
 of ``fig11b-temporal``: N=16, three and six epochs).  Each epoch adds N VID
-and N BA automata per node, and after the run each keeps only what a later
-message could read: a halted agreement holds no rounds, an agreement that
-moves on drops the round it leaves, and a completed dispersal holds no
-count for its own root.  The bytes retained at the end of the run grow by
-3.5 kB per extra delivered epoch per N^2; with every round, tally and
-count kept to the end of the run it was 5.4 kB.
+and N BA automata per node, and after the run each node keeps only what a
+later message could read: a halted agreement is dropped (its id maps to one
+shared drop handler), an agreement that moves on drops the round it leaves,
+a completed dispersal holds no count for its own root and no empty
+container, and the automata are slotted.  The bytes retained at the end of
+the run grow by 1.84 kB per extra delivered epoch per N^2.  With every
+halted agreement kept, the automata's attributes in instance dicts, empty
+containers kept, a ``partial`` per retrieval and a set of completed epochs
+per proposer it was 2.9 kB (recorded earlier as 3.5 kB); with every round,
+tally and count kept to the end of the run as well, 5.4 kB.
 
 **Per dispersed payload byte** (``equivocate-split`` made honest: N=7, two
 epochs of 100 kB real blocks, every node retrieving every block).  The
@@ -55,7 +59,8 @@ both grew as N^3: 10 188 and 31 778 pending events (21 N^2, 31 N^2) and
 19.9 MB and 48.7 MB (41 and 48 kB per N^2) at N=22 and N=32.  With one
 tuple per express-train car, one ``set`` of cancelled clients per VID
 instance and every decoded chunk map kept to the end of the run, the
-traced peak was still 15.3 and 13.3 kB per N^2.
+traced peak was still 15.3 and 13.3 kB per N^2; with every halted agreement
+and its callbacks kept and unslotted automata, 4.9 and 4.7 kB.
 
 **Python frames per delivery** (``columnar-scale``).  The same split applies
 to host work that is not protocol logic: every delivery probes the node's
@@ -104,9 +109,12 @@ BYTES_PER_SUBMITTED_TX = 8
 BYTES_PER_LATENCY_SAMPLE = 10
 
 #: Traced bytes retained at the end of a run per extra delivered epoch per
-#: N^2 (measured: 3 488; 5 433 with every BA round, halted agreement's
-#: tallies and completed dispersal's own-root counts kept).
-BYTES_PER_EPOCH_PER_N2 = 4_500
+#: N^2 (measured: 1 840 after this module's other tests, 1 816 alone; 2 889
+#: and 3 053 with every halted agreement, empty container and per-proposer
+#: completion set kept and the automata unslotted, recorded earlier as
+#: 3 488; 5 433 with every BA round, halted agreement's tallies and
+#: completed dispersal's own-root counts kept as well).
+BYTES_PER_EPOCH_PER_N2 = 2_000
 
 #: Traced peak bytes of the small real-plane run per dispersed payload byte
 #: (measured: 2.95 against a layout floor of N/(N-2f) = 2.33 at N=7; 3.23
@@ -116,8 +124,10 @@ TRACED_BYTES_PER_DISPERSED_BYTE = 3.1
 
 #: Peak live scheduler entries per N^2 (measured: 6.1).
 PENDING_EVENTS_PER_N2 = 8
-#: ``tracemalloc`` peak bytes per N^2 (measured: 7.0 kB at N=22, 6.0 kB at N=32).
-TRACED_BYTES_PER_N2 = 14_000
+#: ``tracemalloc`` peak bytes per N^2 (measured: 3.7 kB at N=22, 3.5 kB at
+#: N=32; 4.9 and 4.7 kB with every halted agreement kept and the automata
+#: unslotted, recorded earlier as 7.0 and 6.0 kB).
+TRACED_BYTES_PER_N2 = 8_000
 #: Profiled calls into ``repro/common/`` per N^2 (measured: 0.05 and 0.03).
 COMMON_CALLS_PER_N2 = 4
 
@@ -142,7 +152,7 @@ def test_pending_events_stay_within_8_n_squared(num_nodes):
 
 
 @pytest.mark.parametrize("num_nodes", [22, 32])
-def test_traced_memory_stays_within_14_kb_per_n_squared(num_nodes):
+def test_traced_memory_stays_within_8_kb_per_n_squared(num_nodes):
     tracemalloc.start()
     try:
         spec, state = _build(num_nodes)
@@ -233,7 +243,7 @@ def _run_temporal(max_epochs: int):
     return state, current
 
 
-def test_memory_retained_per_delivered_epoch_stays_within_4_5_kb_per_n_squared():
+def test_memory_retained_per_delivered_epoch_stays_within_2_kb_per_n_squared():
     (short, short_end), (long, long_end) = map(_run_temporal, (3, 6))
     delivered = [{node.delivered_epoch for node in state.nodes} for state in (short, long)]
     assert delivered == [{3}, {6}]

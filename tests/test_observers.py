@@ -129,7 +129,7 @@ def test_node_vid_and_ba_report_through_one_ctx_probe_across_a_checkpoint(tmp_pa
         assert automata
         # No per-automaton copy of the probe: they read the node's context.
         assert all(automaton.ctx is node.ctx for automaton in automata)
-        assert not any("probe" in vars(automaton) for automaton in automata)
+        assert not any(hasattr(automaton, "probe") for automaton in automata)
 
     # Instances created after the restore report to the same recorder.
     before = len(probe.rows)

@@ -260,8 +260,9 @@ def _run_transport(name: str, overrides: dict, path: str):
 
     Returns the summary without the label and the event count, the event
     count, the bytes sent and received by node and traffic class, each
-    honest ledger's ``(epoch, proposer)`` sequence and, per node, a hash
-    chained over its deliveries ``(time, sender, message kind)`` in order.
+    honest ledger's ``(epoch, proposer)`` sequence, per node a hash chained
+    over its deliveries ``(time, sender, message kind)`` in order, and the
+    send probe's calls counted by ``(src, dst, message kind)``.
     """
     spec = apply_overrides(
         get_scenario(name).base, {**overrides, "bandwidth.kind": "unlimited"}
@@ -279,6 +280,7 @@ def _run_transport(name: str, overrides: dict, path: str):
 
         network.send = send_on_a_new_train
     deliveries = [0] * spec.topology.num_nodes
+    network.probe = probe = _SendCounter()
 
     def logged(node, deliver):
         def on_message(src, msg):
@@ -300,7 +302,17 @@ def _run_transport(name: str, overrides: dict, path: str):
         for node in state.nodes
         if node.node_id not in state.placement
     ]
-    return summary, events, stats, ledgers, deliveries
+    return summary, events, stats, ledgers, deliveries, probe.sends
+
+
+class _SendCounter:
+    """A send-side probe counting ``on_message_send`` by ``(src, dst, kind)``."""
+
+    def __init__(self):
+        self.sends = Counter()
+
+    def on_message_send(self, src, dst, msg, now):
+        self.sends[src, dst, type(msg).__name__] += 1
 
 
 #: Catalog points on unlimited links covering DL, DL-Coupled, HB and
@@ -353,3 +365,4 @@ def test_the_express_network_equals_the_pipe_network(name, overrides):
     assert express[3] == pipe[3], "honest ledgers differ"
     assert express[4] == one_car[4], "trains reorder deliveries"
     assert express[1] == one_car[1], "trains miscount events"
+    assert express[5] == pipe[5], "the send probe sees different copies"

@@ -30,7 +30,9 @@ from a handler.
 
 **Protocol automata.**  Only protocol logic runs on the N^3 delivery path:
 instance ids hash and compare in C.  A binary agreement's round flags are
-bits, so ``ba/mmr.py`` builds no ``set``.
+bits, so ``ba/mmr.py`` builds no ``set``.  Every node holds N^2 automata per
+epoch, so the per-slot classes are slotted: no instance dict, and exactly
+the snapshot fields as slots.
 
 **One run loop, one definition per experiment.**  The simulator pops its
 heap in one place and has no profiled twin of the loop; a paper experiment
@@ -76,13 +78,19 @@ from pathlib import Path
 import pytest
 
 from repro.adversary.registry import AdversarySpec
+from repro.ba.mmr import BinaryAgreement, _RoundState
+from repro.common.ids import BAInstanceId, VIDInstanceId
+from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
 from repro.experiments.cli import resolve_scenario
 from repro.experiments.engine import sweep
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import Stop, build_experiment, execute
 from repro.experiments.scenario import ScenarioSpec, TopologySpec
+from repro.sim.context import NodeContext
 from repro.sim.network import NetworkConfig
+from repro.vid.avid_m import AvidMInstance
+from repro.vid.codec import VirtualCodec
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -560,6 +568,28 @@ def test_binary_agreement_builds_no_set():
     assert not sets, (
         "a binary agreement builds a set again; its round flags are 2-bit masks "
         f"(see docs/performance.md, Bitmask tallies): {sets}"
+    )
+
+
+def test_per_slot_automata_are_slotted():
+    """``AvidMInstance``, ``BinaryAgreement`` and ``_RoundState`` instances
+    carry no ``__dict__``, and each class's slots are its snapshot fields."""
+    params = ProtocolParams.for_n(4)
+    ctx = NodeContext(0, None, None)
+    instances = [
+        AvidMInstance(params, VIDInstanceId(epoch=1, proposer=0), ctx, VirtualCodec(params)),
+        BinaryAgreement(params, BAInstanceId(epoch=1, slot=0), ctx),
+        _RoundState(),
+    ]
+    unslotted = [
+        type(instance).__name__
+        for instance in instances
+        if hasattr(instance, "__dict__")
+        or type(instance).__slots__ != type(instance)._SNAPSHOT_FIELDS
+    ]
+    assert not unslotted, (
+        "a per-slot automaton holds an instance dict or a slot its snapshot does "
+        f"not list (see docs/performance.md, Per-slot state): {unslotted}"
     )
 
 

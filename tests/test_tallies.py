@@ -11,13 +11,16 @@ the same order and end in the same state.
 A second test pins the point of the masks: after a full N=64 epoch no
 automaton holds a container that grew with the number of senders — not
 even for retrieval, whose chunk map is dropped at decode and whose
-cancellation marks are one ``bytearray``.  It and a mid-run walk also pin
-what the automata free: a halted agreement holds no rounds, a live one no
-round below its current one, and a completed dispersal no count for its
-own root.
+cancellation marks are one ``bytearray``.  It, a mid-run walk and a directed
+test also pin what the nodes and automata free: a halted agreement is
+dropped and a late message or input for it creates nothing, a live one holds
+no round below its current one, and a completed dispersal holds no count
+for its own root and no empty container.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from repro.ba.messages import AuxMsg, BValMsg, DecidedMsg
 from repro.ba.mmr import BinaryAgreement, _RoundState
 from repro.common.ids import BAInstanceId, VIDInstanceId
 from repro.common.params import ProtocolParams
+from repro.core.node_base import _drop
 from repro.experiments import apply_overrides, get_scenario
 from repro.sim.context import NodeContext
 from repro.vid.avid_m import AvidMInstance
@@ -457,9 +461,10 @@ _NOT_OWNED = {"params", "instance", "ctx", "codec", "coin", "on_complete", "on_o
 
 def _largest_container(owner, skip=frozenset()) -> tuple[int, str]:
     """``(len, field)`` of the largest container reachable from ``owner``'s fields."""
-    names = getattr(owner, "__slots__", None) or vars(owner)
     largest = (0, "")
-    stack = [(name, getattr(owner, name)) for name in names if name not in skip]
+    stack = [
+        (name, getattr(owner, name, None)) for name in owner.__slots__ if name not in skip
+    ]
     while stack:
         name, value = stack.pop()
         if isinstance(value, _RoundState):
@@ -478,20 +483,54 @@ def test_no_per_sender_container_survives_a_full_n64_epoch():
     n = spec.topology.num_nodes
     node = state.nodes[n // 2]
     assert node.delivered_epoch == 1
-    assert len(node._vid_instances) == n and len(node._ba_instances) == n
+    assert len(node._vid_instances) == n
     for vid in node._vid_instances.values():
         assert vid.completed and vid.retrieval_complete
-        assert vid.chunk_root not in vid._got_chunk_count
-        assert vid.chunk_root not in vid._ready_count
+        # Every count was for the completed root, every request is answered
+        # and every retrieval reported: no container is left, empty or not.
+        assert vid._got_chunk_count is vid._ready_count is None
+        assert vid._pending_requests is vid._retrieval_callbacks is None
+        assert vid._sent_ready_roots == (vid.chunk_root,)
         assert vid._got_chunk_seen.bit_count() >= spec.params().quorum
         # The sets the masks replaced held one entry per sender (>= N - f).
         assert _largest_container(vid, _NOT_OWNED)[0] <= 2
         assert vid._cancelled_retrievers.count(1) >= spec.params().quorum - 1
-    for ba in node._ba_instances.values():
-        assert ba.halted and ba.decided == 1
-        assert not hasattr(ba, "_rounds")
-        assert max(ba._decided_senders).bit_count() >= spec.params().ready_threshold
-        assert _largest_container(ba, _NOT_OWNED)[0] <= 2
+    # Every agreement halted, so none survives: each id maps to the shared
+    # drop handler, and the epoch keeps the bits they output.
+    assert node._ba_instances == {}
+    assert all(node._automata[BAInstanceId(epoch=1, slot=slot)] is _drop for slot in range(n))
+    assert node.epoch_state(1).ba_outputs == dict.fromkeys(range(n), 1)
+
+
+def test_a_halted_agreement_is_dropped_and_a_late_message_creates_nothing():
+    """Votes, decisions and inputs for a halted id reach the drop handler:
+    no instance comes back, nothing is sent and the epoch does not change."""
+    spec = apply_overrides(get_scenario("columnar-scale").base, {"topology.num_nodes": 7})
+    state = build_scenario_state(spec)
+    state.sim.run(until=spec.duration)
+    node = state.nodes[3]
+    assert node.delivered_epoch == 1 and node._ba_instances == {}
+    sent = []
+    state.network.send = lambda *args, **kwargs: sent.append(args)
+    state.network.broadcast = lambda *args, **kwargs: sent.append(args)
+    # Field by field, each container copied: the blocks are compared by identity.
+    epoch = {name: copy.copy(value) for name, value in node.epoch_state(1).snapshot_state().items()}
+    pending = state.sim.pending_events
+    for slot in range(7):
+        ba_id = BAInstanceId(epoch=1, slot=slot)
+        for src in range(7):
+            for value in (0, 1):
+                node.on_message(src, BValMsg(instance=ba_id, round_number=0, value=value))
+                node.on_message(src, AuxMsg(instance=ba_id, round_number=1, value=value))
+                node.on_message(src, DecidedMsg(instance=ba_id, value=value))
+        node._input_ba(1, slot, 0)
+        node._input_ba(1, slot, 1)
+        assert node._get_ba(ba_id) is None
+        assert node._automata[ba_id] is _drop
+    assert node._ba_instances == {}
+    assert sent == []
+    assert state.sim.pending_events == pending
+    assert node.epoch_state(1).snapshot_state() == epoch
 
 
 def test_a_live_agreement_holds_no_past_round():
